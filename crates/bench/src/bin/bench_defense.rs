@@ -12,13 +12,13 @@
 //! undefended pipeline — the same invariant the golden replays and
 //! proptests pin.
 //!
-//! Writes a generation-stamped `results/bench_defense.json` (override
-//! with `--out`). `--smoke` drops to the tiny scenario for CI; pair it
-//! with `--max-rss-mb` to turn the memory claim into a hard gate.
+//! Writes `results/bench_defense.json` (override with `--out`). `--smoke`
+//! drops to the tiny scenario for CI; pair it with `--max-rss-mb` to turn
+//! the memory claim into a hard gate.
 
 use hostprof::defend::{default_sweep, DefenseCurve, DefenseEvaluator, DEFENSE_NAMES};
 use hostprof::scenario::Scenario;
-use hostprof_bench::{header, peak_rss_kb, row, write_results_stamped, write_stamped_at, Scale};
+use hostprof_bench::{header, peak_rss_kb, row, write_results, write_results_at, Scale};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -186,11 +186,6 @@ fn main() {
         );
     }
 
-    let ech_floor = curves
-        .iter()
-        .find(|c| c.defense == "ech")
-        .and_then(|c| c.points.last())
-        .map_or(0.0, |p| p.recovery_pct);
     let results = DefenseBench {
         scale: scale.label().to_string(),
         smoke: args.smoke,
@@ -203,21 +198,9 @@ fn main() {
         rss_gate_ok,
         curves,
     };
-    let headline = format!(
-        "{} defenses x {} points, identity bit-equal: {}, ech@100 recovery {ech_floor:.2}%",
-        results.curves.len(),
-        results.curves.first().map_or(0, |c| c.points.len()),
-        identity_ok,
-    );
     match &args.out {
-        Some(path) => {
-            let path = std::path::Path::new(path);
-            match write_stamped_at(path, &results, &headline) {
-                Ok(()) => println!("\n[results written to {}]", path.display()),
-                Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-            }
-        }
-        None => write_results_stamped("bench_defense", &results, &headline),
+        Some(path) => write_results_at(std::path::Path::new(path), &results),
+        None => write_results("bench_defense", &results),
     }
 
     if !identity_ok {

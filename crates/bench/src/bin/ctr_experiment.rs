@@ -112,8 +112,28 @@ fn main() {
         );
     }
 
-    println!("\n  shape check: eavesdropper CTR ≥ ad-network CTR, both in the 0.07–0.84%");
-    println!("  industry band, difference NOT significant at p < .05");
+    // The paper's three claims, evaluated on this run's numbers.
+    let verdict = |ok: bool| if ok { "ok" } else { "DEVIATES" };
+    let in_band = |pct: f64| (0.07..=0.84).contains(&pct);
+    println!("\n  shape check:");
+    row(
+        "eavesdropper CTR ≥ ad-network CTR",
+        format!("{} ({eaves:.3}% vs {orig:.3}%)", verdict(eaves >= orig)),
+    );
+    row(
+        "both in the 0.07–0.84% industry band",
+        format!(
+            "{} ({eaves:.3}%, {orig:.3}%)",
+            verdict(in_band(eaves) && in_band(orig))
+        ),
+    );
+    row(
+        "difference NOT significant at p < .05",
+        match &test {
+            Some(t) => format!("{} (p = {:.4})", verdict(!t.significant(0.05)), t.p),
+            None => "undefined (degenerate sample)".to_string(),
+        },
+    );
 
     write_results(
         "ctr_experiment",

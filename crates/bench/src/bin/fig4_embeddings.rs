@@ -147,9 +147,7 @@ fn main() {
     }
 
     // Barnes–Hut t-SNE over the FULL labeled domain set (O(n log n) per
-    // iteration, so no subsampling needed — the exact reducer in
-    // `hostprof_stats::tsne` is kept for small inputs and as the reference
-    // implementation).
+    // iteration, so no subsampling needed).
     let y = BhTsne::new(BhTsneConfig {
         perplexity: 25.0,
         iterations: 350,

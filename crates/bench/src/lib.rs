@@ -1,8 +1,8 @@
 //! # hostprof-bench
 //!
-//! The benchmark harness: one binary per paper figure / in-text result
-//! (see `DESIGN.md` §4 for the experiment index) plus Criterion
-//! micro-benches for the performance-sensitive paths.
+//! The paper reproduction: one binary per paper figure / in-text result
+//! (see `DESIGN.md` §4 for the experiment index). Speed is measured in
+//! one place only, the harness under `benchmark/`.
 //!
 //! Every binary:
 //!
@@ -18,7 +18,7 @@ pub mod chart;
 
 use hostprof::scenario::ScenarioConfig;
 use serde::Serialize;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Scale selected via the `HOSTPROF_SCALE` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,10 +29,6 @@ pub enum Scale {
     Small,
     /// The full laptop-scale model of the paper's deployment.
     Default,
-    /// The million-user / 10⁵-vocabulary tier (DESIGN.md §13). Only
-    /// reachable through the columnar streaming path — materializing this
-    /// world as `Vec<Request>` is exactly what the tier exists to avoid.
-    Large,
 }
 
 impl Scale {
@@ -41,7 +37,6 @@ impl Scale {
         match std::env::var("HOSTPROF_SCALE").as_deref() {
             Ok("tiny") => Scale::Tiny,
             Ok("default") | Ok("full") => Scale::Default,
-            Ok("large") => Scale::Large,
             _ => Scale::Small,
         }
     }
@@ -52,7 +47,6 @@ impl Scale {
             Scale::Tiny => ScenarioConfig::tiny(),
             Scale::Small => ScenarioConfig::small(),
             Scale::Default => ScenarioConfig::paper_month(),
-            Scale::Large => ScenarioConfig::large(),
         }
     }
 
@@ -62,16 +56,8 @@ impl Scale {
             Scale::Tiny => "tiny",
             Scale::Small => "small",
             Scale::Default => "default",
-            Scale::Large => "large",
         }
     }
-}
-
-/// Hardware threads available to this process.
-pub fn hw_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// High-water mark of this process's resident set from the kernel's
@@ -96,85 +82,20 @@ pub fn write_results<T: Serialize>(name: &str, value: &T) {
     if std::fs::create_dir_all(&dir).is_err() {
         return;
     }
-    let path = dir.join(format!("{name}.json"));
+    write_results_at(&dir.join(format!("{name}.json")), value);
+}
+
+/// [`write_results`] to an explicit path.
+pub fn write_results_at<T: Serialize>(path: &Path, value: &T) {
     match serde_json::to_string_pretty(value) {
         Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
+            if let Err(e) = std::fs::write(path, json) {
                 eprintln!("warning: could not write {}: {e}", path.display());
             } else {
                 println!("\n[results written to {}]", path.display());
             }
         }
         Err(e) => eprintln!("warning: could not serialize results: {e}"),
-    }
-}
-
-/// Fold a generation stamp into a result record. Carries the previous
-/// file's append-only `generations` array forward and appends
-/// `{seq, unix_time_s, headline}`, so regenerating a benchmark never
-/// erases the record of earlier runs. Pure — `write_results_stamped`
-/// supplies the file I/O and clock.
-pub fn stamped_value<T: Serialize>(
-    value: &T,
-    prev_json: Option<&str>,
-    headline: &str,
-    unix_time_s: u64,
-) -> serde_json::Value {
-    use serde_json::Value;
-    let mut v = serde_json::to_value(value);
-    let mut generations: Vec<Value> = prev_json
-        .and_then(|s| serde_json::from_str::<Value>(s).ok())
-        .and_then(|old| {
-            old.as_map().and_then(|m| {
-                m.iter()
-                    .find(|(k, _)| k == "generations")
-                    .and_then(|(_, g)| g.as_seq().map(<[Value]>::to_vec))
-            })
-        })
-        .unwrap_or_default();
-    let seq = generations.len() as u64 + 1;
-    // I64 matches what the parser produces for small integers, so a
-    // stamp → write → read → stamp cycle compares equal.
-    generations.push(Value::Map(vec![
-        ("seq".into(), Value::I64(seq as i64)),
-        ("unix_time_s".into(), Value::I64(unix_time_s as i64)),
-        ("headline".into(), Value::Str(headline.into())),
-    ]));
-    if let Value::Map(map) = &mut v {
-        map.retain(|(k, _)| k != "generations");
-        map.push(("generations".into(), Value::Seq(generations)));
-    }
-    v
-}
-
-/// Write a generation-stamped record to an explicit path (the `--out`
-/// escape hatch of the serving/large benches).
-pub fn write_stamped_at<T: Serialize>(
-    path: &std::path::Path,
-    value: &T,
-    headline: &str,
-) -> std::io::Result<()> {
-    let prev = std::fs::read_to_string(path).ok();
-    let now = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let v = stamped_value(value, prev.as_deref(), headline, now);
-    let json = serde_json::to_string_pretty(&v).expect("serializable results");
-    std::fs::write(path, json)
-}
-
-/// Like [`write_results`], but stamps the record with an append-only
-/// `generations` provenance array (DESIGN.md §13).
-pub fn write_results_stamped<T: Serialize>(name: &str, value: &T, headline: &str) {
-    let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match write_stamped_at(&path, value, headline) {
-        Ok(()) => println!("\n[results written to {}]", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
 }
 
@@ -216,55 +137,5 @@ mod tests {
     fn results_dir_is_stable() {
         let d = results_dir();
         assert!(d.ends_with("results"));
-    }
-
-    #[derive(Serialize)]
-    struct Rec {
-        metric: u32,
-    }
-
-    fn field<'a>(v: &'a serde_json::Value, key: &str) -> &'a serde_json::Value {
-        v.as_map()
-            .unwrap()
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("missing field {key}"))
-    }
-
-    #[test]
-    fn stamping_a_fresh_record_starts_at_seq_one() {
-        let v = stamped_value(&Rec { metric: 7 }, None, "first run", 1_000);
-        assert_eq!(field(&v, "metric").as_u64(), Some(7));
-        let gens = field(&v, "generations").as_seq().unwrap();
-        assert_eq!(gens.len(), 1);
-        assert_eq!(field(&gens[0], "seq").as_u64(), Some(1));
-        assert_eq!(field(&gens[0], "unix_time_s").as_u64(), Some(1_000));
-        assert_eq!(field(&gens[0], "headline").as_str(), Some("first run"));
-    }
-
-    #[test]
-    fn restamping_appends_and_never_rewrites_history() {
-        let first = stamped_value(&Rec { metric: 7 }, None, "first", 1_000);
-        let prev = serde_json::to_string(&first).unwrap();
-        let second = stamped_value(&Rec { metric: 9 }, Some(&prev), "second", 2_000);
-        assert_eq!(field(&second, "metric").as_u64(), Some(9));
-        let gens = field(&second, "generations").as_seq().unwrap();
-        assert_eq!(gens.len(), 2);
-        assert_eq!(
-            gens[0],
-            field(&first, "generations").as_seq().unwrap()[0],
-            "history must be kept"
-        );
-        assert_eq!(field(&gens[1], "seq").as_u64(), Some(2));
-        assert_eq!(field(&gens[1], "headline").as_str(), Some("second"));
-    }
-
-    #[test]
-    fn malformed_previous_files_reset_cleanly() {
-        for prev in ["not json", "{\"generations\": 3}", "{}"] {
-            let v = stamped_value(&Rec { metric: 1 }, Some(prev), "h", 5);
-            assert_eq!(field(&v, "generations").as_seq().unwrap().len(), 1);
-        }
     }
 }

@@ -32,30 +32,6 @@ impl std::str::FromStr for KernelChoice {
     }
 }
 
-impl std::str::FromStr for Sharding {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "static" => Ok(Self::Static),
-            "balanced" => Ok(Self::Balanced),
-            other => Err(format!("unknown sharding '{other}' (static|balanced)")),
-        }
-    }
-}
-
-/// How sequences are scheduled across Hogwild workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
-pub enum Sharding {
-    /// Worker `tid` owns every n-th sequence. Skewed sequence lengths
-    /// idle workers; kept for A/B measurement.
-    Static,
-    /// Token-count-balanced contiguous chunks claimed through an atomic
-    /// work-stealing cursor (the default).
-    #[default]
-    Balanced,
-}
-
 /// SKIPGRAM hyperparameters. [`SkipGramConfig::default`] matches the
 /// paper's Section 5.4 choice of "the default hyperparameter values of the
 /// popular implementation GENSIM": `d = 100`, window `2m+1 = 5`, `K = 5`.
@@ -82,9 +58,6 @@ pub struct SkipGramConfig {
     /// Inner-loop kernel (`auto` | `scalar` | `simd`).
     #[serde(default)]
     pub kernel: KernelChoice,
-    /// Worker scheduling strategy (`static` | `balanced`).
-    #[serde(default)]
-    pub sharding: Sharding,
 }
 
 impl Default for SkipGramConfig {
@@ -100,7 +73,6 @@ impl Default for SkipGramConfig {
             threads: 1,
             seed: 0x5eed_e4be,
             kernel: KernelChoice::Auto,
-            sharding: Sharding::Balanced,
         }
     }
 }
@@ -155,17 +127,23 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_sharding_parse_and_default() {
+    fn kernel_parses_and_defaults() {
         assert_eq!("auto".parse::<KernelChoice>(), Ok(KernelChoice::Auto));
         assert_eq!("scalar".parse::<KernelChoice>(), Ok(KernelChoice::Scalar));
         assert_eq!("simd".parse::<KernelChoice>(), Ok(KernelChoice::Simd));
         assert!("avx512".parse::<KernelChoice>().is_err());
-        assert_eq!("static".parse::<Sharding>(), Ok(Sharding::Static));
-        assert_eq!("balanced".parse::<Sharding>(), Ok(Sharding::Balanced));
-        assert!("dynamic".parse::<Sharding>().is_err());
         let c = SkipGramConfig::default();
         assert_eq!(c.kernel, KernelChoice::Auto);
-        assert_eq!(c.sharding, Sharding::Balanced);
+    }
+
+    #[test]
+    fn config_json_from_before_sharding_was_removed_still_loads() {
+        let old = r#"{"dim":64,"window":2,"negatives":5,"epochs":3,"learning_rate":0.025,
+            "min_count":1,"subsample":0.001,"threads":2,"seed":7,
+            "kernel":"simd","sharding":"balanced"}"#;
+        let c: SkipGramConfig = serde_json::from_str(old).expect("stale field is ignored");
+        assert_eq!((c.dim, c.epochs, c.threads, c.seed), (64, 3, 2, 7));
+        assert_eq!(c.kernel, KernelChoice::Simd);
     }
 
     #[test]

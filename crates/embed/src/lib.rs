@@ -36,12 +36,12 @@ pub mod simd;
 pub mod table;
 pub mod vocab;
 
-pub use config::{KernelChoice, Sharding, SkipGramConfig};
+pub use config::{KernelChoice, SkipGramConfig};
 pub use corpus::CorpusBuffer;
 pub use embedding::EmbeddingSet;
 pub use index::{ExactScan, IndexConfig, IvfFlat, IvfParams, NnIndex, DEFAULT_IVF_SEED};
 pub use knn::KnnScratch;
-pub use model::{balanced_chunk_ranges, SkipGram, TrainStats, UpdateReport};
+pub use model::{SkipGram, TrainStats, UpdateReport};
 pub use persist::{from_flat_bytes, to_flat_bytes};
 pub use table::NegativeTable;
 pub use vocab::Vocab;

@@ -16,7 +16,7 @@
 //! is what lets the paper claim line-rate scalability. The `unsafe` is
 //! confined to the `SharedWeights` accessor.
 
-use crate::config::{Sharding, SkipGramConfig};
+use crate::config::SkipGramConfig;
 use crate::embedding::EmbeddingSet;
 use crate::sigmoid::SigmoidTable;
 use crate::simd::{self, Kernel};
@@ -62,10 +62,7 @@ impl TrainStats {
 /// token counts: greedy accumulation toward ~8 chunks per worker, so the
 /// work-stealing cursor has enough granularity to absorb skewed sequence
 /// lengths without the chunk-claim overhead dominating.
-///
-/// Public so the bench harness can reproduce the schedule when comparing
-/// static and balanced sharding.
-pub fn balanced_chunk_ranges(token_counts: &[usize], threads: usize) -> Vec<Range<usize>> {
+fn balanced_chunk_ranges(token_counts: &[usize], threads: usize) -> Vec<Range<usize>> {
     let n = token_counts.len();
     if n == 0 {
         return Vec::new();
@@ -521,68 +518,32 @@ impl SkipGram {
         };
 
         let start = Instant::now();
-        match config.sharding {
-            Sharding::Balanced => {
-                // Token-balanced chunks claimed through one atomic cursor:
-                // a worker stuck on a giant sequence simply claims fewer
-                // chunks, so skewed lengths no longer idle the others. The
-                // cursor runs over `epochs` laps of the chunk list — with
-                // one thread that is exactly the sequential epoch order.
-                let lens: Vec<usize> = sequences.iter().map(Vec::len).collect();
-                let chunks = balanced_chunk_ranges(&lens, n_threads);
-                let n_chunks = chunks.len();
-                let total_items = n_chunks * config.epochs;
-                let cursor = AtomicUsize::new(0);
-                run_workers(n_threads, |tid| {
-                    let mut st = WorkerState::new(&config, tid);
-                    loop {
-                        let item = cursor.fetch_add(1, Ordering::Relaxed);
-                        if item >= total_items {
-                            break;
-                        }
-                        for seq in &sequences[chunks[item % n_chunks].clone()] {
-                            ctx.train_sequence(&mut st, seq);
-                        }
-                    }
-                    ctx.flush_progress(&mut st);
-                });
+        // Token-balanced chunks claimed through one atomic cursor: a
+        // worker stuck on a giant sequence simply claims fewer chunks, so
+        // skewed lengths do not idle the others. The cursor runs over
+        // `epochs` laps of the chunk list — with one thread that is
+        // exactly the sequential epoch order.
+        let lens: Vec<usize> = sequences.iter().map(Vec::len).collect();
+        let chunks = balanced_chunk_ranges(&lens, n_threads);
+        let n_chunks = chunks.len();
+        let total_items = n_chunks * config.epochs;
+        let cursor = AtomicUsize::new(0);
+        run_workers(n_threads, |tid| {
+            let mut st = WorkerState::new(&config, tid);
+            loop {
+                let item = cursor.fetch_add(1, Ordering::Relaxed);
+                if item >= total_items {
+                    break;
+                }
+                for seq in &sequences[chunks[item % n_chunks].clone()] {
+                    ctx.train_sequence(&mut st, seq);
+                }
             }
-            Sharding::Static => {
-                run_workers(n_threads, |tid| {
-                    let mut st = WorkerState::new(&config, tid);
-                    for _epoch in 0..config.epochs {
-                        // Static sharding: worker `tid` owns every n-th
-                        // sequence.
-                        for seq in sequences.iter().skip(tid).step_by(n_threads) {
-                            ctx.train_sequence(&mut st, seq);
-                        }
-                    }
-                    ctx.flush_progress(&mut st);
-                });
-            }
-        }
+            ctx.flush_progress(&mut st);
+        });
         stats.elapsed_secs = start.elapsed().as_secs_f64();
         stats.processed_tokens = ctx.processed.load(Ordering::Relaxed);
         stats
-    }
-
-    /// Fine-tune the model on additional sequences without rebuilding the
-    /// vocabulary — the incremental alternative to the paper's full daily
-    /// retrain ("the amount of data used for training is configurable",
-    /// §5.4). Out-of-vocabulary hostnames are dropped; the same LR
-    /// schedule is replayed over the new data. Returns how many sequences
-    /// were actually used.
-    pub fn continue_training<S: AsRef<str>>(&mut self, sequences: &[Vec<S>]) -> usize {
-        let encoded: Vec<Vec<u32>> = sequences
-            .iter()
-            .map(|s| self.vocab.encode(s.iter().map(|t| t.as_ref())))
-            .filter(|s| s.len() >= 2)
-            .collect();
-        if encoded.is_empty() {
-            return 0;
-        }
-        self.stats = self.run_sgd(&encoded);
-        encoded.len()
     }
 
     /// The online update entry point (DESIGN.md §14): fold a batch of
@@ -601,8 +562,7 @@ impl SkipGram {
     /// 3. Rebuild the negative table only when the policy demands it
     ///    ([`NegativeTable::needs_rebuild`]), then resume SGD from the
     ///    live weights over the new sequences with the configured
-    ///    epochs/LR schedule (a fresh linear decay over this batch, like
-    ///    [`Self::continue_training`]).
+    ///    epochs/LR schedule (a fresh linear decay over this batch).
     ///
     /// With `threads = 1` the whole call is bit-deterministic and matches
     /// the naive `oracle::update` reference exactly.
@@ -660,7 +620,7 @@ impl SkipGram {
     }
 
     /// Throughput/coverage statistics of the most recent training pass
-    /// (initial training or [`Self::continue_training`]).
+    /// (initial training or [`Self::update`]).
     pub fn train_stats(&self) -> &TrainStats {
         &self.stats
     }
@@ -804,25 +764,16 @@ mod tests {
     #[test]
     fn lr_schedule_sees_every_token() {
         let corpus = clustered_corpus(30);
-        for (threads, sharding) in [
-            (1, Sharding::Balanced),
-            (1, Sharding::Static),
-            (3, Sharding::Static),
-            (4, Sharding::Balanced),
-        ] {
+        for threads in [1, 3, 4] {
             let cfg = SkipGramConfig {
                 threads,
-                sharding,
                 ..SkipGramConfig::tiny()
             };
             let model = SkipGram::train(&corpus, &cfg).unwrap();
             let st = model.train_stats();
             // The trailing per-worker remainders must be flushed: the
             // decay schedule accounts for exactly the planned token count.
-            assert_eq!(
-                st.processed_tokens, st.planned_tokens,
-                "threads={threads} sharding={sharding:?}"
-            );
+            assert_eq!(st.processed_tokens, st.planned_tokens, "threads={threads}");
             assert!((st.lr_coverage() - 1.0).abs() < 1e-12);
             assert!(st.tokens_per_sec() > 0.0);
         }
@@ -850,21 +801,15 @@ mod tests {
     }
 
     #[test]
-    fn hogwild_balanced_and_static_both_learn() {
+    fn hogwild_learns() {
         let corpus = clustered_corpus(120);
-        for sharding in [Sharding::Static, Sharding::Balanced] {
-            let cfg = SkipGramConfig {
-                threads: 4,
-                sharding,
-                ..SkipGramConfig::tiny()
-            };
-            let model = SkipGram::train(&corpus, &cfg).unwrap();
-            let (intra, inter) = cluster_separation(&model);
-            assert!(
-                intra > inter + 0.2,
-                "{sharding:?}: intra {intra} vs inter {inter}"
-            );
-        }
+        let cfg = SkipGramConfig {
+            threads: 4,
+            ..SkipGramConfig::tiny()
+        };
+        let model = SkipGram::train(&corpus, &cfg).unwrap();
+        let (intra, inter) = cluster_separation(&model);
+        assert!(intra > inter + 0.2, "intra {intra} vs inter {inter}");
     }
 
     #[test]
@@ -923,41 +868,6 @@ mod tests {
                 assert!(v.is_finite());
             }
         }
-    }
-
-    #[test]
-    fn continue_training_refines_without_changing_vocab() {
-        let corpus = clustered_corpus(40);
-        let mut model = SkipGram::train(&corpus, &SkipGramConfig::tiny()).unwrap();
-        let vocab_before = model.vocab().len();
-        let v_before = {
-            let i = model.vocab().get("travel0").unwrap();
-            model.vector(i).to_vec()
-        };
-        let more = clustered_corpus(40);
-        let used = model.continue_training(&more);
-        assert!(used > 0);
-        assert_eq!(model.vocab().len(), vocab_before, "vocabulary frozen");
-        let i = model.vocab().get("travel0").unwrap();
-        assert_ne!(model.vector(i), v_before.as_slice(), "weights moved");
-        // And the structure is still (or more) coherent.
-        let (intra, inter) = cluster_separation(&model);
-        assert!(intra > inter, "intra {intra} vs inter {inter}");
-    }
-
-    #[test]
-    fn continue_training_ignores_unknown_tokens() {
-        let corpus = clustered_corpus(20);
-        let mut model = SkipGram::train(&corpus, &SkipGramConfig::tiny()).unwrap();
-        let unknown = vec![vec!["never-seen-1".to_string(), "never-seen-2".to_string()]];
-        assert_eq!(model.continue_training(&unknown), 0, "nothing usable");
-        // A mixed sequence keeps only known tokens.
-        let mixed = vec![vec![
-            "travel0".to_string(),
-            "never-seen".to_string(),
-            "travel1".to_string(),
-        ]];
-        assert_eq!(model.continue_training(&mixed), 1);
     }
 
     #[test]

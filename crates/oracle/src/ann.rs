@@ -25,7 +25,7 @@ use crate::{DiffReport, Mismatch, Stage};
 use hostprof_ads::{AdDatabase, CtrExperiment, ExperimentConfig};
 use hostprof_core::{PipelineConfig, Profiler, ProfilerConfig, Session};
 use hostprof_embed::{
-    EmbeddingSet, IndexConfig, KernelChoice, KnnScratch, Sharding, SkipGram, SkipGramConfig,
+    EmbeddingSet, IndexConfig, KernelChoice, KnnScratch, SkipGram, SkipGramConfig,
 };
 use hostprof_synth::{
     Population, PopulationConfig, Trace, TraceConfig, UserId, World, WorldConfig,
@@ -144,7 +144,6 @@ fn train_embeddings(corpus: &[Vec<String>], seed: u64) -> Option<EmbeddingSet> {
         threads: 1,
         seed,
         kernel: KernelChoice::Auto,
-        sharding: Sharding::Static,
     };
     SkipGram::train(corpus, &cfg)
         .ok()

@@ -24,7 +24,7 @@
 
 use crate::{diff, knn, profile, sgd, sni, stats, window, DiffReport, Mismatch, Stage};
 use hostprof_core::{Profiler, ProfilerConfig, Session};
-use hostprof_embed::{EmbeddingSet, KernelChoice, Sharding, SkipGram, SkipGramConfig};
+use hostprof_embed::{EmbeddingSet, KernelChoice, SkipGram, SkipGramConfig};
 use hostprof_net::quic::InitialPacket;
 use hostprof_net::tls::ClientHello;
 use hostprof_synth::{
@@ -255,7 +255,6 @@ fn train_config(seed: u64, kernel: KernelChoice) -> SkipGramConfig {
         threads: 1,
         seed,
         kernel,
-        sharding: Sharding::Static,
     }
 }
 

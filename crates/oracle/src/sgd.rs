@@ -369,7 +369,7 @@ fn sample_excluding(table: &[u32], rng: &mut u64, exclude: u32) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hostprof_embed::{KernelChoice, Sharding, SkipGram, SkipGramConfig};
+    use hostprof_embed::{KernelChoice, SkipGram, SkipGramConfig};
 
     fn corpus() -> Vec<Vec<String>> {
         // Small, repetitive, with a rare token that min_count=2 drops.
@@ -434,7 +434,6 @@ mod tests {
             threads: 1,
             seed: 0x5eed_cafe,
             kernel: KernelChoice::Scalar,
-            sharding: Sharding::Static,
         };
         let prod = SkipGram::train(&seqs, &prod_cfg).expect("production train");
 
@@ -479,7 +478,6 @@ mod tests {
             threads: 1,
             seed: 0x1234,
             kernel: KernelChoice::Scalar,
-            sharding: Sharding::Static,
         };
         let prod = SkipGram::train(&seqs, &prod_cfg).expect("production train");
         for idx in 0..prod.vocab().len() as u32 {

@@ -196,7 +196,7 @@ pub fn diff_online(
     batches: &[Vec<Vec<String>>],
     cfg: &SgdConfig,
 ) -> DiffReport {
-    use hostprof_embed::{KernelChoice, Sharding, SkipGram, SkipGramConfig};
+    use hostprof_embed::{KernelChoice, SkipGram, SkipGramConfig};
 
     let mut report = DiffReport::default();
     let prod_cfg = SkipGramConfig {
@@ -210,7 +210,6 @@ pub fn diff_online(
         threads: 1,
         seed: cfg.seed,
         kernel: KernelChoice::Scalar,
-        sharding: Sharding::Static,
     };
     let oracle = OracleOnline::train(initial, cfg);
     let prod = SkipGram::train(initial, &prod_cfg);
@@ -332,7 +331,7 @@ fn diff_models(
 mod tests {
     use super::*;
     use crate::sgd::build_vocab;
-    use hostprof_embed::{KernelChoice, Sharding, SkipGram, SkipGramConfig};
+    use hostprof_embed::{KernelChoice, SkipGram, SkipGramConfig};
 
     fn cfg(seed: u64) -> SgdConfig {
         SgdConfig {
@@ -401,7 +400,6 @@ mod tests {
             threads: 1,
             seed: cfg.seed,
             kernel: KernelChoice::Scalar,
-            sharding: Sharding::Static,
         };
         let mut prod = SkipGram::train(&day(0, 5), &prod_cfg).expect("production train");
 
@@ -464,7 +462,6 @@ mod tests {
             threads: 1,
             seed: cfg.seed,
             kernel: KernelChoice::Scalar,
-            sharding: Sharding::Static,
             dim: cfg.dim,
             window: cfg.window,
             negatives: cfg.negatives,

@@ -1,9 +1,8 @@
 //! Barnes–Hut t-SNE (van der Maaten, 2014).
 //!
-//! The exact reducer in [`crate::tsne`] is O(n² · iterations) — fine for
-//! the ≤1 K-point Figure 4 samples, prohibitive for the full second-level
-//! domain set. This implementation brings the per-iteration cost down to
-//! O(n log n):
+//! Exact t-SNE is O(n² · iterations) — prohibitive for the full
+//! second-level domain set of Figure 4. This implementation brings the
+//! per-iteration cost down to O(n log n):
 //!
 //! * **input affinities** are sparsified to each point's `3 × perplexity`
 //!   nearest neighbors (as in the original BH-SNE paper), found by exact
@@ -15,7 +14,7 @@
 //! * **attractive forces** only touch the sparse affinity entries.
 //!
 //! Optimizer details (early exaggeration, momentum switch, adaptive gains)
-//! match the exact implementation so results are comparable.
+//! are the exact algorithm's.
 
 use crate::quadtree::QuadTree;
 use rand::{Rng, SeedableRng};

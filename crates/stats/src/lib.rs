@@ -12,9 +12,8 @@
 //! * [`ttest`] — the paired two-tailed Student t-test of Section 6.4
 //!   ("resulting p-value was .11333"), with the Student CDF computed from a
 //!   from-scratch regularized incomplete beta function;
-//! * [`tsne`] / [`bhtsne`] — exact and Barnes–Hut t-SNE implementations
-//!   for the Figure 4 embedding visualization (the quadtree lives in
-//!   [`quadtree`]);
+//! * [`bhtsne`] — Barnes–Hut t-SNE for the Figure 4 embedding
+//!   visualization (the quadtree lives in [`quadtree`]);
 //! * [`purity`] — quantitative cluster-quality metrics (neighbor purity,
 //!   intra/inter similarity gap) that turn the paper's qualitative Figure 5
 //!   discussion into testable numbers.
@@ -26,7 +25,6 @@ pub mod descriptive;
 pub mod proportion;
 pub mod purity;
 pub mod quadtree;
-pub mod tsne;
 pub mod ttest;
 
 pub use bhtsne::{BhTsne, BhTsneConfig};
@@ -35,5 +33,4 @@ pub use ccdf::Ccdf;
 pub use descriptive::Summary;
 pub use proportion::{two_proportion_z_test, PropTestResult};
 pub use purity::{neighbor_purity, similarity_gap};
-pub use tsne::{Tsne, TsneConfig};
 pub use ttest::{paired_t_test, TTestResult};

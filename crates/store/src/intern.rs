@@ -96,7 +96,7 @@ impl HostInterner {
     }
 
     /// Heap footprint of the table (arena + offsets + hash index),
-    /// in bytes — what `loadgen` reports as the interned-table size.
+    /// in bytes.
     pub fn heap_bytes(&self) -> usize {
         let index_bytes: usize = self
             .index

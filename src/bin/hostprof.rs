@@ -21,7 +21,7 @@
 
 use hostprof::ads::{CtrExperiment, ExperimentConfig};
 use hostprof::bridge::{ObservedTrace, ObserverScenario};
-use hostprof::embed::{IndexConfig, KernelChoice, Sharding};
+use hostprof::embed::{IndexConfig, KernelChoice};
 use hostprof::profiling::{profile_accuracy, Session};
 use hostprof::scenario::{Scenario, ScenarioConfig};
 use hostprof::stats::paired_t_test;
@@ -357,7 +357,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
 
 fn cmd_replay_conformance(args: &Args) -> Result<(), String> {
     args.expect_keys(&[
-        "seed", "golden", "bless", "threads", "kernel", "sharding", "update", "defense",
+        "seed", "golden", "bless", "threads", "kernel", "update", "defense",
     ])?;
     let golden_dir: PathBuf = args
         .get("golden")
@@ -372,9 +372,6 @@ fn cmd_replay_conformance(args: &Args) -> Result<(), String> {
     }
     if let Some(kernel) = args.get_parsed::<KernelChoice>("kernel")? {
         opts.kernel = kernel;
-    }
-    if let Some(sharding) = args.get_parsed::<Sharding>("sharding")? {
-        opts.sharding = sharding;
     }
     if args.flag("update") {
         return cmd_replay_update(args, &opts, &golden_dir, seed);
@@ -901,8 +898,7 @@ USAGE:
                       [--save capture.hpcap]
   hostprof replay     --capture capture.hpcap [--dns]
   hostprof replay     --golden tests/golden [--seed S] [--bless] [--threads N]
-                      [--kernel auto|scalar|simd] [--sharding static|balanced]
-                      [--update | --defense]
+                      [--kernel auto|scalar|simd] [--update | --defense]
   hostprof defend     [--scale S] [--days N] [--users N] [--defense NAME|all]
                       [--sweep LO:HI:STEP] [--seed S] [--threads N] [--no-ctr]
   hostprof serve      [--scale S] [--users N] [--pps F] [--duration SIM_SECONDS]

@@ -17,22 +17,20 @@
 //!   the batch profiler is pinned bit-equal to the sequential path;
 //! * `{scalar, simd}` skipgram kernels — the replay trains at `dim = 3`,
 //!   where every SIMD kernel takes its scalar tail path from element 0,
-//!   making the two kernels the *same* sequence of f32 operations;
-//! * `{static, balanced}` sharding — the replay trains with one Hogwild
-//!   worker, where both schedules visit sequences in identical order.
+//!   making the two kernels the *same* sequence of f32 operations.
 //!
 //! The knobs deliberately *not* varied are the ones that legitimately
 //! change results (dim ≥ 4 re-associates the portable dot product's
 //! 4-accumulator reduction; `threads ≥ 2` makes Hogwild racy by design).
 //! The conformance suite (`tests/replay_conformance.rs`) runs the full
-//! 2×2×2 matrix and asserts byte equality; per-stage FNV digests give a
+//! 2×2 matrix and asserts byte equality; per-stage FNV digests give a
 //! stage-attributed diff the moment any future optimization drifts.
 
 use crate::bridge::{ObservedTrace, ObserverScenario};
 use crate::scenario::{Scenario, ScenarioConfig};
 use hostprof_ads::{CtrExperiment, ExperimentConfig, ExperimentResult};
 use hostprof_core::{ServeConfig, ServeEngine, Session, SessionProfile};
-use hostprof_embed::{KernelChoice, Sharding, SkipGramConfig};
+use hostprof_embed::{KernelChoice, SkipGramConfig};
 use hostprof_net::RequestEvent;
 use hostprof_stats::paired_t_test;
 use hostprof_synth::trace::DAY_MS;
@@ -50,22 +48,19 @@ pub struct ReplayOptions {
     pub profile_threads: usize,
     /// Skipgram kernel choice.
     pub kernel: KernelChoice,
-    /// Skipgram work-sharding strategy.
-    pub sharding: Sharding,
     /// Test hook: add `delta` to flat embedding weight `index` after
     /// training, to prove the suite fails with a model-stage diff.
     pub perturb_embedding: Option<(usize, f32)>,
 }
 
 impl ReplayOptions {
-    /// Default knobs for a seed: 1 thread, auto kernel, balanced
-    /// sharding (the production defaults).
+    /// Default knobs for a seed: 1 thread, auto kernel (the production
+    /// defaults).
     pub fn for_seed(seed: u64) -> Self {
         Self {
             seed,
             profile_threads: 1,
             kernel: KernelChoice::Auto,
-            sharding: Sharding::Balanced,
             perturb_embedding: None,
         }
     }
@@ -206,7 +201,6 @@ pub fn replay_scenario_config(opts: &ReplayOptions) -> ScenarioConfig {
         threads: 1,
         seed: mix(5),
         kernel: opts.kernel,
-        sharding: opts.sharding,
     };
     cfg.pipeline.profiler.n_neighbors = 20;
     cfg

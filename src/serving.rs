@@ -1,12 +1,11 @@
 //! Live serving-loop driver: calibrated synthetic load through the
 //! [`ServeEngine`].
 //!
-//! `hostprof serve` (live mode) and the `loadgen` bench binary share this
-//! driver so they measure the identical path: draw requests from the lazy
-//! [`TraceStream`], lower them to wire packets, push every packet through
-//! the sharded ingest → window → profile loop, and record per-tick compute
-//! latency. The request rate is *calibrated*, not assumed — a warmup
-//! segment of the stream measures requests per simulated second and
+//! The loop behind `hostprof serve` (live mode): draw requests from the
+//! lazy [`TraceStream`], lower them to wire packets, push every packet
+//! through the sharded ingest → window → profile loop, and record per-tick
+//! compute latency. The request rate is *calibrated*, not assumed — a
+//! warmup segment of the stream measures requests per simulated second and
 //! packets per request, and the per-user think time is scaled to hit the
 //! target packet rate. The warmup doubles as the SKIPGRAM training corpus
 //! so the engine profiles against a model of the same traffic it serves.
@@ -45,22 +44,12 @@ pub struct LiveRunConfig {
 /// What a live run measured.
 #[derive(Debug, Clone)]
 pub struct LiveRunReport {
-    /// Calibrated per-user think time that hits the target rate.
-    pub mean_gap_ms: u64,
-    /// Measured wire packets per request during warmup.
-    pub packets_per_request: f64,
     /// Engine counters.
     pub stats: hostprof_core::ServeStats,
     /// Observer counters merged across lanes.
     pub observer: ObserverStats,
     /// Events dropped beyond the lateness bound.
     pub late_dropped: u64,
-    /// High-water mark of buffered windower events.
-    pub peak_resident_events: usize,
-    /// Distinct hostnames interned by the windower.
-    pub interned_hosts: usize,
-    /// Heap bytes held by the windower's interned hostname table.
-    pub interned_table_bytes: usize,
     /// Per-report compute latency, milliseconds, ascending.
     pub latencies_ms: Vec<f64>,
     /// Wall-seconds inside `ingest_packet` + flush (tick compute runs
@@ -171,8 +160,6 @@ pub fn run_live(
             serve_config,
             run_cfg,
             duration_ms,
-            mean_gap_ms,
-            packets_per_request,
             every.max(1),
         );
     }
@@ -212,14 +199,9 @@ pub fn run_live(
 
     let vocab = embeddings.len();
     Ok(LiveRunReport {
-        mean_gap_ms,
-        packets_per_request,
         stats: engine.stats(),
         observer: engine.observer_stats(),
         late_dropped: engine.windower().late_dropped(),
-        peak_resident_events: engine.windower().peak_resident_events(),
-        interned_hosts: engine.windower().interned_hosts(),
-        interned_table_bytes: engine.windower().interned_table_bytes(),
         latencies_ms,
         ingest_seconds: ingest_time.as_secs_f64(),
         wall_seconds: wall_started.elapsed().as_secs_f64(),
@@ -255,8 +237,6 @@ fn run_live_updating(
     serve_config: ServeConfig,
     run_cfg: StreamConfig,
     duration_ms: u64,
-    mean_gap_ms: u64,
-    packets_per_request: f64,
     every: u64,
 ) -> Result<LiveRunReport, String> {
     let synth = TrafficSynthesizer::default();
@@ -359,14 +339,9 @@ fn run_live_updating(
         latencies_ms.sort_by(|a, b| a.total_cmp(b));
 
         Ok(LiveRunReport {
-            mean_gap_ms,
-            packets_per_request,
             stats: engine.stats(),
             observer: engine.observer_stats(),
             late_dropped: engine.windower().late_dropped(),
-            peak_resident_events: engine.windower().peak_resident_events(),
-            interned_hosts: engine.windower().interned_hosts(),
-            interned_table_bytes: engine.windower().interned_table_bytes(),
             latencies_ms,
             ingest_seconds: ingest_time.as_secs_f64(),
             wall_seconds: wall_started.elapsed().as_secs_f64(),
@@ -419,8 +394,6 @@ mod tests {
         assert!(report.stats.ticks > 0, "no report tick fired");
         assert!(report.stats.profiles_emitted > 0, "nobody got profiled");
         assert!(report.taxonomy_invariant_ok());
-        assert!(report.interned_hosts > 0, "windower interned no hostnames");
-        assert!(report.interned_table_bytes > 0);
         assert!(!report.latencies_ms.is_empty());
         assert!(report.latency_percentile_ms(0.5) <= report.latency_percentile_ms(0.95));
         // The calibrated rate should land within 3x of the target — the

@@ -1,435 +1,10 @@
-//! Schema validation for the committed benchmark artifacts under
-//! `results/`. The bench binaries serialize these by hand-rolled struct;
-//! this test pins the contract so a field rename or unit change in the
-//! bench code can't silently rot the committed numbers (or the plots
-//! and README claims derived from them).
+//! Schema validation for the committed E9 artifact,
+//! `results/bench_defense.json`. The binary serializes it by hand-rolled
+//! struct; this test pins the contract so a field rename or unit change
+//! can't silently rot the committed curves (or the README/EXPERIMENTS
+//! tables derived from them).
 
 use serde::Deserialize;
-
-/// One entry of the append-only `generations` provenance array every
-/// `bench_*.json` carries (written by `write_results_stamped`).
-#[derive(Deserialize)]
-struct Generation {
-    seq: u64,
-    unix_time_s: u64,
-    headline: String,
-}
-
-/// The generations contract: 1-based, strictly sequential, stamped and
-/// described. Append-only-ness across regenerations is pinned by
-/// `hostprof-bench`'s `restamping_appends_and_never_rewrites_history`
-/// unit test; here we pin what the committed artifacts must carry.
-fn check_generations(gens: &[Generation]) {
-    assert!(!gens.is_empty(), "missing generations provenance");
-    for (i, g) in gens.iter().enumerate() {
-        assert_eq!(
-            g.seq,
-            i as u64 + 1,
-            "generation seq must be 1-based and dense"
-        );
-        assert!(g.unix_time_s > 0, "generation timestamp missing");
-        assert!(!g.headline.is_empty(), "generation headline missing");
-    }
-    for w in gens.windows(2) {
-        assert!(
-            w[1].unix_time_s >= w[0].unix_time_s,
-            "generation timestamps must not go backwards"
-        );
-    }
-}
-
-#[derive(Deserialize)]
-struct ProfilingBench {
-    scale: String,
-    hardware_threads: usize,
-    sessions: usize,
-    vocabulary: usize,
-    dim: usize,
-    n_neighbors: usize,
-    seed_loop_sessions_per_sec: f64,
-    single_query_sessions_per_sec: f64,
-    throughput: Vec<ProfilingRow>,
-    best_speedup_at_4_threads: f64,
-    generations: Vec<Generation>,
-}
-
-#[derive(Deserialize)]
-struct ProfilingRow {
-    threads: usize,
-    batch_size: usize,
-    sessions_per_sec: f64,
-    speedup_vs_seed: f64,
-}
-
-#[derive(Deserialize)]
-struct SkipgramBench {
-    scale: String,
-    hardware_threads: usize,
-    // Presence and type are the contract; the value is machine-dependent.
-    #[allow(dead_code)]
-    avx2_fma: bool,
-    sequences: usize,
-    tokens: usize,
-    dim: usize,
-    throughput: Vec<SkipgramRow>,
-    single_thread_kernel_speedup: f64,
-    sharding: ShardingBench,
-    generations: Vec<Generation>,
-}
-
-#[derive(Deserialize)]
-struct SkipgramRow {
-    threads: usize,
-    kernel: String,
-    tokens_per_sec: f64,
-    speedup_vs_scalar_1t: f64,
-}
-
-#[derive(Deserialize)]
-struct ShardingBench {
-    skewed_sequences: usize,
-    skewed_tokens: usize,
-    threads: usize,
-    static_makespan_tokens: u64,
-    balanced_makespan_tokens: u64,
-    simulated_balance_ratio: f64,
-    measured_static_tokens_per_sec: f64,
-    measured_balanced_tokens_per_sec: f64,
-}
-
-#[derive(Deserialize)]
-struct KnnBench {
-    scale: String,
-    rows: usize,
-    dim: usize,
-    k: usize,
-    nlists: usize,
-    queries: usize,
-    build_seconds: f64,
-    recall_target: f64,
-    speedup_target: f64,
-    target_met: bool,
-    exact: KnnLatency,
-    sweep: Vec<KnnSweepRow>,
-    generations: Vec<Generation>,
-}
-
-#[derive(Deserialize)]
-struct KnnLatency {
-    p50_ms: f64,
-    p95_ms: f64,
-    mean_ms: f64,
-    queries_per_sec: f64,
-}
-
-#[derive(Deserialize)]
-struct KnnSweepRow {
-    nprobe: usize,
-    recall_at_k: f64,
-    p50_ms: f64,
-    p95_ms: f64,
-    mean_ms: f64,
-    queries_per_sec: f64,
-    speedup_vs_exact: f64,
-}
-
-#[derive(Deserialize)]
-struct ServingBench {
-    scale: String,
-    users: usize,
-    lanes: usize,
-    profiler_threads: usize,
-    target_pps: f64,
-    sim_duration_s: u64,
-    mean_gap_ms: u64,
-    packets: u64,
-    observations: u64,
-    ticks: u64,
-    reports: u64,
-    sessions_profiled: u64,
-    profiles_emitted: u64,
-    late_dropped: u64,
-    peak_resident_events: usize,
-    interned_hosts: usize,
-    interned_table_bytes: usize,
-    sustained_pps: f64,
-    ingest_seconds: f64,
-    wall_seconds: f64,
-    report_latency_ms: ServingLatency,
-    peak_rss_kb: u64,
-    taxonomy_invariant_ok: bool,
-    generations: Vec<Generation>,
-}
-
-#[derive(Deserialize)]
-struct ServingLatency {
-    p50_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    mean_ms: f64,
-    max_ms: f64,
-}
-
-fn read(name: &str) -> String {
-    let path = format!("{}/results/{name}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
-}
-
-#[test]
-fn bench_profiling_json_matches_schema() {
-    let b: ProfilingBench =
-        serde_json::from_str(&read("bench_profiling.json")).expect("schema drifted");
-    assert!(!b.scale.is_empty());
-    assert!(b.hardware_threads >= 1);
-    assert!(b.sessions > 0 && b.vocabulary > 0 && b.dim > 0 && b.n_neighbors > 0);
-    assert!(b.seed_loop_sessions_per_sec > 0.0);
-    assert!(b.single_query_sessions_per_sec > 0.0);
-    assert!(!b.throughput.is_empty());
-    for row in &b.throughput {
-        assert!(row.threads >= 1);
-        assert!(row.batch_size >= 1);
-        assert!(row.sessions_per_sec > 0.0, "non-positive throughput");
-        assert!(row.speedup_vs_seed > 0.0);
-    }
-    assert!(b.best_speedup_at_4_threads > 0.0);
-    // The headline number must actually come from the 4-thread rows.
-    let best4 = b
-        .throughput
-        .iter()
-        .filter(|r| r.threads == 4)
-        .map(|r| r.speedup_vs_seed)
-        .fold(f64::NEG_INFINITY, f64::max);
-    assert!(
-        (b.best_speedup_at_4_threads - best4).abs() < 1e-9,
-        "best_speedup_at_4_threads {} != max over 4-thread rows {best4}",
-        b.best_speedup_at_4_threads
-    );
-    check_generations(&b.generations);
-}
-
-#[test]
-fn bench_knn_json_matches_schema() {
-    let b: KnnBench = serde_json::from_str(&read("bench_knn.json")).expect("schema drifted");
-    assert!(!b.scale.is_empty());
-    assert!(b.rows > 0 && b.dim > 0 && b.k > 0 && b.nlists > 0 && b.queries > 0);
-    assert!(b.build_seconds > 0.0);
-    assert!(b.recall_target > 0.0 && b.recall_target <= 1.0);
-    assert!(b.speedup_target >= 1.0);
-    let e = &b.exact;
-    assert!(e.p50_ms > 0.0 && e.p95_ms > 0.0 && e.mean_ms > 0.0);
-    assert!(e.p50_ms <= e.p95_ms, "p50 must not exceed p95");
-    assert!(e.queries_per_sec > 0.0);
-    assert!(!b.sweep.is_empty());
-    let mut met = false;
-    for (i, r) in b.sweep.iter().enumerate() {
-        assert!(r.nprobe >= 1 && r.nprobe <= b.nlists);
-        if i > 0 {
-            assert!(r.nprobe > b.sweep[i - 1].nprobe, "sweep must ascend");
-        }
-        assert!((0.0..=1.0).contains(&r.recall_at_k), "recall out of range");
-        assert!(r.p50_ms > 0.0 && r.p95_ms > 0.0 && r.mean_ms > 0.0);
-        assert!(r.p50_ms <= r.p95_ms);
-        assert!(r.queries_per_sec > 0.0 && r.speedup_vs_exact > 0.0);
-        met |= r.recall_at_k >= b.recall_target && r.speedup_vs_exact >= b.speedup_target;
-    }
-    assert_eq!(b.target_met, met, "target_met must match the sweep rows");
-    // The sweep always ends exhaustive, where IVF is bit-identical to the
-    // exact scan — recall below 1.0 there means the index is broken.
-    let last = b.sweep.last().unwrap();
-    assert_eq!(last.nprobe, b.nlists, "sweep must end at nprobe == nlists");
-    assert!(
-        (last.recall_at_k - 1.0).abs() < 1e-12,
-        "exhaustive probing must have recall 1.0, got {}",
-        last.recall_at_k
-    );
-    // The committed artifact is the paper-scale run and must back the
-    // README's headline claim: >= 0.95 recall@1000 at >= 10x throughput
-    // on a million-hostname vocabulary.
-    if b.scale == "default" {
-        assert!(b.rows >= 1_000_000, "default scale is the 1M-row ablation");
-        assert!(
-            b.target_met,
-            "committed default-scale run must meet the recall/speedup target"
-        );
-    }
-    check_generations(&b.generations);
-}
-
-#[test]
-fn bench_serving_json_matches_schema() {
-    let b: ServingBench =
-        serde_json::from_str(&read("bench_serving.json")).expect("schema drifted");
-    assert!(!b.scale.is_empty());
-    assert!(b.users > 0 && b.lanes >= 1 && b.profiler_threads >= 1);
-    assert!(b.target_pps > 0.0 && b.sim_duration_s > 0);
-    assert!(b.mean_gap_ms >= 2, "calibration hit the clamp floor");
-    assert!(b.packets > 0);
-    assert!(
-        b.observations > 0 && b.observations <= b.packets,
-        "at most one observation per packet"
-    );
-    assert!(b.ticks > 0);
-    assert!(
-        b.reports <= b.ticks,
-        "reports are the subset of ticks that profiled someone"
-    );
-    assert!(b.sessions_profiled > 0);
-    assert!(
-        b.profiles_emitted <= b.sessions_profiled,
-        "a session profiles at most once per tick"
-    );
-    // The generator delivers in order; an in-order stream can never
-    // outrun the watermark.
-    assert_eq!(b.late_dropped, 0, "in-order ingest late-dropped events");
-    assert!(b.peak_resident_events > 0);
-    assert!(b.sustained_pps > 0.0);
-    assert!(b.ingest_seconds > 0.0 && b.ingest_seconds <= b.wall_seconds);
-    let l = &b.report_latency_ms;
-    assert!(l.p50_ms > 0.0 && l.mean_ms > 0.0);
-    assert!(l.p50_ms <= l.p95_ms && l.p95_ms <= l.p99_ms && l.p99_ms <= l.max_ms);
-    assert!(b.peak_rss_kb > 0, "VmHWM must be readable where this runs");
-    assert!(b.taxonomy_invariant_ok, "merged lane taxonomy broke");
-    assert!(b.interned_hosts > 0, "windower interned nothing");
-    assert!(b.interned_table_bytes > 0);
-    check_generations(&b.generations);
-}
-
-#[test]
-fn bench_skipgram_json_matches_schema() {
-    let b: SkipgramBench =
-        serde_json::from_str(&read("bench_skipgram.json")).expect("schema drifted");
-    assert!(!b.scale.is_empty());
-    assert!(b.hardware_threads >= 1);
-    assert!(b.sequences > 0 && b.tokens > 0 && b.dim > 0);
-    assert!(!b.throughput.is_empty());
-    for row in &b.throughput {
-        assert!(row.threads >= 1);
-        assert!(
-            row.kernel == "scalar" || row.kernel == "simd",
-            "unknown kernel {:?}",
-            row.kernel
-        );
-        assert!(row.tokens_per_sec > 0.0);
-        assert!(row.speedup_vs_scalar_1t > 0.0);
-    }
-    // The scalar 1-thread row is the speedup baseline by definition.
-    let baseline = b
-        .throughput
-        .iter()
-        .find(|r| r.threads == 1 && r.kernel == "scalar")
-        .expect("scalar 1-thread baseline row missing");
-    assert!((baseline.speedup_vs_scalar_1t - 1.0).abs() < 1e-9);
-    assert!(b.single_thread_kernel_speedup > 0.0);
-
-    let s = &b.sharding;
-    assert!(s.skewed_sequences > 0 && s.skewed_tokens > 0 && s.threads >= 1);
-    assert!(s.static_makespan_tokens > 0 && s.balanced_makespan_tokens > 0);
-    assert!(
-        s.balanced_makespan_tokens <= s.static_makespan_tokens,
-        "balanced sharding must not worsen the simulated makespan"
-    );
-    assert!(s.simulated_balance_ratio >= 1.0);
-    assert!(s.measured_static_tokens_per_sec > 0.0);
-    assert!(s.measured_balanced_tokens_per_sec > 0.0);
-    check_generations(&b.generations);
-}
-
-#[derive(Deserialize)]
-struct UpdateBench {
-    scale: String,
-    rounds: usize,
-    base_sessions: usize,
-    dim: usize,
-    base_vocab: usize,
-    final_vocab: usize,
-    appended_tokens_total: usize,
-    per_round: Vec<UpdateRoundRow>,
-    mean_incremental_speedup: f64,
-    publish_latency_ms: UpdatePublishLatency,
-    reader_stall: UpdateReaderStall,
-    generations: Vec<Generation>,
-}
-
-#[derive(Deserialize)]
-struct UpdateRoundRow {
-    round: usize,
-    batch_sessions: usize,
-    appended_tokens: usize,
-    table_rebuilt: bool,
-    update_seconds: f64,
-    update_tokens_per_sec: f64,
-    from_scratch_seconds: f64,
-    from_scratch_tokens_per_sec: f64,
-    speedup: f64,
-}
-
-#[derive(Deserialize)]
-struct UpdatePublishLatency {
-    p50_ms: f64,
-    p95_ms: f64,
-    max_ms: f64,
-}
-
-#[derive(Deserialize)]
-struct UpdateReaderStall {
-    loads: u64,
-    max_load_us: f64,
-    mean_load_us: f64,
-}
-
-#[test]
-fn bench_update_json_matches_schema() {
-    let b: UpdateBench = serde_json::from_str(&read("bench_update.json")).expect("schema drifted");
-    assert!(!b.scale.is_empty());
-    assert!(b.rounds >= 1 && b.base_sessions > 0 && b.dim > 0);
-    assert!(b.base_vocab > 0);
-    assert_eq!(
-        b.final_vocab,
-        b.base_vocab + b.appended_tokens_total,
-        "vocabulary growth must be exactly the appended tokens (id stability)"
-    );
-    assert_eq!(b.per_round.len(), b.rounds, "one row per round");
-    let mut appended_sum = 0usize;
-    for (i, r) in b.per_round.iter().enumerate() {
-        assert_eq!(r.round, i + 1, "rounds are 1-based and dense");
-        assert!(r.batch_sessions > 0);
-        appended_sum += r.appended_tokens;
-        assert!(r.update_seconds > 0.0 && r.from_scratch_seconds > 0.0);
-        assert!(r.update_tokens_per_sec > 0.0);
-        assert!(r.from_scratch_tokens_per_sec > 0.0);
-        assert!(r.speedup > 0.0);
-    }
-    assert_eq!(appended_sum, b.appended_tokens_total);
-    // The first update after a from-scratch train always rebuilds the
-    // negative table (it starts lazily unbuilt — DESIGN.md §14).
-    assert!(
-        b.per_round[0].table_rebuilt,
-        "round 1 must rebuild the negative table"
-    );
-    assert!(b.mean_incremental_speedup > 0.0);
-    // The point of the incremental path: updating must beat retraining
-    // on wall clock in the committed artifact.
-    assert!(
-        b.mean_incremental_speedup > 1.0,
-        "incremental update slower than from-scratch retrain ({}x)",
-        b.mean_incremental_speedup
-    );
-    let p = &b.publish_latency_ms;
-    assert!(p.p50_ms > 0.0 && p.p95_ms > 0.0 && p.max_ms > 0.0);
-    assert!(p.p50_ms <= p.p95_ms && p.p95_ms <= p.max_ms);
-    let s = &b.reader_stall;
-    assert!(s.loads > 0, "the reader thread never sampled a load");
-    assert!(s.mean_load_us >= 0.0 && s.max_load_us >= s.mean_load_us);
-    // The wait-free contract: a version swap may never block a reader.
-    // One `load` is a single Acquire pointer read; a millisecond-scale
-    // pause would mean a lock crept into the serve-tick read path.
-    assert!(
-        s.max_load_us < 1_000.0,
-        "reader-visible stall {} us breaks the wait-free read contract",
-        s.max_load_us
-    );
-    check_generations(&b.generations);
-}
 
 #[derive(Deserialize)]
 struct DefenseBench {
@@ -443,7 +18,6 @@ struct DefenseBench {
     rss_gate_mb: Option<u64>,
     rss_gate_ok: bool,
     curves: Vec<DefenseCurveRow>,
-    generations: Vec<Generation>,
 }
 
 #[derive(Deserialize)]
@@ -475,8 +49,9 @@ const RECOVERY_EPSILON_PP: f64 = 0.05;
 
 #[test]
 fn bench_defense_json_matches_schema() {
-    let b: DefenseBench =
-        serde_json::from_str(&read("bench_defense.json")).expect("schema drifted");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/bench_defense.json");
+    let json = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let b: DefenseBench = serde_json::from_str(&json).expect("schema drifted");
     assert!(!b.scale.is_empty());
     // The committed artifact is a real run, not the CI smoke tier.
     assert!(!b.smoke, "committed bench_defense must not be a smoke run");
@@ -594,159 +169,4 @@ fn bench_defense_json_matches_schema() {
         assert_eq!(b.rss_gate_ok, b.peak_rss_kb <= mb * 1024);
     }
     assert!(b.rss_gate_ok, "committed run breached its own RSS gate");
-    check_generations(&b.generations);
-}
-
-#[derive(Deserialize)]
-struct LargeBench {
-    scale: String,
-    smoke: bool,
-    users: usize,
-    hosts: usize,
-    days: u32,
-    hardware_threads: usize,
-    generation: LargeGenerationPhase,
-    train: LargeTrainPhase,
-    profile: LargeProfilePhase,
-    sessions_per_sec: f64,
-    peak_rss_kb: u64,
-    rss_gate_mb: Option<u64>,
-    rss_gate_ok: bool,
-    generations: Vec<Generation>,
-}
-
-#[derive(Deserialize)]
-struct LargeGenerationPhase {
-    seconds: f64,
-    events: usize,
-    events_per_sec: f64,
-    columnar_bytes: usize,
-    bytes_per_event: f64,
-    interned_hosts: usize,
-    interned_table_bytes: usize,
-}
-
-#[derive(Deserialize)]
-struct LargeTrainPhase {
-    day: u32,
-    sequences: usize,
-    tokens: usize,
-    vocabulary: usize,
-    dim: usize,
-    seconds: f64,
-    tokens_per_sec: f64,
-}
-
-#[derive(Deserialize)]
-struct LargeProfilePhase {
-    day: u32,
-    sessions: usize,
-    profiles_emitted: usize,
-    index: String,
-    n_neighbors: usize,
-    curve: Vec<LargeCurvePoint>,
-    thread_curve_gated: bool,
-    skipped_thread_counts: Vec<usize>,
-}
-
-#[derive(Deserialize)]
-struct LargeCurvePoint {
-    threads: usize,
-    seconds: f64,
-    sessions_per_sec: f64,
-    speedup_vs_1t: f64,
-}
-
-#[test]
-fn bench_large_json_matches_schema() {
-    let b: LargeBench = serde_json::from_str(&read("bench_large.json")).expect("schema drifted");
-    assert_eq!(b.scale, "large");
-    // The committed artifact is the real million-user run, not a smoke.
-    assert!(!b.smoke, "committed bench_large must be the full tier");
-    assert!(b.users >= 1_000_000, "large tier is the 10^6-user world");
-    assert!(
-        b.hosts >= 100_000,
-        "large tier is the 10^5-vocabulary world"
-    );
-    assert!(b.days >= 2, "needs a train day and a profile day");
-    assert!(b.hardware_threads >= 1);
-
-    let g = &b.generation;
-    assert!(g.seconds > 0.0 && g.events > 0 && g.events_per_sec > 0.0);
-    assert!(g.columnar_bytes > 0);
-    // The memory story: the SoA layout is 12 B/event plus the interner;
-    // anything above ~2x that means the columnar path regressed into
-    // materializing strings again.
-    assert!(
-        g.bytes_per_event >= 12.0 && g.bytes_per_event < 24.0,
-        "bytes/event {} outside the SoA envelope",
-        g.bytes_per_event
-    );
-    assert!(g.interned_hosts > 0 && g.interned_hosts <= b.hosts);
-    assert!(g.interned_table_bytes > 0);
-
-    let t = &b.train;
-    assert!(t.day == 0, "training day is day 0");
-    assert!(t.sequences > 0 && t.tokens > 0 && t.vocabulary > 0 && t.dim > 0);
-    assert!(t.seconds > 0.0 && t.tokens_per_sec > 0.0);
-    assert!(
-        t.vocabulary <= g.interned_hosts,
-        "vocab cannot exceed hosts seen"
-    );
-
-    let p = &b.profile;
-    assert!(p.day == 1, "profiling day is day 1");
-    assert!(p.sessions > 0);
-    assert!(p.profiles_emitted > 0 && p.profiles_emitted <= p.sessions);
-    assert!(
-        p.index == "exact" || p.index == "ivf",
-        "unknown index {:?}",
-        p.index
-    );
-    assert!(p.n_neighbors > 0);
-    assert!(
-        !p.curve.is_empty(),
-        "thread curve must have at least the 1-thread point"
-    );
-    assert_eq!(p.curve[0].threads, 1, "curve starts at one thread");
-    assert!((p.curve[0].speedup_vs_1t - 1.0).abs() < 1e-9);
-    for (i, c) in p.curve.iter().enumerate() {
-        assert!(
-            c.threads >= 1 && c.threads <= b.hardware_threads,
-            "curve point ran more threads than the hardware has"
-        );
-        if i > 0 {
-            assert!(c.threads > p.curve[i - 1].threads, "curve must ascend");
-        }
-        assert!(c.seconds > 0.0 && c.sessions_per_sec > 0.0 && c.speedup_vs_1t > 0.0);
-    }
-    // Honest multicore curves: every requested-but-impossible thread
-    // count is declared, never silently faked.
-    for &skipped in &p.skipped_thread_counts {
-        assert!(
-            skipped > b.hardware_threads,
-            "skipped a runnable thread count"
-        );
-    }
-    assert_eq!(
-        p.thread_curve_gated,
-        !p.skipped_thread_counts.is_empty(),
-        "gating flag must match the skipped list"
-    );
-
-    let best = p
-        .curve
-        .iter()
-        .map(|c| c.sessions_per_sec)
-        .fold(0.0f64, f64::max);
-    assert!(
-        (b.sessions_per_sec - best).abs() < 1e-9,
-        "headline must be the best curve point"
-    );
-    assert!(b.peak_rss_kb > 0, "the committed run must record VmHWM");
-    if let Some(mb) = b.rss_gate_mb {
-        assert_eq!(b.rss_gate_ok, b.peak_rss_kb <= mb * 1024);
-    }
-    assert!(b.rss_gate_ok, "committed run breached its own RSS gate");
-    check_generations(&b.generations);
 }

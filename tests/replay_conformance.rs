@@ -1,19 +1,19 @@
 //! End-to-end replay conformance: the committed golden snapshots under
 //! `tests/golden/` must be reproduced **byte-identically** across the
 //! full execution matrix — {1, 4} profiling threads × {scalar, simd}
-//! kernels × {static, balanced} sharding — on each seed.
+//! kernels — on each seed.
 //!
 //! The determinism contract making this possible is spelled out in
 //! `src/replay.rs` (and DESIGN.md §10): the replay pins skipgram to
 //! `dim = 3, threads = 1`, where the SIMD kernels take their scalar
-//! tail path from element 0 and sharding degenerates to sequential
-//! epoch order, while batch profiling consumes no randomness so the
-//! thread count cannot reorder float accumulation.
+//! tail path from element 0 and the one worker claims chunks in
+//! sequential epoch order, while batch profiling consumes no randomness
+//! so the thread count cannot reorder float accumulation.
 //!
 //! Regenerate goldens after an *intentional* pipeline change with:
 //! `cargo run --release --bin hostprof -- replay --golden tests/golden --seed S --bless`
 
-use hostprof::embed::{KernelChoice, Sharding};
+use hostprof::embed::KernelChoice;
 use hostprof::replay::{
     compare_defense_snapshots, compare_snapshots, compare_update_snapshots, defense_golden_path,
     from_defense_golden_json, from_golden_json, from_update_golden_json, golden_path,
@@ -45,31 +45,28 @@ fn replay_matches_committed_goldens_across_the_full_matrix() {
         let expected = from_golden_json(&golden).expect("golden parses");
         for threads in [1usize, 4] {
             for kernel in [KernelChoice::Scalar, KernelChoice::Simd] {
-                for sharding in [Sharding::Static, Sharding::Balanced] {
-                    let opts = ReplayOptions {
-                        seed,
-                        profile_threads: threads,
-                        kernel,
-                        sharding,
-                        perturb_embedding: None,
-                    };
-                    let snapshot = run_replay(&opts).expect("replay runs");
-                    let diffs = compare_snapshots(&expected, &snapshot);
-                    assert!(
-                        diffs.is_empty(),
-                        "seed {seed}, threads {threads}, {kernel:?}/{sharding:?} diverged:\n{}",
-                        diffs.join("\n")
-                    );
-                    // Byte-identity is stronger than structural equality:
-                    // the serialized form must match the committed file
-                    // exactly, proving float formatting is stable too.
-                    assert_eq!(
-                        to_golden_json(&snapshot).expect("serializes"),
-                        golden,
-                        "seed {seed}, threads {threads}, {kernel:?}/{sharding:?}: \
-                         snapshot JSON differs from committed golden bytes"
-                    );
-                }
+                let opts = ReplayOptions {
+                    seed,
+                    profile_threads: threads,
+                    kernel,
+                    perturb_embedding: None,
+                };
+                let snapshot = run_replay(&opts).expect("replay runs");
+                let diffs = compare_snapshots(&expected, &snapshot);
+                assert!(
+                    diffs.is_empty(),
+                    "seed {seed}, threads {threads}, {kernel:?} diverged:\n{}",
+                    diffs.join("\n")
+                );
+                // Byte-identity is stronger than structural equality:
+                // the serialized form must match the committed file
+                // exactly, proving float formatting is stable too.
+                assert_eq!(
+                    to_golden_json(&snapshot).expect("serializes"),
+                    golden,
+                    "seed {seed}, threads {threads}, {kernel:?}: \
+                     snapshot JSON differs from committed golden bytes"
+                );
             }
         }
     }
@@ -102,7 +99,6 @@ fn update_schedule_matches_committed_goldens_across_lanes_and_kernels() {
                     seed,
                     profile_threads: 1,
                     kernel,
-                    sharding: Sharding::Static,
                     perturb_embedding: None,
                 };
                 let snapshot = run_update_replay(&opts, lanes).expect("update replay runs");
@@ -170,7 +166,6 @@ fn defense_schedule_matches_committed_goldens_across_lanes_and_kernels() {
                     seed,
                     profile_threads: 1,
                     kernel,
-                    sharding: Sharding::Static,
                     perturb_embedding: None,
                 };
                 let snapshot = run_defense_replay(&opts, lanes).expect("defense replay runs");

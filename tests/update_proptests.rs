@@ -19,7 +19,7 @@
 //!    reproduces every weight bit (the extension-init stream is keyed,
 //!    not global).
 
-use hostprof::embed::{KernelChoice, Sharding, SkipGram, SkipGramConfig, Vocab};
+use hostprof::embed::{KernelChoice, SkipGram, SkipGramConfig, Vocab};
 use hostprof_oracle::sgd::{build_vocab, SgdConfig};
 use hostprof_oracle::update::{diff_online, grow_vocab};
 
@@ -124,7 +124,6 @@ fn production_config(cfg: &SgdConfig) -> SkipGramConfig {
         threads: 1,
         seed: cfg.seed,
         kernel: KernelChoice::Scalar,
-        sharding: Sharding::Static,
     }
 }
 

@@ -11,8 +11,9 @@
 //!   is therefore preserved regardless of the lane count, which is what
 //!   makes profiles bit-identical across `lanes ∈ {1, 4, …}`.
 //! * **Incremental windowing** ([`IncrementalWindower`]) — per-user event
-//!   timelines kept sorted under out-of-order arrival, with eviction
-//!   bounded to one session window behind the last closed tick.
+//!   timelines of `(time, interned host id)` kept sorted under
+//!   out-of-order arrival, with eviction bounded to one session window
+//!   behind the last closed tick.
 //! * **Bounded-lateness watermarking** — the watermark trails the maximum
 //!   packet timestamp by `lateness_ms`; a report tick at boundary `W`
 //!   fires only once the watermark passes `W`, so any event with `t ≤ W`
@@ -25,6 +26,17 @@
 //!   latest activity falls in `(W_prev, W]`, through the existing
 //!   [`BatchProfiler`] (and therefore whatever [`NnIndex`] the profiler
 //!   was configured with), so a tick's cost is one batched kNN pass.
+//! * **Ticks run on host ids** — a tick closes into a [`TickClose`] (one
+//!   arena of ids, one `(user, anchor, range)` per fresh user), and the
+//!   engine lowercases, blocklist-filters and first-visit-dedups each
+//!   window on ids alone: per-host facts are resolved once per distinct
+//!   interned id for the life of the engine, and "seen in this window" is
+//!   an epoch-stamped dense array. Hostnames reappear as strings only for
+//!   the hosts that survive, copied once into the [`Session`] the profiler
+//!   reads — a tick allocates per *distinct* host, not per event.
+//!   [`IncrementalWindower::close_tick`] and [`Session::from_window`] are
+//!   the string-typed views of the same two steps, for callers outside the
+//!   tick and as the reference the id path is tested against.
 //!
 //! ## Equivalence contract
 //!
@@ -42,12 +54,14 @@
 
 use crate::batch::BatchProfiler;
 use crate::profiler::SessionProfile;
-use crate::session::Session;
+use crate::session::{ascii_lower, Session};
 use crate::versioned::VersionedModel;
 use hostprof_net::{FlowStats, ObserverConfig, ObserverStats, Packet, SniObserver};
 use hostprof_ontology::Blocklist;
 use hostprof_store::HostInterner;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Knobs of the serving loop.
@@ -99,6 +113,61 @@ pub struct WindowClose {
     pub anchor: u64,
     /// Hostnames in the window, duplicates intact, time-ordered.
     pub window: Vec<String>,
+}
+
+/// One tick's window closes in id form: every fresh user's window as a
+/// slice of one shared arena of interned host ids. This is what a tick
+/// runs on — building it allocates twice per tick, not once per event,
+/// and dropping it frees one buffer.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TickClose {
+    /// Every closed window's host ids, back to back.
+    ids: Vec<u32>,
+    /// `(user, anchor, range into ids)`, ascending by user.
+    windows: Vec<(u32, u64, Range<usize>)>,
+}
+
+impl TickClose {
+    /// Whether no user had fresh activity.
+    pub fn is_empty(&self) -> bool {
+        self.windows.is_empty()
+    }
+
+    /// The closed windows, ascending by user key.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = IdWindow<'_>> {
+        self.windows.iter().map(|(user, anchor, range)| IdWindow {
+            user: *user,
+            anchor: *anchor,
+            hosts: &self.ids[range.clone()],
+        })
+    }
+}
+
+/// One user's window inside a [`TickClose`] — [`WindowClose`] with host
+/// ids in place of names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdWindow<'a> {
+    /// Client key (IP).
+    pub user: u32,
+    /// The user's last event time at or before the tick boundary.
+    pub anchor: u64,
+    /// Interned host ids in the window, duplicates intact, time-ordered.
+    pub hosts: &'a [u32],
+}
+
+impl IdWindow<'_> {
+    /// The string form: one owned hostname per event, as inserted.
+    fn materialize(&self, interner: &HostInterner) -> WindowClose {
+        WindowClose {
+            user: self.user,
+            anchor: self.anchor,
+            window: self
+                .hosts
+                .iter()
+                .map(|h| interner.name(*h).to_string())
+                .collect(),
+        }
+    }
 }
 
 /// Per-user incremental session windowing under out-of-order arrival.
@@ -184,10 +253,25 @@ impl IncrementalWindower {
     /// evict events no future window can contain, and advance the
     /// late-arrival floor to `w`. Users are reported in ascending key
     /// order.
+    ///
+    /// This is the string view of [`close_tick_ids`](Self::close_tick_ids):
+    /// the same close with every host id mapped to its name, one `String`
+    /// per event. The engine's tick stays on the id form.
     pub fn close_tick(&mut self, w: u64) -> Vec<WindowClose> {
+        let close = self.close_tick_ids(w);
+        close
+            .iter()
+            .map(|window| window.materialize(&self.interner))
+            .collect()
+    }
+
+    /// [`close_tick`](Self::close_tick) in id form: every fresh user's
+    /// window as a slice of interned host ids (resolve one with
+    /// [`host_name`](Self::host_name)), all slices in one arena.
+    pub fn close_tick_ids(&mut self, w: u64) -> TickClose {
         debug_assert!(self.closed_through.is_none_or(|p| w > p));
         let prev = self.closed_through;
-        let mut closes = Vec::new();
+        let mut close = TickClose::default();
         let mut still_dirty: Vec<u32> = Vec::new();
         let mut emptied: Vec<u32> = Vec::new();
         // Events at or before this can never appear in a future window:
@@ -209,19 +293,13 @@ impl IncrementalWindower {
                         None | Some(0) => 0,
                         Some(start) => events.partition_point(|(t, _)| *t <= start),
                     };
-                    // Materialize hostnames only here, at report time —
-                    // the one place downstream still speaks strings.
-                    let window: Vec<String> = events
-                        .iter()
-                        .skip(start_idx)
-                        .take(upto - start_idx)
-                        .map(|(_, h)| self.interner.name(*h).to_string())
-                        .collect();
-                    closes.push(WindowClose {
-                        user,
-                        anchor,
-                        window,
-                    });
+                    // Ids only: hostnames are materialized downstream, and
+                    // only the ones that survive dedup and filtering.
+                    let start = close.ids.len();
+                    close
+                        .ids
+                        .extend(events.range(start_idx..upto).map(|(_, h)| *h));
+                    close.windows.push((user, anchor, start..close.ids.len()));
                 }
             }
             if evict_through > 0 {
@@ -243,7 +321,14 @@ impl IncrementalWindower {
         }
         self.dirty = still_dirty.into_iter().collect();
         self.closed_through = Some(w);
-        closes
+        close
+    }
+
+    /// The hostname behind an id from [`close_tick_ids`](Self::close_tick_ids),
+    /// exactly as it was inserted. Panics on an id this windower never
+    /// issued.
+    pub fn host_name(&self, id: u32) -> &str {
+        self.interner.name(id)
     }
 
     /// Events dropped for arriving beyond the lateness bound.
@@ -304,6 +389,100 @@ impl IncrementalWindower {
                 }
             })
             .min()
+    }
+}
+
+/// Marks a blocklisted host in [`SessionBuilder::canon`]. Never a real id:
+/// the interner's arena is `u32`-addressed, so it cannot hold `u32::MAX`
+/// names.
+const BLOCKED: u32 = u32::MAX;
+
+/// Turns id windows into [`Session`]s — lowercase, blocklist filter,
+/// first-visit dedup — without touching a string per event.
+///
+/// Everything that needs the name is decided once per distinct interned
+/// id, for the life of the engine, and kept in a side table parallel to
+/// the windower's interner. The table is append-only and never
+/// invalidated: the interner only ever appends, and the blocklist is
+/// fixed at construction.
+struct SessionBuilder<'a> {
+    blocklist: Option<&'a Blocklist>,
+    /// Interned id → [`BLOCKED`], or the canonical id of the host's
+    /// lowercase form: the smallest id whose name lowercases to the same
+    /// string (the id itself whenever no case variant was interned first).
+    canon: Vec<u32>,
+    /// Lowercase form → canonical id, only for forms reached from a name
+    /// with an uppercase byte. Empty on observer-fed engines, whose lanes
+    /// lowercase on the wire side.
+    folded: HashMap<String, u32>,
+    /// Per canonical id, the epoch of the last window that took the host:
+    /// bumping `epoch` resets the whole array in O(1).
+    seen: Vec<u32>,
+    epoch: u32,
+}
+
+impl<'a> SessionBuilder<'a> {
+    fn new(blocklist: Option<&'a Blocklist>) -> Self {
+        Self {
+            blocklist,
+            canon: Vec::new(),
+            folded: HashMap::new(),
+            seen: Vec::new(),
+            epoch: 0,
+        }
+    }
+
+    /// The session of one id window: exactly
+    /// `Session::from_window(names of window, blocklist)`.
+    fn build(&mut self, window: &[u32], interner: &HostInterner) -> Session {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamp wrap-around: old stamps could alias the new epoch.
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        let mut hostnames = Vec::new();
+        for &id in window {
+            if id as usize >= self.canon.len() {
+                self.resolve_through(id, interner);
+            }
+            let canon = self.canon[id as usize];
+            if canon == BLOCKED {
+                continue;
+            }
+            let stamp = &mut self.seen[canon as usize];
+            if *stamp != self.epoch {
+                *stamp = self.epoch;
+                hostnames.push(ascii_lower(interner.name(canon)).into_owned());
+            }
+        }
+        Session::from_clean_hostnames(hostnames)
+    }
+
+    /// Grow the side table to cover `id`. Ids resolve in interner order,
+    /// so a case variant always finds its earlier siblings resolved.
+    fn resolve_through(&mut self, id: u32, interner: &HostInterner) {
+        debug_assert!(
+            (id as usize) < interner.len(),
+            "host id {id} was not issued by this engine's interner"
+        );
+        for next in self.canon.len() as u32..=id {
+            let name = interner.name(next);
+            let lower = ascii_lower(name);
+            let canon = if self.blocklist.is_some_and(|b| b.is_blocked(&lower)) {
+                BLOCKED
+            } else {
+                match lower {
+                    Cow::Borrowed(_) => self.folded.get(name).copied().unwrap_or(next),
+                    Cow::Owned(lower) => match interner.get(&lower) {
+                        Some(plain) if plain < next => self.canon[plain as usize],
+                        _ => *self.folded.entry(lower).or_insert(next),
+                    },
+                }
+            };
+            self.canon.push(canon);
+        }
+        self.seen.resize(self.canon.len(), 0);
     }
 }
 
@@ -373,7 +552,7 @@ pub struct ServeEngine<'a> {
     lanes: Vec<SniObserver>,
     windower: IncrementalWindower,
     source: TickSource<'a>,
-    blocklist: Option<&'a Blocklist>,
+    sessions: SessionBuilder<'a>,
     /// Next tick boundary to fire.
     next_tick: u64,
     /// Maximum packet/event timestamp seen; the watermark trails it.
@@ -440,7 +619,7 @@ impl<'a> ServeEngine<'a> {
             lanes,
             config,
             source,
-            blocklist,
+            sessions: SessionBuilder::new(blocklist),
             max_t: 0,
             stats: ServeStats::default(),
             closed_windows: Vec::new(),
@@ -459,11 +638,10 @@ impl<'a> ServeEngine<'a> {
         self.stats.packets += 1;
         let lane = self.lane_of(pkt.src.ip);
         self.lanes[lane].process(pkt);
-        if !self.lanes[lane].observations().is_empty() {
-            for obs in self.lanes[lane].take_observations() {
-                self.stats.observations += 1;
-                self.windower.insert(obs.client_ip, obs.t_ms, &obs.hostname);
-            }
+        // Drained in place: the lane's buffer keeps its capacity.
+        for obs in self.lanes[lane].drain_observations() {
+            self.stats.observations += 1;
+            self.windower.insert(obs.client_ip, obs.t_ms, &obs.hostname);
         }
         self.advance(pkt.t_ms)
     }
@@ -519,16 +697,22 @@ impl<'a> ServeEngine<'a> {
         self.next_tick += self.config.report_interval_ms;
         self.stats.ticks += 1;
         let started = Instant::now();
-        let closes = self.windower.close_tick(boundary);
-        if closes.is_empty() {
+        let close = self.windower.close_tick_ids(boundary);
+        if close.is_empty() {
             return None;
         }
+        let interner = &self.windower.interner;
         if self.config.collect_windows {
-            self.closed_windows.extend(closes.iter().cloned());
+            // The one consumer that wants every event as a string: each
+            // window is materialized once, straight into the corpus feed.
+            self.closed_windows
+                .extend(close.iter().map(|w| w.materialize(interner)));
         }
-        let sessions: Vec<Session> = closes
+        // Strings first appear here: one per host that survives the
+        // blocklist and first-visit dedup, copied into its `Session`.
+        let sessions: Vec<Session> = close
             .iter()
-            .map(|c| Session::from_window(c.window.iter().map(String::as_str), self.blocklist))
+            .map(|w| self.sessions.build(w.hosts, interner))
             .collect();
         self.stats.sessions_profiled += sessions.len() as u64;
         let (profiles, model_seq) = match &self.source {
@@ -542,16 +726,16 @@ impl<'a> ServeEngine<'a> {
                 (batch.profile_sessions(&sessions), version.seq())
             }
         };
-        let entries: Vec<TickEntry> = closes
-            .into_iter()
+        let entries: Vec<TickEntry> = close
+            .iter()
             .zip(profiles)
-            .map(|(c, profile)| {
+            .map(|(w, profile)| {
                 if profile.is_some() {
                     self.stats.profiles_emitted += 1;
                 }
                 TickEntry {
-                    user: c.user,
-                    anchor: c.anchor,
+                    user: w.user,
+                    anchor: w.anchor,
                     profile,
                 }
             })
@@ -746,7 +930,8 @@ mod tests {
     /// Differential test: for random event streams and every 10-minute
     /// boundary, the windower's raw window (passed through `Session`
     /// dedup) must equal the oracle's naive `session_window` over the
-    /// user's sorted timeline.
+    /// user's sorted timeline — and the string close must be the id close
+    /// of a twin windower with every id mapped to its name.
     #[test]
     fn windower_matches_oracle_naive_windowing_at_every_tick() {
         let t_window = 1_200_000u64;
@@ -766,6 +951,7 @@ mod tests {
                 events.push((t, user, host));
             }
             let mut w = IncrementalWindower::new(t_window);
+            let mut by_id = IncrementalWindower::new(t_window);
             let mut cursor = 0usize;
             let mut prev: Option<u64> = None;
             let last_t = events.last().unwrap().0;
@@ -774,9 +960,25 @@ mod tests {
                 while cursor < events.len() && events[cursor].0 <= boundary {
                     let (t, u, ref h) = events[cursor];
                     w.insert(u, t, h);
+                    by_id.insert(u, t, h);
                     cursor += 1;
                 }
                 let closes = w.close_tick(boundary);
+                let id_close = by_id.close_tick_ids(boundary);
+                let mapped: Vec<WindowClose> = id_close
+                    .iter()
+                    .map(|c| WindowClose {
+                        user: c.user,
+                        anchor: c.anchor,
+                        window: c
+                            .hosts
+                            .iter()
+                            .map(|h| by_id.host_name(*h).to_string())
+                            .collect(),
+                    })
+                    .collect();
+                assert_eq!(closes, mapped, "seed {seed} boundary {boundary}");
+                assert_eq!(w.resident_events(), by_id.resident_events());
                 for c in &closes {
                     // Oracle: the user's full sorted timeline, naively
                     // windowed at the same anchor.
@@ -823,6 +1025,135 @@ mod tests {
             }
         }
         out
+    }
+
+    // ---- id windows → sessions ----
+
+    /// Intern `names` into a fresh windower as one user's in-order events
+    /// and close them as a single id window.
+    fn id_window(w: &mut IncrementalWindower, t0: u64, names: &[&str]) -> TickClose {
+        for (i, name) in names.iter().enumerate() {
+            assert!(w.insert(1, t0 + i as u64, name));
+        }
+        w.close_tick_ids(t0 + names.len() as u64)
+    }
+
+    fn tracker_blocklist() -> Blocklist {
+        use hostprof_ontology::BlocklistProvider;
+        Blocklist::from_providers(vec![BlocklistProvider::new(
+            "t",
+            ["tracker.net", "px.ads.example"],
+        )])
+    }
+
+    /// The id-side builder against the string constructor it replaces in
+    /// the tick: random windows over a pool with case variants (in every
+    /// interning order), exact and parent-domain blocklist hits and
+    /// duplicates, with the interner growing between builds.
+    #[test]
+    fn id_sessions_equal_string_sessions_on_random_windows() {
+        let pool = [
+            "a.com",
+            "A.com",
+            "a.COM",
+            "B.org",
+            "b.org",
+            "c.net",
+            "tracker.net",
+            "CDN.Tracker.NET",
+            "px.ads.example",
+            "ads.example",
+            "Deep.PX.ads.example",
+            "d.example",
+            "E.EXAMPLE",
+        ];
+        let blocklist = tracker_blocklist();
+        for seed in 0..200u64 {
+            let mut state = splitmix64(seed ^ 0x1d5e_5510);
+            let mut next = || {
+                state = splitmix64(state);
+                state
+            };
+            let mut w = IncrementalWindower::new(u64::MAX / 2);
+            let with_list = next() % 4 != 0;
+            let mut builder = SessionBuilder::new(with_list.then_some(&blocklist));
+            let mut t0 = 1u64;
+            for _ in 0..6 {
+                let len = (next() % 40) as usize;
+                let names: Vec<&str> = (0..len)
+                    .map(|_| pool[(next() % pool.len() as u64) as usize])
+                    .collect();
+                // A window far longer than any horizon here: each close
+                // reports everything the user has sent so far.
+                let close = id_window(&mut w, t0, &names);
+                t0 += 1_000;
+                for c in close.iter() {
+                    let strings: Vec<&str> = c.hosts.iter().map(|h| w.host_name(*h)).collect();
+                    let want = Session::from_window(strings, with_list.then_some(&blocklist));
+                    let got = builder.build(c.hosts, &w.interner);
+                    assert_eq!(got, want, "seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn case_variants_collapse_in_the_session_but_not_in_the_interner() {
+        let mut w = windower();
+        let close = id_window(
+            &mut w,
+            1,
+            &["Video.Example", "video.example", "VIDEO.EXAMPLE", "b.com"],
+        );
+        let mut builder = SessionBuilder::new(None);
+        let c = close.iter().next().unwrap();
+        let session = builder.build(c.hosts, &w.interner);
+        assert_eq!(session.hostnames(), &["video.example", "b.com"]);
+        // The interner counts what was inserted; the lowercase forms the
+        // builder derived live in its own side table.
+        assert_eq!(w.interned_hosts(), 4);
+        assert_eq!(w.host_name(c.hosts[0]), "Video.Example");
+    }
+
+    #[test]
+    fn seen_stamps_survive_the_epoch_wrap() {
+        let mut w = windower();
+        let close = id_window(&mut w, 1, &["a.com", "b.com", "a.com", "c.com", "b.com"]);
+        let hosts = close.iter().next().unwrap().hosts;
+        let mut builder = SessionBuilder::new(None);
+        let want = builder.build(hosts, &w.interner);
+        assert_eq!(want.hostnames(), &["a.com", "b.com", "c.com"]);
+        // Park the counter so the next build wraps to epoch 1 — the very
+        // stamp the first build left on every host. Uncleared, those stale
+        // stamps would read as "already seen" and empty the session.
+        assert_eq!(builder.epoch, 1);
+        builder.epoch = u32::MAX;
+        assert_eq!(builder.build(hosts, &w.interner), want);
+        assert_eq!(builder.epoch, 1);
+        assert_eq!(builder.build(hosts, &w.interner), want);
+    }
+
+    #[test]
+    fn side_table_grows_with_the_interner() {
+        let blocklist = tracker_blocklist();
+        let mut w = windower();
+        let mut builder = SessionBuilder::new(Some(&blocklist));
+        let first = id_window(&mut w, 1, &["a.com", "tracker.net"]);
+        let s = builder.build(first.iter().next().unwrap().hosts, &w.interner);
+        assert_eq!(s.hostnames(), &["a.com"]);
+        assert_eq!(builder.canon.len(), 2);
+        // Hosts interned after the table was last grown — as when an event
+        // past the boundary arrives before its tick fires — resolve on
+        // first use, including ids the builder skipped over.
+        w.insert(1, 5_000, "never-windowed.example");
+        let second = id_window(&mut w, 6_000, &["late.example", "px.tracker.net", "A.com"]);
+        let s = builder.build(second.iter().next().unwrap().hosts, &w.interner);
+        assert_eq!(
+            s.hostnames(),
+            &["a.com", "never-windowed.example", "late.example"]
+        );
+        assert_eq!(builder.canon.len(), w.interned_hosts());
+        assert_eq!(builder.seen.len(), w.interned_hosts());
     }
 
     // ---- engine-level tests (tiny synthetic embeddings) ----
@@ -1119,6 +1450,52 @@ mod tests {
         );
         // Drained: a second take is empty.
         assert!(engine.take_closed_windows().is_empty());
+    }
+
+    #[test]
+    fn observation_fed_engine_folds_case_filters_and_survives_reuse_after_flush() {
+        let (embeddings, ontology) = tiny_model();
+        let blocklist = tracker_blocklist();
+        let profiler = Profiler::new(&embeddings, &ontology, ProfilerConfig::default());
+        let mut engine = ServeEngine::new(
+            ServeConfig {
+                collect_windows: true,
+                ..ServeConfig::default()
+            },
+            BatchProfiler::new(profiler, 1),
+            Some(&blocklist),
+        );
+        engine.ingest_observation(1, 100, "H1.Example");
+        engine.ingest_observation(1, 200, "h1.example");
+        engine.ingest_observation(1, 300, "CDN.Tracker.NET");
+        engine.ingest_observation(2, 400, "tracker.net");
+        let ticks = engine.flush();
+        assert_eq!(ticks.len(), 1);
+        let entries = &ticks[0].entries;
+        assert_eq!((entries[0].user, entries[0].anchor), (1, 300));
+        let reference = Profiler::new(&embeddings, &ontology, ProfilerConfig::default());
+        let want = reference.profile(&Session::from_window(["h1.example"], None));
+        assert!(want.is_some());
+        assert_eq!(entries[0].profile, want);
+        // User 2's window was all tracker: reported, nothing to profile.
+        assert_eq!((entries[1].user, entries[1].anchor), (2, 400));
+        assert!(entries[1].profile.is_none());
+        // Four distinct spellings went in; the folded forms are not counted.
+        assert_eq!(engine.windower().interned_hosts(), 4);
+        let raw = engine.take_closed_windows();
+        assert_eq!(
+            raw[0].window,
+            ["H1.Example", "h1.example", "CDN.Tracker.NET"]
+        );
+        assert_eq!(raw[1].window, ["tracker.net"]);
+
+        // The engine keeps serving after a flush: hosts first interned now
+        // extend the per-host table instead of indexing past it.
+        engine.ingest_observation(1, MIN10 + 50, "H2.example");
+        let ticks = engine.flush();
+        assert_eq!(ticks.len(), 1);
+        let want = reference.profile(&Session::from_window(["h1.example", "h2.example"], None));
+        assert_eq!(ticks[0].entries[0].profile, want);
     }
 
     #[test]

@@ -14,7 +14,17 @@
 
 use hostprof_ontology::Blocklist;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashSet;
+
+/// `name` in ASCII lowercase, copied only when a byte actually changes.
+pub(crate) fn ascii_lower(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
 
 /// A cleaned browsing session: unique hostnames in first-visit order.
 ///
@@ -39,19 +49,30 @@ impl Session {
     where
         I: IntoIterator<Item = &'a str>,
     {
-        let mut seen = HashSet::new();
+        // Every host already decided, kept or blocked: a repeat costs one
+        // hash and no blocklist probe.
+        let mut seen: HashSet<Cow<'a, str>> = HashSet::new();
         let mut hostnames = Vec::new();
         for h in window {
-            let lower = h.to_ascii_lowercase();
-            if let Some(b) = blocklist {
-                if b.is_blocked(&lower) {
-                    continue;
-                }
+            let lower = ascii_lower(h);
+            if !seen.insert(lower.clone()) {
+                continue;
             }
-            if seen.insert(lower.clone()) {
-                hostnames.push(lower);
+            if !blocklist.is_some_and(|b| b.is_blocked(&lower)) {
+                hostnames.push(lower.into_owned());
             }
         }
+        Self { hostnames }
+    }
+
+    /// Wrap hostnames that are already lowercase, blocklist-filtered and
+    /// first-visit-unique — the serving tick's id-side dedup produces
+    /// exactly that. Crate-private so the invariant cannot be broken from
+    /// outside.
+    pub(crate) fn from_clean_hostnames(hostnames: Vec<String>) -> Self {
+        debug_assert!(hostnames
+            .iter()
+            .all(|h| matches!(ascii_lower(h), Cow::Borrowed(_))));
         Self { hostnames }
     }
 

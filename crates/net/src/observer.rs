@@ -521,6 +521,14 @@ impl SniObserver {
         std::mem::take(&mut self.observations)
     }
 
+    /// Drain the observations in place: like
+    /// [`take_observations`](Self::take_observations), but the buffer keeps
+    /// its capacity, so a per-packet caller does not re-allocate it on the
+    /// next hostname.
+    pub fn drain_observations(&mut self) -> std::vec::Drain<'_, Observation> {
+        self.observations.drain(..)
+    }
+
     /// Group observations into per-client `(time, hostname)` sequences —
     /// the profiling algorithm's input. Clients are keyed by IP: behind a
     /// NAT, several users collapse into one sequence, exactly the §7.2
@@ -982,6 +990,19 @@ mod tests {
         obs.process(&tls_packet(0, 1, 5000, "x.com"));
         assert_eq!(obs.take_observations().len(), 1);
         assert!(obs.observations().is_empty());
+        assert_eq!(obs.stats().tls_sni, 1, "stats survive draining");
+    }
+
+    #[test]
+    fn drain_observations_drains_and_keeps_the_buffer() {
+        let mut obs = SniObserver::new();
+        obs.process(&tls_packet(0, 1, 5000, "x.com"));
+        let capacity = obs.observations.capacity();
+        let drained: Vec<Observation> = obs.drain_observations().collect();
+        assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].hostname, "x.com");
+        assert!(obs.observations().is_empty());
+        assert_eq!(obs.observations.capacity(), capacity);
         assert_eq!(obs.stats().tls_sni, 1, "stats survive draining");
     }
 }

@@ -13,6 +13,7 @@
 //! tracker eTLD+1 entries in practice.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// One published blocklist (e.g. the adaway.org hosts file).
@@ -111,8 +112,14 @@ impl Blocklist {
     /// Whether `hostname` is blocked, either exactly or because a parent
     /// domain is listed (`ads.x.com` is blocked when `x.com` is listed).
     pub fn is_blocked(&self, hostname: &str) -> bool {
-        let lower = hostname.to_ascii_lowercase();
-        let mut rest = lower.as_str();
+        // Callers on the profiling path hand in lowercase names already;
+        // copy only when a byte has to change.
+        let lower = if hostname.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(hostname.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(hostname)
+        };
+        let mut rest: &str = &lower;
         loop {
             if self.union.contains(rest) {
                 return true;

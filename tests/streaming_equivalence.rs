@@ -1,5 +1,6 @@
 //! Streaming/batch equivalence properties: 500 seeded cases per
-//! property, the [`ServeEngine`] vs a naive batch recomputation.
+//! property (three properties, 1 500 cases), the [`ServeEngine`] vs a
+//! naive batch recomputation.
 //!
 //! The serving loop's contract (DESIGN.md §12, `core::serve`) is that for
 //! *any* packet-arrival interleaving across any lane count, the profiles
@@ -12,7 +13,7 @@
 //! oracle crate (`oracle::window::session_window`) and profiles from the
 //! sequential `Profiler` — no serving-loop code on the reference side.
 //!
-//! Two delivery regimes:
+//! Two delivery regimes over wire packets:
 //!
 //! * **Any interleaving, deferred ticks** — chaos-mutated and even fully
 //!   shuffled streams (`net::chaos` reorderings plus a Fisher–Yates
@@ -25,6 +26,18 @@
 //!   lateness bound, ticks firing live off the watermark. Nothing may be
 //!   late-dropped and every tick must still match the batch reference.
 //!
+//! and a third property on the part of the tick the packet regimes never
+//! reach — they feed lowercase names, no blocklist, and never collect
+//! windows:
+//!
+//! * **Sessions from raw observations** — mixed-case hostnames through
+//!   `ingest_observation`, a blocklist with exact and parent-domain
+//!   rules, users whose windows empty out after filtering, duplicates,
+//!   bounded disorder, `collect_windows` on. Profiles must equal oracle
+//!   window → `Session::from_window` → sequential profile, and the
+//!   collected windows must be the raw oracle windows, casing and
+//!   duplicates intact.
+//!
 //! The vendored proptest crate has no failure persistence, so this suite
 //! uses the same scheme as `differential_proptests.rs`: every case is a
 //! printable 16-hex-digit seed, failures panic with that seed, and
@@ -34,9 +47,10 @@
 use hostprof::embed::{EmbeddingSet, Vocab};
 use hostprof::net::chaos::{self, ChaosConfig};
 use hostprof::net::{Packet, RequestEvent, SniObserver, TrafficSynthesizer};
-use hostprof::ontology::{CategoryId, CategoryVector, Ontology};
+use hostprof::ontology::{Blocklist, BlocklistProvider, CategoryId, CategoryVector, Ontology};
 use hostprof::profiling::{
     BatchProfiler, Profiler, ProfilerConfig, ServeConfig, ServeEngine, Session, SessionProfile,
+    TickReport,
 };
 use hostprof_oracle::window;
 use std::collections::BTreeMap;
@@ -189,6 +203,23 @@ impl CaseParams {
     }
 }
 
+/// Reported ticks, flattened to one row per entry.
+fn tick_rows(ticks: &[TickReport]) -> Vec<Row> {
+    ticks
+        .iter()
+        .flat_map(|t| {
+            t.entries.iter().map(move |e| {
+                (
+                    t.boundary,
+                    e.user,
+                    e.anchor,
+                    e.profile.as_ref().map(fingerprint),
+                )
+            })
+        })
+        .collect()
+}
+
 /// Run the delivered stream through the serving engine and flatten the
 /// reported ticks. Returns the rows plus the late-drop counter.
 fn engine_rows(
@@ -222,27 +253,11 @@ fn engine_rows(
         ticks.extend(engine.ingest_packet(pkt));
     }
     ticks.extend(engine.flush());
-    let rows = ticks
-        .iter()
-        .flat_map(|t| {
-            t.entries.iter().map(move |e| {
-                (
-                    t.boundary,
-                    e.user,
-                    e.anchor,
-                    e.profile.as_ref().map(fingerprint),
-                )
-            })
-        })
-        .collect();
-    (rows, engine.windower().late_dropped())
+    (tick_rows(&ticks), engine.windower().late_dropped())
 }
 
-/// The batch reference: a single observer consumes the same delivered
-/// stream, each user's observations are time-sorted (stable, so equal
-/// times keep delivery order exactly as the windower does), and every
-/// report boundary up to the flush tick is recomputed naively — oracle
-/// windowing at the user's freshest anchor, sequential profiling.
+/// The batch reference for a packet feed: a single observer consumes the
+/// same delivered stream, and [`reference`] recomputes every boundary.
 fn batch_rows(
     packets: &[Packet],
     params: &CaseParams,
@@ -260,12 +275,32 @@ fn batch_rows(
             .or_default()
             .push((obs.t_ms, obs.hostname));
     }
-    for tl in timelines.values_mut() {
-        tl.sort_by_key(|(t, _)| *t); // stable: ties keep delivery order
-    }
     let Some(max_t) = packets.iter().map(|p| p.t_ms).max() else {
         return Vec::new();
     };
+    reference(timelines, max_t, params, embeddings, ontology, None).0
+}
+
+/// One collected window: `(user, anchor, raw hostnames)`.
+type RawWindow = (u32, u64, Vec<String>);
+
+/// The naive recomputation both feeds share. Per-user observations in
+/// delivery order are time-sorted (stable, so equal times keep delivery
+/// order exactly as the windower does); every report boundary up to the
+/// flush tick past `max_t` reports each user with a fresh anchor: oracle
+/// window, string `Session`, sequential profile — plus the raw events of
+/// the same window, which is what `collect_windows` must hand back.
+fn reference(
+    mut timelines: BTreeMap<u32, Vec<(u64, String)>>,
+    max_t: u64,
+    params: &CaseParams,
+    embeddings: &EmbeddingSet,
+    ontology: &Ontology,
+    blocklist: Option<&Blocklist>,
+) -> (Vec<Row>, Vec<RawWindow>) {
+    for tl in timelines.values_mut() {
+        tl.sort_by_key(|(t, _)| *t); // stable: ties keep delivery order
+    }
     let profiler = Profiler::new(
         embeddings,
         ontology,
@@ -274,8 +309,10 @@ fn batch_rows(
             ..ProfilerConfig::default()
         },
     );
+    let duration = params.session_window_ms;
     let interval = params.report_interval_ms;
     let mut rows = Vec::new();
+    let mut windows = Vec::new();
     let mut prev: Option<u64> = None;
     let mut boundary = interval;
     loop {
@@ -288,7 +325,9 @@ fn batch_rows(
             if prev.is_some_and(|p| anchor <= p) {
                 continue; // already reported at an earlier boundary
             }
-            let names = window::session_window(tl, anchor, params.session_window_ms, &|_| false);
+            let names = window::session_window(tl, anchor, duration, &|h| {
+                blocklist.is_some_and(|b| b.is_blocked(h))
+            });
             let session = Session::from_window(names.iter().map(String::as_str), None);
             rows.push((
                 boundary,
@@ -296,14 +335,28 @@ fn batch_rows(
                 anchor,
                 profiler.profile(&session).map(|p| fingerprint(&p)),
             ));
+            // The raw events of `(anchor - T, anchor]` by linear scan, with
+            // the oracle's epoch rule: a window that reaches t = 0 keeps it.
+            let raw = tl
+                .iter()
+                .filter(|(t, _)| {
+                    let after_start = match anchor.checked_sub(duration) {
+                        None | Some(0) => true,
+                        Some(start) => *t > start,
+                    };
+                    after_start && *t <= anchor
+                })
+                .map(|(_, h)| h.clone())
+                .collect();
+            windows.push((user, anchor, raw));
         }
         prev = Some(boundary);
         if boundary > max_t {
-            break; // this was the flush tick past the last packet
+            break; // this was the flush tick past the last event
         }
         boundary += interval;
     }
-    rows
+    (rows, windows)
 }
 
 fn assert_rows_match(got: &[Row], want: &[Row], seed: u64, what: &str) {
@@ -411,4 +464,174 @@ fn bounded_disorder_live_ticks_match_batch_on_500_seeded_cases() {
             &format!("live ticks, {} lanes", params.lanes),
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Property 3: raw observations — mixed case, blocklist, duplicates,
+// collected windows — through the id-side tick. The reference never sees
+// an interned id: naive window scan over the per-user timeline, the
+// string `Session` constructor, the sequential profiler.
+// ---------------------------------------------------------------------
+
+/// One delivered observation: `(t_ms, client, hostname as sent)`.
+type Obs = (u64, u32, String);
+
+/// Exact rules (`tracker.net`, `metrics.h5.example`) that also block by
+/// parent domain (`cdn.tracker.net`, `a.metrics.h5.example`).
+fn tracker_blocklist() -> Blocklist {
+    Blocklist::from_providers(vec![
+        BlocklistProvider::new("exact", ["tracker.net"]),
+        BlocklistProvider::new("nested", ["metrics.h5.example", "tracker.net"]),
+    ])
+}
+
+/// `name` with each letter's case drawn at random — one host, many
+/// spellings, all of which must land on one session entry.
+fn scramble_case(name: &str, rng: &mut u64) -> String {
+    match splitmix(rng) % 3 {
+        0 => name.to_string(),
+        1 => name.to_ascii_uppercase(),
+        _ => name
+            .chars()
+            .map(|c| {
+                if splitmix(rng).is_multiple_of(2) {
+                    c.to_ascii_uppercase()
+                } else {
+                    c
+                }
+            })
+            .collect(),
+    }
+}
+
+/// In-order observations for a few users; the last user may be one whose
+/// every request goes to a tracker, so all of its windows empty out.
+fn observation_workload(rng: &mut u64) -> Vec<Obs> {
+    const TRACKERS: [&str; 4] = [
+        "tracker.net",
+        "cdn.tracker.net",
+        "metrics.h5.example",
+        "a.metrics.h5.example",
+    ];
+    let nusers = 2 + splitmix(rng) % 4;
+    let nreqs = 30 + (splitmix(rng) % 90) as usize;
+    let tracker_only_user = splitmix(rng).is_multiple_of(2).then_some(nusers - 1);
+    let mut t = 0u64;
+    let mut out = Vec::new();
+    for _ in 0..nreqs {
+        t += splitmix(rng) % 60_000;
+        let client = splitmix(rng) % nusers;
+        let name = if Some(client) == tracker_only_user || splitmix(rng).is_multiple_of(5) {
+            TRACKERS[(splitmix(rng) % 4) as usize].to_string()
+        } else if splitmix(rng).is_multiple_of(9) {
+            format!("x{}.unknown", splitmix(rng) % 3)
+        } else {
+            // A small pool, so windows are full of repeats.
+            format!("h{}.example", splitmix(rng) % 12)
+        };
+        // A burst of connections to the same host, respelled each time.
+        for k in 0..1 + splitmix(rng) % 3 {
+            out.push((t + k, client as u32, scramble_case(&name, rng)));
+        }
+        t += 2;
+    }
+    out
+}
+
+#[test]
+fn observation_sessions_match_oracle_on_500_seeded_cases() {
+    let (embeddings, ontology) = tiny_model();
+    let blocklist = tracker_blocklist();
+    let lateness = ServeConfig::default().lateness_ms;
+    let mut emptied_out_total = 0usize;
+    for seed in schedule(0x57e0_0003) {
+        let mut rng = seed;
+        let params = CaseParams::draw(&mut rng);
+        let sent = observation_workload(&mut rng);
+        let jitter_max = lateness - 1;
+        let mut keyed: Vec<(u64, &Obs)> = sent
+            .iter()
+            .map(|o| (o.0 + splitmix(&mut rng) % jitter_max, o))
+            .collect();
+        keyed.sort_by_key(|(k, _)| *k);
+        let delivered: Vec<&Obs> = keyed.into_iter().map(|(_, o)| o).collect();
+
+        // Engine side.
+        let mut engine = ServeEngine::new(
+            ServeConfig {
+                lanes: params.lanes,
+                session_window_ms: params.session_window_ms,
+                report_interval_ms: params.report_interval_ms,
+                lateness_ms: lateness,
+                collect_windows: true,
+                ..ServeConfig::default()
+            },
+            BatchProfiler::new(
+                Profiler::new(
+                    &embeddings,
+                    &ontology,
+                    ProfilerConfig {
+                        n_neighbors: params.n_neighbors,
+                        ..ProfilerConfig::default()
+                    },
+                ),
+                params.threads,
+            ),
+            Some(&blocklist),
+        );
+        let mut ticks = Vec::new();
+        for (t, client, host) in delivered.iter().copied() {
+            ticks.extend(engine.ingest_observation(*client, *t, host));
+        }
+        ticks.extend(engine.flush());
+        assert_eq!(
+            engine.windower().late_dropped(),
+            0,
+            "disorder within the lateness bound must never drop — add \
+             `cc {seed:016x}` to tests/regressions/streaming_equivalence.txt"
+        );
+        let got = tick_rows(&ticks);
+        let got_windows: Vec<RawWindow> = engine
+            .take_closed_windows()
+            .into_iter()
+            .map(|c| (c.user, c.anchor, c.window))
+            .collect();
+
+        // Reference side.
+        let mut timelines: BTreeMap<u32, Vec<(u64, String)>> = BTreeMap::new();
+        for (t, client, host) in delivered.iter().copied() {
+            timelines
+                .entry(*client)
+                .or_default()
+                .push((*t, host.clone()));
+        }
+        let max_t = sent.iter().map(|o| o.0).max().expect("non-empty workload");
+        let (want, want_windows) = reference(
+            timelines,
+            max_t,
+            &params,
+            &embeddings,
+            &ontology,
+            Some(&blocklist),
+        );
+        assert_rows_match(
+            &got,
+            &want,
+            seed,
+            &format!("observation feed, {} lanes", params.lanes),
+        );
+        assert_eq!(
+            got_windows, want_windows,
+            "collected windows diverged from the raw oracle windows — add \
+             `cc {seed:016x}` to tests/regressions/streaming_equivalence.txt"
+        );
+        emptied_out_total += want_windows
+            .iter()
+            .filter(|(_, _, raw)| raw.iter().all(|h| blocklist.is_blocked(h)))
+            .count();
+    }
+    assert!(
+        emptied_out_total > 500,
+        "the workload must keep producing all-tracker windows ({emptied_out_total})"
+    );
 }

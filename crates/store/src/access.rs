@@ -1,12 +1,11 @@
 //! The accessor trait through which the batch profiler and the serving
 //! engine read a trace without knowing its representation.
 //!
-//! Two implementations exist: [`TraceColumns`](crate::TraceColumns) (the
-//! columnar form, in this crate) and the legacy materialized
-//! `Trace`-plus-`World` adapter (in `hostprof-synth`, which owns both
-//! types). Host ids are opaque `u32`s scoped to the implementation —
-//! consumers resolve them through [`TraceAccess::host_name`] and never
-//! compare ids across implementations.
+//! [`TraceColumns`](crate::TraceColumns) (the columnar form, in this
+//! crate) is the one production implementation; the rest are test fakes.
+//! Host ids are opaque `u32`s scoped to the implementation — consumers
+//! resolve them through [`TraceAccess::host_name`] and never compare ids
+//! across implementations.
 
 /// Read-only trace access: per-user time-ordered host sequences.
 ///

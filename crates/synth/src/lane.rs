@@ -23,10 +23,10 @@
 use crate::config::TraceConfig;
 use crate::ids::UserId;
 use crate::sampling::WeightedIndex;
-use crate::trace::{emit_user_requests, Trace, DIURNAL};
+use crate::trace::{emit_user_requests, DIURNAL};
 use crate::user::Population;
 use crate::world::World;
-use hostprof_store::{HostInterner, TraceAccess, TraceColumns, TraceColumnsBuilder};
+use hostprof_store::{HostInterner, TraceColumns, TraceColumnsBuilder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -95,66 +95,11 @@ pub fn generate_columnar(
     builder.finish(population.len())
 }
 
-/// The legacy materialized pair viewed through [`TraceAccess`] — lets the
-/// profiler and conformance suite run one code path over both
-/// representations. Host ids here are `HostId.0` (world ids), which the
-/// columnar path's pre-seeded interner reproduces exactly.
-pub struct MaterializedAccess<'a> {
-    /// Hostname resolution.
-    pub world: &'a World,
-    /// The materialized request stream.
-    pub trace: &'a Trace,
-}
-
-impl TraceAccess for MaterializedAccess<'_> {
-    fn num_users(&self) -> usize {
-        self.trace.num_users()
-    }
-
-    fn num_events(&self) -> usize {
-        self.trace.requests().len()
-    }
-
-    fn days(&self) -> u32 {
-        self.trace.days()
-    }
-
-    fn host_name(&self, host: u32) -> &str {
-        self.world.hostname(crate::ids::HostId(host))
-    }
-
-    fn window_hosts(&self, user: u32, end_ms: u64, duration_ms: u64, out: &mut Vec<u32>) {
-        out.extend(
-            self.trace
-                .window(UserId(user), end_ms, duration_ms)
-                .into_iter()
-                .map(|h| h.0),
-        );
-    }
-
-    fn span_hosts(&self, user: u32, start_ms: u64, end_ms: u64, out: &mut Vec<u32>) {
-        out.extend(
-            self.trace
-                .user_requests(UserId(user))
-                .filter(|r| r.t_ms >= start_ms && r.t_ms < end_ms)
-                .map(|r| r.host.0),
-        );
-    }
-
-    fn last_time_in(&self, user: u32, start_ms: u64, end_ms: u64) -> Option<u64> {
-        self.trace
-            .user_requests(UserId(user))
-            .filter(|r| r.t_ms >= start_ms && r.t_ms < end_ms)
-            .map(|r| r.t_ms)
-            .last()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{PopulationConfig, WorldConfig};
-    use crate::trace::DAY_MS;
+    use crate::trace::{Trace, DAY_MS};
 
     fn setup() -> (World, Population, Trace, TraceColumns) {
         let world = World::generate(&WorldConfig::tiny());
@@ -190,38 +135,6 @@ mod tests {
         let (world, _, _, cols) = setup();
         for host in world.hosts() {
             assert_eq!(cols.interner().name(host.id.0), host.name);
-        }
-    }
-
-    #[test]
-    fn both_accessors_agree_on_windows_and_days() {
-        let (world, pop, trace, cols) = setup();
-        let mat = MaterializedAccess {
-            world: &world,
-            trace: &trace,
-        };
-        assert_eq!(mat.days(), cols.days());
-        let day = DAY_MS;
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for u in 0..pop.len() as u32 {
-            for (end, dur) in [(day, 30 * 60_000), (2 * day, day), (day / 2, u64::MAX)] {
-                a.clear();
-                b.clear();
-                mat.window_hosts(u, end, dur, &mut a);
-                cols.window_hosts(u, end, dur, &mut b);
-                assert_eq!(a, b, "window user {u} end {end} dur {dur}");
-            }
-            a.clear();
-            b.clear();
-            mat.span_hosts(u, 0, day, &mut a);
-            cols.span_hosts(u, 0, day, &mut b);
-            assert_eq!(a, b, "span user {u}");
-            assert_eq!(
-                mat.last_time_in(u, day, 2 * day),
-                cols.last_time_in(u, day, 2 * day),
-                "last_time user {u}"
-            );
         }
     }
 

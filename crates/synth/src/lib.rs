@@ -38,7 +38,7 @@ pub mod world;
 
 pub use config::{PopulationConfig, TraceConfig, WorldConfig};
 pub use ids::{HostId, UserId};
-pub use lane::{for_each_user_lane, generate_columnar, world_interner, MaterializedAccess};
+pub use lane::{for_each_user_lane, generate_columnar, world_interner};
 pub use stream::{StreamConfig, TraceStream};
 pub use trace::{Request, Trace, TraceStats};
 pub use user::{Population, UserProfile};

@@ -32,7 +32,7 @@ fn main() {
 
     // --- Vantage point 1: per-user addressing -------------------------
     let clean = ObserverScenario::per_user();
-    let obs = ObservedTrace::capture(&s.world, &s.trace, &clean);
+    let obs = ObservedTrace::capture(&s.world, &s.trace, &clean, None);
     println!("[1] per-user IPs (WiFi/mobile vantage point)");
     println!("    clients seen:        {}", obs.sequences.len());
     println!("    fidelity:            {:.1}%", obs.fidelity() * 100.0);
@@ -49,7 +49,7 @@ fn main() {
 
     // --- Vantage point 2: NAT ------------------------------------------
     let nat = ObserverScenario::behind_nat(4);
-    let obs_nat = ObservedTrace::capture(&s.world, &s.trace, &nat);
+    let obs_nat = ObservedTrace::capture(&s.world, &s.trace, &nat, None);
     println!("\n[2] 4 users behind each NAT (landline ISP vantage point)");
     println!(
         "    clients seen:        {} (was {})",
@@ -66,7 +66,7 @@ fn main() {
     println!("\n[3] encrypted ClientHello adoption (§7.4)");
     for frac in [0.0, 0.5, 1.0] {
         let ech = ObserverScenario::with_ech(frac);
-        let o = ObservedTrace::capture(&s.world, &s.trace, &ech);
+        let o = ObservedTrace::capture(&s.world, &s.trace, &ech, None);
         println!(
             "    ECH on {:>3.0}% of connections → observer recovers {:>5.1}% of hostnames",
             frac * 100.0,
@@ -78,7 +78,7 @@ fn main() {
     let mut dns = ObserverScenario::per_user();
     dns.synthesizer.dns_fraction = 1.0;
     dns.harvest_dns = true;
-    let o = ObservedTrace::capture(&s.world, &s.trace, &dns);
+    let o = ObservedTrace::capture(&s.world, &s.trace, &dns, None);
     println!("\n[4] a DNS-provider vantage point (plaintext queries, §7.2)");
     println!(
         "    DNS names harvested: {} (plus {} TLS + {} QUIC handshakes)",

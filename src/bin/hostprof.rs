@@ -2,33 +2,24 @@
 //!
 //! A thin operational wrapper over the library: generate a deterministic
 //! scenario, train and persist a model, query the embedding space, profile
-//! a user, run the observer under countermeasures, or run the full CTR
-//! experiment — all without writing Rust.
-//!
-//! ```text
-//! hostprof train   [--scale S] [--days N] --out model.json
-//! hostprof similar --model model.json --host <hostname> [--top N]
-//! hostprof profile [--scale S] --model model.json --user N [--day D]
-//!                  [--index exact|ivf] [--nprobe N]
-//! hostprof observe [--scale S] [--ech F] [--nat N] [--dns] [--save cap.hpcap]
-//! hostprof replay  --capture cap.hpcap [--dns]
-//! hostprof experiment [--scale S]
-//! ```
-//!
-//! `--scale` is `tiny` (default), `small`, `default` or `large` and
-//! selects the same deterministic scenarios the experiment binaries use
-//! (`large` is the 10⁶-user columnar tier; expect minutes, not seconds).
+//! a user, run the observer under countermeasures, serve a live load,
+//! check the golden schedules, or run the full CTR experiment — all
+//! without writing Rust. [`USAGE`] (`hostprof help`) is the one list of
+//! commands and flags.
 
 use hostprof::ads::{CtrExperiment, ExperimentConfig};
 use hostprof::bridge::{ObservedTrace, ObserverScenario};
 use hostprof::embed::{IndexConfig, KernelChoice};
 use hostprof::profiling::{profile_accuracy, Session};
+use hostprof::replay::{
+    DefenseSnapshot, GoldenSchedule, ReplayOptions, ReplaySnapshot, UpdateSnapshot,
+};
 use hostprof::scenario::{Scenario, ScenarioConfig};
 use hostprof::stats::paired_t_test;
 use hostprof::storage;
 use hostprof::synth::UserId;
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Minimal flag parser: `--key value` pairs plus boolean `--key`.
@@ -78,6 +69,12 @@ impl Args {
 
     fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
+    }
+
+    /// Whether `--key` was given at all, with or without a value —
+    /// what selects a `replay` / `serve` mode.
+    fn has(&self, key: &str) -> bool {
+        self.get(key).is_some() || self.flag(key)
     }
 
     /// Reject unknown options so typos fail loudly instead of silently
@@ -272,25 +269,13 @@ fn cmd_observe(args: &Args) -> Result<(), String> {
     ])?;
     let cfg = scenario_config(args)?;
     let s = Scenario::generate(&cfg);
-    // Optional capture recording: lower the whole trace to packets and
-    // save them before (or instead of) analyzing.
-    let save: Option<PathBuf> = args.get("save").map(PathBuf::from);
-    let mut scenario = ObserverScenario::per_user();
+    let mut scenario = match args.get_parsed::<u32>("nat")? {
+        Some(n) => ObserverScenario::behind_nat(n),
+        None => ObserverScenario::per_user(),
+    };
     if let Some(frac) = args.get_parsed::<f64>("ech")? {
         scenario.synthesizer.ech_fraction = frac;
         scenario.synthesizer.quic_fraction = 0.0;
-    }
-    if let Some(n) = args.get_parsed::<u32>("nat")? {
-        scenario = ObserverScenario {
-            synthesizer: hostprof::net::TrafficSynthesizer {
-                addressing: hostprof::net::Addressing::Nat {
-                    base_ip: 0x0a00_0000,
-                    clients_per_ip: n,
-                },
-                ..scenario.synthesizer
-            },
-            ..scenario
-        };
     }
     if args.flag("dns") {
         scenario.synthesizer.dns_fraction = 1.0;
@@ -299,25 +284,22 @@ fn cmd_observe(args: &Args) -> Result<(), String> {
     if let Some(seed) = args.get_parsed::<u64>("chaos")? {
         scenario.chaos = Some(hostprof::net::ChaosConfig::with_seed(seed));
     }
-    if let Some(path) = save {
+    // Optional capture recording: lower the whole trace to packets and
+    // save them before analyzing.
+    if let Some(path) = args.get("save").map(PathBuf::from) {
         let file = std::fs::File::create(&path).map_err(|e| e.to_string())?;
         let mut writer = hostprof::net::CaptureWriter::new(std::io::BufWriter::new(file))
             .map_err(|e| e.to_string())?;
-        for r in s.trace.requests() {
-            let ev = hostprof::net::RequestEvent {
-                t_ms: r.t_ms,
-                client: r.user.0,
-                hostname: s.world.hostname(r.host).to_string(),
-            };
-            for pkt in scenario.synthesizer.packets_for(&ev) {
-                writer.write_packet(&pkt).map_err(|e| e.to_string())?;
+        for (_, burst) in scenario.lower(&s.world, &s.trace, None) {
+            for pkt in &burst {
+                writer.write_packet(pkt).map_err(|e| e.to_string())?;
             }
         }
         let n = writer.packets();
         writer.finish().map_err(|e| e.to_string())?;
         println!("wrote {n} packets → {}", path.display());
     }
-    let obs = ObservedTrace::capture(&s.world, &s.trace, &scenario);
+    let obs = ObservedTrace::capture(&s.world, &s.trace, &scenario, None);
     println!("ground-truth requests : {}", obs.ground_truth_requests);
     println!("hostnames recovered   : {:.1}%", obs.fidelity() * 100.0);
     println!("client addresses seen : {}", obs.sequences.len());
@@ -344,174 +326,87 @@ fn cmd_observe(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Dispatch between the two replay modes: `--capture` re-reads a saved
-/// packet capture through the observer; `--golden` runs the pinned
-/// end-to-end conformance replay against committed snapshots.
-fn cmd_replay(args: &Args) -> Result<(), String> {
-    if args.get("capture").is_some() || args.flag("capture") {
-        cmd_replay_capture(args)
+/// Run golden schedule `S` at `lanes` ingest lanes and either bless its
+/// golden or compare against it — the one place a golden file is read
+/// or written.
+fn check_or_bless<S: GoldenSchedule>(
+    label: &str,
+    opts: &ReplayOptions,
+    lanes: usize,
+    golden_dir: &Path,
+    bless: bool,
+) -> Result<(), String> {
+    let snapshot = S::run(opts, lanes)?;
+    let path = S::golden_path(golden_dir, opts.seed);
+    if bless {
+        std::fs::create_dir_all(golden_dir).map_err(|e| e.to_string())?;
+        std::fs::write(&path, snapshot.to_golden_json()?).map_err(|e| e.to_string())?;
+        println!("blessed {}", path.display());
+        return Ok(());
+    }
+    let contents = std::fs::read_to_string(&path).map_err(|e| {
+        format!(
+            "read golden {}: {e} (`hostprof replay --golden DIR --seed S --bless`, \
+             plus --update or --defense for those schedules, creates it)",
+            path.display()
+        )
+    })?;
+    let diffs = S::from_golden_json(&contents)?.diff(&snapshot);
+    if diffs.is_empty() {
+        println!(
+            "{label}: OK — {} schedule ({}) bit-identical to {}",
+            S::STEM,
+            snapshot.summary(),
+            path.display()
+        );
+        Ok(())
     } else {
-        cmd_replay_conformance(args)
+        for d in &diffs {
+            eprintln!("  {d}");
+        }
+        Err(format!(
+            "{label}: {} schedule has {} divergence(s) from {}",
+            S::STEM,
+            diffs.len(),
+            path.display()
+        ))
     }
 }
 
-fn cmd_replay_conformance(args: &Args) -> Result<(), String> {
-    args.expect_keys(&[
-        "seed", "golden", "bless", "threads", "kernel", "update", "defense",
-    ])?;
-    let golden_dir: PathBuf = args
+/// The golden directory and run knobs `replay --golden` and `serve --golden`
+/// share (`--kernel` is only ever allowed through by the former).
+fn golden_opts(args: &Args) -> Result<(PathBuf, ReplayOptions), String> {
+    let golden_dir = args
         .get("golden")
-        .ok_or(
-            "replay requires --capture <path> (capture mode) or --golden <dir> (conformance mode)",
-        )?
-        .into();
-    let seed = args.get_parsed::<u64>("seed")?.unwrap_or(1);
-    let mut opts = hostprof::replay::ReplayOptions::for_seed(seed);
+        .ok_or("--golden requires a directory (replay also takes --capture <path> instead)")?;
+    let mut opts = ReplayOptions::for_seed(args.get_parsed::<u64>("seed")?.unwrap_or(1));
     if let Some(threads) = args.get_parsed::<usize>("threads")? {
         opts.profile_threads = threads;
     }
     if let Some(kernel) = args.get_parsed::<KernelChoice>("kernel")? {
         opts.kernel = kernel;
     }
+    Ok((golden_dir.into(), opts))
+}
+
+/// Conformance for one golden schedule — the batch replay, `--update`
+/// ({train → serve → incremental update → serve}) or `--defense` (§15:
+/// every defense axis through capture → train → serve). This command owns
+/// blessing: the canonical golden is the single-lane run, and
+/// `serve --golden` must *reproduce* it at every lane count.
+fn cmd_replay_golden(args: &Args) -> Result<(), String> {
+    args.expect_keys(&[
+        "seed", "golden", "bless", "threads", "kernel", "update", "defense",
+    ])?;
+    let (golden_dir, opts) = golden_opts(args)?;
+    let label = format!("replay seed {}", opts.seed);
+    let bless = args.flag("bless");
     if args.flag("update") {
-        return cmd_replay_update(args, &opts, &golden_dir, seed);
-    }
-    if args.flag("defense") {
-        return cmd_replay_defense(args, &opts, &golden_dir, seed);
-    }
-
-    let snapshot = hostprof::replay::run_replay(&opts)?;
-    let path = hostprof::replay::golden_path(&golden_dir, seed);
-    if args.flag("bless") {
-        std::fs::create_dir_all(&golden_dir).map_err(|e| e.to_string())?;
-        std::fs::write(&path, hostprof::replay::to_golden_json(&snapshot)?)
-            .map_err(|e| e.to_string())?;
-        println!("blessed {}", path.display());
-        return Ok(());
-    }
-    let contents = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "read golden {}: {e} (run with --bless to create it)",
-            path.display()
-        )
-    })?;
-    let expected = hostprof::replay::from_golden_json(&contents)?;
-    let diffs = hostprof::replay::compare_snapshots(&expected, &snapshot);
-    if diffs.is_empty() {
-        println!(
-            "replay seed {seed}: OK — {} profiles, {} CTR rows, all stage digests match {}",
-            snapshot.profiles.len(),
-            snapshot.ctr.len(),
-            path.display()
-        );
-        Ok(())
+        check_or_bless::<UpdateSnapshot>(&label, &opts, 1, &golden_dir, bless)
+    } else if args.flag("defense") {
+        check_or_bless::<DefenseSnapshot>(&label, &opts, 1, &golden_dir, bless)
     } else {
-        for d in &diffs {
-            eprintln!("  {d}");
-        }
-        Err(format!(
-            "replay seed {seed}: {} divergence(s) from {}",
-            diffs.len(),
-            path.display()
-        ))
-    }
-}
-
-/// Conformance for the online-update schedule ({train → serve →
-/// incremental update → serve}), `hostprof replay --update`. Like the
-/// batch replay, this path owns blessing: the canonical golden is the
-/// single-lane run, and `serve --golden` must *reproduce* it at every
-/// lane count.
-fn cmd_replay_update(
-    args: &Args,
-    opts: &hostprof::replay::ReplayOptions,
-    golden_dir: &std::path::Path,
-    seed: u64,
-) -> Result<(), String> {
-    let snapshot = hostprof::replay::run_update_replay(opts, 1)?;
-    let path = hostprof::replay::update_golden_path(golden_dir, seed);
-    if args.flag("bless") {
-        std::fs::create_dir_all(golden_dir).map_err(|e| e.to_string())?;
-        std::fs::write(&path, hostprof::replay::to_update_golden_json(&snapshot)?)
-            .map_err(|e| e.to_string())?;
-        println!("blessed {}", path.display());
-        return Ok(());
-    }
-    let contents = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "read golden {}: {e} (run with --bless to create it)",
-            path.display()
-        )
-    })?;
-    let expected = hostprof::replay::from_update_golden_json(&contents)?;
-    let diffs = hostprof::replay::compare_update_snapshots(&expected, &snapshot);
-    if diffs.is_empty() {
-        println!(
-            "replay --update seed {seed}: OK — vocab {} → {} (+{}), {} profiles, \
-             all stage digests match {}",
-            snapshot.base_vocab,
-            snapshot.grown_vocab,
-            snapshot.appended_tokens,
-            snapshot.profiles.len(),
-            path.display()
-        );
-        Ok(())
-    } else {
-        for d in &diffs {
-            eprintln!("  {d}");
-        }
-        Err(format!(
-            "replay --update seed {seed}: {} divergence(s) from {}",
-            diffs.len(),
-            path.display()
-        ))
-    }
-}
-
-/// Conformance for the defense schedule (§15: every defense axis through
-/// capture → train → serve), `hostprof replay --defense`. The canonical
-/// golden is the single-lane run; `serve --golden` reproduces it at every
-/// lane count.
-fn cmd_replay_defense(
-    args: &Args,
-    opts: &hostprof::replay::ReplayOptions,
-    golden_dir: &std::path::Path,
-    seed: u64,
-) -> Result<(), String> {
-    let snapshot = hostprof::replay::run_defense_replay(opts, 1)?;
-    let path = hostprof::replay::defense_golden_path(golden_dir, seed);
-    if args.flag("bless") {
-        std::fs::create_dir_all(golden_dir).map_err(|e| e.to_string())?;
-        std::fs::write(&path, hostprof::replay::to_defense_golden_json(&snapshot)?)
-            .map_err(|e| e.to_string())?;
-        println!("blessed {}", path.display());
-        return Ok(());
-    }
-    let contents = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "read golden {}: {e} (run with --bless to create it)",
-            path.display()
-        )
-    })?;
-    let expected = hostprof::replay::from_defense_golden_json(&contents)?;
-    let diffs = hostprof::replay::compare_defense_snapshots(&expected, &snapshot);
-    if diffs.is_empty() {
-        println!(
-            "replay --defense seed {seed}: OK — {} cases (identity bit-equal to baseline), \
-             all digests match {}",
-            snapshot.cases.len(),
-            path.display()
-        );
-        Ok(())
-    } else {
-        for d in &diffs {
-            eprintln!("  {d}");
-        }
-        Err(format!(
-            "replay --defense seed {seed}: {} divergence(s) from {}",
-            diffs.len(),
-            path.display()
-        ))
+        check_or_bless::<ReplaySnapshot>(&label, &opts, 1, &golden_dir, bless)
     }
 }
 
@@ -549,126 +444,21 @@ fn cmd_replay_capture(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Dispatch between the two serve modes: `--golden` runs the streaming
-/// conformance replay against the committed batch-path snapshots; anything
-/// else is a live calibrated load run through the serving engine.
-fn cmd_serve(args: &Args) -> Result<(), String> {
-    if args.get("golden").is_some() || args.flag("golden") {
-        cmd_serve_golden(args)
-    } else {
-        cmd_serve_live(args)
-    }
-}
-
-/// Streaming conformance: re-run the pinned replay with stage 5 computed
-/// by the `ServeEngine` (packets → lanes → windower → watermark ticks)
-/// and require the snapshot to match the committed golden byte for byte.
-/// There is deliberately no `--bless` here — goldens are blessed by the
-/// batch path; the streaming path must *reproduce* them.
+/// Streaming conformance: re-run all three golden schedules with every
+/// served stage going through the `ServeEngine` (packets → lanes →
+/// windower → watermark ticks) at this lane count, and require each
+/// snapshot to match the committed golden byte for byte. There is
+/// deliberately no `--bless` here — goldens are blessed by the canonical
+/// single-lane `replay --golden` run; streaming knobs must reproduce,
+/// never define.
 fn cmd_serve_golden(args: &Args) -> Result<(), String> {
     args.expect_keys(&["golden", "seed", "lanes", "threads"])?;
-    let golden_dir: PathBuf = args
-        .get("golden")
-        .ok_or("serve --golden requires a directory")?
-        .into();
-    let seed = args.get_parsed::<u64>("seed")?.unwrap_or(1);
+    let (golden_dir, opts) = golden_opts(args)?;
     let lanes = args.get_parsed::<usize>("lanes")?.unwrap_or(1).max(1);
-    let mut opts = hostprof::replay::ReplayOptions::for_seed(seed);
-    if let Some(threads) = args.get_parsed::<usize>("threads")? {
-        opts.profile_threads = threads;
-    }
-    let snapshot = hostprof::replay::run_replay_with(
-        &opts,
-        hostprof::replay::ProfilePath::Streaming { lanes },
-    )?;
-    let path = hostprof::replay::golden_path(&golden_dir, seed);
-    let contents = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "read golden {}: {e} (bless it via `hostprof replay --golden ... --bless` first)",
-            path.display()
-        )
-    })?;
-    let expected = hostprof::replay::from_golden_json(&contents)?;
-    let diffs = hostprof::replay::compare_snapshots(&expected, &snapshot);
-    if !diffs.is_empty() {
-        for d in &diffs {
-            eprintln!("  {d}");
-        }
-        return Err(format!(
-            "serve --golden seed {seed} lanes {lanes}: {} divergence(s) from {}",
-            diffs.len(),
-            path.display()
-        ));
-    }
-    println!(
-        "serve --golden seed {seed} lanes {lanes}: OK — streaming profiles bit-identical \
-         to the batch goldens in {}",
-        path.display()
-    );
-
-    // The update schedule rides the same command: re-run {train → serve →
-    // incremental update → serve} at this lane count against the golden
-    // blessed by the canonical single-lane `replay --update` run. No
-    // --bless here either — streaming knobs must reproduce, never define.
-    let update_snapshot = hostprof::replay::run_update_replay(&opts, lanes)?;
-    let update_path = hostprof::replay::update_golden_path(&golden_dir, seed);
-    let contents = std::fs::read_to_string(&update_path).map_err(|e| {
-        format!(
-            "read golden {}: {e} (bless it via `hostprof replay --golden ... --update --bless`)",
-            update_path.display()
-        )
-    })?;
-    let expected = hostprof::replay::from_update_golden_json(&contents)?;
-    let diffs = hostprof::replay::compare_update_snapshots(&expected, &update_snapshot);
-    if !diffs.is_empty() {
-        for d in &diffs {
-            eprintln!("  {d}");
-        }
-        return Err(format!(
-            "serve --golden seed {seed} lanes {lanes}: update schedule {} divergence(s) from {}",
-            diffs.len(),
-            update_path.display()
-        ));
-    }
-    println!(
-        "serve --golden seed {seed} lanes {lanes}: OK — update schedule (vocab {} → {}) \
-         bit-identical to {}",
-        update_snapshot.base_vocab,
-        update_snapshot.grown_vocab,
-        update_path.display()
-    );
-
-    // And the defense schedule: every §15 defense axis streamed through
-    // the serving engine at this lane count must reproduce the golden
-    // blessed by the canonical single-lane `replay --defense` run.
-    let defense_snapshot = hostprof::replay::run_defense_replay(&opts, lanes)?;
-    let defense_path = hostprof::replay::defense_golden_path(&golden_dir, seed);
-    let contents = std::fs::read_to_string(&defense_path).map_err(|e| {
-        format!(
-            "read golden {}: {e} (bless it via `hostprof replay --golden ... --defense --bless`)",
-            defense_path.display()
-        )
-    })?;
-    let expected = hostprof::replay::from_defense_golden_json(&contents)?;
-    let diffs = hostprof::replay::compare_defense_snapshots(&expected, &defense_snapshot);
-    if diffs.is_empty() {
-        println!(
-            "serve --golden seed {seed} lanes {lanes}: OK — defense schedule ({} cases) \
-             bit-identical to {}",
-            defense_snapshot.cases.len(),
-            defense_path.display()
-        );
-        Ok(())
-    } else {
-        for d in &diffs {
-            eprintln!("  {d}");
-        }
-        Err(format!(
-            "serve --golden seed {seed} lanes {lanes}: defense schedule {} divergence(s) from {}",
-            diffs.len(),
-            defense_path.display()
-        ))
-    }
+    let label = format!("serve --golden seed {} lanes {lanes}", opts.seed);
+    check_or_bless::<ReplaySnapshot>(&label, &opts, lanes, &golden_dir, false)?;
+    check_or_bless::<UpdateSnapshot>(&label, &opts, lanes, &golden_dir, false)?;
+    check_or_bless::<DefenseSnapshot>(&label, &opts, lanes, &golden_dir, false)
 }
 
 /// Live mode: calibrated synthetic load through the serving loop, with a
@@ -889,22 +679,28 @@ const USAGE: &str = "\
 hostprof — user profiling by network observers (CoNEXT '21 reproduction)
 
 USAGE:
-  hostprof train      [--scale tiny|small|default] [--days N] [--threads N]
+  hostprof train      [--scale S] [--days N] [--users N] [--threads N]
                       [--kernel auto|scalar|simd] --out model.json
   hostprof similar    --model model.json --host <hostname> [--top N]
-  hostprof profile    [--scale S] --model model.json --user N [--day D]
-                      [--index exact|ivf] [--nprobe N]
-  hostprof observe    [--scale S] [--ech FRACTION] [--nat USERS_PER_IP] [--dns]
+  hostprof profile    [--scale S] [--days N] [--users N] --model model.json
+                      --user N [--day D] [--index exact|ivf] [--nprobe N]
+  hostprof observe    [--scale S] [--days N] [--users N] [--ech FRACTION]
+                      [--nat USERS_PER_IP] [--dns] [--chaos SEED]
                       [--save capture.hpcap]
   hostprof replay     --capture capture.hpcap [--dns]
   hostprof replay     --golden tests/golden [--seed S] [--bless] [--threads N]
                       [--kernel auto|scalar|simd] [--update | --defense]
   hostprof defend     [--scale S] [--days N] [--users N] [--defense NAME|all]
                       [--sweep LO:HI:STEP] [--seed S] [--threads N] [--no-ctr]
-  hostprof serve      [--scale S] [--users N] [--pps F] [--duration SIM_SECONDS]
-                      [--lanes N] [--threads N] [--seed S] [--update-every TICKS]
+  hostprof serve      [--scale S] [--days N] [--users N] [--pps F]
+                      [--duration SIM_SECONDS] [--lanes N] [--threads N]
+                      [--seed S] [--update-every TICKS]
   hostprof serve      --golden tests/golden [--seed S] [--lanes N] [--threads N]
   hostprof experiment [--scale S] [--days N] [--users N]
+
+--scale is tiny (default), small, default (alias full) or large and selects
+the same deterministic scenarios the experiment binaries use (large is the
+10^6-user columnar tier; expect minutes, not seconds).
 ";
 
 fn main() -> ExitCode {
@@ -918,9 +714,11 @@ fn main() -> ExitCode {
         "similar" => cmd_similar(&args),
         "profile" => cmd_profile(&args),
         "observe" => cmd_observe(&args),
-        "replay" => cmd_replay(&args),
+        "replay" if args.has("capture") => cmd_replay_capture(&args),
+        "replay" => cmd_replay_golden(&args),
         "defend" => cmd_defend(&args),
-        "serve" => cmd_serve(&args),
+        "serve" if args.has("golden") => cmd_serve_golden(&args),
+        "serve" => cmd_serve_live(&args),
         "experiment" => cmd_experiment(&args),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");

@@ -9,7 +9,9 @@
 //! (and how ECH or NAT degrade it, §7.2/§7.4 of the paper).
 
 use hostprof_defense::DefensePlan;
-use hostprof_net::{chaos, Addressing, ChaosConfig, RequestEvent, SniObserver, TrafficSynthesizer};
+use hostprof_net::{
+    chaos, Addressing, ChaosConfig, Packet, RequestEvent, SniObserver, TrafficSynthesizer,
+};
 use hostprof_synth::{Trace, UserId, World};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -86,64 +88,56 @@ pub struct ObservedTrace {
     pub ground_truth_requests: usize,
 }
 
-impl ObservedTrace {
-    /// Replay a trace through packet synthesis and the observer.
-    /// On a clean tap packets are synthesized and consumed
-    /// request-by-request, so memory stays flat regardless of trace size;
-    /// chaos injection needs the whole stream at once (mutations are
-    /// per-flow), so that path buffers it.
-    pub fn capture(world: &World, trace: &Trace, scenario: &ObserverScenario) -> Self {
-        let mut observer = if scenario.harvest_dns {
-            SniObserver::new().with_dns_harvesting()
-        } else {
-            SniObserver::new()
-        };
-        let mut chaos_stats = None;
-        let events = trace.requests().iter().map(|r| RequestEvent {
+impl ObserverScenario {
+    /// The one way onto the wire: every ground-truth request becomes a
+    /// [`RequestEvent`], the optional [`DefensePlan`] rewrites the stream
+    /// (decoys, padding; DESIGN.md §15), and each event is lowered to its
+    /// packet burst with the plan's per-event wire override (forced ECH,
+    /// DoH migration) under the plan's addressing (NAT mixing). Yields
+    /// `(event t_ms, burst)` in delivery order. Without a plan events are
+    /// lowered lazily, request by request; at a defense's identity point
+    /// the bursts are bit-equal to the undefended ones. Chaos is the
+    /// *tap's* business ([`ObservedTrace::capture`]), not the wire's.
+    pub fn lower<'a>(
+        &self,
+        world: &'a World,
+        trace: &'a Trace,
+        plan: Option<&'a DefensePlan>,
+    ) -> impl Iterator<Item = (u64, Vec<Packet>)> + 'a {
+        let truth = trace.requests().iter().map(move |r| RequestEvent {
             t_ms: r.t_ms,
             client: r.user.0,
             hostname: world.hostname(r.host).to_string(),
         });
-        match scenario.chaos {
-            None => {
-                for ev in events {
-                    for pkt in scenario.synthesizer.packets_for(&ev) {
-                        observer.process(&pkt);
-                    }
-                }
-            }
-            Some(cfg) => {
-                let packets: Vec<_> = events
-                    .flat_map(|ev| scenario.synthesizer.packets_for(&ev))
-                    .collect();
-                let mutated = chaos::apply(&cfg, &packets);
-                observer.process_stream(&mutated.packets);
-                chaos_stats = Some(mutated.stats);
-            }
-        }
-        let sequences: BTreeMap<u32, Vec<(u64, String)>> =
-            observer.per_client_sequences().into_iter().collect();
-        Self {
-            sequences,
-            observer_stats: observer.stats(),
-            flow_stats: observer.flow_stats(),
-            chaos_stats,
-            ground_truth_requests: trace.requests().len(),
-        }
+        let (events, synth): (Box<dyn Iterator<Item = RequestEvent> + 'a>, _) = match plan {
+            None => (Box::new(truth), self.synthesizer.clone()),
+            Some(p) => (
+                Box::new(p.transform(&truth.collect::<Vec<_>>()).into_iter()),
+                p.synthesizer(&self.synthesizer),
+            ),
+        };
+        events.map(move |ev| {
+            let ov = plan
+                .map(|p| p.wire_override(ev.client, &ev.hostname))
+                .unwrap_or_default();
+            let burst = synth.packets_for_host_with(ev.t_ms, ev.client, &ev.hostname, ov);
+            (ev.t_ms, burst)
+        })
     }
+}
 
-    /// Like [`ObservedTrace::capture`], but with a [`DefensePlan`]
-    /// applied between the trace and the wire (DESIGN.md §15): the event
-    /// stream is transformed (decoys, padding), each event is lowered
-    /// with its per-event wire override (forced ECH, DoH migration), and
-    /// NAT mixing swaps the addressing. At a defense's identity point the
-    /// packet stream — and therefore the whole capture — is bit-equal to
-    /// the undefended [`ObservedTrace::capture`].
-    pub fn capture_defended(
+impl ObservedTrace {
+    /// Lower a trace onto the wire ([`ObserverScenario::lower`], with the
+    /// optional defense `plan`) and run the observer over it. On a clean
+    /// tap packets are consumed burst by burst, so an undefended capture's
+    /// memory stays flat regardless of trace size; chaos injection needs
+    /// the whole stream at once (mutations are per-flow), so that path
+    /// buffers it.
+    pub fn capture(
         world: &World,
         trace: &Trace,
         scenario: &ObserverScenario,
-        plan: &DefensePlan,
+        plan: Option<&DefensePlan>,
     ) -> Self {
         let mut observer = if scenario.harvest_dns {
             SniObserver::new().with_dns_harvesting()
@@ -151,35 +145,17 @@ impl ObservedTrace {
             SniObserver::new()
         };
         let mut chaos_stats = None;
-        let base_events: Vec<RequestEvent> = trace
-            .requests()
-            .iter()
-            .map(|r| RequestEvent {
-                t_ms: r.t_ms,
-                client: r.user.0,
-                hostname: world.hostname(r.host).to_string(),
-            })
-            .collect();
-        let defended = plan.transform(&base_events);
-        let synth = plan.synthesizer(&scenario.synthesizer);
-        let lower = |ev: &RequestEvent| {
-            synth.packets_for_host_with(
-                ev.t_ms,
-                ev.client,
-                &ev.hostname,
-                plan.wire_override(ev.client, &ev.hostname),
-            )
-        };
+        let bursts = scenario.lower(world, trace, plan);
         match scenario.chaos {
             None => {
-                for ev in &defended {
-                    for pkt in lower(ev) {
-                        observer.process(&pkt);
+                for (_, burst) in bursts {
+                    for pkt in &burst {
+                        observer.process(pkt);
                     }
                 }
             }
             Some(cfg) => {
-                let packets: Vec<_> = defended.iter().flat_map(lower).collect();
+                let packets: Vec<_> = bursts.flat_map(|(_, burst)| burst).collect();
                 let mutated = chaos::apply(&cfg, &packets);
                 observer.process_stream(&mutated.packets);
                 chaos_stats = Some(mutated.stats);
@@ -194,19 +170,6 @@ impl ObservedTrace {
             chaos_stats,
             ground_truth_requests: trace.requests().len(),
         }
-    }
-
-    /// Map a ground-truth user to their wire address under a defense
-    /// plan (NAT mixing changes the mapping; everything else keeps the
-    /// scenario's own addressing).
-    pub fn address_of_defended(
-        scenario: &ObserverScenario,
-        plan: &DefensePlan,
-        user: UserId,
-    ) -> u32 {
-        plan.synthesizer(&scenario.synthesizer)
-            .addressing
-            .client_ip(user.0)
     }
 
     /// Fraction of ground-truth requests whose hostname the observer
@@ -254,11 +217,19 @@ impl ObservedTrace {
     }
 
     /// Training corpus from observed data: one hostname sequence per
-    /// client IP (what a real eavesdropper would feed the SKIPGRAM model).
-    pub fn observed_sequences(&self) -> Vec<Vec<String>> {
+    /// client IP (what a real eavesdropper would feed the SKIPGRAM model),
+    /// restricted to observations strictly before `before_ms` — pass
+    /// `u64::MAX` for everything, or the evaluation day's start to hold
+    /// that day out.
+    pub fn observed_sequences(&self, before_ms: u64) -> Vec<Vec<String>> {
         self.sequences
             .values()
-            .map(|seq| seq.iter().map(|(_, h)| h.clone()).collect())
+            .map(|seq| {
+                seq.iter()
+                    .filter(|(t, _)| *t < before_ms)
+                    .map(|(_, h)| h.clone())
+                    .collect()
+            })
             .collect()
     }
 }
@@ -266,7 +237,9 @@ impl ObservedTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::defend::catalog_for_world;
     use crate::scenario::{Scenario, ScenarioConfig};
+    use hostprof_defense::Defense;
 
     fn small_scenario() -> Scenario {
         let mut cfg = ScenarioConfig::tiny();
@@ -278,7 +251,7 @@ mod tests {
     #[test]
     fn clean_capture_recovers_every_request() {
         let s = small_scenario();
-        let obs = ObservedTrace::capture(&s.world, &s.trace, &ObserverScenario::per_user());
+        let obs = ObservedTrace::capture(&s.world, &s.trace, &ObserverScenario::per_user(), None);
         assert!(
             (obs.fidelity() - 1.0).abs() < 1e-9,
             "fidelity {}",
@@ -302,7 +275,8 @@ mod tests {
     #[test]
     fn ech_blinds_the_observer() {
         let s = small_scenario();
-        let obs = ObservedTrace::capture(&s.world, &s.trace, &ObserverScenario::with_ech(1.0));
+        let obs =
+            ObservedTrace::capture(&s.world, &s.trace, &ObserverScenario::with_ech(1.0), None);
         assert_eq!(obs.fidelity(), 0.0);
         assert_eq!(obs.observer_stats.hidden as usize, s.trace.requests().len());
     }
@@ -311,8 +285,8 @@ mod tests {
     fn chaotic_tap_degrades_gracefully_and_deterministically() {
         let s = small_scenario();
         let scenario = ObserverScenario::per_user().with_chaos(ChaosConfig::with_seed(11));
-        let a = ObservedTrace::capture(&s.world, &s.trace, &scenario);
-        let b = ObservedTrace::capture(&s.world, &s.trace, &scenario);
+        let a = ObservedTrace::capture(&s.world, &s.trace, &scenario, None);
+        let b = ObservedTrace::capture(&s.world, &s.trace, &scenario, None);
         // Same seed ⇒ the whole observed trace replays identically.
         assert_eq!(a.sequences, b.sequences);
         assert_eq!(a.observer_stats, b.observer_stats);
@@ -328,23 +302,17 @@ mod tests {
         assert!(cs.mutated_flows + cs.clean_flows == cs.flows_in);
         // A quiescent chaos config is a no-op on fidelity.
         let calm = ObserverScenario::per_user().with_chaos(ChaosConfig::quiescent(0));
-        let c = ObservedTrace::capture(&s.world, &s.trace, &calm);
-        let clean = ObservedTrace::capture(&s.world, &s.trace, &ObserverScenario::per_user());
+        let c = ObservedTrace::capture(&s.world, &s.trace, &calm, None);
+        let clean = ObservedTrace::capture(&s.world, &s.trace, &ObserverScenario::per_user(), None);
         assert!((c.fidelity() - clean.fidelity()).abs() < 1e-9);
     }
 
     #[test]
     fn defended_capture_at_identity_points_is_bit_equal_to_plain_capture() {
-        use hostprof_defense::{Defense, DefensePlan, HostCatalog};
         let s = small_scenario();
-        let catalog = HostCatalog::from_hosts(
-            s.world
-                .hosts()
-                .iter()
-                .map(|h| (h.id.0, h.name.clone(), h.popularity)),
-        );
+        let catalog = catalog_for_world(&s.world);
         let scenario = ObserverScenario::per_user();
-        let plain = ObservedTrace::capture(&s.world, &s.trace, &scenario);
+        let plain = ObservedTrace::capture(&s.world, &s.trace, &scenario, None);
         for d in [
             Defense::Ech { adoption: 0.0 },
             Defense::Dummy { rate: 0.0 },
@@ -354,27 +322,47 @@ mod tests {
             Defense::Nat { users_per_ip: 1 },
         ] {
             let plan = DefensePlan::new(d, catalog.clone(), 42);
-            let got = ObservedTrace::capture_defended(&s.world, &s.trace, &scenario, &plan);
+            let got = ObservedTrace::capture(&s.world, &s.trace, &scenario, Some(&plan));
             assert_eq!(got.sequences, plain.sequences, "{d:?}");
             assert_eq!(got.observer_stats, plain.observer_stats, "{d:?}");
         }
     }
 
     #[test]
-    fn defended_ech_sweep_hides_popular_sites_first() {
-        use hostprof_defense::{Defense, DefensePlan, HostCatalog};
+    fn lowering_with_an_identity_plan_is_the_undefended_wire_packet_for_packet() {
         let s = small_scenario();
-        let catalog = HostCatalog::from_hosts(
-            s.world
-                .hosts()
-                .iter()
-                .map(|h| (h.id.0, h.name.clone(), h.popularity)),
+        let plan = DefensePlan::new(
+            Defense::Ech { adoption: 0.0 },
+            catalog_for_world(&s.world),
+            42,
         );
+        let clean = ObserverScenario::per_user();
+        for scenario in [clean.clone(), clean.with_chaos(ChaosConfig::with_seed(11))] {
+            let wire = |plan| -> Vec<Packet> {
+                let packets: Vec<Packet> = scenario
+                    .lower(&s.world, &s.trace, plan)
+                    .flat_map(|(_, burst)| burst)
+                    .collect();
+                match scenario.chaos {
+                    None => packets,
+                    Some(cfg) => chaos::apply(&cfg, &packets).packets,
+                }
+            };
+            let (plain, defended) = (wire(None), wire(Some(&plan)));
+            assert!(plain.len() >= s.trace.requests().len());
+            assert_eq!(plain, defended, "chaos: {:?}", scenario.chaos.is_some());
+        }
+    }
+
+    #[test]
+    fn defended_ech_sweep_hides_popular_sites_first() {
+        let s = small_scenario();
+        let catalog = catalog_for_world(&s.world);
         let scenario = ObserverScenario::per_user();
         let mut prev = f64::INFINITY;
         for step in [0.0, 0.25, 0.5, 0.75, 1.0] {
             let plan = DefensePlan::new(Defense::Ech { adoption: step }, catalog.clone(), 42);
-            let got = ObservedTrace::capture_defended(&s.world, &s.trace, &scenario, &plan);
+            let got = ObservedTrace::capture(&s.world, &s.trace, &scenario, Some(&plan));
             let f = got.useful_fidelity(&s.world);
             assert!(f <= prev + 1e-12, "fidelity rose at adoption {step}");
             prev = f;
@@ -386,7 +374,7 @@ mod tests {
     fn nat_collapses_users_into_shared_sequences() {
         let s = small_scenario();
         let scenario = ObserverScenario::behind_nat(4);
-        let obs = ObservedTrace::capture(&s.world, &s.trace, &scenario);
+        let obs = ObservedTrace::capture(&s.world, &s.trace, &scenario, None);
         // 8 users at 4 per IP → 2 client addresses.
         assert_eq!(obs.sequences.len(), 2);
         assert!(

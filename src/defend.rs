@@ -27,7 +27,9 @@ use crate::bridge::{ObservedTrace, ObserverScenario};
 use crate::scenario::Scenario;
 use hostprof_ads::{CtrExperiment, ExperimentConfig, ObservedView};
 use hostprof_defense::{Defense, DefensePlan, HostCatalog};
-use hostprof_synth::{UserId, World};
+use hostprof_net::Addressing;
+use hostprof_synth::trace::DAY_MS;
+use hostprof_synth::World;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 
@@ -142,8 +144,8 @@ impl<'a> DefenseEvaluator<'a> {
     /// Build the evaluator and its undefended baseline.
     pub fn new(s: &'a Scenario, plan_seed: u64) -> Self {
         let observer = ObserverScenario::per_user();
-        let obs = ObservedTrace::capture(&s.world, &s.trace, &observer);
-        let profiles = final_day_profiles(s, &obs);
+        let obs = ObservedTrace::capture(&s.world, &s.trace, &observer, None);
+        let profiles = final_day_profiles(s, &obs, train_before_eval_day(s, &obs).as_ref());
         Self {
             s,
             observer,
@@ -169,50 +171,29 @@ impl<'a> DefenseEvaluator<'a> {
     pub fn eval_point(&self, name: &str, intensity: f64) -> Option<CurvePoint> {
         let plan = self.plan(name, intensity)?;
         let s = self.s;
-        let obs = ObservedTrace::capture_defended(&s.world, &s.trace, &self.observer, &plan);
+        let obs = ObservedTrace::capture(&s.world, &s.trace, &self.observer, Some(&plan));
+        // NAT mixing re-addresses users; every other defense keeps the
+        // observer scenario's own addressing.
+        let addressing = plan.synthesizer(&self.observer.synthesizer).addressing;
 
         let identity_bit_equal = plan.defense().is_identity().then(|| {
             obs.sequences == self.baseline.obs.sequences
                 && obs.observer_stats == self.baseline.obs.observer_stats
         });
 
-        let recovery_pct = self.recovery_pct(&plan, &obs);
+        let recovery_pct = self.recovery_pct(&addressing, &obs);
 
-        // The eavesdropper trains on everything it observed before the
-        // final (evaluation) day.
-        let eval_day = (s.trace.days() - 1) as u64;
-        let pipeline = s.pipeline();
-        let training: Vec<Vec<String>> = obs
-            .sequences
-            .values()
-            .map(|seq| {
-                seq.iter()
-                    .filter(|(t, _)| *t < eval_day * hostprof_synth::trace::DAY_MS)
-                    .map(|(_, h)| h.clone())
-                    .collect::<Vec<String>>()
-            })
-            .filter(|sq: &Vec<String>| sq.len() >= 2)
-            .collect();
-        let embeddings = pipeline.train_model(&training).ok();
-
+        let embeddings = train_before_eval_day(s, &obs);
         let purity = embeddings
             .as_ref()
             .map(|e| embedding_purity(&s.world, e))
             .unwrap_or(0.0);
-
-        let defended_profiles = embeddings
-            .as_ref()
-            .map(|e| {
-                let profiler = pipeline.profiler(e, s.world.ontology());
-                final_day_profiles_with(s, &obs, &pipeline, &profiler)
-            })
-            .unwrap_or_default();
-
+        let defended_profiles = final_day_profiles(s, &obs, embeddings.as_ref());
         let (divergence, mean_accuracy, sessions_profiled) =
-            self.score_profiles(&plan, &defended_profiles);
+            self.score_profiles(&addressing, &defended_profiles);
 
         let (eaves_ctr, orig_ctr) = if self.with_ctr {
-            self.ctr_point(&plan, &obs)
+            self.ctr_point(&addressing, &obs)
         } else {
             (0.0, 0.0)
         };
@@ -246,16 +227,15 @@ impl<'a> DefenseEvaluator<'a> {
     /// Multiset `(client IP, t_ms, host id)` recovery: each observation
     /// can redeem at most one ground-truth request with the same triple,
     /// so cover traffic never counts and hidden hostnames always cost.
-    fn recovery_pct(&self, plan: &DefensePlan, obs: &ObservedTrace) -> f64 {
+    fn recovery_pct(&self, addressing: &Addressing, obs: &ObservedTrace) -> f64 {
         let s = self.s;
         let total = s.trace.requests().len();
         if total == 0 {
             return 0.0;
         }
-        let synth = plan.synthesizer(&self.observer.synthesizer);
         let mut gt: HashMap<(u32, u64, u32), u32> = HashMap::with_capacity(total);
         for r in s.trace.requests() {
-            let ip = synth.addressing.client_ip(r.user.0);
+            let ip = addressing.client_ip(r.user.0);
             *gt.entry((ip, r.t_ms, r.host.0)).or_default() += 1;
         }
         let mut matched = 0usize;
@@ -278,7 +258,7 @@ impl<'a> DefenseEvaluator<'a> {
     /// Divergence vs baseline, accuracy vs ground truth, per user.
     fn score_profiles(
         &self,
-        plan: &DefensePlan,
+        addressing: &Addressing,
         defended: &BTreeMap<u32, hostprof_ontology::CategoryVector>,
     ) -> (f64, f64, usize) {
         let s = self.s;
@@ -288,7 +268,7 @@ impl<'a> DefenseEvaluator<'a> {
         let mut acc_n = 0usize;
         for u in s.population.users() {
             let base_ip = ObservedTrace::address_of(&self.observer, u.id);
-            let def_ip = ObservedTrace::address_of_defended(&self.observer, plan, u.id);
+            let def_ip = addressing.client_ip(u.id.0);
             match (self.baseline.profiles.get(&base_ip), defended.get(&def_ip)) {
                 (Some(b), Some(d)) => {
                     div += (1.0 - b.cosine(d) as f64).max(0.0);
@@ -315,12 +295,12 @@ impl<'a> DefenseEvaluator<'a> {
     /// CTR experiment over the observed view. The seed and every
     /// ground-truth draw are fixed across points, so the gap moves only
     /// with the eavesdropper's degraded inputs.
-    fn ctr_point(&self, plan: &DefensePlan, obs: &ObservedTrace) -> (f64, f64) {
+    fn ctr_point(&self, addressing: &Addressing, obs: &ObservedTrace) -> (f64, f64) {
         let s = self.s;
         let view = ObservedView {
             timelines: obs.sequences.clone(),
             client_of_user: (0..s.population.len() as u32)
-                .map(|u| ObservedTrace::address_of_defended(&self.observer, plan, UserId(u)))
+                .map(|u| addressing.client_ip(u))
                 .collect(),
         };
         let config = ExperimentConfig {
@@ -360,50 +340,36 @@ pub fn embedding_purity(world: &World, emb: &hostprof_embed::EmbeddingSet) -> f6
     hostprof_stats::neighbor_purity(&points, emb.dim(), &labels, k)
 }
 
-/// Profile each client IP's last session of the final day with the
-/// baseline pipeline (train + profile on the given observations).
+/// The eavesdropper's model: trained on everything it observed before
+/// the final (evaluation) day; `None` when the defense starves training.
+fn train_before_eval_day(
+    s: &Scenario,
+    obs: &ObservedTrace,
+) -> Option<hostprof_embed::EmbeddingSet> {
+    let eval_start = (s.trace.days() - 1) as u64 * DAY_MS;
+    s.pipeline()
+        .train_model(&obs.observed_sequences(eval_start))
+        .ok()
+}
+
+/// Profile each client IP's last final-day session against `embeddings`
+/// (shared by baseline and defended paths so the two sides differ only
+/// in their inputs); empty when there is no model.
 fn final_day_profiles(
     s: &Scenario,
     obs: &ObservedTrace,
+    embeddings: Option<&hostprof_embed::EmbeddingSet>,
 ) -> BTreeMap<u32, hostprof_ontology::CategoryVector> {
-    let eval_day = (s.trace.days() - 1) as u64;
-    let pipeline = s.pipeline();
-    let training: Vec<Vec<String>> = obs
-        .sequences
-        .values()
-        .map(|seq| {
-            seq.iter()
-                .filter(|(t, _)| *t < eval_day * hostprof_synth::trace::DAY_MS)
-                .map(|(_, h)| h.clone())
-                .collect::<Vec<String>>()
-        })
-        .filter(|sq: &Vec<String>| sq.len() >= 2)
-        .collect();
-    let Ok(embeddings) = pipeline.train_model(&training) else {
+    let Some(embeddings) = embeddings else {
         return BTreeMap::new();
     };
-    let profiler = pipeline.profiler(&embeddings, s.world.ontology());
-    final_day_profiles_with(s, obs, &pipeline, &profiler)
-}
-
-/// Profile each client IP's last final-day session with a bound
-/// profiler (shared by baseline and defended paths so the two sides
-/// differ only in their inputs).
-fn final_day_profiles_with(
-    s: &Scenario,
-    obs: &ObservedTrace,
-    pipeline: &hostprof_core::Pipeline,
-    profiler: &hostprof_core::Profiler<'_>,
-) -> BTreeMap<u32, hostprof_ontology::CategoryVector> {
-    let eval_day = (s.trace.days() - 1) as u64;
+    let pipeline = s.pipeline();
+    let profiler = pipeline.profiler(embeddings, s.world.ontology());
+    let eval_start = (s.trace.days() - 1) as u64 * DAY_MS;
     let window_ms = pipeline.config().session_window_ms();
     let mut out = BTreeMap::new();
     for (ip, seq) in &obs.sequences {
-        let Some(&end) = seq
-            .iter()
-            .map(|(t, _)| t)
-            .rfind(|t| **t >= eval_day * hostprof_synth::trace::DAY_MS)
-        else {
+        let Some(&end) = seq.iter().map(|(t, _)| t).rfind(|t| **t >= eval_start) else {
             continue;
         };
         let start = end.saturating_sub(window_ms);

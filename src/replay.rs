@@ -6,13 +6,18 @@
 //! observation → session windows → skipgram embeddings → Eq. 3/4
 //! profiles → CTR experiment → paired t-test — and either compares the
 //! resulting [`ReplaySnapshot`] against the committed golden JSON or
-//! (with `--bless`) rewrites it.
+//! (with `--bless`) rewrites it. The online-update schedule
+//! ([`UpdateSnapshot`]) and the defense schedule ([`DefenseSnapshot`])
+//! are checked the same way: all three implement [`GoldenSchedule`], and
+//! everything that reads, writes or compares a golden is generic over it.
 //!
 //! ## The determinism contract
 //!
 //! The snapshot must be **byte-identical** across every execution knob
 //! that is not supposed to change observable results:
 //!
+//! * `{1, 4}` ingest lanes — window content is lane-invariant (the
+//!   streaming-equivalence contract);
 //! * `{1, 4}` profiling threads — profiling consumes no randomness and
 //!   the batch profiler is pinned bit-equal to the sequential path;
 //! * `{scalar, simd}` skipgram kernels — the replay trains at `dim = 3`,
@@ -23,20 +28,29 @@
 //! change results (dim ≥ 4 re-associates the portable dot product's
 //! 4-accumulator reduction; `threads ≥ 2` makes Hogwild racy by design).
 //! The conformance suite (`tests/replay_conformance.rs`) runs the full
-//! 2×2 matrix and asserts byte equality; per-stage FNV digests give a
-//! stage-attributed diff the moment any future optimization drifts.
+//! 2×2×2 matrix over every schedule and asserts byte equality; per-stage
+//! FNV digests give a stage-attributed diff the moment any future
+//! optimization drifts.
 
 use crate::bridge::{ObservedTrace, ObserverScenario};
 use crate::scenario::{Scenario, ScenarioConfig};
 use hostprof_ads::{CtrExperiment, ExperimentConfig, ExperimentResult};
-use hostprof_core::{ServeConfig, ServeEngine, Session, SessionProfile};
-use hostprof_embed::{KernelChoice, SkipGramConfig};
-use hostprof_net::RequestEvent;
+use hostprof_core::{
+    ModelVersion, Pipeline, ServeConfig, ServeEngine, Session, SessionProfile, TickReport,
+    VersionedModel,
+};
+use hostprof_defense::{Defense, DefensePlan};
+use hostprof_embed::{EmbeddingSet, KernelChoice, SkipGram, SkipGramConfig};
 use hostprof_stats::paired_t_test;
 use hostprof_synth::trace::DAY_MS;
 use hostprof_synth::UserId;
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::ops::RangeBounds;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Execution knobs for one replay. Everything here is REQUIRED to leave
 /// the snapshot byte-identical; the seed alone decides the output.
@@ -66,6 +80,64 @@ impl ReplayOptions {
     }
 }
 
+/// A pinned schedule whose snapshot is committed under `tests/golden/`.
+/// The CLI (`replay --golden`, `serve --golden`), CI and the conformance
+/// suite run, bless and compare every schedule through this one trait.
+pub trait GoldenSchedule: Serialize + DeserializeOwned + Sized {
+    /// File stem: the golden lives at `DIR/{STEM}_seed_{S}.json`.
+    const STEM: &'static str;
+
+    /// Run the schedule for `opts.seed`, serving through `lanes` ingest
+    /// lanes. The canonical (blessed) run is single-lane; every other
+    /// lane count must reproduce it.
+    fn run(opts: &ReplayOptions, lanes: usize) -> Result<Self, String>;
+
+    /// Stage-attributed differences from `self` (the expectation) to
+    /// `actual`, in pipeline order. Empty means byte-equivalent content.
+    fn diff(&self, actual: &Self) -> Vec<String>;
+
+    /// One line describing a snapshot, for the CLI's OK message.
+    fn summary(&self) -> String;
+
+    /// `DIR/{STEM}_seed_{S}.json`.
+    fn golden_path(dir: &Path, seed: u64) -> PathBuf {
+        dir.join(format!("{}_seed_{seed}.json", Self::STEM))
+    }
+
+    /// The canonical golden JSON form (pretty, with a trailing newline —
+    /// byte-stable for byte-stable content).
+    fn to_golden_json(&self) -> Result<String, String> {
+        serde_json::to_string_pretty(self)
+            .map(|s| s + "\n")
+            .map_err(|e| format!("serialize {} snapshot: {e:?}", Self::STEM))
+    }
+
+    /// Parse a golden JSON file's contents.
+    fn from_golden_json(contents: &str) -> Result<Self, String> {
+        serde_json::from_str(contents).map_err(|e| format!("parse {} golden: {e:?}", Self::STEM))
+    }
+}
+
+/// Append `"{what}: {e} vs {a}"` when the two differ.
+fn diff_field<T: PartialEq + Display>(diffs: &mut Vec<String>, what: &str, e: T, a: T) {
+    if e != a {
+        diffs.push(format!("{what}: {e} vs {a}"));
+    }
+}
+
+/// [`diff_field`] as `"{what} {name}"` over two equally ordered lists of
+/// named fields.
+fn diff_fields<T: PartialEq + Display>(
+    diffs: &mut Vec<String>,
+    what: &str,
+    expected: &[(&str, T)],
+    actual: &[(&str, T)],
+) {
+    for ((name, e), (_, a)) in expected.iter().zip(actual) {
+        diff_field(diffs, &format!("{what} {name}"), e, a);
+    }
+}
+
 /// One category weight of a final profile (id order).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CategoryWeight {
@@ -80,6 +152,21 @@ pub struct UserProfileSnapshot {
     pub categories: Vec<CategoryWeight>,
     pub labeled_in_session: u64,
     pub labeled_neighbors: u64,
+}
+
+impl UserProfileSnapshot {
+    fn new(user: u32, p: &SessionProfile) -> Self {
+        Self {
+            user,
+            categories: p
+                .categories
+                .iter()
+                .map(|(c, w)| CategoryWeight { id: c.0, weight: w })
+                .collect(),
+            labeled_in_session: p.labeled_in_session as u64,
+            labeled_neighbors: p.labeled_neighbors as u64,
+        }
+    }
 }
 
 /// One row of the CTR table.
@@ -119,6 +206,19 @@ pub struct StageDigests {
     pub profiles: String,
     /// CTR experiment outcome (impression/click table + totals).
     pub ctr: String,
+}
+
+impl StageDigests {
+    fn named(&self) -> [(&'static str, &str); 6] {
+        [
+            ("trace", &self.trace),
+            ("observed", &self.observed),
+            ("sessions", &self.sessions),
+            ("model", &self.model),
+            ("profiles", &self.profiles),
+            ("ctr", &self.ctr),
+        ]
+    }
 }
 
 /// The golden snapshot: everything `hostprof replay` promises to keep
@@ -167,8 +267,58 @@ impl Digest {
         self.write_bytes(s.as_bytes());
     }
 
+    /// A profile's category ids and weight bits, then its session vector.
+    fn write_profile(&mut self, p: &SessionProfile) {
+        self.write_u64(p.categories.len() as u64);
+        for (c, w) in p.categories.iter() {
+            self.write_u64(c.0 as u64);
+            self.write_f32(w);
+        }
+        for &x in &p.session_vector {
+            self.write_f32(x);
+        }
+    }
+
     fn hex(&self) -> String {
         format!("{:016x}", self.0)
+    }
+
+    /// An embedding set: dimensionality, vocabulary order, raw weight bits.
+    fn of_embeddings(embeddings: &EmbeddingSet) -> String {
+        let mut d = Self::new();
+        d.write_u64(embeddings.dim() as u64);
+        d.write_u64(embeddings.len() as u64);
+        for idx in 0..embeddings.len() as u32 {
+            d.write_str(embeddings.vocab().token(idx));
+            for &x in embeddings.vector_by_index(idx) {
+                d.write_f32(x);
+            }
+        }
+        d.hex()
+    }
+
+    /// A tick stream: boundary, serving version, and every entry's
+    /// profile bits. `compute_micros` is wall clock and deliberately
+    /// absent.
+    fn of_ticks(ticks: &[TickReport], base_ip: u32) -> String {
+        let mut d = Self::new();
+        for t in ticks {
+            d.write_u64(t.boundary);
+            d.write_u64(t.model_seq);
+            d.write_u64(t.entries.len() as u64);
+            for e in &t.entries {
+                d.write_u64(e.user.wrapping_sub(base_ip) as u64);
+                d.write_u64(e.anchor);
+                match &e.profile {
+                    None => d.write_u64(0),
+                    Some(p) => {
+                        d.write_u64(1);
+                        d.write_profile(p);
+                    }
+                }
+            }
+        }
+        d.hex()
     }
 }
 
@@ -206,274 +356,307 @@ pub fn replay_scenario_config(opts: &ReplayOptions) -> ScenarioConfig {
     cfg
 }
 
-/// Which implementation computes the final-day profiles (stage 5).
-///
-/// Both paths are pinned to the SAME golden snapshots: the serving loop is
-/// only correct if feeding the observed packet stream through
-/// [`ServeEngine`] — incremental windowing, watermark ticks, per-lane
-/// observers and all — reproduces the batch path's profiles bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProfilePath {
-    /// The batch pipeline: sort, window per (user, day), profile once.
-    Batch,
-    /// The streaming engine with this many ingest lanes.
-    Streaming {
-        /// Ingest lane count ({1, 4} in CI).
-        lanes: usize,
-    },
+/// One generated instance of the pinned scenario, seen from the clean
+/// per-user vantage every schedule observes and serves through.
+struct Pinned {
+    s: Scenario,
+    pipeline: Pipeline,
+    wire: ObserverScenario,
+    /// Wire address of trace user 0: `ip − base_ip` is the trace user id.
+    base_ip: u32,
 }
 
-/// Run the full pipeline for one seed and snapshot every stage.
-pub fn run_replay(opts: &ReplayOptions) -> Result<ReplaySnapshot, String> {
-    run_replay_with(opts, ProfilePath::Batch)
-}
-
-/// [`run_replay`] with an explicit stage-5 implementation.
-pub fn run_replay_with(opts: &ReplayOptions, path: ProfilePath) -> Result<ReplaySnapshot, String> {
-    let cfg = replay_scenario_config(opts);
-    let s = Scenario::generate(&cfg);
-
-    // Stage 1: the ground-truth trace.
-    let mut d = Digest::new();
-    for r in s.trace.requests() {
-        d.write_u64(r.t_ms);
-        d.write_u64(r.user.0 as u64);
-        d.write_u64(r.host.0 as u64);
-    }
-    let trace_digest = d.hex();
-
-    // Stage 2: passive observation (per-user addressing, no chaos).
-    let observed = ObservedTrace::capture(&s.world, &s.trace, &ObserverScenario::per_user());
-    let mut d = Digest::new();
-    for seq in observed.observed_sequences() {
-        d.write_u64(seq.len() as u64);
-        for h in &seq {
-            d.write_str(h);
+impl Pinned {
+    fn generate(opts: &ReplayOptions) -> Self {
+        let s = Scenario::generate(&replay_scenario_config(opts));
+        let wire = ObserverScenario::per_user();
+        Self {
+            pipeline: s.pipeline(),
+            base_ip: ObservedTrace::address_of(&wire, UserId(0)),
+            s,
+            wire,
         }
     }
-    let observed_digest = d.hex();
 
-    // Stage 3: per-(user, day) session windows.
-    let blocklist = s.world.blocklist();
-    let mut sessions: Vec<(u32, u32, Session)> = Vec::new();
-    let mut d = Digest::new();
-    for u in 0..s.population.len() as u32 {
-        for day in 0..s.trace.days() {
-            let names = s.session_hostnames(UserId(u), day);
-            if names.is_empty() {
-                continue;
+    fn serve_config(&self, lanes: usize, collect_windows: bool) -> ServeConfig {
+        ServeConfig {
+            lanes,
+            session_window_ms: self.pipeline.config().session_window_ms(),
+            report_interval_ms: self.pipeline.config().report_interval_ms(),
+            collect_windows,
+            ..ServeConfig::default()
+        }
+    }
+
+    /// The one replay driver: lower the ground-truth trace (through
+    /// `plan`, if any) and push every packet of the events stamped inside
+    /// `when` through `engine`, returning the ticks that fired.
+    ///
+    /// Packets are delivered event by event in trace order, so each
+    /// user's observation order equals their trace order (TCP fragments
+    /// of a request complete before the next request's packets arrive) —
+    /// the precondition for bit-identical windows. Cross-request timestamp
+    /// disorder is at most the 2 ms fragment spread, far inside the
+    /// default lateness bound.
+    fn drive(
+        &self,
+        engine: &mut ServeEngine<'_>,
+        plan: Option<&DefensePlan>,
+        when: impl RangeBounds<u64>,
+    ) -> Vec<TickReport> {
+        let mut ticks = Vec::new();
+        let bursts = self.wire.lower(&self.s.world, &self.s.trace, plan);
+        for (_, burst) in bursts.filter(|(t_ms, _)| when.contains(t_ms)) {
+            for pkt in &burst {
+                ticks.extend(engine.ingest_packet(pkt));
             }
-            let session = Session::from_window(names.iter().map(|h| h.as_str()), Some(blocklist));
-            d.write_u64(u as u64);
-            d.write_u64(day as u64);
-            d.write_u64(session.hostnames().len() as u64);
-            for h in session.hostnames() {
+        }
+        ticks
+    }
+
+    /// Stream the whole (optionally defended) trace through an engine
+    /// bound to one fixed model; every tick fired, flush included.
+    fn serve_fixed(
+        &self,
+        embeddings: &EmbeddingSet,
+        opts: &ReplayOptions,
+        lanes: usize,
+        plan: Option<&DefensePlan>,
+    ) -> Vec<TickReport> {
+        let ontology = self.s.world.ontology();
+        let profiler = self
+            .pipeline
+            .batch_profiler(embeddings, ontology, opts.profile_threads);
+        let blocklist = Some(self.pipeline.blocklist());
+        let mut engine = ServeEngine::new(self.serve_config(lanes, false), profiler, blocklist);
+        let mut ticks = self.drive(&mut engine, plan, ..);
+        ticks.extend(engine.flush());
+        ticks
+    }
+}
+
+impl GoldenSchedule for ReplaySnapshot {
+    const STEM: &'static str = "replay";
+
+    /// Run the full pipeline for one seed and snapshot every stage. Stage
+    /// 5 (final-day profiles) is computed twice — by the batch pipeline
+    /// and by streaming the packets through a [`ServeEngine`] with `lanes`
+    /// ingest lanes — and the run fails unless the two agree bit for bit:
+    /// the serving loop is only correct if incremental windowing,
+    /// watermark ticks and per-lane observers reproduce the batch path.
+    fn run(opts: &ReplayOptions, lanes: usize) -> Result<Self, String> {
+        let p = Pinned::generate(opts);
+        let s = &p.s;
+
+        // Stage 1: the ground-truth trace.
+        let mut d = Digest::new();
+        for r in s.trace.requests() {
+            d.write_u64(r.t_ms);
+            d.write_u64(r.user.0 as u64);
+            d.write_u64(r.host.0 as u64);
+        }
+        let trace_digest = d.hex();
+
+        // Stage 2: passive observation (per-user addressing, no chaos).
+        let observed = ObservedTrace::capture(&s.world, &s.trace, &p.wire, None);
+        let mut d = Digest::new();
+        for seq in observed.sequences.values() {
+            d.write_u64(seq.len() as u64);
+            for (_, h) in seq {
                 d.write_str(h);
             }
-            sessions.push((u, day, session));
+        }
+        let observed_digest = d.hex();
+
+        // Stage 3: per-(user, day) session windows.
+        let mut sessions: Vec<(u32, u32, Session)> = Vec::new();
+        let mut d = Digest::new();
+        for u in 0..s.population.len() as u32 {
+            for day in 0..s.trace.days() {
+                let names = s.session_hostnames(UserId(u), day);
+                if names.is_empty() {
+                    continue;
+                }
+                let session = Session::from_window(
+                    names.iter().map(|h| h.as_str()),
+                    Some(p.pipeline.blocklist()),
+                );
+                d.write_u64(u as u64);
+                d.write_u64(day as u64);
+                d.write_u64(session.hostnames().len() as u64);
+                for h in session.hostnames() {
+                    d.write_str(h);
+                }
+                sessions.push((u, day, session));
+            }
+        }
+        let sessions_digest = d.hex();
+
+        // Stage 4: train the embedding space on the whole trace.
+        let corpus: Vec<Vec<String>> = (0..s.trace.days())
+            .flat_map(|day| s.daily_hostname_sequences(day))
+            .collect();
+        let mut embeddings = p.pipeline.train_model(&corpus)?;
+        if let Some((index, delta)) = opts.perturb_embedding {
+            let dim = embeddings.dim();
+            let mut flat = Vec::with_capacity(embeddings.len() * dim);
+            for idx in 0..embeddings.len() as u32 {
+                flat.extend_from_slice(embeddings.vector_by_index(idx));
+            }
+            if let Some(x) = flat.get_mut(index) {
+                *x += delta;
+            }
+            embeddings = EmbeddingSet::new(dim, embeddings.vocab().clone(), flat);
+        }
+        let model_digest = Digest::of_embeddings(&embeddings);
+
+        // Stage 5: profile the final day's sessions — batch, then streaming.
+        let final_day = s.trace.days().saturating_sub(1);
+        let profiler =
+            p.pipeline
+                .batch_profiler(&embeddings, s.world.ontology(), opts.profile_threads);
+        let (day_users, day_sessions): (Vec<u32>, Vec<Session>) = sessions
+            .into_iter()
+            .filter(|&(_, day, _)| day == final_day)
+            .map(|(u, _, session)| (u, session))
+            .unzip();
+        let batch = final_profiles(
+            day_users
+                .into_iter()
+                .zip(profiler.profile_sessions(&day_sessions)),
+        );
+
+        let ticks = p.serve_fixed(&embeddings, opts, lanes, None);
+        // Each user's final-day profile is the one attached to their *last*
+        // tick anchor inside that day.
+        let day_start = final_day as u64 * DAY_MS;
+        let in_day = day_start..day_start + DAY_MS;
+        let streamed = final_profiles(latest_profiles(ticks, p.base_ip, in_day));
+        if streamed != batch {
+            return Err(format!(
+                "stage profiles: streaming ({lanes} lanes) diverged from batch: digest {} vs {}",
+                streamed.1, batch.1
+            ));
+        }
+        let (profiles, profiles_digest) = batch;
+
+        // Stage 6: the CTR experiment + paired t-test.
+        let experiment = CtrExperiment::new(
+            &s.world,
+            &s.population,
+            &s.trace,
+            &s.ads,
+            ExperimentConfig {
+                pipeline: s.config.pipeline.clone(),
+                profile_threads: opts.profile_threads,
+                seed: s.config.ads_seed ^ 0x00ad_5eed,
+                ..ExperimentConfig::default()
+            },
+        );
+        let result = experiment.run();
+        let (ctr, ctr_test) = snapshot_ctr(&result);
+        let mut d = Digest::new();
+        for row in &ctr {
+            d.write_u64(row.user as u64);
+            d.write_u64(row.eaves_impressions);
+            d.write_u64(row.eaves_clicks);
+            d.write_u64(row.orig_impressions);
+            d.write_u64(row.orig_clicks);
+        }
+        d.write_u64(result.replaced);
+        d.write_u64(result.impressions);
+        d.write_u64(result.reports);
+        d.write_u64(result.profiles);
+        d.write_u64(result.models_trained);
+        d.write_f64(ctr_test.t);
+        d.write_f64(ctr_test.p);
+        let ctr_digest = d.hex();
+
+        Ok(ReplaySnapshot {
+            seed: opts.seed,
+            users: s.population.len() as u64,
+            days: s.trace.days() as u64,
+            hosts: s.world.num_hosts() as u64,
+            stages: StageDigests {
+                trace: trace_digest,
+                observed: observed_digest,
+                sessions: sessions_digest,
+                model: model_digest,
+                profiles: profiles_digest,
+                ctr: ctr_digest,
+            },
+            profiles,
+            ctr,
+            ctr_test,
+        })
+    }
+
+    fn diff(&self, actual: &Self) -> Vec<String> {
+        let mut diffs = Vec::new();
+        diff_field(&mut diffs, "config seed", self.seed, actual.seed);
+        diff_fields(
+            &mut diffs,
+            "stage",
+            &self.stages.named(),
+            &actual.stages.named(),
+        );
+        for (e, a) in self.profiles.iter().zip(&actual.profiles) {
+            if e != a {
+                diffs.push(format!("profiles: user{} differs", e.user));
+            }
+        }
+        let users = (self.profiles.len(), actual.profiles.len());
+        diff_field(&mut diffs, "profiles users", users.0, users.1);
+        if self.ctr != actual.ctr {
+            diffs.push("ctr: per-user table differs".into());
+        }
+        if self.ctr_test != actual.ctr_test {
+            diffs.push("ctr: t-test differs".into());
+        }
+        diffs
+    }
+
+    fn summary(&self) -> String {
+        format!(
+            "{} profiles, {} CTR rows, streaming profiles equal to batch",
+            self.profiles.len(),
+            self.ctr.len()
+        )
+    }
+}
+
+/// Each user's last profile among the tick entries anchored inside `when`,
+/// keyed by trace user id. Anchors only grow across ticks, so plain insert
+/// keeps the latest.
+fn latest_profiles(
+    ticks: Vec<TickReport>,
+    base_ip: u32,
+    when: impl RangeBounds<u64>,
+) -> BTreeMap<u32, Option<SessionProfile>> {
+    let mut latest = BTreeMap::new();
+    for e in ticks.into_iter().flat_map(|t| t.entries) {
+        if when.contains(&e.anchor) {
+            latest.insert(e.user.wrapping_sub(base_ip), e.profile);
         }
     }
-    let sessions_digest = d.hex();
+    latest
+}
 
-    // Stage 4: train the embedding space on the whole trace.
-    let pipeline = s.pipeline();
-    let corpus: Vec<Vec<String>> = (0..s.trace.days())
-        .flat_map(|day| s.daily_hostname_sequences(day))
-        .collect();
-    let mut embeddings = pipeline.train_model(&corpus)?;
-    if let Some((index, delta)) = opts.perturb_embedding {
-        let dim = embeddings.dim();
-        let mut flat = Vec::with_capacity(embeddings.len() * dim);
-        for idx in 0..embeddings.len() as u32 {
-            flat.extend_from_slice(embeddings.vector_by_index(idx));
-        }
-        if let Some(x) = flat.get_mut(index) {
-            *x += delta;
-        }
-        embeddings = hostprof_embed::EmbeddingSet::new(dim, embeddings.vocab().clone(), flat);
-    }
-    let mut d = Digest::new();
-    d.write_u64(embeddings.dim() as u64);
-    d.write_u64(embeddings.len() as u64);
-    for idx in 0..embeddings.len() as u32 {
-        d.write_str(embeddings.vocab().token(idx));
-        for &x in embeddings.vector_by_index(idx) {
-            d.write_f32(x);
-        }
-    }
-    let model_digest = d.hex();
-
-    // Stage 5: profile the final day's sessions — batch or streaming.
-    let final_day = s.trace.days().saturating_sub(1);
-    let per_user: Vec<(u32, Option<SessionProfile>)> = match path {
-        ProfilePath::Batch => {
-            let day_sessions: Vec<(u32, &Session)> = sessions
-                .iter()
-                .filter(|&&(_, day, _)| day == final_day)
-                .map(|(u, _, sess)| (*u, sess))
-                .collect();
-            let profiler =
-                pipeline.batch_profiler(&embeddings, s.world.ontology(), opts.profile_threads);
-            let session_refs: Vec<Session> =
-                day_sessions.iter().map(|(_, s)| (*s).clone()).collect();
-            let profiled = profiler.profile_sessions(&session_refs);
-            day_sessions
-                .iter()
-                .zip(profiled)
-                .map(|((u, _), p)| (*u, p))
-                .collect()
-        }
-        ProfilePath::Streaming { lanes } => {
-            stream_final_day_profiles(&s, &cfg, &pipeline, &embeddings, opts, lanes, final_day)
-        }
-    };
-
+/// Snapshot and digest the users that got a profile (user order).
+fn final_profiles(
+    per_user: impl IntoIterator<Item = (u32, Option<SessionProfile>)>,
+) -> (Vec<UserProfileSnapshot>, String) {
     let mut profiles = Vec::new();
     let mut d = Digest::new();
-    for (u, profile) in &per_user {
+    for (u, profile) in per_user {
         let Some(p) = profile else {
             continue;
         };
-        let categories: Vec<CategoryWeight> = p
-            .categories
-            .iter()
-            .map(|(c, w)| CategoryWeight { id: c.0, weight: w })
-            .collect();
-        d.write_u64(*u as u64);
-        d.write_u64(categories.len() as u64);
-        for cw in &categories {
-            d.write_u64(cw.id as u64);
-            d.write_f32(cw.weight);
-        }
-        for &x in &p.session_vector {
-            d.write_f32(x);
-        }
-        profiles.push(UserProfileSnapshot {
-            user: *u,
-            categories,
-            labeled_in_session: p.labeled_in_session as u64,
-            labeled_neighbors: p.labeled_neighbors as u64,
-        });
+        d.write_u64(u as u64);
+        d.write_profile(&p);
+        profiles.push(UserProfileSnapshot::new(u, &p));
     }
-    let profiles_digest = d.hex();
-
-    // Stage 6: the CTR experiment + paired t-test.
-    let experiment = CtrExperiment::new(
-        &s.world,
-        &s.population,
-        &s.trace,
-        &s.ads,
-        ExperimentConfig {
-            pipeline: cfg.pipeline.clone(),
-            profile_threads: opts.profile_threads,
-            seed: cfg.ads_seed ^ 0x00ad_5eed,
-            ..ExperimentConfig::default()
-        },
-    );
-    let result = experiment.run();
-    let (ctr, ctr_test) = snapshot_ctr(&result);
-    let mut d = Digest::new();
-    for row in &ctr {
-        d.write_u64(row.user as u64);
-        d.write_u64(row.eaves_impressions);
-        d.write_u64(row.eaves_clicks);
-        d.write_u64(row.orig_impressions);
-        d.write_u64(row.orig_clicks);
-    }
-    d.write_u64(result.replaced);
-    d.write_u64(result.impressions);
-    d.write_u64(result.reports);
-    d.write_u64(result.profiles);
-    d.write_u64(result.models_trained);
-    d.write_f64(ctr_test.t);
-    d.write_f64(ctr_test.p);
-    let ctr_digest = d.hex();
-
-    Ok(ReplaySnapshot {
-        seed: opts.seed,
-        users: s.population.len() as u64,
-        days: s.trace.days() as u64,
-        hosts: s.world.num_hosts() as u64,
-        stages: StageDigests {
-            trace: trace_digest,
-            observed: observed_digest,
-            sessions: sessions_digest,
-            model: model_digest,
-            profiles: profiles_digest,
-            ctr: ctr_digest,
-        },
-        profiles,
-        ctr,
-        ctr_test,
-    })
-}
-
-/// Stage 5, streaming flavor: lower the ground-truth trace to wire
-/// packets (the same clean per-user vantage stage 2 observed) and push
-/// every packet through a [`ServeEngine`]; each user's final-day profile
-/// is the one attached to their *last* tick anchor inside that day.
-///
-/// Packets are delivered request by request in trace order, so each
-/// user's observation order equals their trace order (TCP fragments of a
-/// request complete before the next request's packets arrive) — the
-/// precondition for bit-identical windows. Cross-request timestamp
-/// disorder is at most the 2 ms fragment spread, far inside the default
-/// lateness bound.
-fn stream_final_day_profiles(
-    s: &Scenario,
-    cfg: &ScenarioConfig,
-    pipeline: &hostprof_core::Pipeline,
-    embeddings: &hostprof_embed::EmbeddingSet,
-    opts: &ReplayOptions,
-    lanes: usize,
-    final_day: u32,
-) -> Vec<(u32, Option<SessionProfile>)> {
-    let scenario = ObserverScenario::per_user();
-    let base_ip = match scenario.synthesizer.addressing {
-        hostprof_net::Addressing::PerClient { base_ip } => base_ip,
-        _ => unreachable!("per_user() is per-client addressed"),
-    };
-    let profiler = pipeline.batch_profiler(embeddings, s.world.ontology(), opts.profile_threads);
-    let mut engine = ServeEngine::new(
-        ServeConfig {
-            lanes,
-            session_window_ms: cfg.pipeline.session_window_ms(),
-            report_interval_ms: cfg.pipeline.report_interval_ms(),
-            ..ServeConfig::default()
-        },
-        profiler,
-        Some(pipeline.blocklist()),
-    );
-
-    let day_start = final_day as u64 * DAY_MS;
-    let day_end = day_start + DAY_MS;
-    // Last final-day (anchor, profile) per user; anchors only grow across
-    // ticks, so plain insert keeps the latest.
-    let mut latest: BTreeMap<u32, Option<SessionProfile>> = BTreeMap::new();
-    let collect = |ticks: Vec<hostprof_core::TickReport>,
-                   latest: &mut BTreeMap<u32, Option<SessionProfile>>| {
-        for tick in ticks {
-            for e in tick.entries {
-                if e.anchor >= day_start && e.anchor < day_end {
-                    latest.insert(e.user.wrapping_sub(base_ip), e.profile);
-                }
-            }
-        }
-    };
-    for r in s.trace.requests() {
-        let ev = RequestEvent {
-            t_ms: r.t_ms,
-            client: r.user.0,
-            hostname: s.world.hostname(r.host).to_string(),
-        };
-        for pkt in scenario.synthesizer.packets_for(&ev) {
-            let ticks = engine.ingest_packet(&pkt);
-            collect(ticks, &mut latest);
-        }
-    }
-    let ticks = engine.flush();
-    collect(ticks, &mut latest);
-    latest.into_iter().collect()
+    (profiles, d.hex())
 }
 
 fn snapshot_ctr(result: &ExperimentResult) -> (Vec<UserCtrSnapshot>, TTestSnapshot) {
@@ -490,93 +673,16 @@ fn snapshot_ctr(result: &ExperimentResult) -> (Vec<UserCtrSnapshot>, TTestSnapsh
         })
         .collect();
     let (a, b) = result.ctr_pairs();
-    let test = if a.len() >= 2 {
-        match paired_t_test(&a, &b) {
-            Some(t) => TTestSnapshot {
-                valid: true,
-                t: t.t,
-                df: t.df,
-                p: t.p,
-                mean_diff: t.mean_diff,
-            },
-            None => TTestSnapshot::default(),
-        }
-    } else {
-        TTestSnapshot::default()
-    };
+    let test = paired_t_test(&a, &b)
+        .map(|t| TTestSnapshot {
+            valid: true,
+            t: t.t,
+            df: t.df,
+            p: t.p,
+            mean_diff: t.mean_diff,
+        })
+        .unwrap_or_default();
     (ctr, test)
-}
-
-/// Stage-attributed differences between two snapshots, in pipeline
-/// order. Empty means byte-equivalent content.
-pub fn compare_snapshots(expected: &ReplaySnapshot, actual: &ReplaySnapshot) -> Vec<String> {
-    let mut diffs = Vec::new();
-    if expected.seed != actual.seed {
-        diffs.push(format!("config: seed {} vs {}", expected.seed, actual.seed));
-    }
-    for (stage, e, a) in [
-        ("trace", &expected.stages.trace, &actual.stages.trace),
-        (
-            "observed",
-            &expected.stages.observed,
-            &actual.stages.observed,
-        ),
-        (
-            "sessions",
-            &expected.stages.sessions,
-            &actual.stages.sessions,
-        ),
-        ("model", &expected.stages.model, &actual.stages.model),
-        (
-            "profiles",
-            &expected.stages.profiles,
-            &actual.stages.profiles,
-        ),
-        ("ctr", &expected.stages.ctr, &actual.stages.ctr),
-    ] {
-        if e != a {
-            diffs.push(format!("stage {stage}: digest {e} vs {a}"));
-        }
-    }
-    if expected.profiles != actual.profiles {
-        for (e, a) in expected.profiles.iter().zip(&actual.profiles) {
-            if e != a {
-                diffs.push(format!("profiles: user{} differs", e.user));
-            }
-        }
-        if expected.profiles.len() != actual.profiles.len() {
-            diffs.push(format!(
-                "profiles: {} users vs {}",
-                expected.profiles.len(),
-                actual.profiles.len()
-            ));
-        }
-    }
-    if expected.ctr != actual.ctr {
-        diffs.push("ctr: per-user table differs".into());
-    }
-    if expected.ctr_test != actual.ctr_test {
-        diffs.push("ctr: t-test differs".into());
-    }
-    diffs
-}
-
-/// Serialize a snapshot to the canonical golden JSON form (pretty, with
-/// a trailing newline — byte-stable for byte-stable content).
-pub fn to_golden_json(snapshot: &ReplaySnapshot) -> Result<String, String> {
-    serde_json::to_string_pretty(snapshot)
-        .map(|s| s + "\n")
-        .map_err(|e| format!("serialize snapshot: {e:?}"))
-}
-
-/// Parse a golden JSON file's contents.
-pub fn from_golden_json(contents: &str) -> Result<ReplaySnapshot, String> {
-    serde_json::from_str(contents).map_err(|e| format!("parse golden snapshot: {e:?}"))
-}
-
-/// `DIR/replay_seed_S.json`.
-pub fn golden_path(dir: &std::path::Path, seed: u64) -> std::path::PathBuf {
-    dir.join(format!("replay_seed_{seed}.json"))
 }
 
 // ---------------------------------------------------------------------------
@@ -599,6 +705,18 @@ pub struct UpdateStageDigests {
     pub serve_post: String,
 }
 
+impl UpdateStageDigests {
+    fn named(&self) -> [(&'static str, &str); 5] {
+        [
+            ("base_model", &self.base_model),
+            ("serve_pre", &self.serve_pre),
+            ("update_corpus", &self.update_corpus),
+            ("grown_model", &self.grown_model),
+            ("serve_post", &self.serve_post),
+        ]
+    }
+}
+
 /// The golden snapshot of one online-update schedule: day 0 trains the
 /// base model, day 1 streams against version 1 while its closed windows
 /// are harvested, the harvest drives one [`SkipGram::update`] whose
@@ -606,8 +724,6 @@ pub struct UpdateStageDigests {
 /// stable across lanes, profile threads, and kernels — same contract as
 /// [`ReplaySnapshot`], plus: every tick records which version served it,
 /// so the swap point itself is pinned.
-///
-/// [`SkipGram::update`]: hostprof_embed::SkipGram::update
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UpdateSnapshot {
     pub seed: u64,
@@ -630,321 +746,156 @@ pub struct UpdateSnapshot {
     pub profiles: Vec<UserProfileSnapshot>,
 }
 
-/// Digest a tick stream: boundary, serving version, and every entry's
-/// profile bits. `compute_micros` is wall clock and deliberately absent.
-fn digest_ticks(d: &mut Digest, ticks: &[hostprof_core::TickReport], base_ip: u32) {
-    for t in ticks {
-        d.write_u64(t.boundary);
-        d.write_u64(t.model_seq);
-        d.write_u64(t.entries.len() as u64);
-        for e in &t.entries {
-            d.write_u64(e.user.wrapping_sub(base_ip) as u64);
-            d.write_u64(e.anchor);
-            match &e.profile {
-                None => d.write_u64(0),
-                Some(p) => {
-                    d.write_u64(1);
-                    d.write_u64(p.categories.len() as u64);
-                    for (c, w) in p.categories.iter() {
-                        d.write_u64(c.0 as u64);
-                        d.write_f32(w);
-                    }
-                    for &x in &p.session_vector {
-                        d.write_f32(x);
-                    }
-                }
+impl GoldenSchedule for UpdateSnapshot {
+    const STEM: &'static str = "update";
+
+    /// Run the {train → serve → incremental-update → serve} schedule.
+    ///
+    /// Determinism leans on three already-pinned properties: window
+    /// *content* is lane-invariant (the streaming-equivalence contract),
+    /// the harvest order is tick order then user order (also lane-
+    /// invariant), and the update trains with one Hogwild worker at
+    /// `dim = 3`, where scalar and SIMD kernels execute the identical f32
+    /// sequence.
+    fn run(opts: &ReplayOptions, lanes: usize) -> Result<Self, String> {
+        let p = Pinned::generate(opts);
+        let s = &p.s;
+        if s.trace.days() < 3 {
+            return Err("update schedule needs ≥ 3 trace days".into());
+        }
+
+        // Stage 1: base model, day 0 only — the update must have genuinely
+        // unseen hostnames left to grow into on later days.
+        let mut model =
+            SkipGram::train(&s.daily_hostname_sequences(0), &s.config.pipeline.skipgram)?;
+        let base_vocab = model.vocab().len() as u64;
+
+        // Version 1 goes live. Each version's embeddings are copied out of
+        // the model once: digested, then moved into the bundle.
+        let ontology = Arc::new(s.world.ontology().clone());
+        let version = |seq: u64, model: &SkipGram| {
+            let embeddings = model.embeddings();
+            let digest = Digest::of_embeddings(&embeddings);
+            let profiler = s.config.pipeline.profiler.clone();
+            let bundle = ModelVersion::build(seq, embeddings, Arc::clone(&ontology), profiler);
+            (bundle, digest)
+        };
+        let (v1, base_model_digest) = version(1, &model);
+        let versioned = VersionedModel::new(v1);
+        let mut engine = ServeEngine::with_versioned(
+            p.serve_config(lanes, true),
+            &versioned,
+            opts.profile_threads,
+            Some(p.pipeline.blocklist()),
+        );
+
+        // Stage 2: stream day 1 against version 1.
+        let swap_at = 2 * DAY_MS;
+        let pre_ticks = p.drive(&mut engine, None, DAY_MS..swap_at);
+
+        // Stage 3: harvest whatever windows the watermark has closed so
+        // far — the online trainer's corpus. Lane-invariant by construction.
+        let windows = engine.take_closed_windows();
+        let mut d = Digest::new();
+        d.write_u64(windows.len() as u64);
+        for w in &windows {
+            d.write_u64(w.user.wrapping_sub(p.base_ip) as u64);
+            d.write_u64(w.anchor);
+            d.write_u64(w.window.len() as u64);
+            for h in &w.window {
+                d.write_str(h);
             }
         }
-    }
-}
+        let update_corpus_digest = d.hex();
+        let update_corpus: Vec<Vec<String>> = windows.into_iter().map(|w| w.window).collect();
 
-/// Digest an embedding set the same way stage 4 of [`run_replay_with`]
-/// does: dimensionality, vocabulary order, and raw weight bits.
-fn digest_embeddings(embeddings: &hostprof_embed::EmbeddingSet) -> String {
-    let mut d = Digest::new();
-    d.write_u64(embeddings.dim() as u64);
-    d.write_u64(embeddings.len() as u64);
-    for idx in 0..embeddings.len() as u32 {
-        d.write_str(embeddings.vocab().token(idx));
-        for &x in embeddings.vector_by_index(idx) {
-            d.write_f32(x);
+        // Stage 4: the incremental update — vocab growth, stable remapping,
+        // table policy, SGD resumed from the live weights.
+        let report = model.update(&update_corpus);
+
+        // The hot swap: build version 2 and publish. In the live path the
+        // build runs off-thread; here build-then-publish between two ingest
+        // calls is the same observable schedule (a tick is served entirely
+        // by whichever version its fire time loaded).
+        let (v2, grown_model_digest) = version(2, &model);
+        versioned.publish(v2);
+
+        // Stage 5: stream day 2 against version 2, then flush the tail.
+        let mut post_ticks = p.drive(&mut engine, None, swap_at..);
+        post_ticks.extend(engine.flush());
+
+        // Every pre tick was served by version 1, every post tick by 2 —
+        // the snapshot's own invariant, checked here rather than trusted.
+        for (ticks, seq, side) in [(&pre_ticks, 1, "pre"), (&post_ticks, 2, "post")] {
+            if let Some(t) = ticks.iter().find(|t| t.model_seq != seq) {
+                return Err(format!(
+                    "{side}-swap tick at {} served by version {}",
+                    t.boundary, t.model_seq
+                ));
+            }
         }
-    }
-    d.hex()
-}
 
-/// Run the {train → serve → incremental-update → serve} schedule for one
-/// seed with `lanes` ingest lanes, snapshotting every stage.
-///
-/// Determinism leans on three already-pinned properties: window *content*
-/// is lane-invariant (the streaming-equivalence contract), the harvest
-/// order is tick order then user order (also lane-invariant), and the
-/// update trains with one Hogwild worker at `dim = 3`, where scalar and
-/// SIMD kernels execute the identical f32 sequence.
-pub fn run_update_replay(opts: &ReplayOptions, lanes: usize) -> Result<UpdateSnapshot, String> {
-    use hostprof_core::{ModelVersion, VersionedModel};
-    use hostprof_embed::SkipGram;
-    use std::sync::Arc;
+        let ticks_post = post_ticks.len() as u64;
+        let serve_post_digest = Digest::of_ticks(&post_ticks, p.base_ip);
+        // Final profile per user across the post-swap ticks.
+        let (profiles, _) = final_profiles(latest_profiles(post_ticks, p.base_ip, ..));
 
-    let cfg = replay_scenario_config(opts);
-    let s = Scenario::generate(&cfg);
-    if s.trace.days() < 3 {
-        return Err("update schedule needs ≥ 3 trace days".into());
-    }
-
-    // Stage 1: base model, day 0 only — the update must have genuinely
-    // unseen hostnames left to grow into on later days.
-    let base_corpus = s.daily_hostname_sequences(0);
-    let mut model = SkipGram::train(&base_corpus, &cfg.pipeline.skipgram)?;
-    let base_vocab = model.vocab().len() as u64;
-    let base_embeddings = model.embeddings();
-    let base_model_digest = digest_embeddings(&base_embeddings);
-
-    // Version 1 goes live.
-    let ontology = Arc::new(s.world.ontology().clone());
-    let versioned = VersionedModel::new(ModelVersion::build(
-        1,
-        base_embeddings,
-        Arc::clone(&ontology),
-        cfg.pipeline.profiler.clone(),
-    ));
-    let scenario = ObserverScenario::per_user();
-    let base_ip = match scenario.synthesizer.addressing {
-        hostprof_net::Addressing::PerClient { base_ip } => base_ip,
-        _ => unreachable!("per_user() is per-client addressed"),
-    };
-    let blocklist = s.world.blocklist();
-    let mut engine = ServeEngine::with_versioned(
-        ServeConfig {
-            lanes,
-            session_window_ms: cfg.pipeline.session_window_ms(),
-            report_interval_ms: cfg.pipeline.report_interval_ms(),
-            collect_windows: true,
-            ..ServeConfig::default()
-        },
-        &versioned,
-        opts.profile_threads,
-        Some(blocklist),
-    );
-
-    // Stage 2: stream day 1 against version 1.
-    let mut pre_ticks: Vec<hostprof_core::TickReport> = Vec::new();
-    let mut post_ticks: Vec<hostprof_core::TickReport> = Vec::new();
-    let swap_at = 2 * DAY_MS;
-    for r in s.trace.requests() {
-        if r.t_ms < DAY_MS || r.t_ms >= swap_at {
-            continue;
-        }
-        let ev = RequestEvent {
-            t_ms: r.t_ms,
-            client: r.user.0,
-            hostname: s.world.hostname(r.host).to_string(),
-        };
-        for pkt in scenario.synthesizer.packets_for(&ev) {
-            pre_ticks.extend(engine.ingest_packet(&pkt));
-        }
-    }
-    let mut d = Digest::new();
-    digest_ticks(&mut d, &pre_ticks, base_ip);
-    let serve_pre_digest = d.hex();
-
-    // Stage 3: harvest whatever windows the watermark has closed so far —
-    // the online trainer's corpus. Lane-invariant by construction.
-    let windows = engine.take_closed_windows();
-    let mut d = Digest::new();
-    d.write_u64(windows.len() as u64);
-    for w in &windows {
-        d.write_u64(w.user.wrapping_sub(base_ip) as u64);
-        d.write_u64(w.anchor);
-        d.write_u64(w.window.len() as u64);
-        for h in &w.window {
-            d.write_str(h);
-        }
-    }
-    let update_corpus_digest = d.hex();
-    let update_corpus: Vec<Vec<String>> = windows.into_iter().map(|w| w.window).collect();
-
-    // Stage 4: the incremental update — vocab growth, stable remapping,
-    // table policy, SGD resumed from the live weights.
-    let report = model.update(&update_corpus);
-    let grown_embeddings = model.embeddings();
-    let grown_model_digest = digest_embeddings(&grown_embeddings);
-
-    // The hot swap: build version 2 and publish. In the live path the
-    // build runs off-thread; here build-then-publish between two ingest
-    // calls is the same observable schedule (a tick is served entirely by
-    // whichever version its fire time loaded).
-    versioned.publish(ModelVersion::build(
-        2,
-        grown_embeddings,
-        Arc::clone(&ontology),
-        cfg.pipeline.profiler.clone(),
-    ));
-
-    // Stage 5: stream day 2 against version 2, then flush the tail.
-    for r in s.trace.requests() {
-        if r.t_ms < swap_at {
-            continue;
-        }
-        let ev = RequestEvent {
-            t_ms: r.t_ms,
-            client: r.user.0,
-            hostname: s.world.hostname(r.host).to_string(),
-        };
-        for pkt in scenario.synthesizer.packets_for(&ev) {
-            post_ticks.extend(engine.ingest_packet(&pkt));
-        }
-    }
-    post_ticks.extend(engine.flush());
-    let mut d = Digest::new();
-    digest_ticks(&mut d, &post_ticks, base_ip);
-    let serve_post_digest = d.hex();
-
-    // Every pre tick was served by version 1, every post tick by 2 —
-    // the snapshot's own invariant, checked here rather than trusted.
-    if let Some(t) = pre_ticks.iter().find(|t| t.model_seq != 1) {
-        return Err(format!(
-            "pre-swap tick at {} served by version {}",
-            t.boundary, t.model_seq
-        ));
-    }
-    if let Some(t) = post_ticks.iter().find(|t| t.model_seq != 2) {
-        return Err(format!(
-            "post-swap tick at {} served by version {}",
-            t.boundary, t.model_seq
-        ));
-    }
-
-    // Final profile per user across the post-swap ticks.
-    let mut latest: BTreeMap<u32, Option<SessionProfile>> = BTreeMap::new();
-    for t in &post_ticks {
-        for e in &t.entries {
-            latest.insert(e.user.wrapping_sub(base_ip), e.profile.clone());
-        }
-    }
-    let profiles: Vec<UserProfileSnapshot> = latest
-        .into_iter()
-        .filter_map(|(u, p)| {
-            let p = p?;
-            Some(UserProfileSnapshot {
-                user: u,
-                categories: p
-                    .categories
-                    .iter()
-                    .map(|(c, w)| CategoryWeight { id: c.0, weight: w })
-                    .collect(),
-                labeled_in_session: p.labeled_in_session as u64,
-                labeled_neighbors: p.labeled_neighbors as u64,
-            })
+        Ok(UpdateSnapshot {
+            seed: opts.seed,
+            base_vocab,
+            grown_vocab: model.vocab().len() as u64,
+            appended_tokens: report.appended_tokens as u64,
+            trained_sequences: report.trained_sequences as u64,
+            table_rebuilt: report.table_rebuilt,
+            ticks_pre: pre_ticks.len() as u64,
+            ticks_post,
+            stages: UpdateStageDigests {
+                base_model: base_model_digest,
+                serve_pre: Digest::of_ticks(&pre_ticks, p.base_ip),
+                update_corpus: update_corpus_digest,
+                grown_model: grown_model_digest,
+                serve_post: serve_post_digest,
+            },
+            profiles,
         })
-        .collect();
-
-    Ok(UpdateSnapshot {
-        seed: opts.seed,
-        base_vocab,
-        grown_vocab: model.vocab().len() as u64,
-        appended_tokens: report.appended_tokens as u64,
-        trained_sequences: report.trained_sequences as u64,
-        table_rebuilt: report.table_rebuilt,
-        ticks_pre: pre_ticks.len() as u64,
-        ticks_post: post_ticks.len() as u64,
-        stages: UpdateStageDigests {
-            base_model: base_model_digest,
-            serve_pre: serve_pre_digest,
-            update_corpus: update_corpus_digest,
-            grown_model: grown_model_digest,
-            serve_post: serve_post_digest,
-        },
-        profiles,
-    })
-}
-
-/// Stage-attributed differences between two update snapshots, schedule
-/// order. Empty means byte-equivalent content.
-pub fn compare_update_snapshots(expected: &UpdateSnapshot, actual: &UpdateSnapshot) -> Vec<String> {
-    let mut diffs = Vec::new();
-    if expected.seed != actual.seed {
-        diffs.push(format!("config: seed {} vs {}", expected.seed, actual.seed));
     }
-    for (stage, e, a) in [
-        (
-            "base_model",
-            &expected.stages.base_model,
-            &actual.stages.base_model,
-        ),
-        (
-            "serve_pre",
-            &expected.stages.serve_pre,
-            &actual.stages.serve_pre,
-        ),
-        (
-            "update_corpus",
-            &expected.stages.update_corpus,
-            &actual.stages.update_corpus,
-        ),
-        (
-            "grown_model",
-            &expected.stages.grown_model,
-            &actual.stages.grown_model,
-        ),
-        (
-            "serve_post",
-            &expected.stages.serve_post,
-            &actual.stages.serve_post,
-        ),
-    ] {
-        if e != a {
-            diffs.push(format!("stage {stage}: digest {e} vs {a}"));
+
+    fn diff(&self, actual: &Self) -> Vec<String> {
+        let counters = |s: &Self| {
+            [
+                ("base_vocab", s.base_vocab),
+                ("grown_vocab", s.grown_vocab),
+                ("appended_tokens", s.appended_tokens),
+                ("trained_sequences", s.trained_sequences),
+                ("ticks_pre", s.ticks_pre),
+                ("ticks_post", s.ticks_post),
+                ("table_rebuilt", s.table_rebuilt as u64),
+            ]
+        };
+        let mut diffs = Vec::new();
+        diff_field(&mut diffs, "config seed", self.seed, actual.seed);
+        diff_fields(
+            &mut diffs,
+            "stage",
+            &self.stages.named(),
+            &actual.stages.named(),
+        );
+        diff_fields(&mut diffs, "counter", &counters(self), &counters(actual));
+        if self.profiles != actual.profiles {
+            diffs.push("profiles: final post-swap profiles differ".into());
         }
+        diffs
     }
-    for (name, e, a) in [
-        ("base_vocab", expected.base_vocab, actual.base_vocab),
-        ("grown_vocab", expected.grown_vocab, actual.grown_vocab),
-        (
-            "appended_tokens",
-            expected.appended_tokens,
-            actual.appended_tokens,
-        ),
-        (
-            "trained_sequences",
-            expected.trained_sequences,
-            actual.trained_sequences,
-        ),
-        ("ticks_pre", expected.ticks_pre, actual.ticks_pre),
-        ("ticks_post", expected.ticks_post, actual.ticks_post),
-    ] {
-        if e != a {
-            diffs.push(format!("counter {name}: {e} vs {a}"));
-        }
-    }
-    if expected.table_rebuilt != actual.table_rebuilt {
-        diffs.push(format!(
-            "counter table_rebuilt: {} vs {}",
-            expected.table_rebuilt, actual.table_rebuilt
-        ));
-    }
-    if expected.profiles != actual.profiles {
-        diffs.push("profiles: final post-swap profiles differ".into());
-    }
-    diffs
-}
 
-/// Serialize an update snapshot to canonical golden JSON (pretty, with a
-/// trailing newline).
-pub fn to_update_golden_json(snapshot: &UpdateSnapshot) -> Result<String, String> {
-    serde_json::to_string_pretty(snapshot)
-        .map(|s| s + "\n")
-        .map_err(|e| format!("serialize update snapshot: {e:?}"))
-}
-
-/// Parse an update-schedule golden JSON file's contents.
-pub fn from_update_golden_json(contents: &str) -> Result<UpdateSnapshot, String> {
-    serde_json::from_str(contents).map_err(|e| format!("parse update snapshot: {e:?}"))
-}
-
-/// `DIR/update_seed_S.json`.
-pub fn update_golden_path(dir: &std::path::Path, seed: u64) -> std::path::PathBuf {
-    dir.join(format!("update_seed_{seed}.json"))
+    fn summary(&self) -> String {
+        format!(
+            "vocab {} → {} (+{}), {} profiles",
+            self.base_vocab,
+            self.grown_vocab,
+            self.appended_tokens,
+            self.profiles.len()
+        )
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -967,6 +918,16 @@ pub struct DefenseCaseDigests {
     pub serve: String,
 }
 
+impl DefenseCaseDigests {
+    fn named(&self) -> [(&'static str, &str); 3] {
+        [
+            ("observed", &self.observed),
+            ("model", &self.model),
+            ("serve", &self.serve),
+        ]
+    }
+}
+
 /// The golden snapshot of the defense schedule: the undefended baseline
 /// plus one representative point per defense axis, each run capture →
 /// train → streaming serve on the pinned replay scenario. Byte-stable
@@ -981,237 +942,148 @@ pub struct DefenseSnapshot {
     pub cases: Vec<DefenseCaseDigests>,
 }
 
-/// The fixed defense-schedule case list: name + plan (None = plain
-/// undefended capture).
-fn defense_schedule(
-    catalog: &hostprof_defense::HostCatalog,
-    plan_seed: u64,
-) -> Vec<(&'static str, Option<hostprof_defense::DefensePlan>)> {
-    use hostprof_defense::{Defense, DefensePlan};
-    let plan = |d: Defense| Some(DefensePlan::new(d, catalog.clone(), plan_seed));
-    vec![
-        ("baseline", None),
-        ("identity_ech0", plan(Defense::Ech { adoption: 0.0 })),
-        ("ech50", plan(Defense::Ech { adoption: 0.5 })),
-        ("dummy1", plan(Defense::Dummy { rate: 1.0 })),
-        ("pad2", plan(Defense::PadConstant { pad_per_event: 2 })),
-        ("adaptive1", plan(Defense::PadAdaptive { intensity: 1.0 })),
-        ("nat4", plan(Defense::Nat { users_per_ip: 4 })),
-        ("doh50", plan(Defense::Doh { adoption: 0.5 })),
-    ]
-}
+/// The fixed defense-schedule case list (`None` = undefended).
+const DEFENSE_SCHEDULE: [(&str, Option<Defense>); 8] = [
+    ("baseline", None),
+    ("identity_ech0", Some(Defense::Ech { adoption: 0.0 })),
+    ("ech50", Some(Defense::Ech { adoption: 0.5 })),
+    ("dummy1", Some(Defense::Dummy { rate: 1.0 })),
+    ("pad2", Some(Defense::PadConstant { pad_per_event: 2 })),
+    ("adaptive1", Some(Defense::PadAdaptive { intensity: 1.0 })),
+    ("nat4", Some(Defense::Nat { users_per_ip: 4 })),
+    ("doh50", Some(Defense::Doh { adoption: 0.5 })),
+];
 
-/// Run the defense schedule for one seed with `lanes` ingest lanes.
-///
-/// Determinism: defended event streams are stable time sorts of a
-/// deterministic transform, training runs at `dim = 3` with one Hogwild
-/// worker (kernel-invariant), and serving inherits the lane-invariance
-/// contract — decoys share their client's IP, so they ride the same
-/// lane as the traffic they cover.
-pub fn run_defense_replay(opts: &ReplayOptions, lanes: usize) -> Result<DefenseSnapshot, String> {
-    let cfg = replay_scenario_config(opts);
-    let s = Scenario::generate(&cfg);
-    let catalog = crate::defend::catalog_for_world(&s.world);
-    let scenario = ObserverScenario::per_user();
-    let base_ip = match scenario.synthesizer.addressing {
-        hostprof_net::Addressing::PerClient { base_ip } => base_ip,
-        _ => unreachable!("per_user() is per-client addressed"),
-    };
-    let pipeline = s.pipeline();
+impl GoldenSchedule for DefenseSnapshot {
+    const STEM: &'static str = "defense";
 
-    let mut cases = Vec::new();
-    for (name, plan) in defense_schedule(&catalog, opts.seed ^ 0x00de_f5ed) {
-        // Capture what survives the defense.
-        let observed = match &plan {
-            None => ObservedTrace::capture(&s.world, &s.trace, &scenario),
-            Some(p) => ObservedTrace::capture_defended(&s.world, &s.trace, &scenario, p),
-        };
-        let mut d = Digest::new();
-        let mut observations = 0u64;
-        for (ip, seq) in &observed.sequences {
-            d.write_u64(*ip as u64);
-            d.write_u64(seq.len() as u64);
-            observations += seq.len() as u64;
-            for (t, h) in seq {
-                d.write_u64(*t);
-                d.write_str(h);
-            }
-        }
-        let observed_digest = d.hex();
+    /// Run the defense schedule.
+    ///
+    /// Determinism: defended event streams are stable time sorts of a
+    /// deterministic transform, training runs at `dim = 3` with one
+    /// Hogwild worker (kernel-invariant), and serving inherits the lane-
+    /// invariance contract — decoys share their client's IP, so they ride
+    /// the same lane as the traffic they cover.
+    fn run(opts: &ReplayOptions, lanes: usize) -> Result<Self, String> {
+        let p = Pinned::generate(opts);
+        let s = &p.s;
+        let catalog = crate::defend::catalog_for_world(&s.world);
 
-        // Train on the defended observations.
-        let training: Vec<Vec<String>> = observed
-            .sequences
-            .values()
-            .map(|seq| seq.iter().map(|(_, h)| h.clone()).collect::<Vec<String>>())
-            .filter(|sq: &Vec<String>| sq.len() >= 2)
-            .collect();
-        let embeddings = pipeline.train_model(&training).ok();
-        let model_digest = embeddings
-            .as_ref()
-            .map(digest_embeddings)
-            .unwrap_or_else(|| "none".to_string());
+        let mut cases = Vec::new();
+        for (name, defense) in DEFENSE_SCHEDULE {
+            let plan =
+                defense.map(|d| DefensePlan::new(d, catalog.clone(), opts.seed ^ 0x00de_f5ed));
 
-        // Stream the defended packets through the serving engine.
-        let serve_digest = match &embeddings {
-            None => "none".to_string(),
-            Some(emb) => {
-                let profiler =
-                    pipeline.batch_profiler(emb, s.world.ontology(), opts.profile_threads);
-                let mut engine = ServeEngine::new(
-                    ServeConfig {
-                        lanes,
-                        session_window_ms: cfg.pipeline.session_window_ms(),
-                        report_interval_ms: cfg.pipeline.report_interval_ms(),
-                        ..ServeConfig::default()
-                    },
-                    profiler,
-                    Some(pipeline.blocklist()),
-                );
-                let base_events: Vec<RequestEvent> = s
-                    .trace
-                    .requests()
-                    .iter()
-                    .map(|r| RequestEvent {
-                        t_ms: r.t_ms,
-                        client: r.user.0,
-                        hostname: s.world.hostname(r.host).to_string(),
-                    })
-                    .collect();
-                let (events, synth) = match &plan {
-                    None => (base_events, scenario.synthesizer.clone()),
-                    Some(p) => (
-                        p.transform(&base_events),
-                        p.synthesizer(&scenario.synthesizer),
-                    ),
-                };
-                let mut ticks: Vec<hostprof_core::TickReport> = Vec::new();
-                for ev in &events {
-                    let ov = match &plan {
-                        None => hostprof_net::WireOverride::default(),
-                        Some(p) => p.wire_override(ev.client, &ev.hostname),
-                    };
-                    for pkt in synth.packets_for_host_with(ev.t_ms, ev.client, &ev.hostname, ov) {
-                        ticks.extend(engine.ingest_packet(&pkt));
-                    }
+            // Capture what survives the defense.
+            let observed = ObservedTrace::capture(&s.world, &s.trace, &p.wire, plan.as_ref());
+            let mut d = Digest::new();
+            let mut observations = 0u64;
+            for (ip, seq) in &observed.sequences {
+                d.write_u64(*ip as u64);
+                d.write_u64(seq.len() as u64);
+                observations += seq.len() as u64;
+                for (t, h) in seq {
+                    d.write_u64(*t);
+                    d.write_str(h);
                 }
-                ticks.extend(engine.flush());
-                let mut d = Digest::new();
-                digest_ticks(&mut d, &ticks, base_ip);
-                d.hex()
             }
-        };
 
-        cases.push(DefenseCaseDigests {
-            name: name.to_string(),
-            observations,
-            observed: observed_digest,
-            model: model_digest,
-            serve: serve_digest,
-        });
-    }
+            // Train on the defended observations, then stream the defended
+            // packets through the serving engine.
+            let embeddings = p
+                .pipeline
+                .train_model(&observed.observed_sequences(u64::MAX))
+                .ok();
+            let (model, serve) = match &embeddings {
+                None => ("none".into(), "none".into()),
+                Some(emb) => {
+                    let ticks = p.serve_fixed(emb, opts, lanes, plan.as_ref());
+                    (
+                        Digest::of_embeddings(emb),
+                        Digest::of_ticks(&ticks, p.base_ip),
+                    )
+                }
+            };
 
-    // The identity case must reproduce the baseline bit for bit — the
-    // snapshot's own invariant, checked here rather than trusted.
-    let baseline = &cases[0];
-    let identity = &cases[1];
-    for (stage, b, i) in [
-        ("observed", &baseline.observed, &identity.observed),
-        ("model", &baseline.model, &identity.model),
-        ("serve", &baseline.serve, &identity.serve),
-    ] {
-        if b != i {
-            return Err(format!(
-                "identity point diverged from baseline at stage {stage}: {b} vs {i}"
-            ));
+            cases.push(DefenseCaseDigests {
+                name: name.to_string(),
+                observations,
+                observed: d.hex(),
+                model,
+                serve,
+            });
         }
+
+        // The identity case must reproduce the baseline bit for bit — the
+        // snapshot's own invariant, checked here rather than trusted.
+        let (baseline, identity) = (&cases[0], &cases[1]);
+        let drift = Self::diff_case(
+            "identity point diverged from baseline at",
+            baseline,
+            identity,
+        );
+        if let Some(first) = drift.into_iter().next() {
+            return Err(first);
+        }
+
+        Ok(DefenseSnapshot {
+            seed: opts.seed,
+            cases,
+        })
     }
 
-    Ok(DefenseSnapshot {
-        seed: opts.seed,
-        cases,
-    })
-}
-
-/// Stage-attributed differences between two defense snapshots, schedule
-/// order. Empty means byte-equivalent content.
-pub fn compare_defense_snapshots(
-    expected: &DefenseSnapshot,
-    actual: &DefenseSnapshot,
-) -> Vec<String> {
-    let mut diffs = Vec::new();
-    if expected.seed != actual.seed {
-        diffs.push(format!("config: seed {} vs {}", expected.seed, actual.seed));
-    }
-    if expected.cases.len() != actual.cases.len() {
-        diffs.push(format!(
-            "cases: {} vs {}",
-            expected.cases.len(),
-            actual.cases.len()
-        ));
-        return diffs;
-    }
-    for (e, a) in expected.cases.iter().zip(&actual.cases) {
-        if e.name != a.name {
-            diffs.push(format!("case order: {} vs {}", e.name, a.name));
-            continue;
-        }
-        if e.observations != a.observations {
-            diffs.push(format!(
-                "case {}: observations {} vs {}",
-                e.name, e.observations, a.observations
-            ));
-        }
-        for (stage, ed, ad) in [
-            ("observed", &e.observed, &a.observed),
-            ("model", &e.model, &a.model),
-            ("serve", &e.serve, &a.serve),
-        ] {
-            if ed != ad {
-                diffs.push(format!(
-                    "case {} stage {stage}: digest {ed} vs {ad}",
-                    e.name
-                ));
+    fn diff(&self, actual: &Self) -> Vec<String> {
+        let mut diffs = Vec::new();
+        diff_field(&mut diffs, "config seed", self.seed, actual.seed);
+        diff_field(&mut diffs, "cases", self.cases.len(), actual.cases.len());
+        for (e, a) in self.cases.iter().zip(&actual.cases) {
+            if e.name != a.name {
+                diffs.push(format!("case order: {} vs {}", e.name, a.name));
+                continue;
             }
+            diffs.extend(Self::diff_case(&format!("case {}", e.name), e, a));
         }
+        diffs
     }
-    diffs
+
+    fn summary(&self) -> String {
+        format!("{} cases, identity bit-equal to baseline", self.cases.len())
+    }
 }
 
-/// Serialize a defense snapshot to canonical golden JSON (pretty, with a
-/// trailing newline).
-pub fn to_defense_golden_json(snapshot: &DefenseSnapshot) -> Result<String, String> {
-    serde_json::to_string_pretty(snapshot)
-        .map(|s| s + "\n")
-        .map_err(|e| format!("serialize defense snapshot: {e:?}"))
-}
-
-/// Parse a defense-schedule golden JSON file's contents.
-pub fn from_defense_golden_json(contents: &str) -> Result<DefenseSnapshot, String> {
-    serde_json::from_str(contents).map_err(|e| format!("parse defense snapshot: {e:?}"))
-}
-
-/// `DIR/defense_seed_S.json`.
-pub fn defense_golden_path(dir: &std::path::Path, seed: u64) -> std::path::PathBuf {
-    dir.join(format!("defense_seed_{seed}.json"))
+impl DefenseSnapshot {
+    /// Observation count and stage digests of one case against another.
+    fn diff_case(what: &str, e: &DefenseCaseDigests, a: &DefenseCaseDigests) -> Vec<String> {
+        let mut diffs = Vec::new();
+        let observations = format!("{what} observations");
+        diff_field(&mut diffs, &observations, e.observations, a.observations);
+        diff_fields(&mut diffs, &format!("{what} stage"), &e.named(), &a.named());
+        diffs
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Run single-lane and check the snapshot survives its own golden form.
+    fn run_and_roundtrip<S: GoldenSchedule + PartialEq + std::fmt::Debug>(seed: u64) -> S {
+        let snap = S::run(&ReplayOptions::for_seed(seed), 1).expect("schedule runs");
+        let json = snap.to_golden_json().expect("serialize");
+        let back = S::from_golden_json(&json).expect("parse");
+        assert_eq!(snap, back);
+        assert!(snap.diff(&back).is_empty());
+        snap
+    }
+
     #[test]
     fn snapshot_roundtrips_through_golden_json() {
-        let snap = run_replay(&ReplayOptions::for_seed(7)).expect("replay");
-        let json = to_golden_json(&snap).expect("serialize");
-        let back = from_golden_json(&json).expect("parse");
-        assert_eq!(snap, back);
-        assert!(compare_snapshots(&snap, &back).is_empty());
+        run_and_roundtrip::<ReplaySnapshot>(7);
     }
 
     #[test]
     fn replay_has_signal_in_every_stage() {
-        let snap = run_replay(&ReplayOptions::for_seed(1)).expect("replay");
+        let snap = ReplaySnapshot::run(&ReplayOptions::for_seed(1), 1).expect("replay");
         assert!(snap.users > 0 && snap.days > 0 && snap.hosts > 0);
         assert!(!snap.profiles.is_empty(), "no user got a final profile");
         assert!(snap.ctr.iter().any(|c| c.orig_impressions > 0));
@@ -1219,8 +1091,8 @@ mod tests {
 
     #[test]
     fn different_seeds_change_every_stage_digest() {
-        let a = run_replay(&ReplayOptions::for_seed(1)).expect("replay");
-        let b = run_replay(&ReplayOptions::for_seed(2)).expect("replay");
+        let a = ReplaySnapshot::run(&ReplayOptions::for_seed(1), 1).expect("replay");
+        let b = ReplaySnapshot::run(&ReplayOptions::for_seed(2), 1).expect("replay");
         assert_ne!(a.stages.trace, b.stages.trace);
         assert_ne!(a.stages.observed, b.stages.observed);
         assert_ne!(a.stages.sessions, b.stages.sessions);
@@ -1229,23 +1101,17 @@ mod tests {
 
     #[test]
     fn streaming_profile_path_matches_batch_bit_for_bit() {
+        // `run` itself fails when the streamed stage 5 diverges from the
+        // batch one, so succeeding at each lane count is the assertion.
         let opts = ReplayOptions::for_seed(1);
-        let batch = run_replay(&opts).expect("replay");
-        for lanes in [1usize, 4] {
-            let streamed =
-                run_replay_with(&opts, ProfilePath::Streaming { lanes }).expect("replay");
-            assert_eq!(
-                batch.stages.profiles, streamed.stages.profiles,
-                "lanes {lanes}: streaming profile digest diverged"
-            );
-            assert_eq!(batch.profiles, streamed.profiles, "lanes {lanes}");
-            assert!(compare_snapshots(&batch, &streamed).is_empty());
-        }
+        let one = ReplaySnapshot::run(&opts, 1).expect("1 lane: streaming == batch");
+        let four = ReplaySnapshot::run(&opts, 4).expect("4 lanes: streaming == batch");
+        assert_eq!(one, four);
     }
 
     #[test]
     fn update_schedule_has_signal_and_roundtrips() {
-        let snap = run_update_replay(&ReplayOptions::for_seed(1), 1).expect("update replay");
+        let snap = run_and_roundtrip::<UpdateSnapshot>(1);
         assert!(snap.base_vocab > 0);
         assert!(
             snap.appended_tokens > 0,
@@ -1263,35 +1129,11 @@ mod tests {
             snap.stages.base_model, snap.stages.grown_model,
             "the update must actually move weights"
         );
-        let json = to_update_golden_json(&snap).expect("serialize");
-        let back = from_update_golden_json(&json).expect("parse");
-        assert_eq!(snap, back);
-        assert!(compare_update_snapshots(&snap, &back).is_empty());
-    }
-
-    #[test]
-    fn update_schedule_is_lane_and_thread_invariant() {
-        let base = run_update_replay(&ReplayOptions::for_seed(2), 1).expect("update replay");
-        let mut threaded = ReplayOptions::for_seed(2);
-        threaded.profile_threads = 4;
-        for (opts, lanes) in [
-            (ReplayOptions::for_seed(2), 4),
-            (threaded.clone(), 1),
-            (threaded, 4),
-        ] {
-            let other = run_update_replay(&opts, lanes).expect("update replay");
-            assert!(
-                compare_update_snapshots(&base, &other).is_empty(),
-                "lanes {lanes} threads {}: {:?}",
-                opts.profile_threads,
-                compare_update_snapshots(&base, &other)
-            );
-        }
     }
 
     #[test]
     fn defense_schedule_has_signal_and_roundtrips() {
-        let snap = run_defense_replay(&ReplayOptions::for_seed(1), 1).expect("defense replay");
+        let snap = run_and_roundtrip::<DefenseSnapshot>(1);
         assert_eq!(snap.cases.len(), 8, "fixed schedule: baseline + 7 defended");
         assert_eq!(snap.cases[0].name, "baseline");
         assert_eq!(snap.cases[1].name, "identity_ech0");
@@ -1308,39 +1150,15 @@ mod tests {
             );
         }
         assert!(snap.cases.iter().all(|c| c.observations > 0));
-        let json = to_defense_golden_json(&snap).expect("serialize");
-        let back = from_defense_golden_json(&json).expect("parse");
-        assert_eq!(snap, back);
-        assert!(compare_defense_snapshots(&snap, &back).is_empty());
-    }
-
-    #[test]
-    fn defense_schedule_is_lane_and_thread_invariant() {
-        let base = run_defense_replay(&ReplayOptions::for_seed(2), 1).expect("defense replay");
-        let mut threaded = ReplayOptions::for_seed(2);
-        threaded.profile_threads = 4;
-        for (opts, lanes) in [
-            (ReplayOptions::for_seed(2), 4),
-            (threaded.clone(), 1),
-            (threaded, 4),
-        ] {
-            let other = run_defense_replay(&opts, lanes).expect("defense replay");
-            assert!(
-                compare_defense_snapshots(&base, &other).is_empty(),
-                "lanes {lanes} threads {}: {:?}",
-                opts.profile_threads,
-                compare_defense_snapshots(&base, &other)
-            );
-        }
     }
 
     #[test]
     fn perturbation_is_attributed_to_the_model_stage() {
-        let clean = run_replay(&ReplayOptions::for_seed(1)).expect("replay");
+        let clean = ReplaySnapshot::run(&ReplayOptions::for_seed(1), 1).expect("replay");
         let mut opts = ReplayOptions::for_seed(1);
         opts.perturb_embedding = Some((5, 1e-3));
-        let bad = run_replay(&opts).expect("replay");
-        let diffs = compare_snapshots(&clean, &bad);
+        let bad = ReplaySnapshot::run(&opts, 1).expect("replay");
+        let diffs = clean.diff(&bad);
         assert!(!diffs.is_empty());
         // Upstream of the model: identical. The model stage itself: the
         // first reported diff.

@@ -10,14 +10,12 @@
 //! target packet rate. The warmup doubles as the SKIPGRAM training corpus
 //! so the engine profiles against a model of the same traffic it serves.
 
-use hostprof_core::{
-    ModelVersion, Pipeline, PipelineConfig, ServeConfig, ServeEngine, VersionedModel,
-};
+use hostprof_core::{ModelVersion, PipelineConfig, ServeConfig, ServeEngine, VersionedModel};
 use hostprof_embed::{CorpusBuffer, EmbeddingSet, SkipGram};
 use hostprof_net::{ObserverStats, TrafficSynthesizer};
 use hostprof_synth::{Population, StreamConfig, TraceStream, World};
 use std::collections::BTreeMap;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Knobs of one live run.
@@ -37,7 +35,7 @@ pub struct LiveRunConfig {
     /// windows served since the last update, and hot-swap the new model
     /// in as a fresh version (the version bundle — unit-norm kNN copy
     /// included — builds on a dedicated thread; ingest never stalls).
-    /// `None`: serve one fixed model for the whole run.
+    /// `None`: no update ever comes due; version 1 serves the whole run.
     pub update_every: Option<u64>,
 }
 
@@ -90,7 +88,22 @@ impl LiveRunReport {
     }
 }
 
-/// Run a calibrated live load through the full serving loop.
+/// Retained sessions in the online trainer's reservoir.
+const UPDATE_BUFFER_CAPACITY: usize = 4096;
+/// Recency bias of the reservoir: < 1 tilts retention toward the recent
+/// past, which is the point of updating at all.
+const UPDATE_BUFFER_BIAS: f64 = 0.5;
+
+/// Run a calibrated live load through the full serving loop
+/// (DESIGN.md §14): the engine serves through a [`VersionedModel`]; every
+/// `update_every` fired ticks the closed windows are harvested into a
+/// decayed reservoir, the live [`SkipGram`] resumes SGD over the reservoir
+/// (growing its vocabulary in place), and the new weights are shipped to a
+/// dedicated builder thread that assembles the version bundle — labeled
+/// tables, unit-norm kNN copy, any IVF — and publishes it with one atomic
+/// store. Ingest never waits on a build; a tick fired mid-build simply
+/// serves the previous version. With `update_every: None` no update ever
+/// comes due and version 1 serves the whole run.
 ///
 /// Deterministic in its simulated behavior per `(world, population,
 /// config)`; only the wall-clock measurements vary run to run.
@@ -115,19 +128,24 @@ pub fn run_live(
         mean_gap_ms: gap0,
         ..StreamConfig::default()
     };
-    let mut corpus_by_user: BTreeMap<u32, Vec<String>> = BTreeMap::new();
+    let blocklist = world.blocklist();
+    let mut corpus_by_user: BTreeMap<u32, Vec<&str>> = BTreeMap::new();
     let mut warmup_span_ms = 0u64;
     let mut warmup_packets = 0usize;
     for r in TraceStream::new(world, population, stream_cfg).take(warmup_requests) {
         warmup_span_ms = warmup_span_ms.max(r.t_ms);
         let hostname = world.hostname(r.host);
         warmup_packets += synth.packets_for_host(r.t_ms, r.user.0, hostname).len();
-        corpus_by_user
-            .entry(r.user.0)
-            .or_default()
-            .push(hostname.to_string());
+        // As `Pipeline::train_model` trains: tracker hostnames never enter
+        // the vocabulary.
+        if !blocklist.is_blocked(hostname) {
+            corpus_by_user.entry(r.user.0).or_default().push(hostname);
+        }
     }
-    let corpus: Vec<Vec<String>> = corpus_by_user.into_values().collect();
+    let corpus: Vec<Vec<&str>> = corpus_by_user
+        .into_values()
+        .filter(|seq| seq.len() >= 2)
+        .collect();
     let packets_per_request = warmup_packets as f64 / warmup_requests.max(1) as f64;
     let req_per_simsec = warmup_requests as f64 / (warmup_span_ms.max(1) as f64 / 1000.0);
     // Rate scales as 1/gap; clamp so pathological targets stay sane.
@@ -135,7 +153,6 @@ pub fn run_live(
         as u64)
         .clamp(2, 3_600_000);
 
-    let pipeline = Pipeline::new(pipeline_config.clone(), world.blocklist().clone());
     let duration_ms = run.duration_s * 1000;
     let run_cfg = StreamConfig {
         mean_gap_ms,
@@ -143,109 +160,31 @@ pub fn run_live(
     };
     let serve_config = ServeConfig {
         lanes: run.lanes,
-        session_window_ms: pipeline.config().session_window_ms(),
-        report_interval_ms: pipeline.config().report_interval_ms(),
+        session_window_ms: pipeline_config.session_window_ms(),
+        report_interval_ms: pipeline_config.report_interval_ms(),
         collect_windows: run.update_every.is_some(),
         ..ServeConfig::default()
     };
+    // `None` is the same loop with an update that never comes due.
+    let every = run.update_every.map_or(u64::MAX, |n| n.max(1));
 
-    if let Some(every) = run.update_every {
-        return run_live_updating(
-            world,
-            population,
-            pipeline_config,
-            run,
-            &pipeline,
-            &corpus,
-            serve_config,
-            run_cfg,
-            duration_ms,
-            every.max(1),
-        );
-    }
-
-    let embeddings = pipeline.train_model(&corpus)?;
-    let ontology = world.ontology();
-    let profiler = pipeline.batch_profiler(&embeddings, ontology, run.threads.max(1));
-    let mut engine = ServeEngine::new(serve_config, profiler, Some(pipeline.blocklist()));
-
-    // The measured loop: a fresh stream at the calibrated gap until the
-    // simulated horizon.
-    let wall_started = Instant::now();
-    let mut ingest_time = Duration::ZERO;
-    let mut latencies_ms: Vec<f64> = Vec::new();
-    for r in TraceStream::new(world, population, run_cfg) {
-        if r.t_ms > duration_ms {
-            break;
-        }
-        // Borrowed hostname straight from the world table — the measured
-        // loop allocates nothing per request beyond the packets themselves.
-        let packets = synth.packets_for_host(r.t_ms, r.user.0, world.hostname(r.host));
-        for pkt in &packets {
-            let t = Instant::now();
-            let ticks = engine.ingest_packet(pkt);
-            ingest_time += t.elapsed();
-            for tick in ticks {
-                latencies_ms.push(tick.compute_micros as f64 / 1000.0);
-            }
-        }
-    }
-    let t = Instant::now();
-    for tick in engine.flush() {
-        latencies_ms.push(tick.compute_micros as f64 / 1000.0);
-    }
-    ingest_time += t.elapsed();
-    latencies_ms.sort_by(|a, b| a.total_cmp(b));
-
-    let vocab = embeddings.len();
-    Ok(LiveRunReport {
-        stats: engine.stats(),
-        observer: engine.observer_stats(),
-        late_dropped: engine.windower().late_dropped(),
-        latencies_ms,
-        ingest_seconds: ingest_time.as_secs_f64(),
-        wall_seconds: wall_started.elapsed().as_secs_f64(),
-        updates_applied: 0,
-        base_vocab: vocab,
-        final_vocab: vocab,
-        publish_latencies_ms: Vec::new(),
-    })
-}
-
-/// Retained sessions in the online trainer's reservoir.
-const UPDATE_BUFFER_CAPACITY: usize = 4096;
-/// Recency bias of the reservoir: < 1 tilts retention toward the recent
-/// past, which is the point of updating at all.
-const UPDATE_BUFFER_BIAS: f64 = 0.5;
-
-/// The `--update-every N` serving loop (DESIGN.md §14): the engine serves
-/// through a [`VersionedModel`]; every `N` fired ticks the closed windows
-/// are harvested into a decayed reservoir, the live [`SkipGram`] resumes
-/// SGD over the reservoir (growing its vocabulary in place), and the new
-/// weights are shipped to a dedicated builder thread that assembles the
-/// version bundle — labeled tables, unit-norm kNN copy, any IVF — and
-/// publishes it with one atomic store. Ingest never waits on a build;
-/// a tick fired mid-build simply serves the previous version.
-#[allow(clippy::too_many_arguments)]
-fn run_live_updating(
-    world: &World,
-    population: &Population,
-    pipeline_config: &PipelineConfig,
-    run: &LiveRunConfig,
-    pipeline: &Pipeline,
-    corpus: &[Vec<String>],
-    serve_config: ServeConfig,
-    run_cfg: StreamConfig,
-    duration_ms: u64,
-    every: u64,
-) -> Result<LiveRunReport, String> {
-    let synth = TrafficSynthesizer::default();
-    let mut model = SkipGram::train(corpus, &pipeline_config.skipgram)?;
+    // The live `SkipGram` is kept (rather than just its embeddings) so
+    // updates can resume SGD on it.
+    let mut model = SkipGram::train(&corpus, &pipeline_config.skipgram)?;
     let base_vocab = model.vocab().len();
+    // Every version, base or updated, gets the pipeline's centering.
+    let embeddings_of = |model: &SkipGram| {
+        let embeddings = model.embeddings();
+        if pipeline_config.center_embeddings {
+            embeddings.centered()
+        } else {
+            embeddings
+        }
+    };
     let ontology = Arc::new(world.ontology().clone());
     let versioned = VersionedModel::new(ModelVersion::build(
         1,
-        model.embeddings(),
+        embeddings_of(&model),
         Arc::clone(&ontology),
         pipeline_config.profiler.clone(),
     ));
@@ -254,19 +193,19 @@ fn run_live_updating(
         UPDATE_BUFFER_BIAS,
         run.seed ^ 0x00c0_4b05,
     );
-    let publish_ms: Mutex<Vec<f64>> = Mutex::new(Vec::new());
     let mut updates_applied = 0u64;
 
-    let report = std::thread::scope(|scope| -> Result<LiveRunReport, String> {
+    std::thread::scope(|scope| {
         // One builder thread serializes version builds, so publishes land
-        // in seq order even when updates outpace builds.
+        // in seq order even when updates outpace builds. It returns its
+        // per-swap build+publish latencies when the channel closes.
         let (tx, rx) = mpsc::channel::<(u64, EmbeddingSet)>();
-        {
+        let builder = {
             let versioned = &versioned;
-            let publish_ms = &publish_ms;
             let ontology = Arc::clone(&ontology);
             let profiler_config = pipeline_config.profiler.clone();
             scope.spawn(move || {
+                let mut publish_ms = Vec::new();
                 for (seq, embeddings) in rx {
                     let t = Instant::now();
                     versioned.publish(ModelVersion::build(
@@ -275,20 +214,20 @@ fn run_live_updating(
                         Arc::clone(&ontology),
                         profiler_config.clone(),
                     ));
-                    publish_ms
-                        .lock()
-                        .expect("publish latency lock")
-                        .push(t.elapsed().as_secs_f64() * 1000.0);
+                    publish_ms.push(t.elapsed().as_secs_f64() * 1000.0);
                 }
-            });
-        }
+                publish_ms
+            })
+        };
 
         let mut engine = ServeEngine::with_versioned(
             serve_config,
             &versioned,
             run.threads.max(1),
-            Some(pipeline.blocklist()),
+            Some(blocklist),
         );
+        // The measured loop: a fresh stream at the calibrated gap until the
+        // simulated horizon.
         let wall_started = Instant::now();
         let mut ingest_time = Duration::ZERO;
         let mut latencies_ms: Vec<f64> = Vec::new();
@@ -298,6 +237,8 @@ fn run_live_updating(
             if r.t_ms > duration_ms {
                 break;
             }
+            // Borrowed hostname straight from the world table — the measured
+            // loop allocates nothing per request beyond the packets themselves.
             let packets = synth.packets_for_host(r.t_ms, r.user.0, world.hostname(r.host));
             for pkt in &packets {
                 let t = Instant::now();
@@ -322,10 +263,9 @@ fn run_live_updating(
                         // serving continues on the old version meanwhile.
                         model.update(buffer.sessions());
                         updates_applied += 1;
-                        let seq = next_seq;
-                        next_seq += 1;
-                        tx.send((seq, model.embeddings()))
+                        tx.send((next_seq, embeddings_of(&model)))
                             .expect("builder thread alive");
+                        next_seq += 1;
                     }
                 }
             }
@@ -335,7 +275,12 @@ fn run_live_updating(
             latencies_ms.push(tick.compute_micros as f64 / 1000.0);
         }
         ingest_time += t.elapsed();
-        drop(tx); // builder drains its queue and exits; scope joins it
+        let wall_seconds = wall_started.elapsed().as_secs_f64();
+        drop(tx); // the builder drains its queue and exits
+        let mut publish_latencies_ms = builder
+            .join()
+            .map_err(|_| "version builder panicked".to_string())?;
+        publish_latencies_ms.sort_by(|a, b| a.total_cmp(b));
         latencies_ms.sort_by(|a, b| a.total_cmp(b));
 
         Ok(LiveRunReport {
@@ -344,19 +289,13 @@ fn run_live_updating(
             late_dropped: engine.windower().late_dropped(),
             latencies_ms,
             ingest_seconds: ingest_time.as_secs_f64(),
-            wall_seconds: wall_started.elapsed().as_secs_f64(),
+            wall_seconds,
             updates_applied,
             base_vocab,
-            final_vocab: 0, // filled in below, after the builder joins
-            publish_latencies_ms: Vec::new(), // likewise
+            final_vocab: model.vocab().len(),
+            publish_latencies_ms,
         })
-    });
-    let mut report = report?;
-    report.final_vocab = model.vocab().len();
-    let mut publish = publish_ms.into_inner().expect("publish latency lock");
-    publish.sort_by(|a, b| a.total_cmp(b));
-    report.publish_latencies_ms = publish;
-    Ok(report)
+    })
 }
 
 #[cfg(test)]
@@ -364,8 +303,8 @@ mod tests {
     use super::*;
     use hostprof_synth::{PopulationConfig, WorldConfig};
 
-    #[test]
-    fn live_run_profiles_users_and_keeps_the_taxonomy_invariant() {
+    /// One tiny live run: 12 users, 30 simulated minutes at ~200 pkt/s.
+    fn tiny_run(update_every: Option<u64>) -> LiveRunReport {
         let world = World::generate(&WorldConfig::tiny());
         let population = Population::generate(
             &world,
@@ -374,21 +313,21 @@ mod tests {
                 ..PopulationConfig::tiny()
             },
         );
+        let run = LiveRunConfig {
+            seed: 7,
+            target_pps: 200.0,
+            duration_s: 1_800,
+            lanes: 2,
+            threads: 1,
+            update_every,
+        };
         let cfg = crate::scenario::ScenarioConfig::tiny().pipeline;
-        let report = run_live(
-            &world,
-            &population,
-            &cfg,
-            &LiveRunConfig {
-                seed: 7,
-                target_pps: 200.0,
-                duration_s: 1_800,
-                lanes: 2,
-                threads: 1,
-                update_every: None,
-            },
-        )
-        .expect("live run");
+        run_live(&world, &population, &cfg, &run).expect("live run")
+    }
+
+    #[test]
+    fn live_run_profiles_users_and_keeps_the_taxonomy_invariant() {
+        let report = tiny_run(None);
         assert!(report.stats.packets > 0);
         assert!(report.stats.observations > 0);
         assert!(report.stats.ticks > 0, "no report tick fired");
@@ -404,29 +343,7 @@ mod tests {
 
     #[test]
     fn updating_run_applies_updates_and_grows_the_vocab() {
-        let world = World::generate(&WorldConfig::tiny());
-        let population = Population::generate(
-            &world,
-            &PopulationConfig {
-                num_users: 12,
-                ..PopulationConfig::tiny()
-            },
-        );
-        let cfg = crate::scenario::ScenarioConfig::tiny().pipeline;
-        let report = run_live(
-            &world,
-            &population,
-            &cfg,
-            &LiveRunConfig {
-                seed: 7,
-                target_pps: 200.0,
-                duration_s: 1_800,
-                lanes: 2,
-                threads: 1,
-                update_every: Some(2),
-            },
-        )
-        .expect("updating live run");
+        let report = tiny_run(Some(2));
         assert!(report.stats.ticks > 0, "no report tick fired");
         assert!(report.stats.profiles_emitted > 0, "nobody got profiled");
         assert!(
@@ -453,35 +370,41 @@ mod tests {
     }
 
     #[test]
+    fn a_never_due_update_is_the_plain_run() {
+        // One loop: `None` and an update interval that never elapses must
+        // train the same base model (blocklist-filtered — the tiny world
+        // has trackers in its traffic) and serve the same stream.
+        let [plain, never] = [None, Some(u64::MAX)].map(tiny_run);
+        assert_eq!(plain.base_vocab, never.base_vocab);
+        assert_eq!(format!("{:?}", plain.stats), format!("{:?}", never.stats));
+        assert_eq!(plain.late_dropped, never.late_dropped);
+        assert_eq!(never.updates_applied, 0);
+        assert_eq!(never.final_vocab, never.base_vocab);
+    }
+
+    #[test]
     fn rejects_degenerate_configs() {
         let world = World::generate(&WorldConfig::tiny());
         let population = Population::generate(&world, &PopulationConfig::tiny());
         let cfg = crate::scenario::ScenarioConfig::tiny().pipeline;
+        let good = LiveRunConfig {
+            seed: 1,
+            target_pps: 100.0,
+            duration_s: 10,
+            lanes: 1,
+            threads: 1,
+            update_every: None,
+        };
         for bad in [
             LiveRunConfig {
-                seed: 1,
                 target_pps: 0.0,
-                duration_s: 10,
-                lanes: 1,
-                threads: 1,
-                update_every: None,
+                ..good
             },
             LiveRunConfig {
-                seed: 1,
-                target_pps: 100.0,
                 duration_s: 0,
-                lanes: 1,
-                threads: 1,
-                update_every: None,
+                ..good
             },
-            LiveRunConfig {
-                seed: 1,
-                target_pps: 100.0,
-                duration_s: 10,
-                lanes: 0,
-                threads: 1,
-                update_every: None,
-            },
+            LiveRunConfig { lanes: 0, ..good },
         ] {
             assert!(run_live(&world, &population, &cfg, &bad).is_err());
         }

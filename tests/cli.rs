@@ -210,6 +210,59 @@ fn unknown_options_fail_loudly() {
 }
 
 #[test]
+fn help_lists_every_flag_each_command_accepts() {
+    // The per-command allow-lists and USAGE are typed separately; the
+    // unknown-option error prints the former, `hostprof help` the latter.
+    let help = stdout(&hostprof(&["help"]));
+    for mode in [
+        &["train"][..],
+        &["similar"],
+        &["profile"],
+        &["observe"],
+        &["replay", "--capture", "x"],
+        &["replay", "--golden", "x"],
+        &["defend"],
+        &["serve"],
+        &["serve", "--golden", "x"],
+        &["experiment"],
+    ] {
+        // The command's USAGE entries: its `hostprof <cmd>` lines plus
+        // their indented continuations.
+        let mut usage = String::new();
+        let mut mine = false;
+        for line in help.lines() {
+            if let Some(entry) = line.strip_prefix("  hostprof ") {
+                mine = entry.split_whitespace().next() == Some(mode[0]);
+            }
+            if mine {
+                usage.push_str(line);
+                usage.push('\n');
+            }
+        }
+        let out = hostprof(&[mode, &["--no-such-flag"]].concat());
+        assert!(!out.status.success(), "{mode:?}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        let accepted = err
+            .split_once("expected one of: ")
+            .unwrap_or_else(|| panic!("{mode:?}: no flag list in: {err}"))
+            .1;
+        let accepted = accepted.split(')').next().unwrap();
+        for flag in accepted.split(", ") {
+            assert!(flag.starts_with("--"), "{mode:?}: odd flag '{flag}'");
+            // Match `--flag` followed by a non-name character, so `--seed`
+            // does not hide behind `--seed-base`-style neighbours.
+            let listed = usage.match_indices(flag).any(|(i, _)| {
+                !usage[i + flag.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '-')
+            });
+            assert!(
+                listed,
+                "{mode:?} accepts {flag} but USAGE omits it:\n{usage}"
+            );
+        }
+    }
+}
+
+#[test]
 fn serve_live_smoke() {
     let out = hostprof(&[
         "serve",

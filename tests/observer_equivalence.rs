@@ -18,7 +18,7 @@ fn small_scenario() -> Scenario {
 fn observed_sessions_profile_identically_to_ground_truth_sessions() {
     let s = small_scenario();
     let scenario = ObserverScenario::per_user();
-    let observed = ObservedTrace::capture(&s.world, &s.trace, &scenario);
+    let observed = ObservedTrace::capture(&s.world, &s.trace, &scenario, None);
 
     let pipeline = s.pipeline();
     let embeddings = pipeline
@@ -76,10 +76,10 @@ fn observed_sessions_profile_identically_to_ground_truth_sessions() {
 #[test]
 fn a_model_trained_on_observed_data_is_usable() {
     let s = small_scenario();
-    let observed = ObservedTrace::capture(&s.world, &s.trace, &ObserverScenario::per_user());
+    let observed = ObservedTrace::capture(&s.world, &s.trace, &ObserverScenario::per_user(), None);
     let pipeline = s.pipeline();
     let embeddings = pipeline
-        .train_model(&observed.observed_sequences())
+        .train_model(&observed.observed_sequences(u64::MAX))
         .expect("observed corpus trains");
     // The observed vocabulary covers the same non-blocked hostname set.
     let truth_model = pipeline
@@ -103,8 +103,8 @@ fn nat_mixing_degrades_profile_specificity() {
 
     let clean = ObserverScenario::per_user();
     let nat = ObserverScenario::behind_nat(5);
-    let obs_clean = ObservedTrace::capture(&s.world, &s.trace, &clean);
-    let obs_nat = ObservedTrace::capture(&s.world, &s.trace, &nat);
+    let obs_clean = ObservedTrace::capture(&s.world, &s.trace, &clean, None);
+    let obs_nat = ObservedTrace::capture(&s.world, &s.trace, &nat, None);
 
     // Compare the accuracy of user 0's profile when their traffic is
     // isolated vs mixed with 4 other users.

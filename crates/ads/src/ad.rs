@@ -6,7 +6,6 @@
 //! size (replacement requires a size match, Section 5.3) and a landing
 //! page whose categories describe what the ad sells.
 
-use crate::network::ServedAdKind;
 use hostprof_ontology::CategoryVector;
 use hostprof_synth::{HostId, HostKind, World};
 use rand::{Rng, SeedableRng};
@@ -83,13 +82,6 @@ pub struct Ad {
     /// How prominent the advertiser is; premium campaigns draw from the
     /// popular end.
     pub weight: f64,
-}
-
-impl Ad {
-    /// Convenience: the served-ad record for bookkeeping.
-    pub fn served(&self, kind: ServedAdKind) -> (AdId, ServedAdKind) {
-        (self.id, kind)
-    }
 }
 
 /// Outcome of the collection-phase harvest (Section 5.2: ads "were

@@ -22,7 +22,7 @@ use crate::eavesdropper::{EavesdropperSelector, SelectorConfig};
 use crate::network::{AdNetwork, AdNetworkConfig};
 use hostprof_core::{Pipeline, PipelineConfig, Session, SessionProfile};
 use hostprof_ontology::CategoryVector;
-use hostprof_synth::trace::DAY_MS;
+use hostprof_synth::trace::{span_range, window_range, DAY_MS};
 use hostprof_synth::{HostKind, Population, Trace, World};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -201,10 +201,9 @@ impl ObservedView {
         let end = start + DAY_MS;
         let mut out = Vec::new();
         for seq in self.timelines.values() {
-            let lo = seq.partition_point(|&(t, _)| t < start);
-            let hi = seq.partition_point(|&(t, _)| t < end);
-            if lo < hi {
-                out.push(seq[lo..hi].iter().map(|(_, h)| h.as_str()).collect());
+            let span = span_range(seq, |&(t, _)| t, start, end);
+            if !span.is_empty() {
+                out.push(seq[span].iter().map(|(_, h)| h.as_str()).collect());
             }
         }
         out
@@ -220,13 +219,10 @@ impl ObservedView {
         let Some(seq) = self.timelines.get(&ip) else {
             return Vec::new();
         };
-        let lo = match end_ms.checked_sub(duration_ms) {
-            None => 0,
-            Some(0) if duration_ms > 0 => 0,
-            Some(start) => seq.partition_point(|&(t, _)| t <= start),
-        };
-        let hi = seq.partition_point(|&(t, _)| t <= end_ms);
-        seq[lo..hi].iter().map(|(_, h)| h.as_str()).collect()
+        seq[window_range(seq, |&(t, _)| t, end_ms, duration_ms)]
+            .iter()
+            .map(|(_, h)| h.as_str())
+            .collect()
     }
 }
 
@@ -343,8 +339,7 @@ impl<'a> CtrExperiment<'a> {
             // Replay the day's requests in time order.
             let start = day as u64 * DAY_MS;
             let end = start + DAY_MS;
-            let lo = requests.partition_point(|r| r.t_ms < start);
-            let hi = requests.partition_point(|r| r.t_ms < end);
+            let today = &requests[span_range(requests, |r| r.t_ms, start, end)];
 
             // Pre-pass: the report cadence depends only on request times,
             // never on the RNG, so the day's due reports are known up
@@ -365,7 +360,7 @@ impl<'a> CtrExperiment<'a> {
                         scheduled.extend(batch.profile_sessions(pending));
                         pending.clear();
                     };
-                for r in &requests[lo..hi] {
+                for r in today {
                     let host = self.world.host(r.host);
                     if !matches!(host.kind, HostKind::Site | HostKind::Core) {
                         continue;
@@ -401,7 +396,7 @@ impl<'a> CtrExperiment<'a> {
                     flush(&mut pending, &mut scheduled);
                 }
             }
-            for r in &requests[lo..hi] {
+            for r in today {
                 let host = self.world.host(r.host);
                 let day_idx = day as usize;
 
@@ -527,45 +522,6 @@ pub fn to_percent_shares(daily: &[Vec<f64>]) -> Vec<Vec<f64>> {
             }
         })
         .collect()
-}
-
-/// Per-user profile-accuracy validation against ground truth: mean
-/// cosine between each profiled session's categories and the user's
-/// ground-truth interests, measured over `sample_users` users on one day.
-pub fn mean_profile_accuracy(
-    world: &World,
-    population: &Population,
-    trace: &Trace,
-    pipeline: &Pipeline,
-    day: u32,
-    sample_users: usize,
-) -> Option<f64> {
-    let sequences: Vec<Vec<&str>> = trace
-        .daily_sequences(day.checked_sub(1)?)
-        .into_iter()
-        .map(|(_, seq)| seq.into_iter().map(|h| world.hostname(h)).collect())
-        .collect();
-    let embeddings = pipeline.train_model(&sequences).ok()?;
-    let profiler = pipeline.profiler(&embeddings, world.ontology());
-
-    let mut acc = 0f64;
-    let mut n = 0usize;
-    for user in population.users().iter().take(sample_users) {
-        // Profile the user's last session of the day.
-        let reqs: Vec<_> = trace
-            .user_requests(user.id)
-            .filter(|r| r.t_ms >= day as u64 * DAY_MS && r.t_ms < (day as u64 + 1) * DAY_MS)
-            .collect();
-        let Some(last) = reqs.last() else { continue };
-        let window = trace.window(user.id, last.t_ms, pipeline.config().session_window_ms());
-        let hostnames: Vec<&str> = window.iter().map(|h| world.hostname(*h)).collect();
-        let session = Session::from_window(hostnames.iter().copied(), Some(pipeline.blocklist()));
-        if let Some(profile) = profiler.profile(&session) {
-            acc += hostprof_core::profile_accuracy(&profile.categories, &user.interests) as f64;
-            n += 1;
-        }
-    }
-    (n > 0).then(|| acc / n as f64)
 }
 
 #[cfg(test)]
@@ -707,35 +663,5 @@ mod tests {
         assert_eq!(plain.replaced, viewed.replaced);
         assert_eq!(plain.profiles, viewed.profiles);
         assert_eq!(plain.daily_topics_eaves, viewed.daily_topics_eaves);
-    }
-
-    #[test]
-    fn profile_accuracy_helper_returns_a_valid_cosine() {
-        let world = World::generate(&WorldConfig::tiny());
-        let pop = Population::generate(&world, &PopulationConfig::tiny());
-        let trace = Trace::generate(
-            &world,
-            &pop,
-            &TraceConfig {
-                days: 2,
-                ..TraceConfig::tiny()
-            },
-        );
-        let pipeline = Pipeline::new(
-            PipelineConfig {
-                skipgram: SkipGramConfig {
-                    epochs: 3,
-                    dim: 24,
-                    subsample: 0.0,
-                    ..SkipGramConfig::default()
-                },
-                ..PipelineConfig::default()
-            },
-            world.blocklist().clone(),
-        );
-        let acc = mean_profile_accuracy(&world, &pop, &trace, &pipeline, 1, 10)
-            .expect("some sessions profiled");
-        assert!((0.0..=1.0).contains(&acc));
-        assert!(acc > 0.05, "profiles carry signal: {acc}");
     }
 }

@@ -70,12 +70,8 @@ fn parse_args() -> Result<Args, String> {
     while i < argv.len() {
         match argv[i].as_str() {
             "--scale" => {
-                args.scale = match value(&mut i, "--scale")?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "default" | "full" => Scale::Default,
-                    other => return Err(format!("unknown scale {other:?}\n{USAGE}")),
-                }
+                args.scale =
+                    Scale::named(&value(&mut i, "--scale")?).map_err(|e| format!("{e}\n{USAGE}"))?
             }
             "--seed" => {
                 args.seed = value(&mut i, "--seed")?
@@ -112,7 +108,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let scale = if args.smoke { Scale::Tiny } else { args.scale };
+    let scale = if args.smoke {
+        Scale::named("tiny").expect("tiny is a preset")
+    } else {
+        args.scale
+    };
     let mut cfg = scale.scenario();
     // The CTR stage re-runs the whole ad experiment per sweep point; a
     // 4-day trace (2 training + 2 ad days) keeps the full 6-axis sweep

@@ -7,8 +7,9 @@
 //! Every binary:
 //!
 //! * honors `HOSTPROF_SCALE` = `tiny` | `small` | `default` (default:
-//!   `small`) so the same code runs in seconds for smoke tests and at full
-//!   scale for the recorded results;
+//!   `small`; the names are `ScenarioConfig::named`'s) so the same code
+//!   runs in seconds for smoke tests and at full scale for the recorded
+//!   results;
 //! * prints a human-readable report that mirrors what the paper's figure
 //!   or table shows;
 //! * writes machine-readable JSON to `results/<experiment>.json` so
@@ -20,43 +21,40 @@ use hostprof::scenario::ScenarioConfig;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 
-/// Scale selected via the `HOSTPROF_SCALE` environment variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Seconds-fast smoke scale.
-    Tiny,
-    /// Minutes-fast evaluation scale (the recorded EXPERIMENTS.md runs).
-    Small,
-    /// The full laptop-scale model of the paper's deployment.
-    Default,
+/// A named scenario scale: `tiny` for seconds-fast smoke runs, `small`
+/// for the recorded EXPERIMENTS.md runs, `default` for the full
+/// laptop-scale model of the paper's deployment.
+#[derive(Debug, Clone)]
+pub struct Scale {
+    name: String,
+    config: ScenarioConfig,
 }
 
 impl Scale {
-    /// Read `HOSTPROF_SCALE`, defaulting to [`Scale::Small`].
+    /// The scale `ScenarioConfig::named` knows as `name`.
+    pub fn named(name: &str) -> Result<Self, String> {
+        Ok(Self {
+            name: name.to_string(),
+            config: ScenarioConfig::named(name)?,
+        })
+    }
+
+    /// Read `HOSTPROF_SCALE`; unset or unknown means `small`.
     pub fn from_env() -> Self {
-        match std::env::var("HOSTPROF_SCALE").as_deref() {
-            Ok("tiny") => Scale::Tiny,
-            Ok("default") | Ok("full") => Scale::Default,
-            _ => Scale::Small,
-        }
+        std::env::var("HOSTPROF_SCALE")
+            .ok()
+            .and_then(|name| Self::named(&name).ok())
+            .unwrap_or_else(|| Self::named("small").expect("small is a preset"))
     }
 
     /// The scenario configuration for this scale.
-    pub fn scenario(self) -> ScenarioConfig {
-        match self {
-            Scale::Tiny => ScenarioConfig::tiny(),
-            Scale::Small => ScenarioConfig::small(),
-            Scale::Default => ScenarioConfig::paper_month(),
-        }
+    pub fn scenario(&self) -> ScenarioConfig {
+        self.config.clone()
     }
 
     /// Human label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Scale::Tiny => "tiny",
-            Scale::Small => "small",
-            Scale::Default => "default",
-        }
+    pub fn label(&self) -> &str {
+        &self.name
     }
 }
 
@@ -128,9 +126,11 @@ mod tests {
     fn scale_parses_env_values() {
         // from_env reads the process env; just check the mapping logic via
         // scenario shapes.
-        assert_eq!(Scale::Tiny.scenario().trace.days, 2);
-        assert_eq!(Scale::Small.scenario().trace.days, 12);
-        assert_eq!(Scale::Default.scenario().trace.days, 30);
+        let days = |name| Scale::named(name).unwrap().scenario().trace.days;
+        assert_eq!(days("tiny"), 2);
+        assert_eq!(days("small"), 12);
+        assert_eq!(days("default"), 30);
+        assert!(Scale::named("huge").is_err());
     }
 
     #[test]

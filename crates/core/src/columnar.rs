@@ -31,11 +31,6 @@ impl<'a, T: TraceAccess> SessionSource<'a, T> {
         }
     }
 
-    /// The underlying trace.
-    pub fn trace(&self) -> &T {
-        self.trace
-    }
-
     /// The session ending at `user`'s last request of `day` — the batch
     /// pipeline's anchor rule. `None` when the user was idle that day;
     /// `scratch` is caller-provided so a sweep over a million users
@@ -94,6 +89,7 @@ impl<'a, T: TraceAccess> SessionSource<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hostprof_store::{span_range, window_range};
 
     /// A hand-built TraceAccess: two users, fixed events.
     struct Fixed {
@@ -115,25 +111,14 @@ mod tests {
             self.names[host as usize]
         }
         fn window_hosts(&self, user: u32, end_ms: u64, duration_ms: u64, out: &mut Vec<u32>) {
-            let lo = end_ms.saturating_sub(duration_ms);
-            for &(t, h) in &self.events[user as usize] {
-                let in_lo = match end_ms.checked_sub(duration_ms) {
-                    None => true,
-                    Some(0) if duration_ms > 0 => true,
-                    Some(start) => t > start,
-                };
-                let _ = lo;
-                if in_lo && t <= end_ms {
-                    out.push(h);
-                }
-            }
+            let events = &self.events[user as usize];
+            let window = window_range(events, |&(t, _)| t, end_ms, duration_ms);
+            out.extend(events[window].iter().map(|&(_, h)| h));
         }
         fn span_hosts(&self, user: u32, start_ms: u64, end_ms: u64, out: &mut Vec<u32>) {
-            for &(t, h) in &self.events[user as usize] {
-                if t >= start_ms && t < end_ms {
-                    out.push(h);
-                }
-            }
+            let events = &self.events[user as usize];
+            let span = span_range(events, |&(t, _)| t, start_ms, end_ms);
+            out.extend(events[span].iter().map(|&(_, h)| h));
         }
         fn last_time_in(&self, user: u32, start_ms: u64, end_ms: u64) -> Option<u64> {
             self.events[user as usize]

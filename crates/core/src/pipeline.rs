@@ -28,11 +28,6 @@ pub struct PipelineConfig {
     pub session_minutes: u64,
     /// Extension report interval in minutes (paper: 10).
     pub report_minutes: u64,
-    /// Mean-center the trained embeddings ("all-but-the-top" step 1).
-    /// Laptop-scale corpora develop a strong common direction that
-    /// flattens Eq. 3's α-weights; centering restores contrast. Corpora at
-    /// the paper's scale don't need it, but it never hurts.
-    pub center_embeddings: bool,
 }
 
 impl Default for PipelineConfig {
@@ -42,7 +37,6 @@ impl Default for PipelineConfig {
             profiler: ProfilerConfig::default(),
             session_minutes: 20,
             report_minutes: 10,
-            center_embeddings: true,
         }
     }
 }
@@ -84,7 +78,11 @@ impl Pipeline {
     }
 
     /// Train one day's model from the previous day's per-user hostname
-    /// sequences. Tracker hostnames are filtered out first.
+    /// sequences. Tracker hostnames are filtered out first, and the
+    /// trained embeddings are mean-centered ("all-but-the-top" step 1):
+    /// laptop-scale corpora develop a strong common direction that
+    /// flattens Eq. 3's α-weights, and centering restores contrast.
+    /// Corpora at the paper's scale don't need it, but it never hurts.
     pub fn train_model<S: AsRef<str>>(&self, sequences: &[Vec<S>]) -> Result<EmbeddingSet, String> {
         self.train_model_with_stats(sequences).map(|(emb, _)| emb)
     }
@@ -108,13 +106,7 @@ impl Pipeline {
             .collect();
         let model = SkipGram::train(&filtered, &self.config.skipgram)?;
         let stats = *model.train_stats();
-        let embeddings = model.into_embeddings();
-        let embeddings = if self.config.center_embeddings {
-            embeddings.centered()
-        } else {
-            embeddings
-        };
-        Ok((embeddings, stats))
+        Ok((model.into_embeddings().centered(), stats))
     }
 
     /// A profiler bound to a trained model and an ontology.
@@ -206,6 +198,20 @@ mod tests {
             "{:?}",
             prof.categories
         );
+    }
+
+    #[test]
+    fn config_json_from_before_centering_became_unconditional_still_loads() {
+        // `PipelineConfig::default()` as the last commit with the field
+        // serialized it.
+        let old = r#"{"skipgram":{"dim":100,"window":2,"negatives":5,"epochs":5,
+            "learning_rate":0.02500000037252903,"min_count":1,"subsample":0.001,
+            "threads":1,"seed":1592648894,"kernel":"auto"},
+            "profiler":{"n_neighbors":1000,"aggregation":"Mean","index":"Exact"},
+            "session_minutes":20,"report_minutes":10,"center_embeddings":true}"#;
+        let c: PipelineConfig = serde_json::from_str(old).expect("stale field is ignored");
+        assert_eq!((c.session_minutes, c.report_minutes), (20, 10));
+        assert_eq!(c.profiler.n_neighbors, 1000);
     }
 
     #[test]

@@ -299,11 +299,6 @@ impl<'a> Profiler<'a> {
         self.prepared().index.as_ref()
     }
 
-    /// Number of labeled hosts that are also in vocabulary.
-    pub fn labeled_in_vocabulary(&self) -> usize {
-        self.prepared().labeled_by_idx.len()
-    }
-
     /// Category vector of the labeled host at vocab index `idx`, if any.
     #[inline]
     fn labeled_for(&self, idx: u32) -> Option<&CategoryVector> {
@@ -713,7 +708,7 @@ mod tests {
     fn labeled_in_vocabulary_counts_intersection() {
         let (e, o) = setup();
         let p = Profiler::new(&e, &o, ProfilerConfig::default());
-        assert_eq!(p.labeled_in_vocabulary(), 2);
+        assert_eq!(p.prepared().labeled_by_idx.len(), 2);
     }
 
     #[test]

@@ -341,11 +341,6 @@ impl IncrementalWindower {
         self.interner.len()
     }
 
-    /// Heap footprint of the hostname table, in bytes.
-    pub fn interned_table_bytes(&self) -> usize {
-        self.interner.heap_bytes()
-    }
-
     /// Events currently buffered across all users.
     pub fn resident_events(&self) -> usize {
         self.resident_events
@@ -354,21 +349,6 @@ impl IncrementalWindower {
     /// High-water mark of [`resident_events`](Self::resident_events).
     pub fn peak_resident_events(&self) -> usize {
         self.peak_resident_events
-    }
-
-    /// Users currently tracked.
-    pub fn tracked_users(&self) -> usize {
-        self.users.len()
-    }
-
-    /// Users with activity not yet covered by a closed tick.
-    pub fn dirty_users(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// Boundary of the last closed tick, if any.
-    pub fn closed_through(&self) -> Option<u64> {
-        self.closed_through
     }
 
     /// Earliest event not yet covered by a closed tick, across all dirty
@@ -777,11 +757,6 @@ impl<'a> ServeEngine<'a> {
     /// The windower, for inspection (late drops, resident events).
     pub fn windower(&self) -> &IncrementalWindower {
         &self.windower
-    }
-
-    /// Lane count.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
     }
 
     /// Observer counters merged across every lane; the taxonomy invariant

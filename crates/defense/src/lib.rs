@@ -95,38 +95,6 @@ impl Defense {
         }
     }
 
-    /// The swept intensity as a plain number (fractions stay 0–1).
-    pub fn intensity(&self) -> f64 {
-        match *self {
-            Defense::Ech { adoption } => adoption,
-            Defense::Dummy { rate } => rate,
-            Defense::PadConstant { pad_per_event } => pad_per_event as f64,
-            Defense::PadAdaptive { intensity } => intensity,
-            Defense::Nat { users_per_ip } => users_per_ip as f64,
-            Defense::Doh { adoption } => adoption,
-        }
-    }
-
-    /// The same defense at a different point on its sweep axis.
-    pub fn at(&self, intensity: f64) -> Defense {
-        match self {
-            Defense::Ech { .. } => Defense::Ech {
-                adoption: intensity,
-            },
-            Defense::Dummy { .. } => Defense::Dummy { rate: intensity },
-            Defense::PadConstant { .. } => Defense::PadConstant {
-                pad_per_event: intensity.round().max(0.0) as u32,
-            },
-            Defense::PadAdaptive { .. } => Defense::PadAdaptive { intensity },
-            Defense::Nat { .. } => Defense::Nat {
-                users_per_ip: intensity.round().max(1.0) as u32,
-            },
-            Defense::Doh { .. } => Defense::Doh {
-                adoption: intensity,
-            },
-        }
-    }
-
     /// True at the sweep point where the defense is a no-op.
     pub fn is_identity(&self) -> bool {
         match *self {
@@ -324,15 +292,9 @@ impl DefensePlan {
         }
     }
 
-    /// Decoy/cover events injected after one real event. Offsets are
-    /// strictly forward in time so padding can never reorder or shadow
-    /// the real observation it covers.
-    pub fn injected(&self, t_ms: u64, client: u32, hostname: &str) -> Vec<RequestEvent> {
-        let mut out = Vec::new();
-        self.injected_into(t_ms, client, hostname, &mut out);
-        out
-    }
-
+    /// Append the decoy/cover events injected after one real event.
+    /// Offsets are strictly forward in time so padding can never reorder
+    /// or shadow the real observation it covers.
     fn injected_into(&self, t_ms: u64, client: u32, hostname: &str, out: &mut Vec<RequestEvent>) {
         let n = self.catalog.len();
         if n == 0 {

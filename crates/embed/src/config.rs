@@ -1,23 +1,22 @@
 //! Training hyperparameters.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
-/// Which inner-loop kernel [`crate::SkipGram`] trains with.
+/// Which inner-loop kernel [`crate::SkipGram`] trains with: the
+/// production path, or the reference the oracle compares it against.
 ///
 /// `Auto` (the default) takes the fused SIMD path — AVX2+FMA when the CPU
 /// has it, the portable unrolled fallback otherwise. `Scalar` forces the
 /// reference loop with strict sequential float order; paired with
 /// `threads = 1` it is the bit-determinism contract the test-suite pins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 #[serde(rename_all = "lowercase")]
 pub enum KernelChoice {
-    /// Pick the best available kernel.
+    /// The fused SIMD kernels (portable fallback off AVX2 hardware).
     #[default]
     Auto,
     /// The reference scalar loop.
     Scalar,
-    /// The fused SIMD kernels (portable fallback off AVX2 hardware).
-    Simd,
 }
 
 impl std::str::FromStr for KernelChoice {
@@ -26,9 +25,19 @@ impl std::str::FromStr for KernelChoice {
         match s {
             "auto" => Ok(Self::Auto),
             "scalar" => Ok(Self::Scalar),
-            "simd" => Ok(Self::Simd),
-            other => Err(format!("unknown kernel '{other}' (auto|scalar|simd)")),
+            other => Err(format!("unknown kernel '{other}' (auto|scalar)")),
         }
+    }
+}
+
+/// Config files name the kernel the way `--kernel` does, and get the same
+/// error for a name that is not one.
+impl Deserialize for KernelChoice {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        v.as_str()
+            .ok_or_else(|| DeError::expected("a kernel name", "KernelChoice"))?
+            .parse()
+            .map_err(DeError::custom)
     }
 }
 
@@ -55,7 +64,7 @@ pub struct SkipGramConfig {
     pub threads: usize,
     /// RNG seed (initialization and sampling).
     pub seed: u64,
-    /// Inner-loop kernel (`auto` | `scalar` | `simd`).
+    /// Inner-loop kernel (`auto` | `scalar`).
     #[serde(default)]
     pub kernel: KernelChoice,
 }
@@ -130,7 +139,6 @@ mod tests {
     fn kernel_parses_and_defaults() {
         assert_eq!("auto".parse::<KernelChoice>(), Ok(KernelChoice::Auto));
         assert_eq!("scalar".parse::<KernelChoice>(), Ok(KernelChoice::Scalar));
-        assert_eq!("simd".parse::<KernelChoice>(), Ok(KernelChoice::Simd));
         assert!("avx512".parse::<KernelChoice>().is_err());
         let c = SkipGramConfig::default();
         assert_eq!(c.kernel, KernelChoice::Auto);
@@ -138,12 +146,26 @@ mod tests {
 
     #[test]
     fn config_json_from_before_sharding_was_removed_still_loads() {
-        let old = r#"{"dim":64,"window":2,"negatives":5,"epochs":3,"learning_rate":0.025,
-            "min_count":1,"subsample":0.001,"threads":2,"seed":7,
-            "kernel":"simd","sharding":"balanced"}"#;
-        let c: SkipGramConfig = serde_json::from_str(old).expect("stale field is ignored");
-        assert_eq!((c.dim, c.epochs, c.threads, c.seed), (64, 3, 2, 7));
-        assert_eq!(c.kernel, KernelChoice::Simd);
+        let old = |kernel: &str| {
+            format!(
+                r#"{{"dim":64,"window":2,"negatives":5,"epochs":3,"learning_rate":0.025,
+                "min_count":1,"subsample":0.001,"threads":2,"seed":7,
+                "kernel":"{kernel}","sharding":"balanced"}}"#
+            )
+        };
+        for (name, kernel) in [
+            ("auto", KernelChoice::Auto),
+            ("scalar", KernelChoice::Scalar),
+        ] {
+            let c: SkipGramConfig =
+                serde_json::from_str(&old(name)).expect("stale field is ignored");
+            assert_eq!((c.dim, c.epochs, c.threads, c.seed), (64, 3, 2, 7));
+            assert_eq!(c.kernel, kernel);
+        }
+        // `simd` was what `auto` resolves to; it is refused the way
+        // `--kernel simd` is.
+        let err = serde_json::from_str::<SkipGramConfig>(&old("simd")).unwrap_err();
+        assert_eq!(err.to_string(), "unknown kernel 'simd' (auto|scalar)");
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Trained embeddings and similarity queries.
 //!
-//! After training, the profiler needs three operations (paper Section 4.1):
-//! aggregate a session's hostname vectors into a session vector
-//! ([`EmbeddingSet::mean_vector`]), find the `N = 1000` hostnames most
-//! similar to it by cosine ([`EmbeddingSet::nearest_to_vector`]), and score
-//! individual hostnames against the session ([`EmbeddingSet::cosine_to`]).
+//! After training, the profiler aggregates a session's hostname vectors
+//! ([`EmbeddingSet::vector`]) into a session vector and needs one query
+//! (paper Section 4.1): the `N = 1000` hostnames most similar to it by
+//! cosine ([`EmbeddingSet::nearest_to_vector`]), each with that cosine.
 
 use crate::index::{ExactScan, NnIndex};
 use crate::knn::KnnScratch;
@@ -155,41 +154,6 @@ impl EmbeddingSet {
         dot(va, vb) / denom
     }
 
-    /// Cosine between an arbitrary query vector and an indexed token.
-    pub fn cosine_to(&self, query: &[f32], idx: u32) -> f32 {
-        debug_assert_eq!(query.len(), self.dim);
-        let qn = dot(query, query).sqrt();
-        let denom = qn * self.norms[idx as usize];
-        if denom <= f32::EPSILON {
-            return 0.0;
-        }
-        dot(query, self.vector_by_index(idx)) / denom
-    }
-
-    /// The aggregation function `g`: element-wise mean of the vectors of
-    /// the known tokens in `tokens`. Returns `None` when no token is in
-    /// vocabulary (the paper's `s_u^T` cannot be empty; callers decide how
-    /// to handle sessions the eavesdropper cannot embed).
-    pub fn mean_vector<'a, I: IntoIterator<Item = &'a str>>(&self, tokens: I) -> Option<Vec<f32>> {
-        let mut acc = vec![0f32; self.dim];
-        let mut n = 0usize;
-        for t in tokens {
-            if let Some(v) = self.vector(t) {
-                for (a, x) in acc.iter_mut().zip(v) {
-                    *a += x;
-                }
-                n += 1;
-            }
-        }
-        if n == 0 {
-            return None;
-        }
-        for a in &mut acc {
-            *a /= n as f32;
-        }
-        Some(acc)
-    }
-
     /// Unit-norm row matrix (zero rows stay zero), for index kernels.
     pub(crate) fn unit_rows(&self) -> &[f32] {
         &self.unit
@@ -250,11 +214,6 @@ impl EmbeddingSet {
     /// tile. Zero-norm queries produce empty result rows. Output is
     /// bit-for-bit identical to calling the single-query path per query —
     /// both run the same kernel with the same per-pair operations.
-    pub fn nearest_to_vectors(&self, queries: &[Vec<f32>], n: usize) -> Vec<Vec<(u32, f32)>> {
-        LOCAL_SCRATCH.with(|s| self.nearest_to_vectors_with(queries, n, &mut s.borrow_mut()))
-    }
-
-    /// [`Self::nearest_to_vectors`] with caller-owned scratch.
     pub fn nearest_to_vectors_with(
         &self,
         queries: &[Vec<f32>],
@@ -332,60 +291,12 @@ impl EmbeddingSet {
         Self::new(self.dim, self.vocab, self.vectors)
     }
 
-    /// Analogy query: `a` is to `b` as `c` is to … — solved as the tokens
-    /// nearest to `vec(b) − vec(a) + vec(c)` (excluding the three query
-    /// tokens). A standard embedding-space sanity probe: in a well-trained
-    /// hostname space, "news-site : news-CDN :: shop-site : shop-CDN"-style
-    /// relations hold approximately.
-    pub fn analogy(&self, a: &str, b: &str, c: &str, n: usize) -> Vec<(String, f32)> {
-        LOCAL_SCRATCH.with(|s| self.analogy_with(a, b, c, n, &mut s.borrow_mut()))
-    }
-
-    /// [`Self::analogy`] with caller-owned scratch.
-    pub fn analogy_with(
-        &self,
-        a: &str,
-        b: &str,
-        c: &str,
-        n: usize,
-        scratch: &mut KnnScratch,
-    ) -> Vec<(String, f32)> {
-        let (Some(va), Some(vb), Some(vc)) = (self.vector(a), self.vector(b), self.vector(c))
-        else {
-            return Vec::new();
-        };
-        let query: Vec<f32> = va
-            .iter()
-            .zip(vb)
-            .zip(vc)
-            .map(|((x, y), z)| y - x + z)
-            .collect();
-        let exclude: [Option<u32>; 3] = [self.vocab.get(a), self.vocab.get(b), self.vocab.get(c)];
-        self.nearest_to_vector_with(&query, n + 3, scratch)
-            .into_iter()
-            .filter(|(i, _)| !exclude.contains(&Some(*i)))
-            .take(n)
-            .map(|(i, s)| (self.vocab.token(i).to_string(), s))
-            .collect()
-    }
-
     /// The `n` tokens most similar to `token` (token itself excluded).
     pub fn most_similar(&self, token: &str, n: usize) -> Vec<(String, f32)> {
-        LOCAL_SCRATCH.with(|s| self.most_similar_with(token, n, &mut s.borrow_mut()))
-    }
-
-    /// [`Self::most_similar`] with caller-owned scratch.
-    pub fn most_similar_with(
-        &self,
-        token: &str,
-        n: usize,
-        scratch: &mut KnnScratch,
-    ) -> Vec<(String, f32)> {
         let Some(idx) = self.vocab.get(token) else {
             return Vec::new();
         };
-        let query = self.vector_by_index(idx).to_vec();
-        self.nearest_to_vector_with(&query, n + 1, scratch)
+        self.nearest_to_vector(self.vector_by_index(idx), n + 1)
             .into_iter()
             .filter(|(i, _)| *i != idx)
             .take(n)
@@ -438,15 +349,6 @@ mod tests {
         assert!(sims[0].0.starts_with('a'));
         assert!(sims[1].0.starts_with('a'));
         assert!(sims[0].1 >= sims[1].1);
-    }
-
-    #[test]
-    fn mean_vector_averages_known_tokens() {
-        let e = toy();
-        let m = e.mean_vector(["a0", "b0", "unknown"]).unwrap();
-        assert!((m[0] - 0.5).abs() < 1e-6);
-        assert!((m[1] - 0.5).abs() < 1e-6);
-        assert!(e.mean_vector(["nope", "nada"]).is_none());
     }
 
     #[test]
@@ -504,28 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn analogy_solves_the_parallelogram() {
-        // Build vectors where b - a == d - c exactly.
-        let seqs = vec![vec!["a", "b", "c", "d", "e"]];
-        let vocab = Vocab::build(seqs, 1, 0.0);
-        let mut vectors = vec![0f32; vocab.len() * 2];
-        let mut set = |name: &str, v: [f32; 2]| {
-            let i = vocab.get(name).unwrap() as usize;
-            vectors[i * 2] = v[0];
-            vectors[i * 2 + 1] = v[1];
-        };
-        set("a", [1.0, 0.0]);
-        set("b", [1.0, 1.0]); // b = a + (0,1)
-        set("c", [2.0, 0.1]);
-        set("d", [2.0, 1.1]); // d = c + (0,1)
-        set("e", [-1.0, -1.0]);
-        let emb = EmbeddingSet::new(2, vocab, vectors);
-        let result = emb.analogy("a", "b", "c", 1);
-        assert_eq!(result[0].0, "d", "{result:?}");
-        assert!(emb.analogy("a", "b", "missing", 1).is_empty());
-    }
-
-    #[test]
     fn serde_roundtrip_preserves_queries() {
         let e = toy();
         let json = serde_json::to_string(&e).unwrap();
@@ -577,7 +457,7 @@ mod tests {
             vec![-1.0, 0.2],
         ];
         for n in [0, 1, 2, 100] {
-            let batched = e.nearest_to_vectors(&queries, n);
+            let batched = e.nearest_to_vectors_with(&queries, n, &mut KnnScratch::new());
             assert_eq!(batched.len(), queries.len());
             for (q, batch_row) in queries.iter().zip(&batched) {
                 let single = e.nearest_to_vector(q, n);

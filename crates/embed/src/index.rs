@@ -327,11 +327,6 @@ impl IvfFlat {
         self.nprobe
     }
 
-    /// Indexed (non-zero) row count.
-    pub fn indexed_rows(&self) -> usize {
-        self.list_rows.len()
-    }
-
     /// Clone of this index probing `nprobe` lists instead — lists and
     /// centroids are shared work, so sweeps reuse one build.
     pub fn with_nprobe(&self, nprobe: usize) -> Self {
@@ -549,7 +544,7 @@ mod tests {
         let vectors = vec![1.0f32, 0.5, 0.0, 0.0]; // z.com is the zero row
         let set = EmbeddingSet::new(2, vocab, vectors);
         let ivf = IvfFlat::build(&set, IvfParams::default());
-        assert_eq!(ivf.indexed_rows(), 1);
+        assert_eq!(ivf.list_rows.len(), 1);
         let mut scratch = KnnScratch::new();
         let got = set.nearest_to_vector_with_index(&[1.0, 0.0], 10, &ivf, &mut scratch);
         assert_eq!(got.len(), 1);

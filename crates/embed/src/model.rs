@@ -16,10 +16,11 @@
 //! is what lets the paper claim line-rate scalability. The `unsafe` is
 //! confined to the `SharedWeights` accessor.
 
+use crate::config::KernelChoice;
 use crate::config::SkipGramConfig;
 use crate::embedding::EmbeddingSet;
 use crate::sigmoid::SigmoidTable;
-use crate::simd::{self, Kernel};
+use crate::simd;
 use crate::table::NegativeTable;
 use crate::vocab::Vocab;
 use serde::Serialize;
@@ -226,7 +227,6 @@ struct TrainCtx<'a> {
     sigmoid: &'a SigmoidTable,
     keep_probs: &'a [f64],
     config: &'a SkipGramConfig,
-    kernel: Kernel,
     planned: u64,
     processed: AtomicU64,
 }
@@ -295,8 +295,8 @@ impl TrainCtx<'_> {
                 //
                 // SAFETY: indices come from the vocabulary; the matrices
                 // outlive this scope; Hogwild races accepted.
-                match self.kernel {
-                    Kernel::Scalar => unsafe {
+                match self.config.kernel {
+                    KernelChoice::Scalar => unsafe {
                         // Slicing to `dim` up front lets the compiler drop
                         // the per-element bounds checks; the loops below are
                         // the plain word2vec reference (the dot stays a
@@ -329,7 +329,7 @@ impl TrainCtx<'_> {
                             h_c[d] += neu1e[d];
                         }
                     },
-                    Kernel::Simd => unsafe {
+                    KernelChoice::Auto => unsafe {
                         // Stage the pair's row pointers, then hand the whole
                         // batch — dots, sigmoid lookups, fused updates and
                         // the `h_c += neu1e` flush — to one kernel call.
@@ -480,7 +480,6 @@ impl SkipGram {
     /// construction cost was paid.
     fn run_sgd_with(&mut self, sequences: &[Vec<u32>], table: &NegativeTable) -> TrainStats {
         let config = self.config.clone();
-        let kernel = Kernel::resolve(config.kernel);
         let total_tokens: u64 = sequences.iter().map(|s| s.len() as u64).sum();
         let planned = (total_tokens * config.epochs as u64).max(1);
         let n_threads = config.threads.min(sequences.len()).max(1);
@@ -489,7 +488,7 @@ impl SkipGram {
             processed_tokens: 0,
             elapsed_secs: 0.0,
             threads: n_threads,
-            simd_accelerated: kernel.is_accelerated(),
+            simd_accelerated: config.kernel == KernelChoice::Auto && simd::simd_accelerated(),
         };
         if table.is_empty() {
             return stats;
@@ -512,7 +511,6 @@ impl SkipGram {
             sigmoid: &sigmoid,
             keep_probs: &keep_probs,
             config: &config,
-            kernel,
             planned,
             processed: AtomicU64::new(0),
         };
@@ -743,12 +741,11 @@ mod tests {
 
     #[test]
     fn single_thread_training_is_deterministic() {
-        use crate::config::KernelChoice;
         let corpus = clustered_corpus(30);
         // `threads = 1, kernel = Scalar` is the pinned bit-determinism
-        // contract; Simd and Auto must also be run-to-run deterministic
-        // (the dispatch is process-wide constant).
-        for kernel in [KernelChoice::Scalar, KernelChoice::Simd, KernelChoice::Auto] {
+        // contract; Auto must also be run-to-run deterministic (the
+        // dispatch is process-wide constant).
+        for kernel in [KernelChoice::Scalar, KernelChoice::Auto] {
             let cfg = SkipGramConfig {
                 kernel,
                 ..SkipGramConfig::tiny()

@@ -14,35 +14,6 @@
 //! ([`fused_row_update`]) — both destination rows are loaded once and
 //! written once, instead of the scalar path's two dependent sweeps.
 
-/// Which inner-loop implementation the trainer runs. Resolved once per
-/// training run from [`crate::config::KernelChoice`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// The reference scalar loop — strict sequential float order, the
-    /// bit-determinism baseline the test-suite pins.
-    Scalar,
-    /// The fused kernels in this module (AVX2+FMA when the CPU has it,
-    /// portable unrolled otherwise).
-    Simd,
-}
-
-impl Kernel {
-    /// Resolve a config choice to a concrete kernel.
-    pub fn resolve(choice: crate::config::KernelChoice) -> Self {
-        match choice {
-            crate::config::KernelChoice::Scalar => Kernel::Scalar,
-            crate::config::KernelChoice::Simd | crate::config::KernelChoice::Auto => Kernel::Simd,
-        }
-    }
-
-    /// Whether this kernel runs the hand-vectorized AVX2+FMA path (false
-    /// for [`Kernel::Scalar`] and for [`Kernel::Simd`] on the portable
-    /// fallback).
-    pub fn is_accelerated(self) -> bool {
-        self == Kernel::Simd && simd_accelerated()
-    }
-}
-
 /// Whether the process-wide dispatch selected the AVX2+FMA kernels.
 pub fn simd_accelerated() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -85,12 +56,6 @@ pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
         return unsafe { axpy_avx2_fma(y, a, x) };
     }
     axpy_portable(y, a, x);
-}
-
-/// `y += x` (the end-of-sample `h_c += neu1e` flush).
-#[inline]
-pub fn add_assign(y: &mut [f32], x: &[f32]) {
-    axpy(y, 1.0, x);
 }
 
 /// The fused negative-sampling row update: with `g` already computed from
@@ -505,11 +470,17 @@ mod tests {
 
     #[test]
     fn kernel_resolution_honors_the_knob() {
-        use crate::config::KernelChoice;
-        assert_eq!(Kernel::resolve(KernelChoice::Scalar), Kernel::Scalar);
-        assert_eq!(Kernel::resolve(KernelChoice::Simd), Kernel::Simd);
-        assert_eq!(Kernel::resolve(KernelChoice::Auto), Kernel::Simd);
-        assert!(!Kernel::Scalar.is_accelerated());
-        assert_eq!(Kernel::Simd.is_accelerated(), simd_accelerated());
+        use crate::{KernelChoice, SkipGram, SkipGramConfig};
+        let corpus = vec![vec!["a.com", "b.com", "c.com"]; 4];
+        let accelerated = |kernel| {
+            let cfg = SkipGramConfig {
+                kernel,
+                ..SkipGramConfig::tiny()
+            };
+            let model = SkipGram::train(&corpus, &cfg).unwrap();
+            model.train_stats().simd_accelerated
+        };
+        assert!(!accelerated(KernelChoice::Scalar));
+        assert_eq!(accelerated(KernelChoice::Auto), simd_accelerated());
     }
 }

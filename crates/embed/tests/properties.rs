@@ -1,6 +1,6 @@
 //! Property tests for the embedding engine's data structures.
 
-use hostprof_embed::{EmbeddingSet, KernelChoice, NegativeTable, SkipGram, SkipGramConfig, Vocab};
+use hostprof_embed::{KernelChoice, NegativeTable, SkipGram, SkipGramConfig, Vocab};
 use proptest::prelude::*;
 
 fn corpus_strategy() -> impl Strategy<Value = Vec<Vec<String>>> {
@@ -110,7 +110,7 @@ proptest! {
             ..SkipGramConfig::default()
         };
         let scalar = SkipGram::train(&corpus, &cfg(KernelChoice::Scalar));
-        let simd = SkipGram::train(&corpus, &cfg(KernelChoice::Simd));
+        let simd = SkipGram::train(&corpus, &cfg(KernelChoice::Auto));
         match (scalar, simd) {
             (Ok(s), Ok(v)) => {
                 prop_assert_eq!(s.vocab().len(), v.vocab().len());
@@ -127,33 +127,6 @@ proptest! {
             (Err(_), Err(_)) => {}
             (s, v) => prop_assert!(false, "kernels disagree on trainability: {:?} vs {:?}",
                                    s.is_ok(), v.is_ok()),
-        }
-    }
-
-    #[test]
-    fn mean_vector_is_within_the_convex_hull_bounds(corpus in corpus_strategy()) {
-        let cfg = SkipGramConfig {
-            dim: 8,
-            epochs: 1,
-            subsample: 0.0,
-            ..SkipGramConfig::default()
-        };
-        let Ok(model) = SkipGram::train(&corpus, &cfg) else { return Ok(()); };
-        let emb: EmbeddingSet = model.into_embeddings();
-        let tokens: Vec<String> = emb.vocab().iter().map(|(_, t)| t.to_string()).collect();
-        let Some(mean) = emb.mean_vector(tokens.iter().map(String::as_str)) else {
-            return Ok(());
-        };
-        // Each coordinate of the mean lies within [min, max] of that
-        // coordinate across all vectors.
-        for (d, &m) in mean.iter().enumerate() {
-            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-            for i in 0..emb.len() as u32 {
-                let v = emb.vector_by_index(i)[d];
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            prop_assert!(m >= lo - 1e-5 && m <= hi + 1e-5);
         }
     }
 }

@@ -29,9 +29,7 @@
 //!   events into wire traffic, with optional NAT aggregation to reproduce
 //!   the paper's "multiple users behind one IP" confusion experiment;
 //! * [`capture`] — a compact capture file format so observed traffic can
-//!   be recorded once and re-analyzed offline;
-//! * [`ip`] — raw IPv4/TCP/UDP header codecs (real header checksums), so
-//!   the observer can be fed raw datagrams as a tap would deliver them.
+//!   be recorded once and re-analyzed offline.
 //!
 //! Every parser is panic-free on arbitrary bytes (property-tested) and
 //! zero-copy where it matters ([`tls::extract_sni`] borrows from the
@@ -42,7 +40,6 @@ pub mod chaos;
 pub mod dns;
 pub mod error;
 pub mod flow;
-pub mod ip;
 pub mod observer;
 pub mod packet;
 pub mod quic;

@@ -118,13 +118,6 @@ impl ClientHello {
             .and_then(|e| parse_sni_extension(&e.data).ok().flatten())
     }
 
-    /// Whether the hello hides its name behind ECH.
-    pub fn has_ech(&self) -> bool {
-        self.extensions
-            .iter()
-            .any(|e| e.ext_type == ext::ENCRYPTED_CLIENT_HELLO)
-    }
-
     /// Serialize the *handshake message* (type + length + body), without
     /// the record layer. QUIC carries exactly this inside CRYPTO frames.
     ///
@@ -392,7 +385,6 @@ mod tests {
     #[test]
     fn ech_hides_the_hostname() {
         let ch = ClientHello::with_ech(64);
-        assert!(ch.has_ech());
         assert_eq!(ch.sni(), None);
         let bytes = ch.encode();
         assert_eq!(extract_sni(&bytes).unwrap(), None);

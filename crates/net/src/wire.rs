@@ -91,14 +91,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    /// Kept for codec symmetry with `Reader::u24` (production encoders use
-    /// `reserve_len(3)` + `patch_len` instead).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn put_u24(&mut self, v: u32) {
-        debug_assert!(v < 1 << 24);
-        self.buf.extend_from_slice(&v.to_be_bytes()[1..]);
-    }
-
     pub(crate) fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
@@ -164,7 +156,7 @@ mod tests {
         let mut w = Writer::new();
         w.put_u8(7);
         w.put_u16(0x0102);
-        w.put_u24(0x030405);
+        w.put_bytes(&[3, 4, 5]);
         w.put_u32(0x06070809);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);

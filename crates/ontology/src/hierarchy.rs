@@ -7,9 +7,10 @@
 //! two levels leaves **328** categories; Figure 6 plots the **34** top-level
 //! topics.
 //!
-//! We reproduce those shape constants exactly: 34 top-level topics, 328
-//! harmonized (level ≤ 2) categories, 1397 hierarchy nodes in total. The
-//! harmonized [`CategoryId`] space is laid out as:
+//! We reproduce the shape constants the algorithm sees exactly: 34
+//! top-level topics and 328 harmonized (level ≤ 2) categories; the
+//! deeper, unharmonized nodes are not modelled. The harmonized
+//! [`CategoryId`] space is laid out as:
 //!
 //! * ids `0 .. 34`  — the top-level categories themselves;
 //! * ids `34 .. 328` — second-level categories, grouped contiguously by
@@ -22,8 +23,6 @@ use crate::vector::CategoryVector;
 pub const TOP_CATEGORIES: usize = 34;
 /// Number of harmonized level-≤2 categories (the set `C` of Section 4.1).
 pub const HARMONIZED_CATEGORIES: usize = 328;
-/// Total number of nodes in the full (unharmonized) hierarchy.
-pub const TOTAL_HIERARCHY_NODES: usize = 1397;
 
 /// Top-level topic names (taken from Figure 6) and the number of
 /// second-level children of each. Child counts sum to
@@ -111,9 +110,6 @@ pub struct Hierarchy {
     /// Level-2 children of each top-level topic (excluding the topic's own
     /// harmonized id).
     children: Vec<Vec<CategoryId>>,
-    /// Number of unharmonized (level ≥ 3) descendants below each harmonized
-    /// category. Only used for hierarchy statistics.
-    deep_nodes: Vec<u16>,
 }
 
 impl Hierarchy {
@@ -146,45 +142,10 @@ impl Hierarchy {
         }
         debug_assert_eq!(category_parent.len(), HARMONIZED_CATEGORIES);
 
-        // Distribute the remaining (level ≥ 3) hierarchy nodes below the
-        // second-level categories with a deterministic pattern. Bushy
-        // branches (many level-2 children) also get deeper subtrees, echoing
-        // the paper's Computers & Electronics anecdote.
-        let second_level = HARMONIZED_CATEGORIES - TOP_CATEGORIES;
-        let deeper_total = TOTAL_HIERARCHY_NODES - HARMONIZED_CATEGORIES;
-        let mut deep_nodes = vec![0u16; HARMONIZED_CATEGORIES];
-        // Provisional weights: some pseudo-variety per category plus a term
-        // proportional to the parent's bushiness, so bushy branches (e.g.
-        // Computers & Electronics) also get deeper subtrees.
-        let mut weights = vec![0usize; second_level];
-        let mut weight_sum = 0usize;
-        for (j, w) in weights.iter_mut().enumerate() {
-            let id = TOP_CATEGORIES + j;
-            let parent = category_parent[id].index();
-            let bushiness = TOP_TOPICS[parent].1 as usize;
-            *w = 1 + (j * 7 + parent * 3) % 5 + bushiness / 4;
-            weight_sum += *w;
-        }
-        // Exact largest-remainder allocation of `deeper_total` nodes.
-        let mut assigned = 0usize;
-        for (j, &w) in weights.iter().enumerate() {
-            let share = w * deeper_total / weight_sum;
-            deep_nodes[TOP_CATEGORIES + j] = share as u16;
-            assigned += share;
-        }
-        let mut leftover = deeper_total - assigned;
-        let mut j = 0;
-        while leftover > 0 {
-            deep_nodes[TOP_CATEGORIES + j % second_level] += 1;
-            leftover -= 1;
-            j += 1;
-        }
-
         Self {
             category_parent,
             category_names,
             children,
-            deep_nodes,
         }
     }
 
@@ -198,11 +159,6 @@ impl Hierarchy {
     #[inline]
     pub fn num_top(&self) -> usize {
         self.children.len()
-    }
-
-    /// Total nodes in the full hierarchy (1397), harmonized or not.
-    pub fn total_nodes(&self) -> usize {
-        self.num_categories() + self.deep_nodes.iter().map(|&d| d as usize).sum::<usize>()
     }
 
     /// The top-level topic a harmonized category belongs to.
@@ -235,35 +191,9 @@ impl Hierarchy {
         &self.category_names[t.index()]
     }
 
-    /// Number of unharmonized (level ≥ 3) descendants of a category.
-    #[inline]
-    pub fn deep_nodes_under(&self, c: CategoryId) -> usize {
-        self.deep_nodes[c.index()] as usize
-    }
-
     /// All top-level topic ids.
     pub fn top_ids(&self) -> impl Iterator<Item = TopCategoryId> + '_ {
         (0..self.num_top()).map(|t| TopCategoryId(t as u8))
-    }
-
-    /// All harmonized category ids.
-    pub fn category_ids(&self) -> impl Iterator<Item = CategoryId> + '_ {
-        (0..self.num_categories()).map(|c| CategoryId(c as u16))
-    }
-
-    /// Look up a harmonized category by its exact display name
-    /// (e.g. `"Travel"` or `"Travel / Services"`). Linear scan — the
-    /// hierarchy has 328 entries and this is a tooling path, not a hot one.
-    pub fn find_category(&self, name: &str) -> Option<CategoryId> {
-        self.category_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| CategoryId(i as u16))
-    }
-
-    /// Look up a top-level topic by name.
-    pub fn find_top(&self, name: &str) -> Option<TopCategoryId> {
-        self.top_ids().find(|t| self.top_name(*t) == name)
     }
 
     /// Project a harmonized category vector onto the 34 top-level topics by
@@ -292,7 +222,6 @@ mod tests {
         let h = Hierarchy::adwords_like();
         assert_eq!(h.num_top(), 34, "Figure 6 plots 34 top-level topics");
         assert_eq!(h.num_categories(), 328, "Section 5.4: 328 categories");
-        assert_eq!(h.total_nodes(), 1397, "Section 5.4: 1397 categories");
     }
 
     #[test]
@@ -314,10 +243,7 @@ mod tests {
     #[test]
     fn category_names_are_unique() {
         let h = Hierarchy::adwords_like();
-        let mut names: Vec<_> = h
-            .category_ids()
-            .map(|c| h.category_name(c).to_string())
-            .collect();
+        let mut names = h.category_names.clone();
         names.sort();
         names.dedup();
         assert_eq!(names.len(), h.num_categories());
@@ -360,28 +286,10 @@ mod tests {
     }
 
     #[test]
-    fn find_category_and_top_resolve_names() {
-        let h = Hierarchy::adwords_like();
-        let travel = h.find_top("Travel").expect("Travel exists");
-        assert_eq!(h.top_name(travel), "Travel");
-        let c = h.find_category("Travel").expect("top-level id resolvable");
-        assert_eq!(h.top_of(c), travel);
-        // A second-level name resolves to a child of its topic.
-        let child = h.children_of_top(travel)[0];
-        let by_name = h.find_category(h.category_name(child)).unwrap();
-        assert_eq!(by_name, child);
-        assert!(h.find_category("No Such Topic").is_none());
-        assert!(h.find_top("No Such Topic").is_none());
-    }
-
-    #[test]
     fn construction_is_deterministic() {
         let a = Hierarchy::adwords_like();
         let b = Hierarchy::adwords_like();
-        for c in a.category_ids() {
-            assert_eq!(a.category_name(c), b.category_name(c));
-            assert_eq!(a.top_of(c), b.top_of(c));
-            assert_eq!(a.deep_nodes_under(c), b.deep_nodes_under(c));
-        }
+        assert_eq!(a.category_names, b.category_names);
+        assert_eq!(a.category_parent, b.category_parent);
     }
 }

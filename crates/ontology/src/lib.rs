@@ -14,8 +14,8 @@
 //! This crate provides:
 //!
 //! * [`Hierarchy`] — a deterministic category hierarchy with 34 top-level
-//!   topics (the ones visible in Figure 6), exactly 328 level-≤2 categories
-//!   after harmonization, and 1397 nodes in total;
+//!   topics (the ones visible in Figure 6) and exactly 328 level-≤2
+//!   categories after harmonization;
 //! * [`CategoryVector`] — sparse `[0,1]`-weighted category vectors with the
 //!   similarity/distance operations the profiling pipeline needs;
 //! * [`Ontology`] — the partial hostname → category-vector labeling
@@ -32,6 +32,6 @@ pub mod vector;
 
 pub use blocklist::{Blocklist, BlocklistProvider};
 pub use category::{CategoryId, TopCategoryId};
-pub use hierarchy::{Hierarchy, HARMONIZED_CATEGORIES, TOP_CATEGORIES, TOTAL_HIERARCHY_NODES};
+pub use hierarchy::{Hierarchy, HARMONIZED_CATEGORIES, TOP_CATEGORIES};
 pub use ontology::{CoverageStats, Ontology};
 pub use vector::CategoryVector;

@@ -293,7 +293,7 @@ fn check_training(
     let oracle = sgd::train(&corpus, &oracle_cfg);
 
     let mut production = None;
-    for kernel in [KernelChoice::Scalar, KernelChoice::Simd] {
+    for kernel in [KernelChoice::Scalar, KernelChoice::Auto] {
         let label = if kernel == KernelChoice::Scalar {
             "scalar"
         } else {

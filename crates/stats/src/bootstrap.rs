@@ -35,7 +35,7 @@ impl ConfidenceInterval {
 ///
 /// # Panics
 /// Panics unless `0 < level < 1` and `resamples > 0`.
-pub fn bootstrap_mean_ci(
+fn bootstrap_mean_ci(
     sample: &[f64],
     level: f64,
     resamples: usize,

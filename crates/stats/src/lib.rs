@@ -28,7 +28,7 @@ pub mod quadtree;
 pub mod ttest;
 
 pub use bhtsne::{BhTsne, BhTsneConfig};
-pub use bootstrap::{bootstrap_mean_ci, bootstrap_paired_diff_ci, ConfidenceInterval};
+pub use bootstrap::{bootstrap_paired_diff_ci, ConfidenceInterval};
 pub use ccdf::Ccdf;
 pub use descriptive::Summary;
 pub use proportion::{two_proportion_z_test, PropTestResult};

@@ -16,7 +16,7 @@
 //! timestamps bound the horizon at ~49.7 simulated days — checked at
 //! build time; the paper's profiling phase is one month.
 
-use crate::access::TraceAccess;
+use crate::access::{span_range, window_range, TraceAccess};
 use crate::flat::{FlatError, FlatReader, FlatWriter};
 use crate::intern::HostInterner;
 
@@ -86,24 +86,6 @@ impl TraceColumns {
         &self.host[self.user_range(user)]
     }
 
-    /// A user's per-observation wire-byte counts, time order.
-    pub fn user_wire_bytes(&self, user: u32) -> &[u32] {
-        &self.wire_bytes[self.user_range(user)]
-    }
-
-    /// Index range (relative to the user's range) of `[start, end)`.
-    fn span_idx(times: &[u32], start_ms: u64, end_ms: u64) -> (usize, usize) {
-        let lo = times.partition_point(|&t| (t as u64) < start_ms);
-        let hi = times.partition_point(|&t| (t as u64) < end_ms);
-        (lo, hi)
-    }
-
-    /// Total wire bytes across every observation (the volume an on-path
-    /// observer must keep up with).
-    pub fn total_wire_bytes(&self) -> u64 {
-        self.wire_bytes.iter().map(|&b| b as u64).sum()
-    }
-
     /// Per-user day sequences for one day: `(user, host ids)` for every
     /// user active in `[day·DAY, (day+1)·DAY)` — the SKIPGRAM training
     /// corpus, columnar edition.
@@ -112,11 +94,9 @@ impl TraceColumns {
         let end = start + day_ms;
         let mut out = Vec::new();
         for user in 0..self.num_users() as u32 {
-            let times = self.user_times(user);
-            let (lo, hi) = Self::span_idx(times, start, end);
-            if lo < hi {
-                let base = self.user_range(user).start;
-                out.push((user, self.host[base + lo..base + hi].to_vec()));
+            let span = span_range(self.user_times(user), |&t| t as u64, start, end);
+            if !span.is_empty() {
+                out.push((user, self.user_hosts(user)[span].to_vec()));
             }
         }
         out
@@ -216,30 +196,19 @@ impl TraceAccess for TraceColumns {
     }
 
     fn window_hosts(&self, user: u32, end_ms: u64, duration_ms: u64, out: &mut Vec<u32>) {
-        let times = self.user_times(user);
-        // Mirror `Trace::window` exactly: half-open (end − dur, end], with
-        // the epoch-touching special cases keeping t = 0.
-        let lo = match end_ms.checked_sub(duration_ms) {
-            None => 0,
-            Some(0) if duration_ms > 0 => 0,
-            Some(start) => times.partition_point(|&t| t as u64 <= start),
-        };
-        let hi = times.partition_point(|&t| t as u64 <= end_ms);
-        let base = self.user_range(user).start;
-        out.extend_from_slice(&self.host[base + lo..base + hi]);
+        let window = window_range(self.user_times(user), |&t| t as u64, end_ms, duration_ms);
+        out.extend_from_slice(&self.user_hosts(user)[window]);
     }
 
     fn span_hosts(&self, user: u32, start_ms: u64, end_ms: u64, out: &mut Vec<u32>) {
-        let times = self.user_times(user);
-        let (lo, hi) = Self::span_idx(times, start_ms, end_ms);
-        let base = self.user_range(user).start;
-        out.extend_from_slice(&self.host[base + lo..base + hi]);
+        let span = span_range(self.user_times(user), |&t| t as u64, start_ms, end_ms);
+        out.extend_from_slice(&self.user_hosts(user)[span]);
     }
 
     fn last_time_in(&self, user: u32, start_ms: u64, end_ms: u64) -> Option<u64> {
         let times = self.user_times(user);
-        let (lo, hi) = Self::span_idx(times, start_ms, end_ms);
-        (lo < hi).then(|| times[hi - 1] as u64)
+        let span = span_range(times, |&t| t as u64, start_ms, end_ms);
+        times[span].last().map(|&t| t as u64)
     }
 }
 
@@ -282,11 +251,6 @@ impl TraceColumnsBuilder {
         self.t_ms.reserve(events);
         self.host.reserve(events);
         self.wire_bytes.reserve(events);
-    }
-
-    /// Mutable access to the hostname table (for pre-seeding checks).
-    pub fn interner_mut(&mut self) -> &mut HostInterner {
-        &mut self.interner
     }
 
     /// Close ranges up to and including `user` so the next event belongs
@@ -387,8 +351,7 @@ mod tests {
         assert_eq!(c.user_times(0), [100, 500, 500]);
         let names: Vec<&str> = c.user_hosts(2).iter().map(|&h| c.host_name(h)).collect();
         assert_eq!(names, ["c.example", "a.example"]);
-        assert_eq!(c.user_wire_bytes(0), [220, 230, 220]);
-        assert_eq!(c.total_wire_bytes(), 220 + 230 + 220 + 240 + 220);
+        assert_eq!(c.wire_bytes, [220, 230, 220, 240, 220]);
     }
 
     #[test]
@@ -431,10 +394,10 @@ mod tests {
         let back = TraceColumns::from_flat_bytes(&buf).unwrap();
         assert_eq!(back.num_users(), c.num_users());
         assert_eq!(back.days(), c.days());
+        assert_eq!(back.wire_bytes, c.wire_bytes);
         for u in 0..c.num_users() as u32 {
             assert_eq!(back.user_times(u), c.user_times(u));
             assert_eq!(back.user_hosts(u), c.user_hosts(u));
-            assert_eq!(back.user_wire_bytes(u), c.user_wire_bytes(u));
         }
         for id in 0..c.interner().len() as u32 {
             assert_eq!(back.interner().name(id), c.interner().name(id));

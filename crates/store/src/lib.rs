@@ -36,7 +36,7 @@ pub mod columns;
 pub mod flat;
 pub mod intern;
 
-pub use access::TraceAccess;
+pub use access::{span_range, window_range, TraceAccess};
 pub use columns::{TraceColumns, TraceColumnsBuilder};
 pub use flat::{FlatError, FlatReader, FlatWriter};
 pub use intern::HostInterner;

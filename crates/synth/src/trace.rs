@@ -13,6 +13,7 @@ use crate::ids::{HostId, UserId};
 use crate::sampling::{log_normal, poisson, WeightedIndex};
 use crate::user::Population;
 use crate::world::World;
+pub use hostprof_store::{span_range, window_range};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -178,24 +179,13 @@ impl Trace {
             .map(move |&i| &self.requests[i as usize])
     }
 
-    /// Hosts a user requested within `(end_ms - duration_ms, end_ms]`, in
-    /// time order, duplicates preserved. This is the raw input to the
-    /// profiler's session window (`s_u^T`).
+    /// Hosts a user requested within `(end_ms - duration_ms, end_ms]`
+    /// ([`window_range`]), in time order, duplicates preserved. This is the
+    /// raw input to the profiler's session window (`s_u^T`).
     pub fn window(&self, user: UserId, end_ms: u64, duration_ms: u64) -> Vec<HostId> {
         let idx = &self.user_index[user.index()];
-        // Indices are time-ascending, so binary search the boundaries. The
-        // window is half-open `(end - duration, end]`; when the duration
-        // covers the whole timeline there is no exclusive lower bound, so
-        // a request stamped exactly 0 is still included.
-        let lo = match end_ms.checked_sub(duration_ms) {
-            // A window reaching back to (or past) t = 0 has no exclusive
-            // lower bound — include the request stamped exactly 0.
-            None => 0,
-            Some(0) if duration_ms > 0 => 0,
-            Some(start) => idx.partition_point(|&i| self.requests[i as usize].t_ms <= start),
-        };
-        let hi = idx.partition_point(|&i| self.requests[i as usize].t_ms <= end_ms);
-        idx[lo..hi]
+        let time_of = |&i: &u32| self.requests[i as usize].t_ms;
+        idx[window_range(idx, time_of, end_ms, duration_ms)]
             .iter()
             .map(|&i| self.requests[i as usize].host)
             .collect()
@@ -210,12 +200,11 @@ impl Trace {
         let end = start + DAY_MS;
         let mut out = Vec::new();
         for (u, idx) in self.user_index.iter().enumerate() {
-            let lo = idx.partition_point(|&i| self.requests[i as usize].t_ms < start);
-            let hi = idx.partition_point(|&i| self.requests[i as usize].t_ms < end);
-            if lo < hi {
+            let span = span_range(idx, |&i| self.requests[i as usize].t_ms, start, end);
+            if !span.is_empty() {
                 out.push((
                     UserId(u as u32),
-                    idx[lo..hi]
+                    idx[span]
                         .iter()
                         .map(|&i| self.requests[i as usize].host)
                         .collect(),

@@ -486,26 +486,6 @@ impl World {
     pub fn sites_of_topic(&self, topic: TopCategoryId) -> &[HostId] {
         &self.sites_by_topic[topic.index()]
     }
-
-    /// Count of hosts per kind, for the E6/E7 reports.
-    pub fn kind_counts(&self) -> HashMap<HostKind, usize> {
-        let mut m = HashMap::new();
-        for h in &self.hosts {
-            *m.entry(h.kind).or_insert(0) += 1;
-        }
-        m
-    }
-
-    /// Fraction of the universe that would fail a content crawl: CDN, API
-    /// and tracker hosts (the paper measured 67 %).
-    pub fn uncrawlable_fraction(&self) -> f64 {
-        let bad = self
-            .hosts
-            .iter()
-            .filter(|h| matches!(h.kind, HostKind::Cdn | HostKind::Api | HostKind::Tracker))
-            .count();
-        bad as f64 / self.hosts.len() as f64
-    }
 }
 
 /// Fisher–Yates shuffle (rand's `SliceRandom` would pull in more API than
@@ -530,12 +510,12 @@ mod tests {
         let w = tiny_world();
         let cfg = WorldConfig::tiny();
         assert_eq!(w.num_hosts(), cfg.total_hosts());
-        let counts = w.kind_counts();
-        assert_eq!(counts[&HostKind::Site], cfg.num_sites);
-        assert_eq!(counts[&HostKind::Cdn], cfg.num_cdns);
-        assert_eq!(counts[&HostKind::Api], cfg.num_apis);
-        assert_eq!(counts[&HostKind::Tracker], cfg.num_trackers);
-        assert_eq!(counts[&HostKind::Core], CORE_SITE_NAMES.len());
+        let count = |kind| w.hosts().iter().filter(|h| h.kind == kind).count();
+        assert_eq!(count(HostKind::Site), cfg.num_sites);
+        assert_eq!(count(HostKind::Cdn), cfg.num_cdns);
+        assert_eq!(count(HostKind::Api), cfg.num_apis);
+        assert_eq!(count(HostKind::Tracker), cfg.num_trackers);
+        assert_eq!(count(HostKind::Core), CORE_SITE_NAMES.len());
     }
 
     #[test]
@@ -689,14 +669,5 @@ mod tests {
             assert_eq!(x.deps, y.deps);
             assert_eq!(x.categories, y.categories);
         }
-    }
-
-    #[test]
-    fn uncrawlable_fraction_matches_construction() {
-        let w = tiny_world();
-        let cfg = WorldConfig::tiny();
-        let expected =
-            (cfg.num_cdns + cfg.num_apis + cfg.num_trackers) as f64 / cfg.total_hosts() as f64;
-        assert!((w.uncrawlable_fraction() - expected).abs() < 1e-12);
     }
 }

@@ -4,8 +4,8 @@
 //! scenario, train and persist a model, query the embedding space, profile
 //! a user, run the observer under countermeasures, serve a live load,
 //! check the golden schedules, or run the full CTR experiment — all
-//! without writing Rust. [`USAGE`] (`hostprof help`) is the one list of
-//! commands and flags.
+//! without writing Rust. [`COMMANDS`] is the one list of commands and
+//! flags: parsing, arity, dispatch and `hostprof help` all read it.
 
 use hostprof::ads::{CtrExperiment, ExperimentConfig};
 use hostprof::bridge::{ObservedTrace, ObserverScenario};
@@ -22,88 +22,249 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Minimal flag parser: `--key value` pairs plus boolean `--key`.
+/// One row of the CLI: a command, or one mode of a command that has
+/// several.
+struct Command {
+    name: &'static str,
+    /// The flag whose presence selects this row among the rows sharing
+    /// `name`; the row without one is taken when none is present.
+    mode: Option<&'static str>,
+    /// The row's flags, spelled as `hostprof help` prints them:
+    /// `--name VALUE` takes a value, a bare `--name` is boolean and takes
+    /// none, and brackets make either optional.
+    flags: &'static str,
+    run: fn(&Args) -> Result<(), String>,
+}
+
+/// Everything a user can type, in `hostprof help` order.
+static COMMANDS: &[Command] = &[
+    Command {
+        name: "train",
+        mode: None,
+        flags: "[--scale S] [--days N] [--users N] [--threads N] [--kernel auto|scalar] \
+                --out model.json",
+        run: cmd_train,
+    },
+    Command {
+        name: "similar",
+        mode: None,
+        flags: "--model model.json --host <hostname> [--top N]",
+        run: cmd_similar,
+    },
+    Command {
+        name: "profile",
+        mode: None,
+        flags: "[--scale S] [--days N] [--users N] --model model.json --user N [--day D] \
+                [--index exact|ivf] [--nprobe N]",
+        run: cmd_profile,
+    },
+    Command {
+        name: "observe",
+        mode: None,
+        flags: "[--scale S] [--days N] [--users N] [--ech FRACTION] [--nat USERS_PER_IP] [--dns] \
+                [--chaos SEED] [--save capture.hpcap]",
+        run: cmd_observe,
+    },
+    Command {
+        name: "replay",
+        mode: Some("capture"),
+        flags: "--capture capture.hpcap [--dns]",
+        run: cmd_replay_capture,
+    },
+    Command {
+        name: "replay",
+        mode: Some("golden"),
+        flags: "--golden tests/golden [--seed S] [--bless] [--threads N] [--update] [--defense]",
+        run: cmd_replay_golden,
+    },
+    Command {
+        name: "defend",
+        mode: None,
+        flags: "[--scale S] [--days N] [--users N] [--defense NAME|all] [--sweep LO:HI:STEP] \
+                [--seed S] [--threads N] [--no-ctr]",
+        run: cmd_defend,
+    },
+    Command {
+        name: "serve",
+        mode: None,
+        flags: "[--scale S] [--days N] [--users N] [--pps F] [--duration SIM_SECONDS] [--lanes N] \
+                [--threads N] [--seed S] [--update-every TICKS]",
+        run: cmd_serve_live,
+    },
+    Command {
+        name: "serve",
+        mode: Some("golden"),
+        flags: "--golden tests/golden [--seed S] [--lanes N] [--threads N]",
+        run: cmd_serve_golden,
+    },
+    Command {
+        name: "experiment",
+        mode: None,
+        flags: "[--scale S] [--days N] [--users N]",
+        run: cmd_experiment,
+    },
+];
+
+/// One flag of a [`Command`] row.
+struct Flag {
+    name: &'static str,
+    /// `None` for a boolean flag.
+    value: Option<&'static str>,
+    required: bool,
+}
+
+impl Flag {
+    /// The flag as its row spells it.
+    fn usage(&self) -> String {
+        let value = self.value.map(|v| format!(" {v}")).unwrap_or_default();
+        if self.required {
+            format!("--{}{value}", self.name)
+        } else {
+            format!("[--{}{value}]", self.name)
+        }
+    }
+}
+
+impl Command {
+    /// The row `cmd` and the flags present in `raw` select.
+    fn select(cmd: &str, raw: &[String]) -> Result<&'static Command, String> {
+        let rows = || COMMANDS.iter().filter(|c| c.name == cmd);
+        if rows().next().is_none() {
+            return Err(format!("unknown command '{cmd}'\n\n{}", usage()));
+        }
+        let given = |mode: &str| raw.iter().any(|a| a.strip_prefix("--") == Some(mode));
+        rows()
+            .find(|c| c.mode.is_some_and(given))
+            .or_else(|| rows().find(|c| c.mode.is_none()))
+            .ok_or_else(|| {
+                let modes: Vec<String> = rows()
+                    .flat_map(|c| c.mode)
+                    .map(|m| format!("--{m}"))
+                    .collect();
+                format!("{cmd} requires one of: {}", modes.join(", "))
+            })
+    }
+
+    /// The flags the row's spelling declares.
+    fn flags(&self) -> Vec<Flag> {
+        let mut words = self.flags.split_whitespace().peekable();
+        let mut flags = Vec::new();
+        while let Some(word) = words.next() {
+            let name = word.trim_matches(['[', ']']).strip_prefix("--");
+            let value = words.next_if(|w| !w.starts_with(['[', '-']));
+            flags.push(Flag {
+                name: name.expect("a COMMANDS row is flags and their values"),
+                value: value.map(|v| v.trim_end_matches(']')),
+                required: !word.starts_with('['),
+            });
+        }
+        flags
+    }
+}
+
+/// `hostprof help`: one entry per [`COMMANDS`] row, wrapped at 80 columns.
+fn usage() -> String {
+    let mut out = String::from(
+        "hostprof — user profiling by network observers (CoNEXT '21 reproduction)\n\nUSAGE:\n",
+    );
+    for c in COMMANDS {
+        let mut line = format!("  hostprof {:<10}", c.name);
+        let indent = line.len();
+        for item in c.flags().iter().map(Flag::usage) {
+            if line.len() + 1 + item.len() > 80 {
+                out.push_str(&line);
+                out.push('\n');
+                line = " ".repeat(indent);
+            }
+            line.push(' ');
+            line.push_str(&item);
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out.push_str(
+        "\n--scale is tiny (default), small, default (alias full) or large and selects\n\
+         the same deterministic scenarios the experiment binaries use. Every scale\n\
+         is generated in memory (`Scenario::generate`); large is 10^6 users, so\n\
+         expect gigabytes and minutes, not seconds.\n",
+    );
+    out
+}
+
+/// The flags one invocation gave, checked against its [`Command`] row.
 struct Args {
-    values: HashMap<String, String>,
-    flags: Vec<String>,
+    given: HashMap<&'static str, Option<String>>,
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Result<Self, String> {
-        let mut values = HashMap::new();
-        let mut flags = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            let key = raw[i]
+    /// Parse `raw` by the row's arity: a value flag consumes the next
+    /// token, a boolean flag takes none, and a flag the row does not list
+    /// or a required one left out is an error — typos fail loudly instead
+    /// of silently falling back to defaults.
+    fn parse(row: &Command, raw: &[String]) -> Result<Self, String> {
+        let flags = row.flags();
+        let mut given = HashMap::new();
+        let mut tokens = raw.iter().peekable();
+        while let Some(token) = tokens.next() {
+            let key = token
                 .strip_prefix("--")
-                .ok_or_else(|| format!("unexpected argument '{}'", raw[i]))?;
-            if i + 1 < raw.len() && !raw[i + 1].starts_with("--") {
-                values.insert(key.to_string(), raw[i + 1].clone());
-                i += 2;
-            } else {
-                flags.push(key.to_string());
-                i += 1;
-            }
-        }
-        Ok(Self { values, flags })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
-    }
-
-    fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        // `--top --dns` parses --top as a bare flag; surface that as the
-        // missing-value error it really is instead of silently ignoring it.
-        if self.flags.iter().any(|f| f == key) {
-            return Err(format!("--{key} requires a value"));
-        }
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("invalid value for --{key}: '{v}'")),
-        }
-    }
-
-    fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
-    }
-
-    /// Whether `--key` was given at all, with or without a value —
-    /// what selects a `replay` / `serve` mode.
-    fn has(&self, key: &str) -> bool {
-        self.get(key).is_some() || self.flag(key)
-    }
-
-    /// Reject unknown options so typos fail loudly instead of silently
-    /// falling back to defaults.
-    fn expect_keys(&self, allowed: &[&str]) -> Result<(), String> {
-        for key in self.values.keys().chain(self.flags.iter()) {
-            if !allowed.contains(&key.as_str()) {
-                return Err(format!(
+                .ok_or_else(|| format!("unexpected argument '{token}'"))?;
+            let flag = flags.iter().find(|f| f.name == key).ok_or_else(|| {
+                let listed: Vec<String> = flags.iter().map(|f| format!("--{}", f.name)).collect();
+                format!(
                     "unknown option --{key} (expected one of: {})",
-                    allowed
-                        .iter()
-                        .map(|k| format!("--{k}"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-            }
+                    listed.join(", ")
+                )
+            })?;
+            let value = tokens.next_if(|next| !next.starts_with("--"));
+            match (flag.value, value) {
+                (Some(_), None) => return Err(format!("--{key} requires a value")),
+                (None, Some(stray)) => {
+                    return Err(format!("--{key} takes no value (got '{stray}')"))
+                }
+                _ => given.insert(flag.name, value.cloned()),
+            };
         }
-        Ok(())
+        match flags
+            .iter()
+            .find(|f| f.required && !given.contains_key(f.name))
+        {
+            Some(missing) => Err(format!("{} requires {}", row.name, missing.usage())),
+            None => Ok(Self { given }),
+        }
+    }
+
+    /// The value of a value flag, if it was given.
+    fn get(&self, key: &str) -> Option<&str> {
+        self.given.get(key)?.as_deref()
+    }
+
+    /// The value of a required flag ([`Args::parse`] checked it is there).
+    fn required(&self, key: &str) -> &str {
+        self.get(key).expect("parse checked required flags")
+    }
+
+    fn get_parsed<T>(&self, key: &str) -> Result<Option<T>, String>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        self.get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|e| format!("invalid value for --{key}: '{v}' ({e})"))
+            })
+            .transpose()
+    }
+
+    /// Whether a boolean flag was given.
+    fn is_set(&self, key: &str) -> bool {
+        self.given.contains_key(key)
     }
 }
 
 fn scenario_config(args: &Args) -> Result<ScenarioConfig, String> {
-    let mut cfg = match args.get("scale").unwrap_or("tiny") {
-        "tiny" => ScenarioConfig::tiny(),
-        "small" => ScenarioConfig::small(),
-        "default" | "full" => ScenarioConfig::paper_month(),
-        "large" => ScenarioConfig::large(),
-        other => return Err(format!("unknown scale '{other}'")),
-    };
+    let mut cfg = ScenarioConfig::named(args.get("scale").unwrap_or("tiny"))?;
     if let Some(days) = args.get_parsed::<u32>("days")? {
         cfg.trace.days = days;
     }
@@ -114,8 +275,7 @@ fn scenario_config(args: &Args) -> Result<ScenarioConfig, String> {
 }
 
 fn cmd_train(args: &Args) -> Result<(), String> {
-    args.expect_keys(&["scale", "days", "users", "out", "threads", "kernel"])?;
-    let out: PathBuf = args.get("out").ok_or("train requires --out <path>")?.into();
+    let out = PathBuf::from(args.required("out"));
     let mut cfg = scenario_config(args)?;
     if let Some(threads) = args.get_parsed::<usize>("threads")? {
         cfg.pipeline.skipgram.threads = threads;
@@ -161,14 +321,10 @@ fn cmd_train(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_similar(args: &Args) -> Result<(), String> {
-    args.expect_keys(&["model", "host", "top"])?;
-    let model_path: PathBuf = args
-        .get("model")
-        .ok_or("similar requires --model <path>")?
-        .into();
-    let host = args.get("host").ok_or("similar requires --host <name>")?;
+    let host = args.required("host");
     let top = args.get_parsed::<usize>("top")?.unwrap_or(10);
-    let model = storage::load_model(&model_path).map_err(|e| e.to_string())?;
+    let model =
+        storage::load_model(Path::new(args.required("model"))).map_err(|e| e.to_string())?;
     let sims = model.most_similar(host, top);
     if sims.is_empty() {
         return Err(format!("'{host}' is not in the model vocabulary"));
@@ -181,16 +337,9 @@ fn cmd_similar(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_profile(args: &Args) -> Result<(), String> {
-    args.expect_keys(&[
-        "scale", "days", "users", "model", "user", "day", "index", "nprobe",
-    ])?;
-    let model_path: PathBuf = args
-        .get("model")
-        .ok_or("profile requires --model <path>")?
-        .into();
     let user = UserId(
         args.get_parsed::<u32>("user")?
-            .ok_or("profile requires --user <index>")?,
+            .expect("parse checked required flags"),
     );
     let mut cfg = scenario_config(args)?;
     let nprobe = args.get_parsed::<usize>("nprobe")?;
@@ -216,7 +365,8 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
             s.population.len()
         ));
     }
-    let model = storage::load_model(&model_path).map_err(|e| e.to_string())?;
+    let model =
+        storage::load_model(Path::new(args.required("model"))).map_err(|e| e.to_string())?;
     let pipeline = s.pipeline();
     let profiler = pipeline.profiler(&model, s.world.ontology());
     let window = s.session_hostnames(user, day);
@@ -264,9 +414,6 @@ fn print_taxonomy(st: &hostprof::net::ObserverStats) {
 }
 
 fn cmd_observe(args: &Args) -> Result<(), String> {
-    args.expect_keys(&[
-        "scale", "days", "users", "ech", "nat", "dns", "save", "chaos",
-    ])?;
     let cfg = scenario_config(args)?;
     let s = Scenario::generate(&cfg);
     let mut scenario = match args.get_parsed::<u32>("nat")? {
@@ -277,7 +424,7 @@ fn cmd_observe(args: &Args) -> Result<(), String> {
         scenario.synthesizer.ech_fraction = frac;
         scenario.synthesizer.quic_fraction = 0.0;
     }
-    if args.flag("dns") {
+    if args.is_set("dns") {
         scenario.synthesizer.dns_fraction = 1.0;
         scenario.harvest_dns = true;
     }
@@ -374,19 +521,13 @@ fn check_or_bless<S: GoldenSchedule>(
 }
 
 /// The golden directory and run knobs `replay --golden` and `serve --golden`
-/// share (`--kernel` is only ever allowed through by the former).
+/// share.
 fn golden_opts(args: &Args) -> Result<(PathBuf, ReplayOptions), String> {
-    let golden_dir = args
-        .get("golden")
-        .ok_or("--golden requires a directory (replay also takes --capture <path> instead)")?;
     let mut opts = ReplayOptions::for_seed(args.get_parsed::<u64>("seed")?.unwrap_or(1));
     if let Some(threads) = args.get_parsed::<usize>("threads")? {
         opts.profile_threads = threads;
     }
-    if let Some(kernel) = args.get_parsed::<KernelChoice>("kernel")? {
-        opts.kernel = kernel;
-    }
-    Ok((golden_dir.into(), opts))
+    Ok((args.required("golden").into(), opts))
 }
 
 /// Conformance for one golden schedule — the batch replay, `--update`
@@ -395,15 +536,12 @@ fn golden_opts(args: &Args) -> Result<(PathBuf, ReplayOptions), String> {
 /// blessing: the canonical golden is the single-lane run, and
 /// `serve --golden` must *reproduce* it at every lane count.
 fn cmd_replay_golden(args: &Args) -> Result<(), String> {
-    args.expect_keys(&[
-        "seed", "golden", "bless", "threads", "kernel", "update", "defense",
-    ])?;
     let (golden_dir, opts) = golden_opts(args)?;
     let label = format!("replay seed {}", opts.seed);
-    let bless = args.flag("bless");
-    if args.flag("update") {
+    let bless = args.is_set("bless");
+    if args.is_set("update") {
         check_or_bless::<UpdateSnapshot>(&label, &opts, 1, &golden_dir, bless)
-    } else if args.flag("defense") {
+    } else if args.is_set("defense") {
         check_or_bless::<DefenseSnapshot>(&label, &opts, 1, &golden_dir, bless)
     } else {
         check_or_bless::<ReplaySnapshot>(&label, &opts, 1, &golden_dir, bless)
@@ -411,15 +549,10 @@ fn cmd_replay_golden(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_replay_capture(args: &Args) -> Result<(), String> {
-    args.expect_keys(&["capture", "dns"])?;
-    let path: PathBuf = args
-        .get("capture")
-        .ok_or("replay requires --capture <path>")?
-        .into();
-    let file = std::fs::File::open(&path).map_err(|e| e.to_string())?;
+    let file = std::fs::File::open(args.required("capture")).map_err(|e| e.to_string())?;
     let reader = hostprof::net::CaptureReader::new(std::io::BufReader::new(file))
         .map_err(|e| e.to_string())?;
-    let mut observer = if args.flag("dns") {
+    let mut observer = if args.is_set("dns") {
         hostprof::net::SniObserver::new().with_dns_harvesting()
     } else {
         hostprof::net::SniObserver::new()
@@ -452,7 +585,6 @@ fn cmd_replay_capture(args: &Args) -> Result<(), String> {
 /// single-lane `replay --golden` run; streaming knobs must reproduce,
 /// never define.
 fn cmd_serve_golden(args: &Args) -> Result<(), String> {
-    args.expect_keys(&["golden", "seed", "lanes", "threads"])?;
     let (golden_dir, opts) = golden_opts(args)?;
     let lanes = args.get_parsed::<usize>("lanes")?.unwrap_or(1).max(1);
     let label = format!("serve --golden seed {} lanes {lanes}", opts.seed);
@@ -464,17 +596,6 @@ fn cmd_serve_golden(args: &Args) -> Result<(), String> {
 /// Live mode: calibrated synthetic load through the serving loop, with a
 /// latency/throughput summary at the end.
 fn cmd_serve_live(args: &Args) -> Result<(), String> {
-    args.expect_keys(&[
-        "scale",
-        "users",
-        "pps",
-        "duration",
-        "lanes",
-        "threads",
-        "seed",
-        "days",
-        "update-every",
-    ])?;
     let cfg = scenario_config(args)?;
     let run = hostprof::serving::LiveRunConfig {
         seed: args.get_parsed::<u64>("seed")?.unwrap_or(0x0005_e47e),
@@ -578,9 +699,6 @@ fn parse_sweep(spec: &str) -> Result<Vec<f64>, String> {
 /// Degradation curves: run one defense axis (or all six) through the
 /// full pipeline at swept intensities and print the curve table.
 fn cmd_defend(args: &Args) -> Result<(), String> {
-    args.expect_keys(&[
-        "scale", "days", "users", "defense", "sweep", "seed", "threads", "no-ctr",
-    ])?;
     let cfg = scenario_config(args)?;
     let which = args.get("defense").unwrap_or("all");
     let names: Vec<&str> = if which == "all" {
@@ -597,7 +715,7 @@ fn cmd_defend(args: &Args) -> Result<(), String> {
     let seed = args.get_parsed::<u64>("seed")?.unwrap_or(0x00de_f5ed);
     let s = Scenario::generate(&cfg);
     let mut ev = hostprof::DefenseEvaluator::new(&s, seed);
-    ev.with_ctr = !args.flag("no-ctr");
+    ev.with_ctr = !args.is_set("no-ctr");
     if let Some(threads) = args.get_parsed::<usize>("threads")? {
         ev.profile_threads = threads;
     }
@@ -645,7 +763,6 @@ fn cmd_defend(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_experiment(args: &Args) -> Result<(), String> {
-    args.expect_keys(&["scale", "days", "users"])?;
     let cfg = scenario_config(args)?;
     let s = Scenario::generate(&cfg);
     let result = CtrExperiment::new(
@@ -675,57 +792,20 @@ fn cmd_experiment(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-const USAGE: &str = "\
-hostprof — user profiling by network observers (CoNEXT '21 reproduction)
-
-USAGE:
-  hostprof train      [--scale S] [--days N] [--users N] [--threads N]
-                      [--kernel auto|scalar|simd] --out model.json
-  hostprof similar    --model model.json --host <hostname> [--top N]
-  hostprof profile    [--scale S] [--days N] [--users N] --model model.json
-                      --user N [--day D] [--index exact|ivf] [--nprobe N]
-  hostprof observe    [--scale S] [--days N] [--users N] [--ech FRACTION]
-                      [--nat USERS_PER_IP] [--dns] [--chaos SEED]
-                      [--save capture.hpcap]
-  hostprof replay     --capture capture.hpcap [--dns]
-  hostprof replay     --golden tests/golden [--seed S] [--bless] [--threads N]
-                      [--kernel auto|scalar|simd] [--update | --defense]
-  hostprof defend     [--scale S] [--days N] [--users N] [--defense NAME|all]
-                      [--sweep LO:HI:STEP] [--seed S] [--threads N] [--no-ctr]
-  hostprof serve      [--scale S] [--days N] [--users N] [--pps F]
-                      [--duration SIM_SECONDS] [--lanes N] [--threads N]
-                      [--seed S] [--update-every TICKS]
-  hostprof serve      --golden tests/golden [--seed S] [--lanes N] [--threads N]
-  hostprof experiment [--scale S] [--days N] [--users N]
-
---scale is tiny (default), small, default (alias full) or large and selects
-the same deterministic scenarios the experiment binaries use (large is the
-10^6-user columnar tier; expect minutes, not seconds).
-";
-
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = raw.split_first() else {
-        eprint!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let result = Args::parse(rest).and_then(|args| match cmd.as_str() {
-        "train" => cmd_train(&args),
-        "similar" => cmd_similar(&args),
-        "profile" => cmd_profile(&args),
-        "observe" => cmd_observe(&args),
-        "replay" if args.has("capture") => cmd_replay_capture(&args),
-        "replay" => cmd_replay_golden(&args),
-        "defend" => cmd_defend(&args),
-        "serve" if args.has("golden") => cmd_serve_golden(&args),
-        "serve" => cmd_serve_live(&args),
-        "experiment" => cmd_experiment(&args),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+    let result = match raw.split_first() {
+        None => {
+            eprint!("{}", usage());
+            return ExitCode::FAILURE;
+        }
+        Some((cmd, _)) if ["help", "--help", "-h"].contains(&cmd.as_str()) => {
+            print!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
-    });
+        Some((cmd, rest)) => Command::select(cmd, rest)
+            .and_then(|row| Args::parse(row, rest).and_then(|args| (row.run)(&args))),
+    };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -12,6 +12,7 @@ use hostprof_defense::DefensePlan;
 use hostprof_net::{
     chaos, Addressing, ChaosConfig, Packet, RequestEvent, SniObserver, TrafficSynthesizer,
 };
+use hostprof_synth::trace::span_range;
 use hostprof_synth::{Trace, UserId, World};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -182,26 +183,6 @@ impl ObservedTrace {
         recovered as f64 / self.ground_truth_requests as f64
     }
 
-    /// Like [`ObservedTrace::fidelity`], but only counts observations whose
-    /// hostname actually exists in the world — a DoH deployment floods the
-    /// observer with the *resolver's* hostname, which recovers nothing
-    /// about the user.
-    pub fn useful_fidelity(&self, world: &World) -> f64 {
-        if self.ground_truth_requests == 0 {
-            return 0.0;
-        }
-        let useful: usize = self
-            .sequences
-            .values()
-            .map(|seq| {
-                seq.iter()
-                    .filter(|(_, h)| world.host_id_by_name(h).is_some())
-                    .count()
-            })
-            .sum();
-        useful as f64 / self.ground_truth_requests as f64
-    }
-
     /// The hostname sequence of one client IP, hostnames only.
     pub fn client_hostnames(&self, client_ip: u32) -> Vec<&str> {
         self.sequences
@@ -225,8 +206,8 @@ impl ObservedTrace {
         self.sequences
             .values()
             .map(|seq| {
-                seq.iter()
-                    .filter(|(t, _)| *t < before_ms)
+                seq[span_range(seq, |&(t, _)| t, 0, before_ms)]
+                    .iter()
                     .map(|(_, h)| h.clone())
                     .collect()
             })
@@ -363,7 +344,7 @@ mod tests {
         for step in [0.0, 0.25, 0.5, 0.75, 1.0] {
             let plan = DefensePlan::new(Defense::Ech { adoption: step }, catalog.clone(), 42);
             let got = ObservedTrace::capture(&s.world, &s.trace, &scenario, Some(&plan));
-            let f = got.useful_fidelity(&s.world);
+            let f = got.fidelity();
             assert!(f <= prev + 1e-12, "fidelity rose at adoption {step}");
             prev = f;
         }

@@ -28,7 +28,7 @@ use crate::scenario::Scenario;
 use hostprof_ads::{CtrExperiment, ExperimentConfig, ObservedView};
 use hostprof_defense::{Defense, DefensePlan, HostCatalog};
 use hostprof_net::Addressing;
-use hostprof_synth::trace::DAY_MS;
+use hostprof_synth::trace::{window_range, DAY_MS};
 use hostprof_synth::World;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
@@ -372,14 +372,11 @@ fn final_day_profiles(
         let Some(&end) = seq.iter().map(|(t, _)| t).rfind(|t| **t >= eval_start) else {
             continue;
         };
-        let start = end.saturating_sub(window_ms);
-        let window: Vec<&str> = seq
-            .iter()
-            .filter(|(t, _)| *t > start && *t <= end)
-            .map(|(_, h)| h.as_str())
-            .collect();
-        let session =
-            hostprof_core::Session::from_window(window.iter().copied(), Some(pipeline.blocklist()));
+        let window = &seq[window_range(seq, |&(t, _)| t, end, window_ms)];
+        let session = hostprof_core::Session::from_window(
+            window.iter().map(|(_, h)| h.as_str()),
+            Some(pipeline.blocklist()),
+        );
         if let Some(profile) = profiler.profile(&session) {
             out.insert(*ip, profile.categories);
         }
@@ -435,6 +432,40 @@ mod tests {
             heavy <= base + 1e-9,
             "decoys inflated recovery: {heavy} > {base}"
         );
+    }
+
+    #[test]
+    fn final_day_window_keeps_an_observation_stamped_zero() {
+        let mut cfg = ScenarioConfig::tiny();
+        cfg.trace.days = 1;
+        let s = Scenario::generate(&cfg);
+        let embeddings = s
+            .pipeline()
+            .train_model(&s.daily_hostname_sequences(0))
+            .unwrap();
+        // One client whose session opens at `first_ms`; the window ends at
+        // its last observation, well inside T of the epoch. Distinct
+        // in-vocabulary hosts, so dropping the first one is visible.
+        let mut hosts = s.session_hostnames(hostprof_synth::UserId(0), 0);
+        hosts.retain(|h| embeddings.vector(h).is_some());
+        hosts.sort();
+        hosts.dedup();
+        let profile_with_first_at = |first_ms: u64, skip: usize| {
+            let seq = hosts.iter().enumerate().skip(skip);
+            let seq =
+                seq.map(|(i, h)| (if i == 0 { first_ms } else { 1_000 + i as u64 }, h.clone()));
+            let obs = ObservedTrace {
+                sequences: BTreeMap::from([(7, seq.collect())]),
+                observer_stats: Default::default(),
+                flow_stats: Default::default(),
+                chaos_stats: None,
+                ground_truth_requests: hosts.len(),
+            };
+            final_day_profiles(&s, &obs, Some(&embeddings)).remove(&7)
+        };
+        let at_epoch = profile_with_first_at(0, 0).expect("session has signal");
+        assert_eq!(Some(&at_epoch), profile_with_first_at(1, 0).as_ref());
+        assert_ne!(Some(&at_epoch), profile_with_first_at(1, 1).as_ref());
     }
 
     #[test]

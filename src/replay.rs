@@ -19,16 +19,17 @@
 //! * `{1, 4}` ingest lanes — window content is lane-invariant (the
 //!   streaming-equivalence contract);
 //! * `{1, 4}` profiling threads — profiling consumes no randomness and
-//!   the batch profiler is pinned bit-equal to the sequential path;
-//! * `{scalar, simd}` skipgram kernels — the replay trains at `dim = 3`,
-//!   where every SIMD kernel takes its scalar tail path from element 0,
-//!   making the two kernels the *same* sequence of f32 operations.
+//!   the batch profiler is pinned bit-equal to the sequential path.
 //!
-//! The knobs deliberately *not* varied are the ones that legitimately
+//! The skipgram kernel is not a knob: the replay trains at `dim = 3`,
+//! where every SIMD kernel takes its scalar tail path from element 0, so
+//! production kernel and scalar reference are the *same* sequence of f32
+//! operations (where they differ, `crates/embed/tests/properties.rs` pins
+//! their agreement at `dim = 17`). Nor are the knobs that legitimately
 //! change results (dim ≥ 4 re-associates the portable dot product's
 //! 4-accumulator reduction; `threads ≥ 2` makes Hogwild racy by design).
 //! The conformance suite (`tests/replay_conformance.rs`) runs the full
-//! 2×2×2 matrix over every schedule and asserts byte equality; per-stage
+//! 2×2 matrix over every schedule and asserts byte equality; per-stage
 //! FNV digests give a stage-attributed diff the moment any future
 //! optimization drifts.
 
@@ -40,7 +41,7 @@ use hostprof_core::{
     VersionedModel,
 };
 use hostprof_defense::{Defense, DefensePlan};
-use hostprof_embed::{EmbeddingSet, KernelChoice, SkipGram, SkipGramConfig};
+use hostprof_embed::{EmbeddingSet, SkipGram, SkipGramConfig};
 use hostprof_stats::paired_t_test;
 use hostprof_synth::trace::DAY_MS;
 use hostprof_synth::UserId;
@@ -60,21 +61,17 @@ pub struct ReplayOptions {
     pub seed: u64,
     /// Worker threads for batched profiling ({1, 4} in CI).
     pub profile_threads: usize,
-    /// Skipgram kernel choice.
-    pub kernel: KernelChoice,
     /// Test hook: add `delta` to flat embedding weight `index` after
     /// training, to prove the suite fails with a model-stage diff.
     pub perturb_embedding: Option<(usize, f32)>,
 }
 
 impl ReplayOptions {
-    /// Default knobs for a seed: 1 thread, auto kernel (the production
-    /// defaults).
+    /// Default knobs for a seed: 1 profile thread.
     pub fn for_seed(seed: u64) -> Self {
         Self {
             seed,
             profile_threads: 1,
-            kernel: KernelChoice::Auto,
             perturb_embedding: None,
         }
     }
@@ -350,7 +347,7 @@ pub fn replay_scenario_config(opts: &ReplayOptions) -> ScenarioConfig {
         subsample: 0.0,
         threads: 1,
         seed: mix(5),
-        kernel: opts.kernel,
+        ..SkipGramConfig::default()
     };
     cfg.pipeline.profiler.n_neighbors = 20;
     cfg
@@ -721,7 +718,7 @@ impl UpdateStageDigests {
 /// base model, day 1 streams against version 1 while its closed windows
 /// are harvested, the harvest drives one [`SkipGram::update`] whose
 /// result publishes as version 2, and day 2 streams against it. Byte-
-/// stable across lanes, profile threads, and kernels — same contract as
+/// stable across lanes and profile threads — same contract as
 /// [`ReplaySnapshot`], plus: every tick records which version served it,
 /// so the swap point itself is pinned.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -754,9 +751,7 @@ impl GoldenSchedule for UpdateSnapshot {
     /// Determinism leans on three already-pinned properties: window
     /// *content* is lane-invariant (the streaming-equivalence contract),
     /// the harvest order is tick order then user order (also lane-
-    /// invariant), and the update trains with one Hogwild worker at
-    /// `dim = 3`, where scalar and SIMD kernels execute the identical f32
-    /// sequence.
+    /// invariant), and the update trains with one Hogwild worker.
     fn run(opts: &ReplayOptions, lanes: usize) -> Result<Self, String> {
         let p = Pinned::generate(opts);
         let s = &p.s;
@@ -931,7 +926,7 @@ impl DefenseCaseDigests {
 /// The golden snapshot of the defense schedule: the undefended baseline
 /// plus one representative point per defense axis, each run capture →
 /// train → streaming serve on the pinned replay scenario. Byte-stable
-/// across {1, 4} lanes × {scalar, simd} kernels × profile threads — the
+/// across {1, 4} lanes × {1, 4} profile threads — the
 /// same contract as [`ReplaySnapshot`] — and the `identity_ech0` case is
 /// checked *in-run* to be bit-equal to `baseline` (the defended code
 /// path at an identity point must reproduce the undefended pipeline).
@@ -960,10 +955,10 @@ impl GoldenSchedule for DefenseSnapshot {
     /// Run the defense schedule.
     ///
     /// Determinism: defended event streams are stable time sorts of a
-    /// deterministic transform, training runs at `dim = 3` with one
-    /// Hogwild worker (kernel-invariant), and serving inherits the lane-
-    /// invariance contract — decoys share their client's IP, so they ride
-    /// the same lane as the traffic they cover.
+    /// deterministic transform, training runs with one Hogwild worker,
+    /// and serving inherits the lane-invariance contract — decoys share
+    /// their client's IP, so they ride the same lane as the traffic they
+    /// cover.
     fn run(opts: &ReplayOptions, lanes: usize) -> Result<Self, String> {
         let p = Pinned::generate(opts);
         let s = &p.s;

@@ -50,6 +50,20 @@ impl Default for ScenarioConfig {
 }
 
 impl ScenarioConfig {
+    /// The preset a scale name selects — the one parser behind the CLI's
+    /// `--scale` and the experiment binaries' `HOSTPROF_SCALE`.
+    pub fn named(scale: &str) -> Result<Self, String> {
+        match scale {
+            "tiny" => Ok(Self::tiny()),
+            "small" => Ok(Self::small()),
+            "default" | "full" => Ok(Self::paper_month()),
+            "large" => Ok(Self::large()),
+            other => Err(format!(
+                "unknown scale '{other}' (tiny|small|default|full|large)"
+            )),
+        }
+    }
+
     /// Miniature everything: fast enough for unit/integration tests.
     pub fn tiny() -> Self {
         Self {
@@ -115,11 +129,12 @@ impl ScenarioConfig {
     }
 
     /// The million-user / 10⁵-vocabulary tier (DESIGN.md §13): two days,
-    /// ~103 K hostnames, 10⁶ users. This preset is only meant to be
-    /// consumed through the columnar streaming path
-    /// (`hostprof_synth::generate_columnar`) — `Scenario::generate` would
-    /// materialize every request as a 24-byte struct and dwarf the
-    /// columnar store it exists to benchmark.
+    /// ~103 K hostnames, 10⁶ users. The benchmark harness feeds it to the
+    /// columnar streaming path (`hostprof_synth::generate_columnar`, 12
+    /// bytes per request). The CLI's `--scale large` does not: every
+    /// command calls [`Scenario::generate`], which materializes each
+    /// request as a 24-byte struct plus the per-user index — gigabytes
+    /// and minutes at this tier.
     pub fn large() -> Self {
         Self {
             world: WorldConfig::large(),

@@ -173,14 +173,7 @@ pub fn run_live(
     let mut model = SkipGram::train(&corpus, &pipeline_config.skipgram)?;
     let base_vocab = model.vocab().len();
     // Every version, base or updated, gets the pipeline's centering.
-    let embeddings_of = |model: &SkipGram| {
-        let embeddings = model.embeddings();
-        if pipeline_config.center_embeddings {
-            embeddings.centered()
-        } else {
-            embeddings
-        }
-    };
+    let embeddings_of = |model: &SkipGram| model.embeddings().centered();
     let ontology = Arc::new(world.ontology().clone());
     let versioned = VersionedModel::new(ModelVersion::build(
         1,

@@ -3,11 +3,11 @@
 //! The paper's back-end retrains daily and "immediately starts using" the
 //! new model (§5.4) — a real deployment persists each day's model so the
 //! serving path can reload it. This module provides JSON save/load for the
-//! pipeline's durable artifacts: trained [`EmbeddingSet`]s, the
-//! [`Ontology`], and experiment results.
+//! pipeline's durable artifacts: trained [`EmbeddingSet`]s by name, and
+//! anything else serializable (the ontology, experiment results) through
+//! [`save_json`] / [`load_json`].
 
 use hostprof_embed::EmbeddingSet;
-use hostprof_ontology::Ontology;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::fs;
@@ -80,22 +80,12 @@ pub fn load_model(path: &Path) -> Result<EmbeddingSet, StorageError> {
     load_json(path)
 }
 
-/// Save the ontology snapshot (`H_L`).
-pub fn save_ontology(path: &Path, ontology: &Ontology) -> Result<(), StorageError> {
-    save_json(path, ontology)
-}
-
-/// Reload an ontology snapshot.
-pub fn load_ontology(path: &Path) -> Result<Ontology, StorageError> {
-    load_json(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hostprof_core::{Pipeline, PipelineConfig};
     use hostprof_embed::SkipGramConfig;
-    use hostprof_ontology::{Blocklist, CategoryId, CategoryVector};
+    use hostprof_ontology::{Blocklist, CategoryId, CategoryVector, Ontology};
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("hostprof-storage-{}-{name}", std::process::id()))
@@ -130,8 +120,8 @@ mod tests {
         let mut o = Ontology::new();
         o.insert("espn.com", CategoryVector::singleton(CategoryId(13)));
         let path = temp_path("ontology.json");
-        save_ontology(&path, &o).unwrap();
-        let back = load_ontology(&path).unwrap();
+        save_json(&path, &o).unwrap();
+        let back: Ontology = load_json(&path).unwrap();
         assert!(back.is_labeled("espn.com"));
         assert_eq!(back.len(), 1);
         let _ = std::fs::remove_file(path);

@@ -190,15 +190,6 @@ fn observe_save_replay_roundtrip() {
     );
     let replayed = stdout(&out);
     assert!(replayed.contains("clients seen"), "{replayed}");
-    // Same packet count live and offline.
-    let live_packets: u64 = live
-        .lines()
-        .find(|l| l.contains("packets"))
-        .and_then(|l| l.split(',').next_back())
-        .and_then(|l| l.split_whitespace().next_back())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let _ = live_packets; // formats differ; presence checks above suffice
     let _ = std::fs::remove_file(cap);
 }
 
@@ -210,9 +201,36 @@ fn unknown_options_fail_loudly() {
 }
 
 #[test]
+fn flags_are_held_to_their_arity() {
+    // A boolean flag used to swallow a following bare token and then read
+    // as unset: `observe --dns 1` harvested no DNS, and `replay --golden
+    // DIR --update 1` checked (and with --bless rewrote) the wrong schedule.
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    for (args, flag) in [
+        (&["observe", "--dns", "1"][..], "--dns"),
+        (&["replay", "--golden", golden, "--update", "1"], "--update"),
+        (
+            &["replay", "--golden", golden, "--defense", "1"],
+            "--defense",
+        ),
+        (&["replay", "--golden", golden, "--bless", "1"], "--bless"),
+        (&["defend", "--no-ctr", "1"], "--no-ctr"),
+    ] {
+        let out = hostprof(args);
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!out.status.success(), "{args:?}");
+        assert!(err.contains(&format!("{flag} takes no value")), "{err}");
+    }
+    // And a value flag followed by another flag still says what it lacks.
+    let out = hostprof(&["serve", "--scale", "tiny", "--pps", "--lanes", "2"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--pps requires a value"));
+}
+
+#[test]
 fn help_lists_every_flag_each_command_accepts() {
-    // The per-command allow-lists and USAGE are typed separately; the
-    // unknown-option error prints the former, `hostprof help` the latter.
+    // Parser and `hostprof help` read one table; the unknown-option error
+    // prints the row's flags, and each must appear in that command's help.
     let help = stdout(&hostprof(&["help"]));
     for mode in [
         &["train"][..],

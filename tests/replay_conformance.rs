@@ -1,21 +1,21 @@
 //! End-to-end replay conformance: the committed golden snapshots under
 //! `tests/golden/` — one per `GoldenSchedule` (replay, update, defense)
 //! per seed — must be reproduced **byte-identically** across the full
-//! execution matrix: {1, 4} serving lanes × {1, 4} profiling threads ×
-//! {scalar, simd} kernels.
+//! execution matrix: {1, 4} serving lanes × {1, 4} profiling threads.
 //!
 //! The determinism contract making this possible is spelled out in
 //! `src/replay.rs` (and DESIGN.md §10): the replay pins skipgram to
-//! `dim = 3, threads = 1`, where the SIMD kernels take their scalar
-//! tail path from element 0 and the one worker claims chunks in
+//! `dim = 3, threads = 1`, where the one worker claims chunks in
 //! sequential epoch order, while batch profiling consumes no randomness
-//! so the thread count cannot reorder float accumulation.
+//! so the thread count cannot reorder float accumulation. There is no
+//! kernel axis (two test names still say `_and_kernels`): at `dim = 3` the
+//! SIMD kernels take their scalar tail path from element 0, and `crates/
+//! embed/tests/properties.rs` pins scalar-vs-SIMD agreement at `dim = 17`.
 //!
 //! Regenerate goldens after an *intentional* pipeline change with:
 //! `cargo run --release --bin hostprof -- replay --golden tests/golden --seed S --bless`
 //! (plus `--update` / `--defense` for those schedules).
 
-use hostprof::embed::KernelChoice;
 use hostprof::replay::{
     DefenseSnapshot, GoldenSchedule, ReplayOptions, ReplaySnapshot, UpdateSnapshot,
 };
@@ -39,39 +39,35 @@ fn golden<S: GoldenSchedule>(seed: u64) -> (String, S) {
 }
 
 /// Every knob that may not move a snapshot: {1, 4} serving lanes × {1, 4}
-/// profile threads × {scalar, simd} kernels, on each committed seed. Lane
-/// count may not shift window content (streaming-equivalence contract;
-/// decoys share their client's IP and therefore its lane), batch profiling
-/// consumes no randomness, and the kernels share the scalar tail path at
-/// the replay's dim = 3.
+/// profile threads, on each committed seed. Lane count may not shift
+/// window content (streaming-equivalence contract; decoys share their
+/// client's IP and therefore its lane) and batch profiling consumes no
+/// randomness.
 fn matches_committed_goldens<S: GoldenSchedule>() {
     for seed in SEEDS {
         let (bytes, expected) = golden::<S>(seed);
         for lanes in [1usize, 4] {
             for profile_threads in [1usize, 4] {
-                for kernel in [KernelChoice::Scalar, KernelChoice::Simd] {
-                    let opts = ReplayOptions {
-                        seed,
-                        profile_threads,
-                        kernel,
-                        perturb_embedding: None,
-                    };
-                    let knobs = format!(
-                        "{} seed {seed}, lanes {lanes}, threads {profile_threads}, {kernel:?}",
-                        S::STEM
-                    );
-                    let snapshot = S::run(&opts, lanes).expect("schedule runs");
-                    let diffs = expected.diff(&snapshot);
-                    assert!(diffs.is_empty(), "{knobs} diverged:\n{}", diffs.join("\n"));
-                    // Byte-identity is stronger than structural equality:
-                    // the serialized form must match the committed file
-                    // exactly, proving float formatting is stable too.
-                    assert_eq!(
-                        snapshot.to_golden_json().expect("serializes"),
-                        bytes,
-                        "{knobs}: snapshot JSON differs from committed golden bytes"
-                    );
-                }
+                let opts = ReplayOptions {
+                    seed,
+                    profile_threads,
+                    perturb_embedding: None,
+                };
+                let knobs = format!(
+                    "{} seed {seed}, lanes {lanes}, threads {profile_threads}",
+                    S::STEM
+                );
+                let snapshot = S::run(&opts, lanes).expect("schedule runs");
+                let diffs = expected.diff(&snapshot);
+                assert!(diffs.is_empty(), "{knobs} diverged:\n{}", diffs.join("\n"));
+                // Byte-identity is stronger than structural equality:
+                // the serialized form must match the committed file
+                // exactly, proving float formatting is stable too.
+                assert_eq!(
+                    snapshot.to_golden_json().expect("serializes"),
+                    bytes,
+                    "{knobs}: snapshot JSON differs from committed golden bytes"
+                );
             }
         }
     }

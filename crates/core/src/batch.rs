@@ -11,23 +11,25 @@
 //!   block of the unit-norm matrix is loaded once and scored against many
 //!   session vectors;
 //! * **across workers**, sessions fan out over scoped threads
-//!   (`crossbeam::thread::scope`), each worker owning one reusable
-//!   [`ProfileScratch`] — no locks, no shared mutable state, results
-//!   written straight into disjoint output slices.
+//!   (`crossbeam::thread::scope`) with the caller working the last share
+//!   itself, each worker owning one reusable [`ProfileScratch`] — no
+//!   locks, no shared mutable state, results written straight into
+//!   disjoint output slices.
 //!
 //! Results are **exactly** those of calling [`Profiler::profile`] per
-//! session, in order: both paths run the same aggregation, the same kNN
-//! kernel, and the same Eq. 3/4 accumulation with the same float-operation
-//! order, so equality is bit-for-bit, independent of the thread count.
-//! The property tests in `tests/batch_equivalence.rs` pin this down.
+//! session, in order: every entry point here and that one are the same
+//! kernel (in [`crate::profiler`]) behind a resolver, so equality is
+//! bit-for-bit, independent of the thread count. The property tests in
+//! `tests/batch_equivalence.rs` pin this down.
 //!
 //! [nv]: hostprof_embed::EmbeddingSet::nearest_to_vectors_with
 
-use crate::profiler::{ProfileScratch, Profiler, SessionProfile};
+use crate::profiler::{ProfileScratch, Profiler, ResolvedHost, SessionProfile};
 use crate::session::Session;
+use std::ops::Range;
 
 /// Fans batches of sessions across worker threads, each running the
-/// single-session profiling code against a private scratch.
+/// profiling kernel against a private scratch.
 pub struct BatchProfiler<'a> {
     profiler: Profiler<'a>,
     threads: usize,
@@ -54,84 +56,70 @@ impl<'a> BatchProfiler<'a> {
 
     /// Profile a batch. `out[i]` is exactly what
     /// `self.profiler().profile(&sessions[i])` returns, for every `i`.
+    /// Each worker resolves its sessions' names once, then runs the kernel.
     pub fn profile_sessions(&self, sessions: &[Session]) -> Vec<Option<SessionProfile>> {
+        self.fan_out(sessions.len(), |share, out, scratch| {
+            let sessions = &sessions[share];
+            let mut hosts = Vec::with_capacity(sessions.iter().map(Session::len).sum());
+            let mut ranges = Vec::with_capacity(sessions.len());
+            for session in sessions {
+                let start = hosts.len();
+                hosts.extend(session.iter().map(|h| self.profiler.resolve(h)));
+                ranges.push(start..hosts.len());
+            }
+            self.profiler
+                .profile_resolved(&hosts, &ranges, out, scratch);
+        })
+    }
+
+    /// [`Self::profile_sessions`] for sessions that are already resolved
+    /// against this profiler's model — each a range of `hosts` — which is
+    /// how the serving tick arrives: no name is read.
+    pub fn profile_resolved(
+        &self,
+        hosts: &[ResolvedHost<'_>],
+        sessions: &[Range<usize>],
+    ) -> Vec<Option<SessionProfile>> {
+        self.fan_out(sessions.len(), |share, out, scratch| {
+            self.profiler
+                .profile_resolved(hosts, &sessions[share], out, scratch);
+        })
+    }
+
+    /// Split `0..n` into one contiguous share per worker and run `work` on
+    /// each with its slice of the output and a fresh scratch: all shares
+    /// but the last on scoped threads, the last on the calling thread,
+    /// which would otherwise only wait.
+    fn fan_out<F>(&self, n: usize, work: F) -> Vec<Option<SessionProfile>>
+    where
+        F: Fn(Range<usize>, &mut [Option<SessionProfile>], &mut ProfileScratch) + Sync,
+    {
         let mut out: Vec<Option<SessionProfile>> = Vec::new();
-        out.resize_with(sessions.len(), || None);
-        if sessions.is_empty() {
+        out.resize_with(n, || None);
+        if n == 0 {
             return out;
         }
-        let workers = self.threads.min(sessions.len());
-        if workers <= 1 {
-            profile_chunk(
-                &self.profiler,
-                sessions,
-                &mut out,
-                &mut ProfileScratch::new(),
-            );
-            return out;
-        }
-        let chunk = sessions.len().div_ceil(workers);
+        let share = n.div_ceil(self.threads.min(n));
+        let last_start = (n - 1) / share * share;
+        let (spawned, last) = out.split_at_mut(last_start);
         if let Err(payload) = crossbeam::thread::scope(|scope| {
-            for (sess, slots) in sessions.chunks(chunk).zip(out.chunks_mut(chunk)) {
+            for (i, slots) in spawned.chunks_mut(share).enumerate() {
+                let work = &work;
                 scope.spawn(move |_| {
-                    profile_chunk(&self.profiler, sess, slots, &mut ProfileScratch::new());
+                    work(
+                        i * share..(i + 1) * share,
+                        slots,
+                        &mut ProfileScratch::new(),
+                    );
                 });
             }
+            work(last_start..n, last, &mut ProfileScratch::new());
         }) {
             // Re-raise the worker's own panic payload rather than masking
             // it behind a generic message.
             std::panic::resume_unwind(payload);
         }
         out
-    }
-}
-
-/// One worker's share: stage every session's aggregation, resolve all kNN
-/// queries in a single tiled scan, then assemble the profiles.
-fn profile_chunk(
-    profiler: &Profiler<'_>,
-    sessions: &[Session],
-    out: &mut [Option<SessionProfile>],
-    scratch: &mut ProfileScratch,
-) {
-    debug_assert_eq!(sessions.len(), out.len());
-    // (labels, query slot) per non-empty session; `None` marks an empty
-    // session, which profiles to `None` without touching the kernel. The
-    // slot indexes straight into `queries`/`results`, so sessions without
-    // a vector can never desynchronize the answer stream.
-    let mut staged = Vec::with_capacity(sessions.len());
-    let mut queries: Vec<Vec<f32>> = Vec::new();
-    for session in sessions {
-        if session.is_empty() {
-            staged.push(None);
-            continue;
-        }
-        let labels = profiler.session_labels(session);
-        let slot = profiler.aggregate(session).map(|v| {
-            queries.push(v);
-            queries.len() - 1
-        });
-        staged.push(Some((labels, slot)));
-    }
-    let mut results = profiler.embeddings().nearest_to_vectors_with_index(
-        &queries,
-        profiler.config().n_neighbors,
-        profiler.index(),
-        &mut scratch.knn,
-    );
-    debug_assert_eq!(results.len(), queries.len(), "one kNN result per query");
-    for (slot, entry) in out.iter_mut().zip(staged) {
-        let Some((labels, qslot)) = entry else {
-            continue;
-        };
-        let (sv, neighbors) = match qslot {
-            Some(qi) => (
-                Some(std::mem::take(&mut queries[qi])),
-                std::mem::take(&mut results[qi]),
-            ),
-            None => (None, Vec::new()),
-        };
-        *slot = profiler.assemble(&labels, sv, &neighbors, scratch);
     }
 }
 
@@ -204,6 +192,19 @@ mod tests {
                 batch.profile_sessions(&sessions),
                 reference,
                 "threads={threads}"
+            );
+            // The same batch handed over already resolved, in one arena.
+            let mut hosts = Vec::new();
+            let mut ranges = Vec::new();
+            for session in &sessions {
+                let start = hosts.len();
+                hosts.extend(session.iter().map(|h| batch.profiler().resolve(h)));
+                ranges.push(start..hosts.len());
+            }
+            assert_eq!(
+                batch.profile_resolved(&hosts, &ranges),
+                reference,
+                "threads={threads}, resolved"
             );
         }
     }

@@ -50,7 +50,7 @@ pub use cores::{core_items, counts_outside_core};
 pub use pipeline::{Pipeline, PipelineConfig};
 pub use profiler::{
     profile_accuracy, Aggregation, PreparedProfiler, ProfileScratch, Profiler, ProfilerConfig,
-    SessionProfile,
+    ResolvedHost, SessionProfile,
 };
 pub use serve::{IncrementalWindower, ServeConfig, ServeEngine, ServeStats, TickReport};
 pub use session::Session;

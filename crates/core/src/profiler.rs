@@ -17,13 +17,20 @@
 //! The hot path is allocation-light: the labeled-host index is a sorted
 //! array probed by binary search, Eq. 4 accumulates into a dense
 //! `f32` array indexed by [`CategoryId`] (no hashing), and every buffer
-//! lives in a caller-reusable [`ProfileScratch`]. The batched engine in
-//! [`crate::batch`] drives the same code with one scratch per worker.
+//! lives in a caller-reusable [`ProfileScratch`].
+//!
+//! There is one kernel (`Profiler::profile_resolved`, crate-private), and
+//! it never sees a hostname: a session reaches it as a slice of
+//! [`ResolvedHost`]s. The two resolvers are [`Profiler::resolve`] (by name
+//! — what [`Profiler::profile`] and the batch engine in [`crate::batch`]
+//! do, once per session host) and the serving tick's per-version table
+//! over interned host ids ([`crate::serve`]).
 
 use crate::session::Session;
 use hostprof_embed::{EmbeddingSet, IndexConfig, KnnScratch, NnIndex};
 use hostprof_ontology::{CategoryId, CategoryVector, Ontology};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Profiler knobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -83,6 +90,18 @@ pub struct SessionProfile {
     pub labeled_in_session: usize,
     /// How many labeled neighbors contributed through the embedding.
     pub labeled_neighbors: usize,
+}
+
+/// One session host as the kernel sees it: everything a hostname means
+/// under one model, with the name gone. A host with neither field still
+/// occupies its place in the session — [`Aggregation::Recency`] reads the
+/// session's length and each host's position.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ResolvedHost<'a> {
+    /// The host's embedding row, when it is in vocabulary.
+    pub row: Option<u32>,
+    /// The host's category vector, when it is in `H_L`.
+    pub labels: Option<&'a CategoryVector>,
 }
 
 /// Reusable per-caller working memory for profiling.
@@ -323,47 +342,81 @@ impl<'a> Profiler<'a> {
         session: &Session,
         scratch: &mut ProfileScratch,
     ) -> Option<SessionProfile> {
-        if session.is_empty() {
-            return None;
+        let hosts: Vec<ResolvedHost<'a>> = session.iter().map(|h| self.resolve(h)).collect();
+        let mut profile = None;
+        self.profile_resolved(
+            &hosts,
+            std::slice::from_ref(&(0..hosts.len())),
+            std::slice::from_mut(&mut profile),
+            scratch,
+        );
+        profile
+    }
+
+    /// The string resolver: what a (lowercase) hostname means under this
+    /// model — its vocabulary row and its ontology label, one hash lookup
+    /// each.
+    pub fn resolve(&self, host: &str) -> ResolvedHost<'a> {
+        ResolvedHost {
+            row: self.embeddings.vocab().get(host),
+            labels: self.ontology.lookup(host),
         }
-        let labeled_in_session = self.session_labels(session);
-        let session_vector = self.aggregate(session);
-        let prepared = self.prepared();
-        let neighbors = match &session_vector {
-            // H_s: the N nearest hostnames to the session vector.
-            Some(sv) => self.embeddings.nearest_to_vector_with_index(
-                sv,
-                prepared.config.n_neighbors,
-                prepared.index.as_ref(),
-                &mut scratch.knn,
-            ),
-            None => Vec::new(),
-        };
-        self.assemble(&labeled_in_session, session_vector, &neighbors, scratch)
     }
 
-    /// L: labeled hosts in the session (weight 1 regardless of cosine).
-    pub(crate) fn session_labels(
+    /// The kernel: profile `sessions`, each a range of `hosts` in
+    /// first-visit order, into `out` — stage every session's aggregation,
+    /// resolve all kNN queries in a single tiled scan, then assemble the
+    /// profiles. `out[i]` is `None` when session `i` is empty or carries no
+    /// signal at all (no host in vocabulary *and* none labeled).
+    pub(crate) fn profile_resolved(
         &self,
-        session: &Session,
-    ) -> Vec<(Option<u32>, &'a CategoryVector)> {
-        session
+        hosts: &[ResolvedHost<'_>],
+        sessions: &[Range<usize>],
+        out: &mut [Option<SessionProfile>],
+        scratch: &mut ProfileScratch,
+    ) {
+        debug_assert_eq!(sessions.len(), out.len());
+        // One query per session with a vector; `slots[i]` indexes straight
+        // into `queries`/`results`, so sessions without a vector can never
+        // desynchronize the answer stream.
+        let mut queries: Vec<Vec<f32>> = Vec::new();
+        let slots: Vec<Option<usize>> = sessions
             .iter()
-            .filter_map(|h| {
-                self.ontology
-                    .lookup(h)
-                    .map(|cats| (self.embeddings.vocab().get(h), cats))
+            .map(|range| {
+                self.aggregate(&hosts[range.clone()]).map(|v| {
+                    queries.push(v);
+                    queries.len() - 1
+                })
             })
-            .collect()
+            .collect();
+        // H_s: the N nearest hostnames to each session vector.
+        let prepared = self.prepared();
+        let mut results = self.embeddings.nearest_to_vectors_with_index(
+            &queries,
+            prepared.config.n_neighbors,
+            prepared.index.as_ref(),
+            &mut scratch.knn,
+        );
+        debug_assert_eq!(results.len(), queries.len(), "one kNN result per query");
+        for ((profile, range), slot) in out.iter_mut().zip(sessions).zip(slots) {
+            let (sv, neighbors) = match slot {
+                Some(qi) => (
+                    Some(std::mem::take(&mut queries[qi])),
+                    std::mem::take(&mut results[qi]),
+                ),
+                None => (None, Vec::new()),
+            };
+            *profile = self.assemble(&hosts[range.clone()], sv, &neighbors, scratch);
+        }
     }
 
-    /// Eq. 3/4 tail shared by the single-session and batched paths: fold
-    /// the kNN neighbor stream and the in-session labels into a profile.
-    /// `neighbors` must be the kNN result for `session_vector` (empty when
-    /// the session has no vector).
-    pub(crate) fn assemble(
+    /// Eq. 3/4: fold the kNN neighbor stream and the in-session labels `L`
+    /// (weight 1 regardless of cosine) into a profile. `neighbors` must be
+    /// the kNN result for `session_vector` (empty when the session has no
+    /// vector).
+    fn assemble(
         &self,
-        labeled_in_session: &[(Option<u32>, &'a CategoryVector)],
+        session: &[ResolvedHost<'_>],
         session_vector: Option<Vec<f32>>,
         neighbors: &[(u32, f32)],
         scratch: &mut ProfileScratch,
@@ -371,13 +424,12 @@ impl<'a> Profiler<'a> {
         scratch.in_session.clear();
         scratch
             .in_session
-            .extend(labeled_in_session.iter().filter_map(|(idx, _)| *idx));
+            .extend(session.iter().filter_map(|h| h.labels.and(h.row)));
         scratch.in_session.sort_unstable();
 
         scratch.begin(self.prepared().category_bound);
         let mut alpha_sum = 0f32;
         let mut labeled_neighbors = 0usize;
-        let mut contributions = 0usize;
         for &(idx, sim) in neighbors {
             if scratch.in_session.binary_search(&idx).is_ok() {
                 continue; // weighted 1 below, don't double-count
@@ -390,15 +442,15 @@ impl<'a> Profiler<'a> {
                 alpha_sum += alpha;
                 scratch.add(cats, alpha);
                 labeled_neighbors += 1;
-                contributions += 1;
             }
         }
-        for (_, cats) in labeled_in_session {
+        let mut labeled_in_session = 0usize;
+        for cats in session.iter().filter_map(|h| h.labels) {
             alpha_sum += 1.0;
             scratch.add(cats, 1.0);
-            contributions += 1;
+            labeled_in_session += 1;
         }
-        if contributions == 0 {
+        if labeled_neighbors + labeled_in_session == 0 {
             return None;
         }
 
@@ -407,21 +459,21 @@ impl<'a> Profiler<'a> {
         Some(SessionProfile {
             categories,
             session_vector: session_vector.unwrap_or_default(),
-            labeled_in_session: labeled_in_session.len(),
+            labeled_in_session,
             labeled_neighbors,
         })
     }
 
     /// The aggregation `g`: a weighted element-wise mean of the session
-    /// hostnames' vectors (weights per [`Aggregation`]). `None` when no
-    /// session hostname is in vocabulary.
-    pub(crate) fn aggregate(&self, session: &Session) -> Option<Vec<f32>> {
+    /// hosts' vectors (weights per [`Aggregation`]). `None` when no session
+    /// host is in vocabulary.
+    fn aggregate(&self, session: &[ResolvedHost<'_>]) -> Option<Vec<f32>> {
         let dim = self.embeddings.dim();
         let mut acc = vec![0f32; dim];
         let mut weight_sum = 0f32;
         let n = session.len();
-        for (pos, h) in session.iter().enumerate() {
-            let Some(idx) = self.embeddings.vocab().get(h) else {
+        for (pos, host) in session.iter().enumerate() {
+            let Some(idx) = host.row else {
                 continue;
             };
             let w = match self.prepared().config.aggregation {

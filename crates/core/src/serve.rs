@@ -29,11 +29,14 @@
 //! * **Ticks run on host ids** — a tick closes into a [`TickClose`] (one
 //!   arena of ids, one `(user, anchor, range)` per fresh user), and the
 //!   engine lowercases, blocklist-filters and first-visit-dedups each
-//!   window on ids alone: per-host facts are resolved once per distinct
-//!   interned id for the life of the engine, and "seen in this window" is
-//!   an epoch-stamped dense array. Hostnames reappear as strings only for
-//!   the hosts that survive, copied once into the [`Session`] the profiler
-//!   reads — a tick allocates per *distinct* host, not per event.
+//!   window on ids alone: what a name *is* (blocked, a case variant of an
+//!   earlier host) is decided once per distinct interned id for the life
+//!   of the engine, what it *means* under the model (embedding row,
+//!   ontology label) once per id per model version, and "seen in this
+//!   window" is an epoch-stamped dense array. The surviving hosts go to
+//!   [`BatchProfiler::profile_resolved`] as one arena of
+//!   [`ResolvedHost`]s and one range per session, so a steady-state tick
+//!   reads no hostname and allocates per *session*, not per host.
 //!   [`IncrementalWindower::close_tick`] and [`Session::from_window`] are
 //!   the string-typed views of the same two steps, for callers outside the
 //!   tick and as the reference the id path is tested against.
@@ -51,11 +54,12 @@
 //! committed snapshots as the batch path.
 //!
 //! [`NnIndex`]: hostprof_embed::index::NnIndex
+//! [`Session::from_window`]: crate::session::Session::from_window
 
 use crate::batch::BatchProfiler;
-use crate::profiler::SessionProfile;
-use crate::session::{ascii_lower, Session};
-use crate::versioned::VersionedModel;
+use crate::profiler::{Profiler, ResolvedHost, SessionProfile};
+use crate::session::ascii_lower;
+use crate::versioned::{ModelVersion, VersionedModel};
 use hostprof_net::{FlowStats, ObserverConfig, ObserverStats, Packet, SniObserver};
 use hostprof_ontology::Blocklist;
 use hostprof_store::HostInterner;
@@ -377,14 +381,16 @@ impl IncrementalWindower {
 /// names.
 const BLOCKED: u32 = u32::MAX;
 
-/// Turns id windows into [`Session`]s — lowercase, blocklist filter,
-/// first-visit dedup — without touching a string per event.
+/// Turns a tick's id windows into the sessions the profiling kernel reads
+/// — lowercase, blocklist filter, first-visit dedup, resolve — without
+/// touching a string per event, or in the steady state at all.
 ///
-/// Everything that needs the name is decided once per distinct interned
-/// id, for the life of the engine, and kept in a side table parallel to
-/// the windower's interner. The table is append-only and never
-/// invalidated: the interner only ever appends, and the blocklist is
-/// fixed at construction.
+/// What a name *is* is decided once per distinct interned id, for the
+/// life of the engine, in side tables parallel to the windower's interner;
+/// those are append-only and never invalidated: the interner only ever
+/// appends, and the blocklist is fixed at construction. What a name
+/// *means* under the model is decided once per canonical id per model
+/// version, on first use.
 struct SessionBuilder<'a> {
     blocklist: Option<&'a Blocklist>,
     /// Interned id → [`BLOCKED`], or the canonical id of the host's
@@ -399,6 +405,18 @@ struct SessionBuilder<'a> {
     /// bumping `epoch` resets the whole array in O(1).
     seen: Vec<u32>,
     epoch: u32,
+    /// Per canonical id, the host resolved against `resolved_for`; `None`
+    /// until a window of that version first takes it.
+    resolved: Vec<Option<ResolvedHost<'a>>>,
+    /// The version `resolved` was filled against, compared by address (a
+    /// version cannot be pruned, so its address cannot be reused, while
+    /// the engine borrows the handle); `None` under a fixed profiler.
+    resolved_for: Option<&'a ModelVersion>,
+    /// The tick under construction: every session's hosts in first-visit
+    /// order, back to back, and one range per session. Kept between ticks
+    /// for their capacity.
+    hosts: Vec<ResolvedHost<'a>>,
+    sessions: Vec<Range<usize>>,
 }
 
 impl<'a> SessionBuilder<'a> {
@@ -409,19 +427,36 @@ impl<'a> SessionBuilder<'a> {
             folded: HashMap::new(),
             seen: Vec::new(),
             epoch: 0,
+            resolved: Vec::new(),
+            resolved_for: None,
+            hosts: Vec::new(),
+            sessions: Vec::new(),
         }
     }
 
-    /// The session of one id window: exactly
-    /// `Session::from_window(names of window, blocklist)`.
-    fn build(&mut self, window: &[u32], interner: &HostInterner) -> Session {
+    /// Start a tick profiled against `version` (`None`: the engine's fixed
+    /// profiler). A version other than the last tick's drops every
+    /// resolved host: a publish may move, add or remove any row.
+    fn begin_tick(&mut self, version: Option<&'a ModelVersion>) {
+        self.hosts.clear();
+        self.sessions.clear();
+        if version.map(std::ptr::from_ref) != self.resolved_for.map(std::ptr::from_ref) {
+            self.resolved.fill(None);
+            self.resolved_for = version;
+        }
+    }
+
+    /// Append the session of one id window: exactly the hosts of
+    /// `Session::from_window(names of window, blocklist)`, each resolved
+    /// against `profiler` — which must be this tick's version's.
+    fn push(&mut self, window: &[u32], interner: &HostInterner, profiler: &Profiler<'a>) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Stamp wrap-around: old stamps could alias the new epoch.
             self.seen.fill(0);
             self.epoch = 1;
         }
-        let mut hostnames = Vec::new();
+        let start = self.hosts.len();
         for &id in window {
             if id as usize >= self.canon.len() {
                 self.resolve_through(id, interner);
@@ -433,10 +468,12 @@ impl<'a> SessionBuilder<'a> {
             let stamp = &mut self.seen[canon as usize];
             if *stamp != self.epoch {
                 *stamp = self.epoch;
-                hostnames.push(ascii_lower(interner.name(canon)).into_owned());
+                let host = self.resolved[canon as usize]
+                    .get_or_insert_with(|| profiler.resolve(&ascii_lower(interner.name(canon))));
+                self.hosts.push(*host);
             }
         }
-        Session::from_clean_hostnames(hostnames)
+        self.sessions.push(start..self.hosts.len());
     }
 
     /// Grow the side table to cover `id`. Ids resolve in interner order,
@@ -463,6 +500,7 @@ impl<'a> SessionBuilder<'a> {
             self.canon.push(canon);
         }
         self.seen.resize(self.canon.len(), 0);
+        self.resolved.resize(self.canon.len(), None);
     }
 }
 
@@ -688,24 +726,26 @@ impl<'a> ServeEngine<'a> {
             self.closed_windows
                 .extend(close.iter().map(|w| w.materialize(interner)));
         }
-        // Strings first appear here: one per host that survives the
-        // blocklist and first-visit dedup, copied into its `Session`.
-        let sessions: Vec<Session> = close
-            .iter()
-            .map(|w| self.sessions.build(w.hosts, interner))
-            .collect();
-        self.stats.sessions_profiled += sessions.len() as u64;
-        let (profiles, model_seq) = match &self.source {
-            TickSource::Fixed(batch) => (batch.profile_sessions(&sessions), 0),
+        let bound;
+        let (batch, version) = match &self.source {
+            TickSource::Fixed(batch) => (batch, None),
             TickSource::Versioned { model, threads } => {
                 // One atomic load pins the version for the whole tick: the
                 // weights, the labeled tables, and the kNN index all come
                 // from the same bundle, however many publishes race past.
-                let version = model.load();
-                let batch = BatchProfiler::new(version.profiler(), *threads);
-                (batch.profile_sessions(&sessions), version.seq())
+                let version: &'a ModelVersion = model.load();
+                bound = BatchProfiler::new(version.profiler(), *threads);
+                (&bound, Some(version))
             }
         };
+        // No string from here on: ids in, resolved hosts out.
+        self.sessions.begin_tick(version);
+        for w in close.iter() {
+            self.sessions.push(w.hosts, interner, batch.profiler());
+        }
+        self.stats.sessions_profiled += close.windows.len() as u64;
+        let profiles = batch.profile_resolved(&self.sessions.hosts, &self.sessions.sessions);
+        let model_seq = version.map_or(0, ModelVersion::seq);
         let entries: Vec<TickEntry> = close
             .iter()
             .zip(profiles)
@@ -782,7 +822,8 @@ impl<'a> ServeEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiler::{Profiler, ProfilerConfig};
+    use crate::profiler::{Aggregation, ProfilerConfig};
+    use crate::session::Session;
     use hostprof_embed::{EmbeddingSet, Vocab};
     use hostprof_net::tls::ClientHello;
     use hostprof_net::{Endpoint, Transport};
@@ -1002,10 +1043,78 @@ mod tests {
         out
     }
 
-    // ---- id windows → sessions ----
+    // ---- id windows → resolved sessions ----
 
-    /// Intern `names` into a fresh windower as one user's in-order events
-    /// and close them as a single id window.
+    /// A model over `hosts` (lowercase): one embedding row each, in the
+    /// order of a `salt`-keyed count so that versions can disagree on it,
+    /// with `labeled` carrying ontology labels whether or not they have a
+    /// row.
+    fn model_over(hosts: &[&str], labeled: &[&str], salt: u64) -> (EmbeddingSet, Ontology) {
+        let corpus: Vec<&str> = hosts
+            .iter()
+            .enumerate()
+            .flat_map(|(i, h)| {
+                let count = 1 + splitmix64(salt ^ i as u64) % 97;
+                std::iter::repeat_n(*h, count as usize)
+            })
+            .collect();
+        let vocab = Vocab::build(std::iter::once(corpus), 1, 0.0);
+        let dim = 4usize;
+        let mut state = 42 ^ salt;
+        let vectors: Vec<f32> = (0..vocab.len() * dim)
+            .map(|_| {
+                state = splitmix64(state);
+                ((state >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0
+            })
+            .collect();
+        let mut ontology = Ontology::new();
+        for (i, h) in labeled.iter().enumerate() {
+            ontology.insert(
+                h,
+                CategoryVector::from_pairs(vec![
+                    (CategoryId(i as u16 % 4), 1.0),
+                    (CategoryId(4 + i as u16 % 3), 0.4),
+                ]),
+            );
+        }
+        (EmbeddingSet::new(dim, vocab, vectors), ontology)
+    }
+
+    /// Every lowercase form [`POOL`] can produce, embedded — so a row names
+    /// its host and [`names`] can read a built session back.
+    const POOL_HOSTS: [&str; 10] = [
+        "a.com",
+        "b.org",
+        "c.net",
+        "tracker.net",
+        "cdn.tracker.net",
+        "px.ads.example",
+        "ads.example",
+        "deep.px.ads.example",
+        "d.example",
+        "e.example",
+    ];
+
+    /// Case variants in every interning order, exact and parent-domain
+    /// blocklist hits.
+    const POOL: [&str; 13] = [
+        "a.com",
+        "A.com",
+        "a.COM",
+        "B.org",
+        "b.org",
+        "c.net",
+        "tracker.net",
+        "CDN.Tracker.NET",
+        "px.ads.example",
+        "ads.example",
+        "Deep.PX.ads.example",
+        "d.example",
+        "E.EXAMPLE",
+    ];
+
+    /// Intern `names` into a windower as one user's in-order events and
+    /// close them as a single id window.
     fn id_window(w: &mut IncrementalWindower, t0: u64, names: &[&str]) -> TickClose {
         for (i, name) in names.iter().enumerate() {
             assert!(w.insert(1, t0 + i as u64, name));
@@ -1021,28 +1130,59 @@ mod tests {
         )])
     }
 
+    /// The builder's session for one id window, as a tick of its own.
+    fn build<'a>(
+        builder: &mut SessionBuilder<'a>,
+        window: &[u32],
+        interner: &HostInterner,
+        profiler: &Profiler<'a>,
+    ) -> Vec<ResolvedHost<'a>> {
+        builder.begin_tick(None);
+        builder.push(window, interner, profiler);
+        assert_eq!(builder.sessions.len(), 1);
+        assert_eq!(builder.sessions[0], 0..builder.hosts.len());
+        builder.hosts.clone()
+    }
+
+    /// What the string path hands the kernel for the same session.
+    fn resolved<'a>(profiler: &Profiler<'a>, session: &Session) -> Vec<ResolvedHost<'a>> {
+        session.iter().map(|h| profiler.resolve(h)).collect()
+    }
+
+    /// A built session read back as hostnames (`?`: no embedding row).
+    fn names<'e>(hosts: &[ResolvedHost<'_>], embeddings: &'e EmbeddingSet) -> Vec<&'e str> {
+        hosts
+            .iter()
+            .map(|h| h.row.map_or("?", |r| embeddings.vocab().token(r)))
+            .collect()
+    }
+
+    /// Everything a profile carries, floats as bits.
+    type ProfileBits = (Vec<u32>, Vec<(u16, u32)>, usize, usize);
+
+    fn bits(profile: &Option<SessionProfile>) -> Option<ProfileBits> {
+        profile.as_ref().map(|p| {
+            (
+                p.session_vector.iter().map(|v| v.to_bits()).collect(),
+                p.categories
+                    .iter()
+                    .map(|(c, w)| (c.0, w.to_bits()))
+                    .collect(),
+                p.labeled_in_session,
+                p.labeled_neighbors,
+            )
+        })
+    }
+
     /// The id-side builder against the string constructor it replaces in
     /// the tick: random windows over a pool with case variants (in every
     /// interning order), exact and parent-domain blocklist hits and
     /// duplicates, with the interner growing between builds.
     #[test]
     fn id_sessions_equal_string_sessions_on_random_windows() {
-        let pool = [
-            "a.com",
-            "A.com",
-            "a.COM",
-            "B.org",
-            "b.org",
-            "c.net",
-            "tracker.net",
-            "CDN.Tracker.NET",
-            "px.ads.example",
-            "ads.example",
-            "Deep.PX.ads.example",
-            "d.example",
-            "E.EXAMPLE",
-        ];
         let blocklist = tracker_blocklist();
+        let (embeddings, ontology) = model_over(&POOL_HOSTS, &POOL_HOSTS[..5], 0);
+        let profiler = Profiler::new(&embeddings, &ontology, ProfilerConfig::default());
         for seed in 0..200u64 {
             let mut state = splitmix64(seed ^ 0x1d5e_5510);
             let mut next = || {
@@ -1056,7 +1196,7 @@ mod tests {
             for _ in 0..6 {
                 let len = (next() % 40) as usize;
                 let names: Vec<&str> = (0..len)
-                    .map(|_| pool[(next() % pool.len() as u64) as usize])
+                    .map(|_| POOL[(next() % POOL.len() as u64) as usize])
                     .collect();
                 // A window far longer than any horizon here: each close
                 // reports everything the user has sent so far.
@@ -1065,8 +1205,99 @@ mod tests {
                 for c in close.iter() {
                     let strings: Vec<&str> = c.hosts.iter().map(|h| w.host_name(*h)).collect();
                     let want = Session::from_window(strings, with_list.then_some(&blocklist));
-                    let got = builder.build(c.hosts, &w.interner);
-                    assert_eq!(got, want, "seed {seed}");
+                    let got = build(&mut builder, c.hosts, &w.interner, &profiler);
+                    assert_eq!(got, resolved(&profiler, &want), "seed {seed}");
+                    assert_eq!(
+                        self::names(&got, &embeddings),
+                        want.hostnames(),
+                        "seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The whole id-fed tick — builder, arena, ranges, batch kernel —
+    /// against `Profiler::profile` on the string session of every window,
+    /// bit for bit: every aggregation, several users per tick, case
+    /// variants in every interning order, blocked hosts, hosts the model
+    /// has never seen, and labeled hosts without an embedding (`alpha = 1`,
+    /// no vector).
+    #[test]
+    fn id_fed_kernel_equals_string_profiles_on_random_windows() {
+        let pool: Vec<&str> = POOL
+            .iter()
+            .copied()
+            .chain([
+                "x1.unknown",
+                "X2.Unknown",
+                "fresh-labeled.example",
+                "Fresh-Labeled.Example",
+                "other-labeled.example",
+            ])
+            .collect();
+        let labeled = [
+            "a.com",
+            "c.net",
+            "tracker.net",
+            "e.example",
+            "fresh-labeled.example",
+            "other-labeled.example",
+        ];
+        let (embeddings, ontology) = model_over(&POOL_HOSTS[..9], &labeled, 7);
+        let blocklist = tracker_blocklist();
+        let aggregations = [
+            Aggregation::Mean,
+            Aggregation::Recency { half_life: 3 },
+            Aggregation::InverseFrequency,
+        ];
+        for seed in 0..200u64 {
+            for aggregation in aggregations {
+                let mut state = splitmix64(seed ^ 0x0e94_f00d);
+                let mut next = || {
+                    state = splitmix64(state);
+                    state
+                };
+                let config = ProfilerConfig {
+                    n_neighbors: 1 + (next() % 6) as usize,
+                    aggregation,
+                    ..Default::default()
+                };
+                let reference = Profiler::new(&embeddings, &ontology, config.clone());
+                let batch = BatchProfiler::new(
+                    Profiler::new(&embeddings, &ontology, config),
+                    1 + (seed % 3) as usize,
+                );
+                let list = (next() % 4 != 0).then_some(&blocklist);
+                let mut w = IncrementalWindower::new(u64::MAX / 2);
+                let mut builder = SessionBuilder::new(list);
+                let mut t = 0u64;
+                for tick in 0..5 {
+                    // Some windows of labeled off-vocabulary hosts only.
+                    let from = if next() % 4 == 0 { POOL.len() + 2 } else { 0 };
+                    for _ in 0..next() % 60 {
+                        t += 1;
+                        let name = pool[from + (next() % (pool.len() - from) as u64) as usize];
+                        assert!(w.insert((next() % 4) as u32, t, name));
+                    }
+                    t += 1;
+                    let close = w.close_tick_ids(t);
+                    builder.begin_tick(None);
+                    for c in close.iter() {
+                        builder.push(c.hosts, &w.interner, batch.profiler());
+                    }
+                    let got = batch.profile_resolved(&builder.hosts, &builder.sessions);
+                    assert_eq!(got.len(), close.iter().len());
+                    for (c, got) in close.iter().zip(&got) {
+                        let strings = c.hosts.iter().map(|h| w.host_name(*h));
+                        let want = reference.profile(&Session::from_window(strings, list));
+                        assert_eq!(
+                            bits(got),
+                            bits(&want),
+                            "seed {seed} {aggregation:?} tick {tick} user {}",
+                            c.user
+                        );
+                    }
                 }
             }
         }
@@ -1074,6 +1305,8 @@ mod tests {
 
     #[test]
     fn case_variants_collapse_in_the_session_but_not_in_the_interner() {
+        let (embeddings, ontology) = model_over(&["video.example", "b.com"], &[], 0);
+        let profiler = Profiler::new(&embeddings, &ontology, ProfilerConfig::default());
         let mut w = windower();
         let close = id_window(
             &mut w,
@@ -1082,8 +1315,8 @@ mod tests {
         );
         let mut builder = SessionBuilder::new(None);
         let c = close.iter().next().unwrap();
-        let session = builder.build(c.hosts, &w.interner);
-        assert_eq!(session.hostnames(), &["video.example", "b.com"]);
+        let session = build(&mut builder, c.hosts, &w.interner, &profiler);
+        assert_eq!(names(&session, &embeddings), ["video.example", "b.com"]);
         // The interner counts what was inserted; the lowercase forms the
         // builder derived live in its own side table.
         assert_eq!(w.interned_hosts(), 4);
@@ -1092,67 +1325,117 @@ mod tests {
 
     #[test]
     fn seen_stamps_survive_the_epoch_wrap() {
+        let (embeddings, ontology) = model_over(&["a.com", "b.com", "c.com"], &["b.com"], 0);
+        let profiler = Profiler::new(&embeddings, &ontology, ProfilerConfig::default());
         let mut w = windower();
         let close = id_window(&mut w, 1, &["a.com", "b.com", "a.com", "c.com", "b.com"]);
         let hosts = close.iter().next().unwrap().hosts;
         let mut builder = SessionBuilder::new(None);
-        let want = builder.build(hosts, &w.interner);
-        assert_eq!(want.hostnames(), &["a.com", "b.com", "c.com"]);
+        let want = build(&mut builder, hosts, &w.interner, &profiler);
+        assert_eq!(names(&want, &embeddings), ["a.com", "b.com", "c.com"]);
         // Park the counter so the next build wraps to epoch 1 — the very
         // stamp the first build left on every host. Uncleared, those stale
         // stamps would read as "already seen" and empty the session.
         assert_eq!(builder.epoch, 1);
         builder.epoch = u32::MAX;
-        assert_eq!(builder.build(hosts, &w.interner), want);
+        assert_eq!(build(&mut builder, hosts, &w.interner, &profiler), want);
         assert_eq!(builder.epoch, 1);
-        assert_eq!(builder.build(hosts, &w.interner), want);
+        assert_eq!(build(&mut builder, hosts, &w.interner, &profiler), want);
     }
 
     #[test]
     fn side_table_grows_with_the_interner() {
         let blocklist = tracker_blocklist();
+        let (embeddings, ontology) = model_over(
+            &["a.com", "never-windowed.example", "late.example"],
+            &["late.example"],
+            0,
+        );
+        let profiler = Profiler::new(&embeddings, &ontology, ProfilerConfig::default());
         let mut w = windower();
         let mut builder = SessionBuilder::new(Some(&blocklist));
         let first = id_window(&mut w, 1, &["a.com", "tracker.net"]);
-        let s = builder.build(first.iter().next().unwrap().hosts, &w.interner);
-        assert_eq!(s.hostnames(), &["a.com"]);
+        let hosts = first.iter().next().unwrap().hosts;
+        let s = build(&mut builder, hosts, &w.interner, &profiler);
+        assert_eq!(names(&s, &embeddings), ["a.com"]);
         assert_eq!(builder.canon.len(), 2);
-        // Hosts interned after the table was last grown — as when an event
-        // past the boundary arrives before its tick fires — resolve on
-        // first use, including ids the builder skipped over.
+        // Hosts interned after the tables were last grown — as when an
+        // event past the boundary arrives before its tick fires — resolve
+        // on first use, including ids the builder skipped over.
         w.insert(1, 5_000, "never-windowed.example");
         let second = id_window(&mut w, 6_000, &["late.example", "px.tracker.net", "A.com"]);
-        let s = builder.build(second.iter().next().unwrap().hosts, &w.interner);
+        let hosts = second.iter().next().unwrap().hosts;
+        let s = build(&mut builder, hosts, &w.interner, &profiler);
         assert_eq!(
-            s.hostnames(),
-            &["a.com", "never-windowed.example", "late.example"]
+            names(&s, &embeddings),
+            ["a.com", "never-windowed.example", "late.example"]
         );
+        assert_eq!(s[2], profiler.resolve("late.example"));
+        assert!(s[2].labels.is_some() && s[0].labels.is_none());
         assert_eq!(builder.canon.len(), w.interned_hosts());
         assert_eq!(builder.seen.len(), w.interned_hosts());
+        assert_eq!(builder.resolved.len(), w.interned_hosts());
+    }
+
+    /// A host's row and label belong to one model version: the table is
+    /// kept while ticks stay on a version and refilled when they move to
+    /// one where the host has another row, has left the vocabulary or has
+    /// entered it.
+    #[test]
+    fn host_table_is_refilled_when_the_version_changes() {
+        use std::sync::Arc;
+        let version = |seq: u64, hosts: &[&str]| {
+            let (embeddings, ontology) = model_over(hosts, &["a.com", "gone.example"], 3 * seq);
+            ModelVersion::build(
+                seq,
+                embeddings,
+                Arc::new(ontology),
+                ProfilerConfig::default(),
+            )
+        };
+        let v1 = version(1, &["a.com", "b.com", "gone.example"]);
+        let v2 = version(2, &["new.example", "b.com", "a.com", "pad.example"]);
+        let window = ["a.com", "gone.example", "new.example", "B.com", "a.com"];
+        let session = Session::from_window(window, None);
+        let mut w = windower();
+        let close = id_window(&mut w, 1, &window);
+        let hosts = close.iter().next().unwrap().hosts;
+        let mut builder = SessionBuilder::new(None);
+        let mut last: Option<&ModelVersion> = None;
+        for v in [&v1, &v1, &v2, &v2, &v1] {
+            builder.begin_tick(Some(v));
+            // Four distinct hosts in the window: still resolved on a second
+            // tick of one version, all dropped on the first of another.
+            let kept = builder.resolved.iter().flatten().count();
+            let same = last.is_some_and(|l| std::ptr::eq(l, v));
+            assert_eq!(kept, if same { 4 } else { 0 });
+            builder.push(hosts, &w.interner, &v.profiler());
+            let want = resolved(&v.profiler(), &session);
+            assert_eq!(builder.hosts, want, "version {}", v.seq());
+            assert_eq!(builder.resolved.iter().flatten().count(), 4);
+            last = Some(v);
+        }
+        let (r1, r2) = (
+            v1.profiler().resolve("a.com"),
+            v2.profiler().resolve("a.com"),
+        );
+        assert_ne!(r1.row, r2.row, "the fixture must move a.com's row");
+        assert!(v1.profiler().resolve("gone.example").row.is_some());
+        assert_eq!(v2.profiler().resolve("gone.example").row, None);
+        assert!(v2.profiler().resolve("gone.example").labels.is_some());
+    }
+
+    #[test]
+    fn a_table_entry_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Option<ResolvedHost<'_>>>(), 16);
     }
 
     // ---- engine-level tests (tiny synthetic embeddings) ----
 
     fn tiny_model() -> (EmbeddingSet, Ontology) {
         let hosts: Vec<String> = (0..8).map(|i| format!("h{i}.example")).collect();
-        let vocab = Vocab::build(std::iter::once(hosts.iter().map(String::as_str)), 1, 0.0);
-        let dim = 4usize;
-        let mut state = 42u64;
-        let vectors: Vec<f32> = (0..vocab.len() * dim)
-            .map(|_| {
-                state = splitmix64(state);
-                ((state >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0
-            })
-            .collect();
-        let embeddings = EmbeddingSet::new(dim, vocab, vectors);
-        let mut ontology = Ontology::new();
-        for i in 0..4 {
-            ontology.insert(
-                &format!("h{i}.example"),
-                CategoryVector::from_pairs(vec![(CategoryId(i as u16), 1.0)]),
-            );
-        }
-        (embeddings, ontology)
+        let hosts: Vec<&str> = hosts.iter().map(String::as_str).collect();
+        model_over(&hosts, &hosts[..4], 0)
     }
 
     fn tls_packet(t: u64, client_ip: u32, sport: u16, host: &str) -> Packet {
@@ -1394,6 +1677,54 @@ mod tests {
         };
         assert!(!fixed.is_empty());
         assert_eq!(fixed, versioned, "same weights, same profiles, bit for bit");
+    }
+
+    /// The engine keeps its host table across a flush and drops it at the
+    /// publish in between: the second version reorders the vocabulary,
+    /// loses one of the window's hosts and gains another.
+    #[test]
+    fn versioned_engine_re_resolves_its_hosts_after_a_publish_between_flushes() {
+        use std::sync::Arc;
+        let version = |seq: u64, hosts: &[&str]| {
+            let (embeddings, ontology) = model_over(hosts, &["h1.example", "h9.example"], 3 * seq);
+            ModelVersion::build(
+                seq,
+                embeddings,
+                Arc::new(ontology),
+                ProfilerConfig::default(),
+            )
+        };
+        let model = VersionedModel::new(version(
+            1,
+            &["h1.example", "h2.example", "h3.example", "h9.example"],
+        ));
+        let mut engine = ServeEngine::with_versioned(ServeConfig::default(), &model, 2, None);
+        let window = ["h1.example", "H2.example", "h9.example", "h4.example"];
+        let profile_of = |names: &[&str]| {
+            let session = Session::from_window(names.iter().copied(), None);
+            bits(&model.load().profiler().profile(&session))
+        };
+        for (i, name) in window.iter().enumerate() {
+            engine.ingest_observation(1, 100 + i as u64, name);
+        }
+        let ticks = engine.flush();
+        assert_eq!(ticks.len(), 1);
+        assert_eq!(ticks[0].model_seq, 1);
+        assert_eq!(bits(&ticks[0].entries[0].profile), profile_of(&window));
+
+        model.publish(version(
+            2,
+            &["h4.example", "h3.example", "h2.example", "h1.example"],
+        ));
+        engine.ingest_observation(1, MIN10 + 50, "h3.example");
+        let ticks = engine.flush();
+        assert_eq!(ticks.len(), 1);
+        assert_eq!(ticks[0].model_seq, 2);
+        let mut all = window.to_vec();
+        all.push("h3.example");
+        let want = profile_of(&all);
+        assert!(want.is_some());
+        assert_eq!(bits(&ticks[0].entries[0].profile), want);
     }
 
     #[test]

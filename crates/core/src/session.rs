@@ -65,17 +65,6 @@ impl Session {
         Self { hostnames }
     }
 
-    /// Wrap hostnames that are already lowercase, blocklist-filtered and
-    /// first-visit-unique — the serving tick's id-side dedup produces
-    /// exactly that. Crate-private so the invariant cannot be broken from
-    /// outside.
-    pub(crate) fn from_clean_hostnames(hostnames: Vec<String>) -> Self {
-        debug_assert!(hostnames
-            .iter()
-            .all(|h| matches!(ascii_lower(h), Cow::Borrowed(_))));
-        Self { hostnames }
-    }
-
     /// Hostnames in first-visit order.
     pub fn hostnames(&self) -> &[String] {
         &self.hostnames

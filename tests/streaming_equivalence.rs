@@ -109,8 +109,9 @@ fn schedule(property: u64) -> Vec<u64> {
 }
 
 // ---------------------------------------------------------------------
-// Shared fixture: a tiny deterministic model over h0..h11.example, and
-// a random multi-user request workload lowered to wire packets.
+// Shared fixture: a tiny deterministic model over h0..h11.example plus
+// labeled hosts it does not embed, and a random multi-user request
+// workload lowered to wire packets.
 // ---------------------------------------------------------------------
 
 fn tiny_model() -> (EmbeddingSet, Ontology) {
@@ -122,10 +123,14 @@ fn tiny_model() -> (EmbeddingSet, Ontology) {
         .map(|_| (splitmix(&mut state) >> 40) as f32 / (1u64 << 23) as f32 - 1.0)
         .collect();
     let embeddings = EmbeddingSet::new(dim, vocab, vectors);
+    // Half of the embedded hosts are labeled, and so are the `l*` hosts,
+    // which have no embedding: `alpha = 1`, no vector.
     let mut ontology = Ontology::new();
-    for i in 0..6u16 {
+    let labeled = (0..6).map(|i| format!("h{i}.example"));
+    for (i, host) in labeled.chain((0..3).map(label_only_host)).enumerate() {
+        let i = i as u16;
         ontology.insert(
-            &format!("h{i}.example"),
+            &host,
             CategoryVector::from_pairs(vec![
                 (CategoryId(i % 4), 1.0),
                 (CategoryId(4 + i % 3), 0.4),
@@ -135,28 +140,38 @@ fn tiny_model() -> (EmbeddingSet, Ontology) {
     (embeddings, ontology)
 }
 
+/// A host the ontology labels and the model does not embed.
+fn label_only_host(i: u64) -> String {
+    format!("l{i}.offvocab")
+}
+
 /// One case's workload: in-order requests for a few users over several
 /// report intervals, lowered to packets (TCP with fragmentation, QUIC)
-/// by the standard synthesizer.
+/// by the standard synthesizer. In half the cases the last user requests
+/// only labeled hosts the model does not embed, so every one of its
+/// windows profiles from labels alone.
 fn workload(rng: &mut u64) -> Vec<Packet> {
     let synth = TrafficSynthesizer::default();
     let nusers = 2 + splitmix(rng) % 4;
     let nreqs = 30 + (splitmix(rng) % 90) as usize;
+    let label_only_user = splitmix(rng).is_multiple_of(2).then_some(nusers - 1);
     let mut t = 0u64;
     let mut packets = Vec::new();
     for _ in 0..nreqs {
         t += splitmix(rng) % 60_000;
-        let client = (splitmix(rng) % nusers) as u32;
+        let client = splitmix(rng) % nusers;
         // Mostly in-vocabulary hosts, the odd stranger the profiler has
-        // never embedded.
-        let hostname = if splitmix(rng).is_multiple_of(7) {
+        // never embedded, with or without a label.
+        let hostname = if Some(client) == label_only_user || splitmix(rng).is_multiple_of(8) {
+            label_only_host(splitmix(rng) % 3)
+        } else if splitmix(rng).is_multiple_of(7) {
             format!("x{}.unknown", splitmix(rng) % 3)
         } else {
             format!("h{}.example", splitmix(rng) % 12)
         };
         packets.extend(synth.packets_for(&RequestEvent {
             t_ms: t,
-            client,
+            client: client as u32,
             hostname,
         }));
     }
@@ -505,7 +520,9 @@ fn scramble_case(name: &str, rng: &mut u64) -> String {
 }
 
 /// In-order observations for a few users; the last user may be one whose
-/// every request goes to a tracker, so all of its windows empty out.
+/// every request goes to a tracker, so all of its windows empty out, and
+/// the first one whose every request goes to a labeled host without an
+/// embedding.
 fn observation_workload(rng: &mut u64) -> Vec<Obs> {
     const TRACKERS: [&str; 4] = [
         "tracker.net",
@@ -516,6 +533,7 @@ fn observation_workload(rng: &mut u64) -> Vec<Obs> {
     let nusers = 2 + splitmix(rng) % 4;
     let nreqs = 30 + (splitmix(rng) % 90) as usize;
     let tracker_only_user = splitmix(rng).is_multiple_of(2).then_some(nusers - 1);
+    let label_only_user = splitmix(rng).is_multiple_of(2).then_some(0);
     let mut t = 0u64;
     let mut out = Vec::new();
     for _ in 0..nreqs {
@@ -523,6 +541,8 @@ fn observation_workload(rng: &mut u64) -> Vec<Obs> {
         let client = splitmix(rng) % nusers;
         let name = if Some(client) == tracker_only_user || splitmix(rng).is_multiple_of(5) {
             TRACKERS[(splitmix(rng) % 4) as usize].to_string()
+        } else if Some(client) == label_only_user || splitmix(rng).is_multiple_of(8) {
+            label_only_host(splitmix(rng) % 3)
         } else if splitmix(rng).is_multiple_of(9) {
             format!("x{}.unknown", splitmix(rng) % 3)
         } else {

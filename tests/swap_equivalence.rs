@@ -91,19 +91,25 @@ fn schedule(property: u64) -> Vec<u64> {
 }
 
 // ---------------------------------------------------------------------
-// Fixture: a family of model versions over the same vocabulary, each
-// version's weights drawn from a salt-keyed stream so any cross-version
-// contamination in a profile is a bit-level mismatch against every pure
-// version.
+// Fixture: a family of model versions, each with its own vocabulary — a
+// salt-keyed three quarters of the twelve `h*` hosts, in a salt-keyed row
+// order — and weights drawn from a salt-keyed stream, so any cross-version
+// contamination in a profile (a weight, a row number, a host that has left
+// the vocabulary) is a bit-level mismatch against every pure version.
 // ---------------------------------------------------------------------
 
 const DIM: usize = 4;
 
+/// Labels for half of the `h*` hosts — each of which is out of vocabulary
+/// in some version — and for the `l*` hosts, which no version embeds:
+/// `alpha = 1`, no vector.
 fn ontology() -> Ontology {
     let mut ontology = Ontology::new();
-    for i in 0..6u16 {
+    let labeled = (0..6).map(|i| format!("h{i}.example"));
+    for (i, host) in labeled.chain((0..3).map(label_only_host)).enumerate() {
+        let i = i as u16;
         ontology.insert(
-            &format!("h{i}.example"),
+            &host,
             CategoryVector::from_pairs(vec![
                 (CategoryId(i % 4), 1.0),
                 (CategoryId(4 + i % 3), 0.4),
@@ -113,12 +119,24 @@ fn ontology() -> Ontology {
     ontology
 }
 
-/// Version `salt`'s embeddings: same 12-host vocabulary, weights from a
-/// stream keyed by the salt.
+/// A host the ontology labels and no version embeds.
+fn label_only_host(i: u64) -> String {
+    format!("l{i}.offvocab")
+}
+
+/// Version `salt`'s embeddings. Host `h{i}` is in the vocabulary unless
+/// `(i + salt) % 4 == 0`, so every host leaves it at one version and is
+/// back at the next; rows are ordered by a count drawn per (salt, host).
 fn embeddings_for(salt: u64) -> EmbeddingSet {
-    let hosts: Vec<String> = (0..12).map(|i| format!("h{i}.example")).collect();
-    let vocab = Vocab::build(std::iter::once(hosts.iter().map(String::as_str)), 1, 0.0);
     let mut state = 0x5a17_0000 ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let corpus: Vec<String> = (0..12u64)
+        .filter(|i| !(i + salt).is_multiple_of(4))
+        .flat_map(|i| {
+            let count = 1 + splitmix(&mut state) % 40;
+            std::iter::repeat_n(format!("h{i}.example"), count as usize)
+        })
+        .collect();
+    let vocab = Vocab::build(std::iter::once(corpus.iter().map(String::as_str)), 1, 0.0);
     let vectors: Vec<f32> = (0..vocab.len() * DIM)
         .map(|_| (splitmix(&mut state) >> 40) as f32 / (1u64 << 23) as f32 - 1.0)
         .collect();
@@ -126,19 +144,27 @@ fn embeddings_for(salt: u64) -> EmbeddingSet {
 }
 
 /// One case's workload: in-order requests over several report intervals.
+/// Every eighth request goes to a labeled host no version embeds, and in
+/// half the cases the last user requests nothing else, so all of its
+/// windows profile from labels alone.
 fn workload(rng: &mut u64) -> Vec<Packet> {
     let synth = TrafficSynthesizer::default();
     let nusers = 2 + splitmix(rng) % 4;
     let nreqs = 30 + (splitmix(rng) % 60) as usize;
+    let label_only_user = splitmix(rng).is_multiple_of(2).then_some(nusers - 1);
     let mut t = 0u64;
     let mut packets = Vec::new();
     for _ in 0..nreqs {
         t += splitmix(rng) % 60_000;
-        let client = (splitmix(rng) % nusers) as u32;
-        let hostname = format!("h{}.example", splitmix(rng) % 12);
+        let client = splitmix(rng) % nusers;
+        let hostname = if Some(client) == label_only_user || splitmix(rng).is_multiple_of(8) {
+            label_only_host(splitmix(rng) % 3)
+        } else {
+            format!("h{}.example", splitmix(rng) % 12)
+        };
         packets.extend(synth.packets_for(&RequestEvent {
             t_ms: t,
-            client,
+            client: client as u32,
             hostname,
         }));
     }

@@ -2,7 +2,7 @@
 //!
 //! The paper reports point CTRs (0.217 % vs 0.168 %) and a t-test; a
 //! percentile bootstrap over the per-user paired differences gives the
-//! experiment binaries a confidence interval for the CTR *difference* —
+//! experiment E5 a confidence interval for the CTR *difference* —
 //! a more informative summary of the same data.
 
 use rand::{Rng, SeedableRng};

@@ -32,5 +32,5 @@ pub use bootstrap::{bootstrap_paired_diff_ci, ConfidenceInterval};
 pub use ccdf::Ccdf;
 pub use descriptive::Summary;
 pub use proportion::{two_proportion_z_test, PropTestResult};
-pub use purity::{neighbor_purity, similarity_gap};
+pub use purity::{cluster_quality, neighbor_purity, similarity_gap};
 pub use ttest::{paired_t_test, TTestResult};

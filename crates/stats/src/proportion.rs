@@ -3,7 +3,7 @@
 //! The paper compares CTRs with a paired t-test over per-user rates
 //! (§6.4); a natural complementary check treats the two CTRs as pooled
 //! binomial proportions (clicks out of impressions) and runs a
-//! two-proportion z-test. The experiment binaries report both.
+//! two-proportion z-test. Experiment E5 reports both.
 
 use serde::{Deserialize, Serialize};
 

@@ -95,6 +95,36 @@ pub fn similarity_gap(points: &[f32], dim: usize, labels: &[usize]) -> (f64, f64
     )
 }
 
+/// The four numbers the embedding-space experiments report for one
+/// labeled point set, `(purity, baseline, intra, inter)`:
+/// [`neighbor_purity`] at `k`; what a random embedding would score, the
+/// chance Σ (label share)² that two points share a label; and the mean
+/// intra- and inter-label cosine of [`similarity_gap`]. All zero when the
+/// set is empty.
+///
+/// # Panics
+/// Panics on shape mismatch (see [`neighbor_purity`]).
+pub fn cluster_quality(
+    points: &[f32],
+    dim: usize,
+    labels: &[usize],
+    k: usize,
+) -> (f64, f64, f64, f64) {
+    let mut counts = std::collections::BTreeMap::new();
+    for label in labels {
+        *counts.entry(label).or_insert(0usize) += 1;
+    }
+    let share = |count: &usize| *count as f64 / labels.len() as f64;
+    let baseline = counts.values().map(|c| share(c).powi(2)).sum();
+    let (intra, inter) = similarity_gap(points, dim, labels);
+    (
+        neighbor_purity(points, dim, labels, k),
+        baseline,
+        intra,
+        inter,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,6 +174,19 @@ mod tests {
         assert_eq!(neighbor_purity(&[], 2, &[], 3), 0.0);
         let (intra, inter) = similarity_gap(&[1.0, 0.0], 2, &[0]);
         assert_eq!((intra, inter), (0.0, 0.0));
+    }
+
+    #[test]
+    fn cluster_quality_bundles_the_three_evaluators() {
+        let (pts, labels) = toy();
+        let (purity, baseline, intra, inter) = cluster_quality(&pts, 2, &labels, 2);
+        assert_eq!(purity, neighbor_purity(&pts, 2, &labels, 2));
+        assert_eq!((intra, inter), similarity_gap(&pts, 2, &labels));
+        assert!(
+            (baseline - 0.5).abs() < 1e-12,
+            "two even labels: {baseline}"
+        );
+        assert_eq!(cluster_quality(&[], 2, &[], 10), (0.0, 0.0, 0.0, 0.0));
     }
 
     #[test]

@@ -18,8 +18,8 @@ use hostprof::synth::{PopulationConfig, TraceConfig, WorldConfig};
 fn main() {
     println!("hostprof ad_campaign — the CTR experiment (shortened)\n");
 
-    // A week-long campaign with 100 users; the full-scale version lives in
-    // `cargo run -p hostprof-bench --bin ctr_experiment`.
+    // A week-long campaign with 100 users; the full-scale version is
+    // `hostprof experiment --id E5 --scale default`.
     let cfg = ScenarioConfig {
         world: WorldConfig {
             num_sites: 800,
@@ -57,8 +57,8 @@ fn main() {
             pipeline: cfg.pipeline.clone(),
             // A short demo needs more eavesdropper impressions than the
             // paper's 15 % replacement rate yields, or the CTR estimate is
-            // built from a handful of clicks; the full-rate run lives in
-            // the `ctr_experiment` bench binary.
+            // built from a handful of clicks; experiment E5 runs the full
+            // rate.
             impression_prob: 0.6,
             replace_prob: 0.4,
             ..ExperimentConfig::default()

@@ -29,11 +29,9 @@ fn main() {
 
     // Train once on the first 5 days (a deployment would retrain daily;
     // one model keeps the example focused on accumulation).
-    let mut corpus = Vec::new();
-    for day in 0..5 {
-        corpus.extend(s.daily_hostname_sequences(day));
-    }
-    let embeddings = pipeline.train_model(&corpus).expect("trace has traffic");
+    let embeddings = pipeline
+        .train_model(&s.corpus(5))
+        .expect("trace has traffic");
     let profiler = pipeline.profiler(&embeddings, s.world.ontology());
 
     // Pick the most active user so there are plenty of sessions.

@@ -30,10 +30,7 @@ fn main() {
     // 2. Train SKIPGRAM embeddings on the first five days (the paper
     //    retrains daily on a configurable window of history).
     let pipeline = scenario.pipeline();
-    let mut corpus = Vec::new();
-    for day in 0..5 {
-        corpus.extend(scenario.daily_hostname_sequences(day));
-    }
+    let corpus = scenario.corpus(5);
     let embeddings = pipeline.train_model(&corpus).expect("trace has traffic");
     println!(
         "trained {}-d embeddings for {} hostnames\n",

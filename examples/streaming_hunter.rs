@@ -22,7 +22,7 @@ use hostprof::synth::{HostKind, TraceConfig};
 fn main() {
     println!("hostprof streaming_hunter — embedding-space mirror discovery\n");
 
-    // More days = better embeddings (see the embed_quality sweep).
+    // More days = better embeddings (see experiment D1's sweep).
     let cfg = ScenarioConfig {
         trace: TraceConfig {
             days: 8,
@@ -32,11 +32,8 @@ fn main() {
     };
     let s = Scenario::generate(&cfg);
     let pipeline = s.pipeline();
-    let mut sequences = Vec::new();
-    for day in 0..s.trace.days() {
-        sequences.extend(s.daily_hostname_sequences(day));
-    }
-    let embeddings = pipeline.train_model(&sequences).expect("trace has traffic");
+    let corpus = s.corpus(s.trace.days());
+    let embeddings = pipeline.train_model(&corpus).expect("trace has traffic");
 
     // The analyst's seed: the most popular Sports site (our stand-in for
     // rojadirecta-style streaming hosts).

@@ -3,11 +3,10 @@
 //! A thin operational wrapper over the library: generate a deterministic
 //! scenario, train and persist a model, query the embedding space, profile
 //! a user, run the observer under countermeasures, serve a live load,
-//! check the golden schedules, or run the full CTR experiment — all
+//! check the golden schedules, or reproduce the paper's experiments — all
 //! without writing Rust. [`COMMANDS`] is the one list of commands and
 //! flags: parsing, arity, dispatch and `hostprof help` all read it.
 
-use hostprof::ads::{CtrExperiment, ExperimentConfig};
 use hostprof::bridge::{ObservedTrace, ObserverScenario};
 use hostprof::embed::{IndexConfig, KernelChoice};
 use hostprof::profiling::{profile_accuracy, Session};
@@ -15,7 +14,6 @@ use hostprof::replay::{
     DefenseSnapshot, GoldenSchedule, ReplayOptions, ReplaySnapshot, UpdateSnapshot,
 };
 use hostprof::scenario::{Scenario, ScenarioConfig};
-use hostprof::stats::paired_t_test;
 use hostprof::storage;
 use hostprof::synth::UserId;
 use std::collections::HashMap;
@@ -100,7 +98,7 @@ static COMMANDS: &[Command] = &[
     Command {
         name: "experiment",
         mode: None,
-        flags: "[--scale S] [--days N] [--users N]",
+        flags: "[--id E1..E9|D1|all] [--scale S] [--out DIR] [--max-rss-mb N]",
         run: cmd_experiment,
     },
 ];
@@ -184,9 +182,12 @@ fn usage() -> String {
     }
     out.push_str(
         "\n--scale is tiny (default), small, default (alias full) or large and selects\n\
-         the same deterministic scenarios the experiment binaries use. Every scale\n\
-         is generated in memory (`Scenario::generate`); large is 10^6 users, so\n\
-         expect gigabytes and minutes, not seconds.\n",
+         the same deterministic scenarios everywhere. Every scale is generated in\n\
+         memory (`Scenario::generate`); large is 10^6 users, so expect gigabytes and\n\
+         minutes, not seconds. `experiment` runs rows of the paper's result table (a\n\
+         comma list of ids; all by default) and prints every claim's verdict; it\n\
+         writes <DIR>/<name>.json only under --out, and fails when a claim is off its\n\
+         recorded expectation or peak RSS exceeds --max-rss-mb.\n",
     );
     out
 }
@@ -291,11 +292,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         s.trace.days()
     );
     let pipeline = s.pipeline();
-    let mut corpus = Vec::new();
-    for day in 0..s.trace.days() {
-        corpus.extend(s.daily_hostname_sequences(day));
-    }
-    let (model, stats) = pipeline.train_model_with_stats(&corpus)?;
+    let (model, stats) = pipeline.train_model_with_stats(&s.corpus(s.trace.days()))?;
     storage::save_model(&out, &model).map_err(|e| e.to_string())?;
     println!(
         "trained {}-d embeddings for {} hostnames → {}",
@@ -669,23 +666,13 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
 
 /// Parse `lo:hi:step` (CLI units) into an inclusive sweep.
 fn parse_sweep(spec: &str) -> Result<Vec<f64>, String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let [lo, hi, step] = parts.as_slice() else {
-        return Err(format!("invalid sweep '{spec}' (expected lo:hi:step)"));
+    let invalid = || format!("invalid sweep '{spec}' (expected lo:hi:step, step > 0, hi >= lo)");
+    let parts: Result<Vec<f64>, _> = spec.split(':').map(str::parse).collect();
+    let [lo, hi, step] = parts.map_err(|_| invalid())?[..] else {
+        return Err(invalid());
     };
-    let lo: f64 = lo
-        .parse()
-        .map_err(|_| format!("invalid sweep start '{lo}'"))?;
-    let hi: f64 = hi
-        .parse()
-        .map_err(|_| format!("invalid sweep end '{hi}'"))?;
-    let step: f64 = step
-        .parse()
-        .map_err(|_| format!("invalid sweep step '{step}'"))?;
     if step <= 0.0 || hi < lo {
-        return Err(format!(
-            "invalid sweep '{spec}' (need step > 0 and hi >= lo)"
-        ));
+        return Err(invalid());
     }
     let mut out = Vec::new();
     let mut x = lo;
@@ -700,18 +687,11 @@ fn parse_sweep(spec: &str) -> Result<Vec<f64>, String> {
 /// full pipeline at swept intensities and print the curve table.
 fn cmd_defend(args: &Args) -> Result<(), String> {
     let cfg = scenario_config(args)?;
-    let which = args.get("defense").unwrap_or("all");
-    let names: Vec<&str> = if which == "all" {
-        hostprof::defend::DEFENSE_NAMES.to_vec()
-    } else if hostprof::defend::DEFENSE_NAMES.contains(&which) {
-        vec![which]
-    } else {
-        return Err(format!(
-            "unknown defense '{which}' (expected all or one of: {})",
-            hostprof::defend::DEFENSE_NAMES.join(", ")
-        ));
+    let names = match args.get("defense").unwrap_or("all") {
+        "all" => hostprof::defend::DEFENSE_NAMES.to_vec(),
+        one => vec![one],
     };
-    let sweep_override = args.get("sweep").map(parse_sweep).transpose()?;
+    let sweep = args.get("sweep").map(parse_sweep).transpose()?;
     let seed = args.get_parsed::<u64>("seed")?.unwrap_or(0x00de_f5ed);
     let s = Scenario::generate(&cfg);
     let mut ev = hostprof::DefenseEvaluator::new(&s, seed);
@@ -719,41 +699,12 @@ fn cmd_defend(args: &Args) -> Result<(), String> {
     if let Some(threads) = args.get_parsed::<usize>("threads")? {
         ev.profile_threads = threads;
     }
+    // One axis at a time, so that each table prints as its sweep ends.
     for name in names {
-        let sweep = match &sweep_override {
-            Some(v) => v.clone(),
-            None => hostprof::defend::default_sweep(name).expect("known defense"),
-        };
-        let curve = ev
-            .eval_curve(name, &sweep)
-            .ok_or_else(|| format!("defense '{name}' rejected its sweep"))?;
-        println!("defense {name}:");
-        println!(
-            "  {:>10} {:>10} {:>8} {:>10} {:>9} {:>9} {:>9}",
-            "intensity", "recovery%", "purity", "divergence", "accuracy", "ctr_gap", "sessions"
-        );
-        for p in &curve.points {
-            println!(
-                "  {:>10.2} {:>10.2} {:>8.3} {:>10.3} {:>9.3} {:>+9.4} {:>9}{}",
-                p.intensity,
-                p.recovery_pct,
-                p.purity,
-                p.divergence,
-                p.mean_accuracy,
-                p.ctr_gap * 100.0,
-                p.sessions_profiled,
-                match p.identity_bit_equal {
-                    Some(true) => "  [identity: bit-equal]",
-                    Some(false) => "  [identity: DIVERGED]",
-                    None => "",
-                }
-            );
-        }
-        if curve
-            .points
-            .iter()
-            .any(|p| p.identity_bit_equal == Some(false))
-        {
+        let curves = ev.eval_curves(&[name], sweep.as_deref())?;
+        print!("{}", hostprof::experiments::curve_table(&curves));
+        let diverged = |p: &hostprof::CurvePoint| p.identity_bit_equal == Some(false);
+        if curves.iter().any(|c| c.points.iter().any(diverged)) {
             return Err(format!(
                 "defense '{name}': identity point diverged from the undefended baseline"
             ));
@@ -762,34 +713,28 @@ fn cmd_defend(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// High-water mark of this process's resident set from the kernel's
+/// accounting (`VmHWM`, kB); 0 where `/proc` is unavailable.
+fn peak_rss_kb() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"));
+    hwm.and_then(|kb| kb.split_whitespace().next()?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// Reproduce rows of the paper's result table (`hostprof::experiments`)
+/// and hold every claim to its recorded expectation.
 fn cmd_experiment(args: &Args) -> Result<(), String> {
-    let cfg = scenario_config(args)?;
-    let s = Scenario::generate(&cfg);
-    let result = CtrExperiment::new(
-        &s.world,
-        &s.population,
-        &s.trace,
-        &s.ads,
-        ExperimentConfig {
-            pipeline: cfg.pipeline.clone(),
-            ..ExperimentConfig::default()
-        },
-    )
-    .run();
-    println!("impressions  : {}", result.impressions);
-    println!(
-        "replaced     : {} ({:.1}%)",
-        result.replaced,
-        result.replaced_fraction() * 100.0
-    );
-    println!("CTR eaves    : {:.3}%", result.eaves_ctr() * 100.0);
-    println!("CTR original : {:.3}%", result.orig_ctr() * 100.0);
-    let (a, b) = result.ctr_pairs();
-    match paired_t_test(&a, &b) {
-        Some(t) => println!("paired t-test: t = {:.3}, p = {:.4}", t.t, t.p),
-        None => println!("paired t-test: undefined (too few clicks at this scale)"),
+    let max_rss_mb = args.get_parsed::<u64>("max-rss-mb")?;
+    let rows = hostprof::experiments::select(args.get("id").unwrap_or("all"))?;
+    let scale = args.get("scale").unwrap_or("tiny");
+    hostprof::experiments::run(&rows, scale, args.get("out").map(Path::new))?;
+    let rss_kb = peak_rss_kb();
+    println!("\npeak RSS: {rss_kb} kB");
+    match max_rss_mb {
+        Some(mb) if rss_kb > mb * 1024 => Err(format!("peak RSS breached --max-rss-mb {mb}")),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 fn main() -> ExitCode {

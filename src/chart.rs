@@ -1,6 +1,6 @@
 //! Terminal chart rendering.
 //!
-//! The experiment binaries reproduce *figures*; these helpers let them
+//! The experiments reproduce *figures*; these helpers let their reports
 //! draw the figures too, as ASCII plots: an XY line/scatter chart for the
 //! Figure 2/3 CCDFs and a stacked horizontal share bar for the Figure 6
 //! topic timelines. Pure string construction — trivially testable.

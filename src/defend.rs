@@ -11,7 +11,7 @@
 //!   hostname)` triple the observer recovered, multiset-matched so
 //!   injected decoys can't stand in for real observations;
 //! * **purity** — k-NN top-topic purity of the trained embedding over
-//!   in-world labeled hostnames ([`hostprof_stats::neighbor_purity`]);
+//!   in-world labeled hostnames ([`embedding_quality`]);
 //! * **divergence** — per-user `1 − cosine` between the defended
 //!   profile and the undefended baseline profile (1.0 when the defense
 //!   erases the user's profile entirely);
@@ -27,7 +27,9 @@ use crate::bridge::{ObservedTrace, ObserverScenario};
 use crate::scenario::Scenario;
 use hostprof_ads::{CtrExperiment, ExperimentConfig, ObservedView};
 use hostprof_defense::{Defense, DefensePlan, HostCatalog};
+use hostprof_embed::EmbeddingSet;
 use hostprof_net::Addressing;
+use hostprof_stats::cluster_quality;
 use hostprof_synth::trace::{window_range, DAY_MS};
 use hostprof_synth::World;
 use serde::Serialize;
@@ -184,9 +186,13 @@ impl<'a> DefenseEvaluator<'a> {
         let recovery_pct = self.recovery_pct(&addressing, &obs);
 
         let embeddings = train_before_eval_day(s, &obs);
+        let top_topic = |host: &str| {
+            let topic = s.world.host(s.world.host_id_by_name(host)?).top_topic?;
+            Some(topic.index())
+        };
         let purity = embeddings
             .as_ref()
-            .map(|e| embedding_purity(&s.world, e))
+            .map(|e| embedding_quality(e, top_topic).0)
             .unwrap_or(0.0);
         let defended_profiles = final_day_profiles(s, &obs, embeddings.as_ref());
         let (divergence, mean_accuracy, sessions_profiled) =
@@ -212,16 +218,27 @@ impl<'a> DefenseEvaluator<'a> {
         })
     }
 
-    /// Sweep a whole axis.
-    pub fn eval_curve(&self, name: &str, intensities: &[f64]) -> Option<DefenseCurve> {
-        let points = intensities
+    /// Sweep each of `names` over `sweep`, or over its [`default_sweep`]
+    /// — the one sweep loop behind `hostprof defend` and experiment E9.
+    pub fn eval_curves(
+        &self,
+        names: &[&str],
+        sweep: Option<&[f64]>,
+    ) -> Result<Vec<DefenseCurve>, String> {
+        let curve = |name: &&str| {
+            let default = default_sweep(name)?;
+            let sweep = sweep.unwrap_or(&default).iter();
+            let points: Option<Vec<CurvePoint>> =
+                sweep.map(|&x| self.eval_point(name, x)).collect();
+            let defense = name.to_string();
+            points.map(|points| DefenseCurve { defense, points })
+        };
+        let known = DEFENSE_NAMES.join(", ");
+        let unknown = |name| format!("unknown defense '{name}' (expected all or one of: {known})");
+        let curves = names
             .iter()
-            .map(|&x| self.eval_point(name, x))
-            .collect::<Option<Vec<_>>>()?;
-        Some(DefenseCurve {
-            defense: name.to_string(),
-            points,
-        })
+            .map(|name| curve(name).ok_or_else(|| unknown(name)));
+        curves.collect()
     }
 
     /// Multiset `(client IP, t_ms, host id)` recovery: each observation
@@ -317,35 +334,38 @@ impl<'a> DefenseEvaluator<'a> {
     }
 }
 
-/// k-NN top-topic purity over the in-world labeled tokens of a trained
-/// embedding (0.0 when fewer than two labeled tokens survive).
-pub fn embedding_purity(world: &World, emb: &hostprof_embed::EmbeddingSet) -> f64 {
-    let mut points: Vec<f32> = Vec::new();
-    let mut labels: Vec<usize> = Vec::new();
-    for idx in 0..emb.len() as u32 {
-        let token = emb.vocab().token(idx);
-        let Some(hid) = world.host_id_by_name(token) else {
-            continue;
-        };
-        let Some(top) = world.host(hid).top_topic else {
-            continue;
-        };
-        points.extend_from_slice(emb.vector_by_index(idx));
-        labels.push(top.0 as usize);
+/// The tokens of `emb` that `topic_of` labels, in vocabulary order:
+/// row-major vectors, and a ground-truth topic and the token per point.
+pub fn labeled_points(
+    emb: &EmbeddingSet,
+    topic_of: impl Fn(&str) -> Option<usize>,
+) -> (Vec<f32>, Vec<usize>, Vec<&str>) {
+    let (mut points, mut labels, mut names) = (Vec::new(), Vec::new(), Vec::new());
+    for (idx, token) in emb.vocab().iter() {
+        if let Some(topic) = topic_of(token) {
+            points.extend_from_slice(emb.vector_by_index(idx));
+            labels.push(topic);
+            names.push(token);
+        }
     }
-    if labels.len() < 2 {
-        return 0.0;
-    }
-    let k = 10.min(labels.len() - 1);
-    hostprof_stats::neighbor_purity(&points, emb.dim(), &labels, k)
+    (points, labels, names)
+}
+
+/// `(purity, baseline, intra, inter)` of the [`labeled_points`]: same-topic
+/// neighbor purity @10, its label-frequency baseline and the intra/inter
+/// cosine gap — the one embedding-quality evaluation (experiments E3 and
+/// D1, and every defense sweep point).
+pub fn embedding_quality(
+    emb: &EmbeddingSet,
+    topic_of: impl Fn(&str) -> Option<usize>,
+) -> (f64, f64, f64, f64) {
+    let (points, labels, _) = labeled_points(emb, topic_of);
+    cluster_quality(&points, emb.dim(), &labels, 10)
 }
 
 /// The eavesdropper's model: trained on everything it observed before
 /// the final (evaluation) day; `None` when the defense starves training.
-fn train_before_eval_day(
-    s: &Scenario,
-    obs: &ObservedTrace,
-) -> Option<hostprof_embed::EmbeddingSet> {
+fn train_before_eval_day(s: &Scenario, obs: &ObservedTrace) -> Option<EmbeddingSet> {
     let eval_start = (s.trace.days() - 1) as u64 * DAY_MS;
     s.pipeline()
         .train_model(&obs.observed_sequences(eval_start))
@@ -358,7 +378,7 @@ fn train_before_eval_day(
 fn final_day_profiles(
     s: &Scenario,
     obs: &ObservedTrace,
-    embeddings: Option<&hostprof_embed::EmbeddingSet>,
+    embeddings: Option<&EmbeddingSet>,
 ) -> BTreeMap<u32, hostprof_ontology::CategoryVector> {
     let Some(embeddings) = embeddings else {
         return BTreeMap::new();
@@ -414,11 +434,12 @@ mod tests {
         let s = tiny();
         let mut ev = DefenseEvaluator::new(&s, 42);
         ev.with_ctr = false;
-        let curve = ev.eval_curve("ech", &[0.0, 50.0, 100.0]).unwrap();
-        let r: Vec<f64> = curve.points.iter().map(|p| p.recovery_pct).collect();
+        let curves = ev.eval_curves(&["ech"], Some(&[0.0, 50.0, 100.0])).unwrap();
+        let r: Vec<f64> = curves[0].points.iter().map(|p| p.recovery_pct).collect();
         assert!(r[0] > 99.0, "baseline recovery {}", r[0]);
         assert!(r[1] < r[0] && r[2] <= r[1], "{r:?}");
         assert!(r[2] < 1.0, "full ECH blinds the observer: {}", r[2]);
+        assert!(ev.eval_curves(&["vpn"], None).is_err(), "no such axis");
     }
 
     #[test]

@@ -58,7 +58,9 @@ pub use hostprof_stats as stats;
 pub use hostprof_synth as synth;
 
 pub mod bridge;
+mod chart;
 pub mod defend;
+pub mod experiments;
 pub mod replay;
 pub mod scenario;
 pub mod serving;
@@ -70,3 +72,40 @@ pub use replay::{ReplayOptions, ReplaySnapshot};
 pub use scenario::{Scenario, ScenarioConfig};
 pub use serving::{run_live, LiveRunConfig, LiveRunReport};
 pub use storage::{load_model, save_model, StorageError};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_parses_env_values() {
+        // One parser behind every `--scale`: the experiment table's context
+        // takes the names `ScenarioConfig::named` does.
+        let days = |name| ScenarioConfig::named(name).unwrap().trace.days;
+        assert_eq!(days("tiny"), 2);
+        assert_eq!(days("small"), 12);
+        assert_eq!(days("default"), 30);
+        assert!(experiments::Context::new("tiny").is_ok());
+        assert!(experiments::Context::new("huge").is_err());
+    }
+
+    #[test]
+    fn results_dir_is_stable() {
+        // The runner writes under `--out` and nowhere else: not without
+        // it, and never to the committed `results/<name>.json`.
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/results/coverage_stats.json");
+        let before = std::fs::read(committed).unwrap();
+        let out = std::env::temp_dir().join(format!("hostprof-out-{}", std::process::id()));
+        let rows = experiments::select("E6").unwrap();
+        experiments::run(&rows, "tiny", None).unwrap();
+        assert!(!out.exists(), "nothing is written without --out");
+        experiments::run(&rows, "tiny", Some(&out)).unwrap();
+        let files = std::fs::read_dir(&out).unwrap();
+        let written: Vec<_> = files.map(|f| f.unwrap().file_name()).collect();
+        assert_eq!(written, ["coverage_stats.json"], "one row, one file");
+        let json = std::fs::read(out.join("coverage_stats.json")).unwrap();
+        assert!(json.starts_with(b"{\n  \"scale\": \"tiny\""));
+        std::fs::remove_dir_all(&out).unwrap();
+        assert_eq!(std::fs::read(committed).unwrap(), before);
+    }
+}

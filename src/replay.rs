@@ -490,10 +490,7 @@ impl GoldenSchedule for ReplaySnapshot {
         let sessions_digest = d.hex();
 
         // Stage 4: train the embedding space on the whole trace.
-        let corpus: Vec<Vec<String>> = (0..s.trace.days())
-            .flat_map(|day| s.daily_hostname_sequences(day))
-            .collect();
-        let mut embeddings = p.pipeline.train_model(&corpus)?;
+        let mut embeddings = p.pipeline.train_model(&s.corpus(s.trace.days()))?;
         if let Some((index, delta)) = opts.perturb_embedding {
             let dim = embeddings.dim();
             let mut flat = Vec::with_capacity(embeddings.len() * dim);

@@ -1,7 +1,7 @@
 //! Scenario bundles: world + population + trace + ad inventory.
 //!
-//! Every experiment binary, example and integration test needs the same
-//! setup dance; [`Scenario`] packages it with three presets ([`tiny`],
+//! Every experiment, example and integration test needs the same setup
+//! dance; [`Scenario`] packages it with three presets ([`tiny`],
 //! [`default`], [`paper month`]) so the knobs that matter (scale, days,
 //! seeds) live in one place.
 //!
@@ -35,8 +35,8 @@ pub struct ScenarioConfig {
 }
 
 impl Default for ScenarioConfig {
-    /// The laptop-scale model of the paper's deployment used by the
-    /// experiment binaries: 3 K+ hostnames, 400 users, 30 days, 12 K ads.
+    /// The laptop-scale model of the paper's deployment: 3 K+ hostnames,
+    /// 400 users, 30 days, 12 K ads.
     fn default() -> Self {
         Self {
             world: WorldConfig::default(),
@@ -50,8 +50,8 @@ impl Default for ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// The preset a scale name selects — the one parser behind the CLI's
-    /// `--scale` and the experiment binaries' `HOSTPROF_SCALE`.
+    /// The preset a scale name selects — the one parser behind every
+    /// `--scale`.
     pub fn named(scale: &str) -> Result<Self, String> {
         match scale {
             "tiny" => Ok(Self::tiny()),
@@ -92,8 +92,7 @@ impl ScenarioConfig {
 
     /// The evaluation scale the recorded EXPERIMENTS.md runs use: 200
     /// users, 12 days, ~3.7 K hostnames, 4 K ads, with the kNN size scaled
-    /// to the vocabulary (DESIGN.md §4.1). Single source of truth for the
-    /// bench harness's `HOSTPROF_SCALE=small` and the CLI's `--scale small`.
+    /// to the vocabulary (DESIGN.md §4.1).
     pub fn small() -> Self {
         Self {
             world: WorldConfig {
@@ -228,6 +227,14 @@ impl Scenario {
                     .map(|h| self.world.hostname(h).to_string())
                     .collect()
             })
+            .collect()
+    }
+
+    /// The per-user hostname sequences of days `0..days`, day after day —
+    /// the multi-day training corpus.
+    pub fn corpus(&self, days: u32) -> Vec<Vec<String>> {
+        (0..days)
+            .flat_map(|day| self.daily_hostname_sequences(day))
             .collect()
     }
 

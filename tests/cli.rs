@@ -281,6 +281,41 @@ fn help_lists_every_flag_each_command_accepts() {
 }
 
 #[test]
+fn experiment_runs_table_rows_checks_claims_and_gates_rss() {
+    let out = temp("results");
+    let run = hostprof(&[
+        "experiment",
+        "--id",
+        "E6,E1",
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    let text = stdout(&run);
+    assert!(run.status.success(), "{text}");
+    for expected in [
+        "=== E6 · §4 / §5.4",
+        "CCDF — % of users",
+        "— ok",
+        "— known deviation (",
+        "peak RSS",
+    ] {
+        assert!(text.contains(expected), "no '{expected}' in:\n{text}");
+    }
+    assert!(out.join("fig2_user_diversity.json").is_file());
+    let _ = std::fs::remove_dir_all(&out);
+
+    let stderr = |args: &[&str]| {
+        let out = hostprof(args);
+        assert!(!out.status.success(), "{args:?}");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let gated = stderr(&["experiment", "--id", "E6", "--max-rss-mb", "1"]);
+    assert!(gated.contains("breached --max-rss-mb 1"), "{gated}");
+    let unknown = stderr(&["experiment", "--id", "E0"]);
+    assert!(unknown.contains("unknown experiment 'E0'"), "{unknown}");
+}
+
+#[test]
 fn serve_live_smoke() {
     let out = hostprof(&[
         "serve",

@@ -1,6 +1,7 @@
-//! Every `--bin <name>`, `results/<file>` and relative markdown link the
-//! user-facing documents name must exist in the tree, so a doc rewrite or
-//! a deleted binary cannot leave a dangling reference behind.
+//! Every `--bin <name>`, `results/<file>`, `experiment --id <row>` and
+//! relative markdown link the user-facing documents name must exist in the
+//! tree, so a doc rewrite or a deleted binary cannot leave a dangling
+//! reference behind.
 
 use std::path::{Path, PathBuf};
 
@@ -61,6 +62,14 @@ fn every_binary_result_file_and_link_named_in_the_docs_exists() {
             let name = name.trim_end_matches('.');
             if !root().join("results").join(name).is_file() {
                 missing.push(format!("{doc}: results/{name}"));
+            }
+        }
+
+        for ids in tokens_after(&text, "experiment --id ", |c| {
+            c.is_ascii_alphanumeric() || c == ','
+        }) {
+            if let Err(e) = hostprof::experiments::select(ids) {
+                missing.push(format!("{doc}: experiment --id {ids}: {e}"));
             }
         }
 

@@ -14,11 +14,9 @@ fn scenario_with_days(days: u32) -> Scenario {
 fn profiles_beat_chance_and_cover_more_than_the_ontology_baseline() {
     let s = scenario_with_days(6);
     let pipeline = s.pipeline();
-    let mut corpus = Vec::new();
-    for day in 0..5 {
-        corpus.extend(s.daily_hostname_sequences(day));
-    }
-    let embeddings = pipeline.train_model(&corpus).expect("corpus is non-empty");
+    let embeddings = pipeline
+        .train_model(&s.corpus(5))
+        .expect("corpus is non-empty");
     let profiler = pipeline.profiler(&embeddings, s.world.ontology());
 
     let mut emb_acc = Vec::new();
@@ -107,11 +105,7 @@ fn the_api_endpoint_phenomenon_reproduces() {
     // other sites.
     let s = scenario_with_days(6);
     let pipeline = s.pipeline();
-    let mut corpus = Vec::new();
-    for day in 0..s.trace.days() {
-        corpus.extend(s.daily_hostname_sequences(day));
-    }
-    let embeddings = pipeline.train_model(&corpus).expect("corpus");
+    let embeddings = pipeline.train_model(&s.corpus(6)).expect("corpus");
 
     let mut same = Vec::new();
     let mut other = Vec::new();

@@ -83,11 +83,7 @@ fn a_model_trained_on_observed_data_is_usable() {
         .expect("observed corpus trains");
     // The observed vocabulary covers the same non-blocked hostname set.
     let truth_model = pipeline
-        .train_model(&{
-            let mut c = s.daily_hostname_sequences(0);
-            c.extend(s.daily_hostname_sequences(1));
-            c
-        })
+        .train_model(&s.corpus(2))
         .expect("truth corpus trains");
     assert_eq!(embeddings.len(), truth_model.len(), "same vocabulary size");
 }

@@ -258,18 +258,22 @@ impl AdDatabase {
     /// pick.
     pub fn closest_ad_in_category(&self, category: u16, query: &CategoryVector) -> Option<AdId> {
         let bucket = self.by_primary_category(category);
-        let candidates: Box<dyn Iterator<Item = &AdId>> = if bucket.is_empty() {
-            Box::new(self.ads.iter().map(|a| &a.id))
-        } else {
-            Box::new(bucket.iter())
+        // The first of several equally close ads wins: a later candidate
+        // replaces the best only when strictly closer.
+        let closest = |best: Option<(AdId, f32)>, id: AdId| {
+            let d = self.ads[id.index()].categories.euclidean(query);
+            match best {
+                Some((_, best_d)) if d < best_d => Some((id, d)),
+                None => Some((id, d)),
+                _ => best,
+            }
         };
-        candidates
-            .min_by(|a, b| {
-                let da = self.ads[a.index()].categories.euclidean(query);
-                let db = self.ads[b.index()].categories.euclidean(query);
-                da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .copied()
+        let best = if bucket.is_empty() {
+            self.ads.iter().map(|a| a.id).fold(None, closest)
+        } else {
+            bucket.iter().copied().fold(None, closest)
+        };
+        best.map(|(id, _)| id)
     }
 }
 

@@ -51,8 +51,8 @@ pub struct ExperimentConfig {
     /// one day of 1329 heavy users (§5.4) — orders of magnitude more
     /// tokens than one synthetic day — and notes that "the amount of data
     /// used for training is configurable". A multi-day window restores the
-    /// paper's per-model token budget at our scale (see the
-    /// `embed_quality` binary for the sensitivity sweep).
+    /// paper's per-model token budget at our scale (see
+    /// `hostprof experiment --id D1` for the sensitivity sweep).
     pub training_days: u32,
     /// Worker threads for the batched report-tick profiling. Profiling
     /// consumes no randomness, so the thread count never changes results.

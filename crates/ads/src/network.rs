@@ -49,7 +49,9 @@ pub struct AdNetworkConfig {
     /// (Remaining probability serves targeted ads.)
     /// Fraction of site visits the network's trackers actually observe.
     pub tracker_coverage: f64,
-    /// How many recent site visits the cookie profile window keeps.
+    /// How many recent site visits the cookie profile window keeps: one
+    /// category vector per visit in memory for every tracked user, and a
+    /// fold over all of them for each targeted impression.
     pub profile_window: usize,
     /// How many recent visits feed retargeting.
     pub retarget_window: usize,
@@ -73,8 +75,21 @@ impl Default for AdNetworkConfig {
 struct CookieProfile {
     /// Rolling window of observed site visits (host + categories).
     visits: VecDeque<(HostId, CategoryVector)>,
-    /// Aggregated interest estimate.
-    profile: CategoryVector,
+}
+
+impl CookieProfile {
+    /// Aggregated interest estimate: the mean of the window, folded in
+    /// visit order. Only a targeted impression reads it, and the CTR
+    /// replay serves one for roughly every ten tracked visits, so it is
+    /// derived here and not kept current by `observe_visit`.
+    fn profile(&self) -> CategoryVector {
+        let mut agg = CategoryVector::empty();
+        let n = self.visits.len() as f32;
+        for (_, c) in &self.visits {
+            agg.add_scaled(c, 1.0 / n);
+        }
+        agg
+    }
 }
 
 /// The simulated ad network.
@@ -116,13 +131,6 @@ impl AdNetwork {
         while cookie.visits.len() > self.config.profile_window {
             cookie.visits.pop_front();
         }
-        // Rebuild the aggregate lazily but cheaply: mean of window.
-        let mut agg = CategoryVector::empty();
-        let n = cookie.visits.len() as f32;
-        for (_, c) in &cookie.visits {
-            agg.add_scaled(c, 1.0 / n);
-        }
-        cookie.profile = agg;
     }
 
     /// The network's current cookie profile of a user (empty if never
@@ -130,7 +138,7 @@ impl AdNetwork {
     pub fn cookie_profile(&self, user: UserId) -> CategoryVector {
         self.cookies
             .get(&user)
-            .map(|c| c.profile.clone())
+            .map(CookieProfile::profile)
             .unwrap_or_default()
     }
 
@@ -189,17 +197,13 @@ impl AdNetwork {
         db: &AdDatabase,
         user: UserId,
     ) -> Option<AdId> {
-        let cookie = self.cookies.get(&user)?;
-        let recent: Vec<&(HostId, CategoryVector)> = cookie
-            .visits
-            .iter()
-            .rev()
-            .take(self.config.retarget_window)
-            .collect();
-        if recent.is_empty() {
+        let visits = &self.cookies.get(&user)?.visits;
+        let recent = visits.len().min(self.config.retarget_window);
+        if recent == 0 {
             return None;
         }
-        let (host, cats) = recent[rng.gen_range(0..recent.len())];
+        // One of the `recent` newest visits, counted back from the last.
+        let (host, cats) = &visits[visits.len() - 1 - rng.gen_range(0..recent)];
         // Prefer an ad for that exact landing page; otherwise the closest
         // in category space.
         let exact = db.by_landing_host(*host);

@@ -176,20 +176,37 @@ impl CategoryVector {
         acc.sqrt()
     }
 
-    /// `self += scale * other`, clamping results into `[0, 1]`.
+    /// `self += scale * other`, clamping results into `[0, 1]`: entries
+    /// that end at or below zero are dropped, so a negative `scale`
+    /// subtracts.
     pub fn add_scaled(&mut self, other: &Self, scale: f32) {
-        let mut merged = std::collections::BTreeMap::new();
-        for (c, w) in self.iter() {
-            *merged.entry(c).or_insert(0.0f32) += w;
+        use std::cmp::Ordering;
+        let (a, b) = (&self.entries, &other.entries);
+        let mut merged = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.len() || j < b.len() {
+            let side = match (a.get(i), b.get(j)) {
+                (Some(x), Some(y)) => x.0.cmp(&y.0),
+                (Some(_), None) => Ordering::Less,
+                (None, _) => Ordering::Greater,
+            };
+            // Every id sums from 0.0, `self`'s weight first: the order in
+            // which a map keyed by id would accumulate the two lists.
+            let c = if side.is_le() { a[i].0 } else { b[j].0 };
+            let mut w = 0.0f32;
+            if side.is_le() {
+                w += a[i].1;
+                i += 1;
+            }
+            if side.is_ge() {
+                w += scale * b[j].1;
+                j += 1;
+            }
+            if w > 0.0 {
+                merged.push((c, w.min(1.0)));
+            }
         }
-        for (c, w) in other.iter() {
-            *merged.entry(c).or_insert(0.0f32) += scale * w;
-        }
-        self.entries = merged
-            .into_iter()
-            .filter(|(_, w)| *w > 0.0)
-            .map(|(c, w)| (c, w.min(1.0)))
-            .collect();
+        self.entries = merged;
     }
 
     /// Keep only the `k` highest-weight categories (ties broken by id).
@@ -219,6 +236,7 @@ impl FromIterator<(CategoryId, f32)> for CategoryVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn v(pairs: &[(u16, f32)]) -> CategoryVector {
         CategoryVector::from_pairs(pairs.iter().map(|&(c, w)| (CategoryId(c), w)).collect())
@@ -289,6 +307,91 @@ mod tests {
             "0.8 + 0.4 clamps to 1"
         );
         assert!((a.get(CategoryId(2)) - 0.25).abs() < 1e-6);
+    }
+
+    /// `add_scaled` as it was before it became a merge: every id summed
+    /// into a `BTreeMap` entry that starts at 0.0, `self` first.
+    fn add_scaled_reference(v: &mut CategoryVector, other: &CategoryVector, scale: f32) {
+        let mut merged = std::collections::BTreeMap::new();
+        for (c, w) in v.iter() {
+            *merged.entry(c).or_insert(0.0f32) += w;
+        }
+        for (c, w) in other.iter() {
+            *merged.entry(c).or_insert(0.0f32) += scale * w;
+        }
+        v.entries = merged
+            .into_iter()
+            .filter(|(_, w)| *w > 0.0)
+            .map(|(c, w)| (c, w.min(1.0)))
+            .collect();
+    }
+
+    fn bits(v: &CategoryVector) -> Vec<(CategoryId, u32)> {
+        v.iter().map(|(c, w)| (c, w.to_bits())).collect()
+    }
+
+    /// Up to 12 entries over 40 ids, so two draws usually share some ids
+    /// and not others; weights past 1.0 clamp to exactly 1.0.
+    fn sparse() -> impl Strategy<Value = Vec<(u16, f32)>> {
+        proptest::collection::vec((0u16..40, 0.001f32..1.3), 0..12)
+    }
+
+    /// `self` and `other` for one call: either side empty, disjoint id
+    /// sets (even against odd), the same id set, or whatever was drawn.
+    fn shaped(shape: u8, a: &[(u16, f32)], b: &[(u16, f32)]) -> (CategoryVector, CategoryVector) {
+        let ids = |p: &[(u16, f32)], f: fn(u16) -> u16| -> Vec<(u16, f32)> {
+            p.iter().map(|&(c, w)| (f(c), w)).collect()
+        };
+        match shape {
+            0 => (CategoryVector::empty(), v(b)),
+            1 => (v(a), CategoryVector::empty()),
+            2 => (v(&ids(a, |c| 2 * c)), v(&ids(b, |c| 2 * c + 1))),
+            3 => {
+                let same: Vec<(u16, f32)> = a.iter().map(|&(c, w)| (c, 1.3 - w)).collect();
+                (v(a), v(&same))
+            }
+            _ => (v(a), v(b)),
+        }
+    }
+
+    /// −0.9 subtracts (`isp_dossier`), 0.0 and 1e-6 produce zeros and
+    /// near-zeros to drop or keep, 1/n is the cookie fold, 1.0 and 3.0
+    /// push sums past the clamp.
+    fn scale(pick: u8, n: usize) -> f32 {
+        [-0.9, 0.0, 1e-6, 1.0 / n as f32, 1.0, 3.0][pick as usize]
+    }
+
+    proptest! {
+        #[test]
+        fn add_scaled_equals_the_map_reference_bit_for_bit(
+            a in sparse(),
+            b in sparse(),
+            shape in 0u8..5,
+            pick in 0u8..6,
+            n in 1usize..=200,
+        ) {
+            let (mut merged, other) = shaped(shape, &a, &b);
+            let mut reference = merged.clone();
+            let scale = scale(pick, n);
+            merged.add_scaled(&other, scale);
+            add_scaled_reference(&mut reference, &other, scale);
+            prop_assert_eq!(bits(&merged), bits(&reference), "shape {} scale {}", shape, scale);
+            prop_assert!(merged.iter().all(|(_, w)| w > 0.0 && w <= 1.0));
+        }
+
+        #[test]
+        fn a_200_step_fold_from_empty_equals_the_reference_fold(
+            window in proptest::collection::vec(sparse(), 200),
+            pick in 0u8..6,
+        ) {
+            let scale = scale(pick, window.len());
+            let (mut merged, mut reference) = (CategoryVector::empty(), CategoryVector::empty());
+            for visit in &window {
+                merged.add_scaled(&v(visit), scale);
+                add_scaled_reference(&mut reference, &v(visit), scale);
+            }
+            prop_assert_eq!(bits(&merged), bits(&reference));
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!
 //! * **within a worker**, all of its sessions' kNN queries run through one
 //!   tiled scan of the vocabulary
-//!   ([`EmbeddingSet::nearest_to_vectors_with`][nv]), so each cache-sized
-//!   block of the unit-norm matrix is loaded once and scored against many
-//!   session vectors;
+//!   ([`EmbeddingSet::nearest_to_vectors_filtered`][nv]), sixteen at a
+//!   time, so each cache-sized block of the unit-norm matrix is loaded
+//!   once per sixteen session vectors and the worker's key buffers stay
+//!   sixteen rows deep however many sessions the tick brings;
 //! * **across workers**, sessions fan out over scoped threads
 //!   (`crossbeam::thread::scope`) with the caller working the last share
 //!   itself, each worker owning one reusable [`ProfileScratch`] — no
@@ -22,7 +23,7 @@
 //! bit-for-bit, independent of the thread count. The property tests in
 //! `tests/batch_equivalence.rs` pin this down.
 //!
-//! [nv]: hostprof_embed::EmbeddingSet::nearest_to_vectors_with
+//! [nv]: hostprof_embed::EmbeddingSet::nearest_to_vectors_filtered
 
 use crate::profiler::{ProfileScratch, Profiler, ResolvedHost, SessionProfile};
 use crate::session::Session;

@@ -12,7 +12,9 @@
 //! * category importances are the α-weighted mean of the labeled hosts'
 //!   category vectors (Eq. 4) — unlabeled neighbors drop out of the sum,
 //!   which is exactly how the kNN propagates the sparse ontology to
-//!   CDN/API-heavy sessions.
+//!   CDN/API-heavy sessions. They still compete for the `N` places (that
+//!   is Eq. 3), so the kNN ranks every host and hands back the labeled
+//!   members only ([`RowFilter`]).
 //!
 //! The hot path is allocation-light: the labeled-host index is a sorted
 //! array probed by binary search, Eq. 4 accumulates into a dense
@@ -27,7 +29,7 @@
 //! over interned host ids ([`crate::serve`]).
 
 use crate::session::Session;
-use hostprof_embed::{EmbeddingSet, IndexConfig, KnnScratch, NnIndex};
+use hostprof_embed::{EmbeddingSet, IndexConfig, KnnScratch, NnIndex, RowFilter};
 use hostprof_ontology::{CategoryId, CategoryVector, Ontology};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -106,7 +108,7 @@ pub struct ResolvedHost<'a> {
 
 /// Reusable per-caller working memory for profiling.
 ///
-/// Holds the kNN query/heap scratch and the dense Eq. 4 accumulator.
+/// Holds the kNN query/key scratch and the dense Eq. 4 accumulator.
 /// The accumulator is epoch-stamped: `begin` bumps the epoch instead of
 /// zeroing the whole array, so resetting between sessions is `O(1)` and
 /// only the categories actually touched are read back out.
@@ -209,6 +211,10 @@ pub struct PreparedProfiler {
     /// `idx` in `labeled_by_idx`, or `u32::MAX`. Turns the per-neighbor
     /// lookup on the kNN result stream into one bounds-checked load.
     labeled_slot: Vec<u32>,
+    /// The vocab indices of `labeled_by_idx` alone, ascending — with
+    /// `labeled_slot`, the kNN's [`RowFilter`]: Eq. 4 reads labeled
+    /// neighbors only, so only those are gathered.
+    labeled_rows: Vec<u32>,
     /// One past the largest `CategoryId` any ontology entry carries —
     /// sizes the dense Eq. 4 accumulator.
     category_bound: usize,
@@ -239,11 +245,13 @@ impl PreparedProfiler {
         for (slot, &(idx, _)) in labeled_by_idx.iter().enumerate() {
             labeled_slot[idx as usize] = slot as u32;
         }
+        let labeled_rows = labeled_by_idx.iter().map(|&(idx, _)| idx).collect();
         let index = config.index.build(embeddings);
         Self {
             config,
             labeled_by_idx,
             labeled_slot,
+            labeled_rows,
             category_bound,
             index,
         }
@@ -318,12 +326,13 @@ impl<'a> Profiler<'a> {
         self.prepared().index.as_ref()
     }
 
-    /// Category vector of the labeled host at vocab index `idx`, if any.
+    /// Category vector of the labeled host at vocab index `idx`.
     #[inline]
-    fn labeled_for(&self, idx: u32) -> Option<&CategoryVector> {
+    fn labeled_for(&self, idx: u32) -> &CategoryVector {
         let prepared = self.prepared();
-        let slot = *prepared.labeled_slot.get(idx as usize)?;
-        (slot != u32::MAX).then(|| &prepared.labeled_by_idx[slot as usize].1)
+        let slot = prepared.labeled_slot[idx as usize];
+        debug_assert_ne!(slot, u32::MAX, "the kNN filter keeps labeled rows only");
+        &prepared.labeled_by_idx[slot as usize].1
     }
 
     /// Profile a session. Returns `None` only when the session is empty or
@@ -389,12 +398,17 @@ impl<'a> Profiler<'a> {
                 })
             })
             .collect();
-        // H_s: the N nearest hostnames to each session vector.
+        // H_s: the N nearest hostnames to each session vector — of which
+        // the labeled ones come back, the only ones Eq. 4 reads.
         let prepared = self.prepared();
-        let mut results = self.embeddings.nearest_to_vectors_with_index(
+        let mut results = self.embeddings.nearest_to_vectors_filtered(
             &queries,
             prepared.config.n_neighbors,
             prepared.index.as_ref(),
+            Some(RowFilter {
+                rows: &prepared.labeled_rows,
+                slots: &prepared.labeled_slot,
+            }),
             &mut scratch.knn,
         );
         debug_assert_eq!(results.len(), queries.len(), "one kNN result per query");
@@ -412,8 +426,8 @@ impl<'a> Profiler<'a> {
 
     /// Eq. 3/4: fold the kNN neighbor stream and the in-session labels `L`
     /// (weight 1 regardless of cosine) into a profile. `neighbors` must be
-    /// the kNN result for `session_vector` (empty when the session has no
-    /// vector).
+    /// the labeled members of the kNN result for `session_vector`, in rank
+    /// order (empty when the session has no vector).
     fn assemble(
         &self,
         session: &[ResolvedHost<'_>],
@@ -434,13 +448,10 @@ impl<'a> Profiler<'a> {
             if scratch.in_session.binary_search(&idx).is_ok() {
                 continue; // weighted 1 below, don't double-count
             }
-            let Some(cats) = self.labeled_for(idx) else {
-                continue;
-            };
             let alpha = sim.max(0.0); // [x]₊ of Eq. 3
             if alpha > 0.0 {
                 alpha_sum += alpha;
-                scratch.add(cats, alpha);
+                scratch.add(self.labeled_for(idx), alpha);
                 labeled_neighbors += 1;
             }
         }

@@ -10,6 +10,15 @@
 //! doublings — not one allocation per host, which is what a `String` (or
 //! any owned value) per session host would cost.
 //!
+//! The same counter, reading bytes, holds the kNN to its two memory
+//! promises (DESIGN.md §7), each as a *difference* between two streams that
+//! are equal in everything else, so no other buffer of the tick has to be
+//! modelled: asking for six times the neighbours may grow a tick's bytes
+//! only by the *labeled* share of the extra places (Eq. 4 reads no other
+//! neighbour, so no other is returned), and four times the vocabulary may
+//! raise a tick's peak only by one sixteen-query block of key rows per
+//! worker, however many sessions the tick profiles.
+//!
 //! One `#[test]` only: the counter is process-wide, and a second test
 //! running beside it would be counted too.
 
@@ -21,26 +30,40 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes handed out (a `realloc` counts its new size).
+static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes handed out and not yet returned, and the most that ever was.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
 /// The system allocator, counting every call that can hand out memory.
 struct Counting;
 
+fn took(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter has no effect on memory.
+// upholds the `GlobalAlloc` contract; the counters have no effect on memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        took(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        took(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        took(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -49,21 +72,40 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 const INTERVAL_MS: u64 = 600_000;
-const SESSIONS: u32 = 12;
-/// Embedded hosts; the stream also visits `off{i}.example`, which are
-/// labeled but have no row, and `unknown{i}.example`, which are neither.
-const VOCAB: usize = 512;
+/// Sessions per tick: 40 per worker, so a key buffer per query and a
+/// buffer per sixteen-query block are far apart.
+const SESSIONS: u32 = 80;
+const WORKERS: usize = 2;
 
-fn host(i: usize) -> String {
+/// What a stream is run against, and how wide its windows are.
+#[derive(Clone, Copy)]
+struct Shape {
+    /// Embedded hosts; the stream also visits `off{i}.example`, which are
+    /// labeled but have no row, and `unknown{i}.example`, which are neither.
+    vocab: usize,
+    /// `N` of Eq. 3.
+    neighbours: usize,
+    /// Distinct hosts every user visits (twice each) per report interval.
+    distinct: usize,
+}
+
+const SPARSE: Shape = Shape {
+    vocab: 512,
+    neighbours: 50,
+    distinct: 50,
+};
+
+fn host(i: usize, vocab: usize) -> String {
     match i % 16 {
         14 => format!("off{i}.example"),
         15 => format!("unknown{i}.example"),
-        _ => format!("h{}.example", i % VOCAB),
+        _ => format!("h{}.example", i % vocab),
     }
 }
 
-fn model(seq: u64) -> ModelVersion {
-    let hosts: Vec<String> = (0..VOCAB).map(|i| format!("h{i}.example")).collect();
+/// A model in which every fourth embedded host is labeled.
+fn model(seq: u64, shape: Shape) -> ModelVersion {
+    let hosts: Vec<String> = (0..shape.vocab).map(|i| format!("h{i}.example")).collect();
     let vocab = Vocab::build(std::iter::once(hosts.iter().map(String::as_str)), 1, 0.0);
     let dim = 8usize;
     let mut state = 0x00a1_10c8u64;
@@ -76,7 +118,7 @@ fn model(seq: u64) -> ModelVersion {
         })
         .collect();
     let mut ontology = Ontology::new();
-    for i in 0..VOCAB {
+    for i in 0..shape.vocab {
         let label = CategoryVector::from_pairs(vec![(CategoryId(i as u16 % 24), 1.0)]);
         if i % 4 == 0 {
             ontology.insert(&format!("h{i}.example"), label.clone());
@@ -88,38 +130,56 @@ fn model(seq: u64) -> ModelVersion {
         EmbeddingSet::new(dim, vocab, vectors),
         Arc::new(ontology),
         ProfilerConfig {
-            n_neighbors: 50,
+            n_neighbors: shape.neighbours,
             ..ProfilerConfig::default()
         },
     )
 }
 
-/// Allocations inside each tick-firing `ingest_observation` call of a
-/// stream in which every one of [`SESSIONS`] users visits the same
-/// `distinct` hosts (twice each) in every report interval, with a publish
-/// before tick `publish_at`. Returns `(model_seq, allocations)` per tick.
-fn tick_allocations(distinct: usize, ticks: u64, publish_at: u64) -> Vec<(u64, u64)> {
-    let model = VersionedModel::new(model(1));
+/// What one tick-firing `ingest_observation` call took from the allocator.
+#[derive(Debug, Clone, Copy)]
+struct Spent {
+    allocations: u64,
+    bytes: u64,
+    /// The most the call held at once, over what was held when it began.
+    peak: u64,
+}
+
+/// [`Spent`] by each tick-firing `ingest_observation` call of a stream in
+/// which every one of [`SESSIONS`] users visits the same `shape.distinct`
+/// hosts (twice each) in every report interval, with a publish before tick
+/// `publish_at`. Returns `(model_seq, spent)` per tick.
+fn tick_allocations(shape: Shape, ticks: u64, publish_at: u64) -> Vec<(u64, Spent)> {
+    let model = VersionedModel::new(model(1, shape));
     let config = ServeConfig {
         report_interval_ms: INTERVAL_MS,
         session_window_ms: 2 * INTERVAL_MS,
         lateness_ms: 0,
         ..ServeConfig::default()
     };
-    let mut engine = ServeEngine::with_versioned(config, &model, 2, None);
+    let mut engine = ServeEngine::with_versioned(config, &model, WORKERS, None);
     let mut out = Vec::new();
     for interval in 0..=ticks {
         if interval == publish_at {
-            model.publish(self::model(2));
+            model.publish(self::model(2, shape));
         }
         let mut t = interval * INTERVAL_MS;
-        for visit in 0..2 * distinct {
+        for visit in 0..2 * shape.distinct {
             for user in 0..SESSIONS {
                 t += 1;
-                let name = host(user as usize * 7 + visit % distinct);
-                let before = ALLOCATIONS.load(Ordering::Relaxed);
+                let name = host(user as usize * 7 + visit % shape.distinct, shape.vocab);
+                let before = (
+                    ALLOCATIONS.load(Ordering::Relaxed),
+                    BYTES.load(Ordering::Relaxed),
+                    LIVE.load(Ordering::Relaxed),
+                );
+                PEAK.store(before.2, Ordering::Relaxed);
                 let fired = engine.ingest_observation(user, t, &name);
-                let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+                let spent = Spent {
+                    allocations: ALLOCATIONS.load(Ordering::Relaxed) - before.0,
+                    bytes: BYTES.load(Ordering::Relaxed) - before.1,
+                    peak: PEAK.load(Ordering::Relaxed) - before.2,
+                };
                 if let [tick] = fired.as_slice() {
                     assert_eq!(tick.entries.len(), SESSIONS as usize);
                     assert!(tick.entries.iter().all(|e| e.profile.is_some()));
@@ -132,50 +192,92 @@ fn tick_allocations(distinct: usize, ticks: u64, publish_at: u64) -> Vec<(u64, u
     out
 }
 
-/// Ticks that may pay for growth: the first two of the stream (windows
-/// reach their full two intervals at the second) and the first of each
-/// model version (the host table is refilled).
-fn steady(ticks: &[(u64, u64)]) -> Vec<u64> {
-    ticks
+/// The worst of each [`Spent`] field over the ticks that pay for no
+/// growth: not the first two of the stream (windows reach their full two
+/// intervals at the second) nor the first of each model version (the host
+/// table is refilled).
+fn steady(ticks: &[(u64, Spent)]) -> Spent {
+    let steady: Vec<Spent> = ticks
         .iter()
         .enumerate()
         .filter(|&(i, &(seq, _))| i >= 2 && ticks[i - 1].0 == seq)
-        .map(|(_, &(_, allocations))| allocations)
-        .collect()
+        .map(|(_, &(_, spent))| spent)
+        .collect();
+    assert_eq!(steady.len(), 5);
+    let worst = |field: fn(&Spent) -> u64| steady.iter().map(field).max().unwrap_or(0);
+    Spent {
+        allocations: worst(|s| s.allocations),
+        bytes: worst(|s| s.bytes),
+        peak: worst(|s| s.peak),
+    }
 }
 
 #[test]
 fn a_steady_state_tick_allocates_per_session_not_per_host() {
-    let sparse = tick_allocations(50, 8, 5);
-    let dense = tick_allocations(400, 8, 5);
-    for ticks in [&sparse, &dense] {
+    const DENSE: Shape = Shape {
+        distinct: 400,
+        ..SPARSE
+    };
+    const WIDE: Shape = Shape {
+        neighbours: 300,
+        ..SPARSE
+    };
+    const LARGE: Shape = Shape {
+        vocab: 2048,
+        ..SPARSE
+    };
+    let [sparse, dense, wide, large] = [SPARSE, DENSE, WIDE, LARGE].map(|shape| {
+        let ticks = tick_allocations(shape, 8, 5);
         let seqs: Vec<u64> = ticks.iter().map(|t| t.0).collect();
         assert_eq!(
             seqs,
             [1, 1, 1, 1, 2, 2, 2, 2],
             "the publish lands before tick 5"
         );
-    }
-    let (sparse, dense) = (steady(&sparse), steady(&dense));
-    assert_eq!(sparse.len(), 5);
-    assert_eq!(dense.len(), 5);
-    eprintln!("steady-state tick allocations: sparse {sparse:?}, dense {dense:?}");
+        steady(&ticks)
+    });
+    eprintln!("steady-state tick, worst of five: sparse {sparse:?}, dense {dense:?}, wide {wide:?}, large {large:?}");
 
-    // c · sessions + k: per session a query vector, a neighbour list, the
-    // profile's category vector and its report entry; per tick the close,
+    // c · sessions + k: per session a query vector, its normalized copy's
+    // slot, a neighbour list, the profile's category vector and its report
+    // entry — no buffer of the kNN's is per session; per tick the close,
     // two scoped workers and their scratch.
-    let budget = 10 * SESSIONS as u64 + 96;
-    let worst = |ticks: &[u64]| ticks.iter().copied().max().unwrap_or(0);
+    let budget = 5 * SESSIONS as u64 + 32;
     assert!(
-        worst(&dense) <= budget,
+        dense.allocations <= budget,
         "a tick of {SESSIONS} sessions allocated {} times (budget {budget})",
-        worst(&dense)
+        dense.allocations
     );
-    // 8× the hosts per window (≥ 4 200 more session hosts per tick) may
+    // 8× the hosts per window (≥ 28 000 more session hosts per tick) may
     // double a few per-tick buffers three more times each — the close's id
     // arena, each worker's in-session index — and nothing else.
     assert!(
-        worst(&dense) <= worst(&sparse) + 24,
+        dense.allocations <= sparse.allocations + 24,
         "allocations grew with the hosts per window: {sparse:?} → {dense:?}"
+    );
+
+    // 250 more places in every session's top N: a quarter of the hosts are
+    // labeled, so about 63 more `(row, cosine)` pairs come back per session
+    // — half of the 250 is the bound, all of them is what a full ranked
+    // list costs.
+    let extra = wide.bytes.saturating_sub(sparse.bytes);
+    let bound = SESSIONS as u64 * (WIDE.neighbours - SPARSE.neighbours) as u64 * 8 / 2;
+    assert!(
+        extra <= bound,
+        "N {} → {} grew a tick by {extra} B (bound {bound}): unlabeled neighbours are being returned",
+        SPARSE.neighbours,
+        WIDE.neighbours
+    );
+
+    // 1 536 more rows: each worker's kNN scratch may grow by sixteen key
+    // rows of at most 8 B a candidate, whatever the sessions per worker
+    // (40 here — a buffer per query would grow by 40 × 8 B a row).
+    let extra = large.peak.saturating_sub(sparse.peak);
+    let bound = (WORKERS * 16 * (LARGE.vocab - SPARSE.vocab) * 8) as u64;
+    assert!(
+        extra <= bound,
+        "vocabulary {} → {} raised a tick's peak by {extra} B (bound {bound}): kNN scratch grows with the sessions",
+        SPARSE.vocab,
+        LARGE.vocab
     );
 }

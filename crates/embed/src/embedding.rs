@@ -6,7 +6,7 @@
 //! cosine ([`EmbeddingSet::nearest_to_vector`]), each with that cosine.
 
 use crate::index::{ExactScan, NnIndex};
-use crate::knn::KnnScratch;
+use crate::knn::{KnnScratch, RowFilter};
 use crate::vocab::Vocab;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::cell::RefCell;
@@ -175,7 +175,7 @@ impl EmbeddingSet {
     }
 
     /// [`Self::nearest_to_vector`] with caller-owned scratch, so repeated
-    /// scans reuse the query buffer and heap allocations.
+    /// scans reuse the query and key buffers.
     pub fn nearest_to_vector_with(
         &self,
         query: &[f32],
@@ -199,12 +199,12 @@ impl EmbeddingSet {
         if qn <= f32::EPSILON || n == 0 {
             return Vec::new();
         }
-        // Move the buffer out so the index can borrow the scratch heaps
-        // mutably alongside the query slice.
+        // Move the buffer out so the index can borrow the scratch mutably
+        // alongside the query slice.
         let mut qhat = std::mem::take(&mut scratch.qhat);
         qhat.clear();
         qhat.extend(query.iter().map(|x| x / qn));
-        let mut results = index.search(self, &qhat, n, scratch);
+        let mut results = index.search(self, &qhat, n, None, scratch);
         scratch.qhat = qhat;
         results.pop().unwrap_or_default()
     }
@@ -232,6 +232,19 @@ impl EmbeddingSet {
         index: &dyn NnIndex,
         scratch: &mut KnnScratch,
     ) -> Vec<Vec<(u32, f32)>> {
+        self.nearest_to_vectors_filtered(queries, n, index, None, scratch)
+    }
+
+    /// [`Self::nearest_to_vectors_with_index`] returning, of each query's
+    /// top `n`, only the rows `filter` keeps (see [`NnIndex::search`]).
+    pub fn nearest_to_vectors_filtered(
+        &self,
+        queries: &[Vec<f32>],
+        n: usize,
+        index: &dyn NnIndex,
+        filter: Option<RowFilter<'_>>,
+        scratch: &mut KnnScratch,
+    ) -> Vec<Vec<(u32, f32)>> {
         let mut qhat = std::mem::take(&mut scratch.qhat);
         qhat.clear();
         let mut slot_of: Vec<Option<usize>> = Vec::with_capacity(queries.len());
@@ -247,7 +260,7 @@ impl EmbeddingSet {
             slot_of.push(Some(slots));
             slots += 1;
         }
-        let mut packed = index.search(self, &qhat, n, scratch);
+        let mut packed = index.search(self, &qhat, n, filter, scratch);
         scratch.qhat = qhat;
         slot_of
             .into_iter()

@@ -6,13 +6,13 @@
 //! million-hostname answer: a k-means coarse quantizer partitions the
 //! unit-norm rows into `nlists` inverted lists, and a query scans only the
 //! `nprobe` lists whose centroids score highest — the classic IVF-flat
-//! layout, reusing the same [`crate::simd::dot`] kernel and the same
-//! packed-`u64` top-k selection as the exact path.
+//! layout, reusing the same scoring kernel ([`crate::simd::score_rows`])
+//! and the same select and gather ([`crate::knn::top_k`]) as the exact path.
 //!
 //! Determinism rules (relied on by the golden-replay suite and the
 //! differential oracle):
 //!
-//! * `ExactScan` *is* `tiled_scan` — byte-identical to the pre-index code.
+//! * `ExactScan` *is* `tiled_scan`.
 //! * `IvfFlat` construction is a pure function of `(matrix, params)`:
 //!   seeded splitmix64 initialization, Lloyd iterations with ties broken
 //!   toward the lower centroid index, lists stored in ascending row order.
@@ -24,7 +24,7 @@
 //!   (the property suite pins this).
 
 use crate::embedding::EmbeddingSet;
-use crate::knn::{self, KnnScratch};
+use crate::knn::{self, KnnScratch, RowFilter};
 use crate::simd;
 use serde::{Deserialize, Serialize};
 
@@ -102,17 +102,26 @@ pub trait NnIndex: Send + Sync {
     /// Top-`k` `(row, cosine)` per normalized query, best first, ties by
     /// ascending row index. `qhats` holds `q` unit-norm queries laid out
     /// contiguously (`q * set.dim()` floats). Zero-norm rows never match.
+    ///
+    /// A `filter` narrows what is *returned*, never what is *ranked*: the
+    /// top `k` are taken over every candidate the index scores, and of
+    /// those only the rows the filter keeps come back, in the order they
+    /// hold in the full list. `search(.., Some(f), ..)` therefore equals
+    /// `search(.., None, ..)` with the filtered-out rows deleted; a caller
+    /// that would skip those rows anyway (Eq. 3 over unlabeled neighbors)
+    /// saves their sort and their copy. The filter must be built over
+    /// `set`'s rows.
     fn search(
         &self,
         set: &EmbeddingSet,
         qhats: &[f32],
         k: usize,
+        filter: Option<RowFilter<'_>>,
         scratch: &mut KnnScratch,
     ) -> Vec<Vec<(u32, f32)>>;
 }
 
-/// The exact tiled brute-force scan — the default index, byte-identical
-/// to the pre-index hot path.
+/// The exact tiled brute-force scan — the default index.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExactScan;
 
@@ -126,6 +135,7 @@ impl NnIndex for ExactScan {
         set: &EmbeddingSet,
         qhats: &[f32],
         k: usize,
+        filter: Option<RowFilter<'_>>,
         scratch: &mut KnnScratch,
     ) -> Vec<Vec<(u32, f32)>> {
         knn::tiled_scan(
@@ -134,7 +144,8 @@ impl NnIndex for ExactScan {
             set.dim(),
             qhats,
             k,
-            &mut scratch.heaps,
+            filter,
+            scratch,
         )
     }
 }
@@ -393,15 +404,13 @@ impl NnIndex for IvfFlat {
         set: &EmbeddingSet,
         qhats: &[f32],
         k: usize,
+        filter: Option<RowFilter<'_>>,
         scratch: &mut KnnScratch,
     ) -> Vec<Vec<(u32, f32)>> {
         assert_eq!(self.dim, set.dim(), "index built for a different dim");
         assert_eq!(self.rows, set.len(), "index built for a different matrix");
         let dim = self.dim;
         let q = qhats.len().checked_div(dim).unwrap_or(0);
-        while scratch.heaps.len() < q {
-            scratch.heaps.push(knn::TopK::new());
-        }
         let mut out = Vec::with_capacity(q);
         for qi in 0..q {
             let qhat = &qhats[qi * dim..(qi + 1) * dim];
@@ -427,27 +436,38 @@ impl NnIndex for IvfFlat {
                 .probe_keys
                 .sort_unstable_by_key(|&key| !(key as u32));
 
-            let candidates: usize = scratch
-                .probe_keys
-                .iter()
-                .map(|&key| {
-                    let list = knn::pack_index(key) as usize;
-                    (self.list_offsets[list + 1] - self.list_offsets[list]) as usize
-                })
-                .sum();
-            let heap = &mut scratch.heaps[qi];
-            heap.reset(k, candidates);
+            // The probed lists' rows are the candidates, in probe order.
+            let span = |key: u64| {
+                let list = knn::unpack(key).0 as usize;
+                self.list_offsets[list] as usize..self.list_offsets[list + 1] as usize
+            };
+            scratch.rows.clear();
             for &key in &scratch.probe_keys {
-                let list = knn::pack_index(key) as usize;
-                let lo = self.list_offsets[list] as usize;
-                let hi = self.list_offsets[list + 1] as usize;
-                // Stream the list's contiguous slab; ids ride alongside.
-                let slab = self.list_data[lo * dim..hi * dim].chunks_exact(dim);
-                for (&row, v) in self.list_rows[lo..hi].iter().zip(slab) {
-                    heap.consider(row, simd::dot(qhat, v));
-                }
+                scratch.rows.extend_from_slice(&self.list_rows[span(key)]);
             }
-            out.push(heap.take_sorted());
+            scratch.resize(1, scratch.rows.len());
+            let mut at = 0;
+            for &key in &scratch.probe_keys {
+                // Stream the list's contiguous slab (no list holds a
+                // zero-norm row).
+                let span = span(key);
+                let next = at + span.len();
+                simd::score_rows(
+                    qhat,
+                    &self.list_data[span.start * dim..span.end * dim],
+                    &mut scratch.keys[at..next],
+                    &mut scratch.buckets[at..next],
+                );
+                at = next;
+            }
+            out.push(knn::top_k(
+                &scratch.keys,
+                &scratch.buckets,
+                Some(&scratch.rows),
+                k,
+                filter,
+                &mut scratch.packed,
+            ));
         }
         out
     }

@@ -1,48 +1,87 @@
 //! Tiled exact-kNN kernel over the prepared unit-norm matrix.
 //!
 //! [`crate::EmbeddingSet`] keeps a row-normalized copy of the embedding
-//! matrix, so cosine similarity is a plain dot product. The scan walks the
-//! vocabulary in cache-sized row tiles and scores every query against a
-//! tile before moving on, keeping the tile hot in L1/L2 when several
-//! session queries are batched. Candidates feed fixed-size top-k heaps.
+//! matrix, so cosine similarity is a plain dot product. A query's top `k`
+//! comes out of three steps (DESIGN.md §7), the same three for the exact
+//! scan and for IVF's probed lists:
+//!
+//! 1. **Score.** The scan walks the vocabulary in cache-sized row tiles and
+//!    scores a block of up to [`QUERY_BLOCK`] queries against a tile before
+//!    moving on. A candidate leaves [`crate::simd::score_rows`] as an
+//!    order-preserving `u32` key and a `u16` bucket in buffers every block
+//!    reuses — 6 bytes per (query, candidate), whatever the batch size.
+//! 2. **Select.** A histogram of the buckets finds the bucket holding the
+//!    `k`-th best candidate; an exact select over that bucket's few packed
+//!    `(key, !row)` words finds the `k`-th best itself — the cut.
+//! 3. **Gather.** Candidates at or above the cut that pass the caller's
+//!    [`RowFilter`] are packed, sorted and unpacked: membership is decided
+//!    over all candidates, order only over the kept ones.
 //!
 //! Ordering is fully deterministic: similarities compare via
 //! `f32::total_cmp` and exact ties break toward the *lower* vocabulary
-//! index, in the heap and in the final sort. The single-query and batched
-//! entry points in `embedding.rs` both route through [`tiled_scan`], so a
-//! batched result is bit-for-bit identical to the one-query-at-a-time
-//! result by construction.
-//!
-//! The dot-product kernel lives in [`crate::simd`] (runtime AVX2+FMA
-//! dispatch with a portable unrolled fallback), shared with the SKIPGRAM
-//! training engine. The dispatch is process-wide and constant, so every
-//! caller in a run sees one consistent summation order.
+//! index, at the cut and in the final sort. The single-query and batched
+//! entry points in `embedding.rs` both route through [`tiled_scan`], and
+//! the dot product is [`crate::simd::dot`]'s whatever the batch (one
+//! process-wide dispatch, one summation order), so a batched result is
+//! bit-for-bit the one-query-at-a-time result.
 
 use crate::simd;
 
 /// Tile footprint to aim for; 32 KiB of rows fits typical L1 caches.
 const TILE_BYTES: usize = 32 * 1024;
 
-/// Pack `(sim, idx)` into one order-preserving `u64` key: the high word is
-/// the similarity's bits remapped so unsigned comparison matches
-/// `f32::total_cmp`, the low word is `!idx` so equal similarities rank the
-/// *lower* index higher. A larger key is a strictly better candidate, and
-/// keys are unique (indices are), so selection is a total order with no
-/// float comparisons in the hot loop.
+/// Queries scored per pass over the matrix: enough to amortize a tile's
+/// load, few enough that the key buffers stay a small multiple of the
+/// vocabulary however many sessions a tick brings.
+pub(crate) const QUERY_BLOCK: usize = 16;
+
+/// Similarity buckets `1..=BUCKETS`; bucket 0 marks a row that is not a
+/// candidate (zero norm).
+const BUCKETS: usize = 1024;
+
+/// The similarity's bits remapped so unsigned comparison matches
+/// `f32::total_cmp`.
 #[inline]
-pub(crate) fn pack(sim: f32, idx: u32) -> u64 {
+pub(crate) fn sim_key(sim: f32) -> u32 {
     let bits = sim.to_bits();
-    let ord = if bits & 0x8000_0000 != 0 {
+    if bits & 0x8000_0000 != 0 {
         !bits
     } else {
         bits ^ 0x8000_0000
-    };
-    ((ord as u64) << 32) | (!idx) as u64
+    }
 }
 
-/// Inverse of [`pack`].
+/// Linear quantisation of the cosine into `1..=BUCKETS`, non-decreasing in
+/// [`sim_key`] order over all of `f32`: the magnitude is clamped to 1 on
+/// its bits (so ±∞ and ±NaN land on ±1 by their sign), `x·512 + 513` is
+/// monotone on `[-1, 1]`, and truncation is monotone on non-negatives.
 #[inline]
-fn unpack(key: u64) -> (u32, f32) {
+pub(crate) fn sim_bucket(sim: f32) -> u16 {
+    let bits = sim.to_bits();
+    let magnitude = (bits & 0x7fff_ffff).min(1f32.to_bits());
+    let clamped = f32::from_bits(magnitude | (bits & 0x8000_0000));
+    ((clamped * 512.0 + 513.0) as u16).min(BUCKETS as u16)
+}
+
+/// Pack `(key, idx)` into one `u64`: the key in the high word, `!idx` in
+/// the low word so equal similarities rank the *lower* index higher. A
+/// larger word is a strictly better candidate, and words are unique
+/// (indices are), so selection is a total order with no float comparisons.
+#[inline]
+fn pack_key(key: u32, idx: u32) -> u64 {
+    ((key as u64) << 32) | (!idx) as u64
+}
+
+/// [`pack_key`] of a similarity: ordered like `f32::total_cmp`, ties
+/// toward the lower index.
+#[inline]
+pub(crate) fn pack(sim: f32, idx: u32) -> u64 {
+    pack_key(sim_key(sim), idx)
+}
+
+/// Inverse of [`pack`]: `(idx, sim)`.
+#[inline]
+pub(crate) fn unpack(key: u64) -> (u32, f32) {
     let idx = !(key as u32);
     let ord = (key >> 32) as u32;
     let bits = if ord & 0x8000_0000 != 0 {
@@ -53,195 +92,180 @@ fn unpack(key: u64) -> (u32, f32) {
     (idx, f32::from_bits(bits))
 }
 
-/// Index stored in a packed key (the low word of [`pack`], undone).
-#[inline]
-pub(crate) fn pack_index(key: u64) -> u32 {
-    !(key as u32)
+/// The rows a search may return, in the two shapes the gather reads: kept
+/// rows ascending (the exact scan walks them) and a per-row table (IVF
+/// probes it per candidate). Both must describe one set over the matrix.
+#[derive(Debug, Clone, Copy)]
+pub struct RowFilter<'a> {
+    /// Kept rows, ascending.
+    pub rows: &'a [u32],
+    /// `slots[row] != u32::MAX` exactly when `row` is kept.
+    pub slots: &'a [u32],
 }
 
-/// Reusable top-k accumulator over packed keys.
-///
-/// Two modes, chosen from `(k, rows)` at [`TopK::reset`] time (so any two
-/// scans over the same matrix with the same `k` pick the same mode):
-///
-/// * **dense** — when `k` is a sizable fraction of the row count (the
-///   paper's serving regime: `N = 1000` against a few-thousand-host
-///   vocabulary), a bounded heap would churn on almost every row. Instead
-///   all candidates are appended to a flat buffer and the top `k` are cut
-///   out afterwards with `select_nth_unstable` + a sort of just the
-///   winners.
-/// * **heap** — when `k ≪ rows`, a classic bounded min-heap (root = worst
-///   kept candidate) touches the heap only for the rare improving row.
-///
-/// Keys are totally ordered and unique, so both modes produce the same
-/// output bit-for-bit.
-pub(crate) struct TopK {
-    keys: Vec<u64>,
-    k: usize,
-    dense: bool,
-}
-
-/// Hard ceiling on dense-mode rows. Dense mode buffers one key per scanned
-/// row, so without a cap a "large `k` against a large matrix" reset (e.g.
-/// `k = 200_000` over a million-row vocabulary) would pin ~8 MB *per
-/// scratch heap, per worker*. Above the cap the bounded heap always wins on
-/// memory and is competitive on time, so fall back to it.
-const DENSE_ROWS_CAP: usize = 1 << 16;
-
-impl TopK {
-    pub(crate) fn new() -> Self {
-        Self {
-            keys: Vec::new(),
-            k: 0,
-            dense: false,
-        }
-    }
-
-    pub(crate) fn reset(&mut self, k: usize, rows: usize) {
-        self.keys.clear();
-        self.k = k;
-        self.dense = (k.saturating_mul(8) >= rows || rows <= 4096) && rows <= DENSE_ROWS_CAP;
-        let need = if self.dense { rows } else { k };
-        // Scratch is reused across scans of very different sizes; don't let
-        // one huge scan pin its buffer forever.
-        if self.keys.capacity() > need.saturating_mul(4).max(4096) {
-            self.keys.shrink_to(need);
-        }
-        self.keys.reserve(need);
-    }
-
-    #[inline]
-    pub(crate) fn consider(&mut self, idx: u32, sim: f32) {
-        if self.k == 0 {
-            return;
-        }
-        let key = pack(sim, idx);
-        if self.dense {
-            self.keys.push(key);
-        } else if self.keys.len() < self.k {
-            self.keys.push(key);
-            self.sift_up(self.keys.len() - 1);
-        } else if key > self.keys[0] {
-            self.keys[0] = key;
-            self.sift_down();
-        }
-    }
-
-    /// Move the freshly pushed last element up to its min-heap position.
-    fn sift_up(&mut self, mut pos: usize) {
-        while pos > 0 {
-            let parent = (pos - 1) / 2;
-            if self.keys[pos] >= self.keys[parent] {
-                break;
-            }
-            self.keys.swap(pos, parent);
-            pos = parent;
-        }
-    }
-
-    /// Restore the min-heap after replacing the root.
-    fn sift_down(&mut self) {
-        let len = self.keys.len();
-        let mut pos = 0;
-        loop {
-            let mut child = 2 * pos + 1;
-            if child >= len {
-                break;
-            }
-            if child + 1 < len && self.keys[child + 1] < self.keys[child] {
-                child += 1;
-            }
-            if self.keys[pos] <= self.keys[child] {
-                break;
-            }
-            self.keys.swap(pos, child);
-            pos = child;
-        }
-    }
-
-    /// Drain into `(index, similarity)` pairs, best first; ties by
-    /// ascending index.
-    pub(crate) fn take_sorted(&mut self) -> Vec<(u32, f32)> {
-        if self.k == 0 {
-            self.keys.clear();
-            return Vec::new();
-        }
-        if self.dense && self.keys.len() > self.k {
-            // Partition the k largest keys to the front, then order them.
-            self.keys
-                .select_nth_unstable_by(self.k - 1, |a, b| b.cmp(a));
-            self.keys.truncate(self.k);
-        }
-        self.keys.sort_unstable_by(|a, b| b.cmp(a));
-        let out = self.keys.iter().map(|&key| unpack(key)).collect();
-        self.keys.clear();
-        out
-    }
-}
-
-/// Reusable per-caller scratch: the normalized-query buffer and the
-/// per-query top-k heaps survive across calls, so steady-state scans
-/// allocate only their result vectors.
+/// Reusable per-caller scratch: the normalized-query buffer, one block's
+/// key and bucket rows and the packed words of one query's select and
+/// gather survive across calls, so steady-state scans allocate only their
+/// result vectors.
+#[derive(Default)]
 pub struct KnnScratch {
     pub(crate) qhat: Vec<f32>,
-    pub(crate) heaps: Vec<TopK>,
+    /// [`sim_key`] per (block query, candidate).
+    pub(crate) keys: Vec<u32>,
+    /// [`sim_bucket`] per (block query, candidate), 0 for a non-candidate.
+    pub(crate) buckets: Vec<u16>,
+    /// The boundary bucket's packed words, then the winners'.
+    pub(crate) packed: Vec<u64>,
+    /// Zero-norm rows of an exact scan; row id per candidate of an IVF one.
+    pub(crate) rows: Vec<u32>,
     /// Packed centroid-score keys for IVF probe selection.
     pub(crate) probe_keys: Vec<u64>,
 }
 
 impl KnnScratch {
     pub fn new() -> Self {
-        Self {
-            qhat: Vec::new(),
-            heaps: Vec::new(),
-            probe_keys: Vec::new(),
-        }
+        Self::default()
     }
-}
 
-impl Default for KnnScratch {
-    fn default() -> Self {
-        Self::new()
+    /// Size the key and bucket buffers for `queries × candidates` pairs;
+    /// the scorer overwrites every one before it is read.
+    pub(crate) fn resize(&mut self, queries: usize, candidates: usize) {
+        // Scratch is reused across scans of very different sizes; don't let
+        // one huge scan pin its buffers forever. A full block over these
+        // candidates is the most a scan like this one can need.
+        if self.keys.capacity() > (QUERY_BLOCK * candidates).saturating_mul(4).max(4096) {
+            self.keys = Vec::new();
+            self.buckets = Vec::new();
+        }
+        self.keys.resize(queries * candidates, 0);
+        self.buckets.resize(queries * candidates, 0);
     }
 }
 
 /// Scan `norms.len()` unit-norm rows against `q` normalized queries laid
 /// out contiguously in `qhats` (`q * dim` floats), returning each query's
-/// top `k` as `(index, cosine)` pairs, best first. Zero-norm rows are
-/// skipped, matching the pre-normalization scan's behaviour.
+/// top `k` as `(index, cosine)` pairs, best first — of those, the rows
+/// `filter` keeps. Zero-norm rows are skipped, matching the
+/// pre-normalization scan's behaviour.
 pub(crate) fn tiled_scan(
     unit: &[f32],
     norms: &[f32],
     dim: usize,
     qhats: &[f32],
     k: usize,
-    heaps: &mut Vec<TopK>,
+    filter: Option<RowFilter<'_>>,
+    scratch: &mut KnnScratch,
 ) -> Vec<Vec<(u32, f32)>> {
-    let q = qhats.len().checked_div(dim).unwrap_or(0);
     let rows = norms.len();
-    while heaps.len() < q {
-        heaps.push(TopK::new());
-    }
-    for heap in heaps.iter_mut().take(q) {
-        heap.reset(k, rows);
-    }
+    let mut out = Vec::with_capacity(qhats.len().checked_div(dim).unwrap_or(0));
     let rows_per_tile = (TILE_BYTES / (dim.max(1) * std::mem::size_of::<f32>())).clamp(8, 512);
-    let mut start = 0;
-    while start < rows {
-        let end = (start + rows_per_tile).min(rows);
-        for (qi, heap) in heaps.iter_mut().enumerate().take(q) {
-            let qhat = &qhats[qi * dim..(qi + 1) * dim];
-            for row in start..end {
-                if norms[row] <= f32::EPSILON {
-                    continue;
+    // Zero-norm rows score like any other (their unit rows are zeros) and
+    // are then struck from the candidates.
+    scratch.rows.clear();
+    scratch
+        .rows
+        .extend((0..rows as u32).filter(|&row| norms[row as usize] <= f32::EPSILON));
+    for block in qhats.chunks((QUERY_BLOCK * dim).max(1)) {
+        let queries = block.len().checked_div(dim).unwrap_or(0);
+        scratch.resize(queries, rows);
+        let mut start = 0;
+        while start < rows {
+            let end = (start + rows_per_tile).min(rows);
+            for (qi, qhat) in block.chunks_exact(dim.max(1)).enumerate() {
+                simd::score_rows(
+                    qhat,
+                    &unit[start * dim..end * dim],
+                    &mut scratch.keys[qi * rows + start..qi * rows + end],
+                    &mut scratch.buckets[qi * rows + start..qi * rows + end],
+                );
+            }
+            start = end;
+        }
+        for bucket_row in scratch.buckets.chunks_exact_mut(rows.max(1)) {
+            scratch
+                .rows
+                .iter()
+                .for_each(|&row| bucket_row[row as usize] = 0);
+        }
+        for qi in 0..queries {
+            out.push(top_k(
+                &scratch.keys[qi * rows..(qi + 1) * rows],
+                &scratch.buckets[qi * rows..(qi + 1) * rows],
+                None,
+                k,
+                filter,
+                &mut scratch.packed,
+            ));
+        }
+    }
+    out
+}
+
+/// Select and gather over one query's scored candidates: the top `k` of
+/// all of them, of which the ones `filter` keeps come back as
+/// `(row, cosine)`, best first, ties by ascending row. Candidate `p` is row
+/// `rows[p]`, or row `p` itself when `rows` is `None`.
+pub(crate) fn top_k(
+    keys: &[u32],
+    buckets: &[u16],
+    rows: Option<&[u32]>,
+    k: usize,
+    filter: Option<RowFilter<'_>>,
+    packed: &mut Vec<u64>,
+) -> Vec<(u32, f32)> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let row_of = |p: usize| rows.map_or(p as u32, |rows| rows[p]);
+    let mut hist = [0u32; BUCKETS + 1];
+    for &bucket in buckets {
+        hist[bucket as usize] += 1;
+    }
+    // With no more candidates than `k` every one of them is a member.
+    let (mut edge, mut cut) = (1u16, 0u64);
+    if k < buckets.len() - hist[0] as usize {
+        let mut above = 0;
+        edge = BUCKETS as u16;
+        while above + (hist[edge as usize] as usize) < k {
+            above += hist[edge as usize] as usize;
+            edge -= 1;
+        }
+        packed.clear();
+        for (chunk, at) in buckets.chunks(16).zip((0..).step_by(16)) {
+            // Few chunks hold an edge candidate, and sixteen buckets test
+            // as one vector compare.
+            if chunk.iter().fold(false, |hit, &b| hit | (b == edge)) {
+                for (p, _) in (at..).zip(chunk).filter(|&(_, &b)| b == edge) {
+                    packed.push(pack_key(keys[p], row_of(p)));
                 }
-                let sim = simd::dot(qhat, &unit[row * dim..(row + 1) * dim]);
-                heap.consider(row as u32, sim);
             }
         }
-        start = end;
+        cut = *packed
+            .select_nth_unstable_by(k - above - 1, |a, b| b.cmp(a))
+            .1;
     }
-    heaps.iter_mut().take(q).map(TopK::take_sorted).collect()
+    packed.clear();
+    let mut take = |p: usize, row: u32| {
+        let word = pack_key(keys[p], row);
+        if buckets[p] > edge || (buckets[p] == edge && word >= cut) {
+            packed.push(word);
+        }
+    };
+    match (rows, filter) {
+        (None, Some(filter)) => filter.rows.iter().for_each(|&row| take(row as usize, row)),
+        (None, None) => (0..keys.len()).for_each(|p| take(p, p as u32)),
+        (Some(rows), filter) => {
+            for (p, &row) in rows.iter().enumerate() {
+                // The bucket first: it is the next one in memory, the slot
+                // table is a probe.
+                if buckets[p] >= edge && filter.is_none_or(|f| f.slots[row as usize] != u32::MAX) {
+                    take(p, row);
+                }
+            }
+        }
+    }
+    packed.sort_unstable_by(|a, b| b.cmp(a));
+    packed.iter().map(|&word| unpack(word)).collect()
 }
 
 #[cfg(test)]
@@ -272,23 +296,44 @@ mod tests {
         }
         // Equal similarity: the lower index must win (rank higher).
         assert!(pack(0.5, 2) > pack(0.5, 7));
+        // Buckets never decrease along the key order (the select relies
+        // on it), stay in 1..=BUCKETS, and spread the cosine range.
+        for pair in sims.windows(2) {
+            assert!(sim_bucket(pair[0]) <= sim_bucket(pair[1]), "{pair:?}");
+        }
+        assert_eq!(sim_bucket(-f32::NAN), 1);
+        assert_eq!(sim_bucket(f32::NAN), BUCKETS as u16);
+        assert_eq!(sim_bucket(0.0), BUCKETS as u16 / 2 + 1);
+        let mut last = 0;
+        for i in 0..=20_000 {
+            let bucket = sim_bucket(i as f32 / 10_000.0 - 1.0);
+            assert!(bucket >= last && bucket >= 1, "sim {i}");
+            last = bucket;
+        }
+        assert_eq!(last, BUCKETS as u16);
     }
 
-    /// `rows` large enough to force heap mode, or small for dense mode.
-    fn collect_topk(k: usize, rows: usize, items: &[(u32, f32)]) -> Vec<(u32, f32)> {
-        let mut topk = TopK::new();
-        topk.reset(k, rows);
+    /// Key and bucket rows of `rows` candidate slots of which only `items`
+    /// are candidates (the rest carry bucket 0, like zero-norm rows).
+    fn scored(rows: usize, items: &[(u32, f32)]) -> (Vec<u32>, Vec<u16>) {
+        let (mut keys, mut buckets) = (vec![0u32; rows], vec![0u16; rows]);
         for &(idx, sim) in items {
-            topk.consider(idx, sim);
+            keys[idx as usize] = sim_key(sim);
+            buckets[idx as usize] = sim_bucket(sim);
         }
-        topk.take_sorted()
+        (keys, buckets)
+    }
+
+    fn collect_topk(k: usize, rows: usize, items: &[(u32, f32)]) -> Vec<(u32, f32)> {
+        let (keys, buckets) = scored(rows, items);
+        top_k(&keys, &buckets, None, k, None, &mut Vec::new())
     }
 
     #[test]
     fn top_k_breaks_ties_by_ascending_index_in_both_modes() {
-        // Three exact ties and one winner, fed out of order.
+        // Three exact ties and one winner; the cut falls inside the tie.
         let items = [(7, 0.5), (2, 0.5), (9, 0.9), (4, 0.5)];
-        for rows in [4, 1_000_000] {
+        for rows in [10, 1_000_000] {
             let out = collect_topk(3, rows, &items);
             assert_eq!(out.len(), 3, "rows={rows}");
             assert_eq!(out[0], (9, 0.9));
@@ -296,35 +341,63 @@ mod tests {
             assert_eq!(out[1].0, 2);
             assert_eq!(out[2].0, 4);
         }
+        // A filter is applied after membership: row 7 is kept by the
+        // filter but lost the tie, so it must not come back.
+        let mut slots = vec![u32::MAX; 10];
+        (slots[7], slots[9]) = (0, 1);
+        let filter = RowFilter {
+            rows: &[7, 9],
+            slots: &slots,
+        };
+        let (keys, buckets) = scored(10, &items);
+        let kept = top_k(&keys, &buckets, None, 3, Some(filter), &mut Vec::new());
+        assert_eq!(kept, vec![(9, 0.9)]);
     }
 
     #[test]
     fn top_k_is_nan_safe_and_deterministic_in_both_modes() {
-        let items = [(0, f32::NAN), (1, 0.1), (2, 0.3)];
-        for rows in [3, 1_000_000] {
+        let items = [(0, f32::NAN), (1, 0.1), (2, 0.3), (3, -f32::NAN)];
+        for rows in [4, 1_000_000] {
             let out = collect_topk(2, rows, &items);
-            // total_cmp ranks positive NaN above every real, but never
-            // panics and never depends on insertion order.
+            // total_cmp ranks positive NaN above every real and negative
+            // NaN below; the buckets follow, so the select never panics
+            // and never loses the order.
             assert_eq!(out.len(), 2, "rows={rows}");
             assert!(out[0].1.is_nan());
             assert_eq!(out[1], (2, 0.3));
+            let all = collect_topk(4, rows, &items);
+            assert_eq!(all[3].0, 3, "negative NaN ranks last");
         }
     }
 
     #[test]
     fn dense_and_heap_modes_agree_bit_for_bit() {
-        // Pseudo-random similarities with duplicates; both mode choices
-        // must produce identical output for identical input.
+        // Pseudo-random similarities with duplicates. The two shapes a
+        // scan hands the selector — candidates that *are* the rows (exact
+        // scan) and candidates in some other order with a row map (IVF) —
+        // must both equal the full sort, bit for bit.
         let items: Vec<(u32, f32)> = (0u32..500)
-            .map(|i| (i, (i.wrapping_mul(2654435761) % 97) as f32 / 97.0))
+            .map(|i| (i, (i.wrapping_mul(2654435761) % 97) as f32 / 97.0 - 0.5))
+            .collect();
+        let mut sorted: Vec<u64> = items.iter().map(|&(i, sim)| pack(sim, i)).collect();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        let order: Vec<u32> = (0u32..500).map(|p| p * 7 % 500).collect();
+        let keys: Vec<u32> = order
+            .iter()
+            .map(|&r| sim_key(items[r as usize].1))
+            .collect();
+        let buckets: Vec<u16> = order
+            .iter()
+            .map(|&r| sim_bucket(items[r as usize].1))
             .collect();
         for k in [0, 1, 7, 100, 499, 500, 600] {
-            let dense = collect_topk(k, items.len(), &items);
-            let heap = collect_topk(k, 1_000_000, &items);
-            assert_eq!(dense.len(), heap.len(), "k={k}");
-            for (d, h) in dense.iter().zip(&heap) {
-                assert_eq!(d.0, h.0, "k={k}");
-                assert_eq!(d.1.to_bits(), h.1.to_bits(), "k={k}");
+            let by_row = collect_topk(k, items.len(), &items);
+            let mapped = top_k(&keys, &buckets, Some(&order), k, None, &mut Vec::new());
+            let expected: Vec<(u32, f32)> = sorted.iter().take(k).map(|&w| unpack(w)).collect();
+            assert_eq!(by_row.len(), expected.len(), "k={k}");
+            for ((a, b), e) in by_row.iter().zip(&mapped).zip(&expected) {
+                assert_eq!((a.0, a.1.to_bits()), (e.0, e.1.to_bits()), "k={k}");
+                assert_eq!((b.0, b.1.to_bits()), (e.0, e.1.to_bits()), "k={k}");
             }
         }
     }
@@ -334,34 +407,56 @@ mod tests {
         assert!(collect_topk(0, 10, &[(0, 1.0), (1, 0.5)]).is_empty());
     }
 
+    /// `rows × dim` unit-ish rows and `q` queries from a tiny LCG.
+    fn lcg_floats(n: usize, mut state: u64) -> Vec<f32> {
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+            })
+            .collect()
+    }
+
     #[test]
     fn dense_mode_is_capped_by_absolute_row_count() {
-        let mut topk = TopK::new();
-        // k·8 ≥ rows would pick dense, but the row count exceeds the cap:
-        // the bounded heap must win so scratch stays ~k keys, not ~rows.
-        topk.reset(200_000, 1_000_000);
-        assert!(!topk.dense, "dense mode must not engage above the cap");
-        assert!(topk.keys.capacity() < 1_000_000);
-        // At or below the cap the dense fast path still engages.
-        topk.reset(DENSE_ROWS_CAP / 8, DENSE_ROWS_CAP);
-        assert!(topk.dense);
+        // A batch of many queries is scored a block at a time: scratch
+        // stays at one block of key rows, not one row per query — and the
+        // block boundary never shows in the results.
+        let (rows, dim, queries) = (300, 8, 3 * QUERY_BLOCK + 5);
+        let unit = lcg_floats(rows * dim, 1);
+        let norms = vec![1f32; rows];
+        let qhats = lcg_floats(queries * dim, 2);
+        let mut scratch = KnnScratch::new();
+        let batched = tiled_scan(&unit, &norms, dim, &qhats, 20, None, &mut scratch);
+        assert_eq!(batched.len(), queries);
+        assert!(scratch.keys.capacity() <= QUERY_BLOCK * rows);
+        assert!(scratch.buckets.capacity() <= QUERY_BLOCK * rows);
+        for (qhat, batch_row) in qhats.chunks_exact(dim).zip(&batched) {
+            let single = tiled_scan(&unit, &norms, dim, qhat, 20, None, &mut KnnScratch::new());
+            assert_eq!(single.len(), 1);
+            assert_eq!(single[0].len(), 20);
+            for (s, b) in single[0].iter().zip(batch_row) {
+                assert_eq!((s.0, s.1.to_bits()), (b.0, b.1.to_bits()));
+            }
+        }
     }
 
     #[test]
     fn reset_shrinks_oversized_buffers() {
-        let mut topk = TopK::new();
-        topk.reset(8192, DENSE_ROWS_CAP); // dense: reserves the full cap
-        assert!(topk.keys.capacity() >= DENSE_ROWS_CAP);
-        topk.reset(10, 1_000_000); // heap mode: needs ~10 keys
+        let mut scratch = KnnScratch::new();
+        scratch.resize(QUERY_BLOCK, 1 << 16); // one huge scan
+        assert!(scratch.keys.capacity() >= QUERY_BLOCK << 16);
+        scratch.resize(1, 10); // then a tiny one
         assert!(
-            topk.keys.capacity() <= 4096,
-            "oversized buffer kept: capacity {}",
-            topk.keys.capacity()
+            scratch.keys.capacity() <= 4096 && scratch.buckets.capacity() <= 4096,
+            "oversized buffers kept: capacity {}",
+            scratch.keys.capacity()
         );
         // Shrinking never changes results.
-        for &(idx, sim) in &[(5u32, 0.9f32), (1, 0.7), (9, 0.8)] {
-            topk.consider(idx, sim);
-        }
-        assert_eq!(topk.take_sorted(), vec![(5, 0.9), (9, 0.8), (1, 0.7)]);
+        let unit = [1.0f32, 0.0, 0.6, 0.8, 0.0, 1.0];
+        let got = tiled_scan(&unit, &[1.0; 3], 2, &[1.0, 0.0], 3, None, &mut scratch);
+        assert_eq!(got, vec![vec![(0, 1.0), (1, 0.6), (2, 0.0)]]);
     }
 }

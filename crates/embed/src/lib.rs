@@ -40,7 +40,7 @@ pub use config::{KernelChoice, SkipGramConfig};
 pub use corpus::CorpusBuffer;
 pub use embedding::EmbeddingSet;
 pub use index::{ExactScan, IndexConfig, IvfFlat, IvfParams, NnIndex, DEFAULT_IVF_SEED};
-pub use knn::KnnScratch;
+pub use knn::{KnnScratch, RowFilter};
 pub use model::{SkipGram, TrainStats, UpdateReport};
 pub use persist::{from_flat_bytes, to_flat_bytes};
 pub use table::NegativeTable;

@@ -47,6 +47,29 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     dot_portable(a, b)
 }
 
+/// Score one query against `keys.len()` contiguous rows for the kNN scan:
+/// row `r`'s [`dot`] with `qhat`, bit for bit, leaves as `keys[r]` =
+/// [`sim_key`](crate::knn::sim_key) and `buckets[r]` =
+/// [`sim_bucket`](crate::knn::sim_bucket). The AVX2 path takes dims that
+/// are a multiple of 8 eight rows at a time behind one dispatch boundary.
+pub(crate) fn score_rows(qhat: &[f32], rows: &[f32], keys: &mut [u32], buckets: &mut [u16]) {
+    let dim = qhat.len();
+    assert_eq!(rows.len(), keys.len() * dim);
+    assert_eq!(buckets.len(), keys.len());
+    #[allow(unused_mut)]
+    let mut scored = 0;
+    #[cfg(target_arch = "x86_64")]
+    if avx2_fma_available() && dim > 0 && dim.is_multiple_of(8) {
+        // SAFETY: the feature check gates the target_feature fn; the
+        // asserts above are its length contract.
+        scored = unsafe { score_rows_avx2_fma(qhat, rows, keys, buckets) };
+    }
+    for r in scored..keys.len() {
+        let sim = dot(qhat, &rows[r * dim..(r + 1) * dim]);
+        (keys[r], buckets[r]) = (crate::knn::sim_key(sim), crate::knn::sim_bucket(sim));
+    }
+}
+
 /// `y += a · x`.
 #[inline]
 pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
@@ -182,56 +205,154 @@ pub fn fused_row_update_init(h_o: &mut [f32], h_c: &[f32], neu1e: &mut [f32], g:
     fused_row_update_init_portable(h_o, h_c, neu1e, g);
 }
 
-/// 8-lane FMA dot with four independent vector accumulators (32 floats in
-/// flight), horizontal-summed in a fixed order; the scalar tail folds in
-/// last. The default x86-64 target is SSE2-only, so this has to be an
-/// explicit `target_feature` kernel rather than autovectorization.
+/// The eight lane sums of `R` FMA dots of `pa` against each of `pb`, over
+/// the leading `n - n % 8` floats: per dot four independent vector
+/// accumulators (32 floats in flight), added as `(acc0 + acc1) + (acc2 +
+/// acc3)`; lane `j` holds the terms `i ≡ j mod 8`. Every `R` performs the
+/// same operations per dot — more than one only shares the loads of `pa`.
+///
+/// # Safety
+/// `pa` and every `pb` must be valid for `n` reads.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn dot_lanes_avx2_fma<const R: usize>(
+    pa: *const f32,
+    pb: [*const f32; R],
+    n: usize,
+) -> [std::arch::x86_64::__m256; R] {
+    use std::arch::x86_64::*;
+    // `acc[j][r]`: accumulator `j` of dot `r`.
+    let mut acc = [[_mm256_setzero_ps(); R]; 4];
+    let mut i = 0;
+    while i + 32 <= n {
+        for (j, accs) in acc.iter_mut().enumerate() {
+            let a = _mm256_loadu_ps(pa.add(i + 8 * j));
+            for (acc, pb) in accs.iter_mut().zip(pb) {
+                *acc = _mm256_fmadd_ps(a, _mm256_loadu_ps(pb.add(i + 8 * j)), *acc);
+            }
+        }
+        i += 32;
+    }
+    while i + 8 <= n {
+        let a = _mm256_loadu_ps(pa.add(i));
+        for (acc, pb) in acc[0].iter_mut().zip(pb) {
+            *acc = _mm256_fmadd_ps(a, _mm256_loadu_ps(pb.add(i)), *acc);
+        }
+        i += 8;
+    }
+    let [acc0, acc1, acc2, acc3] = acc;
+    let mut lanes = [_mm256_setzero_ps(); R];
+    for (r, lanes) in lanes.iter_mut().enumerate() {
+        *lanes = _mm256_add_ps(
+            _mm256_add_ps(acc0[r], acc1[r]),
+            _mm256_add_ps(acc2[r], acc3[r]),
+        );
+    }
+    lanes
+}
+
+/// 8-lane FMA dot: [`dot_lanes_avx2_fma`] horizontal-summed in a fixed
+/// order — `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))` — with the scalar
+/// tail folded in last. The default x86-64 target is SSE2-only, so this has
+/// to be an explicit `target_feature` kernel rather than autovectorization.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn dot_avx2_fma(a: &[f32], b: &[f32]) -> f32 {
     use std::arch::x86_64::*;
     debug_assert_eq!(a.len(), b.len());
     let n = a.len();
-    let pa = a.as_ptr();
-    let pb = b.as_ptr();
-    let mut acc0 = _mm256_setzero_ps();
-    let mut acc1 = _mm256_setzero_ps();
-    let mut acc2 = _mm256_setzero_ps();
-    let mut acc3 = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 32 <= n {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), acc0);
-        acc1 = _mm256_fmadd_ps(
-            _mm256_loadu_ps(pa.add(i + 8)),
-            _mm256_loadu_ps(pb.add(i + 8)),
-            acc1,
-        );
-        acc2 = _mm256_fmadd_ps(
-            _mm256_loadu_ps(pa.add(i + 16)),
-            _mm256_loadu_ps(pb.add(i + 16)),
-            acc2,
-        );
-        acc3 = _mm256_fmadd_ps(
-            _mm256_loadu_ps(pa.add(i + 24)),
-            _mm256_loadu_ps(pb.add(i + 24)),
-            acc3,
-        );
-        i += 32;
-    }
-    while i + 8 <= n {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), acc0);
-        i += 8;
-    }
-    let acc = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
+    let [acc] = dot_lanes_avx2_fma(a.as_ptr(), [b.as_ptr()], n);
     let quad = _mm_add_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps(acc, 1));
     let pair = _mm_add_ps(quad, _mm_movehl_ps(quad, quad));
     let single = _mm_add_ss(pair, _mm_shuffle_ps(pair, pair, 0b01));
     let mut out = _mm_cvtss_f32(single);
-    while i < n {
+    for i in n - n % 8..n {
         out += a[i] * b[i];
-        i += 1;
     }
     out
+}
+
+/// `dot_avx2_fma`'s first step for two rows at once: with `a` and `b` the
+/// lane sums of two rows, `[l0+l4, l1+l5, l2+l6, l3+l7]` of `a` in the low
+/// half and of `b` in the high half.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn lane_pair_sums(
+    a: std::arch::x86_64::__m256,
+    b: std::arch::x86_64::__m256,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    _mm256_add_ps(
+        _mm256_permute2f128_ps(a, b, 0x20),
+        _mm256_permute2f128_ps(a, b, 0x31),
+    )
+}
+
+/// [`score_rows`] over the leading multiple of eight rows, whose count it
+/// returns: eight rows' lane sums are added in exactly [`dot_avx2_fma`]'s
+/// tree, vertically, so the eight similarities, their keys and their
+/// buckets each cost one vector operation instead of eight horizontal
+/// reductions.
+///
+/// # Safety
+/// Lengths as [`score_rows`] asserts them; `qhat.len() % 8 == 0`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn score_rows_avx2_fma(
+    qhat: &[f32],
+    rows: &[f32],
+    keys: &mut [u32],
+    buckets: &mut [u16],
+) -> usize {
+    use std::arch::x86_64::*;
+    let dim = qhat.len();
+    let q = qhat.as_ptr();
+    let sign = _mm256_set1_epi32(i32::MIN);
+    let mut r = 0;
+    while r + 8 <= keys.len() {
+        let p = rows.as_ptr().add(r * dim);
+        let [a0, a1] = dot_lanes_avx2_fma(q, [p, p.add(dim)], dim);
+        let [a2, a3] = dot_lanes_avx2_fma(q, [p.add(2 * dim), p.add(3 * dim)], dim);
+        let [a4, a5] = dot_lanes_avx2_fma(q, [p.add(4 * dim), p.add(5 * dim)], dim);
+        let [a6, a7] = dot_lanes_avx2_fma(q, [p.add(6 * dim), p.add(7 * dim)], dim);
+        // Rows `i` and `i + 4` share a vector from here on, so after a
+        // 4 × 4 transpose inside each half `s_j` holds `l_j + l_{j+4}` of
+        // rows 0–3 | 4–7 and the rest of the tree is two vertical adds.
+        let (q0, q1) = (lane_pair_sums(a0, a4), lane_pair_sums(a1, a5));
+        let (q2, q3) = (lane_pair_sums(a2, a6), lane_pair_sums(a3, a7));
+        let (t0, t1) = (_mm256_unpacklo_ps(q0, q1), _mm256_unpackhi_ps(q0, q1));
+        let (t2, t3) = (_mm256_unpacklo_ps(q2, q3), _mm256_unpackhi_ps(q2, q3));
+        let (s0, s1) = (
+            _mm256_shuffle_ps(t0, t2, 0x44),
+            _mm256_shuffle_ps(t0, t2, 0xee),
+        );
+        let (s2, s3) = (
+            _mm256_shuffle_ps(t1, t3, 0x44),
+            _mm256_shuffle_ps(t1, t3, 0xee),
+        );
+        let sims = _mm256_add_ps(_mm256_add_ps(s0, s2), _mm256_add_ps(s1, s3));
+        let bits = _mm256_castps_si256(sims);
+        // sim_key: negative → !bits, else bits ^ sign.
+        let key = _mm256_xor_si256(bits, _mm256_or_si256(_mm256_srai_epi32(bits, 31), sign));
+        _mm256_storeu_si256(keys.as_mut_ptr().add(r).cast(), key);
+        // sim_bucket: clamp the magnitude's bits to 1.0, keep the sign,
+        // quantise (the product is exact, so the fused add rounds once
+        // like the scalar's).
+        let one = _mm256_set1_epi32(1f32.to_bits() as i32);
+        let magnitude = _mm256_min_epi32(_mm256_andnot_si256(sign, bits), one);
+        let clamped = _mm256_castsi256_ps(_mm256_or_si256(magnitude, _mm256_and_si256(bits, sign)));
+        let scaled = _mm256_fmadd_ps(clamped, _mm256_set1_ps(512.0), _mm256_set1_ps(513.0));
+        let bucket = _mm256_min_epi32(_mm256_cvttps_epi32(scaled), _mm256_set1_epi32(1024));
+        let narrow = _mm256_permute4x64_epi64(_mm256_packus_epi32(bucket, bucket), 0b1000);
+        _mm_storeu_si128(
+            buckets.as_mut_ptr().add(r).cast(),
+            _mm256_castsi256_si128(narrow),
+        );
+        r += 8;
+    }
+    r
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -408,6 +529,35 @@ mod tests {
             let (a, b, _) = vecs(n);
             let naive: f64 = a.iter().zip(&b).map(|(&x, &y)| x as f64 * y as f64).sum();
             assert!((dot(&a, &b) as f64 - naive).abs() < 1e-3, "n={n}");
+        }
+    }
+
+    /// The kNN scorer is `dot` per row, bit for bit, on the vector path
+    /// (dims 8/24/64/96: accumulator shapes; row counts with and without
+    /// an eight-row tail), on the per-row fallback (dims 13/100), and for
+    /// rows that score zero, NaN or ±∞.
+    #[test]
+    fn score_rows_is_dot_per_row_bit_for_bit() {
+        use crate::knn::{sim_bucket, sim_key};
+        for dim in [8, 13, 24, 64, 96, 100] {
+            for n in [0, 1, 7, 8, 9, 16, 29] {
+                let (q, _, _) = vecs(dim);
+                let mut rows: Vec<f32> = (0..n * dim)
+                    .map(|i| ((i * 7 + dim) as f32 * 0.13).sin())
+                    .collect();
+                if n > 5 {
+                    rows[dim..2 * dim].fill(-0.0);
+                    rows[3 * dim] = f32::NAN;
+                    rows[5 * dim + 1] = f32::INFINITY;
+                }
+                let (mut keys, mut buckets) = (vec![9u32; n], vec![9u16; n]);
+                score_rows(&q, &rows, &mut keys, &mut buckets);
+                for r in 0..n {
+                    let sim = dot(&q, &rows[r * dim..(r + 1) * dim]);
+                    let expected = (sim_key(sim), sim_bucket(sim));
+                    assert_eq!((keys[r], buckets[r]), expected, "dim={dim} n={n} r={r}");
+                }
+            }
         }
     }
 

@@ -1,7 +1,247 @@
-//! Property tests for the embedding engine's data structures.
+//! Property tests for the embedding engine's data structures, and for
+//! the kNN selector against its sort-everything twin.
 
-use hostprof_embed::{KernelChoice, NegativeTable, SkipGram, SkipGramConfig, Vocab};
+use hostprof_embed::{
+    simd, EmbeddingSet, ExactScan, IvfFlat, IvfParams, KernelChoice, KnnScratch, NegativeTable,
+    NnIndex, RowFilter, SkipGram, SkipGramConfig, Vocab,
+};
 use proptest::prelude::*;
+
+/// Uniform in `0..n`.
+fn below(rng: &mut TestRng, n: usize) -> usize {
+    rng.uniform_u64(0, n as u64 - 1) as usize
+}
+
+/// A matrix built to make the selector's hard cases common: every vector
+/// appears about four times (so similarities tie exactly, and the `k`-th
+/// place usually falls inside a tie), some rows are zero (never
+/// candidates), and some carry ±∞ (their unit rows, and so their
+/// similarities, are NaN) or NaN (a NaN norm: a candidate of the exact
+/// scan with an all-zero unit row, no candidate of IVF).
+struct Selector {
+    dim: usize,
+    set: EmbeddingSet,
+    /// The unit-norm rows as `EmbeddingSet::new` derives them.
+    unit: Vec<f32>,
+    norms: Vec<f32>,
+}
+
+impl Selector {
+    fn new(rows: usize, dim: usize, rng: &mut TestRng) -> Self {
+        let distinct = 1 + rows / 4;
+        let base: Vec<f32> = (0..distinct * dim)
+            .map(|_| rng.uniform_f64(-1.0, 1.0) as f32)
+            .collect();
+        let mut vectors = Vec::with_capacity(rows * dim);
+        for _ in 0..rows {
+            let b = below(rng, distinct);
+            vectors.extend_from_slice(&base[b * dim..(b + 1) * dim]);
+            let row = vectors.len() - dim;
+            match below(rng, 16) {
+                0 => vectors[row..].fill(0.0),
+                1 => vectors[row + b % dim] = f32::INFINITY,
+                2 => vectors[row + b % dim] = f32::NEG_INFINITY,
+                3 => vectors[row + b % dim] = f32::NAN,
+                _ => {}
+            }
+        }
+        let names: Vec<String> = (0..rows).map(|i| format!("h{i}.example")).collect();
+        let vocab = Vocab::build([names.iter().map(String::as_str)], 1, 0.0);
+        let norms: Vec<f32> = vectors
+            .chunks_exact(dim)
+            .map(|v| v.iter().map(|x| x * x).sum::<f32>().sqrt())
+            .collect();
+        let mut unit = vec![0f32; vectors.len()];
+        for (r, &norm) in norms.iter().enumerate() {
+            if norm > f32::EPSILON {
+                for d in 0..dim {
+                    unit[r * dim + d] = vectors[r * dim + d] / norm;
+                }
+            }
+        }
+        Self {
+            dim,
+            set: EmbeddingSet::new(dim, vocab, vectors),
+            unit,
+            norms,
+        }
+    }
+
+    fn rows(&self) -> usize {
+        self.norms.len()
+    }
+
+    /// `queries` finite query vectors, some long enough that a cosine
+    /// leaves `[-1, 1]` (`search` takes them as they are).
+    fn qhats(&self, queries: usize, rng: &mut TestRng) -> Vec<f32> {
+        let mut qhats = Vec::with_capacity(queries * self.dim);
+        for _ in 0..queries {
+            let scale = [0.1, 1.0, 1.0, 30.0][below(rng, 4)];
+            qhats.extend((0..self.dim).map(|_| rng.uniform_f64(-scale, scale) as f32));
+        }
+        qhats
+    }
+
+    /// The twin: score every candidate, sort the whole list by
+    /// `total_cmp` then ascending row, keep the first `k`, *then* drop what
+    /// the filter drops. Also reports what the case exercised.
+    fn reference(
+        &self,
+        qhat: &[f32],
+        k: usize,
+        candidates: impl Iterator<Item = u32>,
+        kept: Option<&[bool]>,
+        seen: &mut Seen,
+    ) -> Vec<(u32, u32)> {
+        let mut scored: Vec<(f32, u32)> = candidates
+            .map(|r| {
+                let row = &self.unit[r as usize * self.dim..(r as usize + 1) * self.dim];
+                (simd::dot(qhat, row), r)
+            })
+            .collect();
+        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        if scored.iter().any(|(sim, _)| !(-1.0..=1.0).contains(sim)) {
+            seen.beyond_unit += 1; // NaN, ±∞ or a cosine past ±1
+        }
+        if k > 0 && k < scored.len() && scored[k - 1].0.to_bits() == scored[k].0.to_bits() {
+            seen.ties += 1;
+            let mut tied = scored
+                .iter()
+                .filter(|t| t.0.to_bits() == scored[k].0.to_bits())
+                .map(|t| kept.is_none_or(|kept| kept[t.1 as usize]));
+            let first = tied.next();
+            if tied.any(|kept| Some(kept) != first) {
+                seen.ties_across_filter += 1;
+            }
+        }
+        scored.truncate(k);
+        scored
+            .into_iter()
+            .filter(|&(_, r)| kept.is_none_or(|kept| kept[r as usize]))
+            .map(|(sim, r)| (r, sim.to_bits()))
+            .collect()
+    }
+}
+
+/// What the generated cases reached, asserted at the end of each test.
+#[derive(Debug, Default)]
+struct Seen {
+    comparisons: usize,
+    ties: usize,
+    ties_across_filter: usize,
+    beyond_unit: usize,
+}
+
+/// The four filters: none, every row, no row, a random 12 %.
+fn filters(rows: usize, rng: &mut TestRng) -> Vec<Option<Vec<bool>>> {
+    vec![
+        None,
+        Some(vec![true; rows]),
+        Some(vec![false; rows]),
+        Some((0..rows).map(|_| below(rng, 100) < 12).collect()),
+    ]
+}
+
+/// `search` through `index` for every `k` regime and filter, against the
+/// twin over `candidates`.
+fn check_against_reference(
+    m: &Selector,
+    index: &dyn NnIndex,
+    candidates: impl Fn(&[f32]) -> Vec<u32>,
+    queries: usize,
+    rng: &mut TestRng,
+    seen: &mut Seen,
+) {
+    let rows = m.rows();
+    let qhats = m.qhats(queries, rng);
+    let mut scratch = KnnScratch::new();
+    for kept in filters(rows, rng) {
+        let kept_rows: Vec<u32> = (0..rows as u32)
+            .filter(|&r| kept.as_ref().is_some_and(|kept| kept[r as usize]))
+            .collect();
+        let mut slots = vec![u32::MAX; rows];
+        for (slot, &r) in kept_rows.iter().enumerate() {
+            slots[r as usize] = slot as u32;
+        }
+        let filter = kept.as_ref().map(|_| RowFilter {
+            rows: &kept_rows,
+            slots: &slots,
+        });
+        let random_k = below(rng, rows + 1);
+        for k in [0, 1, rows.saturating_sub(1), rows, rows + 5, random_k] {
+            let got = index.search(&m.set, &qhats, k, filter, &mut scratch);
+            assert_eq!(got.len(), queries);
+            for (qhat, got) in qhats.chunks_exact(m.dim).zip(got) {
+                let want =
+                    m.reference(qhat, k, candidates(qhat).into_iter(), kept.as_deref(), seen);
+                let got: Vec<(u32, u32)> = got.iter().map(|&(r, sim)| (r, sim.to_bits())).collect();
+                assert_eq!(got, want, "rows={rows} dim={} k={k}", m.dim);
+                seen.comparisons += 1;
+            }
+        }
+    }
+}
+
+/// The exact scan's selector ≡ the twin, similarities compared as bits:
+/// dims on the vector path, its row-count tail and the per-row fallback;
+/// more queries than one block; ties at the `k`-th place inside and across
+/// the filter; NaN, ±∞ and out-of-range cosines.
+#[test]
+fn filtered_search_is_the_sorted_list_cut_then_filtered() {
+    let mut rng = TestRng::deterministic("filtered_search_is_the_sorted_list_cut_then_filtered");
+    let mut seen = Seen::default();
+    for case in 0..proptest::case_count() {
+        let dim = [8, 24, 64, 100][case as usize % 4];
+        let rows = 1 + below(&mut rng, 70);
+        let m = Selector::new(rows, dim, &mut rng);
+        let exact: Vec<u32> = (0..rows as u32)
+            .filter(|&r| m.norms[r as usize] > f32::EPSILON || m.norms[r as usize].is_nan())
+            .collect();
+        check_against_reference(&m, &ExactScan, |_| exact.clone(), 19, &mut rng, &mut seen);
+    }
+    eprintln!("exact selector: {seen:?}");
+    assert!(seen.ties * 8 > seen.comparisons, "{seen:?}");
+    assert!(seen.ties_across_filter * 100 > seen.comparisons, "{seen:?}");
+    assert!(seen.beyond_unit * 4 > seen.comparisons, "{seen:?}");
+}
+
+/// The same property through [`IvfFlat`]: probing every list is the twin
+/// over every row IVF indexes (`norm > EPSILON`); probing some is the twin
+/// over the rows of the probed lists — which an unfiltered search for
+/// `rows` neighbors lists, since with no more candidates than `k` every
+/// candidate is a member.
+#[test]
+fn ivf_filtered_search_is_the_sorted_list_over_the_probed_rows() {
+    let mut rng =
+        TestRng::deterministic("ivf_filtered_search_is_the_sorted_list_over_the_probed_rows");
+    let mut seen = Seen::default();
+    for case in 0..proptest::case_count() {
+        let dim = [8, 24, 64, 100][case as usize % 4];
+        let rows = 1 + below(&mut rng, 70);
+        let m = Selector::new(rows, dim, &mut rng);
+        let params = IvfParams {
+            nlists: 1 + below(&mut rng, 8),
+            nprobe: usize::MAX,
+            seed: rng.next_u64(),
+        };
+        let exhaustive = IvfFlat::build(&m.set, params);
+        let indexed: Vec<u32> = (0..rows as u32)
+            .filter(|&r| m.norms[r as usize] > f32::EPSILON)
+            .collect();
+        check_against_reference(&m, &exhaustive, |_| indexed.clone(), 3, &mut rng, &mut seen);
+
+        let partial = exhaustive.with_nprobe(1 + below(&mut rng, 3));
+        let probed = |qhat: &[f32]| {
+            let all = partial.search(&m.set, qhat, rows, None, &mut KnnScratch::new());
+            all[0].iter().map(|&(r, _)| r).collect::<Vec<u32>>()
+        };
+        check_against_reference(&m, &partial, probed, 3, &mut rng, &mut seen);
+    }
+    eprintln!("ivf selector: {seen:?}");
+    assert!(seen.ties * 8 > seen.comparisons, "{seen:?}");
+    assert!(seen.ties_across_filter * 100 > seen.comparisons, "{seen:?}");
+    assert!(seen.beyond_unit * 4 > seen.comparisons, "{seen:?}");
+}
 
 fn corpus_strategy() -> impl Strategy<Value = Vec<Vec<String>>> {
     proptest::collection::vec(

@@ -1,9 +1,9 @@
 //! Naive exact cosine k-nearest-neighbor scan (§4.3).
 //!
 //! The production path pre-normalizes rows, runs a cache-tiled SIMD scan
-//! and keeps candidates in packed-u64 heaps. The oracle scores every row
-//! with a sequential dot product and sorts the whole list — O(V log V)
-//! per query, obviously exact. Tie-break matches production: equal
+//! and cuts the top `n` out with a bucket histogram. The oracle scores
+//! every row with a sequential dot product and sorts the whole list —
+//! O(V log V) per query, obviously exact. Tie-break matches production: equal
 //! similarity → lower row index first.
 
 /// Euclidean norm of `v`, accumulated left to right in f32.

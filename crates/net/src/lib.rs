@@ -32,8 +32,10 @@
 //!   be recorded once and re-analyzed offline.
 //!
 //! Every parser is panic-free on arbitrary bytes (property-tested) and
-//! zero-copy where it matters ([`tls::extract_sni`] borrows from the
-//! input), backing the paper's claim that profiling can run at line rate.
+//! zero-copy where it matters ([`tls::extract_sni`] and
+//! [`quic::extract_sni_from_quic`] walk the packet's own bytes and copy
+//! only the name), backing the paper's claim that profiling can run at
+//! line rate.
 
 pub mod capture;
 pub mod chaos;

@@ -350,11 +350,7 @@ impl SniObserver {
                     return;
                 }
                 match dns::extract_qname(&pkt.payload) {
-                    Ok(name) => Some((
-                        name.to_ascii_lowercase(),
-                        HostnameSource::DnsQuery,
-                        pkt.t_ms,
-                    )),
+                    Ok(name) => Some((name, HostnameSource::DnsQuery, pkt.t_ms)),
                     Err(e) => {
                         self.count_parse_failure(e);
                         None
@@ -366,9 +362,7 @@ impl SniObserver {
                 match quic::classify(&pkt.payload) {
                     Ok(quic::QuicPacketKind::Initial) => {
                         match quic::extract_sni_from_quic(&pkt.payload) {
-                            Ok(Some(name)) => {
-                                Some((name.to_ascii_lowercase(), HostnameSource::QuicSni, pkt.t_ms))
-                            }
+                            Ok(Some(name)) => Some((name, HostnameSource::QuicSni, pkt.t_ms)),
                             Ok(None) => {
                                 self.stats.hidden += 1;
                                 None
@@ -392,7 +386,10 @@ impl SniObserver {
                 }
             }
         };
-        if let Some((hostname, source, t_ms)) = recovered {
+        if let Some((mut hostname, source, t_ms)) = recovered {
+            // The extractors hand over an owned name: lowercase it where it
+            // lies, so an observation costs the one allocation.
+            hostname.make_ascii_lowercase();
             match source {
                 HostnameSource::TlsSni => self.stats.tls_sni += 1,
                 HostnameSource::QuicSni => self.stats.quic_sni += 1,
@@ -445,7 +442,7 @@ impl SniObserver {
                 &pkt.payload
             };
             match tls::extract_sni(attempt) {
-                Ok(Some(name)) => Parsed::Name(name.to_ascii_lowercase()),
+                Ok(Some(name)) => Parsed::Name(name.to_string()),
                 Ok(None) => Parsed::Hidden,
                 Err(ParseError::Truncated) => Parsed::Truncated,
                 Err(_) => Parsed::Garbage,
@@ -690,6 +687,45 @@ mod tests {
         assert_eq!(obs.stats().hidden, 1);
         assert_eq!(obs.stats().parse_errors, 0);
         assert!(obs.observations().is_empty());
+    }
+
+    /// The one place the two transports disagree (DESIGN.md §8.2): the TCP
+    /// walk propagates a malformed `server_name` body's error, the QUIC
+    /// path reads the extension through `ClientHello::sni`, which swallows
+    /// it. Moving either would move chaos goldens between buckets.
+    #[test]
+    fn malformed_server_name_is_garbage_over_tcp_and_hidden_over_quic() {
+        let over_both = |ch: &ClientHello| {
+            let mut obs = SniObserver::new();
+            let mut tcp = tls_packet(0, 1, 5000, "ignored");
+            tcp.payload = Bytes::from(ch.encode());
+            obs.process(&tcp);
+            let mut initial = crate::quic::InitialPacket::for_hostname("ignored");
+            initial.crypto = ch.encode_handshake();
+            obs.process(&Packet {
+                t_ms: 1,
+                src: Endpoint::new(1, 40000),
+                dst: Endpoint::new(9, 443),
+                transport: Transport::Udp,
+                payload: Bytes::from(initial.encode()),
+            });
+            assert!(obs.observations().is_empty());
+            assert_eq!(obs.stats().taxonomy_total(), obs.stats().parse_errors);
+            obs
+        };
+
+        let mut non_ascii = ClientHello::for_hostname("name.example");
+        non_ascii.extensions[0].data[5] = 0xff;
+        let obs = over_both(&non_ascii);
+        assert_eq!((obs.stats().garbage, obs.stats().hidden), (1, 1));
+
+        // A name list cut short is `Truncated` to the TCP walk, which waits
+        // for a segment that will not come; over QUIC it is hidden again.
+        let mut short_list = ClientHello::for_hostname("name.example");
+        short_list.extensions[0].data.truncate(4);
+        let obs = over_both(&short_list);
+        assert_eq!((obs.stats().parse_errors, obs.stats().hidden), (0, 1));
+        assert_eq!(obs.pending_flows(), 1);
     }
 
     #[test]

@@ -21,10 +21,20 @@
 //! length       varint (remaining payload bytes)
 //! payload      frames: PADDING (0x00), PING (0x01), CRYPTO (0x06)
 //! ```
+//!
+//! [`extract_sni_from_quic`] is the observer's path, and like
+//! [`tls::extract_sni`](crate::tls::extract_sni) it reads the name where
+//! it lies: the checks above run over a view that borrows from the
+//! datagram, the ≈1 000 PADDING bytes that RFC 9000 §8.1 makes every
+//! client Initial carry are skipped as one run, and a CRYPTO stream sent as
+//! one frame — every Initial this workspace synthesizes — is walked in
+//! place. Only a stream split over several frames is reassembled into a
+//! buffer. [`InitialPacket::parse`] is the same view, copied out.
 
 use crate::error::ParseError;
-use crate::tls::ClientHello;
+use crate::tls::{ClientHello, HelloView};
 use crate::wire::{Reader, Writer};
+use std::borrow::Cow;
 
 /// QUIC v1 version number.
 pub const QUIC_V1: u32 = 0x0000_0001;
@@ -184,6 +194,30 @@ impl InitialPacket {
     /// Parse an Initial packet, reassembling CRYPTO frames (which may
     /// appear out of order at arbitrary offsets).
     pub fn parse(bytes: &[u8]) -> Result<Self, ParseError> {
+        Ok(InitialView::parse(bytes)?.into_owned())
+    }
+
+    /// Parse the carried TLS handshake as a ClientHello.
+    pub fn client_hello(&self) -> Result<ClientHello, ParseError> {
+        ClientHello::parse_handshake(&self.crypto)
+    }
+}
+
+/// A checked Initial whose fields borrow from the datagram: the one place
+/// the header and frame checks live. [`InitialPacket::parse`] is its
+/// [`into_owned`](Self::into_owned); [`extract_sni_from_quic`] reads the
+/// CRYPTO stream where it lies.
+struct InitialView<'a> {
+    version: u32,
+    dcid: &'a [u8],
+    scid: &'a [u8],
+    /// The CRYPTO stream: the frame's own bytes when one frame at offset 0
+    /// carries all of it, a reassembled buffer otherwise.
+    crypto: Cow<'a, [u8]>,
+}
+
+impl<'a> InitialView<'a> {
+    fn parse(bytes: &'a [u8]) -> Result<Self, ParseError> {
         let mut r = Reader::new(bytes);
         let first = r.u8()?;
         if first & 0b1000_0000 == 0 {
@@ -202,39 +236,63 @@ impl InitialPacket {
         if dcid_len > 20 {
             return Err(ParseError::BadLength);
         }
-        let dcid = r.take(dcid_len)?.to_vec();
+        let dcid = r.take(dcid_len)?;
         let scid_len = r.u8()? as usize;
         if scid_len > 20 {
             return Err(ParseError::BadLength);
         }
-        let scid = r.take(scid_len)?.to_vec();
+        let scid = r.take(scid_len)?;
         let token_len = read_varint(&mut r)? as usize;
         r.take(token_len)?;
         let payload_len = read_varint(&mut r)? as usize;
         let mut p = r.sub(payload_len)?;
 
-        // Reassemble CRYPTO frames.
-        let mut segments: Vec<(u64, Vec<u8>)> = Vec::new();
-        while !p.is_empty() {
-            let ftype = read_varint(&mut p)?;
-            match ftype {
+        // Read every frame before judging the CRYPTO stream: an unknown
+        // frame type is `WrongType` wherever it stands. Only frames after
+        // the first CRYPTO frame go to the heap.
+        let mut first_frame: Option<(u64, &[u8])> = None;
+        let mut later_frames: Vec<(u64, &[u8])> = Vec::new();
+        loop {
+            // RFC 9000 §8.1 pads a client Initial to 1 200 bytes with
+            // PADDING frames, each the single byte 0: skip them as a run.
+            // A longer encoding of 0 (`40 00`) is PADDING through the
+            // varint below.
+            p.skip_zeros();
+            if p.is_empty() {
+                break;
+            }
+            match read_varint(&mut p)? {
                 frame::PADDING | frame::PING => {}
                 frame::CRYPTO => {
                     let offset = read_varint(&mut p)?;
                     let len = read_varint(&mut p)? as usize;
-                    segments.push((offset, p.take(len)?.to_vec()));
+                    let segment = (offset, p.take(len)?);
+                    match first_frame {
+                        None => first_frame = Some(segment),
+                        Some(_) => later_frames.push(segment),
+                    }
                 }
                 _ => return Err(ParseError::WrongType),
             }
         }
-        segments.sort_by_key(|(off, _)| *off);
-        let mut crypto = Vec::new();
-        for (off, seg) in segments {
-            if off as usize != crypto.len() {
-                return Err(ParseError::BadLength);
+        let crypto = match first_frame {
+            None => Cow::Borrowed(&[][..]),
+            Some((0, stream)) if later_frames.is_empty() => Cow::Borrowed(stream),
+            Some(first_frame) => {
+                let mut segments = later_frames;
+                segments.insert(0, first_frame);
+                // Stable: frames at equal offsets keep their wire order.
+                segments.sort_by_key(|(off, _)| *off);
+                let mut stream = Vec::new();
+                for (off, seg) in segments {
+                    if off as usize != stream.len() {
+                        return Err(ParseError::BadLength);
+                    }
+                    stream.extend_from_slice(seg);
+                }
+                Cow::Owned(stream)
             }
-            crypto.extend_from_slice(&seg);
-        }
+        };
         Ok(Self {
             version,
             dcid,
@@ -243,17 +301,30 @@ impl InitialPacket {
         })
     }
 
-    /// Parse the carried TLS handshake as a ClientHello.
-    pub fn client_hello(&self) -> Result<ClientHello, ParseError> {
-        ClientHello::parse_handshake(&self.crypto)
+    fn into_owned(self) -> InitialPacket {
+        InitialPacket {
+            version: self.version,
+            dcid: self.dcid.to_vec(),
+            scid: self.scid.to_vec(),
+            crypto: self.crypto.into_owned(),
+        }
     }
 }
 
-/// Observer fast path: hostname from a QUIC Initial datagram.
+/// The observer's path: the hostname a QUIC Initial datagram leaks.
+///
+/// One walk over the datagram's own bytes — header, frames (padding as a
+/// run), the handshake's strict checks — that copies nothing until the
+/// name it returns; only an Initial that splits its CRYPTO stream over
+/// several frames reassembles into a buffer first. The `Result` is the one
+/// [`InitialPacket::parse`] → [`InitialPacket::client_hello`] →
+/// [`ClientHello::sni`] give, error variant included; unlike
+/// [`tls::extract_sni`](crate::tls::extract_sni), a malformed
+/// `server_name` extension reads as `Ok(None)`.
 pub fn extract_sni_from_quic(bytes: &[u8]) -> Result<Option<String>, ParseError> {
-    let pkt = InitialPacket::parse(bytes)?;
-    let ch = pkt.client_hello()?;
-    Ok(ch.sni().map(str::to_string))
+    let pkt = InitialView::parse(bytes)?;
+    let hello = HelloView::parse_handshake(&pkt.crypto)?;
+    Ok(hello.sni().map(str::to_string))
 }
 
 #[cfg(test)]

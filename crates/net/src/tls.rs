@@ -193,25 +193,41 @@ impl ClientHello {
             return Err(ParseError::UnsupportedVersion);
         }
         let rec_len = r.u16()? as usize;
-        let mut hs = r.sub(rec_len)?;
-        let ch = Self::parse_handshake_reader(&mut hs)?;
-        if !hs.is_empty() {
-            return Err(ParseError::TrailingBytes);
-        }
-        Ok(ch)
+        Ok(HelloView::parse_handshake(r.take(rec_len)?)?.to_owned())
     }
 
     /// Parse a bare handshake message (as carried in QUIC CRYPTO frames).
     pub fn parse_handshake(bytes: &[u8]) -> Result<Self, ParseError> {
-        let mut r = Reader::new(bytes);
-        let ch = Self::parse_handshake_reader(&mut r)?;
-        if !r.is_empty() {
-            return Err(ParseError::TrailingBytes);
-        }
-        Ok(ch)
+        Ok(HelloView::parse_handshake(bytes)?.to_owned())
     }
+}
 
-    fn parse_handshake_reader(r: &mut Reader<'_>) -> Result<Self, ParseError> {
+/// Read one `type, length, body` extension off the front of a block.
+fn read_extension<'a>(e: &mut Reader<'a>) -> Result<(u16, &'a [u8]), ParseError> {
+    let ext_type = e.u16()?;
+    let len = e.u16()? as usize;
+    Ok((ext_type, e.take(len)?))
+}
+
+/// A strictly checked ClientHello whose fields borrow from the handshake
+/// bytes: the one place the strict checks live. [`ClientHello::parse`] and
+/// [`ClientHello::parse_handshake`] are its [`to_owned`](Self::to_owned);
+/// the QUIC observer path reads [`sni`](Self::sni) and copies nothing.
+pub(crate) struct HelloView<'a> {
+    version: u16,
+    random: [u8; 32],
+    session_id: &'a [u8],
+    /// Big-endian `u16`s; the length is checked even.
+    cipher_suites: &'a [u8],
+    compression: &'a [u8],
+    /// The extension block, every extension's framing checked.
+    extensions: &'a [u8],
+}
+
+impl<'a> HelloView<'a> {
+    /// Check a bare handshake message, all of `bytes`.
+    pub(crate) fn parse_handshake(bytes: &'a [u8]) -> Result<Self, ParseError> {
+        let mut r = Reader::new(bytes);
         let msg_type = r.u8()?;
         if msg_type != HS_CLIENT_HELLO {
             return Err(ParseError::NotClientHello);
@@ -228,33 +244,29 @@ impl ClientHello {
         if sid_len > 32 {
             return Err(ParseError::BadLength);
         }
-        let session_id = b.take(sid_len)?.to_vec();
+        let session_id = b.take(sid_len)?;
         let cs_len = b.u16()? as usize;
         if !cs_len.is_multiple_of(2) {
             return Err(ParseError::BadLength);
         }
-        let mut cs = b.sub(cs_len)?;
-        let mut cipher_suites = Vec::with_capacity(cs_len / 2);
-        while !cs.is_empty() {
-            cipher_suites.push(cs.u16()?);
-        }
+        let cipher_suites = b.take(cs_len)?;
         let comp_len = b.u8()? as usize;
-        let compression = b.take(comp_len)?.to_vec();
-        let mut extensions = Vec::new();
+        let compression = b.take(comp_len)?;
+        let mut extensions: &[u8] = &[];
         if !b.is_empty() {
             let ext_total = b.u16()? as usize;
-            let mut e = b.sub(ext_total)?;
+            extensions = b.take(ext_total)?;
+            // Every extension is framed, also those after `server_name`.
+            let mut e = Reader::new(extensions);
             while !e.is_empty() {
-                let ext_type = e.u16()?;
-                let len = e.u16()? as usize;
-                extensions.push(Extension {
-                    ext_type,
-                    data: e.take(len)?.to_vec(),
-                });
+                read_extension(&mut e)?;
             }
             if !b.is_empty() {
                 return Err(ParseError::TrailingBytes);
             }
+        }
+        if !r.is_empty() {
+            return Err(ParseError::TrailingBytes);
         }
         Ok(Self {
             version,
@@ -264,6 +276,42 @@ impl ClientHello {
             compression,
             extensions,
         })
+    }
+
+    /// The extensions in wire order.
+    fn extensions(&self) -> impl Iterator<Item = (u16, &'a [u8])> {
+        let mut e = Reader::new(self.extensions);
+        // The framing was checked, so the walk ends with the block.
+        std::iter::from_fn(move || read_extension(&mut e).ok())
+    }
+
+    /// What [`ClientHello::sni`] answers: the first `server_name`
+    /// extension's host name, `None` also when that extension is malformed.
+    pub(crate) fn sni(&self) -> Option<&'a str> {
+        self.extensions()
+            .find(|(ext_type, _)| *ext_type == ext::SERVER_NAME)
+            .and_then(|(_, data)| parse_sni_extension(data).ok().flatten())
+    }
+
+    fn to_owned(&self) -> ClientHello {
+        ClientHello {
+            version: self.version,
+            random: self.random,
+            session_id: self.session_id.to_vec(),
+            cipher_suites: self
+                .cipher_suites
+                .chunks_exact(2)
+                .map(|cs| u16::from_be_bytes([cs[0], cs[1]]))
+                .collect(),
+            compression: self.compression.to_vec(),
+            extensions: self
+                .extensions()
+                .map(|(ext_type, data)| Extension {
+                    ext_type,
+                    data: data.to_vec(),
+                })
+                .collect(),
+        }
     }
 }
 
@@ -340,9 +388,7 @@ pub fn extract_sni(record: &[u8]) -> Result<Option<&str>, ParseError> {
     let ext_total = b.u16()? as usize;
     let mut e = b.sub(ext_total)?;
     while !e.is_empty() {
-        let ext_type = e.u16()?;
-        let len = e.u16()? as usize;
-        let data = e.take(len)?;
+        let (ext_type, data) = read_extension(&mut e)?;
         if ext_type == ext::SERVER_NAME {
             return parse_sni_extension(data);
         }

@@ -290,6 +290,89 @@ fn gen_vectors() {
     let mut huge_dcid = qi.clone();
     huge_dcid[5] = 0xff; // DCID length far beyond the remaining buffer
     quic_line("dcid-length-overrun", &huge_dcid);
+
+    // Hand-placed frames: an unpadded Initial around `payload`.
+    fn initial_around(payload: &[u8]) -> Vec<u8> {
+        let mut out = vec![0b1100_0000];
+        out.extend_from_slice(&quic::QUIC_V1.to_be_bytes());
+        out.extend_from_slice(&[4, 0xd1, 0xd2, 0xd3, 0xd4, 0]); // dcid, empty scid
+        quic::encode_varint(&mut out, 0); // token length
+        quic::encode_varint(&mut out, payload.len() as u64);
+        out.extend_from_slice(payload);
+        out
+    }
+    fn crypto_frame(payload: &mut Vec<u8>, offset: usize, data: &[u8]) {
+        quic::encode_varint(payload, 0x06);
+        quic::encode_varint(payload, offset as u64);
+        quic::encode_varint(payload, data.len() as u64);
+        payload.extend_from_slice(data);
+    }
+    let hello = tls::ClientHello::for_hostname("quic.example.com");
+    let hs = hello.encode_handshake();
+    let (head, tail) = hs.split_at(hs.len() / 2);
+
+    let mut in_order = Vec::new();
+    crypto_frame(&mut in_order, 0, head);
+    crypto_frame(&mut in_order, head.len(), tail);
+    quic_line("two-crypto-frames-in-order", &initial_around(&in_order));
+
+    let mut reversed = Vec::new();
+    crypto_frame(&mut reversed, head.len(), tail);
+    crypto_frame(&mut reversed, 0, head);
+    quic_line("two-crypto-frames-reversed", &initial_around(&reversed));
+
+    let mut gap = Vec::new();
+    crypto_frame(&mut gap, 0, head);
+    crypto_frame(&mut gap, head.len() + 1, tail);
+    quic_line("gap-in-crypto-stream", &initial_around(&gap));
+
+    // Two frames at one offset are contiguous only when the empty one is
+    // read first: the sort by offset keeps wire order.
+    let mut empty_then_stream = Vec::new();
+    crypto_frame(&mut empty_then_stream, 0, &[]);
+    crypto_frame(&mut empty_then_stream, 0, &hs);
+    quic_line(
+        "duplicate-offset-empty-frame-first",
+        &initial_around(&empty_then_stream),
+    );
+    let mut stream_then_empty = Vec::new();
+    crypto_frame(&mut stream_then_empty, 0, &hs);
+    crypto_frame(&mut stream_then_empty, 0, &[]);
+    quic_line(
+        "duplicate-offset-empty-frame-last",
+        &initial_around(&stream_then_empty),
+    );
+
+    // PING, then PADDING spelt in two bytes (`40 00`), between the frames.
+    let mut ping_padding = Vec::new();
+    crypto_frame(&mut ping_padding, 0, head);
+    ping_padding.extend_from_slice(&[0x01, 0x40, 0x00, 0x00]);
+    crypto_frame(&mut ping_padding, head.len(), tail);
+    quic_line(
+        "ping-and-two-byte-padding-between-frames",
+        &initial_around(&ping_padding),
+    );
+
+    // An unknown frame type after a gap: every frame is read before the
+    // stream is judged, so this is WrongType, not BadLength.
+    let mut unknown_after_gap = gap.clone();
+    unknown_after_gap.push(0x1c); // CONNECTION_CLOSE
+    quic_line(
+        "unknown-frame-after-gap",
+        &initial_around(&unknown_after_gap),
+    );
+
+    let mut two_frames_coalesced = initial_around(&reversed);
+    two_frames_coalesced.extend((0u8..50).map(|i| i.wrapping_mul(37)));
+    quic_line("two-crypto-frames-coalesced-tail", &two_frames_coalesced);
+
+    // A `server_name` body that is not a name reads as no name over QUIC;
+    // over TCP the same hello is err:InvalidHostname (non-ascii-hostname).
+    let mut bad_name = hello.clone();
+    bad_name.extensions[0].data[5] = 0xff;
+    let mut malformed = Vec::new();
+    crypto_frame(&mut malformed, 0, &bad_name.encode_handshake());
+    quic_line("malformed-server-name", &initial_around(&malformed));
 }
 
 fn main() -> ExitCode {

@@ -22,9 +22,10 @@
 //!   never panic the observer or grow its memory without bound.
 //!
 //! The split is what makes the differential conformance harness
-//! (`tests/chaos_observer.rs`, `chaosprobe`) possible: it checks the chaos
-//! run against a clean run flow-by-flow instead of giving up on asserting
-//! anything under fault injection.
+//! ([`crate::conformance`], run by both chaos test suites and
+//! `hostprof chaos`) possible: it checks the chaos run against a clean run
+//! flow-by-flow instead of giving up on asserting anything under fault
+//! injection.
 
 use crate::flow::FlowKey;
 use crate::packet::{Endpoint, Packet, Transport};
@@ -178,12 +179,12 @@ pub struct ChaosOutcome {
 
 /// SplitMix64 stream — the crate's deterministic, dependency-free RNG.
 #[derive(Debug, Clone)]
-struct ChaosRng {
+pub(crate) struct ChaosRng {
     state: u64,
 }
 
 impl ChaosRng {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         // Avoid the all-zero fixpoint-ish start and decorrelate seeds.
         Self {
             state: seed ^ 0x9e37_79b9_7f4a_7c15,
@@ -199,7 +200,7 @@ impl ChaosRng {
     }
 
     /// Uniform in `[0, n)`; `n` must be nonzero.
-    fn below(&mut self, n: usize) -> usize {
+    pub(crate) fn below(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
     }
 

@@ -29,7 +29,10 @@
 //!   events into wire traffic, with optional NAT aggregation to reproduce
 //!   the paper's "multiple users behind one IP" confusion experiment;
 //! * [`capture`] — a compact capture file format so observed traffic can
-//!   be recorded once and re-analyzed offline.
+//!   be recorded once and re-analyzed offline;
+//! * [`chaos`] / [`conformance`] — seeded fault injection for packet
+//!   streams, and the four properties (plus the golden SNI vectors) the
+//!   observer is held to under it, by both test suites and `hostprof chaos`.
 //!
 //! Every parser is panic-free on arbitrary bytes (property-tested) and
 //! zero-copy where it matters ([`tls::extract_sni`] and
@@ -39,6 +42,7 @@
 
 pub mod capture;
 pub mod chaos;
+pub mod conformance;
 pub mod dns;
 pub mod error;
 pub mod flow;

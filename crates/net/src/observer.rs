@@ -25,9 +25,9 @@
 //!   [`FlowTable::take_evicted_pending`] so their buffers are reclaimed
 //!   immediately instead of leaking until 5-tuple reuse.
 //!
-//! The `net::chaos` fault-injection harness (`tests/chaos_observer.rs`,
-//! `chaosprobe`) property-tests these guarantees against seeded mutation
-//! streams.
+//! The `net::chaos` fault-injection harness ([`crate::conformance`]: both
+//! chaos test suites and `hostprof chaos`) property-tests these guarantees
+//! against seeded mutation streams.
 
 use crate::dns;
 use crate::error::ParseError;

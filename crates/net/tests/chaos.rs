@@ -1,191 +1,72 @@
 //! Differential conformance tests for the chaos fault-injection subsystem,
 //! run as part of the `cargo test -p hostprof-net` CI chaos job.
 //!
-//! The root-package suite (`tests/chaos_observer.rs`) runs the four
-//! acceptance properties at 1000+ cases each; this crate-level suite keeps
-//! a smaller default seed matrix (fast in debug builds) plus the exhaustive
-//! boundary re-split test, and honors two environment knobs the CI matrix
-//! sets:
-//!
-//! * `CHAOS_SEED_BASE` — offset added to every seed (each CI matrix entry
-//!   explores a disjoint seed range);
-//! * `CHAOS_CASES` — number of seeds per property (CI release jobs raise
-//!   it).
+//! The four acceptance properties are `hostprof_net::conformance`'s, the
+//! same functions the root-package suite (`tests/chaos_observer.rs`) runs at
+//! 1000 cases each and `hostprof chaos` sweeps in CI. This crate-level
+//! suite keeps a smaller default seed matrix (fast in debug builds), its
+//! own caps for property (c), and two tests of its own: the exhaustive
+//! boundary re-split and the pure-garbage flood. The seed window is
+//! `conformance::seed_window`'s (the CI matrix shifts it; release jobs
+//! raise the case count).
 
+use hostprof_net::conformance::{self, seed_window, CaseStats};
 use hostprof_net::observer::ObserverConfig;
 use hostprof_net::packet::Transport;
-use hostprof_net::{
-    chaos, ChaosConfig, FlowKey, Packet, RequestEvent, SniObserver, TrafficSynthesizer,
-};
+use hostprof_net::{chaos, ChaosConfig, Packet, SniObserver};
 
-/// Seed offset from the CI matrix (0 when unset).
-fn seed_base() -> u64 {
-    std::env::var("CHAOS_SEED_BASE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
+/// A case's traffic follows from its seed alone, so this suite sweeps a
+/// window this far above the one the root suite and CI's `hostprof chaos`
+/// steps sweep (1000 seeds from each matrix base): the draws stay disjoint.
+const WINDOW_OFFSET: u64 = 5_000;
 
-/// Cases per property (256 when unset; the root suite runs 1000+).
-fn cases() -> u64 {
-    std::env::var("CHAOS_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256)
-}
-
-/// Minimal splitmix64, for varying the *shape* of each case's traffic —
-/// distinct from the chaos module's own RNG so the test stream and the
-/// mutations are independent draws.
-struct ShapeRng(u64);
-
-impl ShapeRng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// A small deterministic traffic stream whose shape (event count, client
-/// count, hostname pool, protocol mix) varies with the seed.
-fn stream_for(seed: u64) -> Vec<Packet> {
-    let mut rng = ShapeRng(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0xdead_beef);
-    let events = 4 + rng.below(28);
-    let clients = 1 + rng.below(6) as u32;
-    let hosts = 1 + rng.below(9);
-    let synth = TrafficSynthesizer {
-        quic_fraction: rng.below(5) as f64 * 0.25,
-        dns_fraction: rng.below(3) as f64 * 0.2,
-        ech_fraction: rng.below(3) as f64 * 0.15,
-        tcp_fragment_fraction: rng.below(5) as f64 * 0.25,
-        ..TrafficSynthesizer::default()
-    };
-    let events: Vec<RequestEvent> = (0..events)
-        .map(|i| RequestEvent {
-            t_ms: 1_000 + i * (50 + rng.below(400)),
-            client: (i as u32) % clients,
-            hostname: format!("host{}.seed{}.example.com", rng.below(hosts), seed % 97),
-        })
-        .collect();
-    synth.synthesize(&events)
-}
-
-/// Tight caps so cap-enforcement paths actually fire at test scale.
-fn tight_caps() -> ObserverConfig {
-    ObserverConfig {
-        max_pending_bytes: 2_048,
-        max_pending_segments: 8,
-        max_pending_flows: 8,
-        max_total_pending_bytes: 8_192,
-    }
+/// One property over this suite's window (256 cases when the environment
+/// names no count), failing on the first violating seed.
+fn sweep(property: impl Fn(u64) -> Result<CaseStats, String>) -> CaseStats {
+    let cases = seed_window(256).map(|seed| property(seed + WINDOW_OFFSET));
+    cases
+        .sum::<Result<CaseStats, String>>()
+        .unwrap_or_else(|violation| panic!("{violation}"))
 }
 
 /// ISSUE property (a): no mutated stream may panic the observer, and the
 /// error taxonomy must balance exactly on every one.
 #[test]
 fn aggressive_chaos_never_panics_and_taxonomy_balances() {
-    let base = seed_base();
-    for seed in base..base + cases() {
-        let stream = stream_for(seed);
-        let out = chaos::apply(&ChaosConfig::aggressive(seed), &stream);
-        let mut obs = SniObserver::new().with_dns_harvesting();
-        obs.process_stream(&out.packets);
-        let stats = obs.stats();
-        assert_eq!(
-            stats.parse_errors,
-            obs.stats().taxonomy_total(),
-            "taxonomy must balance at seed {seed}: {stats:?}"
-        );
-        assert_eq!(
-            stats.reassembly_invariant, 0,
-            "impossible-state counter fired at seed {seed}"
-        );
-    }
+    let total = sweep(conformance::errors_are_classified);
+    assert!(total.mutated_flows > 0, "aggressive chaos must mutate");
 }
 
 /// ISSUE property (b): flows the chaos pass certifies clean must yield
-/// bit-identical observations with and without chaos. Checked per flow by
-/// solo replay, since `Observation` carries no flow attribution.
+/// bit-identical observations with and without chaos.
 #[test]
 fn clean_flow_observations_are_bit_identical_under_chaos() {
-    let base = seed_base();
-    for seed in base..base + cases() {
-        let stream = stream_for(seed);
-        let out = chaos::apply(&ChaosConfig::with_seed(seed), &stream);
-        let mut chaotic = SniObserver::new();
-        chaotic.process_stream(&out.packets);
-        for key in &out.clean_flows {
-            let flow_pkts: Vec<Packet> = stream
-                .iter()
-                .filter(|p| FlowKey::of(p) == *key)
-                .cloned()
-                .collect();
-            let mut solo = SniObserver::new();
-            solo.process_stream(&flow_pkts);
-            for want in solo.observations() {
-                assert!(
-                    chaotic.observations().contains(want),
-                    "seed {seed}: clean flow {key:?} lost observation {want:?}"
-                );
-            }
-        }
-    }
+    let total = sweep(conformance::clean_flows_survive_bit_identical);
+    assert!(
+        total.clean_observations > 0,
+        "the clean population must not be empty"
+    );
 }
 
 /// ISSUE property (c): `pending` reassembly memory stays under the
 /// configured caps after every single packet, even under aggressive chaos
-/// with tiny caps.
+/// with caps tight enough that cap enforcement fires at test scale.
 #[test]
 fn pending_memory_stays_under_caps_per_packet() {
-    let base = seed_base();
-    let cfg = tight_caps();
-    for seed in base..base + cases() {
-        let stream = stream_for(seed);
-        let out = chaos::apply(&ChaosConfig::aggressive(seed), &stream);
-        let mut obs = SniObserver::with_config(cfg);
-        for pkt in &out.packets {
-            obs.process(pkt);
-            assert!(
-                obs.pending_bytes() <= cfg.max_total_pending_bytes,
-                "seed {seed}: pending bytes {} over cap {}",
-                obs.pending_bytes(),
-                cfg.max_total_pending_bytes
-            );
-            assert!(
-                obs.pending_flows() <= cfg.max_pending_flows,
-                "seed {seed}: pending flows {} over cap {}",
-                obs.pending_flows(),
-                cfg.max_pending_flows
-            );
-        }
-    }
+    let caps = ObserverConfig {
+        max_pending_bytes: 2_048,
+        max_pending_segments: 8,
+        max_pending_flows: 8,
+        max_total_pending_bytes: 8_192,
+    };
+    sweep(|seed| conformance::pending_memory_stays_under_caps(seed, caps));
 }
 
 /// ISSUE property (d): chaos is replayable — the same seed over the same
 /// input yields identical mutated bytes, chaos stats and observer stats.
 #[test]
 fn same_seed_yields_identical_stats_and_stream() {
-    let base = seed_base();
-    for seed in base..base + cases() {
-        let stream = stream_for(seed);
-        let cfg = ChaosConfig::with_seed(seed);
-        let (a, b) = (chaos::apply(&cfg, &stream), chaos::apply(&cfg, &stream));
-        assert_eq!(a.packets, b.packets, "seed {seed}: mutated streams differ");
-        assert_eq!(a.stats, b.stats, "seed {seed}: chaos stats differ");
-        let mut oa = SniObserver::new();
-        oa.process_stream(&a.packets);
-        let mut ob = SniObserver::new();
-        ob.process_stream(&b.packets);
-        assert_eq!(oa.stats(), ob.stats(), "seed {seed}: observer stats differ");
-        assert_eq!(oa.observations(), ob.observations());
-    }
+    sweep(conformance::same_seed_replays_identically);
 }
 
 /// Exhaustive re-split: a ClientHello delivered as `[..i]` + `[i..]` for
@@ -234,8 +115,7 @@ fn tcp_resplit_at_every_boundary_recovers_the_hostname() {
 /// only hostname recoverable is the `.invalid` one actually on the wire.)
 #[test]
 fn pure_garbage_floods_never_fabricate_hostnames() {
-    let base = seed_base();
-    for seed in base..base + cases().min(64) {
+    for seed in seed_window(256).take(64) {
         let cfg = ChaosConfig {
             garbage_flows: 48,
             ..ChaosConfig::quiescent(seed)

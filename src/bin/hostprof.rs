@@ -3,9 +3,10 @@
 //! A thin operational wrapper over the library: generate a deterministic
 //! scenario, train and persist a model, query the embedding space, profile
 //! a user, run the observer under countermeasures, serve a live load,
-//! check the golden schedules, or reproduce the paper's experiments — all
-//! without writing Rust. [`COMMANDS`] is the one list of commands and
-//! flags: parsing, arity, dispatch and `hostprof help` all read it.
+//! check the golden schedules, reproduce the paper's experiments, or sweep
+//! the observer's chaos properties — all without writing Rust. [`COMMANDS`]
+//! is the one list of commands and flags: parsing, arity, dispatch and
+//! `hostprof help` all read it.
 
 use hostprof::bridge::{ObservedTrace, ObserverScenario};
 use hostprof::embed::{IndexConfig, KernelChoice};
@@ -101,6 +102,18 @@ static COMMANDS: &[Command] = &[
         flags: "[--id E1..E9|D1|all] [--scale S] [--out DIR] [--max-rss-mb N]",
         run: cmd_experiment,
     },
+    Command {
+        name: "chaos",
+        mode: None,
+        flags: "[--seeds N] [--seed-base S]",
+        run: cmd_chaos,
+    },
+    Command {
+        name: "chaos",
+        mode: Some("gen-vectors"),
+        flags: "--gen-vectors",
+        run: cmd_chaos_vectors,
+    },
 ];
 
 /// One flag of a [`Command`] row.
@@ -187,7 +200,10 @@ fn usage() -> String {
          minutes, not seconds. `experiment` runs rows of the paper's result table (a\n\
          comma list of ids; all by default) and prints every claim's verdict; it\n\
          writes <DIR>/<name>.json only under --out, and fails when a claim is off its\n\
-         recorded expectation or peak RSS exceeds --max-rss-mb.\n",
+         recorded expectation or peak RSS exceeds --max-rss-mb. `chaos` holds the\n\
+         observer to its four fault-injection properties over --seeds cases (200 by\n\
+         default) and fails on the first violation; --gen-vectors prints the golden\n\
+         SNI vectors instead.\n",
     );
     out
 }
@@ -735,6 +751,54 @@ fn cmd_experiment(args: &Args) -> Result<(), String> {
         Some(mb) if rss_kb > mb * 1024 => Err(format!("peak RSS breached --max-rss-mb {mb}")),
         _ => Ok(()),
     }
+}
+
+/// The chaos conformance sweep (`net::conformance`): each of the four
+/// properties over `--seeds` cases from `--seed-base`, under the chaos
+/// profile that property is about, one tally line per property. Stops at
+/// the first violating case; its seed replays it.
+fn cmd_chaos(args: &Args) -> Result<(), String> {
+    use hostprof::net::conformance::*;
+    let caps = hostprof::net::ObserverConfig {
+        max_pending_bytes: 2_048,
+        max_pending_segments: 8,
+        max_pending_flows: 8,
+        max_total_pending_bytes: 8_192,
+    };
+    let seeds = args.get_parsed::<u64>("seeds")?.unwrap_or(200);
+    let base = args.get_parsed::<u64>("seed-base")?.unwrap_or(0);
+    println!("chaos conformance over {seeds} seeds from {base}");
+    let sweep = |name: &str, property: &dyn Fn(u64) -> Result<CaseStats, String>| {
+        let cases = (base..base + seeds).map(property);
+        let t = cases.sum::<Result<CaseStats, String>>()?;
+        println!(
+            "  {name:<32} holds: {} -> {} packets; {} clean / {} mutated / {} garbage flows; \
+             {} observations, {} classified parse errors",
+            t.packets_in,
+            t.packets_out,
+            t.clean_flows,
+            t.mutated_flows,
+            t.garbage_flows,
+            t.observations,
+            t.parse_errors
+        );
+        Ok::<(), String>(())
+    };
+    sweep("(a) no panic, errors classified", &errors_are_classified)?;
+    sweep(
+        "(b) clean flows bit-identical",
+        &clean_flows_survive_bit_identical,
+    )?;
+    sweep("(c) pending memory under caps", &|seed| {
+        pending_memory_stays_under_caps(seed, caps)
+    })?;
+    sweep("(d) same seed, same replay", &same_seed_replays_identically)
+}
+
+/// Print the golden SNI vector corpus as the parsers stand.
+fn cmd_chaos_vectors(_: &Args) -> Result<(), String> {
+    print!("{}", hostprof::net::conformance::sni_vectors());
+    Ok(())
 }
 
 fn main() -> ExitCode {

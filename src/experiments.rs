@@ -20,7 +20,8 @@ use hostprof_core::{
     ProfilerConfig, Session,
 };
 use hostprof_stats::{
-    bootstrap_paired_diff_ci, paired_t_test, two_proportion_z_test, BhTsne, BhTsneConfig, Ccdf,
+    bootstrap_paired_diff_ci, neighbor_purity, paired_t_test, two_proportion_z_test, BhTsne,
+    BhTsneConfig, Ccdf,
 };
 use hostprof_synth::names::second_level_domain;
 use hostprof_synth::trace::DAY_MS;
@@ -346,6 +347,12 @@ fn beyond_smoke(v: &Value) -> bool {
     text(v, "scale") != "tiny"
 }
 
+/// Whether an E3 report's purity under `key` is at least five times what a
+/// random embedding would score.
+fn purity_beats_baseline(v: &Value, key: &str) -> Option<bool> {
+    beyond_smoke(v).then(|| num(v, key) >= 5.0 * num(v, "label_frequency_baseline"))
+}
+
 /// Both CTRs of an E5 report, unless no ad was clicked at all.
 fn ctrs(v: &Value) -> Option<(f64, f64)> {
     let (eaves, orig) = (num(v, "eaves_ctr_pct"), num(v, "orig_ctr_pct"));
@@ -443,10 +450,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
             Claim {
                 text: "same-topic neighbor purity ≫ label-frequency baseline (≥ 5×)",
                 paper: "qualitative clusters",
-                holds: |v| {
-                    let purity = num(v, "neighbor_purity_k10");
-                    beyond_smoke(v).then(|| purity >= 5.0 * num(v, "label_frequency_baseline"))
-                },
+                holds: |v| purity_beats_baseline(v, "neighbor_purity_k10"),
                 expect: Holds,
             },
             Claim {
@@ -456,6 +460,13 @@ pub static EXPERIMENTS: &[Experiment] = &[
                     let gap = num(v, "intra_topic_cosine") - num(v, "inter_topic_cosine");
                     beyond_smoke(v).then_some(gap >= 0.2)
                 },
+                expect: Holds,
+            },
+            Claim {
+                text: "topical clusters survive the 2-D layout: purity@10 in t-SNE space ≥ 5× \
+                       the label-frequency baseline",
+                paper: "Figure 4",
+                holds: |v| purity_beats_baseline(v, "tsne_neighbor_purity_k10"),
                 expect: Holds,
             },
         ],
@@ -836,6 +847,12 @@ fn embedding_space(ctx: &mut Context) -> Report {
     (tsne.perplexity, tsne.iterations) = (25.0, 350);
     let y = BhTsne::new(tsne).embed(&points, dim);
     r.note("t-SNE points (Barnes–Hut)", y.len());
+    // Figure 4's own claim: the topics are still neighbours on the page.
+    let flat_xy: Vec<f32> = y.iter().flat_map(|&(x, y)| [x as f32, y as f32]).collect();
+    r.put(
+        "tsne_neighbor_purity_k10",
+        neighbor_purity(&flat_xy, 2, &labels, 10),
+    );
     let sample = names.iter().zip(&y).step_by((y.len() / 80).max(1));
     let sample = sample.map(|(name, (x, y))| (name.to_string(), *x, *y));
     r.data("tsne_sample", sample.collect::<Vec<(String, f64, f64)>>());

@@ -13,72 +13,22 @@
 //! * **(d)** the same seed replays the same chaos: identical mutated
 //!   bytes, identical chaos stats, identical observer stats.
 //!
-//! The vendored proptest macro defaults to 64 cases, so these properties
-//! drive their own explicit seed loops instead. `CHAOS_SEED_BASE` shifts
-//! the seed window (the CI matrix runs disjoint windows); `CHAOS_CASES`
-//! overrides the per-property case count (default 1000).
+//! The properties themselves live in `net::conformance`, shared with the
+//! net crate's own suite and `hostprof chaos`; this file owns the case
+//! count, the caps of (c) and the non-vacuity floors. The vendored proptest
+//! macro defaults to 64 cases, so the sweep is an explicit seed loop over
+//! `conformance::seed_window` (default 1000 cases; the environment can
+//! shift and resize it).
 
+use hostprof::net::conformance::{self, seed_window, CaseStats};
 use hostprof::net::observer::ObserverConfig;
-use hostprof::net::{
-    chaos, ChaosConfig, FlowKey, Packet, RequestEvent, SniObserver, TrafficSynthesizer,
-};
 
-/// Per-property case count; the ISSUE floor is 1000.
-fn cases() -> u64 {
-    std::env::var("CHAOS_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000)
-}
-
-/// Seed-window offset for the CI matrix.
-fn seed_base() -> u64 {
-    std::env::var("CHAOS_SEED_BASE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// splitmix64 over the case seed, used only to vary traffic *shape* —
-/// independent of the chaos module's own per-flow streams.
-struct ShapeRng(u64);
-
-impl ShapeRng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// A deterministic stream whose event count, client count, hostname pool
-/// and TLS/QUIC/DNS/ECH mix all vary with the seed.
-fn stream_for(seed: u64) -> Vec<Packet> {
-    let mut rng = ShapeRng(seed.wrapping_mul(0x9e6c_63d0_876a_9a7d) ^ 0x0b5e_ed01);
-    let events = 3 + rng.below(24);
-    let clients = 1 + rng.below(5) as u32;
-    let hosts = 1 + rng.below(8);
-    let synth = TrafficSynthesizer {
-        quic_fraction: rng.below(5) as f64 * 0.25,
-        dns_fraction: rng.below(4) as f64 * 0.15,
-        ech_fraction: rng.below(3) as f64 * 0.2,
-        tcp_fragment_fraction: rng.below(5) as f64 * 0.25,
-        ..TrafficSynthesizer::default()
-    };
-    let events: Vec<RequestEvent> = (0..events)
-        .map(|i| RequestEvent {
-            t_ms: 500 + i * (40 + rng.below(500)),
-            client: (i as u32) % clients,
-            hostname: format!("w{}.case{}.example.org", rng.below(hosts), seed % 89),
-        })
-        .collect();
-    synth.synthesize(&events)
+/// One property over the window, failing on the first violating seed.
+fn sweep(property: impl Fn(u64) -> Result<CaseStats, String>) -> CaseStats {
+    let cases = seed_window(1000).map(property);
+    cases
+        .sum::<Result<CaseStats, String>>()
+        .unwrap_or_else(|violation| panic!("{violation}"))
 }
 
 /// Property (a): 1000+ aggressively mutated streams, zero panics, and on
@@ -86,23 +36,11 @@ fn stream_for(seed: u64) -> Vec<Packet> {
 /// while the impossible-state counter stays zero.
 #[test]
 fn prop_a_no_mutated_stream_panics_and_errors_are_classified() {
-    let base = seed_base();
-    let mut mutated_total = 0u64;
-    for seed in base..base + cases() {
-        let stream = stream_for(seed);
-        let out = chaos::apply(&ChaosConfig::aggressive(seed), &stream);
-        mutated_total += out.stats.mutated_flows;
-        let mut obs = SniObserver::new().with_dns_harvesting();
-        obs.process_stream(&out.packets);
-        let stats = obs.stats();
-        assert_eq!(
-            stats.parse_errors,
-            stats.taxonomy_total(),
-            "seed {seed}: unclassified parse errors: {stats:?}"
-        );
-        assert_eq!(stats.reassembly_invariant, 0, "seed {seed}: {stats:?}");
-    }
-    assert!(mutated_total > 0, "aggressive chaos must actually mutate");
+    let total = sweep(conformance::errors_are_classified);
+    assert!(
+        total.mutated_flows > 0,
+        "aggressive chaos must actually mutate"
+    );
 }
 
 /// Property (b): for every chaos-certified clean flow, a solo replay of
@@ -110,33 +48,11 @@ fn prop_a_no_mutated_stream_panics_and_errors_are_classified() {
 /// verbatim (bit-identical `Observation` values) in the chaotic run.
 #[test]
 fn prop_b_clean_flow_observations_survive_bit_identical() {
-    let base = seed_base();
-    let mut clean_observations = 0u64;
-    for seed in base..base + cases() {
-        let stream = stream_for(seed);
-        let out = chaos::apply(&ChaosConfig::with_seed(seed), &stream);
-        let mut chaotic = SniObserver::new();
-        chaotic.process_stream(&out.packets);
-        for key in &out.clean_flows {
-            let flow_pkts: Vec<Packet> = stream
-                .iter()
-                .filter(|p| FlowKey::of(p) == *key)
-                .cloned()
-                .collect();
-            let mut solo = SniObserver::new();
-            solo.process_stream(&flow_pkts);
-            for want in solo.observations() {
-                clean_observations += 1;
-                assert!(
-                    chaotic.observations().contains(want),
-                    "seed {seed}: clean flow {key:?} lost {want:?}"
-                );
-            }
-        }
-    }
+    let total = sweep(conformance::clean_flows_survive_bit_identical);
     assert!(
-        clean_observations > 1000,
-        "the clean population must be non-trivial ({clean_observations})"
+        total.clean_observations > 1000,
+        "the clean population must be non-trivial ({})",
+        total.clean_observations
     );
 }
 
@@ -145,50 +61,18 @@ fn prop_b_clean_flow_observations_survive_bit_identical() {
 /// configured ceilings at any packet boundary.
 #[test]
 fn prop_c_pending_memory_never_exceeds_caps() {
-    let base = seed_base();
-    let cfg = ObserverConfig {
+    let caps = ObserverConfig {
         max_pending_bytes: 1_536,
         max_pending_segments: 8,
         max_pending_flows: 6,
         max_total_pending_bytes: 6_144,
     };
-    for seed in base..base + cases() {
-        let stream = stream_for(seed);
-        let out = chaos::apply(&ChaosConfig::aggressive(seed), &stream);
-        let mut obs = SniObserver::with_config(cfg);
-        for pkt in &out.packets {
-            obs.process(pkt);
-            assert!(
-                obs.pending_bytes() <= cfg.max_total_pending_bytes
-                    && obs.pending_flows() <= cfg.max_pending_flows,
-                "seed {seed}: pending {}B/{} flows over caps {}B/{}",
-                obs.pending_bytes(),
-                obs.pending_flows(),
-                cfg.max_total_pending_bytes,
-                cfg.max_pending_flows
-            );
-        }
-    }
+    sweep(|seed| conformance::pending_memory_stays_under_caps(seed, caps));
 }
 
 /// Property (d): equal seeds replay equal chaos — mutated packets, chaos
 /// stats, observer stats and observations are all identical across runs.
 #[test]
 fn prop_d_same_seed_replays_identical_chaos_and_stats() {
-    let base = seed_base();
-    for seed in base..base + cases() {
-        let stream = stream_for(seed);
-        let cfg = ChaosConfig::with_seed(seed);
-        let a = chaos::apply(&cfg, &stream);
-        let b = chaos::apply(&cfg, &stream);
-        assert_eq!(a.packets, b.packets, "seed {seed}");
-        assert_eq!(a.stats, b.stats, "seed {seed}");
-        assert_eq!(a.clean_flows, b.clean_flows, "seed {seed}");
-        let mut oa = SniObserver::new();
-        oa.process_stream(&a.packets);
-        let mut ob = SniObserver::new();
-        ob.process_stream(&b.packets);
-        assert_eq!(oa.stats(), ob.stats(), "seed {seed}");
-        assert_eq!(oa.observations(), ob.observations(), "seed {seed}");
-    }
+    sweep(conformance::same_seed_replays_identically);
 }

@@ -198,6 +198,31 @@ fn unknown_options_fail_loudly() {
     let out = hostprof(&["train", "--scael", "tiny", "--out", "/tmp/never.json"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --scael"));
+
+    // The chaos sweep once had a parser of its own, in which a typo'd flag
+    // or count ran the default window and exited 0.
+    for (args, complaint) in [
+        (["chaos", "--sedes", "4"], "unknown option --sedes"),
+        (["chaos", "--seeds", "abc"], "invalid value for --seeds"),
+    ] {
+        let out = hostprof(&args);
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!out.status.success(), "{args:?}");
+        assert!(err.contains(complaint), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn chaos_sweeps_all_four_properties() {
+    let out = hostprof(&["chaos", "--seeds", "4", "--seed-base", "7"]);
+    let text = stdout(&out);
+    assert!(out.status.success(), "{text}");
+    assert!(text.contains("4 seeds from 7"), "{text}");
+    for property in ["(a) ", "(b) ", "(c) ", "(d) "] {
+        let line = text.lines().find(|l| l.trim_start().starts_with(property));
+        let line = line.unwrap_or_else(|| panic!("no property {property}in:\n{text}"));
+        assert!(line.contains("holds"), "{line}");
+    }
 }
 
 #[test]
@@ -215,6 +240,7 @@ fn flags_are_held_to_their_arity() {
         ),
         (&["replay", "--golden", golden, "--bless", "1"], "--bless"),
         (&["defend", "--no-ctr", "1"], "--no-ctr"),
+        (&["chaos", "--gen-vectors", "3"], "--gen-vectors"),
     ] {
         let out = hostprof(args);
         let err = String::from_utf8_lossy(&out.stderr).into_owned();
@@ -225,6 +251,9 @@ fn flags_are_held_to_their_arity() {
     let out = hostprof(&["serve", "--scale", "tiny", "--pps", "--lanes", "2"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--pps requires a value"));
+    let out = hostprof(&["chaos", "--seeds"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--seeds requires a value"));
 }
 
 #[test]
@@ -243,6 +272,8 @@ fn help_lists_every_flag_each_command_accepts() {
         &["serve"],
         &["serve", "--golden", "x"],
         &["experiment"],
+        &["chaos"],
+        &["chaos", "--gen-vectors"],
     ] {
         // The command's USAGE entries: its `hostprof <cmd>` lines plus
         // their indented continuations.

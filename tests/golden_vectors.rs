@@ -6,11 +6,13 @@
 //! `err:<ParseError variant>`. Any parser change that shifts an error from
 //! one taxonomy bucket to another fails here with the vector's name.
 //!
-//! Regenerate after an *intentional* parser change with
-//! `cargo run --bin chaosprobe -- --gen-vectors > tests/vectors/sni_vectors.txt`
+//! The corpus is generated (`net::conformance::sni_vectors`), and the
+//! committed file is held to the generator byte for byte. Regenerate after
+//! an *intentional* parser change with
+//! `hostprof chaos --gen-vectors > tests/vectors/sni_vectors.txt`
 //! and review the diff vector by vector.
 
-use hostprof::net::{quic, tls};
+use hostprof::net::{conformance, quic, tls};
 
 fn unhex(s: &str) -> Vec<u8> {
     assert!(s.len().is_multiple_of(2), "odd hex length");
@@ -58,6 +60,19 @@ fn every_golden_vector_produces_its_exact_outcome() {
         checked += 1;
     }
     assert!(checked >= 20, "corpus shrank to {checked} vectors");
+}
+
+/// A vector added to the generator and not committed is not checked by
+/// anything; a committed line the generator no longer writes is checked
+/// against bytes nobody can rebuild.
+#[test]
+fn the_committed_corpus_is_what_the_generator_writes() {
+    assert!(
+        conformance::sni_vectors() == include_str!("vectors/sni_vectors.txt"),
+        "tests/vectors/sni_vectors.txt is not what the generator writes; review \
+         `hostprof chaos --gen-vectors | diff - tests/vectors/sni_vectors.txt`, then \
+         `hostprof chaos --gen-vectors > tests/vectors/sni_vectors.txt`"
+    );
 }
 
 /// The corpus must exercise both success shapes and a spread of error

@@ -16,6 +16,9 @@
 //! * `IvfFlat` construction is a pure function of `(matrix, params)`:
 //!   seeded splitmix64 initialization, Lloyd iterations with ties broken
 //!   toward the lower centroid index, lists stored in ascending row order.
+//!   Each pass assigns rows to centroids on every core, but each row is
+//!   scored alone and the centroid sums are added in row order on the
+//!   calling thread, so the core count never shows in the bits.
 //! * Probe selection and candidate selection run on the packed-key total
 //!   order, so equal scores break toward the lower list/row index and the
 //!   scan order never changes results. With `nprobe == nlists` every
@@ -25,6 +28,7 @@
 
 use crate::embedding::EmbeddingSet;
 use crate::knn::{self, KnnScratch, RowFilter};
+use crate::model::run_shares;
 use crate::simd;
 use serde::{Deserialize, Serialize};
 
@@ -218,7 +222,17 @@ impl IvfFlat {
     /// Build over `set`'s unit-norm matrix. Degenerate inputs never fail:
     /// an empty (or all-zero) vocabulary produces an index that matches
     /// nothing, and `nlists` is clamped to the non-zero row count.
+    ///
+    /// Each k-means pass assigns its rows on every core the process may
+    /// use; the index is the same bits for any core count.
     pub fn build(set: &EmbeddingSet, params: IvfParams) -> Self {
+        let workers = std::thread::available_parallelism().map_or(1, usize::from);
+        Self::build_with(set, params, KMEANS_TRAIN_CAP, workers)
+    }
+
+    /// [`Self::build`] with the k-means sample cap and the assignment's
+    /// worker count given.
+    fn build_with(set: &EmbeddingSet, params: IvfParams, train_cap: usize, workers: usize) -> Self {
         let dim = set.dim();
         let rows = set.len();
         let unit = set.unit_rows();
@@ -257,17 +271,23 @@ impl IvfFlat {
         let mut centroids = init_centroids(unit, dim, &nonzero, nlists, &mut rng);
 
         // --- Lloyd iterations on a stride sample (spherical k-means). ---
-        let stride = nonzero.len().div_ceil(KMEANS_TRAIN_CAP).max(1);
+        let stride = nonzero.len().div_ceil(train_cap).max(1);
         let train: Vec<u32> = nonzero.iter().copied().step_by(stride).collect();
+        // The list of each row of the pass; the sample's passes use a prefix.
+        let mut lists = vec![0u32; nonzero.len()];
         let mut sums = vec![0f32; nlists * dim];
         let mut counts = vec![0u32; nlists];
         for _ in 0..KMEANS_ITERS {
+            let train_lists = &mut lists[..train.len()];
+            assign(unit, dim, &centroids, &train, train_lists, workers);
             sums.fill(0.0);
             counts.fill(0);
-            for &row in &train {
-                let v = &unit[row as usize * dim..(row as usize + 1) * dim];
-                let list = nearest_centroid(&centroids, dim, v);
+            // Summed in row order whatever the worker count, so every float
+            // addition is the one-thread build's.
+            for (&row, &list) in train.iter().zip(train_lists.iter()) {
+                let (row, list) = (row as usize, list as usize);
                 counts[list] += 1;
+                let v = &unit[row * dim..(row + 1) * dim];
                 for (s, x) in sums[list * dim..(list + 1) * dim].iter_mut().zip(v) {
                     *s += x;
                 }
@@ -291,23 +311,20 @@ impl IvfFlat {
         }
 
         // --- Final assignment of every non-zero row, CSR by counting. ---
-        let mut assignment = vec![0u32; nonzero.len()];
-        let mut list_len = vec![0u32; nlists];
-        for (slot, &row) in nonzero.iter().enumerate() {
-            let v = &unit[row as usize * dim..(row as usize + 1) * dim];
-            let list = nearest_centroid(&centroids, dim, v) as u32;
-            assignment[slot] = list;
-            list_len[list as usize] += 1;
+        assign(unit, dim, &centroids, &nonzero, &mut lists, workers);
+        counts.fill(0);
+        for &list in &lists {
+            counts[list as usize] += 1;
         }
         let mut list_offsets = vec![0u32; nlists + 1];
         for list in 0..nlists {
-            list_offsets[list + 1] = list_offsets[list] + list_len[list];
+            list_offsets[list + 1] = list_offsets[list] + counts[list];
         }
         let mut cursor = list_offsets.clone();
         let mut list_rows = vec![0u32; nonzero.len()];
         // `nonzero` ascends, so each list's rows come out ascending too.
-        for (slot, &row) in nonzero.iter().enumerate() {
-            let list = assignment[slot] as usize;
+        for (&row, &list) in nonzero.iter().zip(&lists) {
+            let list = list as usize;
             list_rows[cursor[list] as usize] = row;
             cursor[list] += 1;
         }
@@ -338,8 +355,9 @@ impl IvfFlat {
         self.nprobe
     }
 
-    /// Clone of this index probing `nprobe` lists instead — lists and
-    /// centroids are shared work, so sweeps reuse one build.
+    /// Copy of this index probing `nprobe` lists instead, so a sweep pays
+    /// for one k-means build. It deep-copies the centroids, the lists and
+    /// their rows (≈ 11 MB at `batch-large` scale).
     pub fn with_nprobe(&self, nprobe: usize) -> Self {
         Self {
             dim: self.dim,
@@ -377,6 +395,25 @@ fn init_centroids(
         taken += 1;
     }
     centroids
+}
+
+/// `lists[i]` ← the [`nearest_centroid`] of row `rows[i]`, on `workers`
+/// contiguous shares ([`run_shares`]). Each row is scored alone, so
+/// `lists` does not depend on `workers`.
+fn assign(
+    unit: &[f32],
+    dim: usize,
+    centroids: &[f32],
+    rows: &[u32],
+    lists: &mut [u32],
+    workers: usize,
+) {
+    run_shares(workers, lists, |share, lists| {
+        for (list, &row) in lists.iter_mut().zip(&rows[share]) {
+            let v = &unit[row as usize * dim..(row as usize + 1) * dim];
+            *list = nearest_centroid(centroids, dim, v) as u32;
+        }
+    });
 }
 
 /// Index of the centroid with the largest dot product against `v`; exact
@@ -653,5 +690,231 @@ mod tests {
         assert_eq!(IndexConfig::default(), IndexConfig::Exact);
         assert_eq!(IndexConfig::ivf(4).kind(), "ivf");
         assert_eq!(IndexConfig::Exact.kind(), "exact");
+    }
+
+    /// The build before its assignment fanned out, verbatim but for the
+    /// sample cap: one loop on the calling thread, [`nearest_centroid`] per
+    /// row. The reference the fan-out is held to.
+    fn build_serial(set: &EmbeddingSet, params: IvfParams, train_cap: usize) -> IvfFlat {
+        let dim = set.dim();
+        let rows = set.len();
+        let unit = set.unit_rows();
+        let norms = set.row_norms();
+
+        let nonzero: Vec<u32> = (0..rows as u32)
+            .filter(|&i| norms[i as usize] > f32::EPSILON)
+            .collect();
+
+        let auto = (nonzero.len() as f64).sqrt() as usize;
+        let nlists = if params.nlists == 0 {
+            auto.clamp(1, 4096)
+        } else {
+            params.nlists
+        }
+        .clamp(1, nonzero.len().max(1));
+        let nprobe = params.nprobe.clamp(1, nlists);
+
+        if nonzero.is_empty() {
+            return IvfFlat {
+                dim,
+                rows,
+                nlists,
+                nprobe,
+                centroids: vec![0.0; nlists * dim],
+                list_offsets: vec![0; nlists + 1],
+                list_rows: Vec::new(),
+                list_data: Vec::new(),
+            };
+        }
+
+        let mut rng = params.seed ^ 0x5eed_c01d_ca5c_ade1;
+        let mut centroids = init_centroids(unit, dim, &nonzero, nlists, &mut rng);
+
+        let stride = nonzero.len().div_ceil(train_cap).max(1);
+        let train: Vec<u32> = nonzero.iter().copied().step_by(stride).collect();
+        let mut sums = vec![0f32; nlists * dim];
+        let mut counts = vec![0u32; nlists];
+        for _ in 0..KMEANS_ITERS {
+            sums.fill(0.0);
+            counts.fill(0);
+            for &row in &train {
+                let v = &unit[row as usize * dim..(row as usize + 1) * dim];
+                let list = nearest_centroid(&centroids, dim, v);
+                counts[list] += 1;
+                for (s, x) in sums[list * dim..(list + 1) * dim].iter_mut().zip(v) {
+                    *s += x;
+                }
+            }
+            for list in 0..nlists {
+                if counts[list] == 0 {
+                    continue;
+                }
+                let c = &mut centroids[list * dim..(list + 1) * dim];
+                c.copy_from_slice(&sums[list * dim..(list + 1) * dim]);
+                let n = simd::dot(c, c).sqrt();
+                if n > f32::EPSILON {
+                    for x in c.iter_mut() {
+                        *x /= n;
+                    }
+                }
+            }
+        }
+
+        let mut assignment = vec![0u32; nonzero.len()];
+        let mut list_len = vec![0u32; nlists];
+        for (slot, &row) in nonzero.iter().enumerate() {
+            let v = &unit[row as usize * dim..(row as usize + 1) * dim];
+            let list = nearest_centroid(&centroids, dim, v) as u32;
+            assignment[slot] = list;
+            list_len[list as usize] += 1;
+        }
+        let mut list_offsets = vec![0u32; nlists + 1];
+        for list in 0..nlists {
+            list_offsets[list + 1] = list_offsets[list] + list_len[list];
+        }
+        let mut cursor = list_offsets.clone();
+        let mut list_rows = vec![0u32; nonzero.len()];
+        for (slot, &row) in nonzero.iter().enumerate() {
+            let list = assignment[slot] as usize;
+            list_rows[cursor[list] as usize] = row;
+            cursor[list] += 1;
+        }
+        let mut list_data = Vec::with_capacity(list_rows.len() * dim);
+        for &row in &list_rows {
+            list_data.extend_from_slice(&unit[row as usize * dim..(row as usize + 1) * dim]);
+        }
+
+        IvfFlat {
+            dim,
+            rows,
+            nlists,
+            nprobe,
+            centroids,
+            list_offsets,
+            list_rows,
+            list_data,
+        }
+    }
+
+    /// A seeded matrix holding what an assignment can disagree on: every
+    /// 17th row zero; every 5th a scaled basis vector, whose unit row and
+    /// every mean of its copies are exact, and every 7th a copy of the row
+    /// before it, so duplicate centroids tie exactly; every 23rd with a ±∞
+    /// component, whose unit row holds a NaN and so scores NaN everywhere.
+    fn twin_set(rows: usize, dim: usize, rng: &mut u64) -> EmbeddingSet {
+        let mut vectors: Vec<f32> = Vec::with_capacity(rows * dim);
+        for r in 0..rows {
+            let start = vectors.len();
+            if r % 17 == 16 {
+                vectors.extend(std::iter::repeat_n(0.0, dim));
+            } else if r % 7 == 3 {
+                vectors.extend_from_within(start - dim..start);
+            } else if r % 5 == 2 {
+                vectors.extend((0..dim).map(|d| if d == r % dim { -3.0 } else { 0.0 }));
+            } else {
+                vectors
+                    .extend((0..dim).map(|_| (splitmix64(rng) >> 40) as f32 / 16_777_216.0 - 0.5));
+            }
+            if r % 23 == 11 && r % 17 != 16 {
+                vectors[start + r % dim] = if r % 2 == 0 {
+                    f32::INFINITY
+                } else {
+                    f32::NEG_INFINITY
+                };
+            }
+        }
+        let names: Vec<String> = (0..rows).map(|i| format!("h{i}.com")).collect();
+        let vocab = Vocab::build([names.iter().map(String::as_str)], 1, 0.0);
+        EmbeddingSet::new(dim, vocab, vectors)
+    }
+
+    /// An index's four buffers, floats as bits.
+    fn index_bits(ivf: &IvfFlat) -> [Vec<u32>; 4] {
+        [
+            ivf.centroids.iter().map(|x| x.to_bits()).collect(),
+            ivf.list_offsets.clone(),
+            ivf.list_rows.clone(),
+            ivf.list_data.iter().map(|x| x.to_bits()).collect(),
+        ]
+    }
+
+    /// The fanned-out build is its serial twin bit for bit on 1, 2, 3 and
+    /// 7 workers: dims on the AVX2 `dot` (8, 64), on it plus its scalar
+    /// tail (13, 100) and on the tail alone (1, 3); 1–600 rows; one list,
+    /// a list per row and a seeded count; the whole sample and a stride of
+    /// up to ten (a cap of 64 rows). Against the twin's centroids, a row
+    /// whose best score ties across lists sits in the lower list and a row
+    /// that scores NaN everywhere in list 0 — and both must occur.
+    #[test]
+    fn fanned_out_build_is_its_serial_twin_bit_for_bit() {
+        let mut rng = 0x7e57_f00du64;
+        let (mut ties, mut nan_rows) = (0usize, 0usize);
+        for dim in [1, 3, 8, 13, 64, 100] {
+            for case in 0..6u64 {
+                // A list per row costs rows² dots a pass: keep those small.
+                let rows = match case {
+                    0 => 600,
+                    1 | 4 => 1 + (splitmix64(&mut rng) % 200) as usize,
+                    _ => 1 + (splitmix64(&mut rng) % 600) as usize,
+                };
+                let set = twin_set(rows, dim, &mut rng);
+                let nonzero = set
+                    .row_norms()
+                    .iter()
+                    .filter(|&&n| n > f32::EPSILON)
+                    .count();
+                let nlists = match case % 3 {
+                    0 => 1,
+                    1 => rows,
+                    _ => 1 + (splitmix64(&mut rng) % nonzero as u64) as usize,
+                };
+                let train_cap = if case < 3 { 64 } else { KMEANS_TRAIN_CAP };
+                let params = IvfParams {
+                    nlists,
+                    nprobe: 1,
+                    seed: splitmix64(&mut rng),
+                };
+                let twin = build_serial(&set, params, train_cap);
+                for workers in [1, 2, 3, 7] {
+                    let fanned = IvfFlat::build_with(&set, params, train_cap, workers);
+                    assert_eq!(
+                        index_bits(&fanned),
+                        index_bits(&twin),
+                        "dim {dim}, {rows} rows, {nlists} lists, cap {train_cap}, {workers} workers"
+                    );
+                }
+
+                let unit = set.unit_rows();
+                for list in 0..twin.nlists {
+                    let span =
+                        twin.list_offsets[list] as usize..twin.list_offsets[list + 1] as usize;
+                    for &row in &twin.list_rows[span] {
+                        let v = &unit[row as usize * dim..(row as usize + 1) * dim];
+                        let scores: Vec<f32> = twin
+                            .centroids
+                            .chunks_exact(dim)
+                            .map(|c| simd::dot(c, v))
+                            .collect();
+                        let Some(best) = scores
+                            .iter()
+                            .copied()
+                            .filter(|s| !s.is_nan())
+                            .reduce(f32::max)
+                        else {
+                            nan_rows += 1;
+                            assert_eq!(list, 0, "row {row} scores NaN everywhere");
+                            continue;
+                        };
+                        let at_best = scores.iter().filter(|&&s| s == best).count();
+                        ties += usize::from(at_best > 1);
+                        let first = scores.iter().position(|&s| s == best);
+                        assert_eq!(Some(list), first, "row {row}: ties go to the lower list");
+                    }
+                }
+            }
+        }
+        eprintln!("twin: {ties} rows tied across lists, {nan_rows} rows scored NaN everywhere");
+        assert!(ties > 0, "no cross-list tie was exercised");
+        assert!(nan_rows > 0, "no NaN-scored row was exercised");
     }
 }

@@ -172,23 +172,41 @@ pub(crate) fn next_random(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_f491_4f6c_dd1d)
 }
 
-/// Run `worker(tid)` on `n_threads` scoped threads (inline when 1, which
-/// keeps the single-thread path free of spawn overhead and deterministic).
-fn run_workers<F: Fn(usize) + Sync>(n_threads: usize, worker: F) {
-    if n_threads == 1 {
-        worker(0);
-    } else {
-        if let Err(payload) = crossbeam::thread::scope(|s| {
-            for tid in 0..n_threads {
-                let worker_ref = &worker;
-                s.spawn(move |_| worker_ref(tid));
-            }
-        }) {
-            // Re-raise the worker's own panic payload rather than masking
-            // it behind a generic message.
-            std::panic::resume_unwind(payload);
-        }
+/// Run `work(range, out)` on `workers` contiguous shares of `out`, each
+/// with the index range of its share: all but the last on scoped threads,
+/// the last on the calling thread, which would otherwise only wait. The
+/// crate's one fan-out (training's workers and the IVF assignment).
+pub(crate) fn run_shares<T, F>(workers: usize, out: &mut [T], work: F)
+where
+    T: Send,
+    F: Fn(Range<usize>, &mut [T]) + Sync,
+{
+    let n = out.len();
+    if n == 0 {
+        return;
     }
+    let share = n.div_ceil(workers.clamp(1, n));
+    let last_start = (n - 1) / share * share;
+    let (spawned, last) = out.split_at_mut(last_start);
+    if let Err(payload) = crossbeam::thread::scope(|scope| {
+        for (i, slots) in spawned.chunks_mut(share).enumerate() {
+            let work = &work;
+            scope.spawn(move |_| work(i * share..(i + 1) * share, slots));
+        }
+        work(last_start..n, last);
+    }) {
+        // Re-raise the worker's own panic payload rather than masking it
+        // behind a generic message.
+        std::panic::resume_unwind(payload);
+    }
+}
+
+/// Run `worker(tid)` for every `tid < n_threads`, one share each (so one
+/// thread runs inline: no spawn, deterministic).
+fn run_workers<F: Fn(usize) + Sync>(n_threads: usize, worker: F) {
+    run_shares(n_threads, &mut vec![(); n_threads], |tids, _| {
+        worker(tids.start)
+    });
 }
 
 /// Per-worker mutable training state: RNG stream, learning rate, the
@@ -827,17 +845,20 @@ mod tests {
     #[test]
     fn worker_panics_propagate_with_their_payload() {
         // Regression: the scope result used to go through `.expect`, which
-        // replaced the worker's panic message with a generic one.
-        let result = std::panic::catch_unwind(|| {
-            run_workers(2, |tid| {
-                if tid == 1 {
-                    panic!("worker exploded: tid 1");
-                }
+        // replaced the worker's panic message with a generic one. Worker 0
+        // runs on a spawned thread, worker 1 on the calling one.
+        for panicking in 0..2 {
+            let result = std::panic::catch_unwind(|| {
+                run_workers(2, |tid| {
+                    if tid == panicking {
+                        panic!("worker exploded: tid {tid}");
+                    }
+                });
             });
-        });
-        let payload = result.expect_err("the worker panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
-        assert!(msg.contains("worker exploded"), "payload lost: {msg:?}");
+            let payload = result.expect_err("the worker panic must propagate");
+            let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("worker exploded"), "payload lost: {msg:?}");
+        }
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!   time, so each cache-sized block of the unit-norm matrix is loaded
 //!   once per sixteen session vectors and the worker's key buffers stay
 //!   sixteen rows deep however many sessions the tick brings;
-//! * **across workers**, sessions fan out over scoped threads
-//!   (`crossbeam::thread::scope`) with the caller working the last share
-//!   itself, each worker owning one reusable [`ProfileScratch`] — no
-//!   locks, no shared mutable state, results written straight into
-//!   disjoint output slices.
+//! * **across workers**, sessions fan out in contiguous shares on embed's
+//!   one scoped-thread fan-out ([`run_shares`], which training and the IVF
+//!   build use too) with the caller working the last share itself, each
+//!   worker owning one reusable [`ProfileScratch`] — no locks, no shared
+//!   mutable state, results written straight into disjoint output slices.
 //!
 //! Results are **exactly** those of calling [`Profiler::profile`] per
 //! session, in order: every entry point here and that one are the same
@@ -27,6 +27,7 @@
 
 use crate::profiler::{ProfileScratch, Profiler, ResolvedHost, SessionProfile};
 use crate::session::Session;
+use hostprof_embed::model::run_shares;
 use std::ops::Range;
 
 /// Fans batches of sessions across worker threads, each running the
@@ -87,39 +88,18 @@ impl<'a> BatchProfiler<'a> {
         })
     }
 
-    /// Split `0..n` into one contiguous share per worker and run `work` on
-    /// each with its slice of the output and a fresh scratch: all shares
-    /// but the last on scoped threads, the last on the calling thread,
-    /// which would otherwise only wait.
+    /// Run `work` on each worker's contiguous share of `0..n` with its
+    /// slice of the output and a fresh scratch, on embed's one fan-out
+    /// ([`run_shares`]).
     fn fan_out<F>(&self, n: usize, work: F) -> Vec<Option<SessionProfile>>
     where
         F: Fn(Range<usize>, &mut [Option<SessionProfile>], &mut ProfileScratch) + Sync,
     {
         let mut out: Vec<Option<SessionProfile>> = Vec::new();
         out.resize_with(n, || None);
-        if n == 0 {
-            return out;
-        }
-        let share = n.div_ceil(self.threads.min(n));
-        let last_start = (n - 1) / share * share;
-        let (spawned, last) = out.split_at_mut(last_start);
-        if let Err(payload) = crossbeam::thread::scope(|scope| {
-            for (i, slots) in spawned.chunks_mut(share).enumerate() {
-                let work = &work;
-                scope.spawn(move |_| {
-                    work(
-                        i * share..(i + 1) * share,
-                        slots,
-                        &mut ProfileScratch::new(),
-                    );
-                });
-            }
-            work(last_start..n, last, &mut ProfileScratch::new());
-        }) {
-            // Re-raise the worker's own panic payload rather than masking
-            // it behind a generic message.
-            std::panic::resume_unwind(payload);
-        }
+        run_shares(self.threads, &mut out, |share, out| {
+            work(share, out, &mut ProfileScratch::new())
+        });
         out
     }
 }

@@ -9,14 +9,6 @@ use crate::index::{ExactScan, NnIndex};
 use crate::knn::{KnnScratch, RowFilter};
 use crate::vocab::Vocab;
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::cell::RefCell;
-
-thread_local! {
-    /// Scratch for the convenience (non-`_with`) query methods, so one-off
-    /// callers stop paying a fresh scratch allocation per call. The `_with`
-    /// entry points never touch this, so no call path borrows it twice.
-    static LOCAL_SCRATCH: RefCell<KnnScratch> = RefCell::new(KnnScratch::new());
-}
 
 /// A frozen `|V| × d` embedding matrix with its vocabulary.
 ///
@@ -167,64 +159,22 @@ impl EmbeddingSet {
     /// The `n` tokens most cosine-similar to `query`, descending (exact
     /// similarity ties break toward the lower index). Zero-norm rows are
     /// skipped. Always the exact brute-force scan — the honest baseline an
-    /// approximate index is benchmarked against; pass an
-    /// [`crate::index::NnIndex`] to [`Self::nearest_to_vector_with_index`]
-    /// to opt into approximate search.
+    /// approximate index is benchmarked against. A one-shot convenience:
+    /// repeated or approximate searches go through
+    /// [`Self::nearest_to_vectors_filtered`] with an [`NnIndex`] and
+    /// reused scratch.
     pub fn nearest_to_vector(&self, query: &[f32], n: usize) -> Vec<(u32, f32)> {
-        LOCAL_SCRATCH.with(|s| self.nearest_to_vector_with(query, n, &mut s.borrow_mut()))
-    }
-
-    /// [`Self::nearest_to_vector`] with caller-owned scratch, so repeated
-    /// scans reuse the query and key buffers.
-    pub fn nearest_to_vector_with(
-        &self,
-        query: &[f32],
-        n: usize,
-        scratch: &mut KnnScratch,
-    ) -> Vec<(u32, f32)> {
-        self.nearest_to_vector_with_index(query, n, &ExactScan, scratch)
-    }
-
-    /// [`Self::nearest_to_vector`] through an explicit search index.
-    /// With [`ExactScan`] this is bit-identical to the plain scan.
-    pub fn nearest_to_vector_with_index(
-        &self,
-        query: &[f32],
-        n: usize,
-        index: &dyn NnIndex,
-        scratch: &mut KnnScratch,
-    ) -> Vec<(u32, f32)> {
-        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
-        let qn = crate::simd::dot(query, query).sqrt();
-        if qn <= f32::EPSILON || n == 0 {
-            return Vec::new();
-        }
-        // Move the buffer out so the index can borrow the scratch mutably
-        // alongside the query slice.
-        let mut qhat = std::mem::take(&mut scratch.qhat);
-        qhat.clear();
-        qhat.extend(query.iter().map(|x| x / qn));
-        let mut results = index.search(self, &qhat, n, None, scratch);
-        scratch.qhat = qhat;
+        let mut results = self.nearest_to_vectors_filtered(
+            &[query.to_vec()],
+            n,
+            &ExactScan,
+            None,
+            &mut KnnScratch::new(),
+        );
         results.pop().unwrap_or_default()
     }
 
-    /// Batched [`Self::nearest_to_vector`]: scores all queries against
-    /// each cache-sized tile of the vocabulary before moving to the next
-    /// tile. Zero-norm queries produce empty result rows. Output is
-    /// bit-for-bit identical to calling the single-query path per query —
-    /// both run the same kernel with the same per-pair operations.
-    pub fn nearest_to_vectors_with(
-        &self,
-        queries: &[Vec<f32>],
-        n: usize,
-        scratch: &mut KnnScratch,
-    ) -> Vec<Vec<(u32, f32)>> {
-        self.nearest_to_vectors_with_index(queries, n, &ExactScan, scratch)
-    }
-
-    /// Batched search through an explicit index; the search strategy never
-    /// changes the zero-query handling or result layout.
+    /// [`Self::nearest_to_vectors_filtered`] keeping every row.
     pub fn nearest_to_vectors_with_index(
         &self,
         queries: &[Vec<f32>],
@@ -235,8 +185,12 @@ impl EmbeddingSet {
         self.nearest_to_vectors_filtered(queries, n, index, None, scratch)
     }
 
-    /// [`Self::nearest_to_vectors_with_index`] returning, of each query's
-    /// top `n`, only the rows `filter` keeps (see [`NnIndex::search`]).
+    /// Batched search: each query's top `n` through `index`, of those
+    /// only the rows `filter` keeps (see [`NnIndex::search`]). The exact
+    /// scan scores all queries against each cache-sized tile of the
+    /// vocabulary before moving to the next tile; a query's result never
+    /// depends on the others in its batch. Zero-norm queries produce empty
+    /// result rows, whatever the index.
     pub fn nearest_to_vectors_filtered(
         &self,
         queries: &[Vec<f32>],
@@ -458,8 +412,9 @@ mod tests {
         assert!(res[0].0 < res[1].0 && res[1].0 < res[2].0, "{res:?}");
     }
 
-    /// The batched scan must agree with the one-query-at-a-time scan
-    /// bit-for-bit: same indices, same similarity bits.
+    /// A query's result must not depend on the batch around it: four
+    /// queries scanned together agree with each one alone, bit for bit —
+    /// same indices, same similarity bits.
     #[test]
     fn batched_knn_is_bit_identical_to_single_query() {
         let e = toy();
@@ -470,7 +425,8 @@ mod tests {
             vec![-1.0, 0.2],
         ];
         for n in [0, 1, 2, 100] {
-            let batched = e.nearest_to_vectors_with(&queries, n, &mut KnnScratch::new());
+            let batched =
+                e.nearest_to_vectors_with_index(&queries, n, &ExactScan, &mut KnnScratch::new());
             assert_eq!(batched.len(), queries.len());
             for (q, batch_row) in queries.iter().zip(&batched) {
                 let single = e.nearest_to_vector(q, n);
@@ -520,10 +476,14 @@ mod tests {
     #[test]
     fn scratch_reuse_is_transparent() {
         let e = toy();
-        let mut scratch = crate::KnnScratch::new();
-        let first = e.nearest_to_vector_with(&[1.0, 0.0], 4, &mut scratch);
-        let _ = e.nearest_to_vector_with(&[0.2, 0.9], 2, &mut scratch);
-        let again = e.nearest_to_vector_with(&[1.0, 0.0], 4, &mut scratch);
+        let mut scratch = KnnScratch::new();
+        let mut search = |q: Vec<f32>, n: usize| {
+            e.nearest_to_vectors_with_index(&[q], n, &ExactScan, &mut scratch)
+                .remove(0)
+        };
+        let first = search(vec![1.0, 0.0], 4);
+        let _ = search(vec![0.2, 0.9], 2);
+        let again = search(vec![1.0, 0.0], 4);
         assert_eq!(first, again);
         assert_eq!(first, e.nearest_to_vector(&[1.0, 0.0], 4));
     }

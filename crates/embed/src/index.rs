@@ -536,6 +536,18 @@ mod tests {
         EmbeddingSet::new(dim, vocab, vectors)
     }
 
+    /// One query's top `k` through `index`.
+    fn nearest(
+        set: &EmbeddingSet,
+        query: &[f32],
+        k: usize,
+        index: &dyn NnIndex,
+        scratch: &mut KnnScratch,
+    ) -> Vec<(u32, f32)> {
+        set.nearest_to_vectors_with_index(&[query.to_vec()], k, index, scratch)
+            .remove(0)
+    }
+
     #[test]
     fn exhaustive_probe_is_bit_identical_to_exact() {
         let set = clustered_set(300, 8, 7, 42);
@@ -551,8 +563,8 @@ mod tests {
         let mut s2 = KnnScratch::new();
         let query = vec![0.3f32; 8];
         for k in [1usize, 10, 299, 300, 400] {
-            let exact = set.nearest_to_vector_with(&query, k, &mut s1);
-            let approx = set.nearest_to_vector_with_index(&query, k, &ivf, &mut s2);
+            let exact = nearest(&set, &query, k, &ExactScan, &mut s1);
+            let approx = nearest(&set, &query, k, &ivf, &mut s2);
             assert_eq!(exact.len(), approx.len(), "k={k}");
             for (e, a) in exact.iter().zip(&approx) {
                 assert_eq!(e.0, a.0, "k={k}");
@@ -574,10 +586,10 @@ mod tests {
         );
         let mut scratch = KnnScratch::new();
         let query = vec![0.9f32, -0.1, 0.2, 0.0, 0.4, -0.3];
-        let full = set.nearest_to_vector_with(&query, 400, &mut scratch);
+        let full = nearest(&set, &query, 400, &ExactScan, &mut scratch);
         let by_row: std::collections::HashMap<u32, u32> =
             full.iter().map(|&(i, s)| (i, s.to_bits())).collect();
-        let approx = set.nearest_to_vector_with_index(&query, 25, &ivf, &mut scratch);
+        let approx = nearest(&set, &query, 25, &ivf, &mut scratch);
         assert!(!approx.is_empty());
         for w in approx.windows(2) {
             assert!(
@@ -603,7 +615,7 @@ mod tests {
         let ivf = IvfFlat::build(&set, IvfParams::default());
         assert_eq!(ivf.list_rows.len(), 1);
         let mut scratch = KnnScratch::new();
-        let got = set.nearest_to_vector_with_index(&[1.0, 0.0], 10, &ivf, &mut scratch);
+        let got = nearest(&set, &[1.0, 0.0], 10, &ivf, &mut scratch);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, set.vocab().get("a.com").unwrap());
     }
@@ -674,9 +686,8 @@ mod tests {
         assert_eq!(widened.nprobe(), 8);
         assert_eq!(base.list_rows, widened.list_rows);
         let mut s1 = KnnScratch::new();
-        let exact = set.nearest_to_vector_with(&[0.1, 0.2, 0.3, 0.4, 0.5], 9, &mut s1);
-        let exh =
-            set.nearest_to_vector_with_index(&[0.1, 0.2, 0.3, 0.4, 0.5], 9, &widened, &mut s1);
+        let exact = nearest(&set, &[0.1, 0.2, 0.3, 0.4, 0.5], 9, &ExactScan, &mut s1);
+        let exh = nearest(&set, &[0.1, 0.2, 0.3, 0.4, 0.5], 9, &widened, &mut s1);
         assert_eq!(exact, exh);
     }
 

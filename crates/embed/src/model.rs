@@ -174,9 +174,10 @@ pub(crate) fn next_random(state: &mut u64) -> u64 {
 
 /// Run `work(range, out)` on `workers` contiguous shares of `out`, each
 /// with the index range of its share: all but the last on scoped threads,
-/// the last on the calling thread, which would otherwise only wait. The
-/// crate's one fan-out (training's workers and the IVF assignment).
-pub(crate) fn run_shares<T, F>(workers: usize, out: &mut [T], work: F)
+/// the last on the calling thread, which would otherwise only wait; a
+/// worker's panic is re-raised with its own payload. The workspace's one
+/// fan-out: training's workers, the IVF assignment and `BatchProfiler`.
+pub fn run_shares<T, F>(workers: usize, out: &mut [T], work: F)
 where
     T: Send,
     F: Fn(Range<usize>, &mut [T]) + Sync,

@@ -17,7 +17,7 @@
 //!    regressions — a broken coarse quantizer, mis-ranked probes, lost
 //!    lists — never on noise, since the whole pipeline is deterministic.
 
-use hostprof_embed::{EmbeddingSet, ExactScan, IvfFlat, IvfParams, KnnScratch, Vocab};
+use hostprof_embed::{EmbeddingSet, ExactScan, IvfFlat, IvfParams, KnnScratch, NnIndex, Vocab};
 use proptest::prelude::*;
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -60,6 +60,18 @@ fn query(set: &EmbeddingSet, rng: &mut u64) -> Vec<f32> {
     (0..set.dim()).map(|_| unit_f32(rng)).collect()
 }
 
+/// One query's top `k` through `index`.
+fn nearest(
+    set: &EmbeddingSet,
+    query: &[f32],
+    k: usize,
+    index: &dyn NnIndex,
+    scratch: &mut KnnScratch,
+) -> Vec<(u32, f32)> {
+    set.nearest_to_vectors_with_index(&[query.to_vec()], k, index, scratch)
+        .remove(0)
+}
+
 proptest! {
     /// Guarantee 1: exhaustive probing ≡ exact scan, bit for bit. Each
     /// case checks three `k` regimes: 0 (empty result), the sampled `k`,
@@ -81,8 +93,8 @@ proptest! {
             let q = query(&set, &mut rng);
             let mut s_exact = KnnScratch::new();
             let mut s_ivf = KnnScratch::new();
-            let exact = set.nearest_to_vector_with_index(&q, k, &ExactScan, &mut s_exact);
-            let approx = set.nearest_to_vector_with_index(&q, k, &ivf, &mut s_ivf);
+            let exact = nearest(&set, &q, k, &ExactScan, &mut s_exact);
+            let approx = nearest(&set, &q, k, &ivf, &mut s_ivf);
             prop_assert_eq!(exact.len(), approx.len());
             for (e, a) in exact.iter().zip(&approx) {
                 prop_assert_eq!(e.0, a.0, "index order must match");
@@ -107,8 +119,8 @@ proptest! {
         let q = query(&set, &mut rng);
         let mut scratch = KnnScratch::new();
         let k = 20;
-        let approx = set.nearest_to_vector_with_index(&q, k, &ivf, &mut scratch);
-        let exact = set.nearest_to_vector_with_index(&q, rows, &ExactScan, &mut scratch);
+        let approx = nearest(&set, &q, k, &ivf, &mut scratch);
+        let exact = nearest(&set, &q, rows, &ExactScan, &mut scratch);
         for (row, sim) in &approx {
             let reference = exact
                 .iter()
@@ -152,8 +164,7 @@ fn recall_floor_on_seeded_50k_vocabulary() {
     let truth: Vec<Vec<u32>> = queries
         .iter()
         .map(|q| {
-            let mut ids: Vec<u32> = set
-                .nearest_to_vector_with_index(q, K, &ExactScan, &mut scratch)
+            let mut ids: Vec<u32> = nearest(&set, q, K, &ExactScan, &mut scratch)
                 .iter()
                 .map(|&(id, _)| id)
                 .collect();
@@ -166,7 +177,7 @@ fn recall_floor_on_seeded_50k_vocabulary() {
         let probed = ivf.with_nprobe(nprobe);
         let mut total = 0.0;
         for (q, t) in queries.iter().zip(&truth) {
-            let got = set.nearest_to_vector_with_index(q, K, &probed, &mut scratch);
+            let got = nearest(&set, q, K, &probed, &mut scratch);
             let hits = got
                 .iter()
                 .filter(|(id, _)| t.binary_search(id).is_ok())

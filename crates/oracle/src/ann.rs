@@ -25,7 +25,7 @@ use crate::{DiffReport, Mismatch, Stage};
 use hostprof_ads::{AdDatabase, CtrExperiment, ExperimentConfig};
 use hostprof_core::{PipelineConfig, Profiler, ProfilerConfig, Session};
 use hostprof_embed::{
-    EmbeddingSet, IndexConfig, KernelChoice, KnnScratch, SkipGram, SkipGramConfig,
+    EmbeddingSet, ExactScan, IndexConfig, KernelChoice, KnnScratch, SkipGram, SkipGramConfig,
 };
 use hostprof_synth::{
     Population, PopulationConfig, Trace, TraceConfig, UserId, World, WorldConfig,
@@ -245,13 +245,13 @@ pub fn ann_differential_run(cfg: &AnnConfig) -> AnnReport {
             compared += 1;
 
             // Stage knn: recall@N of the IVF retrieval.
-            let truth = embeddings.nearest_to_vector_with(&sv, cfg.n_neighbors, &mut scratch);
-            let approx = embeddings.nearest_to_vector_with_index(
-                &sv,
-                cfg.n_neighbors,
-                ivf.index(),
-                &mut scratch,
-            );
+            let query = std::slice::from_ref(&sv);
+            let truth = embeddings
+                .nearest_to_vectors_with_index(query, cfg.n_neighbors, &ExactScan, &mut scratch)
+                .remove(0);
+            let approx = embeddings
+                .nearest_to_vectors_with_index(query, cfg.n_neighbors, ivf.index(), &mut scratch)
+                .remove(0);
             let mut truth_ids: Vec<u32> = truth.iter().map(|&(i, _)| i).collect();
             truth_ids.sort_unstable();
             let hits = approx

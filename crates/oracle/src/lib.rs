@@ -13,7 +13,8 @@
 //!
 //! * [`defense`] — naive twin of every §15 defense transform: decoy
 //!   injection, padding schedules, ECH/DoH wire decisions, NAT folding
-//! * [`sni`] — TLS ClientHello / QUIC Initial SNI recovery (§4.1)
+//! * [`sni`] — TLS ClientHello SNI recovery (§4.1); QUIC's twin is the
+//!   exact-`Result` one in `hostprof-net`'s `tests/quic_walk.rs`
 //! * [`window`] — session windowing + dedup + blocklist filtering (§4.1)
 //! * [`sgd`] — skipgram-with-negative-sampling reference trainer (§4.2)
 //! * [`update`] — naive online-update reference: vocabulary growth with

@@ -1,13 +1,20 @@
-//! Naive SNI recovery from TLS ClientHello records and QUIC Initial
-//! packets (§4.1: the observer's only hostname source).
+//! Naive SNI recovery from TLS ClientHello records (§4.1: the observer's
+//! only hostname source).
 //!
 //! Deliberately simple byte walking with explicit offsets — no zero-copy
 //! reader abstraction. Returns `Option<String>`: `None` means "no name
 //! recoverable", collapsing absent (ECH, no extension), hidden, and
 //! malformed/truncated inputs. The driver compares this against the
-//! production parsers with `Result::ok().flatten()` applied, i.e. the
+//! production parser with `Result::ok().flatten()` applied, i.e. the
 //! property under test is *which hostname an observer writes down*, never
 //! fabricating one from bytes the strict parser rejects.
+//!
+//! QUIC has no twin here: `hostprof-net`'s `tests/quic_walk.rs` holds
+//! `extract_sni_from_quic` to an owned-parser twin down to the
+//! `ParseError` variant, which is strictly stronger than a name-or-none
+//! comparison. The tests below and [`crate::driver`]'s SNI stage check
+//! only what the observer writes down from a QUIC Initial: the name, or
+//! nothing from a cut.
 
 /// Read a big-endian u16 at `at`, if in bounds.
 fn be16(bytes: &[u8], at: usize) -> Option<usize> {
@@ -87,95 +94,10 @@ fn sni_extension_name(data: &[u8]) -> Option<String> {
     None
 }
 
-/// Decode one QUIC variable-length integer at `at`; returns (value,
-/// bytes consumed).
-fn varint(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
-    let first = *bytes.get(at)?;
-    let extra = match first >> 6 {
-        0 => 0usize,
-        1 => 1,
-        2 => 3,
-        _ => 7,
-    };
-    let mut v = (first & 0x3f) as u64;
-    for i in 0..extra {
-        v = v << 8 | *bytes.get(at + 1 + i)? as u64;
-    }
-    Some((v, 1 + extra))
-}
-
-/// Extract the server name from one QUIC v1 Initial packet: reassemble
-/// the CRYPTO stream, then parse the ClientHello inside it.
-pub fn quic_sni(datagram: &[u8]) -> Option<String> {
-    let first = *datagram.first()?;
-    // Long header, packet type Initial (bits 5-4 == 0), version 1.
-    if first & 0x80 == 0 || (first >> 4) & 0b11 != 0 {
-        return None;
-    }
-    let version = u32::from_be_bytes(datagram.get(1..5)?.try_into().ok()?);
-    if version != 1 {
-        return None;
-    }
-    let mut at = 5;
-    for _ in 0..2 {
-        // DCID then SCID: 1-byte length (≤ 20) + bytes.
-        let cid_len = *datagram.get(at)? as usize;
-        if cid_len > 20 {
-            return None;
-        }
-        datagram.get(at + 1..at + 1 + cid_len)?;
-        at += 1 + cid_len;
-    }
-    let (token_len, used) = varint(datagram, at)?;
-    at += used + token_len as usize;
-    let (payload_len, used) = varint(datagram, at)?;
-    at += used;
-    let payload = datagram.get(at..at + payload_len as usize)?;
-
-    // Collect CRYPTO frame segments, then require a gapless stream.
-    let mut segments: Vec<(u64, &[u8])> = Vec::new();
-    let mut at = 0;
-    while at < payload.len() {
-        let (frame_type, used) = varint(payload, at)?;
-        at += used;
-        match frame_type {
-            0x00 | 0x01 => {} // PADDING / PING
-            0x06 => {
-                let (offset, used) = varint(payload, at)?;
-                at += used;
-                let (len, used) = varint(payload, at)?;
-                at += used;
-                segments.push((offset, payload.get(at..at + len as usize)?));
-                at += len as usize;
-            }
-            _ => return None, // not expected in a cleartext Initial
-        }
-    }
-    segments.sort_by_key(|&(off, _)| off);
-    let mut crypto = Vec::new();
-    for (off, seg) in segments {
-        if off as usize != crypto.len() {
-            return None; // gap or overlap
-        }
-        crypto.extend_from_slice(seg);
-    }
-
-    // The crypto stream is a handshake message (no record layer): type 1,
-    // u24 length, ClientHello body. Reuse the TLS walker by prepending a
-    // synthetic record header.
-    if crypto.len() > u16::MAX as usize {
-        return None;
-    }
-    let mut record = vec![22, 0x03, 0x01];
-    record.extend_from_slice(&(crypto.len() as u16).to_be_bytes());
-    record.extend_from_slice(&crypto);
-    tls_sni(&record)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hostprof_net::quic::InitialPacket;
+    use hostprof_net::quic::{extract_sni_from_quic, InitialPacket};
     use hostprof_net::tls::ClientHello;
 
     #[test]
@@ -201,7 +123,10 @@ mod tests {
     #[test]
     fn recovers_name_from_quic_initial() {
         let pkt = InitialPacket::for_hostname("api.maps.example").encode();
-        assert_eq!(quic_sni(&pkt).as_deref(), Some("api.maps.example"));
+        assert_eq!(
+            extract_sni_from_quic(&pkt),
+            Ok(Some("api.maps.example".into()))
+        );
     }
 
     #[test]
@@ -211,7 +136,8 @@ mod tests {
         // bytes (or splits the frame) must not produce a name. Cuts that
         // only strip trailing PADDING legitimately still parse.
         for cut in 0..60 {
-            assert_eq!(quic_sni(&pkt[..cut]), None, "cut at {cut}");
+            let got = extract_sni_from_quic(&pkt[..cut]).ok().flatten();
+            assert_eq!(got, None, "cut at {cut}");
         }
     }
 }

@@ -25,58 +25,8 @@ use hostprof::defense::{Defense, DefensePlan, HostCatalog};
 use hostprof::net::{RequestEvent, TrafficSynthesizer, WireOverride};
 use hostprof_oracle::defense::diff_transform;
 
-const CASES: usize = 500;
-
-/// splitmix64: the per-case parameter stream.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Case seed `i` of a property's deterministic 500-seed schedule.
-fn case_seed(property: u64, i: usize) -> u64 {
-    let mut s = property
-        .wrapping_mul(0x2545_f491_4f6c_dd1d)
-        .wrapping_add(i as u64);
-    splitmix(&mut s)
-}
-
-/// Previously failing seeds, replayed before the fresh schedule.
-/// Line format: `cc 0123456789abcdef # what broke`.
-fn regression_seeds() -> Vec<u64> {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/regressions/defense_proptests.txt"
-    );
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("regression seed file {path} unreadable: {e}"));
-    let mut seeds = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        let Some(rest) = line.strip_prefix("cc ") else {
-            continue;
-        };
-        let hex = rest.split_whitespace().next().unwrap_or("");
-        let seed = u64::from_str_radix(hex, 16)
-            .unwrap_or_else(|e| panic!("bad regression seed {hex:?} in {path}: {e}"));
-        seeds.push(seed);
-    }
-    assert!(
-        !seeds.is_empty(),
-        "no `cc <seed>` entries in {path} — the regression net is gone"
-    );
-    seeds
-}
-
-/// All seeds a property runs: regressions first, then the schedule.
-fn schedule(property: u64) -> Vec<u64> {
-    let mut seeds = regression_seeds();
-    seeds.extend((0..CASES).map(|i| case_seed(property, i)));
-    seeds
-}
+mod common;
+use common::{schedule, splitmix};
 
 /// A random popularity catalog: `n` hosts with hash-drawn popularities
 /// (ties happen — 1-in-8 rows copy the previous popularity, exercising
@@ -143,7 +93,7 @@ fn any_defense(rng: &mut u64) -> Defense {
 
 #[test]
 fn defense_transform_matches_oracle_on_500_seeded_cases() {
-    for seed in schedule(0x00de_f311) {
+    for seed in schedule("defense_proptests", 0x00de_f311) {
         let mut rng = seed;
         let n_hosts = 2 + (splitmix(&mut rng) % 40) as usize;
         let c = catalog(&mut rng, n_hosts);
@@ -170,7 +120,7 @@ fn defense_transform_matches_oracle_on_500_seeded_cases() {
 #[test]
 fn identity_points_are_packet_level_noops_on_500_seeded_cases() {
     let synth = TrafficSynthesizer::default();
-    for seed in schedule(0x00de_f1de) {
+    for seed in schedule("defense_proptests", 0x00de_f1de) {
         let mut rng = seed;
         let n_hosts = 2 + (splitmix(&mut rng) % 30) as usize;
         let c = catalog(&mut rng, n_hosts);
@@ -219,7 +169,7 @@ fn identity_points_are_packet_level_noops_on_500_seeded_cases() {
 
 #[test]
 fn defenses_never_drop_or_reorder_real_events_on_500_seeded_cases() {
-    for seed in schedule(0x00de_fad5) {
+    for seed in schedule("defense_proptests", 0x00de_fad5) {
         let mut rng = seed;
         let n_hosts = 2 + (splitmix(&mut rng) % 40) as usize;
         let c = catalog(&mut rng, n_hosts);
@@ -278,7 +228,7 @@ fn defenses_never_drop_or_reorder_real_events_on_500_seeded_cases() {
 
 #[test]
 fn adoption_sweeps_are_nested_on_500_seeded_cases() {
-    for seed in schedule(0x00de_f5e7) {
+    for seed in schedule("defense_proptests", 0x00de_f5e7) {
         let mut rng = seed;
         let n_hosts = 2 + (splitmix(&mut rng) % 40) as usize;
         let c = catalog(&mut rng, n_hosts);

@@ -1,10 +1,10 @@
 //! Differential property tests: 500 seeded cases per property, oracle
 //! vs production. The vendored proptest crate has no failure
-//! persistence, so this suite rolls its own: every case is derived from
-//! a printable 16-hex-digit seed, failures panic with that seed, and
-//! `tests/regressions/differential_proptests.txt` holds previously
-//! failing seeds (`cc <seed> # note` lines) that are replayed *first*
-//! on every run.
+//! persistence, so the seeded suites roll their own (`tests/common`):
+//! every case is derived from a printable 16-hex-digit seed, failures
+//! panic with that seed, and `tests/regressions/differential_proptests.txt`
+//! holds previously failing seeds (`cc <seed> # note` lines) that are
+//! replayed *first* on every run.
 
 use hostprof::embed::{EmbeddingSet, Vocab};
 use hostprof::ontology::{CategoryId, CategoryVector, Ontology};
@@ -14,62 +14,13 @@ use hostprof::synth::{
 };
 use hostprof_oracle::{knn, profile, window};
 
-const CASES: usize = 500;
+mod common;
+use common::{schedule, splitmix};
+
 const DAY_MS: u64 = 86_400_000;
-
-/// splitmix64: the per-case parameter stream.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Case seed `i` of a property's deterministic 500-seed schedule.
-fn case_seed(property: u64, i: usize) -> u64 {
-    let mut s = property
-        .wrapping_mul(0x2545_f491_4f6c_dd1d)
-        .wrapping_add(i as u64);
-    splitmix(&mut s)
-}
 
 fn unit_f32(draw: u64) -> f32 {
     (draw >> 40) as f32 / (1u64 << 24) as f32
-}
-
-/// Previously failing seeds, replayed before the fresh schedule.
-/// Line format: `cc 0123456789abcdef # what broke`.
-fn regression_seeds() -> Vec<u64> {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/regressions/differential_proptests.txt"
-    );
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("regression seed file {path} unreadable: {e}"));
-    let mut seeds = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        let Some(rest) = line.strip_prefix("cc ") else {
-            continue;
-        };
-        let hex = rest.split_whitespace().next().unwrap_or("");
-        let seed = u64::from_str_radix(hex, 16)
-            .unwrap_or_else(|e| panic!("bad regression seed {hex:?} in {path}: {e}"));
-        seeds.push(seed);
-    }
-    assert!(
-        !seeds.is_empty(),
-        "no `cc <seed>` entries in {path} — the regression net is gone"
-    );
-    seeds
-}
-
-/// All seeds a property runs: regressions first, then the schedule.
-fn schedule(property: u64) -> Vec<u64> {
-    let mut seeds = regression_seeds();
-    seeds.extend((0..CASES).map(|i| case_seed(property, i)));
-    seeds
 }
 
 // ---------------------------------------------------------------------
@@ -108,7 +59,7 @@ fn session_windowing_matches_oracle_on_500_seeded_cases() {
     const BLOCKS: u64 = 4;
     let blocks: Vec<TraceBlock> = (0..BLOCKS).map(trace_block).collect();
 
-    for seed in schedule(0x5e55_1011) {
+    for seed in schedule("differential_proptests", 0x5e55_1011) {
         let mut rng = seed;
         let block = &blocks[(splitmix(&mut rng) % BLOCKS) as usize];
         let user = UserId(splitmix(&mut rng) as u32 % block.users);
@@ -157,7 +108,7 @@ fn session_windowing_matches_oracle_on_500_seeded_cases() {
 
 #[test]
 fn knn_top_n_matches_oracle_on_500_seeded_cases() {
-    for seed in schedule(0x6e61) {
+    for seed in schedule("differential_proptests", 0x6e61) {
         let mut rng = seed;
         let dim = 2 + (splitmix(&mut rng) % 2) as usize; // 2 or 3
         let nrows = 4 + (splitmix(&mut rng) % 45) as usize;
@@ -210,7 +161,7 @@ fn knn_top_n_matches_oracle_on_500_seeded_cases() {
 
 #[test]
 fn eq4_importances_match_oracle_on_500_seeded_cases() {
-    for seed in schedule(0xe943) {
+    for seed in schedule("differential_proptests", 0xe943) {
         let mut rng = seed;
         let dim = 3usize;
         let nrows = 6 + (splitmix(&mut rng) % 19) as usize;

@@ -55,58 +55,8 @@ use hostprof::profiling::{
 use hostprof_oracle::window;
 use std::collections::BTreeMap;
 
-const CASES: usize = 500;
-
-/// splitmix64: the per-case parameter stream.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Case seed `i` of a property's deterministic 500-seed schedule.
-fn case_seed(property: u64, i: usize) -> u64 {
-    let mut s = property
-        .wrapping_mul(0x2545_f491_4f6c_dd1d)
-        .wrapping_add(i as u64);
-    splitmix(&mut s)
-}
-
-/// Previously failing seeds, replayed before the fresh schedule.
-/// Line format: `cc 0123456789abcdef # what broke`.
-fn regression_seeds() -> Vec<u64> {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/regressions/streaming_equivalence.txt"
-    );
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("regression seed file {path} unreadable: {e}"));
-    let mut seeds = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        let Some(rest) = line.strip_prefix("cc ") else {
-            continue;
-        };
-        let hex = rest.split_whitespace().next().unwrap_or("");
-        let seed = u64::from_str_radix(hex, 16)
-            .unwrap_or_else(|e| panic!("bad regression seed {hex:?} in {path}: {e}"));
-        seeds.push(seed);
-    }
-    assert!(
-        !seeds.is_empty(),
-        "no `cc <seed>` entries in {path} — the regression net is gone"
-    );
-    seeds
-}
-
-/// All seeds a property runs: regressions first, then the schedule.
-fn schedule(property: u64) -> Vec<u64> {
-    let mut seeds = regression_seeds();
-    seeds.extend((0..CASES).map(|i| case_seed(property, i)));
-    seeds
-}
+mod common;
+use common::{schedule, splitmix};
 
 // ---------------------------------------------------------------------
 // Shared fixture: a tiny deterministic model over h0..h11.example plus
@@ -406,7 +356,7 @@ fn any_interleaving_matches_batch_on_500_seeded_cases() {
     // Far beyond any simulated timestamp: the watermark never advances,
     // so every tick fires at flush with the complete event set.
     let deferred = u64::MAX / 4;
-    for seed in schedule(0x57e0_0001) {
+    for seed in schedule("streaming_equivalence", 0x57e0_0001) {
         let mut rng = seed;
         let params = CaseParams::draw(&mut rng);
         let mut packets = workload(&mut rng);
@@ -450,7 +400,7 @@ fn any_interleaving_matches_batch_on_500_seeded_cases() {
 fn bounded_disorder_live_ticks_match_batch_on_500_seeded_cases() {
     let (embeddings, ontology) = tiny_model();
     let lateness = ServeConfig::default().lateness_ms;
-    for seed in schedule(0x57e0_0002) {
+    for seed in schedule("streaming_equivalence", 0x57e0_0002) {
         let mut rng = seed;
         let params = CaseParams::draw(&mut rng);
         let packets = workload(&mut rng);
@@ -564,7 +514,7 @@ fn observation_sessions_match_oracle_on_500_seeded_cases() {
     let blocklist = tracker_blocklist();
     let lateness = ServeConfig::default().lateness_ms;
     let mut emptied_out_total = 0usize;
-    for seed in schedule(0x57e0_0003) {
+    for seed in schedule("streaming_equivalence", 0x57e0_0003) {
         let mut rng = seed;
         let params = CaseParams::draw(&mut rng);
         let sent = observation_workload(&mut rng);

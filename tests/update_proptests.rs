@@ -23,58 +23,8 @@ use hostprof::embed::{KernelChoice, SkipGram, SkipGramConfig, Vocab};
 use hostprof_oracle::sgd::{build_vocab, SgdConfig};
 use hostprof_oracle::update::{diff_online, grow_vocab};
 
-const CASES: usize = 500;
-
-/// splitmix64: the per-case parameter stream.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Case seed `i` of a property's deterministic 500-seed schedule.
-fn case_seed(property: u64, i: usize) -> u64 {
-    let mut s = property
-        .wrapping_mul(0x2545_f491_4f6c_dd1d)
-        .wrapping_add(i as u64);
-    splitmix(&mut s)
-}
-
-/// Previously failing seeds, replayed before the fresh schedule.
-/// Line format: `cc 0123456789abcdef # what broke`.
-fn regression_seeds() -> Vec<u64> {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/regressions/update_proptests.txt"
-    );
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("regression seed file {path} unreadable: {e}"));
-    let mut seeds = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        let Some(rest) = line.strip_prefix("cc ") else {
-            continue;
-        };
-        let hex = rest.split_whitespace().next().unwrap_or("");
-        let seed = u64::from_str_radix(hex, 16)
-            .unwrap_or_else(|e| panic!("bad regression seed {hex:?} in {path}: {e}"));
-        seeds.push(seed);
-    }
-    assert!(
-        !seeds.is_empty(),
-        "no `cc <seed>` entries in {path} — the regression net is gone"
-    );
-    seeds
-}
-
-/// All seeds a property runs: regressions first, then the schedule.
-fn schedule(property: u64) -> Vec<u64> {
-    let mut seeds = regression_seeds();
-    seeds.extend((0..CASES).map(|i| case_seed(property, i)));
-    seeds
-}
+mod common;
+use common::{schedule, splitmix};
 
 /// A random hostname corpus drawn from a host-id range: sequence count,
 /// lengths, and the per-token host draw all come off the case stream.
@@ -134,7 +84,7 @@ fn production_config(cfg: &SgdConfig) -> SkipGramConfig {
 
 #[test]
 fn vocab_growth_matches_oracle_on_500_seeded_cases() {
-    for seed in schedule(0x0bca_b670) {
+    for seed in schedule("update_proptests", 0x0bca_b670) {
         let mut rng = seed;
         let base_seqs = 3 + (splitmix(&mut rng) % 6) as usize;
         let base = corpus(&mut rng, base_seqs, 0, 12);
@@ -207,7 +157,7 @@ fn vocab_growth_matches_oracle_on_500_seeded_cases() {
 
 #[test]
 fn incremental_sgd_matches_oracle_on_500_seeded_cases() {
-    for seed in schedule(0x5d60_0bda) {
+    for seed in schedule("update_proptests", 0x5d60_0bda) {
         let mut rng = seed;
         let cfg = sgd_config(&mut rng, seed);
         let initial_seqs = 4 + (splitmix(&mut rng) % 5) as usize;
@@ -242,7 +192,7 @@ fn incremental_sgd_matches_oracle_on_500_seeded_cases() {
 
 #[test]
 fn multi_round_updates_keep_ids_stable_and_replay_bitwise_on_500_seeded_cases() {
-    for seed in schedule(0x1d57_ab1e) {
+    for seed in schedule("update_proptests", 0x1d57_ab1e) {
         let mut rng = seed;
         let cfg = sgd_config(&mut rng, seed);
         let prod_cfg = production_config(&cfg);

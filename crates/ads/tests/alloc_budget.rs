@@ -13,40 +13,15 @@
 //! One `#[test]` only: the counter is process-wide, and a second test
 //! running beside it would be counted too.
 
+use counting_alloc::ALLOCATIONS;
 use hostprof_ads::{AdNetwork, AdNetworkConfig};
 use hostprof_synth::{HostId, HostKind, UserId, World, WorldConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator, counting every call that can hand out memory.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter has no effect on memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
 
 /// The most allocations any one of `window` visits makes once the user's
 /// window has been full for `window` visits already.

@@ -2,7 +2,7 @@
 //!
 //! [`SessionSource`] derives day-end sessions and SKIPGRAM training
 //! corpora from anything implementing [`TraceAccess`] — the columnar
-//! store or the legacy materialized trace — resolving interned host ids
+//! store, or a test's fixed trace — resolving interned host ids
 //! to `&str` only at the [`Session`] boundary. No intermediate
 //! `Vec<String>` is ever built, which is what keeps the 10⁶-user batch
 //! pass allocation-free up to the sessions themselves.

@@ -802,20 +802,12 @@ impl<'a> ServeEngine<'a> {
     /// Observer counters merged across every lane; the taxonomy invariant
     /// `parse_errors == taxonomy_total()` survives the merge.
     pub fn observer_stats(&self) -> ObserverStats {
-        let mut total = ObserverStats::default();
-        for lane in &self.lanes {
-            total.merge(&lane.stats());
-        }
-        total
+        ObserverStats::merged(self.lanes.iter().map(SniObserver::stats))
     }
 
     /// Flow-table counters merged across every lane.
     pub fn flow_stats(&self) -> FlowStats {
-        let mut total = FlowStats::default();
-        for lane in &self.lanes {
-            total.merge(&lane.flow_stats());
-        }
-        total
+        FlowStats::merged(self.lanes.iter().map(SniObserver::flow_stats))
     }
 }
 

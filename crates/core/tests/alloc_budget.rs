@@ -22,54 +22,15 @@
 //! One `#[test]` only: the counter is process-wide, and a second test
 //! running beside it would be counted too.
 
+use counting_alloc::{ALLOCATIONS, BYTES, LIVE, PEAK};
 use hostprof_core::{ModelVersion, ProfilerConfig, ServeConfig, ServeEngine, VersionedModel};
 use hostprof_embed::{EmbeddingSet, Vocab};
 use hostprof_ontology::{CategoryId, CategoryVector, Ontology};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-/// Bytes handed out (a `realloc` counts its new size).
-static BYTES: AtomicU64 = AtomicU64::new(0);
-/// Bytes handed out and not yet returned, and the most that ever was.
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator, counting every call that can hand out memory.
-struct Counting;
-
-fn took(bytes: usize) {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters have no effect on memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        took(layout.size());
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        took(layout.size());
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        took(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
 
 const INTERVAL_MS: u64 = 600_000;
 /// Sessions per tick: 40 per worker, so a key buffer per query and a

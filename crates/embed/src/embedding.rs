@@ -8,14 +8,13 @@
 use crate::index::{ExactScan, NnIndex};
 use crate::knn::{KnnScratch, RowFilter};
 use crate::vocab::Vocab;
-use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A frozen `|V| × d` embedding matrix with its vocabulary.
 ///
 /// Alongside the raw matrix, construction prepares a row-normalized copy
 /// (`unit`) so cosine kNN reduces to dot products against unit vectors —
 /// see [`crate::knn`]. The prepared view is derived state: it is rebuilt
-/// on deserialization rather than persisted.
+/// on load ([`crate::persist`]) rather than persisted.
 #[derive(Debug, Clone)]
 pub struct EmbeddingSet {
     dim: usize,
@@ -26,39 +25,6 @@ pub struct EmbeddingSet {
     norms: Vec<f32>,
     /// Unit-norm rows (zero rows stay zero), row-aligned with `vectors`.
     unit: Vec<f32>,
-}
-
-impl Serialize for EmbeddingSet {
-    fn to_value(&self) -> Value {
-        // Matches the former derived layout; `unit` is derived state.
-        Value::Map(vec![
-            ("dim".to_string(), self.dim.to_value()),
-            ("vocab".to_string(), self.vocab.to_value()),
-            ("vectors".to_string(), self.vectors.to_value()),
-            ("norms".to_string(), self.norms.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for EmbeddingSet {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| DeError::expected("object", "EmbeddingSet"))?;
-        let dim = usize::from_value(serde::map_get(map, "dim", "EmbeddingSet")?)?;
-        let vocab = Vocab::from_value(serde::map_get(map, "vocab", "EmbeddingSet")?)?;
-        let vectors = Vec::<f32>::from_value(serde::map_get(map, "vectors", "EmbeddingSet")?)?;
-        if vectors.len() != vocab.len() * dim {
-            return Err(DeError::custom(format!(
-                "EmbeddingSet shape mismatch: {} floats for {} x {}",
-                vectors.len(),
-                vocab.len(),
-                dim
-            )));
-        }
-        // Norms and the unit-norm view are recomputed from the matrix.
-        Ok(EmbeddingSet::new(dim, vocab, vectors))
-    }
 }
 
 impl EmbeddingSet {
@@ -375,8 +341,7 @@ mod tests {
     #[test]
     fn serde_roundtrip_preserves_queries() {
         let e = toy();
-        let json = serde_json::to_string(&e).unwrap();
-        let back: EmbeddingSet = serde_json::from_str(&json).unwrap();
+        let back = crate::persist::from_flat_bytes(&crate::persist::to_flat_bytes(&e)).unwrap();
         assert_eq!(back.len(), e.len());
         assert_eq!(back.cosine("a0", "a1"), e.cosine("a0", "a1"));
     }
@@ -459,9 +424,9 @@ mod tests {
                 assert_eq!(e.cosine_indices(a, b).to_bits(), expected.to_bits());
             }
         }
-        // And a serde roundtrip (which rebuilds the prepared view) keeps
+        // And a flat round trip (which rebuilds the prepared view) keeps
         // the same bits too.
-        let back: EmbeddingSet = serde_json::from_str(&serde_json::to_string(&e).unwrap()).unwrap();
+        let back = crate::persist::from_flat_bytes(&crate::persist::to_flat_bytes(&e)).unwrap();
         for a in 0..e.len() as u32 {
             for b in 0..e.len() as u32 {
                 assert_eq!(

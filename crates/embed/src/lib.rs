@@ -39,6 +39,7 @@ pub mod vocab;
 pub use config::{KernelChoice, SkipGramConfig};
 pub use corpus::CorpusBuffer;
 pub use embedding::EmbeddingSet;
+pub use hostprof_store::FlatError;
 pub use index::{ExactScan, IndexConfig, IvfFlat, IvfParams, NnIndex, DEFAULT_IVF_SEED};
 pub use knn::{KnnScratch, RowFilter};
 pub use model::{SkipGram, TrainStats, UpdateReport};

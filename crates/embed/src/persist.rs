@@ -1,14 +1,18 @@
-//! Flat-container persistence for trained embeddings.
+//! The one on-disk format of a trained model.
 //!
-//! The JSON serde path is fine for golden snapshots but quadratic-feeling
-//! at a 10⁵-token vocabulary (every f32 printed, reparsed, revalidated).
-//! This module writes an [`EmbeddingSet`] into the same mmap-friendly
-//! flat layout (`hostprof-store::flat`, DESIGN.md §13) the columnar trace
-//! store uses: aligned little-endian sections, vectors as raw f32 bit
-//! patterns, the vocabulary as one concatenated string arena plus an
-//! offsets column. Round-trips are bit-identical — norms and the
-//! unit-norm view are derived state and rebuilt on load, exactly as the
-//! serde path does.
+//! An [`EmbeddingSet`] is written into the same mmap-friendly flat
+//! container (`hostprof-store::flat`, `HPFLAT1\0`, DESIGN.md §13) the
+//! columnar trace store uses: aligned little-endian sections, vectors as
+//! raw f32 bit patterns, the vocabulary as one string table. Round-trips
+//! are bit-identical — norms and the unit-norm view are derived state and
+//! rebuilt on load.
+//!
+//! The decoder checks everything a caller indexes by: `vocab × dim` must
+//! not overflow and must be the matrix's length, the string table's
+//! offsets must be in order and on char boundaries, no token may repeat,
+//! and the counts must sum to the stored total. A corrupt or truncated
+//! buffer is a [`FlatError`], never a panic and never a model that panics
+//! later.
 
 use crate::embedding::EmbeddingSet;
 use crate::vocab::Vocab;
@@ -26,59 +30,49 @@ mod tag {
 /// Encode an embedding set into one flat buffer.
 pub fn to_flat_bytes(set: &EmbeddingSet) -> Vec<u8> {
     let vocab = set.vocab();
-    let mut arena = String::new();
-    let mut offs: Vec<u32> = Vec::with_capacity(vocab.len() + 1);
-    offs.push(0);
-    for (_, tok) in vocab.iter() {
-        arena.push_str(tok);
-        offs.push(arena.len() as u32);
-    }
-    let keep_bits: Vec<u64> = vocab.keep_probs().iter().map(|p| p.to_bits()).collect();
     let vectors: Vec<f32> = (0..vocab.len() as u32)
         .flat_map(|i| set.vector_by_index(i).iter().copied())
         .collect();
     let mut w = FlatWriter::new();
-    w.section_u64s(
-        tag::META,
-        &[set.dim() as u64, vocab.len() as u64, vocab.total_count()],
-    )
-    .section_str(tag::TOKENS, &arena)
-    .section_u32s(tag::TOKEN_OFFS, &offs)
-    .section_u64s(tag::COUNTS, vocab.counts())
-    .section_u64s(tag::KEEP, &keep_bits)
-    .section_f32s(tag::VECTORS, &vectors);
+    let meta = [set.dim() as u64, vocab.len() as u64, vocab.total_count()];
+    w.column(tag::META, &meta, u64::to_le_bytes)
+        .strings(tag::TOKENS, tag::TOKEN_OFFS, vocab.iter().map(|(_, t)| t))
+        .column(tag::COUNTS, vocab.counts(), u64::to_le_bytes)
+        .column(tag::KEEP, vocab.keep_probs(), f64::to_le_bytes)
+        .column(tag::VECTORS, &vectors, f32::to_le_bytes);
     w.finish()
 }
 
 /// Decode a buffer produced by [`to_flat_bytes`].
 pub fn from_flat_bytes(buf: &[u8]) -> Result<EmbeddingSet, FlatError> {
     let r = FlatReader::new(buf)?;
-    let meta = r.u64s(tag::META)?;
-    if meta.len() != 3 {
+    let meta = r.column(tag::META, u64::from_le_bytes)?;
+    let [dim, vlen, total_count] = meta[..] else {
         return Err(FlatError::BadSectionLen {
             tag: tag::META,
             len: meta.len(),
             elem: 3,
         });
-    }
-    let (dim, vlen, total_count) = (meta[0] as usize, meta[1] as usize, meta[2]);
-    let arena = r.str(tag::TOKENS)?;
-    let offs = r.u32s(tag::TOKEN_OFFS)?;
-    let counts = r.u64s(tag::COUNTS)?;
-    let keep: Vec<f64> = r.u64s(tag::KEEP)?.into_iter().map(f64::from_bits).collect();
-    let vectors = r.f32s(tag::VECTORS)?;
-    if offs.len() != vlen + 1
-        || counts.len() != vlen
-        || keep.len() != vlen
-        || vectors.len() != vlen * dim
+    };
+    let shape = |n: u64| usize::try_from(n).map_err(|_| FlatError::Inconsistent(tag::META));
+    let (dim, vlen) = (shape(dim)?, shape(vlen)?);
+    let floats = vlen
+        .checked_mul(dim)
+        .ok_or(FlatError::Inconsistent(tag::META))?;
+    let tokens = r.strings(tag::TOKENS, tag::TOKEN_OFFS)?;
+    let counts = r.column(tag::COUNTS, u64::from_le_bytes)?;
+    let keep = r.column(tag::KEEP, f64::from_le_bytes)?;
+    let vectors = r.column(tag::VECTORS, f32::from_le_bytes)?;
+    if tokens.len() != vlen || counts.len() != vlen || keep.len() != vlen || vectors.len() != floats
     {
         return Err(FlatError::Truncated);
     }
-    let tokens: Vec<String> = offs
-        .windows(2)
-        .map(|w| arena[w[0] as usize..w[1] as usize].to_string())
-        .collect();
-    let vocab = Vocab::from_parts(tokens, counts, keep, total_count);
+    if counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c)) != Some(total_count) {
+        return Err(FlatError::Inconsistent(tag::COUNTS));
+    }
+    let tokens = tokens.into_iter().map(String::from).collect();
+    let vocab = Vocab::from_parts(tokens, counts, keep, total_count)
+        .ok_or(FlatError::Inconsistent(tag::TOKENS))?;
     Ok(EmbeddingSet::new(dim, vocab, vectors))
 }
 
@@ -133,13 +127,35 @@ mod tests {
         assert_eq!(to_flat_bytes(&back), buf);
     }
 
+    /// Every prefix and every single-bit flip of a model decodes to an
+    /// error or to a model whose accessors stay in range: every token maps
+    /// back to its own row, and a search from row 0 runs.
     #[test]
     fn corrupt_buffers_error_cleanly() {
-        let e = trained();
-        let buf = to_flat_bytes(&e);
-        assert!(from_flat_bytes(&buf[..24]).is_err());
-        let mut bad = buf.clone();
-        bad[0] ^= 0xff;
-        assert!(from_flat_bytes(&bad).is_err());
+        let buf = to_flat_bytes(&trained());
+        let walk = |bytes: &[u8]| -> bool {
+            let Ok(e) = from_flat_bytes(bytes) else {
+                return false;
+            };
+            for i in 0..e.len() as u32 {
+                assert_eq!(e.vocab().get(e.vocab().token(i)), Some(i));
+            }
+            if !e.is_empty() {
+                e.nearest_to_vector(e.vector_by_index(0), 5);
+            }
+            true
+        };
+        assert!(walk(&buf));
+        for len in 0..buf.len() {
+            assert!(!walk(&buf[..len]), "a {len}-byte prefix decoded");
+        }
+        let mut decoded = 0;
+        for bit in 0..buf.len() * 8 {
+            let mut flipped = buf.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            decoded += walk(&flipped) as usize;
+        }
+        // Flips in vectors, keep probabilities and padding decode.
+        assert!(decoded > 0 && decoded < buf.len() * 8, "{decoded} decoded");
     }
 }

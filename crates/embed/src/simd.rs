@@ -10,9 +10,10 @@
 //! The training-side kernels are *fused* around the SGD sample shape
 //! (word2vec's negative-sampling update): for each (center, target) pair
 //! the trainer computes `f = h_c · h_o`, looks up `σ(f)`, and then applies
-//! `neu1e += g·h_o; h_o += g·h_c` in a single pass over the rows
-//! ([`fused_row_update`]) — both destination rows are loaded once and
-//! written once, instead of the scalar path's two dependent sweeps.
+//! `neu1e += g·h_o; h_o += g·h_c` in a single pass over the rows (the
+//! `fused_row_update_*` bodies) — both destination rows are loaded once
+//! and written once, instead of the scalar path's two dependent sweeps.
+//! Training reaches them only through [`train_pair`].
 
 /// Whether the process-wide dispatch selected the AVX2+FMA kernels.
 pub fn simd_accelerated() -> bool {
@@ -70,44 +71,13 @@ pub(crate) fn score_rows(qhat: &[f32], rows: &[f32], keys: &mut [u32], buckets: 
     }
 }
 
-/// `y += a · x`.
-#[inline]
-pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma_available() {
-        // SAFETY: feature-gated as above.
-        return unsafe { axpy_avx2_fma(y, a, x) };
-    }
-    axpy_portable(y, a, x);
-}
-
-/// The fused negative-sampling row update: with `g` already computed from
-/// the dot product and the sigmoid table,
-///
-/// ```text
-/// neu1e += g · h_o      (gradient accumulated for the center row)
-/// h_o   += g · h_c      (context row updated in place)
-/// ```
-///
-/// Both updates read `h_o`'s *pre-update* value, exactly like the scalar
-/// reference loop, and each row is loaded and stored once per sample.
-#[inline]
-pub fn fused_row_update(h_o: &mut [f32], h_c: &[f32], neu1e: &mut [f32], g: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma_available() {
-        // SAFETY: feature-gated as above.
-        return unsafe { fused_row_update_avx2_fma(h_o, h_c, neu1e, g) };
-    }
-    fused_row_update_portable(h_o, h_c, neu1e, g);
-}
-
 /// One whole (center, context) training pair — the positive sample and
 /// every negative, then the `h_c += neu1e` flush — behind a *single*
 /// dispatch boundary. Each `samples` entry is a context-matrix row pointer
 /// plus its label; for each one this computes `f = h_c·h_o`,
 /// `g = (label − σ(f))·lr` and applies the fused row update (the first
 /// sample *initializes* `neu1e`, so the buffer is never zeroed — see
-/// [`fused_row_update_init`]).
+/// `fused_row_update_init_portable`).
 ///
 /// Why a batched entry point: `#[target_feature]` kernels cannot inline
 /// into their callers, so with per-primitive dispatch a pair with K
@@ -187,22 +157,6 @@ unsafe fn train_pair_body(
         }
     }
     axpy_portable(hc, 1.0, neu1e);
-}
-
-/// [`fused_row_update`] for the *first* sample of a pair: writes
-/// `neu1e = g · h_o` instead of accumulating, so the caller never has to
-/// zero the buffer — one full store sweep and one load sweep saved per
-/// (center, context) pair. `0 + g·h_o` and a direct `g·h_o` store round
-/// identically, so this matches the accumulate-into-zeros path bit for
-/// bit.
-#[inline]
-pub fn fused_row_update_init(h_o: &mut [f32], h_c: &[f32], neu1e: &mut [f32], g: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma_available() {
-        // SAFETY: feature-gated as above.
-        return unsafe { fused_row_update_init_avx2_fma(h_o, h_c, neu1e, g) };
-    }
-    fused_row_update_init_portable(h_o, h_c, neu1e, g);
 }
 
 /// The eight lane sums of `R` FMA dots of `pa` against each of `pb`, over
@@ -355,6 +309,7 @@ unsafe fn score_rows_avx2_fma(
     r
 }
 
+/// [`axpy_portable`] in 8-lane FMA steps.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn axpy_avx2_fma(y: &mut [f32], a: f32, x: &[f32]) {
@@ -377,8 +332,9 @@ unsafe fn axpy_avx2_fma(y: &mut [f32], a: f32, x: &[f32]) {
     }
 }
 
-/// One 8-lane pass: load `h_o` and `h_c` once, produce both the `neu1e`
-/// accumulation and the in-place `h_o` update from the same registers.
+/// [`fused_row_update_portable`] in one 8-lane pass: load `h_o` and `h_c`
+/// once, produce both the `neu1e` accumulation and the in-place `h_o`
+/// update from the same registers.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn fused_row_update_avx2_fma(h_o: &mut [f32], h_c: &[f32], neu1e: &mut [f32], g: f32) {
@@ -407,8 +363,9 @@ unsafe fn fused_row_update_avx2_fma(h_o: &mut [f32], h_c: &[f32], neu1e: &mut [f
     }
 }
 
-/// [`fused_row_update_init`]'s AVX2 body: identical to the accumulating
-/// kernel except `neu1e` is written with a plain multiply (no load).
+/// [`fused_row_update_init_portable`]'s AVX2 body: identical to the
+/// accumulating kernel except `neu1e` is written with a plain multiply (no
+/// load).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn fused_row_update_init_avx2_fma(h_o: &mut [f32], h_c: &[f32], neu1e: &mut [f32], g: f32) {
@@ -461,6 +418,7 @@ fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
     ((acc0 + acc1) + (acc2 + acc3)) + tail
 }
 
+/// `y += a · x`.
 #[inline]
 fn axpy_portable(y: &mut [f32], a: f32, x: &[f32]) {
     debug_assert_eq!(y.len(), x.len());
@@ -479,6 +437,16 @@ fn axpy_portable(y: &mut [f32], a: f32, x: &[f32]) {
     }
 }
 
+/// The fused negative-sampling row update: with `g` already computed from
+/// the dot product and the sigmoid table,
+///
+/// ```text
+/// neu1e += g · h_o      (gradient accumulated for the center row)
+/// h_o   += g · h_c      (context row updated in place)
+/// ```
+///
+/// Both updates read `h_o`'s *pre-update* value, exactly like the scalar
+/// reference loop, and each row is loaded and stored once per sample.
 #[inline]
 fn fused_row_update_portable(h_o: &mut [f32], h_c: &[f32], neu1e: &mut [f32], g: f32) {
     debug_assert_eq!(h_o.len(), h_c.len());
@@ -490,6 +458,12 @@ fn fused_row_update_portable(h_o: &mut [f32], h_c: &[f32], neu1e: &mut [f32], g:
     }
 }
 
+/// [`fused_row_update_portable`] for the *first* sample of a pair: writes
+/// `neu1e = g · h_o` instead of accumulating, so the caller never has to
+/// zero the buffer — one full store sweep and one load sweep saved per
+/// (center, context) pair. `0 + g·h_o` and a direct `g·h_o` store round
+/// identically, so this matches the accumulate-into-zeros path bit for
+/// bit.
 #[inline]
 fn fused_row_update_init_portable(h_o: &mut [f32], h_c: &[f32], neu1e: &mut [f32], g: f32) {
     debug_assert_eq!(h_o.len(), h_c.len());
@@ -561,59 +535,94 @@ mod tests {
         }
     }
 
+    type RowUpdate = unsafe fn(&mut [f32], &[f32], &mut [f32], f32);
+    type Kernels = (unsafe fn(&mut [f32], f32, &[f32]), RowUpdate, RowUpdate);
+
+    /// `(axpy, fused_row_update, fused_row_update_init)`: the portable
+    /// bodies, and the AVX2 ones when this CPU has them.
+    fn kernels() -> Vec<Kernels> {
+        let portable: Kernels = (
+            axpy_portable,
+            fused_row_update_portable,
+            fused_row_update_init_portable,
+        );
+        #[cfg(target_arch = "x86_64")]
+        if avx2_fma_available() {
+            let avx2: Kernels = (
+                axpy_avx2_fma,
+                fused_row_update_avx2_fma,
+                fused_row_update_init_avx2_fma,
+            );
+            return vec![portable, avx2];
+        }
+        vec![portable]
+    }
+
     #[test]
     fn axpy_matches_scalar_reference() {
-        for n in [0, 1, 7, 8, 9, 31, 32, 100] {
-            let (x, y0, _) = vecs(n);
-            let mut fast = y0.clone();
-            axpy(&mut fast, 0.3, &x);
-            let mut slow = y0.clone();
-            for i in 0..n {
-                slow[i] += 0.3 * x[i];
-            }
-            for i in 0..n {
-                assert!((fast[i] - slow[i]).abs() < 1e-5, "n={n} i={i}");
+        for (axpy, _, _) in kernels() {
+            for n in [0, 1, 7, 8, 9, 31, 32, 100] {
+                let (x, y0, _) = vecs(n);
+                let mut fast = y0.clone();
+                // SAFETY: `kernels` offers the AVX2 bodies only where the
+                // CPU has the features; lengths match.
+                unsafe { axpy(&mut fast, 0.3, &x) };
+                let mut slow = y0.clone();
+                for i in 0..n {
+                    slow[i] += 0.3 * x[i];
+                }
+                for i in 0..n {
+                    assert!((fast[i] - slow[i]).abs() < 1e-5, "n={n} i={i}");
+                }
             }
         }
     }
 
     #[test]
     fn fused_row_update_matches_scalar_reference() {
-        for n in [0, 1, 5, 8, 16, 17, 100] {
-            let (c, o0, e0) = vecs(n);
-            let g = -0.125f32;
-            let mut o_fast = o0.clone();
-            let mut e_fast = e0.clone();
-            fused_row_update(&mut o_fast, &c, &mut e_fast, g);
-            // Scalar reference: both updates read h_o's pre-update value.
-            let mut o_slow = o0.clone();
-            let mut e_slow = e0.clone();
-            for i in 0..n {
-                let o = o_slow[i];
-                e_slow[i] += g * o;
-                o_slow[i] = o + g * c[i];
-            }
-            for i in 0..n {
-                assert!((o_fast[i] - o_slow[i]).abs() < 1e-5, "h_o n={n} i={i}");
-                assert!((e_fast[i] - e_slow[i]).abs() < 1e-5, "neu1e n={n} i={i}");
+        for (_, fused_row_update, _) in kernels() {
+            for n in [0, 1, 5, 8, 16, 17, 100] {
+                let (c, o0, e0) = vecs(n);
+                let g = -0.125f32;
+                let mut o_fast = o0.clone();
+                let mut e_fast = e0.clone();
+                // SAFETY: as in `axpy_matches_scalar_reference`.
+                unsafe { fused_row_update(&mut o_fast, &c, &mut e_fast, g) };
+                // Scalar reference: both updates read h_o's pre-update value.
+                let mut o_slow = o0.clone();
+                let mut e_slow = e0.clone();
+                for i in 0..n {
+                    let o = o_slow[i];
+                    e_slow[i] += g * o;
+                    o_slow[i] = o + g * c[i];
+                }
+                for i in 0..n {
+                    assert!((o_fast[i] - o_slow[i]).abs() < 1e-5, "h_o n={n} i={i}");
+                    assert!((e_fast[i] - e_slow[i]).abs() < 1e-5, "neu1e n={n} i={i}");
+                }
             }
         }
     }
 
     #[test]
     fn fused_init_equals_accumulate_into_zeros() {
-        for n in [0, 1, 5, 8, 16, 17, 100] {
-            let (c, o0, _) = vecs(n);
-            let g = 0.375f32;
-            let mut o_init = o0.clone();
-            let mut e_init = vec![f32::NAN; n]; // must be fully overwritten
-            fused_row_update_init(&mut o_init, &c, &mut e_init, g);
-            let mut o_acc = o0.clone();
-            let mut e_acc = vec![0f32; n];
-            fused_row_update(&mut o_acc, &c, &mut e_acc, g);
-            for i in 0..n {
-                assert_eq!(o_init[i].to_bits(), o_acc[i].to_bits(), "h_o n={n} i={i}");
-                assert_eq!(e_init[i].to_bits(), e_acc[i].to_bits(), "neu1e n={n} i={i}");
+        for (_, fused_row_update, fused_row_update_init) in kernels() {
+            for n in [0, 1, 5, 8, 16, 17, 100] {
+                let (c, o0, _) = vecs(n);
+                let g = 0.375f32;
+                let mut o_init = o0.clone();
+                let mut e_init = vec![f32::NAN; n]; // must be fully overwritten
+                let mut o_acc = o0.clone();
+                let mut e_acc = vec![0f32; n];
+                // SAFETY: as in `axpy_matches_scalar_reference`.
+                unsafe {
+                    fused_row_update_init(&mut o_init, &c, &mut e_init, g);
+                    fused_row_update(&mut o_acc, &c, &mut e_acc, g);
+                }
+                for i in 0..n {
+                    assert_eq!(o_init[i].to_bits(), o_acc[i].to_bits(), "h_o n={n} i={i}");
+                    assert_eq!(e_init[i].to_bits(), e_acc[i].to_bits(), "neu1e n={n} i={i}");
+                }
             }
         }
     }

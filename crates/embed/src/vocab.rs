@@ -1,11 +1,10 @@
 //! Token vocabulary with counts, min-count filtering and subsampling.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A frozen vocabulary: token ↔ dense index, plus corpus counts and the
 /// per-token *keep probability* used for frequent-token subsampling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vocab {
     tokens: Vec<String>,
     counts: Vec<u64>,
@@ -168,29 +167,29 @@ impl Vocab {
         &self.keep_prob
     }
 
-    /// Reassemble a vocabulary from persisted parts — the flat-container
-    /// counterpart of the serde `Deserialize` path. Token order defines
-    /// the dense indices, exactly as stored.
+    /// Reassemble a vocabulary from persisted parts ([`crate::persist`]).
+    /// Token order defines the dense indices, exactly as stored; `None`
+    /// when a token repeats, since its index would be ambiguous.
     pub(crate) fn from_parts(
         tokens: Vec<String>,
         counts: Vec<u64>,
         keep_prob: Vec<f64>,
         total_count: u64,
-    ) -> Self {
+    ) -> Option<Self> {
         assert_eq!(tokens.len(), counts.len());
         assert_eq!(tokens.len(), keep_prob.len());
-        let index = tokens
+        let index: HashMap<String, u32> = tokens
             .iter()
             .enumerate()
             .map(|(i, t)| (t.clone(), i as u32))
             .collect();
-        Self {
+        (index.len() == tokens.len()).then_some(Self {
             tokens,
             counts,
             index,
             keep_prob,
             total_count,
-        }
+        })
     }
 }
 

@@ -81,21 +81,16 @@ pub struct FlowStats {
 }
 
 impl FlowStats {
-    /// Fold another table's counters into this one: all fields are plain
-    /// sums, so N per-lane flow tables merge into one aggregate view (the
-    /// serving loop's taxonomy report depends on this).
-    pub fn merge(&mut self, other: &FlowStats) {
-        self.flows_created += other.flows_created;
-        self.flows_evicted += other.flows_evicted;
-        self.packets += other.packets;
-        self.bytes += other.bytes;
-    }
-
-    /// [`merge`](Self::merge) over any number of per-lane stats.
-    pub fn merged<'a, I: IntoIterator<Item = &'a FlowStats>>(lanes: I) -> FlowStats {
+    /// Fold per-lane tables' counters into one: all fields are plain sums,
+    /// so N per-lane flow tables merge into one aggregate view (the serving
+    /// loop's taxonomy report depends on this).
+    pub fn merged(lanes: impl IntoIterator<Item = FlowStats>) -> FlowStats {
         let mut total = FlowStats::default();
         for s in lanes {
-            total.merge(s);
+            total.flows_created += s.flows_created;
+            total.flows_evicted += s.flows_evicted;
+            total.packets += s.packets;
+            total.bytes += s.bytes;
         }
         total
     }
@@ -335,7 +330,7 @@ mod tests {
         a.evict_idle(10_000);
         let mut b = FlowTable::default();
         b.observe(&pkt(0, 5002, b"fgh"));
-        let merged = FlowStats::merged([&a.stats(), &b.stats()]);
+        let merged = FlowStats::merged([a.stats(), b.stats()]);
         assert_eq!(merged.packets, 3);
         assert_eq!(merged.bytes, 8);
         assert_eq!(merged.flows_created, 3);

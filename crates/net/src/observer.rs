@@ -571,35 +571,30 @@ impl ObserverStats {
             + self.garbage
     }
 
-    /// Fold another observer's counters into this one. Every field is a
-    /// plain sum, so merging preserves the taxonomy invariant: if
-    /// `parse_errors == taxonomy_total()` holds for both inputs it holds
-    /// for the merge. The serving loop uses this to report one aggregate
-    /// taxonomy across N per-lane observers.
-    pub fn merge(&mut self, other: &ObserverStats) {
-        self.packets += other.packets;
-        self.tls_sni += other.tls_sni;
-        self.quic_sni += other.quic_sni;
-        self.dns_names += other.dns_names;
-        self.hidden += other.hidden;
-        self.parse_errors += other.parse_errors;
-        self.reassembled += other.reassembled;
-        self.skipped_non_initial += other.skipped_non_initial;
-        self.truncated_records += other.truncated_records;
-        self.bad_lengths += other.bad_lengths;
-        self.reassembly_overflow += other.reassembly_overflow;
-        self.evicted_mid_handshake += other.evicted_mid_handshake;
-        self.garbage += other.garbage;
-        self.reassembly_invariant += other.reassembly_invariant;
-    }
-
-    /// [`merge`](Self::merge) over any number of per-lane stats.
-    pub fn merged<'a, I: IntoIterator<Item = &'a ObserverStats>>(lanes: I) -> ObserverStats {
-        let mut total = ObserverStats::default();
+    /// Fold per-lane observers' counters into one. Every field is a plain
+    /// sum, so merging preserves the taxonomy invariant: if `parse_errors
+    /// == taxonomy_total()` holds for every input it holds for the merge.
+    /// The serving loop uses this to report one aggregate taxonomy across N
+    /// per-lane observers.
+    pub fn merged(lanes: impl IntoIterator<Item = ObserverStats>) -> ObserverStats {
+        let mut t = ObserverStats::default();
         for s in lanes {
-            total.merge(s);
+            t.packets += s.packets;
+            t.tls_sni += s.tls_sni;
+            t.quic_sni += s.quic_sni;
+            t.dns_names += s.dns_names;
+            t.hidden += s.hidden;
+            t.parse_errors += s.parse_errors;
+            t.reassembled += s.reassembled;
+            t.skipped_non_initial += s.skipped_non_initial;
+            t.truncated_records += s.truncated_records;
+            t.bad_lengths += s.bad_lengths;
+            t.reassembly_overflow += s.reassembly_overflow;
+            t.evicted_mid_handshake += s.evicted_mid_handshake;
+            t.garbage += s.garbage;
+            t.reassembly_invariant += s.reassembly_invariant;
         }
-        total
+        t
     }
 }
 
@@ -1007,7 +1002,7 @@ mod tests {
         for lane in [&lane_a, &lane_b] {
             assert_eq!(lane.stats().taxonomy_total(), lane.stats().parse_errors);
         }
-        let merged = ObserverStats::merged([&lane_a.stats(), &lane_b.stats()]);
+        let merged = ObserverStats::merged([lane_a.stats(), lane_b.stats()]);
         assert_eq!(merged.parse_errors, 2);
         assert_eq!(merged.garbage, 1);
         assert_eq!(merged.truncated_records, 1);

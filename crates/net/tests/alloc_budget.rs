@@ -20,39 +20,14 @@
 //! running beside it would be counted too.
 
 use bytes::Bytes;
+use counting_alloc::ALLOCATIONS;
 use hostprof_net::quic::{decode_varint, encode_varint, InitialPacket};
 use hostprof_net::tls::ClientHello;
 use hostprof_net::{Endpoint, Packet, SniObserver, Transport};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator, counting every call that can hand out memory.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter has no effect on memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
 
 const N: usize = 1_000;
 /// What the flow table may add: a doubling allocates once, and N flows

@@ -113,59 +113,68 @@ impl TraceColumns {
 
     /// Serialize to the flat container layout (DESIGN.md §13).
     pub fn to_flat_bytes(&self) -> Vec<u8> {
-        let mut names = String::new();
-        let mut name_offs: Vec<u32> = Vec::with_capacity(self.interner.len() + 1);
-        name_offs.push(0);
-        for name in self.interner.iter() {
-            names.push_str(name);
-            name_offs.push(names.len() as u32);
-        }
         let mut w = FlatWriter::new();
-        w.section_u64s(
-            tag::META,
-            &[
-                self.num_users() as u64,
-                self.days as u64,
-                self.num_events() as u64,
-            ],
-        )
-        .section_u64s(tag::USER_STARTS, &self.user_starts)
-        .section_u32s(tag::T_MS, &self.t_ms)
-        .section_u32s(tag::HOST, &self.host)
-        .section_u32s(tag::WIRE, &self.wire_bytes)
-        .section_str(tag::NAMES, &names)
-        .section_u32s(tag::NAME_OFFS, &name_offs);
+        let meta = [self.num_users(), self.days as usize, self.num_events()].map(|n| n as u64);
+        w.column(tag::META, &meta, u64::to_le_bytes)
+            .column(tag::USER_STARTS, &self.user_starts, u64::to_le_bytes)
+            .column(tag::T_MS, &self.t_ms, u32::to_le_bytes)
+            .column(tag::HOST, &self.host, u32::to_le_bytes)
+            .column(tag::WIRE, &self.wire_bytes, u32::to_le_bytes)
+            .strings(tag::NAMES, tag::NAME_OFFS, self.interner.iter());
         w.finish()
     }
 
     /// Deserialize from [`Self::to_flat_bytes`] output. Round-trips
     /// bit-identically (ids, order and name spellings all preserved).
+    ///
+    /// Everything the accessors index by is checked — the CSR offsets
+    /// start at 0, never decrease and end at the event count; each user's
+    /// times ascend; host ids are below the name table's length; no name
+    /// repeats; `days` fits a `u32` — so a corrupt buffer is a
+    /// [`FlatError`], never a store that panics later.
     pub fn from_flat_bytes(buf: &[u8]) -> Result<Self, FlatError> {
         let r = FlatReader::new(buf)?;
-        let meta = r.u64s(tag::META)?;
-        if meta.len() != 3 {
+        let meta = r.column(tag::META, u64::from_le_bytes)?;
+        let [num_users, days, num_events] = meta[..] else {
             return Err(FlatError::BadSectionLen {
                 tag: tag::META,
                 len: meta.len(),
                 elem: 3,
             });
-        }
-        let user_starts = r.u64s(tag::USER_STARTS)?;
-        let t_ms = r.u32s(tag::T_MS)?;
-        let host = r.u32s(tag::HOST)?;
-        let wire_bytes = r.u32s(tag::WIRE)?;
-        let names = r.str(tag::NAMES)?;
-        let name_offs = r.u32s(tag::NAME_OFFS)?;
-        if user_starts.len() != meta[0] as usize + 1
-            || t_ms.len() != meta[2] as usize
+        };
+        let user_starts = r.column(tag::USER_STARTS, u64::from_le_bytes)?;
+        let t_ms = r.column(tag::T_MS, u32::from_le_bytes)?;
+        let host = r.column(tag::HOST, u32::from_le_bytes)?;
+        let wire_bytes = r.column(tag::WIRE, u32::from_le_bytes)?;
+        let names = r.strings(tag::NAMES, tag::NAME_OFFS)?;
+        if (user_starts.len() as u64).checked_sub(1) != Some(num_users)
+            || t_ms.len() as u64 != num_events
             || host.len() != t_ms.len()
             || wire_bytes.len() != t_ms.len()
         {
             return Err(FlatError::Truncated);
         }
+        let days = u32::try_from(days).map_err(|_| FlatError::Inconsistent(tag::META))?;
+        if user_starts.first() != Some(&0)
+            || !user_starts.is_sorted()
+            || user_starts.last() != Some(&num_events)
+        {
+            return Err(FlatError::Inconsistent(tag::USER_STARTS));
+        }
+        if user_starts
+            .windows(2)
+            .any(|w| !t_ms[w[0] as usize..w[1] as usize].is_sorted())
+        {
+            return Err(FlatError::Inconsistent(tag::T_MS));
+        }
         let mut interner = HostInterner::new();
-        for w in name_offs.windows(2) {
-            interner.intern(&names[w[0] as usize..w[1] as usize]);
+        for (id, name) in names.into_iter().enumerate() {
+            if interner.intern(name) as usize != id {
+                return Err(FlatError::Inconsistent(tag::NAMES));
+            }
+        }
+        if host.iter().any(|&h| h as usize >= interner.len()) {
+            return Err(FlatError::Inconsistent(tag::HOST));
         }
         Ok(Self {
             user_starts,
@@ -173,7 +182,7 @@ impl TraceColumns {
             host,
             wire_bytes,
             interner,
-            days: meta[1] as u32,
+            days,
         })
     }
 }
@@ -404,6 +413,51 @@ mod tests {
         }
         // Deterministic encoding: same store, same bytes.
         assert_eq!(back.to_flat_bytes(), buf);
+    }
+
+    /// Every prefix and every single-bit flip of a store's flat bytes
+    /// decodes to an error or to a store every accessor can walk: each
+    /// user's windows, spans and day sequences, and the name behind every
+    /// host id the user visited.
+    #[test]
+    fn corrupt_flat_bytes_error_cleanly() {
+        let buf = sample().to_flat_bytes();
+        let walk = |bytes: &[u8]| -> bool {
+            let Ok(c) = TraceColumns::from_flat_bytes(bytes) else {
+                return false;
+            };
+            let mut out = Vec::new();
+            let times = [0, 100, 500, 1_200, 1_300, u32::MAX as u64, u64::MAX];
+            for user in 0..c.num_users() as u32 {
+                for &h in c.user_hosts(user) {
+                    c.host_name(h);
+                }
+                // `user_times` promises ascending times, as the windows need.
+                assert!(c.user_times(user).is_sorted());
+                for &end in &times {
+                    for &other in &times {
+                        c.window_hosts(user, end, other, &mut out);
+                        let start = other.min(end);
+                        c.span_hosts(user, start, end, &mut out);
+                        c.last_time_in(user, start, end);
+                    }
+                }
+            }
+            c.daily_sequences(1, 1_000);
+            true
+        };
+        assert!(walk(&buf));
+        for len in 0..buf.len() {
+            assert!(!walk(&buf[..len]), "a {len}-byte prefix decoded");
+        }
+        let mut decoded = 0;
+        for bit in 0..buf.len() * 8 {
+            let mut flipped = buf.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            decoded += walk(&flipped) as usize;
+        }
+        // Flips in times, wire bytes and padding decode; the rest do not.
+        assert!(decoded > 0 && decoded < buf.len() * 8, "{decoded} decoded");
     }
 
     #[test]

@@ -13,8 +13,15 @@
 //! * a leading magic + section count, then `(tag, byte length)` headers,
 //!   so unknown sections are skippable and truncation is detectable.
 //!
-//! The safe reader here copies values out (`Vec<u32>` etc.) — correctness
-//! first; the layout is what makes the zero-copy upgrade possible without
+//! Sections come in two shapes: a column of fixed-width values (`u32`,
+//! `u64`, `f32`, `f64` through their `to_le_bytes` / `from_le_bytes`,
+//! floats as exact bit patterns) and a string table — a UTF-8 arena
+//! section plus a `u32` offsets section, `offsets[i]..offsets[i + 1]`
+//! bounding string `i`.
+//!
+//! The safe reader here copies values out (`Vec<u32>` etc.) and checks
+//! every offset it slices by, so a corrupt buffer is an error, never a
+//! panic; the layout is what makes the zero-copy upgrade possible without
 //! a format change.
 
 /// Container magic: identifies the format and its version.
@@ -38,6 +45,10 @@ pub enum FlatError {
     },
     /// A required section is absent.
     MissingSection(u32),
+    /// A section's values contradict the rest of the container: an offset
+    /// out of order or off a char boundary, an id past its table, a
+    /// repeated name, a total that does not add up.
+    Inconsistent(u32),
 }
 
 impl std::fmt::Display for FlatError {
@@ -49,6 +60,9 @@ impl std::fmt::Display for FlatError {
                 write!(f, "section {tag:#x}: length {len} not a multiple of {elem}")
             }
             FlatError::MissingSection(tag) => write!(f, "section {tag:#x} missing"),
+            FlatError::Inconsistent(tag) => {
+                write!(f, "section {tag:#x} inconsistent with the container")
+            }
         }
     }
 }
@@ -77,36 +91,37 @@ impl FlatWriter {
         self
     }
 
-    /// Append a `u32` column (little-endian).
-    pub fn section_u32s(&mut self, tag: u32, values: &[u32]) -> &mut Self {
-        let mut b = Vec::with_capacity(values.len() * 4);
-        for v in values {
-            b.extend_from_slice(&v.to_le_bytes());
+    /// Append a column of `N`-byte values, each encoded by `encode`
+    /// (`u32::to_le_bytes`, …).
+    pub fn column<T: Copy, const N: usize>(
+        &mut self,
+        tag: u32,
+        values: &[T],
+        encode: impl Fn(T) -> [u8; N],
+    ) -> &mut Self {
+        let mut b = Vec::with_capacity(values.len() * N);
+        for &v in values {
+            b.extend_from_slice(&encode(v));
         }
         self.section(tag, b)
     }
 
-    /// Append a `u64` column (little-endian).
-    pub fn section_u64s(&mut self, tag: u32, values: &[u64]) -> &mut Self {
-        let mut b = Vec::with_capacity(values.len() * 8);
-        for v in values {
-            b.extend_from_slice(&v.to_le_bytes());
+    /// Append a string table: the strings back to back under `arena`,
+    /// their `len + 1` boundaries as a `u32` column under `offsets`.
+    pub fn strings<'s>(
+        &mut self,
+        arena: u32,
+        offsets: u32,
+        strings: impl IntoIterator<Item = &'s str>,
+    ) -> &mut Self {
+        let mut bytes = Vec::new();
+        let mut offs = vec![0u32];
+        for s in strings {
+            bytes.extend_from_slice(s.as_bytes());
+            offs.push(bytes.len() as u32);
         }
-        self.section(tag, b)
-    }
-
-    /// Append an `f32` column (little-endian bit patterns).
-    pub fn section_f32s(&mut self, tag: u32, values: &[f32]) -> &mut Self {
-        let mut b = Vec::with_capacity(values.len() * 4);
-        for v in values {
-            b.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        self.section(tag, b)
-    }
-
-    /// Append a UTF-8 string section.
-    pub fn section_str(&mut self, tag: u32, value: &str) -> &mut Self {
-        self.section(tag, value.as_bytes().to_vec())
+        self.section(arena, bytes)
+            .column(offsets, &offs, u32::to_le_bytes)
     }
 
     /// Encode: magic, section count, headers, 8-aligned payloads.
@@ -138,98 +153,77 @@ pub struct FlatReader<'a> {
 impl<'a> FlatReader<'a> {
     /// Parse the table of contents; payloads are borrowed, not copied.
     pub fn new(buf: &'a [u8]) -> Result<Self, FlatError> {
-        if buf.len() < 16 {
+        // Magic, section count, 4 reserved bytes.
+        let Some(&[ref magic @ .., c0, c1, c2, c3, _, _, _, _]) = buf.first_chunk::<16>() else {
             return Err(FlatError::Truncated);
-        }
-        if buf[..8] != MAGIC {
+        };
+        if *magic != MAGIC {
             return Err(FlatError::BadMagic);
         }
-        let count = u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
-        let headers_end = 16 + count * 16;
-        if buf.len() < headers_end {
-            return Err(FlatError::Truncated);
-        }
+        let count = u32::from_le_bytes([c0, c1, c2, c3]) as usize;
+        let headers_end = count
+            .checked_mul(16)
+            .and_then(|n| n.checked_add(16))
+            .filter(|&end| end <= buf.len())
+            .ok_or(FlatError::Truncated)?;
         let mut sections = Vec::with_capacity(count);
         let mut offset = headers_end;
-        for i in 0..count {
-            let h = 16 + i * 16;
-            let tag = u32::from_le_bytes(buf[h..h + 4].try_into().unwrap());
-            let len = u64::from_le_bytes(buf[h + 8..h + 16].try_into().unwrap()) as usize;
-            let end = offset.checked_add(len).ok_or(FlatError::Truncated)?;
-            if buf.len() < end {
-                return Err(FlatError::Truncated);
-            }
-            sections.push((tag, &buf[offset..end]));
-            offset = pad8(end);
+        for header in buf[16..headers_end].as_chunks::<16>().0 {
+            // Tag, 4 reserved bytes, payload length.
+            let [t0, t1, t2, t3, _, _, _, _, ref len @ ..] = *header;
+            let tag = u32::from_le_bytes([t0, t1, t2, t3]);
+            let payload = usize::try_from(u64::from_le_bytes(*len))
+                .ok()
+                .and_then(|len| buf.get(offset..offset.checked_add(len)?))
+                .ok_or(FlatError::Truncated)?;
+            sections.push((tag, payload));
+            offset = pad8(offset + payload.len());
         }
         Ok(Self { sections })
     }
 
     /// Raw payload of the first section with `tag`.
-    pub fn section(&self, tag: u32) -> Option<&'a [u8]> {
-        self.sections
-            .iter()
-            .find(|(t, _)| *t == tag)
-            .map(|(_, b)| *b)
+    pub fn section(&self, tag: u32) -> Result<&'a [u8], FlatError> {
+        let found = self.sections.iter().find(|(t, _)| *t == tag);
+        found.map(|(_, b)| *b).ok_or(FlatError::MissingSection(tag))
     }
 
-    fn required(&self, tag: u32) -> Result<&'a [u8], FlatError> {
-        self.section(tag).ok_or(FlatError::MissingSection(tag))
-    }
-
-    /// Decode a `u32` column.
-    pub fn u32s(&self, tag: u32) -> Result<Vec<u32>, FlatError> {
-        let b = self.required(tag)?;
-        if b.len() % 4 != 0 {
+    /// Decode a column of `N`-byte values, each by `decode`
+    /// (`u32::from_le_bytes`, …).
+    pub fn column<T, const N: usize>(
+        &self,
+        tag: u32,
+        decode: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, FlatError> {
+        let b = self.section(tag)?;
+        let (values, rest) = b.as_chunks::<N>();
+        if !rest.is_empty() {
             return Err(FlatError::BadSectionLen {
                 tag,
                 len: b.len(),
-                elem: 4,
+                elem: N,
             });
         }
-        Ok(b.chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        Ok(values.iter().map(|&v| decode(v)).collect())
     }
 
-    /// Decode a `u64` column.
-    pub fn u64s(&self, tag: u32) -> Result<Vec<u64>, FlatError> {
-        let b = self.required(tag)?;
-        if b.len() % 8 != 0 {
-            return Err(FlatError::BadSectionLen {
-                tag,
-                len: b.len(),
-                elem: 8,
-            });
+    /// Decode a string table written by [`FlatWriter::strings`]. The arena
+    /// must be UTF-8, and the offsets must start at 0, never decrease, end
+    /// at the arena's length and fall on char boundaries; otherwise the
+    /// offending section is [`FlatError::Inconsistent`].
+    pub fn strings(&self, arena: u32, offsets: u32) -> Result<Vec<&'a str>, FlatError> {
+        let text = std::str::from_utf8(self.section(arena)?)
+            .map_err(|_| FlatError::Inconsistent(arena))?;
+        let offs = self.column(offsets, u32::from_le_bytes)?;
+        if offs.first() != Some(&0) || offs.last().map(|&o| o as usize) != Some(text.len()) {
+            return Err(FlatError::Inconsistent(offsets));
         }
-        Ok(b.chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    /// Decode an `f32` column (exact bit patterns).
-    pub fn f32s(&self, tag: u32) -> Result<Vec<f32>, FlatError> {
-        let b = self.required(tag)?;
-        if b.len() % 4 != 0 {
-            return Err(FlatError::BadSectionLen {
-                tag,
-                len: b.len(),
-                elem: 4,
-            });
-        }
-        Ok(b.chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())))
-            .collect())
-    }
-
-    /// Decode a UTF-8 string section.
-    pub fn str(&self, tag: u32) -> Result<&'a str, FlatError> {
-        let b = self.required(tag)?;
-        std::str::from_utf8(b).map_err(|_| FlatError::BadSectionLen {
-            tag,
-            len: b.len(),
-            elem: 1,
-        })
+        offs.windows(2)
+            .map(|w| {
+                text.get(w[0] as usize..w[1] as usize)
+                    .ok_or(FlatError::Inconsistent(offsets))
+            })
+            .collect()
     }
 }
 
@@ -240,27 +234,27 @@ mod tests {
     #[test]
     fn roundtrips_typed_sections() {
         let mut w = FlatWriter::new();
-        w.section_u32s(1, &[7, 8, 9])
-            .section_u64s(2, &[u64::MAX, 0])
-            .section_f32s(3, &[1.5, -0.0, f32::NAN])
-            .section_str(4, "hello.example");
+        w.column(1, &[7u32, 8, 9], u32::to_le_bytes)
+            .column(2, &[u64::MAX, 0], u64::to_le_bytes)
+            .column(3, &[1.5f32, -0.0, f32::NAN], f32::to_le_bytes)
+            .strings(4, 5, ["hello.example", "", "é.example"]);
         let buf = w.finish();
         let r = FlatReader::new(&buf).unwrap();
-        assert_eq!(r.u32s(1).unwrap(), [7, 8, 9]);
-        assert_eq!(r.u64s(2).unwrap(), [u64::MAX, 0]);
-        let f = r.f32s(3).unwrap();
+        assert_eq!(r.column(1, u32::from_le_bytes).unwrap(), [7, 8, 9]);
+        assert_eq!(r.column(2, u64::from_le_bytes).unwrap(), [u64::MAX, 0]);
+        let f = r.column(3, f32::from_le_bytes).unwrap();
         assert_eq!(f[0].to_bits(), 1.5f32.to_bits());
         assert_eq!(f[1].to_bits(), (-0.0f32).to_bits());
         assert!(f[2].is_nan());
-        assert_eq!(r.str(4).unwrap(), "hello.example");
-        assert_eq!(r.section(99), None);
+        assert_eq!(r.strings(4, 5).unwrap(), ["hello.example", "", "é.example"]);
+        assert_eq!(r.section(99), Err(FlatError::MissingSection(99)));
     }
 
     #[test]
     fn payloads_are_eight_aligned() {
         let mut w = FlatWriter::new();
-        w.section_str(1, "abc") // 3 bytes: forces padding before next
-            .section_u64s(2, &[42]);
+        w.section(1, b"abc".to_vec()) // 3 bytes: forces padding before next
+            .column(2, &[42u64], u64::to_le_bytes);
         let buf = w.finish();
         // Find section 2's payload offset the way the reader does and
         // check alignment relative to the buffer start.
@@ -274,10 +268,14 @@ mod tests {
     #[test]
     fn rejects_garbage_and_truncation() {
         assert_eq!(FlatReader::new(b"short").unwrap_err(), FlatError::Truncated);
-        let mut bad = FlatWriter::new().section_u32s(1, &[1]).finish();
+        let mut bad = FlatWriter::new()
+            .column(1, &[1u32], u32::to_le_bytes)
+            .finish();
         bad[0] = b'X';
         assert_eq!(FlatReader::new(&bad).unwrap_err(), FlatError::BadMagic);
-        let good = FlatWriter::new().section_u32s(1, &[1, 2, 3]).finish();
+        let good = FlatWriter::new()
+            .column(1, &[1u32, 2, 3], u32::to_le_bytes)
+            .finish();
         assert_eq!(
             FlatReader::new(&good[..good.len() - 8]).unwrap_err(),
             FlatError::Truncated
@@ -286,10 +284,10 @@ mod tests {
 
     #[test]
     fn wrong_element_width_is_detected() {
-        let buf = FlatWriter::new().section_str(5, "abc").finish();
+        let buf = FlatWriter::new().section(5, b"abc".to_vec()).finish();
         let r = FlatReader::new(&buf).unwrap();
         assert!(matches!(
-            r.u32s(5).unwrap_err(),
+            r.column(5, u32::from_le_bytes).unwrap_err(),
             FlatError::BadSectionLen {
                 tag: 5,
                 len: 3,
@@ -297,15 +295,51 @@ mod tests {
             }
         ));
         assert!(matches!(
-            r.u64s(5).unwrap_err(),
+            r.column(5, u64::from_le_bytes).unwrap_err(),
             FlatError::BadSectionLen { .. }
         ));
     }
 
     #[test]
     fn missing_required_section_is_an_error() {
-        let buf = FlatWriter::new().section_u32s(1, &[1]).finish();
+        let buf = FlatWriter::new()
+            .column(1, &[1u32], u32::to_le_bytes)
+            .finish();
         let r = FlatReader::new(&buf).unwrap();
-        assert_eq!(r.u64s(2).unwrap_err(), FlatError::MissingSection(2));
+        assert_eq!(
+            r.column(2, u64::from_le_bytes).unwrap_err(),
+            FlatError::MissingSection(2)
+        );
+    }
+
+    /// The string table with arena `arena` (section 1) and offsets `offs`
+    /// (section 2), decoded.
+    fn table(arena: &[u8], offs: &[u32]) -> Result<Vec<String>, FlatError> {
+        let buf = FlatWriter::new()
+            .section(1, arena.to_vec())
+            .column(2, offs, u32::to_le_bytes)
+            .finish();
+        let strings = FlatReader::new(&buf)?.strings(1, 2)?;
+        Ok(strings.into_iter().map(String::from).collect())
+    }
+
+    #[test]
+    fn string_table_offsets_are_checked() {
+        assert_eq!(table(b"abcd", &[0, 1, 1, 4]).unwrap(), ["a", "", "bcd"]);
+        assert_eq!(table("aéb".as_bytes(), &[0, 3, 4]).unwrap(), ["aé", "b"]);
+        assert_eq!(table(b"", &[0]).unwrap(), Vec::<String>::new());
+        for (arena, offs) in [
+            ("abcd", &[0, 3, 1, 4][..]), // decreasing
+            ("abcd", &[0, 9, 4]),        // past the arena
+            ("abcd", &[0, 2]),           // short of the arena's end
+            ("aéb", &[0, 2, 4]),         // inside the two bytes of "é"
+            ("abcd", &[1, 4]),           // first offset not 0
+            ("abcd", &[]),               // no first offset
+        ] {
+            let err = table(arena.as_bytes(), offs).unwrap_err();
+            assert_eq!(err, FlatError::Inconsistent(2), "{arena:?} {offs:?}");
+        }
+        let err = table(&[0xff, 0xfe], &[0, 2]).unwrap_err();
+        assert_eq!(err, FlatError::Inconsistent(1), "not UTF-8");
     }
 }

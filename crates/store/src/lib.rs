@@ -22,14 +22,14 @@
 //!   flat — no per-event allocation at all. The user-id column of the
 //!   conceptual `(t, user, host, bytes)` quadruple is delta-encoded by
 //!   the offset table rather than materialized.
-//! * [`TraceAccess`] — the accessor trait through which the batch
-//!   profiler and the serving engine read a trace without knowing its
-//!   representation, so the legacy materialized path and the columnar
-//!   path stay interchangeable (and golden replay stays byte-identical).
+//! * [`TraceAccess`] — the accessor trait through which batch consumers
+//!   read a trace without knowing its representation; [`TraceColumns`]
+//!   is its one implementation outside tests.
 //!
 //! [`flat`] provides the mmap-friendly on-disk layout (aligned
-//! little-endian sections behind a table of contents) shared by
-//! [`TraceColumns`] and the embedding store.
+//! little-endian sections behind a table of contents: fixed-width
+//! columns and string tables) — the one container for traces
+//! ([`TraceColumns`]) and trained models (the embedding store).
 
 pub mod access;
 pub mod columns;

@@ -192,6 +192,7 @@ pub struct TraceConfig {
 }
 
 impl Default for TraceConfig {
+    /// The paper's one-month profiling phase.
     fn default() -> Self {
         Self {
             days: 30,
@@ -212,11 +213,6 @@ impl TraceConfig {
             days: 2,
             ..Self::default()
         }
-    }
-
-    /// The one-month profiling phase of the paper.
-    pub fn profiling_month() -> Self {
-        Self::default()
     }
 
     /// The million-user bench tier: two days (train on day 0, profile

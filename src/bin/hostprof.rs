@@ -41,19 +41,19 @@ static COMMANDS: &[Command] = &[
         name: "train",
         mode: None,
         flags: "[--scale S] [--days N] [--users N] [--threads N] [--kernel auto|scalar] \
-                --out model.json",
+                --out model.hpflat",
         run: cmd_train,
     },
     Command {
         name: "similar",
         mode: None,
-        flags: "--model model.json --host <hostname> [--top N]",
+        flags: "--model model.hpflat --host <hostname> [--top N]",
         run: cmd_similar,
     },
     Command {
         name: "profile",
         mode: None,
-        flags: "[--scale S] [--days N] [--users N] --model model.json --user N [--day D] \
+        flags: "[--scale S] [--days N] [--users N] --model model.hpflat --user N [--day D] \
                 [--index exact|ivf] [--nprobe N]",
         run: cmd_profile,
     },

@@ -1,13 +1,9 @@
 //! Scenario bundles: world + population + trace + ad inventory.
 //!
 //! Every experiment, example and integration test needs the same setup
-//! dance; [`Scenario`] packages it with three presets ([`tiny`],
-//! [`default`], [`paper month`]) so the knobs that matter (scale, days,
+//! dance; [`Scenario`] packages it with one preset per `--scale` name
+//! ([`ScenarioConfig::named`]) so the knobs that matter (scale, days,
 //! seeds) live in one place.
-//!
-//! [`tiny`]: ScenarioConfig::tiny
-//! [`default`]: ScenarioConfig::default
-//! [`paper month`]: ScenarioConfig::paper_month
 
 use hostprof_ads::AdDatabase;
 use hostprof_core::{Pipeline, PipelineConfig};
@@ -35,8 +31,8 @@ pub struct ScenarioConfig {
 }
 
 impl Default for ScenarioConfig {
-    /// The laptop-scale model of the paper's deployment: 3 K+ hostnames,
-    /// 400 users, 30 days, 12 K ads.
+    /// The laptop-scale model of the paper's deployment, a month long (the
+    /// E4/E5 experiments): 3 K+ hostnames, 400 users, 30 days, 12 K ads.
     fn default() -> Self {
         Self {
             world: WorldConfig::default(),
@@ -44,7 +40,16 @@ impl Default for ScenarioConfig {
             trace: TraceConfig::default(),
             num_ads: 12_000,
             ads_seed: 0x5eed_0ad5,
-            pipeline: PipelineConfig::default(),
+            pipeline: PipelineConfig {
+                // N = 1000 was calibrated to the paper's 470 K-host space;
+                // scale it to our ~9 K-host default world like the other
+                // presets (DESIGN.md §4.1).
+                profiler: hostprof_core::ProfilerConfig {
+                    n_neighbors: 300,
+                    ..Default::default()
+                },
+                ..PipelineConfig::default()
+            },
         }
     }
 }
@@ -56,7 +61,7 @@ impl ScenarioConfig {
         match scale {
             "tiny" => Ok(Self::tiny()),
             "small" => Ok(Self::small()),
-            "default" | "full" => Ok(Self::paper_month()),
+            "default" | "full" => Ok(Self::default()),
             "large" => Ok(Self::large()),
             other => Err(format!(
                 "unknown scale '{other}' (tiny|small|default|full|large)"
@@ -153,24 +158,6 @@ impl ScenarioConfig {
                 profiler: hostprof_core::ProfilerConfig {
                     n_neighbors: 1000,
                     index: hostprof_embed::IndexConfig::ivf(16),
-                    ..Default::default()
-                },
-                ..PipelineConfig::default()
-            },
-            ..Self::default()
-        }
-    }
-
-    /// A month-long run at the default scale (the E4/E5 experiments).
-    pub fn paper_month() -> Self {
-        Self {
-            trace: TraceConfig::profiling_month(),
-            pipeline: PipelineConfig {
-                // N = 1000 was calibrated to the paper's 470 K-host space;
-                // scale it to our ~9 K-host default world like the other
-                // presets (DESIGN.md §4.1).
-                profiler: hostprof_core::ProfilerConfig {
-                    n_neighbors: 300,
                     ..Default::default()
                 },
                 ..PipelineConfig::default()

@@ -2,12 +2,14 @@
 //!
 //! The paper's back-end retrains daily and "immediately starts using" the
 //! new model (§5.4) — a real deployment persists each day's model so the
-//! serving path can reload it. This module provides JSON save/load for the
-//! pipeline's durable artifacts: trained [`EmbeddingSet`]s by name, and
-//! anything else serializable (the ontology, experiment results) through
-//! [`save_json`] / [`load_json`].
+//! serving path can reload it. A trained [`EmbeddingSet`] has one on-disk
+//! format, the flat container of `hostprof_embed::persist` (`HPFLAT1\0`
+//! magic, DESIGN.md §13), written by [`save_model`] and checked section by
+//! section by [`load_model`]; a JSON model written by an older build is
+//! refused as a bad magic. Anything else serializable (the ontology,
+//! experiment results) goes through [`save_json`] / [`load_json`].
 
-use hostprof_embed::EmbeddingSet;
+use hostprof_embed::{EmbeddingSet, FlatError};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::fs;
@@ -21,6 +23,8 @@ pub enum StorageError {
     Io(io::Error),
     /// (De)serialization failure.
     Serde(serde_json::Error),
+    /// A model file that is not a well-formed flat container.
+    Flat(FlatError),
 }
 
 impl std::fmt::Display for StorageError {
@@ -28,6 +32,7 @@ impl std::fmt::Display for StorageError {
         match self {
             StorageError::Io(e) => write!(f, "storage I/O error: {e}"),
             StorageError::Serde(e) => write!(f, "storage serialization error: {e}"),
+            StorageError::Flat(e) => write!(f, "model file rejected: {e}"),
         }
     }
 }
@@ -37,6 +42,7 @@ impl std::error::Error for StorageError {
         match self {
             StorageError::Io(e) => Some(e),
             StorageError::Serde(e) => Some(e),
+            StorageError::Flat(e) => Some(e),
         }
     }
 }
@@ -53,15 +59,19 @@ impl From<serde_json::Error> for StorageError {
     }
 }
 
-/// Save any serializable artifact as pretty JSON. Parent directories are
-/// created as needed.
-pub fn save_json<T: Serialize>(path: &Path, value: &T) -> Result<(), StorageError> {
+/// Write `contents` to `path`, creating parent directories as needed.
+fn write_file(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), StorageError> {
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    let json = serde_json::to_string(value)?;
-    fs::write(path, json)?;
+    fs::write(path, contents)?;
     Ok(())
+}
+
+/// Save any serializable artifact as JSON. Parent directories are created
+/// as needed.
+pub fn save_json<T: Serialize>(path: &Path, value: &T) -> Result<(), StorageError> {
+    write_file(path, serde_json::to_string(value)?)
 }
 
 /// Load a JSON artifact saved by [`save_json`].
@@ -70,14 +80,16 @@ pub fn load_json<T: DeserializeOwned>(path: &Path) -> Result<T, StorageError> {
     Ok(serde_json::from_str(&json)?)
 }
 
-/// Save one day's trained model (the §5.4 daily artifact).
+/// Save one day's trained model (the §5.4 daily artifact) as a flat
+/// container. Parent directories are created as needed.
 pub fn save_model(path: &Path, model: &EmbeddingSet) -> Result<(), StorageError> {
-    save_json(path, model)
+    write_file(path, hostprof_embed::to_flat_bytes(model))
 }
 
-/// Reload a day's model.
+/// Reload a day's model; a file that is not a well-formed flat container
+/// is a [`StorageError::Flat`].
 pub fn load_model(path: &Path) -> Result<EmbeddingSet, StorageError> {
-    load_json(path)
+    hostprof_embed::from_flat_bytes(&fs::read(path)?).map_err(StorageError::Flat)
 }
 
 #[cfg(test)]
@@ -104,8 +116,9 @@ mod tests {
             Blocklist::new(),
         );
         let model = pipeline.train_model(&corpus).unwrap();
-        let path = temp_path("model.json");
+        let path = temp_path("model.hpflat");
         save_model(&path, &model).unwrap();
+        assert!(std::fs::read(&path).unwrap().starts_with(b"HPFLAT1\0"));
         let back = load_model(&path).unwrap();
         assert_eq!(back.len(), model.len());
         assert_eq!(
@@ -129,7 +142,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_an_io_error() {
-        let err = load_model(Path::new("/nonexistent/deeply/model.json")).unwrap_err();
+        let err = load_model(Path::new("/nonexistent/deeply/model.hpflat")).unwrap_err();
         assert!(matches!(err, StorageError::Io(_)));
         assert!(err.to_string().contains("I/O"));
     }
@@ -138,7 +151,7 @@ mod tests {
     fn corrupt_file_is_a_serde_error() {
         let path = temp_path("corrupt.json");
         std::fs::write(&path, "{ not json").unwrap();
-        let err = load_model(&path).unwrap_err();
+        let err = load_json::<Ontology>(&path).unwrap_err();
         assert!(matches!(err, StorageError::Serde(_)));
         let _ = std::fs::remove_file(path);
     }

@@ -38,7 +38,7 @@ fn help_and_unknown_commands() {
 
 #[test]
 fn train_similar_profile_workflow() {
-    let model = temp("model.json");
+    let model = temp("model.hpflat");
     let out = hostprof(&["train", "--scale", "tiny", "--out", model.to_str().unwrap()]);
     assert!(
         out.status.success(),
@@ -155,6 +155,18 @@ fn train_similar_profile_workflow() {
     ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown index"));
+
+    // A cut model and a JSON model from an older build fail cleanly.
+    let bytes = std::fs::read(&model).unwrap();
+    let json = br#"{"dim":2,"vocab":{}}"#;
+    for (contents, complaint) in [(&bytes[..40], "truncated"), (json, "bad magic")] {
+        std::fs::write(&model, contents).unwrap();
+        let path = model.to_str().unwrap();
+        let out = hostprof(&["similar", "--model", path, "--host", "socialbook.com"]);
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert!(err.contains(complaint), "{err}");
+    }
 
     let _ = std::fs::remove_file(model);
 }

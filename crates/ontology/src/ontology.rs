@@ -83,9 +83,19 @@ impl Ontology {
         self.labels.is_empty()
     }
 
-    /// Iterate over `(hostname, categories)` pairs in arbitrary order.
+    /// Iterate over `(hostname, categories)` pairs in ascending name order.
+    ///
+    /// The map is the lookup index and its order is std's per-process hash
+    /// order, so the pairs are collected into a name-sorted `Vec` first:
+    /// every consumer that keeps positions (the ad selector's tie-break
+    /// among equally near hosts) sees the same order in every process. The
+    /// callers walk the labels once per model version or selector, never
+    /// per request, so the sort is off every hot path.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &CategoryVector)> {
-        self.labels.iter().map(|(h, v)| (h.as_str(), v))
+        let mut sorted: Vec<(&str, &CategoryVector)> =
+            self.labels.iter().map(|(h, v)| (h.as_str(), v)).collect();
+        sorted.sort_unstable_by_key(|&(h, _)| h);
+        sorted.into_iter()
     }
 
     /// Coverage of a hostname universe: how many of `universe`'s hostnames
@@ -147,6 +157,19 @@ mod tests {
         assert_eq!(stats.universe, 4);
         assert_eq!(stats.labeled, 2);
         assert!((stats.fraction() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn iteration_is_in_name_order() {
+        let mut o = Ontology::new();
+        for (i, name) in ["m.com", "B.com", "z.com", "a.com", "k.com"]
+            .iter()
+            .enumerate()
+        {
+            o.insert(name, cv(i as u16 + 1));
+        }
+        let names: Vec<&str> = o.iter().map(|(h, _)| h).collect();
+        assert_eq!(names, ["a.com", "b.com", "k.com", "m.com", "z.com"]);
     }
 
     #[test]

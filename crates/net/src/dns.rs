@@ -68,59 +68,78 @@ impl DnsQuery {
 
     /// Parse a query message.
     pub fn parse(bytes: &[u8]) -> Result<Self, ParseError> {
-        let mut r = Reader::new(bytes);
-        let id = r.u16()?;
-        let flags = r.u16()?;
-        if flags & 0x8000 != 0 {
-            return Err(ParseError::NotAQuery); // QR bit set → response
+        let mut qname = String::new();
+        let (id, qtype) = walk(bytes, &mut qname)?;
+        Ok(Self { id, qname, qtype })
+    }
+}
+
+/// The one walk over a query message: checks the header, writes the
+/// question's name into `qname` in dotted form (replacing what it held),
+/// and returns the transaction id and query type.
+fn walk(bytes: &[u8], qname: &mut String) -> Result<(u16, u16), ParseError> {
+    qname.clear();
+    let mut r = Reader::new(bytes);
+    let id = r.u16()?;
+    let flags = r.u16()?;
+    if flags & 0x8000 != 0 {
+        return Err(ParseError::NotAQuery); // QR bit set → response
+    }
+    if (flags >> 11) & 0xf != 0 {
+        return Err(ParseError::NotAQuery); // opcode != QUERY
+    }
+    let qdcount = r.u16()?;
+    if qdcount != 1 {
+        return Err(ParseError::NotAQuery);
+    }
+    r.u16()?; // ANCOUNT
+    r.u16()?; // NSCOUNT
+    r.u16()?; // ARCOUNT
+    let mut labels = 0usize;
+    loop {
+        let len = r.u8()? as usize;
+        if len == 0 {
+            break;
         }
-        if (flags >> 11) & 0xf != 0 {
-            return Err(ParseError::NotAQuery); // opcode != QUERY
+        if len >= 64 {
+            // Compression pointers never appear in the question section
+            // of a freshly built query.
+            return Err(ParseError::BadLength);
         }
-        let qdcount = r.u16()?;
-        if qdcount != 1 {
-            return Err(ParseError::NotAQuery);
-        }
-        r.u16()?; // ANCOUNT
-        r.u16()?; // NSCOUNT
-        r.u16()?; // ARCOUNT
-        let mut labels: Vec<String> = Vec::new();
-        loop {
-            let len = r.u8()? as usize;
-            if len == 0 {
-                break;
-            }
-            if len >= 64 {
-                // Compression pointers never appear in the question section
-                // of a freshly built query.
-                return Err(ParseError::BadLength);
-            }
-            let raw = r.take(len)?;
-            let s = std::str::from_utf8(raw).map_err(|_| ParseError::InvalidHostname)?;
-            if !s.bytes().all(|b| b.is_ascii_graphic()) {
-                return Err(ParseError::InvalidHostname);
-            }
-            labels.push(s.to_string());
-        }
-        if labels.is_empty() {
+        let raw = r.take(len)?;
+        let s = std::str::from_utf8(raw).map_err(|_| ParseError::InvalidHostname)?;
+        if !s.bytes().all(|b| b.is_ascii_graphic()) {
             return Err(ParseError::InvalidHostname);
         }
-        let qtype = r.u16()?;
-        let qclass = r.u16()?;
-        if qclass != 1 {
-            return Err(ParseError::NotAQuery);
+        if labels > 0 {
+            qname.push('.');
         }
-        Ok(Self {
-            id,
-            qname: labels.join("."),
-            qtype,
-        })
+        qname.push_str(s);
+        labels += 1;
     }
+    if labels == 0 {
+        return Err(ParseError::InvalidHostname);
+    }
+    let qtype = r.u16()?;
+    let qclass = r.u16()?;
+    if qclass != 1 {
+        return Err(ParseError::NotAQuery);
+    }
+    Ok((id, qtype))
 }
 
 /// Observer fast path: the queried hostname of a DNS query datagram.
 pub fn extract_qname(bytes: &[u8]) -> Result<String, ParseError> {
-    Ok(DnsQuery::parse(bytes)?.qname)
+    let mut qname = String::new();
+    qname_into(bytes, &mut qname)?;
+    Ok(qname)
+}
+
+/// [`extract_qname`] into a caller's buffer: `out` is cleared and then
+/// holds the name, so a reused buffer recovers a name without allocating.
+/// On an error `out` holds whatever prefix of the name was read.
+pub fn qname_into(bytes: &[u8], out: &mut String) -> Result<(), ParseError> {
+    walk(bytes, out).map(drop)
 }
 
 #[cfg(test)]

@@ -46,6 +46,7 @@ pub mod conformance;
 pub mod dns;
 pub mod error;
 pub mod flow;
+pub mod hash;
 pub mod observer;
 pub mod packet;
 pub mod quic;
@@ -56,7 +57,7 @@ mod wire;
 pub use capture::{CaptureError, CaptureReader, CaptureWriter};
 pub use chaos::{ChaosConfig, ChaosOutcome, ChaosStats};
 pub use error::ParseError;
-pub use flow::{FlowKey, FlowStats, FlowTable};
+pub use flow::{FlowEntry, FlowKey, FlowStats, FlowTable, Reassembly};
 pub use observer::{Observation, ObserverConfig, ObserverStats, SniObserver};
 pub use packet::{Endpoint, Packet, Transport};
 pub use synthesize::{Addressing, RequestEvent, TrafficSynthesizer, WireOverride};

@@ -21,9 +21,17 @@
 //! * reassembly buffers are bounded per flow (bytes and segments), in
 //!   count (concurrent flows) and in aggregate (total buffered bytes) by a
 //!   tunable [`ObserverConfig`], with FIFO eviction at every cap;
-//! * flows the [`FlowTable`] evicts mid-handshake surface through
-//!   [`FlowTable::take_evicted_pending`] so their buffers are reclaimed
-//!   immediately instead of leaking until 5-tuple reuse.
+//! * a reassembly buffer lives in its flow's [`FlowTable`] entry, so a flow
+//!   the table evicts mid-handshake takes its bytes with it, counted where
+//!   it is evicted — nothing waits for 5-tuple reuse.
+//!
+//! ## One probe, no allocation per name
+//!
+//! A packet costs one flow-table probe: [`FlowTable::observe`] hands back
+//! the entry, and every later step (append, conclude) acts on it.
+//! [`SniObserver::process_with`] hands a recovered name to a sink as a
+//! `&str` borrowed from the packet, the flow's buffer or one reused
+//! scratch string (DESIGN.md §8.4).
 //!
 //! The `net::chaos` fault-injection harness ([`crate::conformance`]: both
 //! chaos test suites and `hostprof chaos`) property-tests these guarantees
@@ -36,7 +44,7 @@ use crate::packet::{Packet, Transport};
 use crate::quic;
 use crate::tls;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Where a hostname was recovered from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -145,37 +153,23 @@ impl Default for ObserverConfig {
 /// A passive network eavesdropper.
 #[derive(Debug)]
 pub struct SniObserver {
+    /// Flows by 5-tuple, each holding its partial ClientHello while a
+    /// handshake spans several segments.
     flows: FlowTable,
     observations: Vec<Observation>,
     stats: ObserverStats,
     config: ObserverConfig,
-    /// Partial ClientHello state per TCP flow, while a handshake spans
-    /// several segments: accumulated bytes, segment count, and the
-    /// timestamp of the first segment (the flow's start time, which stamps
-    /// the eventual observation).
-    pending: HashMap<FlowKey, (Vec<u8>, u32, u64)>,
-    /// Insertion order of `pending` keys, for FIFO eviction at the caps.
-    pending_order: std::collections::VecDeque<FlowKey>,
-    /// Total bytes across all `pending` buffers (kept incrementally).
-    pending_bytes: usize,
+    /// Keys of flows in the order they opened a reassembly buffer, for
+    /// FIFO eviction at the caps. Entries of flows that have since
+    /// concluded stay until they reach the front or a compaction.
+    reassembly_order: VecDeque<FlowKey>,
+    /// Where a name that is not a lowercase slice of a packet or flow
+    /// buffer — a DNS name, a QUIC name, any name with an uppercase
+    /// letter — is put together before the sink borrows it.
+    scratch: String,
     /// Whether DNS queries are harvested too (off when modeling a pure
     /// TLS-only vantage point, on when modeling a DNS provider, §7.2).
     harvest_dns: bool,
-}
-
-/// Outcome of feeding one TCP segment to the TLS reassembler.
-enum TlsOutcome {
-    /// A hostname was recovered, stamped with the flow's first-segment
-    /// timestamp.
-    Hostname(String, u64),
-    /// More segments are needed; the flow stays pending.
-    Incomplete,
-    /// Well-formed ClientHello with no readable name (ECH).
-    Hidden,
-    /// Not a parseable ClientHello.
-    Garbage,
-    /// The reassembly budget (bytes or segments) ran out.
-    Overflow,
 }
 
 impl SniObserver {
@@ -191,9 +185,8 @@ impl SniObserver {
             observations: Vec::new(),
             stats: ObserverStats::default(),
             config,
-            pending: HashMap::new(),
-            pending_order: std::collections::VecDeque::new(),
-            pending_bytes: 0,
+            reassembly_order: VecDeque::new(),
+            scratch: String::new(),
             harvest_dns: false,
         }
     }
@@ -213,162 +206,150 @@ impl SniObserver {
     /// [`ObserverConfig::max_total_pending_bytes`] plus one segment's
     /// worth of slack (the cap is enforced after each append).
     pub fn pending_bytes(&self) -> usize {
-        self.pending_bytes
+        self.flows.reassembly_bytes()
     }
 
     /// Number of flows currently mid-reassembly.
     pub fn pending_flows(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Remove a pending entry, keeping the byte total consistent.
-    fn pending_remove(&mut self, key: &FlowKey) -> Option<(Vec<u8>, u32, u64)> {
-        let removed = self.pending.remove(key);
-        if let Some((buf, _, _)) = &removed {
-            self.pending_bytes = self.pending_bytes.saturating_sub(buf.len());
-        }
-        removed
-    }
-
-    /// Abandon the oldest pending flow (FIFO); returns whether one existed.
-    /// Counted as an eviction mid-handshake.
-    fn abandon_oldest_pending(&mut self) -> bool {
-        while let Some(old) = self.pending_order.pop_front() {
-            if self.pending_remove(&old).is_some() {
-                self.stats.parse_errors += 1;
-                self.stats.evicted_mid_handshake += 1;
-                self.flows.finish(&old);
-                return true;
-            }
-            // Stale order entry for a flow that already completed; skip.
-        }
-        false
-    }
-
-    /// Enforce the flow-count and total-bytes caps after an insert/append.
-    fn enforce_pending_caps(&mut self, protect: &FlowKey) {
-        while self.pending.len() > self.config.max_pending_flows
-            || self.pending_bytes > self.config.max_total_pending_bytes
-        {
-            // Never evict the flow we are actively appending to: its own
-            // growth is bounded by the per-flow budget.
-            if self.pending.len() == 1 && self.pending.contains_key(protect) {
-                break;
-            }
-            if let Some(front) = self.pending_order.front().copied() {
-                if front == *protect && self.pending.contains_key(&front) {
-                    self.pending_order.pop_front();
-                    self.pending_order.push_back(front);
-                    continue;
-                }
-            }
-            if !self.abandon_oldest_pending() {
-                break;
-            }
-        }
-        // `pending_order` accumulates stale entries for flows that finished
-        // reassembly; compact it before it dwarfs the live map.
-        if self.pending_order.len() > 2 * self.config.max_pending_flows.max(16) {
-            let live = &self.pending;
-            self.pending_order.retain(|k| live.contains_key(k));
-        }
-    }
-
-    /// Reclaim reassembly buffers of flows the flow table evicted while
-    /// they were still mid-handshake.
-    fn reap_evicted_flows(&mut self) {
-        for key in self.flows.take_evicted_pending() {
-            if self.pending_remove(&key).is_some() {
-                self.stats.parse_errors += 1;
-                self.stats.evicted_mid_handshake += 1;
-            }
-        }
-    }
-
-    /// Count one parse failure under its taxonomy bucket.
-    fn count_parse_failure(&mut self, err: ParseError) {
-        self.stats.parse_errors += 1;
-        match err {
-            ParseError::Truncated => self.stats.truncated_records += 1,
-            ParseError::BadLength => self.stats.bad_lengths += 1,
-            _ => self.stats.garbage += 1,
-        }
+        self.flows.reassembling_flows()
     }
 
     /// Consume one packet; records an observation when a hostname leaks.
     pub fn process(&mut self, pkt: &Packet) {
+        let mut recovered = None;
+        let source = self.process_with(pkt, |client_ip, t_ms, name| {
+            recovered = Some((client_ip, t_ms, name.to_string()));
+        });
+        if let (Some((client_ip, t_ms, hostname)), Some(source)) = (recovered, source) {
+            self.observations.push(Observation {
+                t_ms,
+                client_ip,
+                hostname,
+                source,
+            });
+        }
+    }
+
+    /// Consume one packet, handing a hostname it leaks to `sink` as
+    /// `(client, connection start time, lowercase name)`; returns where
+    /// that name came from, `None` when the packet leaked none.
+    ///
+    /// The name is borrowed: a TLS name straight from the packet or the
+    /// flow's reassembly buffer, anything else — a DNS or QUIC name, or a
+    /// name that needs lowercasing — from one buffer the observer reuses.
+    /// So a name the sink only reads costs no allocation. [`process`]
+    /// is this walk with a sink that keeps an owned [`Observation`].
+    ///
+    /// [`process`]: Self::process
+    pub fn process_with(
+        &mut self,
+        pkt: &Packet,
+        sink: impl FnOnce(u32, u64, &str),
+    ) -> Option<HostnameSource> {
         self.stats.packets += 1;
-        let decision = self.flows.observe(pkt);
-        if self.flows.has_evicted_pending() {
-            self.reap_evicted_flows();
-        }
+        let (decision, mut flow) = self.flows.observe(pkt);
         if decision == FlowDecision::Skip {
-            return;
+            return None;
         }
-        let key = FlowKey::of(pkt);
-        if decision == FlowDecision::InspectNew {
-            // A fresh flow on this 5-tuple: discard any reassembly state a
-            // previous (evicted) occupant left behind, or its stale bytes
-            // would corrupt this connection's ClientHello. Eviction reaping
-            // should already have reclaimed it — reaching here with live
-            // bytes means the bookkeeping disagreed with itself.
-            if self.pending_remove(&key).is_some() {
-                self.stats.reassembly_invariant += 1;
-            }
-        }
-        let recovered: Option<(String, HostnameSource, u64)> = match pkt.transport {
+        let (stats, scratch) = (&mut self.stats, &mut self.scratch);
+        let client = pkt.src.ip;
+        match pkt.transport {
             // TCP: the ClientHello may span several segments — reassemble
-            // per flow until it parses, it is provably hidden/garbage, or
-            // the buffer budget runs out.
-            Transport::Tcp => match self.try_tls(&key, pkt) {
-                TlsOutcome::Hostname(name, start_t) => {
-                    Some((name, HostnameSource::TlsSni, start_t))
+            // in the flow's entry until it parses, it is provably
+            // hidden/garbage, or the buffer budget runs out.
+            Transport::Tcp => {
+                let (max_bytes, max_segments) = (
+                    self.config.max_pending_bytes,
+                    self.config.max_pending_segments,
+                );
+                let appended = flow.append(&pkt.payload);
+                let buffered = appended.is_some();
+                // Parse against the flow's buffer, or the lone segment (the
+                // fast path); a name is stamped with the flow's first
+                // segment, not the one that completed it.
+                let (attempt, start_t, over_budget) = match appended {
+                    Some(buf) => (
+                        &buf.bytes[..],
+                        buf.first_t_ms,
+                        buf.bytes.len() > max_bytes || buf.segments >= max_segments,
+                    ),
+                    None => (&pkt.payload[..], pkt.t_ms, pkt.payload.len() > max_bytes),
+                };
+                match tls::extract_sni(attempt) {
+                    Ok(Some(name)) => {
+                        stats.tls_sni += 1;
+                        if buffered {
+                            stats.reassembled += 1;
+                        }
+                        sink(client, start_t, lowercase(name, scratch));
+                        flow.finish();
+                        Some(HostnameSource::TlsSni)
+                    }
+                    Ok(None) => {
+                        stats.hidden += 1;
+                        flow.finish();
+                        None
+                    }
+                    Err(ParseError::Truncated) if over_budget => {
+                        stats.parse_errors += 1;
+                        stats.reassembly_overflow += 1;
+                        flow.finish();
+                        None
+                    }
+                    // More segments are needed; the flow stays pending.
+                    Err(ParseError::Truncated) => {
+                        let key = FlowKey::of(pkt);
+                        if !buffered {
+                            flow.start_reassembly(&pkt.payload, pkt.t_ms);
+                            self.reassembly_order.push_back(key);
+                        }
+                        self.enforce_pending_caps(&key);
+                        None
+                    }
+                    Err(_) => {
+                        stats.parse_errors += 1;
+                        stats.garbage += 1;
+                        flow.finish();
+                        None
+                    }
                 }
-                TlsOutcome::Incomplete => return, // flow stays pending
-                TlsOutcome::Hidden => {
-                    self.stats.hidden += 1;
-                    self.flows.finish(&key);
-                    None
-                }
-                TlsOutcome::Garbage => {
-                    self.stats.parse_errors += 1;
-                    self.stats.garbage += 1;
-                    self.flows.finish(&key);
-                    None
-                }
-                TlsOutcome::Overflow => {
-                    self.stats.parse_errors += 1;
-                    self.stats.reassembly_overflow += 1;
-                    self.flows.finish(&key);
-                    None
-                }
-            },
+            }
             // UDP is datagram-oriented: one shot, no reassembly.
             Transport::Udp if pkt.dst.port == 53 => {
-                self.flows.finish(&key);
+                flow.finish();
                 if !self.harvest_dns {
-                    return;
+                    return None;
                 }
-                match dns::extract_qname(&pkt.payload) {
-                    Ok(name) => Some((name, HostnameSource::DnsQuery, pkt.t_ms)),
+                match dns::qname_into(&pkt.payload, scratch) {
+                    Ok(()) => {
+                        stats.dns_names += 1;
+                        scratch.make_ascii_lowercase();
+                        sink(client, pkt.t_ms, scratch);
+                        Some(HostnameSource::DnsQuery)
+                    }
                     Err(e) => {
-                        self.count_parse_failure(e);
+                        stats.count_parse_failure(e);
                         None
                     }
                 }
             }
             Transport::Udp => {
-                self.flows.finish(&key);
+                flow.finish();
                 match quic::classify(&pkt.payload) {
                     Ok(quic::QuicPacketKind::Initial) => {
-                        match quic::extract_sni_from_quic(&pkt.payload) {
-                            Ok(Some(name)) => Some((name, HostnameSource::QuicSni, pkt.t_ms)),
-                            Ok(None) => {
-                                self.stats.hidden += 1;
+                        match quic::sni_from_quic_into(&pkt.payload, scratch) {
+                            Ok(true) => {
+                                stats.quic_sni += 1;
+                                scratch.make_ascii_lowercase();
+                                sink(client, pkt.t_ms, scratch);
+                                Some(HostnameSource::QuicSni)
+                            }
+                            Ok(false) => {
+                                stats.hidden += 1;
                                 None
                             }
                             Err(e) => {
-                                self.count_parse_failure(e);
+                                stats.count_parse_failure(e);
                                 None
                             }
                         }
@@ -376,128 +357,59 @@ impl SniObserver {
                     // Mid-connection capture: Handshake/0-RTT/1-RTT/Retry
                     // packets carry no SNI by design — not an error.
                     Ok(_) => {
-                        self.stats.skipped_non_initial += 1;
+                        stats.skipped_non_initial += 1;
                         None
                     }
                     Err(e) => {
-                        self.count_parse_failure(e);
+                        stats.count_parse_failure(e);
                         None
                     }
                 }
             }
-        };
-        if let Some((mut hostname, source, t_ms)) = recovered {
-            // The extractors hand over an owned name: lowercase it where it
-            // lies, so an observation costs the one allocation.
-            hostname.make_ascii_lowercase();
-            match source {
-                HostnameSource::TlsSni => self.stats.tls_sni += 1,
-                HostnameSource::QuicSni => self.stats.quic_sni += 1,
-                HostnameSource::DnsQuery => self.stats.dns_names += 1,
-            }
-            self.observations.push(Observation {
-                t_ms,
-                client_ip: pkt.src.ip,
-                hostname,
-                source,
-            });
         }
     }
 
-    /// Feed one TCP segment into the per-flow reassembly state.
-    fn try_tls(&mut self, key: &FlowKey, pkt: &Packet) -> TlsOutcome {
-        enum Parsed {
-            Name(String),
-            Hidden,
-            Truncated,
-            Garbage,
+    /// Enforce the flow-count and total-bytes caps after an insert/append,
+    /// abandoning the oldest reassembling flows first.
+    fn enforce_pending_caps(&mut self, protect: &FlowKey) {
+        let Self {
+            flows,
+            reassembly_order: order,
+            stats,
+            config,
+            ..
+        } = self;
+        while flows.reassembling_flows() > config.max_pending_flows
+            || flows.reassembly_bytes() > config.max_total_pending_bytes
+        {
+            // Never evict the flow we are actively appending to: its own
+            // growth is bounded by the per-flow budget.
+            if flows.reassembling_flows() == 1 && flows.is_reassembling(protect) {
+                break;
+            }
+            if order.front() == Some(protect) && flows.is_reassembling(protect) {
+                order.rotate_left(1);
+                continue;
+            }
+            // Abandon the oldest live flow, skipping stale order entries
+            // of flows that have since concluded.
+            let mut abandoned = false;
+            while let Some(old) = order.pop_front() {
+                if flows.finish(&old) {
+                    stats.parse_errors += 1;
+                    stats.evicted_mid_handshake += 1;
+                    abandoned = true;
+                    break;
+                }
+            }
+            if !abandoned {
+                break;
+            }
         }
-        let mut buffered = self.pending.contains_key(key);
-        // Parse against either the lone segment (fast path) or the
-        // accumulated flow buffer; the borrow ends before we mutate state.
-        let mut appended = 0usize;
-        // The observation timestamp: the flow's first segment, not the
-        // segment that completes the parse.
-        let mut start_t = pkt.t_ms;
-        let parsed = {
-            let attempt: &[u8] = if buffered {
-                match self.pending.get_mut(key) {
-                    Some((buf, segments, first_t)) => {
-                        buf.extend_from_slice(&pkt.payload);
-                        *segments += 1;
-                        appended = pkt.payload.len();
-                        start_t = *first_t;
-                        buf
-                    }
-                    None => {
-                        // `contains_key` just said yes: unreachable in any
-                        // execution we know of, but a counted fallback to
-                        // the lone-segment path beats aborting the tap.
-                        self.stats.reassembly_invariant += 1;
-                        buffered = false;
-                        &pkt.payload
-                    }
-                }
-            } else {
-                &pkt.payload
-            };
-            match tls::extract_sni(attempt) {
-                Ok(Some(name)) => Parsed::Name(name.to_string()),
-                Ok(None) => Parsed::Hidden,
-                Err(ParseError::Truncated) => Parsed::Truncated,
-                Err(_) => Parsed::Garbage,
-            }
-        };
-        self.pending_bytes += appended;
-        match parsed {
-            Parsed::Name(name) => {
-                if buffered {
-                    self.stats.reassembled += 1;
-                    self.pending_remove(key);
-                }
-                self.flows.finish(key);
-                TlsOutcome::Hostname(name, start_t)
-            }
-            Parsed::Hidden => {
-                self.pending_remove(key);
-                TlsOutcome::Hidden
-            }
-            Parsed::Truncated => {
-                if buffered {
-                    match self.pending.get(key) {
-                        Some((buf, segments, _)) => {
-                            if buf.len() > self.config.max_pending_bytes
-                                || *segments >= self.config.max_pending_segments
-                            {
-                                self.pending_remove(key);
-                                return TlsOutcome::Overflow;
-                            }
-                        }
-                        None => {
-                            // As above: the entry vanished between the
-                            // append and the budget check. Count it and
-                            // treat the flow as freshly abandoned.
-                            self.stats.reassembly_invariant += 1;
-                            return TlsOutcome::Overflow;
-                        }
-                    }
-                    self.enforce_pending_caps(key);
-                } else {
-                    if pkt.payload.len() > self.config.max_pending_bytes {
-                        return TlsOutcome::Overflow;
-                    }
-                    self.pending
-                        .insert(*key, (pkt.payload.to_vec(), 1, pkt.t_ms));
-                    self.pending_bytes += pkt.payload.len();
-                    self.pending_order.push_back(*key);
-                    self.enforce_pending_caps(key);
-                }
-                TlsOutcome::Incomplete
-            }
-            Parsed::Garbage => {
-                self.pending_remove(key);
-                TlsOutcome::Garbage
-            }
+        // The order queue accumulates stale entries for flows that
+        // finished reassembly; compact it before it dwarfs the live set.
+        if order.len() > 2 * config.max_pending_flows.max(16) {
+            order.retain(|k| flows.is_reassembling(k));
         }
     }
 
@@ -543,9 +455,15 @@ impl SniObserver {
         map
     }
 
-    /// Counters.
+    /// Counters, with the reassemblies the flow table dropped along with
+    /// the idle flows it evicted.
     pub fn stats(&self) -> ObserverStats {
-        self.stats
+        let idle = self.flows.evicted_mid_handshake();
+        ObserverStats {
+            parse_errors: self.stats.parse_errors + idle,
+            evicted_mid_handshake: self.stats.evicted_mid_handshake + idle,
+            ..self.stats
+        }
     }
 
     /// Flow-table counters.
@@ -560,7 +478,29 @@ impl Default for SniObserver {
     }
 }
 
+/// `name` itself when it is already lowercase, else its lowercase copy in
+/// `scratch`.
+fn lowercase<'a>(name: &'a str, scratch: &'a mut String) -> &'a str {
+    if !name.bytes().any(|b| b.is_ascii_uppercase()) {
+        return name;
+    }
+    scratch.clear();
+    scratch.push_str(name);
+    scratch.make_ascii_lowercase();
+    scratch
+}
+
 impl ObserverStats {
+    /// Count one parse failure under its taxonomy bucket.
+    fn count_parse_failure(&mut self, err: ParseError) {
+        self.parse_errors += 1;
+        match err {
+            ParseError::Truncated => self.truncated_records += 1,
+            ParseError::BadLength => self.bad_lengths += 1,
+            _ => self.garbage += 1,
+        }
+    }
+
     /// Sum of the failure-taxonomy counters; equals `parse_errors` by
     /// construction (checked by the chaos conformance suite).
     pub fn taxonomy_total(&self) -> u64 {

@@ -322,9 +322,20 @@ impl<'a> InitialView<'a> {
 /// [`tls::extract_sni`](crate::tls::extract_sni), a malformed
 /// `server_name` extension reads as `Ok(None)`.
 pub fn extract_sni_from_quic(bytes: &[u8]) -> Result<Option<String>, ParseError> {
+    let mut name = String::new();
+    Ok(sni_from_quic_into(bytes, &mut name)?.then_some(name))
+}
+
+/// [`extract_sni_from_quic`] into a caller's buffer: `out` is cleared, and
+/// on `Ok(true)` holds the name, so a reused buffer recovers a name without
+/// allocating. `Ok(false)` is the `Ok(None)` of [`extract_sni_from_quic`].
+pub fn sni_from_quic_into(bytes: &[u8], out: &mut String) -> Result<bool, ParseError> {
+    out.clear();
     let pkt = InitialView::parse(bytes)?;
     let hello = HelloView::parse_handshake(&pkt.crypto)?;
-    Ok(hello.sni().map(str::to_string))
+    let name = hello.sni();
+    out.push_str(name.unwrap_or_default());
+    Ok(name.is_some())
 }
 
 #[cfg(test)]

@@ -1,8 +1,12 @@
 //! Allocation budget of the packet path.
 //!
-//! A hostname leaves the observer as one owned `String` inside an
-//! [`Observation`](hostprof_net::Observation); everything before that is a
-//! walk over the packet's own bytes (DESIGN.md §8.4). This test states
+//! Through `SniObserver::process` a hostname leaves the observer as one
+//! owned `String` inside an [`Observation`](hostprof_net::Observation);
+//! everything before that is a walk over the packet's own bytes (DESIGN.md
+//! §8.4). On the engine's path (`process_with`) the name does not leave as
+//! a `String` at all: the sink borrows it, and
+//! `crates/core/tests/ingest_alloc_budget.rs` holds that path to the
+//! doublings alone. This test states
 //! that as a number a later change cannot quietly undo: with a counting
 //! global allocator, N single-frame QUIC Initials through
 //! `SniObserver::process` + `drain_observations` cost N allocations — one

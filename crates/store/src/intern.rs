@@ -4,10 +4,14 @@
 //! Ids are assigned in first-intern order, so a table built by replaying
 //! the same stream is byte-identical — the property the differential
 //! oracle pins. The hash index maps an FNV-1a-64 hash of the name to the
-//! ids sharing that hash (almost always exactly one); membership is
-//! confirmed against the arena, so the strings are never stored twice.
+//! first id with that hash, and ids sharing a hash (almost never more than
+//! one) are chained in first-seen order through a vector parallel to the
+//! ids; membership is confirmed against the arena, so the strings are
+//! never stored twice. The name is hashed once: the index is keyed by the
+//! FNV value itself, which its map folds instead of hashing again.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// FNV-1a 64-bit — the repo's standard content hash.
 #[inline]
@@ -19,6 +23,30 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     }
     h
 }
+
+/// The index's hasher: its keys already are hashes, so `finish` only folds
+/// the high half into the low half, where the map picks its bucket.
+#[derive(Default)]
+struct FnvKey(u64);
+
+impl Hasher for FnvKey {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the interner's index is keyed by u64 hashes")
+    }
+
+    #[inline]
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// End of a hash chain in [`HostInterner::next`].
+const NO_ID: u32 = u32::MAX;
 
 /// Append-only string-to-`u32` interning table.
 ///
@@ -32,8 +60,11 @@ pub struct HostInterner {
     arena: String,
     /// `offsets[i]..offsets[i + 1]` bounds name `i`; always starts with 0.
     offsets: Vec<u32>,
-    /// FNV-1a(name) → ids with that hash (collisions resolved by compare).
-    index: HashMap<u64, Vec<u32>>,
+    /// FNV-1a(name) → the first id with that hash.
+    index: HashMap<u64, u32, BuildHasherDefault<FnvKey>>,
+    /// `next[i]`: the next id after `i` whose name has the same hash, or
+    /// [`NO_ID`].
+    next: Vec<u32>,
 }
 
 impl HostInterner {
@@ -42,7 +73,8 @@ impl HostInterner {
         Self {
             arena: String::new(),
             offsets: vec![0],
-            index: HashMap::new(),
+            index: HashMap::default(),
+            next: Vec::new(),
         }
     }
 
@@ -56,31 +88,55 @@ impl HostInterner {
         self.len() == 0
     }
 
-    /// Intern `name`, returning its id (existing id if already present).
-    pub fn intern(&mut self, name: &str) -> u32 {
-        let h = fnv1a(name.as_bytes());
-        if let Some(ids) = self.index.get(&h) {
-            for &id in ids {
-                if self.name(id) == name {
-                    return id;
-                }
+    /// The id of `name` among those hashing to `hash`, or else the last id
+    /// of that hash's chain (`None` when no name has that hash).
+    fn find(&self, hash: u64, name: &str) -> Result<u32, Option<u32>> {
+        let Some(&first) = self.index.get(&hash) else {
+            return Err(None);
+        };
+        let mut id = first;
+        loop {
+            if self.name(id) == name {
+                return Ok(id);
+            }
+            match self.next[id as usize] {
+                NO_ID => return Err(Some(id)),
+                later => id = later,
             }
         }
+    }
+
+    /// Intern `name`, returning its id (existing id if already present).
+    pub fn intern(&mut self, name: &str) -> u32 {
+        self.intern_hashed(fnv1a(name.as_bytes()), name)
+    }
+
+    /// [`intern`](Self::intern) with the name's hash given.
+    fn intern_hashed(&mut self, h: u64, name: &str) -> u32 {
+        let last = match self.find(h, name) {
+            Ok(id) => return id,
+            Err(last) => last,
+        };
         let id = self.len() as u32;
         assert!(
-            self.arena.len() + name.len() <= u32::MAX as usize,
+            self.arena.len() + name.len() <= u32::MAX as usize && id < NO_ID,
             "interner arena exceeds u32 addressing"
         );
         self.arena.push_str(name);
         self.offsets.push(self.arena.len() as u32);
-        self.index.entry(h).or_default().push(id);
+        self.next.push(NO_ID);
+        match last {
+            Some(last) => self.next[last as usize] = id,
+            None => {
+                self.index.insert(h, id);
+            }
+        }
         id
     }
 
     /// Id of `name`, if interned.
     pub fn get(&self, name: &str) -> Option<u32> {
-        let ids = self.index.get(&fnv1a(name.as_bytes()))?;
-        ids.iter().copied().find(|&id| self.name(id) == name)
+        self.find(fnv1a(name.as_bytes()), name).ok()
     }
 
     /// The name behind `id`. Panics on an id this table never issued.
@@ -95,15 +151,12 @@ impl HostInterner {
         (0..self.len() as u32).map(move |id| self.name(id))
     }
 
-    /// Heap footprint of the table (arena + offsets + hash index),
-    /// in bytes.
+    /// Heap footprint of the table (arena + offsets + chain links + hash
+    /// index), in bytes.
     pub fn heap_bytes(&self) -> usize {
-        let index_bytes: usize = self
-            .index
-            .values()
-            .map(|ids| std::mem::size_of::<u64>() + ids.capacity() * 4)
-            .sum();
-        self.arena.capacity() + self.offsets.capacity() * 4 + index_bytes
+        let index_bytes =
+            self.index.capacity() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>());
+        self.arena.capacity() + (self.offsets.capacity() + self.next.capacity()) * 4 + index_bytes
     }
 }
 
@@ -154,6 +207,25 @@ mod tests {
         let upper = t.intern("HOST.example");
         assert_ne!(lower, upper);
         assert_eq!(t.name(upper), "HOST.example");
+    }
+
+    /// Names whose hashes collide chain in first-seen order and stay
+    /// distinct ids.
+    #[test]
+    fn hash_collisions_chain_in_first_seen_order() {
+        let mut t = HostInterner::new();
+        let names = ["a.example", "b.example", "c.example"];
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(t.intern_hashed(7, name), i as u32);
+        }
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(t.intern_hashed(7, name), i as u32);
+            assert_eq!(t.find(7, name), Ok(i as u32));
+        }
+        assert_eq!(t.find(7, "d.example"), Err(Some(2)));
+        assert_eq!(t.find(8, "a.example"), Err(None));
+        assert_eq!(t.next, [1, 2, NO_ID]);
+        assert_eq!(t.index.len(), 1);
     }
 
     #[test]

@@ -20,8 +20,7 @@ use crate::ad::{AdDatabase, AdId};
 use crate::click::ClickModel;
 use crate::eavesdropper::{EavesdropperSelector, SelectorConfig};
 use crate::network::{AdNetwork, AdNetworkConfig};
-use hostprof_core::{Pipeline, PipelineConfig, Session, SessionProfile};
-use hostprof_ontology::CategoryVector;
+use hostprof_core::{Pipeline, PipelineConfig, Session};
 use hostprof_synth::trace::{span_range, window_range, DAY_MS};
 use hostprof_synth::{HostKind, Population, Trace, World};
 use rand::{Rng, SeedableRng};
@@ -298,6 +297,17 @@ impl<'a> CtrExperiment<'a> {
             daily_topics_eaves: vec![vec![0.0; n_top]; days as usize],
         };
         let mut ext: Vec<ExtensionState> = vec![ExtensionState::default(); self.population.len()];
+        // Figure 6a's row of each host: the top-topic projection of its
+        // label, if any.
+        let visit_topics: Vec<Option<Vec<f32>>> = self
+            .world
+            .hosts()
+            .iter()
+            .map(|h| {
+                let cats = self.world.ontology().lookup(&h.name)?;
+                Some(hierarchy.project_to_top(cats))
+            })
+            .collect();
 
         let requests = self.trace.requests();
         for day in 1..days {
@@ -343,23 +353,18 @@ impl<'a> CtrExperiment<'a> {
 
             // Pre-pass: the report cadence depends only on request times,
             // never on the RNG, so the day's due reports are known up
-            // front. Walk them once, grouping by 10-minute report tick,
-            // and profile each tick's active users in one batched,
-            // multi-threaded call. The replay below then consumes the
-            // profiles in the same order it rediscovers the reports.
-            let mut scheduled: std::collections::VecDeque<Option<SessionProfile>> =
-                std::collections::VecDeque::new();
+            // front. Walk them once, resolving each report's session
+            // against the day's model as it is found, and profile all of
+            // the day's sessions in one batched, multi-threaded call —
+            // what `profile_sessions` does, without holding a day of
+            // owned hostnames. The replay below then consumes the
+            // profiles in the order it rediscovers the reports.
+            let mut scheduled = Vec::new().into_iter();
             if let Some(batch) = batch_profiler.as_ref() {
                 let interval = self.config.pipeline.report_interval_ms();
+                let w = self.config.pipeline.session_window_ms();
                 let mut clocks: Vec<Option<u64>> = ext.iter().map(|s| s.last_report_ms).collect();
-                let mut pending: Vec<Session> = Vec::new();
-                let mut pending_tick = 0u64;
-                let flush =
-                    |pending: &mut Vec<Session>,
-                     scheduled: &mut std::collections::VecDeque<Option<SessionProfile>>| {
-                        scheduled.extend(batch.profile_sessions(pending));
-                        pending.clear();
-                    };
+                let (mut hosts, mut sessions) = (Vec::new(), Vec::new());
                 for r in today {
                     let host = self.world.host(r.host);
                     if !matches!(host.kind, HostKind::Site | HostKind::Core) {
@@ -371,12 +376,6 @@ impl<'a> CtrExperiment<'a> {
                         continue;
                     }
                     *clock = Some(r.t_ms);
-                    let tick = (r.t_ms - start) / interval;
-                    if tick != pending_tick && !pending.is_empty() {
-                        flush(&mut pending, &mut scheduled);
-                    }
-                    pending_tick = tick;
-                    let w = self.config.pipeline.session_window_ms();
                     let hostnames: Vec<&str> = match self.view {
                         // The report profiles the *observed* window —
                         // decoys included, hidden hostnames gone.
@@ -387,22 +386,21 @@ impl<'a> CtrExperiment<'a> {
                             window.iter().map(|h| self.world.hostname(*h)).collect()
                         }
                     };
-                    pending.push(Session::from_window(
-                        hostnames.iter().copied(),
-                        Some(pipeline.blocklist()),
-                    ));
+                    let session =
+                        Session::from_window(hostnames.iter().copied(), Some(pipeline.blocklist()));
+                    let first = hosts.len();
+                    hosts.extend(session.iter().map(|h| batch.profiler().resolve(h)));
+                    sessions.push(first..hosts.len());
                 }
-                if !pending.is_empty() {
-                    flush(&mut pending, &mut scheduled);
-                }
+                scheduled = batch.profile_resolved(&hosts, &sessions).into_iter();
             }
             for r in today {
                 let host = self.world.host(r.host);
                 let day_idx = day as usize;
 
                 // Figure 6a: labeled connections by top topic.
-                if let Some(cats) = self.world.ontology().lookup(&host.name) {
-                    add_topics(&mut result.daily_topics_visits[day_idx], hierarchy, cats);
+                if let Some(row) = &visit_topics[r.host.index()] {
+                    add_topics(&mut result.daily_topics_visits[day_idx], row);
                 }
 
                 let is_page_visit = matches!(host.kind, HostKind::Site | HostKind::Core);
@@ -410,7 +408,7 @@ impl<'a> CtrExperiment<'a> {
                     continue;
                 }
                 // Ad-network's tracker sees the visit (cookie profile).
-                network.observe_visit(&mut rng, self.world, r.user, r.host);
+                network.observe_visit(&mut rng, r.user, r.host);
 
                 // Extension report cadence.
                 let state = &mut ext[r.user.index()];
@@ -425,7 +423,7 @@ impl<'a> CtrExperiment<'a> {
                         // The pre-pass profiled this report already; its
                         // queue yields reports in the same order.
                         let profile = scheduled
-                            .pop_front()
+                            .next()
                             .expect("pre-pass scheduled every due report");
                         if let Some(profile) = profile {
                             result.profiles += 1;
@@ -477,8 +475,7 @@ impl<'a> CtrExperiment<'a> {
                         if ad.labeled {
                             add_topics(
                                 &mut result.daily_topics_eaves[day_idx],
-                                hierarchy,
-                                &ad.categories,
+                                &hierarchy.project_to_top(&ad.categories),
                             );
                         }
                     }
@@ -490,8 +487,7 @@ impl<'a> CtrExperiment<'a> {
                         if orig.labeled {
                             add_topics(
                                 &mut result.daily_topics_original[day_idx],
-                                hierarchy,
-                                &orig.categories,
+                                &hierarchy.project_to_top(&orig.categories),
                             );
                         }
                     }
@@ -502,9 +498,11 @@ impl<'a> CtrExperiment<'a> {
     }
 }
 
-fn add_topics(acc: &mut [f64], hierarchy: &hostprof_ontology::Hierarchy, cats: &CategoryVector) {
-    for (t, w) in hierarchy.project_to_top(cats).into_iter().enumerate() {
-        acc[t] += w as f64;
+/// Add one top-topic row (`Hierarchy::project_to_top`) to a day's
+/// histogram.
+fn add_topics(acc: &mut [f64], row: &[f32]) {
+    for (a, &w) in acc.iter_mut().zip(row) {
+        *a += w as f64;
     }
 }
 
@@ -531,6 +529,10 @@ mod tests {
     use hostprof_synth::{PopulationConfig, TraceConfig, WorldConfig};
 
     fn tiny_experiment() -> ExperimentResult {
+        tiny_experiment_at(ExperimentConfig::default().profile_threads)
+    }
+
+    fn tiny_experiment_at(profile_threads: usize) -> ExperimentResult {
         let world = World::generate(&WorldConfig::tiny());
         let pop = Population::generate(&world, &PopulationConfig::tiny());
         let trace = Trace::generate(
@@ -552,6 +554,7 @@ mod tests {
                 },
                 ..PipelineConfig::default()
             },
+            profile_threads,
             ..Default::default()
         };
         CtrExperiment::new(&world, &pop, &trace, &db, config).run()
@@ -616,6 +619,46 @@ mod tests {
         let b = tiny_experiment();
         assert_eq!(a.per_user, b.per_user);
         assert_eq!(a.replaced, b.replaced);
+    }
+
+    /// `profile_threads` is documented not to change results: the whole
+    /// result, histograms as bits, at 1, 2 and 4 threads.
+    #[test]
+    fn the_thread_count_never_changes_results() {
+        fn bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        }
+        let one = tiny_experiment_at(1);
+        assert!(one.profiles > 0);
+        for threads in [2, 4] {
+            let r = tiny_experiment_at(threads);
+            assert_eq!(r.per_user, one.per_user, "{threads} threads");
+            assert_eq!(
+                (
+                    r.replaced,
+                    r.impressions,
+                    r.reports,
+                    r.profiles,
+                    r.models_trained
+                ),
+                (
+                    one.replaced,
+                    one.impressions,
+                    one.reports,
+                    one.profiles,
+                    one.models_trained
+                ),
+                "{threads} threads"
+            );
+            assert_eq!(bits(&r.daily_topics_visits), bits(&one.daily_topics_visits));
+            assert_eq!(
+                bits(&r.daily_topics_original),
+                bits(&one.daily_topics_original)
+            );
+            assert_eq!(bits(&r.daily_topics_eaves), bits(&one.daily_topics_eaves));
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   the network observer sees every TLS connection.
 
 use crate::ad::{AdDatabase, AdId};
-use hostprof_ontology::CategoryVector;
+use hostprof_ontology::{CategoryId, CategoryVector};
 use hostprof_synth::{HostId, UserId, World};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -50,8 +50,8 @@ pub struct AdNetworkConfig {
     /// Fraction of site visits the network's trackers actually observe.
     pub tracker_coverage: f64,
     /// How many recent site visits the cookie profile window keeps: one
-    /// category vector per visit in memory for every tracked user, and a
-    /// fold over all of them for each targeted impression.
+    /// host id per visit in memory for every tracked user, and a fold over
+    /// all of their categories for each targeted impression.
     pub profile_window: usize,
     /// How many recent visits feed retargeting.
     pub retarget_window: usize,
@@ -73,23 +73,52 @@ impl Default for AdNetworkConfig {
 /// Per-user cookie state.
 #[derive(Debug, Clone, Default)]
 struct CookieProfile {
-    /// Rolling window of observed site visits (host + categories).
-    visits: VecDeque<(HostId, CategoryVector)>,
+    /// Rolling window of observed site visits; a site's categories are
+    /// read from the world when an ad needs them.
+    visits: VecDeque<HostId>,
 }
 
 impl CookieProfile {
-    /// Aggregated interest estimate: the mean of the window, folded in
-    /// visit order. Only a targeted impression reads it, and the CTR
-    /// replay serves one for roughly every ten tracked visits, so it is
+    /// Aggregated interest estimate: the mean of the window's categories,
+    /// folded in visit order. Only a targeted impression reads it, and the
+    /// CTR replay serves one for roughly every ten tracked visits, so it is
     /// derived here and not kept current by `observe_visit`.
-    fn profile(&self) -> CategoryVector {
-        let mut agg = CategoryVector::empty();
-        let n = self.visits.len() as f32;
-        for (_, c) in &self.visits {
-            agg.add_scaled(c, 1.0 / n);
-        }
-        agg
+    fn profile(&self, world: &World) -> CategoryVector {
+        dense_mean(
+            self.visits.iter().map(|&site| world.ground_truth(site)),
+            world.hierarchy().num_categories(),
+        )
     }
+}
+
+/// The mean of `visits` (ids below `width`), folded densely:
+/// `acc[c] = (acc[c] + (1/n)·w).min(1.0)` per visit, then the ids with
+/// `acc > 0` in ascending order.
+///
+/// That is the same float operations in the same order as folding with
+/// `CategoryVector::add_scaled(v, 1/n)` from empty: there each id sums
+/// from 0.0, the accumulated weight first; an id the accumulator lacks
+/// reads 0.0 here, and `0.0 + x` is `x` in both; an id the visit lacks is
+/// re-emitted unchanged by the merge and left alone here; and an entry
+/// that ends ≤ 0 is dropped by the merge and reads 0.0 — not emitted —
+/// here.
+fn dense_mean<'v>(
+    visits: impl ExactSizeIterator<Item = &'v CategoryVector>,
+    width: usize,
+) -> CategoryVector {
+    let mut acc = vec![0.0f32; width];
+    let n = visits.len() as f32;
+    for cats in visits {
+        for (c, w) in cats.iter() {
+            let a = &mut acc[c.index()];
+            *a = (*a + 1.0 / n * w).min(1.0);
+        }
+    }
+    acc.iter()
+        .enumerate()
+        .filter(|(_, &w)| w > 0.0)
+        .map(|(c, &w)| (CategoryId(c as u16), w))
+        .collect()
 }
 
 /// The simulated ad network.
@@ -115,19 +144,12 @@ impl AdNetwork {
 
     /// Tracker callback: the network observes `user` visiting `site`
     /// (subject to tracker coverage, decided by the caller's RNG).
-    pub fn observe_visit<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        world: &World,
-        user: UserId,
-        site: HostId,
-    ) {
+    pub fn observe_visit<R: Rng + ?Sized>(&mut self, rng: &mut R, user: UserId, site: HostId) {
         if !rng.gen_bool(self.config.tracker_coverage) {
             return;
         }
-        let cats = world.ground_truth(site).clone();
         let cookie = self.cookies.entry(user).or_default();
-        cookie.visits.push_back((site, cats));
+        cookie.visits.push_back(site);
         while cookie.visits.len() > self.config.profile_window {
             cookie.visits.pop_front();
         }
@@ -135,10 +157,10 @@ impl AdNetwork {
 
     /// The network's current cookie profile of a user (empty if never
     /// observed).
-    pub fn cookie_profile(&self, user: UserId) -> CategoryVector {
+    pub fn cookie_profile(&self, world: &World, user: UserId) -> CategoryVector {
         self.cookies
             .get(&user)
-            .map(CookieProfile::profile)
+            .map(|c| c.profile(world))
             .unwrap_or_default()
     }
 
@@ -161,7 +183,7 @@ impl AdNetwork {
             return Some((self.pick_premium(rng, db), ServedAdKind::Premium));
         }
         if roll < c.premium + c.retargeted {
-            if let Some(id) = self.pick_retargeted(rng, db, user) {
+            if let Some(id) = self.pick_retargeted(rng, world, db, user) {
                 return Some((id, ServedAdKind::Retargeted));
             }
             // No browsing history yet: fall through to contextual.
@@ -172,7 +194,10 @@ impl AdNetwork {
                 ServedAdKind::Contextual,
             ));
         }
-        Some((self.pick_targeted(rng, db, user), ServedAdKind::Targeted))
+        Some((
+            self.pick_targeted(rng, world, db, user),
+            ServedAdKind::Targeted,
+        ))
     }
 
     /// Premium: weight-proportional pick over the whole inventory.
@@ -194,6 +219,7 @@ impl AdNetwork {
     fn pick_retargeted<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
+        world: &World,
         db: &AdDatabase,
         user: UserId,
     ) -> Option<AdId> {
@@ -203,13 +229,14 @@ impl AdNetwork {
             return None;
         }
         // One of the `recent` newest visits, counted back from the last.
-        let (host, cats) = &visits[visits.len() - 1 - rng.gen_range(0..recent)];
+        let host = visits[visits.len() - 1 - rng.gen_range(0..recent)];
         // Prefer an ad for that exact landing page; otherwise the closest
         // in category space.
-        let exact = db.by_landing_host(*host);
+        let exact = db.by_landing_host(host);
         if !exact.is_empty() {
             return Some(exact[rng.gen_range(0..exact.len())]);
         }
+        let cats = world.ground_truth(host);
         cats.argmax()
             .and_then(|c| db.closest_ad_in_category(c.0, cats))
     }
@@ -233,8 +260,14 @@ impl AdNetwork {
     }
 
     /// Targeted: an ad matching the cookie profile.
-    fn pick_targeted<R: Rng + ?Sized>(&self, rng: &mut R, db: &AdDatabase, user: UserId) -> AdId {
-        let profile = self.cookie_profile(user);
+    fn pick_targeted<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        world: &World,
+        db: &AdDatabase,
+        user: UserId,
+    ) -> AdId {
+        let profile = self.cookie_profile(world, user);
         match profile
             .argmax()
             .and_then(|c| db.closest_ad_in_category(c.0, &profile))
@@ -286,7 +319,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let site = a_site(&world);
         for _ in 0..50 {
-            network.observe_visit(&mut rng, &world, UserId(0), site);
+            network.observe_visit(&mut rng, UserId(0), site);
         }
         let mut kinds = std::collections::HashSet::new();
         for _ in 0..500 {
@@ -308,16 +341,16 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let site = a_site(&world);
         for _ in 0..20 {
-            network.observe_visit(&mut rng, &world, UserId(5), site);
+            network.observe_visit(&mut rng, UserId(5), site);
         }
-        let profile = network.cookie_profile(UserId(5));
+        let profile = network.cookie_profile(&world, UserId(5));
         let truth = world.ground_truth(site);
         assert!(
             profile.cosine(truth) > 0.95,
             "single-site profile ≈ that site: {}",
             profile.cosine(truth)
         );
-        assert!(network.cookie_profile(UserId(99)).is_empty());
+        assert!(network.cookie_profile(&world, UserId(99)).is_empty());
     }
 
     #[test]
@@ -339,13 +372,15 @@ mod tests {
     fn retargeting_needs_history() {
         let (world, db, mut network) = setup();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        assert!(network.pick_retargeted(&mut rng, &db, UserId(0)).is_none());
+        assert!(network
+            .pick_retargeted(&mut rng, &world, &db, UserId(0))
+            .is_none());
         let site = a_site(&world);
         // Force observation despite coverage randomness.
         for _ in 0..30 {
-            network.observe_visit(&mut rng, &world, UserId(0), site);
+            network.observe_visit(&mut rng, UserId(0), site);
         }
-        let id = network.pick_retargeted(&mut rng, &db, UserId(0));
+        let id = network.pick_retargeted(&mut rng, &world, &db, UserId(0));
         assert!(id.is_some());
     }
 
@@ -356,9 +391,9 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let site = a_site(&world);
         for _ in 0..50 {
-            network.observe_visit(&mut rng, &world, UserId(1), site);
+            network.observe_visit(&mut rng, UserId(1), site);
         }
-        assert!(network.cookie_profile(UserId(1)).is_empty());
+        assert!(network.cookie_profile(&world, UserId(1)).is_empty());
     }
 
     #[test]
@@ -368,8 +403,50 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let site = a_site(&world);
         for _ in 0..100 {
-            network.observe_visit(&mut rng, &world, UserId(2), site);
+            network.observe_visit(&mut rng, UserId(2), site);
         }
         assert!(network.cookies[&UserId(2)].visits.len() <= 5);
+    }
+
+    fn bits(v: &CategoryVector) -> Vec<(u16, u32)> {
+        v.iter().map(|(c, w)| (c.0, w.to_bits())).collect()
+    }
+
+    /// The dense fold of `CookieProfile::profile` against the fold it
+    /// replaced, `add_scaled` from empty: the same bits over windows of 1
+    /// to 200 visits over all 328 ids. In every other window each visit
+    /// carries one id at weight 1.0, so that its running sum of rounded
+    /// `1/n` steps crosses 1.0 and clamps for some `n`.
+    #[test]
+    fn dense_fold_equals_the_add_scaled_fold() {
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let mut clamped = 0usize;
+        for n in 1..=200usize {
+            let dominant = CategoryId(rng.gen_range(0..328u16));
+            let window: Vec<CategoryVector> = (0..n)
+                .map(|_| {
+                    let mut pairs: Vec<(CategoryId, f32)> = (0..rng.gen_range(0..5usize))
+                        .map(|_| (CategoryId(rng.gen_range(0..328u16)), 1.0 - rng.gen::<f32>()))
+                        .collect();
+                    if n % 2 == 0 {
+                        pairs.push((dominant, 1.0));
+                    }
+                    CategoryVector::from_pairs(pairs)
+                })
+                .collect();
+            let scale = 1.0 / n as f32;
+            let mut folded = CategoryVector::empty();
+            for cats in &window {
+                clamped += usize::from(cats.iter().any(|(c, w)| folded.get(c) + scale * w > 1.0));
+                folded.add_scaled(cats, scale);
+            }
+            assert_eq!(
+                bits(&dense_mean(window.iter(), 328)),
+                bits(&folded),
+                "window of {n}"
+            );
+        }
+        assert!(clamped > 0, "no running sum crossed 1.0");
+        eprintln!("dense cookie fold: {clamped} sums clamped at 1.0 over 200 windows");
     }
 }

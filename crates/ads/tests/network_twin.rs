@@ -1,10 +1,12 @@
 //! The ad network against its eager twin.
 //!
-//! [`AdNetwork`] derives a user's cookie profile when an ad reads it. Its
-//! twin here is the network as it was when `observe_visit` rebuilt the
-//! profile on every tracked visit, `pick_retargeted` collected the recent
-//! visits into a `Vec`, and the closest ad came from `Iterator::min_by` —
-//! written against the public API only. Any interleaving of visits,
+//! [`AdNetwork`] keeps host ids in its cookie window and folds a user's
+//! cookie profile densely when an ad reads it. Its twin here is the network
+//! as it was when `observe_visit` cloned each site's categories into the
+//! window and rebuilt the profile with `add_scaled` on every tracked visit,
+//! `pick_retargeted` collected the recent visits into a `Vec`, and the
+//! closest ad came from `Iterator::min_by` — written against the public API
+//! only. Any interleaving of visits,
 //! impressions and profile reads must leave both with the same ads, the
 //! same profiles (weights as bits) and the same RNG state.
 
@@ -194,7 +196,7 @@ proptest! {
             let (user, page) = (UserId(user), pages[page % pages.len()]);
             match what {
                 0..=5 => {
-                    network.observe_visit(&mut rng, world, user, page);
+                    network.observe_visit(&mut rng, user, page);
                     eager.observe_visit(&mut eager_rng, world, user, page);
                 }
                 6..=8 => {
@@ -203,13 +205,13 @@ proptest! {
                     kinds[served.expect("the inventory is not empty").1 as usize] += 1;
                 }
                 _ => prop_assert_eq!(
-                    bits(&network.cookie_profile(user)),
+                    bits(&network.cookie_profile(world, user)),
                     bits(&eager.cookie_profile(user))
                 ),
             }
         }
         // A user the tracker never saw reads as empty on both sides.
-        prop_assert!(network.cookie_profile(UserId(9)).is_empty());
+        prop_assert!(network.cookie_profile(world, UserId(9)).is_empty());
         prop_assert_eq!(format!("{rng:?}"), format!("{eager_rng:?}"), "RNG states diverged");
         // Without a tracker there is no history to retarget from.
         let idle = usize::from(coverage == 0);

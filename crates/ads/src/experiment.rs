@@ -228,6 +228,7 @@ impl ObservedView {
 /// Per-user extension state during the replay.
 #[derive(Debug, Clone, Default)]
 struct ExtensionState {
+    /// When the user last reported, advanced by each day's pre-pass.
     last_report_ms: Option<u64>,
     /// Current replacement list and its expiry.
     list: Vec<AdId>,
@@ -308,6 +309,14 @@ impl<'a> CtrExperiment<'a> {
                 Some(hierarchy.project_to_top(cats))
             })
             .collect();
+        // Figures 6b/6c's row of each ad: the projection of its label, if
+        // it has one.
+        let ad_topics: Vec<Option<Vec<f32>>> = self
+            .db
+            .ads()
+            .iter()
+            .map(|ad| ad.labeled.then(|| hierarchy.project_to_top(&ad.categories)))
+            .collect();
 
         let requests = self.trace.requests();
         for day in 1..days {
@@ -352,49 +361,53 @@ impl<'a> CtrExperiment<'a> {
             let today = &requests[span_range(requests, |r| r.t_ms, start, end)];
 
             // Pre-pass: the report cadence depends only on request times,
-            // never on the RNG, so the day's due reports are known up
-            // front. Walk them once, resolving each report's session
-            // against the day's model as it is found, and profile all of
-            // the day's sessions in one batched, multi-threaded call —
-            // what `profile_sessions` does, without holding a day of
-            // owned hostnames. The replay below then consumes the
-            // profiles in the order it rediscovers the reports.
-            let mut scheduled = Vec::new().into_iter();
-            if let Some(batch) = batch_profiler.as_ref() {
-                let interval = self.config.pipeline.report_interval_ms();
-                let w = self.config.pipeline.session_window_ms();
-                let mut clocks: Vec<Option<u64>> = ext.iter().map(|s| s.last_report_ms).collect();
-                let (mut hosts, mut sessions) = (Vec::new(), Vec::new());
-                for r in today {
-                    let host = self.world.host(r.host);
-                    if !matches!(host.kind, HostKind::Site | HostKind::Core) {
-                        continue;
-                    }
-                    let clock = &mut clocks[r.user.index()];
-                    let due = clock.map(|t| r.t_ms >= t + interval).unwrap_or(true);
-                    if !due {
-                        continue;
-                    }
-                    *clock = Some(r.t_ms);
-                    let hostnames: Vec<&str> = match self.view {
-                        // The report profiles the *observed* window —
-                        // decoys included, hidden hostnames gone.
-                        Some(view) => view.window(r.user.index(), r.t_ms, w),
-                        None => {
-                            // Borrow-friendly two-step: ids, then names.
-                            let window = self.trace.window(r.user, r.t_ms, w);
-                            window.iter().map(|h| self.world.hostname(*h)).collect()
-                        }
-                    };
-                    let session =
-                        Session::from_window(hostnames.iter().copied(), Some(pipeline.blocklist()));
-                    let first = hosts.len();
-                    hosts.extend(session.iter().map(|h| batch.profiler().resolve(h)));
-                    sessions.push(first..hosts.len());
+            // never on the RNG, so the day's reports are decided here, up
+            // front, and each user's report clock advanced. With a model,
+            // each report's session is resolved as it is found and all of
+            // the day's sessions are profiled in one batched,
+            // multi-threaded call — what `profile_sessions` does, without
+            // holding a day of owned hostnames. The replay below consumes
+            // the reports by position in `today`, their profiles in order.
+            let interval = self.config.pipeline.report_interval_ms();
+            let w = self.config.pipeline.session_window_ms();
+            let (mut due, mut hosts, mut sessions) = (Vec::new(), Vec::new(), Vec::new());
+            for (i, r) in today.iter().enumerate() {
+                let host = self.world.host(r.host);
+                if !matches!(host.kind, HostKind::Site | HostKind::Core) {
+                    continue;
                 }
-                scheduled = batch.profile_resolved(&hosts, &sessions).into_iter();
+                let clock = &mut ext[r.user.index()].last_report_ms;
+                if clock.is_some_and(|t| r.t_ms < t + interval) {
+                    continue;
+                }
+                *clock = Some(r.t_ms);
+                due.push(i);
+                let Some(batch) = batch_profiler.as_ref() else {
+                    continue;
+                };
+                let hostnames: Vec<&str> = match self.view {
+                    // The report profiles the *observed* window — decoys
+                    // included, hidden hostnames gone.
+                    Some(view) => view.window(r.user.index(), r.t_ms, w),
+                    None => {
+                        // Borrow-friendly two-step: ids, then names.
+                        let window = self.trace.window(r.user, r.t_ms, w);
+                        window.iter().map(|h| self.world.hostname(*h)).collect()
+                    }
+                };
+                let session =
+                    Session::from_window(hostnames.iter().copied(), Some(pipeline.blocklist()));
+                let first = hosts.len();
+                hosts.extend(session.iter().map(|h| batch.profiler().resolve(h)));
+                sessions.push(first..hosts.len());
             }
-            for r in today {
+            let mut profiles = batch_profiler
+                .as_ref()
+                .map(|batch| batch.profile_resolved(&hosts, &sessions))
+                .unwrap_or_default()
+                .into_iter();
+            let mut due = due.into_iter().peekable();
+            for (i, r) in today.iter().enumerate() {
                 let host = self.world.host(r.host);
                 let day_idx = day as usize;
 
@@ -410,29 +423,16 @@ impl<'a> CtrExperiment<'a> {
                 // Ad-network's tracker sees the visit (cookie profile).
                 network.observe_visit(&mut rng, r.user, r.host);
 
-                // Extension report cadence.
-                let state = &mut ext[r.user.index()];
-                let due = state
-                    .last_report_ms
-                    .map(|t| r.t_ms >= t + self.config.pipeline.report_interval_ms())
-                    .unwrap_or(true);
-                if due {
-                    state.last_report_ms = Some(r.t_ms);
+                // The extension reports where the pre-pass said it does.
+                if due.next_if_eq(&i).is_some() {
                     result.reports += 1;
-                    if batch_profiler.is_some() {
-                        // The pre-pass profiled this report already; its
-                        // queue yields reports in the same order.
-                        let profile = scheduled
-                            .next()
-                            .expect("pre-pass scheduled every due report");
-                        if let Some(profile) = profile {
-                            result.profiles += 1;
-                            let list = selector.select(&profile.categories);
-                            if !list.is_empty() {
-                                state.list = list;
-                                state.list_expiry_ms =
-                                    r.t_ms + self.config.pipeline.report_interval_ms();
-                            }
+                    if let Some(Some(profile)) = profiles.next() {
+                        result.profiles += 1;
+                        let list = selector.select(&profile.categories);
+                        if !list.is_empty() {
+                            let state = &mut ext[r.user.index()];
+                            state.list = list;
+                            state.list_expiry_ms = r.t_ms + interval;
                         }
                     }
                 }
@@ -472,11 +472,8 @@ impl<'a> CtrExperiment<'a> {
                         if self.config.click.clicks(&mut rng, user, ad) {
                             ctr.eaves_clicks += 1;
                         }
-                        if ad.labeled {
-                            add_topics(
-                                &mut result.daily_topics_eaves[day_idx],
-                                &hierarchy.project_to_top(&ad.categories),
-                            );
+                        if let Some(row) = &ad_topics[eaves_id.index()] {
+                            add_topics(&mut result.daily_topics_eaves[day_idx], row);
                         }
                     }
                     None => {
@@ -484,11 +481,8 @@ impl<'a> CtrExperiment<'a> {
                         if self.config.click.clicks(&mut rng, user, orig) {
                             ctr.orig_clicks += 1;
                         }
-                        if orig.labeled {
-                            add_topics(
-                                &mut result.daily_topics_original[day_idx],
-                                &hierarchy.project_to_top(&orig.categories),
-                            );
+                        if let Some(row) = &ad_topics[orig_id.index()] {
+                            add_topics(&mut result.daily_topics_original[day_idx], row);
                         }
                     }
                 }

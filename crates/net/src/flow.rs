@@ -11,6 +11,7 @@ use crate::hash::KeyedState;
 use crate::packet::{Endpoint, Packet, Transport};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{Entry, HashMap};
+use std::collections::BTreeMap;
 
 /// Flow identity: directional 5-tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -46,39 +47,20 @@ pub struct Reassembly {
     /// Timestamp of the first segment: the flow's start, which stamps the
     /// eventual observation.
     pub first_t_ms: u64,
+    /// When the buffer opened, as the table's running count of openings:
+    /// its key in [`Open::order`].
+    opened: u64,
 }
 
 #[derive(Debug, Clone)]
 struct FlowState {
     last_seen_ms: u64,
-    inspect: InspectState,
+    /// Inspection concluded (name extracted, hidden, unparseable or
+    /// abandoned): the flow's later packets are skipped.
+    done: bool,
     /// The partial first payload, while one is being reassembled. Boxed, so
     /// the many entries that never hold one stay three words.
     reassembly: Option<Box<Reassembly>>,
-}
-
-/// Where a flow stands in the inspection lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum InspectState {
-    /// No payload seen yet (SYN/ACK-style empty segments).
-    AwaitingFirst,
-    /// Payload seen but the caller has not concluded inspection — a TLS
-    /// ClientHello can span several TCP segments, so the observer keeps
-    /// receiving payloads until it reassembles or gives up.
-    Pending,
-    /// Inspection concluded (hostname extracted, hidden, or unparseable).
-    Done,
-}
-
-/// What the flow table tells the observer about a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowDecision {
-    /// First payload of a newly tracked flow: inspect it.
-    InspectNew,
-    /// Payload of a flow already under inspection: feed it to the parser.
-    Inspect,
-    /// Empty segment, or a flow whose inspection already concluded.
-    Skip,
 }
 
 /// Aggregate flow-table counters.
@@ -110,15 +92,25 @@ impl FlowStats {
     }
 }
 
-/// What the table holds in reassembly buffers, kept as they change.
-#[derive(Debug, Clone, Copy, Default)]
-struct Buffered {
-    /// Flows holding a buffer.
-    flows: usize,
-    /// Bytes across those buffers.
+/// The table's open reassembly buffers, kept exact as they open and drop.
+#[derive(Debug, Default)]
+struct Open {
+    /// The key of every flow holding a buffer, by opening number: oldest
+    /// first. An entry goes wherever its buffer goes, so none is stale.
+    order: BTreeMap<u64, FlowKey>,
+    /// Openings so far: the next buffer's opening number.
+    opened: u64,
+    /// Bytes across the open buffers.
     bytes: usize,
-    /// Buffers dropped because idle eviction took their flow.
+    /// Buffers abandoned with their flow, by idle eviction or [`FlowTable::shed`].
     evicted: u64,
+}
+
+impl Open {
+    fn close(&mut self, buf: &Reassembly) {
+        self.order.remove(&buf.opened);
+        self.bytes -= buf.bytes.len();
+    }
 }
 
 /// The observer's flow table.
@@ -126,36 +118,42 @@ struct Buffered {
 /// One hash probe per packet: [`FlowTable::observe`] finds or creates the
 /// packet's entry and hands it back as a [`FlowEntry`], through which the
 /// caller concludes the flow and grows its reassembly buffer. The buffer
-/// lives in the entry, so a flow evicted mid-handshake takes its bytes
-/// with it, counted at the eviction ([`FlowTable::evicted_mid_handshake`]).
+/// lives in the entry, and the table alone keeps the order the buffers
+/// opened in, their byte total and the count of those it abandoned
+/// ([`FlowTable::evicted_mid_handshake`]), by idle eviction or by
+/// [`FlowTable::shed`].
 #[derive(Debug)]
 pub struct FlowTable {
     flows: HashMap<FlowKey, FlowState, KeyedState>,
     idle_timeout_ms: u64,
     stats: FlowStats,
-    /// Eviction is amortized: run at most once per `evict_every` packets.
+    /// Packets since the last idle eviction: one runs every 1 024 packets.
     since_evict: u64,
-    buffered: Buffered,
+    open: Open,
 }
 
 /// A packet's flow, as [`FlowTable::observe`] found or created it.
 #[derive(Debug)]
 pub struct FlowEntry<'a> {
+    key: FlowKey,
     flow: &'a mut FlowState,
-    buffered: &'a mut Buffered,
+    open: &'a mut Open,
 }
 
 impl FlowEntry<'_> {
-    /// Open a reassembly buffer holding `payload`, the segment at `t_ms`.
-    /// Replaces any buffer the flow already holds.
+    /// Open a reassembly buffer holding `payload`, the segment at `t_ms`,
+    /// as the table's newest. Replaces any buffer the flow already holds.
     pub fn start_reassembly(&mut self, payload: &[u8], t_ms: u64) {
         self.drop_reassembly();
-        self.buffered.flows += 1;
-        self.buffered.bytes += payload.len();
+        let opened = self.open.opened;
+        self.open.opened += 1;
+        self.open.order.insert(opened, self.key);
+        self.open.bytes += payload.len();
         self.flow.reassembly = Some(Box::new(Reassembly {
             bytes: payload.to_vec(),
             segments: 1,
             first_t_ms: t_ms,
+            opened,
         }));
     }
 
@@ -165,21 +163,20 @@ impl FlowEntry<'_> {
         let buf = self.flow.reassembly.as_deref_mut()?;
         buf.bytes.extend_from_slice(payload);
         buf.segments += 1;
-        self.buffered.bytes += payload.len();
+        self.open.bytes += payload.len();
         Some(buf)
     }
 
-    /// Conclude inspection: the flow's later packets get
-    /// [`FlowDecision::Skip`], and its buffer, if any, is dropped.
+    /// Conclude inspection: [`FlowTable::observe`] skips the flow's later
+    /// packets, and its buffer, if any, is dropped.
     pub fn finish(mut self) {
         self.drop_reassembly();
-        self.flow.inspect = InspectState::Done;
+        self.flow.done = true;
     }
 
     fn drop_reassembly(&mut self) {
         if let Some(buf) = self.flow.reassembly.take() {
-            self.buffered.flows -= 1;
-            self.buffered.bytes -= buf.bytes.len();
+            self.open.close(&buf);
         }
     }
 }
@@ -192,13 +189,13 @@ impl FlowTable {
             idle_timeout_ms,
             stats: FlowStats::default(),
             since_evict: 0,
-            buffered: Buffered::default(),
+            open: Open::default(),
         }
     }
 
-    /// Record a packet: whether its payload should be inspected, and its
-    /// flow's entry.
-    pub fn observe(&mut self, pkt: &Packet) -> (FlowDecision, FlowEntry<'_>) {
+    /// Record a packet and return its flow's entry when the payload should
+    /// be inspected: `None` for an empty segment or a concluded flow.
+    pub fn observe(&mut self, pkt: &Packet) -> Option<FlowEntry<'_>> {
         self.stats.packets += 1;
         self.stats.bytes += pkt.payload.len() as u64;
         self.since_evict += 1;
@@ -206,68 +203,49 @@ impl FlowTable {
             self.evict_idle(pkt.t_ms);
             self.since_evict = 0;
         }
-        let empty = pkt.payload.is_empty();
-        let (decision, flow) = match self.flows.entry(FlowKey::of(pkt)) {
+        let key = FlowKey::of(pkt);
+        let flow = match self.flows.entry(key) {
             Entry::Occupied(slot) => {
-                let state = slot.into_mut();
-                state.last_seen_ms = pkt.t_ms;
-                let decision = match state.inspect {
-                    InspectState::Done => FlowDecision::Skip,
-                    _ if empty => FlowDecision::Skip,
-                    InspectState::AwaitingFirst => {
-                        state.inspect = InspectState::Pending;
-                        FlowDecision::InspectNew
-                    }
-                    InspectState::Pending => FlowDecision::Inspect,
-                };
-                (decision, state)
+                let flow = slot.into_mut();
+                flow.last_seen_ms = pkt.t_ms;
+                flow
             }
             Entry::Vacant(slot) => {
                 self.stats.flows_created += 1;
-                let (inspect, decision) = if empty {
-                    (InspectState::AwaitingFirst, FlowDecision::Skip)
-                } else {
-                    (InspectState::Pending, FlowDecision::InspectNew)
-                };
-                let state = slot.insert(FlowState {
+                slot.insert(FlowState {
                     last_seen_ms: pkt.t_ms,
-                    inspect,
+                    done: false,
                     reassembly: None,
-                });
-                (decision, state)
+                })
             }
         };
-        let entry = FlowEntry {
+        (!flow.done && !pkt.payload.is_empty()).then_some(FlowEntry {
+            key,
             flow,
-            buffered: &mut self.buffered,
-        };
-        (decision, entry)
+            open: &mut self.open,
+        })
     }
 
-    /// Conclude a mid-reassembly flow by key: drop its buffer and mark it
-    /// done. A flow holding no buffer — unknown, awaiting its first
-    /// payload, or already concluded — is left as it is. Returns whether a
-    /// buffer was dropped.
-    pub fn finish(&mut self, key: &FlowKey) -> bool {
-        let Some(flow) = self.flows.get_mut(key) else {
-            return false;
-        };
-        if flow.reassembly.is_none() {
-            return false;
+    /// Abandon open reassembly buffers, oldest opened first and never
+    /// `keep`'s, until at most `max_flows` stay open holding at most
+    /// `max_bytes` between them, or `keep`'s is the only one left. Each
+    /// abandoned flow is concluded and counted in
+    /// [`evicted_mid_handshake`](Self::evicted_mid_handshake).
+    pub fn shed(&mut self, keep: &FlowKey, max_flows: usize, max_bytes: usize) {
+        let open = &mut self.open;
+        while open.order.len() > max_flows || open.bytes > max_bytes {
+            let Some((&opened, &old)) = open.order.iter().find(|(_, key)| *key != keep) else {
+                break;
+            };
+            open.order.remove(&opened);
+            open.evicted += 1;
+            if let Some(flow) = self.flows.get_mut(&old) {
+                flow.done = true;
+                if let Some(buf) = flow.reassembly.take() {
+                    open.bytes -= buf.bytes.len();
+                }
+            }
         }
-        FlowEntry {
-            flow,
-            buffered: &mut self.buffered,
-        }
-        .finish();
-        true
-    }
-
-    /// Whether the flow `key` holds a reassembly buffer.
-    pub fn is_reassembling(&self, key: &FlowKey) -> bool {
-        self.flows
-            .get(key)
-            .is_some_and(|flow| flow.reassembly.is_some())
     }
 
     /// Drop flows idle since before `now_ms - idle_timeout_ms`. A dropped
@@ -276,32 +254,37 @@ impl FlowTable {
     pub fn evict_idle(&mut self, now_ms: u64) {
         let cutoff = now_ms.saturating_sub(self.idle_timeout_ms);
         let before = self.flows.len();
-        let buffered = &mut self.buffered;
+        let open = &mut self.open;
         self.flows.retain(|_, s| {
             let keep = s.last_seen_ms >= cutoff;
             if let (false, Some(buf)) = (keep, &s.reassembly) {
-                buffered.flows -= 1;
-                buffered.bytes -= buf.bytes.len();
-                buffered.evicted += 1;
+                open.close(buf);
+                open.evicted += 1;
             }
             keep
         });
         self.stats.flows_evicted += (before - self.flows.len()) as u64;
     }
 
-    /// Reassembly buffers dropped with a flow idle eviction took.
+    /// Reassembly buffers abandoned with their flow: by idle eviction or
+    /// by [`shed`](Self::shed).
     pub fn evicted_mid_handshake(&self) -> u64 {
-        self.buffered.evicted
+        self.open.evicted
     }
 
     /// Flows currently holding a reassembly buffer.
     pub fn reassembling_flows(&self) -> usize {
-        self.buffered.flows
+        self.open.order.len()
+    }
+
+    /// Keys of the flows holding a reassembly buffer, oldest opened first.
+    pub fn reassembling(&self) -> impl Iterator<Item = &FlowKey> {
+        self.open.order.values()
     }
 
     /// Bytes currently held across all reassembly buffers.
     pub fn reassembly_bytes(&self) -> usize {
-        self.buffered.bytes
+        self.open.bytes
     }
 
     /// Currently tracked flows.
@@ -337,23 +320,26 @@ mod tests {
         }
     }
 
-    fn decide(t: &mut FlowTable, p: &Packet) -> FlowDecision {
-        t.observe(p).0
+    fn inspects(t: &mut FlowTable, p: &Packet) -> bool {
+        t.observe(p).is_some()
+    }
+
+    /// Open a reassembly buffer on `p`'s flow.
+    fn open(t: &mut FlowTable, p: &Packet) {
+        let mut entry = t.observe(p).expect("payload is inspected");
+        entry.start_reassembly(&p.payload, p.t_ms);
     }
 
     #[test]
     fn payloads_are_fed_until_finished_then_skipped() {
         let mut t = FlowTable::default();
-        assert_eq!(
-            decide(&mut t, &pkt(0, 5000, b"hel")),
-            FlowDecision::InspectNew
-        );
+        assert!(inspects(&mut t, &pkt(0, 5000, b"hel")));
         // The caller has not concluded: keep feeding segments (TLS records
         // span TCP segments).
-        let (decision, entry) = t.observe(&pkt(1, 5000, b"lo"));
-        assert_eq!(decision, FlowDecision::Inspect);
-        entry.finish();
-        assert_eq!(decide(&mut t, &pkt(2, 5000, b"more")), FlowDecision::Skip);
+        t.observe(&pkt(1, 5000, b"lo"))
+            .expect("still inspected")
+            .finish();
+        assert!(!inspects(&mut t, &pkt(2, 5000, b"more")));
         assert_eq!(t.active_flows(), 1);
         assert_eq!(t.stats().packets, 3);
         assert_eq!(t.stats().bytes, 9);
@@ -362,89 +348,85 @@ mod tests {
     #[test]
     fn empty_segments_defer_inspection() {
         let mut t = FlowTable::default();
-        assert_eq!(decide(&mut t, &pkt(0, 5000, b"")), FlowDecision::Skip);
-        assert_eq!(
-            decide(&mut t, &pkt(1, 5000, b"payload")),
-            FlowDecision::InspectNew
-        );
+        assert!(!inspects(&mut t, &pkt(0, 5000, b"")));
+        assert!(inspects(&mut t, &pkt(1, 5000, b"payload")));
         // Empty mid-flow segments (pure ACKs) are skipped even while
         // inspection is pending.
-        assert_eq!(decide(&mut t, &pkt(2, 5000, b"")), FlowDecision::Skip);
+        assert!(!inspects(&mut t, &pkt(2, 5000, b"")));
     }
 
     #[test]
     fn different_five_tuples_are_different_flows() {
         let mut t = FlowTable::default();
-        assert_eq!(
-            decide(&mut t, &pkt(0, 5000, b"a")),
-            FlowDecision::InspectNew
-        );
-        assert_eq!(
-            decide(&mut t, &pkt(0, 5001, b"b")),
-            FlowDecision::InspectNew
-        );
+        assert!(inspects(&mut t, &pkt(0, 5000, b"a")));
+        assert!(inspects(&mut t, &pkt(0, 5001, b"b")));
         assert_eq!(t.active_flows(), 2);
         assert_eq!(t.stats().flows_created, 2);
     }
 
-    /// Finishing by key concludes only a flow that is reassembling: an
-    /// unknown key creates nothing, and a flow awaiting its first payload
-    /// still gets it inspected.
+    /// Shedding touches only open buffers: a key the table never saw
+    /// creates nothing, a flow awaiting its first payload still gets it
+    /// inspected, and `keep`'s own buffer survives any cap.
     #[test]
     fn finish_on_unknown_flow_is_a_noop() {
         let mut t = FlowTable::default();
         let ghost = pkt(0, 60_000, b"x");
-        assert!(!t.finish(&FlowKey::of(&ghost)));
-        assert_eq!(t.active_flows(), 0);
+        t.shed(&FlowKey::of(&ghost), 0, 0);
+        assert_eq!((t.active_flows(), t.evicted_mid_handshake()), (0, 0));
         let syn = pkt(0, 60_001, b"");
-        assert_eq!(decide(&mut t, &syn), FlowDecision::Skip);
-        assert!(!t.finish(&FlowKey::of(&syn)));
-        assert_eq!(
-            decide(&mut t, &pkt(1, 60_001, b"hello")),
-            FlowDecision::InspectNew
-        );
+        assert!(!inspects(&mut t, &syn));
+        t.shed(&FlowKey::of(&ghost), 0, 0);
+        assert!(inspects(&mut t, &pkt(1, 60_001, b"hello")));
+        let kept = pkt(2, 60_002, b"partial");
+        open(&mut t, &kept);
+        t.shed(&FlowKey::of(&kept), 0, 0);
+        assert_eq!((t.reassembling_flows(), t.evicted_mid_handshake()), (1, 0));
     }
 
     #[test]
     fn idle_flows_are_evicted_and_reinspected() {
         let mut t = FlowTable::new(1000);
-        let (decision, entry) = t.observe(&pkt(0, 5000, b"a"));
-        assert_eq!(decision, FlowDecision::InspectNew);
-        entry.finish();
+        t.observe(&pkt(0, 5000, b"a")).expect("inspected").finish();
         t.evict_idle(5000);
         assert_eq!(t.active_flows(), 0);
         assert_eq!(t.stats().flows_evicted, 1);
         // Same 5-tuple later is a fresh flow (port reuse).
-        assert_eq!(
-            decide(&mut t, &pkt(6000, 5000, b"b")),
-            FlowDecision::InspectNew
-        );
+        assert!(inspects(&mut t, &pkt(6000, 5000, b"b")));
     }
 
     /// A flow evicted while it holds a reassembly buffer takes the buffer
     /// with it and is counted there; concluded flows and flows that never
-    /// saw a payload are evicted uncounted.
+    /// saw a payload are evicted uncounted. A shed buffer is counted in
+    /// the same place, oldest opened first, and its flow is concluded.
     #[test]
     fn mid_inspection_evictions_are_surfaced_for_cleanup() {
         let mut t = FlowTable::new(1000);
         // Flow A: inspection concluded before idling out → not counted.
-        t.observe(&pkt(0, 5000, b"a")).1.finish();
+        t.observe(&pkt(0, 5000, b"a")).expect("inspected").finish();
         // Flow B: still mid-reassembly when it idles out → counted.
         let pending = pkt(0, 5001, b"partial");
-        let (_, mut entry) = t.observe(&pending);
-        entry.start_reassembly(&pending.payload, pending.t_ms);
+        open(&mut t, &pending);
+        let mut entry = t.observe(&pkt(0, 5001, b"+more")).expect("pending");
         let grown = entry.append(b"+more").expect("buffer is open");
         assert_eq!((grown.bytes.len(), grown.segments), (12, 2));
         // Flow C: never saw a payload (empty segments only) → not counted.
         t.observe(&pkt(0, 5002, b""));
-        assert!(t.is_reassembling(&FlowKey::of(&pending)));
         assert_eq!((t.reassembling_flows(), t.reassembly_bytes()), (1, 12));
         assert_eq!(t.evicted_mid_handshake(), 0);
         t.evict_idle(10_000);
         assert_eq!(t.active_flows(), 0);
         assert_eq!(t.evicted_mid_handshake(), 1);
         assert_eq!((t.reassembling_flows(), t.reassembly_bytes()), (0, 0));
-        assert!(!t.is_reassembling(&FlowKey::of(&pending)));
+
+        // Flows D, E, F open in that order; the cap of two sheds D.
+        for sport in [6000, 6001, 6002] {
+            open(&mut t, &pkt(20_000, sport, b"xy"));
+        }
+        t.shed(&FlowKey::of(&pkt(0, 6002, b"")), 2, usize::MAX);
+        assert_eq!(t.evicted_mid_handshake(), 2);
+        assert_eq!((t.reassembling_flows(), t.reassembly_bytes()), (2, 4));
+        assert!(!inspects(&mut t, &pkt(20_001, 6000, b"z")), "D concluded");
+        assert!(inspects(&mut t, &pkt(20_001, 6001, b"z")), "E still open");
     }
 
     #[test]

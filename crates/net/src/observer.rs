@@ -16,14 +16,16 @@
 //!
 //! * each failure mode lands in a dedicated [`ObserverStats`] taxonomy
 //!   counter (`truncated_records`, `bad_lengths`, `reassembly_overflow`,
-//!   `evicted_mid_handshake`, `garbage`, `reassembly_invariant`), with
-//!   `parse_errors` kept as their running total;
+//!   `evicted_mid_handshake`, `garbage`), with `parse_errors` kept as
+//!   their running total;
 //! * reassembly buffers are bounded per flow (bytes and segments), in
 //!   count (concurrent flows) and in aggregate (total buffered bytes) by a
-//!   tunable [`ObserverConfig`], with FIFO eviction at every cap;
-//! * a reassembly buffer lives in its flow's [`FlowTable`] entry, so a flow
-//!   the table evicts mid-handshake takes its bytes with it, counted where
-//!   it is evicted — nothing waits for 5-tuple reuse.
+//!   tunable [`ObserverConfig`], with FIFO eviction by opening time at the
+//!   two table-wide caps;
+//! * a reassembly buffer lives in its flow's [`FlowTable`] entry, and the
+//!   table alone keeps the buffers' opening order and counts what it
+//!   abandons, at an idle eviction or at a cap — nothing waits for 5-tuple
+//!   reuse.
 //!
 //! ## One probe, no allocation per name
 //!
@@ -39,12 +41,12 @@
 
 use crate::dns;
 use crate::error::ParseError;
-use crate::flow::{FlowDecision, FlowKey, FlowTable};
+use crate::flow::{FlowKey, FlowTable};
 use crate::packet::{Packet, Transport};
 use crate::quic;
 use crate::tls;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Where a hostname was recovered from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -81,8 +83,7 @@ pub struct Observation {
 /// it partition the same failures by cause, so
 /// `parse_errors == truncated_records + bad_lengths + reassembly_overflow +
 /// evicted_mid_handshake + garbage` always holds (asserted by the chaos
-/// conformance suite). `reassembly_invariant` sits outside the sum: it
-/// counts "impossible" internal states and stays zero in any healthy run.
+/// conformance suite).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ObserverStats {
     /// Packets consumed.
@@ -115,9 +116,6 @@ pub struct ObserverStats {
     pub evicted_mid_handshake: u64,
     /// Payloads that parse as none of the protocols the observer knows.
     pub garbage: u64,
-    /// Internal reassembly bookkeeping contradicted itself ("impossible"
-    /// states that previously aborted via `expect`; counted, never fatal).
-    pub reassembly_invariant: u64,
 }
 
 /// Tunable limits of the ingest path: every reassembly buffer the observer
@@ -159,10 +157,6 @@ pub struct SniObserver {
     observations: Vec<Observation>,
     stats: ObserverStats,
     config: ObserverConfig,
-    /// Keys of flows in the order they opened a reassembly buffer, for
-    /// FIFO eviction at the caps. Entries of flows that have since
-    /// concluded stay until they reach the front or a compaction.
-    reassembly_order: VecDeque<FlowKey>,
     /// Where a name that is not a lowercase slice of a packet or flow
     /// buffer — a DNS name, a QUIC name, any name with an uppercase
     /// letter — is put together before the sink borrows it.
@@ -185,7 +179,6 @@ impl SniObserver {
             observations: Vec::new(),
             stats: ObserverStats::default(),
             config,
-            reassembly_order: VecDeque::new(),
             scratch: String::new(),
             harvest_dns: false,
         }
@@ -247,10 +240,7 @@ impl SniObserver {
         sink: impl FnOnce(u32, u64, &str),
     ) -> Option<HostnameSource> {
         self.stats.packets += 1;
-        let (decision, mut flow) = self.flows.observe(pkt);
-        if decision == FlowDecision::Skip {
-            return None;
-        }
+        let mut flow = self.flows.observe(pkt)?;
         let (stats, scratch) = (&mut self.stats, &mut self.scratch);
         let client = pkt.src.ip;
         match pkt.transport {
@@ -296,14 +286,17 @@ impl SniObserver {
                         flow.finish();
                         None
                     }
-                    // More segments are needed; the flow stays pending.
+                    // More segments are needed; the flow stays pending, and
+                    // the oldest other buffers go while the caps are broken.
                     Err(ParseError::Truncated) => {
-                        let key = FlowKey::of(pkt);
                         if !buffered {
                             flow.start_reassembly(&pkt.payload, pkt.t_ms);
-                            self.reassembly_order.push_back(key);
                         }
-                        self.enforce_pending_caps(&key);
+                        self.flows.shed(
+                            &FlowKey::of(pkt),
+                            self.config.max_pending_flows,
+                            self.config.max_total_pending_bytes,
+                        );
                         None
                     }
                     Err(_) => {
@@ -369,50 +362,6 @@ impl SniObserver {
         }
     }
 
-    /// Enforce the flow-count and total-bytes caps after an insert/append,
-    /// abandoning the oldest reassembling flows first.
-    fn enforce_pending_caps(&mut self, protect: &FlowKey) {
-        let Self {
-            flows,
-            reassembly_order: order,
-            stats,
-            config,
-            ..
-        } = self;
-        while flows.reassembling_flows() > config.max_pending_flows
-            || flows.reassembly_bytes() > config.max_total_pending_bytes
-        {
-            // Never evict the flow we are actively appending to: its own
-            // growth is bounded by the per-flow budget.
-            if flows.reassembling_flows() == 1 && flows.is_reassembling(protect) {
-                break;
-            }
-            if order.front() == Some(protect) && flows.is_reassembling(protect) {
-                order.rotate_left(1);
-                continue;
-            }
-            // Abandon the oldest live flow, skipping stale order entries
-            // of flows that have since concluded.
-            let mut abandoned = false;
-            while let Some(old) = order.pop_front() {
-                if flows.finish(&old) {
-                    stats.parse_errors += 1;
-                    stats.evicted_mid_handshake += 1;
-                    abandoned = true;
-                    break;
-                }
-            }
-            if !abandoned {
-                break;
-            }
-        }
-        // The order queue accumulates stale entries for flows that
-        // finished reassembly; compact it before it dwarfs the live set.
-        if order.len() > 2 * config.max_pending_flows.max(16) {
-            order.retain(|k| flows.is_reassembling(k));
-        }
-    }
-
     /// Consume a whole stream.
     pub fn process_stream<'a, I: IntoIterator<Item = &'a Packet>>(&mut self, packets: I) {
         for p in packets {
@@ -455,8 +404,8 @@ impl SniObserver {
         map
     }
 
-    /// Counters, with the reassemblies the flow table dropped along with
-    /// the idle flows it evicted.
+    /// Counters, with the reassemblies the flow table abandoned, at an
+    /// idle eviction or at a cap.
     pub fn stats(&self) -> ObserverStats {
         let idle = self.flows.evicted_mid_handshake();
         ObserverStats {
@@ -532,7 +481,6 @@ impl ObserverStats {
             t.reassembly_overflow += s.reassembly_overflow;
             t.evicted_mid_handshake += s.evicted_mid_handshake;
             t.garbage += s.garbage;
-            t.reassembly_invariant += s.reassembly_invariant;
         }
         t
     }
@@ -896,7 +844,59 @@ mod tests {
             "fresh flow recovered: {:?}",
             obs.observations()
         );
-        assert_eq!(obs.stats().reassembly_invariant, 0);
+    }
+
+    /// The flow-count cap abandons the oldest *open* buffer. K opens and
+    /// idles out; L opens, then a new K on the same 5-tuple, then M breaks
+    /// the cap of two: L goes, not the younger K.
+    #[test]
+    fn cap_sheds_the_oldest_live_buffer_after_port_reuse() {
+        let mut obs = SniObserver::with_config(ObserverConfig {
+            max_pending_flows: 2,
+            ..ObserverConfig::default()
+        });
+        let halves = |host: &str| {
+            let record = ClientHello::for_hostname(host).encode();
+            (record[..10].to_vec(), record[10..].to_vec())
+        };
+        let send = |obs: &mut SniObserver, t: u64, sport: u16, bytes: Vec<u8>| {
+            let mut pkt = tls_packet(t, 5, sport, "ignored");
+            pkt.payload = Bytes::from(bytes);
+            obs.process(&pkt);
+        };
+        let (k, l, m) = (
+            halves("k.example"),
+            halves("l.example"),
+            halves("m.example"),
+        );
+        send(&mut obs, 0, 7500, k.0.clone());
+        for i in 0..1100u64 {
+            let mut tick = tls_packet(10_000_000 + i, 99, (1025 + i) as u16, "x.com");
+            tick.payload = Bytes::from_static(b"");
+            obs.process(&tick);
+        }
+        assert_eq!(
+            (obs.pending_flows(), obs.stats().evicted_mid_handshake),
+            (0, 1)
+        );
+        send(&mut obs, 20_000_000, 7501, l.0);
+        send(&mut obs, 20_000_001, 7500, k.0);
+        send(&mut obs, 20_000_002, 7502, m.0);
+        assert_eq!(
+            (obs.pending_flows(), obs.stats().evicted_mid_handshake),
+            (2, 2)
+        );
+        send(&mut obs, 20_000_003, 7500, k.1);
+        send(&mut obs, 20_000_004, 7501, l.1);
+        send(&mut obs, 20_000_005, 7502, m.1);
+        let names: Vec<&str> = obs
+            .observations()
+            .iter()
+            .map(|o| o.hostname.as_str())
+            .collect();
+        assert_eq!(names, ["k.example", "m.example"]);
+        assert_eq!(obs.stats().taxonomy_total(), obs.stats().parse_errors);
+        assert_eq!(obs.pending_bytes(), 0);
     }
 
     #[test]

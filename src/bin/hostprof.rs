@@ -416,13 +416,12 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 /// One-line error-taxonomy breakdown shared by `observe` and `replay`.
 fn print_taxonomy(st: &hostprof::net::ObserverStats) {
     println!(
-        "error taxonomy        : {} truncated, {} bad-length, {} overflow, {} evicted, {} garbage (invariant breaches: {})",
+        "error taxonomy        : {} truncated, {} bad-length, {} overflow, {} evicted, {} garbage",
         st.truncated_records,
         st.bad_lengths,
         st.reassembly_overflow,
         st.evicted_mid_handshake,
         st.garbage,
-        st.reassembly_invariant,
     );
 }
 

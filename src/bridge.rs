@@ -278,7 +278,6 @@ mod tests {
         let stats = a.observer_stats;
         assert!(a.fidelity() <= 1.0 + 1e-9);
         assert_eq!(stats.parse_errors, stats.taxonomy_total());
-        assert_eq!(stats.reassembly_invariant, 0);
         let cs = a.chaos_stats.expect("chaos ran");
         assert!(cs.mutated_flows + cs.clean_flows == cs.flows_in);
         // A quiescent chaos config is a no-op on fidelity.

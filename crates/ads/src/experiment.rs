@@ -2,8 +2,10 @@
 //!
 //! The driver replays a synthetic browsing trace through the full loop:
 //!
-//! * **daily retraining** — each simulated day starts by training a fresh
-//!   SKIPGRAM model on the previous day's per-user sequences (§5.4);
+//! * **daily retraining** — each simulated day profiles with a fresh
+//!   SKIPGRAM model trained on the previous days' per-user sequences
+//!   (§5.4); the next day's SGD runs on a second thread beside this day's
+//!   (see [`CtrExperiment::run`]);
 //! * **10-minute reports** — browsing activity triggers extension reports;
 //!   each report profiles the user's last 20 minutes and fetches a
 //!   20-ad replacement list valid for the next 10 minutes (§5.2, §5.4);
@@ -20,12 +22,13 @@ use crate::ad::{AdDatabase, AdId};
 use crate::click::ClickModel;
 use crate::eavesdropper::{EavesdropperSelector, SelectorConfig};
 use crate::network::{AdNetwork, AdNetworkConfig};
-use hostprof_core::{Pipeline, PipelineConfig, Session};
+use hostprof_core::{Pipeline, PipelineConfig, Prepared, Session};
 use hostprof_synth::trace::{span_range, window_range, DAY_MS};
-use hostprof_synth::{HostKind, Population, Trace, World};
+use hostprof_synth::{HostId, HostKind, Population, Trace, World};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::thread::ScopedJoinHandle;
 
 /// Experiment parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -275,7 +278,11 @@ impl<'a> CtrExperiment<'a> {
     }
 
     /// Run the replay. Day 0 is warm-up (training data only); profiling
-    /// and ad serving run on days `1 .. trace.days()`.
+    /// and ad serving run on days `1 .. trace.days()`. Days go in pairs:
+    /// the first day of a pair prepares both days' models, hands the
+    /// second's SGD pass to a scoped worker, fits its own and replays; the
+    /// second day joins the worker. Results are the same bits on any
+    /// number of cores.
     pub fn run(&self) -> ExperimentResult {
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
         let pipeline = Pipeline::new(self.config.pipeline.clone(), self.world.blocklist().clone());
@@ -318,176 +325,205 @@ impl<'a> CtrExperiment<'a> {
             .map(|ad| ad.labeled.then(|| hierarchy.project_to_top(&ad.categories)))
             .collect();
 
+        // Day `day`'s model, prepared from the trailing window of previous
+        // days (the paper's "previous day", widened to match its token
+        // budget at our synthetic scale — see `training_days`). An idle
+        // training window (e.g. no browsing yesterday) leaves the
+        // eavesdropper without a model: ad-network ads still run, the
+        // extension just has nothing to replace them with.
+        let prepare = |day: u32| {
+            let window = day.saturating_sub(self.config.training_days.max(1))..day;
+            match self.view {
+                // The eavesdropper trains on what it observed, not on
+                // ground truth.
+                Some(view) => {
+                    let sequences: Vec<Vec<&str>> =
+                        window.flat_map(|d| view.daily_sequences(d)).collect();
+                    pipeline.prepare_names(&sequences).ok()
+                }
+                None => {
+                    let sequences = window
+                        .flat_map(|d| self.trace.daily_sequences(d))
+                        .map(|(_, seq)| seq.into_iter().map(|h| h.0).collect())
+                        .collect();
+                    pipeline
+                        .prepare(sequences, |id| self.world.hostname(HostId(id)))
+                        .ok()
+                }
+            }
+        };
+
         let requests = self.trace.requests();
-        for day in 1..days {
-            // Train on the trailing window of previous days (the paper's
-            // "previous day", widened to match its token budget at our
-            // synthetic scale — see `training_days`).
-            let first_day = day.saturating_sub(self.config.training_days.max(1));
-            let mut sequences: Vec<Vec<&str>> = Vec::new();
-            for train_day in first_day..day {
-                match self.view {
-                    // The eavesdropper trains on what it observed, not on
-                    // ground truth.
-                    Some(view) => sequences.extend(view.daily_sequences(train_day)),
+        // Each model is the same single-thread SGD and the replay's RNG
+        // never sees training, so the schedule changes no result. Every
+        // large buffer is allocated (`prepare`) and freed (`into_model`,
+        // `centered`) on this thread; the worker runs `sgd` alone
+        // (DESIGN.md §9.3).
+        std::thread::scope(|scope| {
+            // `Some(None)`: the second day of the pair has no model.
+            let mut tomorrow: Option<Option<ScopedJoinHandle<'_, Prepared>>> = None;
+            for day in 1..days {
+                let model = match tomorrow.take() {
+                    Some(worker) => worker.map(|worker| {
+                        worker
+                            .join()
+                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                            .into_model()
+                    }),
                     None => {
-                        sequences.extend(self.trace.daily_sequences(train_day).into_iter().map(
-                            |(_, seq)| {
-                                seq.into_iter()
-                                    .map(|h| self.world.hostname(h))
-                                    .collect::<Vec<&str>>()
-                            },
-                        ))
+                        if day + 1 < days {
+                            tomorrow = Some(prepare(day + 1).map(|mut next| {
+                                scope.spawn(move || {
+                                    next.sgd();
+                                    next
+                                })
+                            }));
+                        }
+                        prepare(day).map(Prepared::fit)
                     }
-                }
-            }
-            // An idle training window (e.g. no browsing yesterday) leaves
-            // the eavesdropper without a model: ad-network ads still run,
-            // the extension just has nothing to replace them with.
-            let embeddings = match pipeline.train_model(&sequences) {
-                Ok(e) => {
+                };
+                let embeddings = model.map(|model| {
                     result.models_trained += 1;
-                    Some(e)
-                }
-                Err(_) => None,
-            };
-            let batch_profiler = embeddings.as_ref().map(|e| {
-                pipeline.batch_profiler(e, self.world.ontology(), self.config.profile_threads)
-            });
+                    model.into_embeddings().centered()
+                });
+                let batch_profiler = embeddings.as_ref().map(|e| {
+                    pipeline.batch_profiler(e, self.world.ontology(), self.config.profile_threads)
+                });
 
-            // Replay the day's requests in time order.
-            let start = day as u64 * DAY_MS;
-            let end = start + DAY_MS;
-            let today = &requests[span_range(requests, |r| r.t_ms, start, end)];
+                // Replay the day's requests in time order.
+                let start = day as u64 * DAY_MS;
+                let end = start + DAY_MS;
+                let today = &requests[span_range(requests, |r| r.t_ms, start, end)];
 
-            // Pre-pass: the report cadence depends only on request times,
-            // never on the RNG, so the day's reports are decided here, up
-            // front, and each user's report clock advanced. With a model,
-            // each report's session is resolved as it is found and all of
-            // the day's sessions are profiled in one batched,
-            // multi-threaded call — what `profile_sessions` does, without
-            // holding a day of owned hostnames. The replay below consumes
-            // the reports by position in `today`, their profiles in order.
-            let interval = self.config.pipeline.report_interval_ms();
-            let w = self.config.pipeline.session_window_ms();
-            let (mut due, mut hosts, mut sessions) = (Vec::new(), Vec::new(), Vec::new());
-            for (i, r) in today.iter().enumerate() {
-                let host = self.world.host(r.host);
-                if !matches!(host.kind, HostKind::Site | HostKind::Core) {
-                    continue;
-                }
-                let clock = &mut ext[r.user.index()].last_report_ms;
-                if clock.is_some_and(|t| r.t_ms < t + interval) {
-                    continue;
-                }
-                *clock = Some(r.t_ms);
-                due.push(i);
-                let Some(batch) = batch_profiler.as_ref() else {
-                    continue;
-                };
-                let hostnames: Vec<&str> = match self.view {
-                    // The report profiles the *observed* window — decoys
-                    // included, hidden hostnames gone.
-                    Some(view) => view.window(r.user.index(), r.t_ms, w),
-                    None => {
-                        // Borrow-friendly two-step: ids, then names.
-                        let window = self.trace.window(r.user, r.t_ms, w);
-                        window.iter().map(|h| self.world.hostname(*h)).collect()
+                // Pre-pass: the report cadence depends only on request times,
+                // never on the RNG, so the day's reports are decided here, up
+                // front, and each user's report clock advanced. With a model,
+                // each report's session is resolved as it is found and all of
+                // the day's sessions are profiled in one batched,
+                // multi-threaded call — what `profile_sessions` does, without
+                // holding a day of owned hostnames. The replay below consumes
+                // the reports by position in `today`, their profiles in order.
+                let interval = self.config.pipeline.report_interval_ms();
+                let w = self.config.pipeline.session_window_ms();
+                let (mut due, mut hosts, mut sessions) = (Vec::new(), Vec::new(), Vec::new());
+                for (i, r) in today.iter().enumerate() {
+                    let host = self.world.host(r.host);
+                    if !matches!(host.kind, HostKind::Site | HostKind::Core) {
+                        continue;
                     }
-                };
-                let session =
-                    Session::from_window(hostnames.iter().copied(), Some(pipeline.blocklist()));
-                let first = hosts.len();
-                hosts.extend(session.iter().map(|h| batch.profiler().resolve(h)));
-                sessions.push(first..hosts.len());
+                    let clock = &mut ext[r.user.index()].last_report_ms;
+                    if clock.is_some_and(|t| r.t_ms < t + interval) {
+                        continue;
+                    }
+                    *clock = Some(r.t_ms);
+                    due.push(i);
+                    let Some(batch) = batch_profiler.as_ref() else {
+                        continue;
+                    };
+                    let hostnames: Vec<&str> = match self.view {
+                        // The report profiles the *observed* window — decoys
+                        // included, hidden hostnames gone.
+                        Some(view) => view.window(r.user.index(), r.t_ms, w),
+                        None => {
+                            // Borrow-friendly two-step: ids, then names.
+                            let window = self.trace.window(r.user, r.t_ms, w);
+                            window.iter().map(|h| self.world.hostname(*h)).collect()
+                        }
+                    };
+                    let session =
+                        Session::from_window(hostnames.iter().copied(), Some(pipeline.blocklist()));
+                    let first = hosts.len();
+                    hosts.extend(session.iter().map(|h| batch.profiler().resolve(h)));
+                    sessions.push(first..hosts.len());
+                }
+                let mut profiles = batch_profiler
+                    .as_ref()
+                    .map(|batch| batch.profile_resolved(&hosts, &sessions))
+                    .unwrap_or_default()
+                    .into_iter();
+                let mut due = due.into_iter().peekable();
+                for (i, r) in today.iter().enumerate() {
+                    let host = self.world.host(r.host);
+                    let day_idx = day as usize;
+
+                    // Figure 6a: labeled connections by top topic.
+                    if let Some(row) = &visit_topics[r.host.index()] {
+                        add_topics(&mut result.daily_topics_visits[day_idx], row);
+                    }
+
+                    let is_page_visit = matches!(host.kind, HostKind::Site | HostKind::Core);
+                    if !is_page_visit {
+                        continue;
+                    }
+                    // Ad-network's tracker sees the visit (cookie profile).
+                    network.observe_visit(&mut rng, r.user, r.host);
+
+                    // The extension reports where the pre-pass said it does.
+                    if due.next_if_eq(&i).is_some() {
+                        result.reports += 1;
+                        if let Some(Some(profile)) = profiles.next() {
+                            result.profiles += 1;
+                            let list = selector.select(&profile.categories);
+                            if !list.is_empty() {
+                                let state = &mut ext[r.user.index()];
+                                state.list = list;
+                                state.list_expiry_ms = r.t_ms + interval;
+                            }
+                        }
+                    }
+
+                    // Impression?
+                    if !rng.gen_bool(self.config.impression_prob) {
+                        continue;
+                    }
+                    let Some((orig_id, _kind)) =
+                        network.serve(&mut rng, self.world, self.db, r.user, r.host)
+                    else {
+                        continue;
+                    };
+                    result.impressions += 1;
+                    let orig = self.db.ad(orig_id);
+
+                    // Replacement decision: fresh list + size match.
+                    let state = &mut ext[r.user.index()];
+                    let fresh = !state.list.is_empty() && r.t_ms <= state.list_expiry_ms;
+                    let replacement = if fresh && rng.gen_bool(self.config.replace_prob) {
+                        state
+                            .list
+                            .iter()
+                            .copied()
+                            .find(|id| self.db.ad(*id).size == orig.size)
+                    } else {
+                        None
+                    };
+
+                    let user = self.population.user(r.user);
+                    let ctr = &mut result.per_user[r.user.index()];
+                    match replacement {
+                        Some(eaves_id) => {
+                            let ad = self.db.ad(eaves_id);
+                            result.replaced += 1;
+                            ctr.eaves_impressions += 1;
+                            if self.config.click.clicks(&mut rng, user, ad) {
+                                ctr.eaves_clicks += 1;
+                            }
+                            if let Some(row) = &ad_topics[eaves_id.index()] {
+                                add_topics(&mut result.daily_topics_eaves[day_idx], row);
+                            }
+                        }
+                        None => {
+                            ctr.orig_impressions += 1;
+                            if self.config.click.clicks(&mut rng, user, orig) {
+                                ctr.orig_clicks += 1;
+                            }
+                            if let Some(row) = &ad_topics[orig_id.index()] {
+                                add_topics(&mut result.daily_topics_original[day_idx], row);
+                            }
+                        }
+                    }
+                }
             }
-            let mut profiles = batch_profiler
-                .as_ref()
-                .map(|batch| batch.profile_resolved(&hosts, &sessions))
-                .unwrap_or_default()
-                .into_iter();
-            let mut due = due.into_iter().peekable();
-            for (i, r) in today.iter().enumerate() {
-                let host = self.world.host(r.host);
-                let day_idx = day as usize;
-
-                // Figure 6a: labeled connections by top topic.
-                if let Some(row) = &visit_topics[r.host.index()] {
-                    add_topics(&mut result.daily_topics_visits[day_idx], row);
-                }
-
-                let is_page_visit = matches!(host.kind, HostKind::Site | HostKind::Core);
-                if !is_page_visit {
-                    continue;
-                }
-                // Ad-network's tracker sees the visit (cookie profile).
-                network.observe_visit(&mut rng, r.user, r.host);
-
-                // The extension reports where the pre-pass said it does.
-                if due.next_if_eq(&i).is_some() {
-                    result.reports += 1;
-                    if let Some(Some(profile)) = profiles.next() {
-                        result.profiles += 1;
-                        let list = selector.select(&profile.categories);
-                        if !list.is_empty() {
-                            let state = &mut ext[r.user.index()];
-                            state.list = list;
-                            state.list_expiry_ms = r.t_ms + interval;
-                        }
-                    }
-                }
-
-                // Impression?
-                if !rng.gen_bool(self.config.impression_prob) {
-                    continue;
-                }
-                let Some((orig_id, _kind)) =
-                    network.serve(&mut rng, self.world, self.db, r.user, r.host)
-                else {
-                    continue;
-                };
-                result.impressions += 1;
-                let orig = self.db.ad(orig_id);
-
-                // Replacement decision: fresh list + size match.
-                let state = &mut ext[r.user.index()];
-                let fresh = !state.list.is_empty() && r.t_ms <= state.list_expiry_ms;
-                let replacement = if fresh && rng.gen_bool(self.config.replace_prob) {
-                    state
-                        .list
-                        .iter()
-                        .copied()
-                        .find(|id| self.db.ad(*id).size == orig.size)
-                } else {
-                    None
-                };
-
-                let user = self.population.user(r.user);
-                let ctr = &mut result.per_user[r.user.index()];
-                match replacement {
-                    Some(eaves_id) => {
-                        let ad = self.db.ad(eaves_id);
-                        result.replaced += 1;
-                        ctr.eaves_impressions += 1;
-                        if self.config.click.clicks(&mut rng, user, ad) {
-                            ctr.eaves_clicks += 1;
-                        }
-                        if let Some(row) = &ad_topics[eaves_id.index()] {
-                            add_topics(&mut result.daily_topics_eaves[day_idx], row);
-                        }
-                    }
-                    None => {
-                        ctr.orig_impressions += 1;
-                        if self.config.click.clicks(&mut rng, user, orig) {
-                            ctr.orig_clicks += 1;
-                        }
-                        if let Some(row) = &ad_topics[orig_id.index()] {
-                            add_topics(&mut result.daily_topics_original[day_idx], row);
-                        }
-                    }
-                }
-            }
-        }
+        });
         result
     }
 }
@@ -552,6 +588,83 @@ mod tests {
             ..Default::default()
         };
         CtrExperiment::new(&world, &pop, &trace, &db, config).run()
+    }
+
+    /// FNV-1a over every field of a result, floats as bits.
+    fn fingerprint(r: &ExperimentResult) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for u in &r.per_user {
+            for v in [
+                u.eaves_impressions,
+                u.eaves_clicks,
+                u.orig_impressions,
+                u.orig_clicks,
+            ] {
+                eat(v);
+            }
+        }
+        for v in [
+            r.replaced,
+            r.impressions,
+            r.reports,
+            r.profiles,
+            r.models_trained,
+        ] {
+            eat(v);
+        }
+        for rows in [
+            &r.daily_topics_visits,
+            &r.daily_topics_original,
+            &r.daily_topics_eaves,
+        ] {
+            for v in rows.iter().flatten() {
+                eat(v.to_bits());
+            }
+        }
+        h
+    }
+
+    /// Training a day ahead on a second thread changes no result: the
+    /// fingerprints below were recorded with every day trained and then
+    /// replayed in turn on one thread. Four trace days are a pair of days
+    /// and a lone last day, five are two pairs.
+    #[test]
+    fn the_day_ahead_schedule_reproduces_training_in_turn() {
+        let world = World::generate(&WorldConfig::tiny());
+        let pop = Population::generate(&world, &PopulationConfig::tiny());
+        let db = AdDatabase::generate(&world, 600, 31);
+        for (days, models, want) in [(4, 3, 0x888b_5230_d0a8_be6c), (5, 4, 0x8e16_5c06_5932_bc90)] {
+            let trace = Trace::generate(
+                &world,
+                &pop,
+                &TraceConfig {
+                    days,
+                    ..TraceConfig::tiny()
+                },
+            );
+            let config = ExperimentConfig {
+                pipeline: PipelineConfig {
+                    skipgram: SkipGramConfig {
+                        epochs: 3,
+                        dim: 24,
+                        subsample: 0.0,
+                        ..SkipGramConfig::default()
+                    },
+                    ..PipelineConfig::default()
+                },
+                training_days: 2,
+                ..Default::default()
+            };
+            let r = CtrExperiment::new(&world, &pop, &trace, &db, config).run();
+            assert_eq!(r.models_trained, models, "{days} days");
+            assert_eq!(fingerprint(&r), want, "{days} days");
+        }
     }
 
     #[test]

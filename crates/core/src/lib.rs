@@ -47,7 +47,7 @@ pub use accumulator::ProfileAccumulator;
 pub use batch::BatchProfiler;
 pub use columnar::SessionSource;
 pub use cores::{core_items, counts_outside_core};
-pub use pipeline::{Pipeline, PipelineConfig};
+pub use pipeline::{Pipeline, PipelineConfig, Prepared};
 pub use profiler::{
     profile_accuracy, Aggregation, PreparedProfiler, ProfileScratch, Profiler, ProfilerConfig,
     ResolvedHost, SessionProfile,

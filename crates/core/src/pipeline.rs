@@ -9,13 +9,18 @@
 //!
 //! [`Pipeline`] packages those operating parameters with the training step
 //! (including the Section 5.4 blocklist filtering of tracker hostnames,
-//! applied to the *training corpus* as well as to sessions).
+//! applied to the *training corpus* as well as to sessions). Training is two
+//! steps: [`Pipeline::prepare`] filters, counts and encodes host ids and
+//! allocates the model; [`Prepared::sgd`] is the SGD pass alone, which the
+//! CTR experiment runs a day ahead on a second thread.
 
 use crate::batch::BatchProfiler;
 use crate::profiler::{Profiler, ProfilerConfig};
-use hostprof_embed::{EmbeddingSet, SkipGram, SkipGramConfig, TrainStats};
+pub use hostprof_embed::Prepared;
+use hostprof_embed::{EmbeddingSet, SkipGram, SkipGramConfig, TrainStats, Vocab};
 use hostprof_ontology::{Blocklist, Ontology};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Operating parameters of the profiling deployment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -94,19 +99,86 @@ impl Pipeline {
         &self,
         sequences: &[Vec<S>],
     ) -> Result<(EmbeddingSet, TrainStats), String> {
-        let filtered: Vec<Vec<&str>> = sequences
+        let model = self.prepare_names(sequences)?.fit();
+        let stats = *model.train_stats();
+        Ok((model.into_embeddings().centered(), stats))
+    }
+
+    /// [`Self::prepare`] for hostname sequences: each name is interned to
+    /// a dense id (one hash per token) and the ids are prepared.
+    pub fn prepare_names<S: AsRef<str>>(&self, sequences: &[Vec<S>]) -> Result<Prepared, String> {
+        let mut names: Vec<&str> = Vec::new();
+        let mut ids: HashMap<&str, u32> = HashMap::new();
+        let sequences = sequences
             .iter()
             .map(|seq| {
                 seq.iter()
-                    .map(|h| h.as_ref())
-                    .filter(|h| !self.blocklist.is_blocked(h))
+                    .map(|h| {
+                        *ids.entry(h.as_ref()).or_insert_with(|| {
+                            names.push(h.as_ref());
+                            names.len() as u32 - 1
+                        })
+                    })
                     .collect()
             })
-            .filter(|seq: &Vec<&str>| seq.len() >= 2)
             .collect();
-        let model = SkipGram::train(&filtered, &self.config.skipgram)?;
-        let stats = *model.train_stats();
-        Ok((model.into_embeddings().centered(), stats))
+        self.prepare(sequences, |id| names[id as usize])
+    }
+
+    /// Everything a training run needs before its SGD pass
+    /// ([`Prepared::sgd`]), from per-sequence host ids and the name of each
+    /// id (distinct ids must have distinct names). The blocklist is asked
+    /// once per distinct id; its hosts leave every sequence, and a
+    /// sequence left with fewer than 2 ids is dropped. The survivors are
+    /// counted into a dense table, the vocabulary is built from the counts
+    /// ([`Vocab::from_counts`]) and the sequences are encoded to vocabulary
+    /// rows in place. The model is then what [`SkipGram::train`] would
+    /// train on the filtered names, bit for bit.
+    pub fn prepare<'n>(
+        &self,
+        mut sequences: Vec<Vec<u32>>,
+        name: impl Fn(u32) -> &'n str,
+    ) -> Result<Prepared, String> {
+        let n = sequences
+            .iter()
+            .flatten()
+            .max()
+            .map_or(0, |&id| id as usize + 1);
+        let mut kept: Vec<Option<bool>> = vec![None; n];
+        for seq in &mut sequences {
+            seq.retain(|&id| {
+                *kept[id as usize].get_or_insert_with(|| !self.blocklist.is_blocked(name(id)))
+            });
+        }
+        sequences.retain(|seq| seq.len() >= 2);
+        let mut counts = vec![0u64; n];
+        for &id in sequences.iter().flatten() {
+            counts[id as usize] += 1;
+        }
+        let counted = || {
+            (0..n as u32)
+                .zip(&counts)
+                .filter(|(_, &c)| c > 0)
+                .map(|(id, &c)| (id, name(id), c))
+        };
+        let skipgram = &self.config.skipgram;
+        let vocab = Vocab::from_counts(
+            counted().map(|(_, name, c)| (name, c)),
+            skipgram.min_count,
+            skipgram.subsample,
+        );
+        // Vocabulary row of each id; `u32::MAX` for ids below `min_count`.
+        let mut row = vec![u32::MAX; n];
+        for (id, name, _) in counted() {
+            row[id as usize] = vocab.get(name).unwrap_or(u32::MAX);
+        }
+        for seq in &mut sequences {
+            seq.retain_mut(|id| {
+                *id = row[*id as usize];
+                *id != u32::MAX
+            });
+        }
+        SkipGram::prepare(vocab, sequences, skipgram)
     }
 
     /// A profiler bound to a trained model and an ontology.

@@ -32,32 +32,31 @@ impl EmbeddingSet {
     /// `vocab.len() * dim`.
     pub fn new(dim: usize, vocab: Vocab, vectors: Vec<f32>) -> Self {
         assert_eq!(vectors.len(), vocab.len() * dim, "matrix shape mismatch");
-        let norms: Vec<f32> = (0..vocab.len())
-            .map(|i| {
-                vectors[i * dim..(i + 1) * dim]
-                    .iter()
-                    .map(|x| x * x)
-                    .sum::<f32>()
-                    .sqrt()
-            })
-            .collect();
-        let mut unit = vec![0f32; vectors.len()];
-        for (i, &norm) in norms.iter().enumerate() {
-            if norm > f32::EPSILON {
-                for (u, v) in unit[i * dim..(i + 1) * dim]
-                    .iter_mut()
-                    .zip(&vectors[i * dim..(i + 1) * dim])
-                {
-                    *u = v / norm;
-                }
-            }
-        }
-        Self {
+        let mut set = Self {
             dim,
+            norms: vec![0f32; vocab.len()],
+            unit: vec![0f32; vectors.len()],
             vocab,
             vectors,
-            norms,
-            unit,
+        };
+        set.normalize();
+        set
+    }
+
+    /// Recompute `norms` and `unit` from `vectors`, in place.
+    fn normalize(&mut self) {
+        let dim = self.dim;
+        for (i, norm) in self.norms.iter_mut().enumerate() {
+            let row = &self.vectors[i * dim..(i + 1) * dim];
+            let unit = &mut self.unit[i * dim..(i + 1) * dim];
+            *norm = row.iter().map(|x| x * x).sum::<f32>().sqrt();
+            if *norm > f32::EPSILON {
+                for (u, v) in unit.iter_mut().zip(row) {
+                    *u = v / *norm;
+                }
+            } else {
+                unit.fill(0.0);
+            }
         }
     }
 
@@ -191,7 +190,8 @@ impl EmbeddingSet {
             .collect()
     }
 
-    /// Subtract the mean embedding from every vector and rebuild norms.
+    /// Subtract the mean embedding from every vector and recompute the
+    /// norms and unit rows in their own buffers.
     ///
     /// Small corpora produce a strong common direction (hubness): every
     /// pair of hostnames ends up with a large positive cosine, which
@@ -221,7 +221,8 @@ impl EmbeddingSet {
                 self.vectors[i * self.dim + d] -= m;
             }
         }
-        Self::new(self.dim, self.vocab, self.vectors)
+        self.normalize();
+        self
     }
 
     /// The `n` tokens most similar to `token` (token itself excluded).
@@ -264,6 +265,46 @@ mod tests {
         set("b1", [0.1, 0.9]);
         set("zero", [0.0, 0.0]);
         EmbeddingSet::new(2, vocab, vectors)
+    }
+
+    /// `centered` recomputes norms and unit rows in the buffers it has;
+    /// the result must be what `new` builds over the centered matrix, bit
+    /// for bit — also for a row the centering zeroes (its unit row must be
+    /// cleared) and a zero row the centering moves (its unit row filled).
+    #[test]
+    fn centered_is_new_over_the_centered_matrix_bit_for_bit() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Equal counts: rows in name order. The rows are dyadic with the
+        // exact mean (0.5, 0.5, 0.5): r2 is that mean, r3 is zero.
+        let names = ["r0", "r1", "r2", "r3", "r4", "r5", "r6"];
+        let rows: [[f32; 3]; 7] = [
+            [1.0, 0.5, 0.0],
+            [0.0, 0.5, 1.0],
+            [0.5, 0.5, 0.5],
+            [0.0, 0.0, 0.0],
+            [1.0, 1.0, 1.0],
+            [0.25, 0.75, 0.125],
+            [0.75, 0.25, 0.875],
+        ];
+        let hand = (3, Vocab::build([names], 1, 0.0), rows.concat());
+        let mut state = 7u64;
+        let random: Vec<f32> = (0..40 * 5)
+            .map(|_| (crate::model::next_random(&mut state) >> 40) as f32 / 16_777_216.0 - 0.3)
+            .collect();
+        let random_names: Vec<String> = (0..40).map(|i| format!("h{i}")).collect();
+        let random_vocab = Vocab::build([random_names.iter().map(String::as_str)], 1, 0.0);
+        for (i, (dim, vocab, vectors)) in [hand, (5, random_vocab, random)].into_iter().enumerate()
+        {
+            let centered = EmbeddingSet::new(dim, vocab, vectors).centered();
+            let fresh = EmbeddingSet::new(dim, centered.vocab.clone(), centered.vectors.clone());
+            assert_eq!(bits(&centered.norms), bits(&fresh.norms), "dim {dim}");
+            assert_eq!(bits(&centered.unit), bits(&fresh.unit), "dim {dim}");
+            if i == 0 {
+                assert_eq!(centered.norms[2], 0.0, "r2 is the mean");
+                assert!(centered.unit[6..9].iter().all(|&u| u == 0.0));
+                assert!(centered.unit[9..12].iter().all(|&u| u != 0.0), "r3 moved");
+            }
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use embedding::EmbeddingSet;
 pub use hostprof_store::FlatError;
 pub use index::{ExactScan, IndexConfig, IvfFlat, IvfParams, NnIndex, DEFAULT_IVF_SEED};
 pub use knn::{KnnScratch, RowFilter};
-pub use model::{SkipGram, TrainStats, UpdateReport};
+pub use model::{Prepared, SkipGram, TrainStats, UpdateReport};
 pub use persist::{from_flat_bytes, to_flat_bytes};
 pub use table::NegativeTable;
 pub use vocab::Vocab;

@@ -63,22 +63,25 @@ impl TrainStats {
 /// token counts: greedy accumulation toward ~8 chunks per worker, so the
 /// work-stealing cursor has enough granularity to absorb skewed sequence
 /// lengths without the chunk-claim overhead dominating.
-fn balanced_chunk_ranges(token_counts: &[usize], threads: usize) -> Vec<Range<usize>> {
+fn balanced_chunk_ranges<I>(token_counts: I, threads: usize) -> Vec<Range<usize>>
+where
+    I: ExactSizeIterator<Item = usize> + Clone,
+{
     let n = token_counts.len();
     if n == 0 {
         return Vec::new();
     }
-    let total: usize = token_counts.iter().sum();
+    let total: usize = token_counts.clone().sum();
     // Size chunks off the mass *excluding* the single largest sequence: a
     // dominant sequence gets a chunk of its own no matter what, and must
     // not inflate the target so far that the remaining sequences collapse
     // into too few chunks for stealing to balance.
-    let largest = token_counts.iter().copied().max().unwrap_or(0);
+    let largest = token_counts.clone().max().unwrap_or(0);
     let target = ((total - largest) / (threads.max(1) * 8)).max(1);
     let mut out = Vec::new();
     let mut start = 0;
     let mut acc = 0usize;
-    for (i, &t) in token_counts.iter().enumerate() {
+    for (i, t) in token_counts.enumerate() {
         acc += t;
         if acc >= target {
             out.push(start..i + 1);
@@ -101,12 +104,45 @@ pub struct SkipGram {
     input: Vec<f32>,
     /// Context (output) matrix, row-major `|V| × d`.
     context: Vec<f32>,
-    /// Stats of the most recent [`SkipGram::run_sgd`] pass.
+    /// Stats of the most recent SGD pass.
     stats: TrainStats,
     /// Negative table carried across [`SkipGram::update`] calls so the
     /// rebuild policy ([`NegativeTable::needs_rebuild`]) has something to
     /// age. `None` until the first update.
     table: Option<NegativeTable>,
+}
+
+/// A model ready for its SGD pass ([`SkipGram::prepare`]): vocabulary,
+/// initialized weights, the encoded corpus and its negative table, all
+/// allocated on the thread that prepared it. [`Self::sgd`] allocates next
+/// to nothing, so it can run on another thread while every large buffer
+/// stays in the preparing thread's allocator arena (DESIGN.md §9.3).
+#[derive(Debug)]
+pub struct Prepared {
+    model: SkipGram,
+    sequences: Vec<Vec<u32>>,
+    table: NegativeTable,
+}
+
+impl Prepared {
+    /// Run the SGD pass over the prepared corpus, once: a second call
+    /// would train a second pass on the same weights.
+    pub fn sgd(&mut self) {
+        self.model.stats = self.model.run_sgd_with(&self.sequences, &self.table);
+    }
+
+    /// The trained model; the corpus and the negative table are dropped
+    /// (the first [`SkipGram::update`] builds its own table, as it always
+    /// has).
+    pub fn into_model(self) -> SkipGram {
+        self.model
+    }
+
+    /// [`Self::sgd`], then [`Self::into_model`].
+    pub fn fit(mut self) -> SkipGram {
+        self.sgd();
+        self.into_model()
+    }
 }
 
 /// What one [`SkipGram::update`] call did.
@@ -239,7 +275,7 @@ impl WorkerState {
 }
 
 /// Everything the workers share read-only (plus the Hogwild weight view
-/// and the atomic progress counter). One instance per `run_sgd` call.
+/// and the atomic progress counter). One instance per `run_sgd_with` call.
 struct TrainCtx<'a> {
     shared: SharedWeights,
     table: &'a NegativeTable,
@@ -424,36 +460,37 @@ impl SkipGram {
         sequences: &[Vec<S>],
         config: &SkipGramConfig,
     ) -> Result<Self, String> {
-        config.validate()?;
         let vocab = Vocab::build(
             sequences.iter().map(|s| s.iter().map(|t| t.as_ref())),
             config.min_count,
             config.subsample,
         );
-        if vocab.is_empty() {
-            return Err("empty corpus after min-count filtering".into());
-        }
         let encoded: Vec<Vec<u32>> = sequences
             .iter()
             .map(|s| vocab.encode(s.iter().map(|t| t.as_ref())))
-            .filter(|s| s.len() >= 2)
             .collect();
-        if encoded.is_empty() {
-            return Err("no sequence has two or more in-vocabulary tokens".into());
-        }
-        Self::train_encoded(vocab, &encoded, config)
+        Ok(Self::prepare(vocab, encoded, config)?.fit())
     }
 
-    /// Train over pre-encoded index sequences (the pipeline's fast path:
-    /// the daily retraining loop re-encodes once, not per epoch).
-    pub fn train_encoded(
+    /// Everything one training run needs before its SGD pass: the
+    /// initialized weights and the negative table of `vocab`, beside
+    /// `sequences` encoded against it (those with fewer than 2 tokens are
+    /// dropped here). The SGD pass itself is [`Prepared::sgd`].
+    ///
+    /// Returns an error for invalid configs, an empty vocabulary or a
+    /// corpus with no sequence of 2 or more tokens.
+    pub fn prepare(
         vocab: Vocab,
-        sequences: &[Vec<u32>],
+        mut sequences: Vec<Vec<u32>>,
         config: &SkipGramConfig,
-    ) -> Result<Self, String> {
+    ) -> Result<Prepared, String> {
         config.validate()?;
         if vocab.is_empty() {
-            return Err("empty vocabulary".into());
+            return Err("empty corpus after min-count filtering".into());
+        }
+        sequences.retain(|s| s.len() >= 2);
+        if sequences.is_empty() {
+            return Err("no sequence has two or more in-vocabulary tokens".into());
         }
         let dim = config.dim;
         let rows = vocab.len();
@@ -468,8 +505,8 @@ impl SkipGram {
             input.push((u - 0.5) / dim as f32);
         }
         let context = vec![0f32; rows * dim];
-
-        let mut model = Self {
+        let table = NegativeTable::from_vocab(&vocab);
+        let model = Self {
             config: config.clone(),
             vocab,
             input,
@@ -483,20 +520,19 @@ impl SkipGram {
             },
             table: None,
         };
-        model.stats = model.run_sgd(sequences);
-        Ok(model)
-    }
-
-    fn run_sgd(&mut self, sequences: &[Vec<u32>]) -> TrainStats {
-        let table = NegativeTable::from_vocab(&self.vocab);
-        self.run_sgd_with(sequences, &table)
+        Ok(Prepared {
+            model,
+            sequences,
+            table,
+        })
     }
 
     /// The SGD pass proper, against a caller-supplied negative table. The
     /// table's bits are a pure function of the vocabulary, so whether it
     /// was freshly built or carried over by the update path's rebuild
     /// policy never changes the op sequence — only whether the O(table)
-    /// construction cost was paid.
+    /// construction cost was paid. Beyond its inputs it allocates only the
+    /// chunk list and each worker's hot-loop buffers.
     fn run_sgd_with(&mut self, sequences: &[Vec<u32>], table: &NegativeTable) -> TrainStats {
         let config = self.config.clone();
         let total_tokens: u64 = sequences.iter().map(|s| s.len() as u64).sum();
@@ -513,12 +549,6 @@ impl SkipGram {
             return stats;
         }
         let sigmoid = SigmoidTable::new();
-        // Snapshot the keep-probabilities so the worker closures don't
-        // borrow `self` while the weight matrices are aliased raw pointers.
-        let keep_probs: Vec<f64> = (0..self.vocab.len())
-            .map(|i| self.vocab.keep_prob(i as u32))
-            .collect();
-
         let ctx = TrainCtx {
             shared: SharedWeights {
                 input: self.input.as_mut_ptr(),
@@ -528,7 +558,7 @@ impl SkipGram {
             },
             table,
             sigmoid: &sigmoid,
-            keep_probs: &keep_probs,
+            keep_probs: self.vocab.keep_probs(),
             config: &config,
             planned,
             processed: AtomicU64::new(0),
@@ -540,8 +570,7 @@ impl SkipGram {
         // skewed lengths do not idle the others. The cursor runs over
         // `epochs` laps of the chunk list — with one thread that is
         // exactly the sequential epoch order.
-        let lens: Vec<usize> = sequences.iter().map(Vec::len).collect();
-        let chunks = balanced_chunk_ranges(&lens, n_threads);
+        let chunks = balanced_chunk_ranges(sequences.iter().map(Vec::len), n_threads);
         let n_chunks = chunks.len();
         let total_items = n_chunks * config.epochs;
         let cursor = AtomicUsize::new(0);
@@ -667,8 +696,17 @@ impl SkipGram {
     }
 
     /// Extract the final embeddings (input matrix), consuming the model.
+    /// The context matrix is freed before the unit-norm copy is allocated.
     pub fn into_embeddings(self) -> EmbeddingSet {
-        EmbeddingSet::new(self.config.dim, self.vocab, self.input)
+        let Self {
+            config,
+            vocab,
+            input,
+            context,
+            ..
+        } = self;
+        drop(context);
+        EmbeddingSet::new(config.dim, vocab, input)
     }
 
     /// Snapshot the current embeddings without consuming the model — the
@@ -801,7 +839,7 @@ mod tests {
         let mut lens = vec![5usize; 100];
         lens[17] = 10_000;
         for threads in [1, 2, 4, 8] {
-            let chunks = balanced_chunk_ranges(&lens, threads);
+            let chunks = balanced_chunk_ranges(lens.iter().copied(), threads);
             let mut next = 0;
             for r in &chunks {
                 assert_eq!(r.start, next, "chunks are contiguous and ordered");
@@ -813,7 +851,7 @@ mod tests {
             // enough chunks exist for stealing to balance the rest.
             assert!(chunks.len() > threads, "threads={threads}");
         }
-        assert!(balanced_chunk_ranges(&[], 4).is_empty());
+        assert!(balanced_chunk_ranges(std::iter::empty(), 4).is_empty());
     }
 
     #[test]

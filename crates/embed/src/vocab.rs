@@ -32,7 +32,22 @@ impl Vocab {
                 *raw.entry(tok).or_insert(0) += 1;
             }
         }
-        let mut pairs: Vec<(&str, u64)> = raw
+        Self::from_counts(raw, min_count, subsample)
+    }
+
+    /// Build from `(token, count)` pairs, one per distinct token, in any
+    /// order — what [`Self::build`] counts, for a caller that counted
+    /// already (the pipeline counts dense host ids). Same filtering, order
+    /// and keep-probabilities as [`Self::build`].
+    ///
+    /// # Panics
+    /// Panics when a token repeats: its index would be ambiguous.
+    pub fn from_counts<'a>(
+        counts: impl IntoIterator<Item = (&'a str, u64)>,
+        min_count: u64,
+        subsample: f64,
+    ) -> Self {
+        let mut pairs: Vec<(&str, u64)> = counts
             .into_iter()
             .filter(|(_, c)| *c >= min_count.max(1))
             .collect();
@@ -44,7 +59,8 @@ impl Vocab {
         let mut index = HashMap::with_capacity(pairs.len());
         let mut keep_prob = Vec::with_capacity(pairs.len());
         for (i, (tok, c)) in pairs.into_iter().enumerate() {
-            index.insert(tok.to_string(), i as u32);
+            let repeated = index.insert(tok.to_string(), i as u32).is_some();
+            assert!(!repeated, "token {tok:?} counted twice");
             tokens.push(tok.to_string());
             counts.push(c);
             keep_prob.push(keep_probability(c, total_count, subsample));

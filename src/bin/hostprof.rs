@@ -744,8 +744,10 @@ fn cmd_experiment(args: &Args) -> Result<(), String> {
     let rows = hostprof::experiments::select(args.get("id").unwrap_or("all"))?;
     let scale = args.get("scale").unwrap_or("tiny");
     hostprof::experiments::run(&rows, scale, args.get("out").map(Path::new))?;
+    // A measurement, not a result: on stderr, so stdout is a function of
+    // the code alone.
     let rss_kb = peak_rss_kb();
-    println!("\npeak RSS: {rss_kb} kB");
+    eprintln!("peak RSS: {rss_kb} kB");
     match max_rss_mb {
         Some(mb) if rss_kb > mb * 1024 => Err(format!("peak RSS breached --max-rss-mb {mb}")),
         _ => Ok(()),

@@ -10,10 +10,12 @@
 //! target packet rate. The warmup doubles as the SKIPGRAM training corpus
 //! so the engine profiles against a model of the same traffic it serves.
 
-use hostprof_core::{ModelVersion, PipelineConfig, ServeConfig, ServeEngine, VersionedModel};
+use hostprof_core::{
+    ModelVersion, Pipeline, PipelineConfig, ServeConfig, ServeEngine, VersionedModel,
+};
 use hostprof_embed::{CorpusBuffer, EmbeddingSet, SkipGram};
 use hostprof_net::{ObserverStats, TrafficSynthesizer};
-use hostprof_synth::{Population, StreamConfig, TraceStream, World};
+use hostprof_synth::{HostId, Population, StreamConfig, TraceStream, World};
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -129,23 +131,15 @@ pub fn run_live(
         ..StreamConfig::default()
     };
     let blocklist = world.blocklist();
-    let mut corpus_by_user: BTreeMap<u32, Vec<&str>> = BTreeMap::new();
+    let mut corpus_by_user: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
     let mut warmup_span_ms = 0u64;
     let mut warmup_packets = 0usize;
     for r in TraceStream::new(world, population, stream_cfg).take(warmup_requests) {
         warmup_span_ms = warmup_span_ms.max(r.t_ms);
         let hostname = world.hostname(r.host);
         warmup_packets += synth.packets_for_host(r.t_ms, r.user.0, hostname).len();
-        // As `Pipeline::train_model` trains: tracker hostnames never enter
-        // the vocabulary.
-        if !blocklist.is_blocked(hostname) {
-            corpus_by_user.entry(r.user.0).or_default().push(hostname);
-        }
+        corpus_by_user.entry(r.user.0).or_default().push(r.host.0);
     }
-    let corpus: Vec<Vec<&str>> = corpus_by_user
-        .into_values()
-        .filter(|seq| seq.len() >= 2)
-        .collect();
     let packets_per_request = warmup_packets as f64 / warmup_requests.max(1) as f64;
     let req_per_simsec = warmup_requests as f64 / (warmup_span_ms.max(1) as f64 / 1000.0);
     // Rate scales as 1/gap; clamp so pathological targets stay sane.
@@ -169,8 +163,12 @@ pub fn run_live(
     let every = run.update_every.map_or(u64::MAX, |n| n.max(1));
 
     // The live `SkipGram` is kept (rather than just its embeddings) so
-    // updates can resume SGD on it.
-    let mut model = SkipGram::train(&corpus, &pipeline_config.skipgram)?;
+    // updates can resume SGD on it. It is the pipeline's model: tracker
+    // hostnames never enter the vocabulary.
+    let corpus = corpus_by_user.into_values().collect();
+    let mut model = Pipeline::new(pipeline_config.clone(), blocklist.clone())
+        .prepare(corpus, |id| world.hostname(HostId(id)))?
+        .fit();
     let base_vocab = model.vocab().len();
     // Every version, base or updated, gets the pipeline's centering.
     let embeddings_of = |model: &SkipGram| model.embeddings().centered();

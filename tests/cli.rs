@@ -340,10 +340,13 @@ fn experiment_runs_table_rows_checks_claims_and_gates_rss() {
         "CCDF — % of users",
         "— ok",
         "— known deviation (",
-        "peak RSS",
     ] {
         assert!(text.contains(expected), "no '{expected}' in:\n{text}");
     }
+    // Peak RSS is a measurement: stderr, never stdout.
+    let err = String::from_utf8_lossy(&run.stderr);
+    assert!(err.contains("peak RSS: "), "{err}");
+    assert!(!text.contains("peak RSS"), "{text}");
     assert!(out.join("fig2_user_diversity.json").is_file());
     let _ = std::fs::remove_dir_all(&out);
 

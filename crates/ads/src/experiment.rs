@@ -23,7 +23,7 @@ use crate::click::ClickModel;
 use crate::eavesdropper::{EavesdropperSelector, SelectorConfig};
 use crate::network::{AdNetwork, AdNetworkConfig};
 use hostprof_core::{Pipeline, PipelineConfig, Prepared, Session};
-use hostprof_synth::trace::{span_range, window_range, DAY_MS};
+use hostprof_synth::trace::{span_range, TraceAccess, TraceColumns, DAY_MS};
 use hostprof_synth::{HostId, HostKind, Population, Trace, World};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -178,54 +178,21 @@ impl ExperimentResult {
     }
 }
 
-/// What the eavesdropper actually saw on the wire: per-client-IP
-/// hostname timelines plus the user → client-IP mapping. When a
-/// [`CtrExperiment`] is given a view, the eavesdropper side of the loop
-/// (model training and report-window profiling) reads from it instead
-/// of ground truth, while the ad network, report cadence, impressions
-/// and clicks stay ground truth — exactly the asymmetry a deployed
-/// defense creates (DESIGN.md §15). Under NAT several users share a
-/// timeline, so each profiles a blended household.
-#[derive(Debug, Clone, Default)]
-pub struct ObservedView {
-    /// Per-client-IP `(t_ms, hostname)` observations, time-sorted.
-    pub timelines: std::collections::BTreeMap<u32, Vec<(u64, String)>>,
-    /// Client IP of each user (indexed by `UserId`).
-    pub client_of_user: Vec<u32>,
-}
-
-impl ObservedView {
-    /// One observed hostname sequence per client IP restricted to `day`,
-    /// mirroring `Trace::daily_sequences` ([start, end) on `t_ms`).
-    /// Clients with no observations that day are omitted.
-    pub fn daily_sequences(&self, day: u32) -> Vec<Vec<&str>> {
-        let start = day as u64 * DAY_MS;
-        let end = start + DAY_MS;
-        let mut out = Vec::new();
-        for seq in self.timelines.values() {
-            let span = span_range(seq, |&(t, _)| t, start, end);
-            if !span.is_empty() {
-                out.push(seq[span].iter().map(|(_, h)| h.as_str()).collect());
-            }
-        }
-        out
-    }
-
-    /// The observed session window ending at `end_ms` for `user`'s
-    /// client IP, mirroring `Trace::window`'s `(end − duration, end]`
-    /// semantics (a window reaching t = 0 keeps the request stamped 0).
-    pub fn window(&self, user: usize, end_ms: u64, duration_ms: u64) -> Vec<&str> {
-        let Some(&ip) = self.client_of_user.get(user) else {
-            return Vec::new();
-        };
-        let Some(seq) = self.timelines.get(&ip) else {
-            return Vec::new();
-        };
-        seq[window_range(seq, |&(t, _)| t, end_ms, duration_ms)]
-            .iter()
-            .map(|(_, h)| h.as_str())
-            .collect()
-    }
+/// What the eavesdropper actually saw on the wire: its timelines, one
+/// row per client IP, and each user's row. When a [`CtrExperiment`] is
+/// given a view, the eavesdropper side of the loop (model training and
+/// report-window profiling) reads from it instead of ground truth, while
+/// the ad network, report cadence, impressions and clicks stay ground
+/// truth — exactly the asymmetry a deployed defense creates (DESIGN.md
+/// §15). Under NAT several users share a row, so each profiles a blended
+/// household.
+#[derive(Debug, Clone)]
+pub struct ObservedView<'a> {
+    /// Observed `(t, host)` timelines, one row per client IP.
+    pub columns: &'a TraceColumns,
+    /// Row of each user (indexed by `UserId`); `None` when nothing from
+    /// the user's address was observed.
+    pub row_of_user: Vec<Option<u32>>,
 }
 
 /// Per-user extension state during the replay.
@@ -245,7 +212,7 @@ pub struct CtrExperiment<'a> {
     trace: &'a Trace,
     db: &'a AdDatabase,
     config: ExperimentConfig,
-    view: Option<&'a ObservedView>,
+    view: Option<&'a ObservedView<'a>>,
 }
 
 impl<'a> CtrExperiment<'a> {
@@ -272,7 +239,7 @@ impl<'a> CtrExperiment<'a> {
     /// everything else. Profiling consumes no randomness, so the RNG
     /// stream — and with it every impression/click draw — is unchanged,
     /// which makes the CTR gap attributable to the defense alone.
-    pub fn with_view(mut self, view: &'a ObservedView) -> Self {
+    pub fn with_view(mut self, view: &'a ObservedView<'a>) -> Self {
         self.view = Some(view);
         self
     }
@@ -337,9 +304,13 @@ impl<'a> CtrExperiment<'a> {
                 // The eavesdropper trains on what it observed, not on
                 // ground truth.
                 Some(view) => {
-                    let sequences: Vec<Vec<&str>> =
-                        window.flat_map(|d| view.daily_sequences(d)).collect();
-                    pipeline.prepare_names(&sequences).ok()
+                    let sequences = window
+                        .flat_map(|d| view.columns.daily_sequences(d, DAY_MS))
+                        .map(|(_, seq)| seq)
+                        .collect();
+                    pipeline
+                        .prepare(sequences, |id| view.columns.host_name(id))
+                        .ok()
                 }
                 None => {
                     let sequences = window
@@ -406,6 +377,7 @@ impl<'a> CtrExperiment<'a> {
                 let interval = self.config.pipeline.report_interval_ms();
                 let w = self.config.pipeline.session_window_ms();
                 let (mut due, mut hosts, mut sessions) = (Vec::new(), Vec::new(), Vec::new());
+                let mut ids = Vec::new();
                 for (i, r) in today.iter().enumerate() {
                     let host = self.world.host(r.host);
                     if !matches!(host.kind, HostKind::Site | HostKind::Core) {
@@ -423,7 +395,13 @@ impl<'a> CtrExperiment<'a> {
                     let hostnames: Vec<&str> = match self.view {
                         // The report profiles the *observed* window — decoys
                         // included, hidden hostnames gone.
-                        Some(view) => view.window(r.user.index(), r.t_ms, w),
+                        Some(view) => {
+                            ids.clear();
+                            if let Some(row) = view.row_of_user[r.user.index()] {
+                                view.columns.window_hosts(row, r.t_ms, w, &mut ids);
+                            }
+                            ids.iter().map(|&h| view.columns.host_name(h)).collect()
+                        }
                         None => {
                             // Borrow-friendly two-step: ids, then names.
                             let window = self.trace.window(r.user, r.t_ms, w);
@@ -793,18 +771,20 @@ mod tests {
             },
             ..Default::default()
         };
-        // A view that mirrors ground truth exactly: one timeline per
-        // user, every request visible.
-        let mut view = ObservedView {
-            client_of_user: (0..pop.len() as u32).collect(),
-            ..Default::default()
+        // A view that mirrors ground truth exactly: one row per user,
+        // every request visible.
+        let columns = hostprof_synth::generate_columnar(
+            &world,
+            &pop,
+            &TraceConfig {
+                days: 3,
+                ..TraceConfig::tiny()
+            },
+        );
+        let view = ObservedView {
+            columns: &columns,
+            row_of_user: (0..pop.len() as u32).map(Some).collect(),
         };
-        for r in trace.requests() {
-            view.timelines
-                .entry(r.user.0)
-                .or_default()
-                .push((r.t_ms, world.hostname(r.host).to_string()));
-        }
         let plain = CtrExperiment::new(&world, &pop, &trace, &db, config.clone()).run();
         let viewed = CtrExperiment::new(&world, &pop, &trace, &db, config)
             .with_view(&view)

@@ -14,6 +14,7 @@ use crate::sampling::{log_normal, poisson, WeightedIndex};
 use crate::user::Population;
 use crate::world::World;
 pub use hostprof_store::{span_range, window_range};
+pub use hostprof_store::{TraceAccess, TraceColumns, TraceColumnsBuilder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};

@@ -34,18 +34,15 @@ fn main() {
     let clean = ObserverScenario::per_user();
     let obs = ObservedTrace::capture(&s.world, &s.trace, &clean, None);
     println!("[1] per-user IPs (WiFi/mobile vantage point)");
-    println!("    clients seen:        {}", obs.sequences.len());
+    println!("    clients seen:        {}", obs.clients.len());
     println!("    fidelity:            {:.1}%", obs.fidelity() * 100.0);
     println!(
         "    TLS SNI / QUIC SNI:  {} / {}",
         obs.observer_stats.tls_sni, obs.observer_stats.quic_sni
     );
-    let ip = ObservedTrace::address_of(&clean, UserId(0));
-    let seq = obs.client_hostnames(ip);
-    println!(
-        "    user u0's first hostnames: {}",
-        seq.iter().take(5).cloned().collect::<Vec<_>>().join(", ")
-    );
+    let row = obs.row_of(UserId(0)).expect("user u0 browsed");
+    let seq: Vec<&str> = obs.hostnames(row).take(5).collect();
+    println!("    user u0's first hostnames: {}", seq.join(", "));
 
     // --- Vantage point 2: NAT ------------------------------------------
     let nat = ObserverScenario::behind_nat(4);
@@ -53,8 +50,8 @@ fn main() {
     println!("\n[2] 4 users behind each NAT (landline ISP vantage point)");
     println!(
         "    clients seen:        {} (was {})",
-        obs_nat.sequences.len(),
-        obs.sequences.len()
+        obs_nat.clients.len(),
+        obs.clients.len()
     );
     println!(
         "    fidelity:            {:.1}% — nothing lost, but sequences mix users,",

@@ -16,7 +16,7 @@ use hostprof::replay::{
 };
 use hostprof::scenario::{Scenario, ScenarioConfig};
 use hostprof::storage;
-use hostprof::synth::UserId;
+use hostprof::synth::{trace::DAY_MS, UserId};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -425,8 +425,21 @@ fn print_taxonomy(st: &hostprof::net::ObserverStats) {
     );
 }
 
-fn cmd_observe(args: &Args) -> Result<(), String> {
+/// [`scenario_config`] for a command that captures the wire: the trace
+/// must end inside the observed store's `u32` millisecond times.
+fn captured_config(args: &Args) -> Result<ScenarioConfig, String> {
     let cfg = scenario_config(args)?;
+    let max = (u32::MAX as u64 / DAY_MS) as u32;
+    match cfg.trace.days {
+        days if days > max => Err(format!(
+            "--days {days} is past what a capture can store ({max} days)"
+        )),
+        _ => Ok(cfg),
+    }
+}
+
+fn cmd_observe(args: &Args) -> Result<(), String> {
+    let cfg = captured_config(args)?;
     let s = Scenario::generate(&cfg);
     let mut scenario = match args.get_parsed::<u32>("nat")? {
         Some(n) => ObserverScenario::behind_nat(n),
@@ -461,7 +474,7 @@ fn cmd_observe(args: &Args) -> Result<(), String> {
     let obs = ObservedTrace::capture(&s.world, &s.trace, &scenario, None);
     println!("ground-truth requests : {}", obs.ground_truth_requests);
     println!("hostnames recovered   : {:.1}%", obs.fidelity() * 100.0);
-    println!("client addresses seen : {}", obs.sequences.len());
+    println!("client addresses seen : {}", obs.clients.len());
     let st = obs.observer_stats;
     println!(
         "sources               : {} TLS SNI, {} QUIC SNI, {} DNS",
@@ -701,7 +714,7 @@ fn parse_sweep(spec: &str) -> Result<Vec<f64>, String> {
 /// Degradation curves: run one defense axis (or all six) through the
 /// full pipeline at swept intensities and print the curve table.
 fn cmd_defend(args: &Args) -> Result<(), String> {
-    let cfg = scenario_config(args)?;
+    let cfg = captured_config(args)?;
     let names = match args.get("defense").unwrap_or("all") {
         "all" => hostprof::defend::DEFENSE_NAMES.to_vec(),
         one => vec![one],

@@ -4,18 +4,20 @@
 //! request; a real eavesdropper only gets packets. This module lowers a
 //! trace onto the wire with [`hostprof_net::TrafficSynthesizer`] and runs
 //! the passive [`hostprof_net::SniObserver`] over it, producing the
-//! per-client hostname sequences the profiler consumes — so experiments can
-//! run off *observed* data and we can quantify the observer's fidelity
-//! (and how ECH or NAT degrade it, §7.2/§7.4 of the paper).
+//! per-client hostname timelines the profiler consumes (a [`TraceColumns`]
+//! like the ground truth's) — so experiments can run off *observed* data
+//! and we can quantify the observer's fidelity (and how ECH or NAT degrade
+//! it, §7.2/§7.4 of the paper).
 
+use hostprof_core::Pipeline;
 use hostprof_defense::DefensePlan;
+use hostprof_embed::EmbeddingSet;
 use hostprof_net::{
     chaos, Addressing, ChaosConfig, Packet, RequestEvent, SniObserver, TrafficSynthesizer,
 };
-use hostprof_synth::trace::span_range;
-use hostprof_synth::{Trace, UserId, World};
+use hostprof_synth::trace::{TraceAccess, TraceColumns, TraceColumnsBuilder};
+use hostprof_synth::{world_interner, Trace, UserId, World};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// How the traffic is put on the wire for observation.
 #[derive(Debug, Clone, Serialize, Deserialize, Default)]
@@ -74,10 +76,14 @@ impl ObserverScenario {
 /// What the eavesdropper reconstructed from the wire.
 #[derive(Debug, Clone)]
 pub struct ObservedTrace {
-    /// Per-client-IP hostname sequences, time-sorted. Ordered by client
-    /// address so any iteration (e.g. building a training corpus) is
-    /// deterministic.
-    pub sequences: BTreeMap<u32, Vec<(u64, String)>>,
+    /// One row per client IP, ascending: its `(t, host)` observations in
+    /// time order, ties in processing order, wire bytes 0. World hostnames
+    /// keep their `HostId`; other names are interned after them.
+    pub columns: TraceColumns,
+    /// Client IP of each row.
+    pub clients: Vec<u32>,
+    /// The addressing users had on the wire (the plan's, under NAT).
+    pub addressing: Addressing,
     /// Observer counters.
     pub observer_stats: hostprof_net::ObserverStats,
     /// Flow-table counters.
@@ -130,10 +136,11 @@ impl ObserverScenario {
 impl ObservedTrace {
     /// Lower a trace onto the wire ([`ObserverScenario::lower`], with the
     /// optional defense `plan`) and run the observer over it. On a clean
-    /// tap packets are consumed burst by burst, so an undefended capture's
-    /// memory stays flat regardless of trace size; chaos injection needs
-    /// the whole stream at once (mutations are per-flow), so that path
-    /// buffers it.
+    /// tap packets are consumed burst by burst; chaos injection needs the
+    /// whole stream at once (mutations are per-flow), so that path buffers
+    /// it. Names are interned as they leak, and the `(client, t, id)`
+    /// triples stable-sorted into the columns. Panics on a time past the
+    /// columns' `u32` milliseconds (≈ 49.7 days).
     pub fn capture(
         world: &World,
         trace: &Trace,
@@ -145,27 +152,37 @@ impl ObservedTrace {
         } else {
             SniObserver::new()
         };
+        let synth = plan.map(|p| p.synthesizer(&scenario.synthesizer));
         let mut chaos_stats = None;
-        let bursts = scenario.lower(world, trace, plan);
-        match scenario.chaos {
-            None => {
-                for (_, burst) in bursts {
-                    for pkt in &burst {
-                        observer.process(pkt);
-                    }
-                }
-            }
+        let bursts = scenario.lower(world, trace, plan).map(|(_, burst)| burst);
+        let wire: Box<dyn Iterator<Item = Vec<Packet>>> = match scenario.chaos {
+            None => Box::new(bursts),
             Some(cfg) => {
-                let packets: Vec<_> = bursts.flat_map(|(_, burst)| burst).collect();
-                let mutated = chaos::apply(&cfg, &packets);
-                observer.process_stream(&mutated.packets);
+                let mutated = chaos::apply(&cfg, &bursts.flatten().collect::<Vec<_>>());
                 chaos_stats = Some(mutated.stats);
+                Box::new(std::iter::once(mutated.packets))
             }
+        };
+        let (mut interner, mut seen) = (world_interner(world), Vec::new());
+        for pkt in wire.flatten() {
+            observer.process_with(&pkt, |ip, t, name| {
+                seen.push((ip, t, interner.intern(name)))
+            });
         }
-        let sequences: BTreeMap<u32, Vec<(u64, String)>> =
-            observer.per_client_sequences().into_iter().collect();
+        seen.sort_by_key(|&(ip, t, _)| (ip, t));
+        let mut clients = Vec::new();
+        let mut columns = TraceColumnsBuilder::new(interner, trace.days());
+        columns.reserve(seen.len());
+        for (ip, t, host) in seen {
+            if clients.last() != Some(&ip) {
+                clients.push(ip);
+            }
+            columns.push_event(clients.len() as u32 - 1, t, host, 0);
+        }
         Self {
-            sequences,
+            columns: columns.finish(clients.len()),
+            clients,
+            addressing: synth.as_ref().unwrap_or(&scenario.synthesizer).addressing,
             observer_stats: observer.stats(),
             flow_stats: observer.flow_stats(),
             chaos_stats,
@@ -179,39 +196,31 @@ impl ObservedTrace {
         if self.ground_truth_requests == 0 {
             return 0.0;
         }
-        let recovered: usize = self.sequences.values().map(Vec::len).sum();
-        recovered as f64 / self.ground_truth_requests as f64
+        self.columns.num_events() as f64 / self.ground_truth_requests as f64
     }
 
-    /// The hostname sequence of one client IP, hostnames only.
-    pub fn client_hostnames(&self, client_ip: u32) -> Vec<&str> {
-        self.sequences
-            .get(&client_ip)
-            .map(|seq| seq.iter().map(|(_, h)| h.as_str()).collect())
-            .unwrap_or_default()
+    /// The row holding `user`'s traffic under the capture's addressing;
+    /// `None` when nothing from their address was recovered.
+    pub fn row_of(&self, user: UserId) -> Option<u32> {
+        let ip = self.addressing.client_ip(user.0);
+        self.clients.binary_search(&ip).ok().map(|row| row as u32)
     }
 
-    /// Map a ground-truth user to their wire address under the scenario's
-    /// addressing scheme.
-    pub fn address_of(scenario: &ObserverScenario, user: UserId) -> u32 {
-        scenario.synthesizer.addressing.client_ip(user.0)
+    /// One row's hostnames, time order.
+    pub fn hostnames(&self, row: u32) -> impl Iterator<Item = &str> {
+        let hosts = self.columns.user_hosts(row).iter();
+        hosts.map(|&h| self.columns.host_name(h))
     }
 
-    /// Training corpus from observed data: one hostname sequence per
-    /// client IP (what a real eavesdropper would feed the SKIPGRAM model),
-    /// restricted to observations strictly before `before_ms` — pass
-    /// `u64::MAX` for everything, or the evaluation day's start to hold
-    /// that day out.
-    pub fn observed_sequences(&self, before_ms: u64) -> Vec<Vec<String>> {
-        self.sequences
-            .values()
-            .map(|seq| {
-                seq[span_range(seq, |&(t, _)| t, 0, before_ms)]
-                    .iter()
-                    .map(|(_, h)| h.clone())
-                    .collect()
-            })
-            .collect()
+    /// Train `pipeline`'s model on one sequence per client IP of what was
+    /// observed strictly before `before_ms` (`u64::MAX`: everything).
+    pub fn train(&self, pipeline: &Pipeline, before_ms: u64) -> Result<EmbeddingSet, String> {
+        let mut sequences = vec![Vec::new(); self.clients.len()];
+        for (row, seq) in (0..).zip(&mut sequences) {
+            self.columns.span_hosts(row, 0, before_ms, seq);
+        }
+        let prepared = pipeline.prepare(sequences, |h| self.columns.host_name(h))?;
+        Ok(prepared.fit().into_embeddings().centered())
     }
 }
 
@@ -221,12 +230,89 @@ mod tests {
     use crate::defend::catalog_for_world;
     use crate::scenario::{Scenario, ScenarioConfig};
     use hostprof_defense::Defense;
+    use std::collections::BTreeMap;
 
     fn small_scenario() -> Scenario {
         let mut cfg = ScenarioConfig::tiny();
         cfg.trace.days = 1;
         cfg.population.num_users = 8;
         Scenario::generate(&cfg)
+    }
+
+    /// A capture's timelines keyed as `SniObserver::per_client_sequences`
+    /// keys them: client IP → `(t, hostname)`, time order.
+    fn timelines(obs: &ObservedTrace) -> BTreeMap<u32, Vec<(u64, String)>> {
+        let rows = obs.clients.iter().enumerate().map(|(row, &ip)| {
+            let times = obs.columns.user_times(row as u32).iter();
+            let names = obs.hostnames(row as u32).map(str::to_string);
+            (ip, times.map(|&t| t as u64).zip(names).collect())
+        });
+        rows.collect()
+    }
+
+    /// The columns hold what the observer's own per-client grouping of
+    /// owned observations holds — clients, times and names, ties in
+    /// processing order — on a clean tap, behind NAT, with DNS harvested,
+    /// on a chaotic tap and at one non-identity point per defense.
+    #[test]
+    fn capture_is_the_per_client_sequences_as_columns() {
+        let s = small_scenario();
+        let catalog = catalog_for_world(&s.world);
+        let mut dns = ObserverScenario::per_user();
+        dns.synthesizer.dns_fraction = 1.0;
+        dns.harvest_dns = true;
+        let chaotic = ObserverScenario::per_user().with_chaos(ChaosConfig::with_seed(11));
+        let mut cases: Vec<(ObserverScenario, Option<DefensePlan>)> = vec![
+            (ObserverScenario::per_user(), None),
+            (ObserverScenario::behind_nat(4), None),
+            (dns, None),
+            (chaotic, None),
+        ];
+        for d in [
+            Defense::Ech { adoption: 0.5 },
+            Defense::Dummy { rate: 1.0 },
+            Defense::PadConstant { pad_per_event: 2 },
+            Defense::PadAdaptive { intensity: 1.0 },
+            Defense::Doh { adoption: 0.5 },
+            Defense::Nat { users_per_ip: 4 },
+        ] {
+            let plan = DefensePlan::new(d, catalog.clone(), 42);
+            cases.push((ObserverScenario::per_user(), Some(plan)));
+        }
+        for (scenario, plan) in &cases {
+            let obs = ObservedTrace::capture(&s.world, &s.trace, scenario, plan.as_ref());
+            let mut observer = SniObserver::new();
+            if scenario.harvest_dns {
+                observer = observer.with_dns_harvesting();
+            }
+            let wire: Vec<Packet> = scenario
+                .lower(&s.world, &s.trace, plan.as_ref())
+                .flat_map(|(_, burst)| burst)
+                .collect();
+            match scenario.chaos {
+                None => observer.process_stream(&wire),
+                Some(cfg) => observer.process_stream(&chaos::apply(&cfg, &wire).packets),
+            }
+            let want: BTreeMap<_, _> = observer.per_client_sequences().into_iter().collect();
+            let what = format!(
+                "{:?} {:?}",
+                scenario.chaos,
+                plan.as_ref().map(|p| p.defense())
+            );
+            assert!(!want.is_empty(), "{what}");
+            assert_eq!(
+                obs.clients,
+                want.keys().copied().collect::<Vec<_>>(),
+                "{what}"
+            );
+            assert_eq!(timelines(&obs), want, "{what}");
+            assert_eq!(obs.observer_stats, observer.stats(), "{what}");
+            for u in 0..s.population.len() as u32 {
+                let ip = obs.addressing.client_ip(u);
+                let row = obs.clients.binary_search(&ip).ok().map(|r| r as u32);
+                assert_eq!(obs.row_of(UserId(u)), row, "{what}");
+            }
+        }
     }
 
     #[test]
@@ -240,10 +326,9 @@ mod tests {
         );
         assert_eq!(obs.observer_stats.parse_errors, 0);
         // Per-user sequences match ground truth exactly.
-        let scenario = ObserverScenario::per_user();
         for u in 0..8u32 {
-            let ip = ObservedTrace::address_of(&scenario, UserId(u));
-            let got = obs.client_hostnames(ip);
+            let row = obs.row_of(UserId(u));
+            let got: Vec<&str> = row.map(|r| obs.hostnames(r).collect()).unwrap_or_default();
             let want: Vec<&str> = s
                 .trace
                 .user_requests(UserId(u))
@@ -269,7 +354,7 @@ mod tests {
         let a = ObservedTrace::capture(&s.world, &s.trace, &scenario, None);
         let b = ObservedTrace::capture(&s.world, &s.trace, &scenario, None);
         // Same seed ⇒ the whole observed trace replays identically.
-        assert_eq!(a.sequences, b.sequences);
+        assert_eq!(timelines(&a), timelines(&b));
         assert_eq!(a.observer_stats, b.observer_stats);
         assert_eq!(a.chaos_stats, b.chaos_stats);
         // Chaos may lose observations but never invents ground truth it
@@ -303,7 +388,7 @@ mod tests {
         ] {
             let plan = DefensePlan::new(d, catalog.clone(), 42);
             let got = ObservedTrace::capture(&s.world, &s.trace, &scenario, Some(&plan));
-            assert_eq!(got.sequences, plain.sequences, "{d:?}");
+            assert_eq!(timelines(&got), timelines(&plain), "{d:?}");
             assert_eq!(got.observer_stats, plain.observer_stats, "{d:?}");
         }
     }
@@ -356,7 +441,7 @@ mod tests {
         let scenario = ObserverScenario::behind_nat(4);
         let obs = ObservedTrace::capture(&s.world, &s.trace, &scenario, None);
         // 8 users at 4 per IP → 2 client addresses.
-        assert_eq!(obs.sequences.len(), 2);
+        assert_eq!(obs.clients.len(), 2);
         assert!(
             (obs.fidelity() - 1.0).abs() < 1e-9,
             "NAT loses nothing, it only mixes"

@@ -28,12 +28,12 @@ use crate::scenario::Scenario;
 use hostprof_ads::{CtrExperiment, ExperimentConfig, ObservedView};
 use hostprof_defense::{Defense, DefensePlan, HostCatalog};
 use hostprof_embed::EmbeddingSet;
-use hostprof_net::Addressing;
+use hostprof_ontology::CategoryVector;
 use hostprof_stats::cluster_quality;
-use hostprof_synth::trace::{window_range, DAY_MS};
+use hostprof_synth::trace::{TraceAccess, DAY_MS};
 use hostprof_synth::World;
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// The six defense axes, in report order.
 pub const DEFENSE_NAMES: [&str; 6] = ["ech", "dummy", "pad_constant", "pad_adaptive", "nat", "doh"];
@@ -125,8 +125,8 @@ pub struct DefenseCurve {
 /// Undefended artifacts every point is compared against.
 struct Baseline {
     obs: ObservedTrace,
-    /// Final-day session profile per client IP.
-    profiles: BTreeMap<u32, hostprof_ontology::CategoryVector>,
+    /// Final-day session profile per row of `obs`.
+    profiles: Vec<Option<CategoryVector>>,
 }
 
 /// Shared evaluation state: scenario, observer vantage, baseline.
@@ -174,16 +174,16 @@ impl<'a> DefenseEvaluator<'a> {
         let plan = self.plan(name, intensity)?;
         let s = self.s;
         let obs = ObservedTrace::capture(&s.world, &s.trace, &self.observer, Some(&plan));
-        // NAT mixing re-addresses users; every other defense keeps the
-        // observer scenario's own addressing.
-        let addressing = plan.synthesizer(&self.observer.synthesizer).addressing;
 
+        // The flat encoding is byte-stable: equal bytes, equal stores.
         let identity_bit_equal = plan.defense().is_identity().then(|| {
-            obs.sequences == self.baseline.obs.sequences
-                && obs.observer_stats == self.baseline.obs.observer_stats
+            let base = &self.baseline.obs;
+            obs.clients == base.clients
+                && obs.columns.to_flat_bytes() == base.columns.to_flat_bytes()
+                && obs.observer_stats == base.observer_stats
         });
 
-        let recovery_pct = self.recovery_pct(&addressing, &obs);
+        let recovery_pct = self.recovery_pct(&obs);
 
         let embeddings = train_before_eval_day(s, &obs);
         let top_topic = |host: &str| {
@@ -196,10 +196,10 @@ impl<'a> DefenseEvaluator<'a> {
             .unwrap_or(0.0);
         let defended_profiles = final_day_profiles(s, &obs, embeddings.as_ref());
         let (divergence, mean_accuracy, sessions_profiled) =
-            self.score_profiles(&addressing, &defended_profiles);
+            self.score_profiles(&obs, &defended_profiles);
 
         let (eaves_ctr, orig_ctr) = if self.with_ctr {
-            self.ctr_point(&addressing, &obs)
+            self.ctr_point(&obs)
         } else {
             (0.0, 0.0)
         };
@@ -244,7 +244,9 @@ impl<'a> DefenseEvaluator<'a> {
     /// Multiset `(client IP, t_ms, host id)` recovery: each observation
     /// can redeem at most one ground-truth request with the same triple,
     /// so cover traffic never counts and hidden hostnames always cost.
-    fn recovery_pct(&self, addressing: &Addressing, obs: &ObservedTrace) -> f64 {
+    /// A world hostname's id is its `HostId` in both, so the triple
+    /// compares ids.
+    fn recovery_pct(&self, obs: &ObservedTrace) -> f64 {
         let s = self.s;
         let total = s.trace.requests().len();
         if total == 0 {
@@ -252,16 +254,15 @@ impl<'a> DefenseEvaluator<'a> {
         }
         let mut gt: HashMap<(u32, u64, u32), u32> = HashMap::with_capacity(total);
         for r in s.trace.requests() {
-            let ip = addressing.client_ip(r.user.0);
+            let ip = obs.addressing.client_ip(r.user.0);
             *gt.entry((ip, r.t_ms, r.host.0)).or_default() += 1;
         }
         let mut matched = 0usize;
-        for (ip, seq) in &obs.sequences {
-            for (t, h) in seq {
-                let Some(hid) = s.world.host_id_by_name(h) else {
-                    continue;
-                };
-                if let Some(c) = gt.get_mut(&(*ip, *t, hid.0)) {
+        for (row, &ip) in obs.clients.iter().enumerate() {
+            let row = row as u32;
+            let (times, hosts) = (obs.columns.user_times(row), obs.columns.user_hosts(row));
+            for (&t, &h) in times.iter().zip(hosts) {
+                if let Some(c) = gt.get_mut(&(ip, t as u64, h)) {
                     if *c > 0 {
                         *c -= 1;
                         matched += 1;
@@ -275,8 +276,8 @@ impl<'a> DefenseEvaluator<'a> {
     /// Divergence vs baseline, accuracy vs ground truth, per user.
     fn score_profiles(
         &self,
-        addressing: &Addressing,
-        defended: &BTreeMap<u32, hostprof_ontology::CategoryVector>,
+        obs: &ObservedTrace,
+        defended: &[Option<CategoryVector>],
     ) -> (f64, f64, usize) {
         let s = self.s;
         let mut div = 0f64;
@@ -284,9 +285,10 @@ impl<'a> DefenseEvaluator<'a> {
         let mut acc = 0f64;
         let mut acc_n = 0usize;
         for u in s.population.users() {
-            let base_ip = ObservedTrace::address_of(&self.observer, u.id);
-            let def_ip = addressing.client_ip(u.id.0);
-            match (self.baseline.profiles.get(&base_ip), defended.get(&def_ip)) {
+            let (base, def) = (self.baseline.obs.row_of(u.id), obs.row_of(u.id));
+            let b = base.and_then(|r| self.baseline.profiles[r as usize].as_ref());
+            let d = def.and_then(|r| defended[r as usize].as_ref());
+            match (b, d) {
                 (Some(b), Some(d)) => {
                     div += (1.0 - b.cosine(d) as f64).max(0.0);
                     div_n += 1;
@@ -312,13 +314,12 @@ impl<'a> DefenseEvaluator<'a> {
     /// CTR experiment over the observed view. The seed and every
     /// ground-truth draw are fixed across points, so the gap moves only
     /// with the eavesdropper's degraded inputs.
-    fn ctr_point(&self, addressing: &Addressing, obs: &ObservedTrace) -> (f64, f64) {
+    fn ctr_point(&self, obs: &ObservedTrace) -> (f64, f64) {
         let s = self.s;
+        let rows = s.population.users().iter().map(|u| obs.row_of(u.id));
         let view = ObservedView {
-            timelines: obs.sequences.clone(),
-            client_of_user: (0..s.population.len() as u32)
-                .map(|u| addressing.client_ip(u))
-                .collect(),
+            columns: &obs.columns,
+            row_of_user: rows.collect(),
         };
         let config = ExperimentConfig {
             pipeline: s.config.pipeline.clone(),
@@ -367,47 +368,47 @@ pub fn embedding_quality(
 /// the final (evaluation) day; `None` when the defense starves training.
 fn train_before_eval_day(s: &Scenario, obs: &ObservedTrace) -> Option<EmbeddingSet> {
     let eval_start = (s.trace.days() - 1) as u64 * DAY_MS;
-    s.pipeline()
-        .train_model(&obs.observed_sequences(eval_start))
-        .ok()
+    obs.train(&s.pipeline(), eval_start).ok()
 }
 
-/// Profile each client IP's last final-day session against `embeddings`
+/// Profile each row's last final-day session against `embeddings`
 /// (shared by baseline and defended paths so the two sides differ only
-/// in their inputs); empty when there is no model.
+/// in their inputs); all `None` when there is no model. The session
+/// ends at the row's last observation if that falls at or after the
+/// final day's start, with no upper bound: a request spilled past the
+/// trace's end still anchors it (DESIGN.md §15.2).
 fn final_day_profiles(
     s: &Scenario,
     obs: &ObservedTrace,
     embeddings: Option<&EmbeddingSet>,
-) -> BTreeMap<u32, hostprof_ontology::CategoryVector> {
+) -> Vec<Option<CategoryVector>> {
+    let rows = 0..obs.clients.len() as u32;
     let Some(embeddings) = embeddings else {
-        return BTreeMap::new();
+        return rows.map(|_| None).collect();
     };
     let pipeline = s.pipeline();
     let profiler = pipeline.profiler(embeddings, s.world.ontology());
     let eval_start = (s.trace.days() - 1) as u64 * DAY_MS;
     let window_ms = pipeline.config().session_window_ms();
-    let mut out = BTreeMap::new();
-    for (ip, seq) in &obs.sequences {
-        let Some(&end) = seq.iter().map(|(t, _)| t).rfind(|t| **t >= eval_start) else {
-            continue;
-        };
-        let window = &seq[window_range(seq, |&(t, _)| t, end, window_ms)];
-        let session = hostprof_core::Session::from_window(
-            window.iter().map(|(_, h)| h.as_str()),
-            Some(pipeline.blocklist()),
-        );
-        if let Some(profile) = profiler.profile(&session) {
-            out.insert(*ip, profile.categories);
-        }
-    }
-    out
+    let mut window = Vec::new();
+    let profile = |row| {
+        let last = obs.columns.user_times(row).last().map(|&t| t as u64);
+        let end = last.filter(|&t| t >= eval_start)?;
+        window.clear();
+        obs.columns.window_hosts(row, end, window_ms, &mut window);
+        let window = window.iter().map(|&h| obs.columns.host_name(h));
+        let session = hostprof_core::Session::from_window(window, Some(pipeline.blocklist()));
+        Some(profiler.profile(&session)?.categories)
+    };
+    rows.map(profile).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::ScenarioConfig;
+    use hostprof_synth::trace::TraceColumnsBuilder;
+    use hostprof_synth::world_interner;
 
     fn tiny() -> Scenario {
         let mut cfg = ScenarioConfig::tiny();
@@ -472,17 +473,21 @@ mod tests {
         hosts.sort();
         hosts.dedup();
         let profile_with_first_at = |first_ms: u64, skip: usize| {
-            let seq = hosts.iter().enumerate().skip(skip);
-            let seq =
-                seq.map(|(i, h)| (if i == 0 { first_ms } else { 1_000 + i as u64 }, h.clone()));
+            let mut columns = TraceColumnsBuilder::new(world_interner(&s.world), 1);
+            for (i, h) in hosts.iter().enumerate().skip(skip) {
+                let t = if i == 0 { first_ms } else { 1_000 + i as u64 };
+                columns.push_named_event(0, t, h, 0);
+            }
             let obs = ObservedTrace {
-                sequences: BTreeMap::from([(7, seq.collect())]),
+                columns: columns.finish(1),
+                clients: vec![7],
+                addressing: ObserverScenario::per_user().synthesizer.addressing,
                 observer_stats: Default::default(),
                 flow_stats: Default::default(),
                 chaos_stats: None,
                 ground_truth_requests: hosts.len(),
             };
-            final_day_profiles(&s, &obs, Some(&embeddings)).remove(&7)
+            final_day_profiles(&s, &obs, Some(&embeddings)).remove(0)
         };
         let at_epoch = profile_with_first_at(0, 0).expect("session has signal");
         assert_eq!(Some(&at_epoch), profile_with_first_at(1, 0).as_ref());

@@ -24,7 +24,6 @@ use hostprof_stats::{
     BhTsneConfig, Ccdf,
 };
 use hostprof_synth::names::second_level_domain;
-use hostprof_synth::trace::DAY_MS;
 use hostprof_synth::HostKind;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -409,7 +408,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 },
                 expect: KnownDeviation(
                     "≈ 1.5: synthetic users browse near-identical volumes; the \
-                     activity-heterogeneity fix is ROADMAP item 4",
+                     activity-heterogeneity fix is ROADMAP fidelity-2(a)",
                 ),
             },
         ],
@@ -500,7 +499,8 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 expect: KnownDeviationAt(
                     "default",
                     "0.145 % vs 0.150 % in the one default-scale world, inside its noise \
-                     (p = .21, CI spans 0); CTR intervals over ≥ 10 seeds are ROADMAP item 4",
+                     (p = .21, CI spans 0); CTR intervals over ≥ 10 seeds are ROADMAP \
+                     fidelity-2(b)",
                 ),
             },
             Claim {
@@ -1098,15 +1098,13 @@ fn session_accuracy(s: &Scenario, config: PipelineConfig, ontology_only: bool) -
     let embeddings = pipeline.train_model(&s.corpus(eval_day));
     let embeddings = embeddings.expect("a trace of two days or more");
     let profiler = pipeline.profiler(&embeddings, s.world.ontology());
-    let day = eval_day as u64 * DAY_MS..(eval_day as u64 + 1) * DAY_MS;
+    let window_ms = pipeline.config().session_window_ms();
     let (mut sum, mut n) = (0f64, 0usize);
     for user in s.population.users() {
-        let requests = s.trace.user_requests(user.id);
-        let Some(last) = requests.filter(|r| day.contains(&r.t_ms)).last() else {
+        let window = s.session_window(user.id, eval_day, window_ms);
+        if window.is_empty() {
             continue;
-        };
-        let window_ms = pipeline.config().session_window_ms();
-        let window = s.trace.window(user.id, last.t_ms, window_ms);
+        }
         let hostnames = window.iter().map(|h| s.world.hostname(*h));
         let session = Session::from_window(hostnames, Some(pipeline.blocklist()));
         let profile = if ontology_only {

@@ -369,7 +369,7 @@ impl Pinned {
         let wire = ObserverScenario::per_user();
         Self {
             pipeline: s.pipeline(),
-            base_ip: ObservedTrace::address_of(&wire, UserId(0)),
+            base_ip: wire.synthesizer.addressing.client_ip(0),
             s,
             wire,
         }
@@ -457,11 +457,9 @@ impl GoldenSchedule for ReplaySnapshot {
         // Stage 2: passive observation (per-user addressing, no chaos).
         let observed = ObservedTrace::capture(&s.world, &s.trace, &p.wire, None);
         let mut d = Digest::new();
-        for seq in observed.sequences.values() {
-            d.write_u64(seq.len() as u64);
-            for (_, h) in seq {
-                d.write_str(h);
-            }
+        for row in 0..observed.clients.len() as u32 {
+            d.write_u64(observed.columns.user_hosts(row).len() as u64);
+            observed.hostnames(row).for_each(|h| d.write_str(h));
         }
         let observed_digest = d.hex();
 
@@ -970,22 +968,20 @@ impl GoldenSchedule for DefenseSnapshot {
             let observed = ObservedTrace::capture(&s.world, &s.trace, &p.wire, plan.as_ref());
             let mut d = Digest::new();
             let mut observations = 0u64;
-            for (ip, seq) in &observed.sequences {
-                d.write_u64(*ip as u64);
-                d.write_u64(seq.len() as u64);
-                observations += seq.len() as u64;
-                for (t, h) in seq {
-                    d.write_u64(*t);
+            for (row, &ip) in observed.clients.iter().enumerate() {
+                let times = observed.columns.user_times(row as u32);
+                d.write_u64(ip as u64);
+                d.write_u64(times.len() as u64);
+                observations += times.len() as u64;
+                for (&t, h) in times.iter().zip(observed.hostnames(row as u32)) {
+                    d.write_u64(t as u64);
                     d.write_str(h);
                 }
             }
 
             // Train on the defended observations, then stream the defended
             // packets through the serving engine.
-            let embeddings = p
-                .pipeline
-                .train_model(&observed.observed_sequences(u64::MAX))
-                .ok();
+            let embeddings = observed.train(&p.pipeline, u64::MAX).ok();
             let (model, serve) = match &embeddings {
                 None => ("none".into(), "none".into()),
                 Some(emb) => {

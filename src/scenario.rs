@@ -9,7 +9,7 @@ use hostprof_ads::AdDatabase;
 use hostprof_core::{Pipeline, PipelineConfig};
 use hostprof_embed::SkipGramConfig;
 use hostprof_synth::{
-    Population, PopulationConfig, Trace, TraceConfig, UserId, World, WorldConfig,
+    HostId, Population, PopulationConfig, Trace, TraceConfig, UserId, World, WorldConfig,
 };
 use serde::{Deserialize, Serialize};
 
@@ -229,21 +229,23 @@ impl Scenario {
     /// ending at their last request of `day` (empty when the user was
     /// idle).
     pub fn session_hostnames(&self, user: UserId, day: u32) -> Vec<String> {
+        let window = self.session_window(user, day, self.config.pipeline.session_window_ms());
+        let names = window.into_iter().map(|h| self.world.hostname(h));
+        names.map(str::to_string).collect()
+    }
+
+    /// The hosts a user requested in the `window_ms` window ending at
+    /// their last request inside `day` (empty when the user was idle):
+    /// the one ground-truth session anchor.
+    pub(crate) fn session_window(&self, user: UserId, day: u32, window_ms: u64) -> Vec<HostId> {
         use hostprof_synth::trace::DAY_MS;
-        let end_of_day = (day as u64 + 1) * DAY_MS;
-        let last = self
+        let day = day as u64 * DAY_MS..(day as u64 + 1) * DAY_MS;
+        let today = self
             .trace
             .user_requests(user)
-            .filter(|r| r.t_ms >= day as u64 * DAY_MS && r.t_ms < end_of_day)
-            .last();
-        let Some(last) = last else {
-            return Vec::new();
-        };
-        self.trace
-            .window(user, last.t_ms, self.config.pipeline.session_window_ms())
-            .into_iter()
-            .map(|h| self.world.hostname(h).to_string())
-            .collect()
+            .filter(|r| day.contains(&r.t_ms));
+        let end = today.last().map(|r| r.t_ms);
+        end.map_or_else(Vec::new, |end| self.trace.window(user, end, window_ms))
     }
 }
 

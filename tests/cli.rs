@@ -426,4 +426,10 @@ fn observe_with_countermeasures() {
     ]);
     assert!(out.status.success());
     assert!(stdout(&out).contains("client addresses seen : 2"));
+
+    // A capture stores times as u32 milliseconds: a longer trace is
+    // refused up front, not a panic after generating it.
+    let out = hostprof(&["observe", "--days", "50", "--users", "1"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--days 50 is past"));
 }

@@ -90,3 +90,46 @@ fn every_binary_result_file_and_link_named_in_the_docs_exists() {
         missing.join("\n")
     );
 }
+
+/// Roadmap items are cited by slug (`ROADMAP one-copy`): their numbers
+/// move at every re-anchor. Excluded: ROADMAP.md, which numbers its own
+/// list; CHANGES.md, which is history; and `benchmark/`, whose README
+/// still cites two numbers until the harness itself changes. Build and
+/// VCS directories are not tracked files.
+#[test]
+fn no_tracked_file_cites_a_roadmap_item_by_number() {
+    const EXCLUDED: [&str; 3] = ["ROADMAP.md", "CHANGES.md", "benchmark"];
+    const UNTRACKED: [&str; 3] = [".git", "target", ".bench_build"];
+    let pattern = "ROADMAP item";
+    let mut found = Vec::new();
+    let mut dirs = vec![root().to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("readable directory") {
+            let path = entry.expect("directory entry").path();
+            let rel = path.strip_prefix(root()).expect("under the root");
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if EXCLUDED.iter().any(|e| rel == Path::new(e)) || UNTRACKED.contains(&name) {
+                continue;
+            }
+            if path.is_dir() {
+                dirs.push(path);
+                continue;
+            }
+            let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", rel.display()));
+            let text = String::from_utf8_lossy(&bytes);
+            for (at, _) in text.match_indices(pattern) {
+                let rest = text[at + pattern.len()..].trim_start_matches('s');
+                if rest.trim_start().starts_with(|c: char| c.is_ascii_digit()) {
+                    let cite: String = text[at..].chars().take(15).collect();
+                    found.push(format!("{}: {cite}", rel.display()));
+                }
+            }
+        }
+    }
+    found.sort();
+    assert!(
+        found.is_empty(),
+        "cite ROADMAP items by slug, not by number:\n{}",
+        found.join("\n")
+    );
+}

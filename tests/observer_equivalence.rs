@@ -34,21 +34,22 @@ fn observed_sessions_profile_identically_to_ground_truth_sessions() {
             continue;
         }
         // Observer-side session: same window cut from the wire capture.
-        let ip = ObservedTrace::address_of(&scenario, user.id);
-        let Some(seq) = observed.sequences.get(&ip) else {
+        let Some(row) = observed.row_of(user.id) else {
             continue;
         };
-        let end = seq
+        let times = observed.columns.user_times(row);
+        let end = times
             .iter()
-            .map(|(t, _)| *t)
+            .map(|&t| t as u64)
             .filter(|t| *t < 2 * hostprof::synth::trace::DAY_MS)
             .max()
             .unwrap_or(0);
         let start = end.saturating_sub(s.config.pipeline.session_window_ms());
-        let window_wire: Vec<&str> = seq
+        let window_wire: Vec<&str> = times
             .iter()
-            .filter(|(t, _)| *t > start && *t <= end)
-            .map(|(_, h)| h.as_str())
+            .zip(observed.hostnames(row))
+            .filter(|(&t, _)| t as u64 > start && t as u64 <= end)
+            .map(|(_, h)| h)
             .collect();
 
         let sess_truth = Session::from_window(
@@ -78,8 +79,8 @@ fn a_model_trained_on_observed_data_is_usable() {
     let s = small_scenario();
     let observed = ObservedTrace::capture(&s.world, &s.trace, &ObserverScenario::per_user(), None);
     let pipeline = s.pipeline();
-    let embeddings = pipeline
-        .train_model(&observed.observed_sequences(u64::MAX))
+    let embeddings = observed
+        .train(&pipeline, u64::MAX)
         .expect("observed corpus trains");
     // The observed vocabulary covers the same non-blocked hostname set.
     let truth_model = pipeline
@@ -105,17 +106,15 @@ fn nat_mixing_degrades_profile_specificity() {
     // Compare the accuracy of user 0's profile when their traffic is
     // isolated vs mixed with 4 other users.
     let user = &s.population.users()[0];
-    let profile_from = |seq: &[(u64, String)]| {
-        let hosts: Vec<&str> = seq.iter().map(|(_, h)| h.as_str()).collect();
-        let session = Session::from_window(hosts.iter().copied(), Some(pipeline.blocklist()));
+    let profile_from = |obs: &ObservedTrace| {
+        let row = obs.row_of(user.id).expect("user 0 browsed");
+        let session = Session::from_window(obs.hostnames(row), Some(pipeline.blocklist()));
         profiler.profile(&session).map(|p| p.categories)
     };
-    let ip_clean = ObservedTrace::address_of(&clean, user.id);
-    let ip_nat = ObservedTrace::address_of(&nat, user.id);
-    let acc_clean = profile_from(&obs_clean.sequences[&ip_clean])
+    let acc_clean = profile_from(&obs_clean)
         .map(|c| c.cosine(&user.interests))
         .unwrap_or(0.0);
-    let acc_nat = profile_from(&obs_nat.sequences[&ip_nat])
+    let acc_nat = profile_from(&obs_nat)
         .map(|c| c.cosine(&user.interests))
         .unwrap_or(0.0);
     // Mixing 5 users can only blur one user's signal (allow tiny slack for

@@ -370,6 +370,20 @@ impl IvfFlat {
             list_data: self.list_data.clone(),
         }
     }
+
+    /// `probe_keys` ← every list's [`knn::pack`] of its centroid's score
+    /// against `qhat`, in list order: one [`simd::dot_rows`] scan of the
+    /// centroids into `sims`.
+    fn rank_lists(&self, qhat: &[f32], sims: &mut Vec<f32>, probe_keys: &mut Vec<u64>) {
+        sims.resize(self.nlists, 0.0);
+        simd::dot_rows(qhat, &self.centroids, sims);
+        probe_keys.clear();
+        probe_keys.extend(
+            (0..)
+                .zip(sims.iter())
+                .map(|(list, &sim)| knn::pack(sim, list)),
+        );
+    }
 }
 
 /// Seeded distinct-row centroid initialization (rows copied verbatim).
@@ -397,9 +411,10 @@ fn init_centroids(
     centroids
 }
 
-/// `lists[i]` ← the [`nearest_centroid`] of row `rows[i]`, on `workers`
-/// contiguous shares ([`run_shares`]). Each row is scored alone, so
-/// `lists` does not depend on `workers`.
+/// `lists[i]` ← the centroid with the largest dot product against row
+/// `rows[i]`, on `workers` contiguous shares ([`run_shares`]): one
+/// [`simd::dot_rows`] scan of the centroids per row, then [`first_max`].
+/// Each row is scored alone, so `lists` does not depend on `workers`.
 fn assign(
     unit: &[f32],
     dim: usize,
@@ -408,16 +423,37 @@ fn assign(
     lists: &mut [u32],
     workers: usize,
 ) {
+    let nlists = centroids.len() / dim;
     run_shares(workers, lists, |share, lists| {
+        let mut sims = vec![0f32; nlists];
         for (list, &row) in lists.iter_mut().zip(&rows[share]) {
             let v = &unit[row as usize * dim..(row as usize + 1) * dim];
-            *list = nearest_centroid(centroids, dim, v) as u32;
+            simd::dot_rows(v, centroids, &mut sims);
+            *list = first_max(&sims) as u32;
         }
     });
 }
 
-/// Index of the centroid with the largest dot product against `v`; exact
-/// ties break toward the lower index (strict `>` keeps the first max).
+/// Index of the largest score; exact ties break toward the lower index
+/// (strict `>` keeps the first max), and a NaN never wins, so a row that
+/// scores NaN everywhere lands in list 0.
+fn first_max(scores: &[f32]) -> usize {
+    let mut best = 0usize;
+    let mut best_score = f32::NEG_INFINITY;
+    for (list, &score) in scores.iter().enumerate() {
+        if score > best_score {
+            best_score = score;
+            best = list;
+        }
+    }
+    best
+}
+
+/// Index of the centroid with the largest dot product against `v`, one
+/// [`simd::dot`] per centroid; exact ties break toward the lower index
+/// (strict `>` keeps the first max). [`assign`]'s reference in the serial
+/// twin.
+#[cfg(test)]
 fn nearest_centroid(centroids: &[f32], dim: usize, v: &[f32]) -> usize {
     let mut best = 0usize;
     let mut best_score = f32::NEG_INFINITY;
@@ -454,12 +490,7 @@ impl NnIndex for IvfFlat {
 
             // Rank lists by centroid score on the packed-key total order:
             // ties toward the lower list index, never a float compare.
-            scratch.probe_keys.clear();
-            for (list, c) in self.centroids.chunks_exact(dim).enumerate() {
-                scratch
-                    .probe_keys
-                    .push(knn::pack(simd::dot(c, qhat), list as u32));
-            }
+            self.rank_lists(qhat, &mut scratch.sims, &mut scratch.probe_keys);
             let nprobe = self.nprobe.min(scratch.probe_keys.len());
             if nprobe < scratch.probe_keys.len() {
                 scratch
@@ -701,6 +732,47 @@ mod tests {
         assert_eq!(IndexConfig::default(), IndexConfig::Exact);
         assert_eq!(IndexConfig::ivf(4).kind(), "ivf");
         assert_eq!(IndexConfig::Exact.kind(), "exact");
+    }
+
+    /// `search`'s centroid ranking is `pack(simd::dot(c, q), list)` per
+    /// centroid, bits compared: list counts with and without an eight-row
+    /// tail, dims on the vector kernel (16, 64, 128) and off it (13, 100),
+    /// queries holding ±0.0, ±∞ and NaN against centroids holding NaN.
+    #[test]
+    fn centroid_ranking_is_pack_of_dot_per_centroid() {
+        let mut rng = 0xc0ffeeu64;
+        for dim in [13, 16, 64, 100, 128] {
+            for nlists in [1, 7, 8, 9, 23] {
+                let set = twin_set(200, dim, &mut rng);
+                let ivf = IvfFlat::build(
+                    &set,
+                    IvfParams {
+                        nlists,
+                        nprobe: 1,
+                        seed: splitmix64(&mut rng),
+                    },
+                );
+                let mut queries: Vec<Vec<f32>> = (0..3)
+                    .map(|_| {
+                        (0..dim)
+                            .map(|_| (splitmix64(&mut rng) >> 40) as f32 / 16_777_216.0 - 0.5)
+                            .collect()
+                    })
+                    .collect();
+                queries.push(vec![-0.0; dim]);
+                queries[1][dim / 2] = f32::INFINITY;
+                queries[2][0] = f32::NAN;
+                let (mut sims, mut keys) = (Vec::new(), Vec::new());
+                for q in &queries {
+                    ivf.rank_lists(q, &mut sims, &mut keys);
+                    let want: Vec<u64> = (0..)
+                        .zip(ivf.centroids.chunks_exact(dim))
+                        .map(|(list, c)| knn::pack(simd::dot(c, q), list))
+                        .collect();
+                    assert_eq!(keys, want, "dim {dim}, {} lists", ivf.nlists);
+                }
+            }
+        }
     }
 
     /// The build before its assignment fanned out, verbatim but for the

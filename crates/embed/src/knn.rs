@@ -7,9 +7,11 @@
 //!
 //! 1. **Score.** The scan walks the vocabulary in cache-sized row tiles and
 //!    scores a block of up to [`QUERY_BLOCK`] queries against a tile before
-//!    moving on. A candidate leaves [`crate::simd::score_rows`] as an
-//!    order-preserving `u32` key and a `u16` bucket in buffers every block
-//!    reuses — 6 bytes per (query, candidate), whatever the batch size.
+//!    moving on, one [`crate::simd::score_rows`] call per (query, tile) —
+//!    the register-resident kernel every scan in this crate shares. A
+//!    candidate leaves it as an order-preserving `u32` key and a `u16`
+//!    bucket in buffers every block reuses — 6 bytes per (query,
+//!    candidate), whatever the batch size.
 //! 2. **Select.** A histogram of the buckets finds the bucket holding the
 //!    `k`-th best candidate; an exact select over that bucket's few packed
 //!    `(key, !row)` words finds the `k`-th best itself — the cut.
@@ -118,6 +120,8 @@ pub struct KnnScratch {
     pub(crate) packed: Vec<u64>,
     /// Zero-norm rows of an exact scan; row id per candidate of an IVF one.
     pub(crate) rows: Vec<u32>,
+    /// Centroid scores of an IVF probe, one per list.
+    pub(crate) sims: Vec<f32>,
     /// Packed centroid-score keys for IVF probe selection.
     pub(crate) probe_keys: Vec<u64>,
 }

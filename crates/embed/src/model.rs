@@ -162,8 +162,8 @@ pub struct UpdateReport {
 ///
 /// Safety contract: rows are only accessed through [`SharedWeights::row`]
 /// within the matrix bounds, and the underlying vectors outlive the worker
-/// scope (guaranteed by `crossbeam::thread::scope`). Concurrent unsynchronized
-/// writes are *intentional* (Hogwild).
+/// scope (guaranteed by [`run_shares`]' `std::thread::scope`). Concurrent
+/// unsynchronized writes are *intentional* (Hogwild).
 struct SharedWeights {
     input: *mut f32,
     context: *mut f32,
@@ -225,15 +225,24 @@ where
     let share = n.div_ceil(workers.clamp(1, n));
     let last_start = (n - 1) / share * share;
     let (spawned, last) = out.split_at_mut(last_start);
-    if let Err(payload) = crossbeam::thread::scope(|scope| {
-        for (i, slots) in spawned.chunks_mut(share).enumerate() {
-            let work = &work;
-            scope.spawn(move |_| work(i * share..(i + 1) * share, slots));
+    let work = &work;
+    let panicked = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..)
+            .zip(spawned.chunks_mut(share))
+            .map(|(i, slots)| scope.spawn(move || work(i * share..(i + 1) * share, slots)))
+            .collect();
+        let own =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(last_start..n, last)));
+        // Join every worker before leaving the scope, so a worker's own
+        // panic payload is re-raised below instead of the scope's generic
+        // one.
+        let mut payload = None;
+        for handle in handles {
+            payload = payload.or(handle.join().err());
         }
-        work(last_start..n, last);
-    }) {
-        // Re-raise the worker's own panic payload rather than masking it
-        // behind a generic message.
+        payload.or(own.err())
+    });
+    if let Some(payload) = panicked {
         std::panic::resume_unwind(payload);
     }
 }

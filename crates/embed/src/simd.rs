@@ -7,6 +7,15 @@
 //! consistent floating-point summation order and repeated runs are
 //! reproducible on the same machine.
 //!
+//! The scanning side is one kernel: every dot-product scan of a query
+//! against contiguous rows — the kNN's tiled scan and IVF list scoring
+//! ([`score_rows`], which converts the similarities to keys and buckets
+//! afterwards), IVF centroid ranking and k-means assignment ([`dot_rows`])
+//! — runs on `scan_rows_avx2_fma`, which keeps the query in registers and
+//! scores eight rows per step, each similarity [`dot`]'s bit for bit (the
+//! proof is on the kernel). Dims that are not a multiple of 8, or above
+//! 128, and the portable path call [`dot`] per row.
+//!
 //! The training-side kernels are *fused* around the SGD sample shape
 //! (word2vec's negative-sampling update): for each (center, target) pair
 //! the trainer computes `f = h_c · h_o`, looks up `σ(f)`, and then applies
@@ -36,38 +45,85 @@ fn avx2_fma_available() -> bool {
     })
 }
 
+/// The one NaN a scan's similarity can be: the negative quiet NaN x86
+/// makes for an invalid operation, so a NaN similarity ranks below every
+/// number. Which NaN an operation on NaNs returns follows operand order and
+/// instruction selection, which Rust leaves unspecified; a scan that keeps
+/// the query in registers and [`dot`] would otherwise disagree on it. With
+/// one NaN, `dot(a, b)` and `dot(b, a)` are the same bits too.
+pub const NAN_SIM: f32 = f32::from_bits(0xffc0_0000);
+
 /// Dot product: AVX2+FMA kernel when the CPU has it, the portable
-/// unrolled version otherwise.
+/// unrolled version otherwise; a NaN result is [`NAN_SIM`].
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
     if avx2_fma_available() {
         // SAFETY: the feature check above gates the target_feature fn.
-        return unsafe { dot_avx2_fma(a, b) };
+        return canonical(unsafe { dot_avx2_fma(a, b) });
     }
-    dot_portable(a, b)
+    canonical(dot_portable(a, b))
+}
+
+/// `x`, or [`NAN_SIM`] when `x` is a NaN.
+#[inline]
+fn canonical(x: f32) -> f32 {
+    if x.is_nan() {
+        NAN_SIM
+    } else {
+        x
+    }
 }
 
 /// Score one query against `keys.len()` contiguous rows for the kNN scan:
 /// row `r`'s [`dot`] with `qhat`, bit for bit, leaves as `keys[r]` =
 /// [`sim_key`](crate::knn::sim_key) and `buckets[r]` =
-/// [`sim_bucket`](crate::knn::sim_bucket). The AVX2 path takes dims that
-/// are a multiple of 8 eight rows at a time behind one dispatch boundary.
+/// [`sim_bucket`](crate::knn::sim_bucket). The similarities are
+/// [`dot_rows`]' written into `keys`, then converted in place: a kernel
+/// that also converted would keep the conversion's constants in the
+/// registers that hold the query, and spill.
 pub(crate) fn score_rows(qhat: &[f32], rows: &[f32], keys: &mut [u32], buckets: &mut [u16]) {
-    let dim = qhat.len();
-    assert_eq!(rows.len(), keys.len() * dim);
     assert_eq!(buckets.len(), keys.len());
-    #[allow(unused_mut)]
-    let mut scored = 0;
+    // SAFETY: `f32` and `u32` have one size and alignment, and every bit
+    // pattern is a valid value of both.
+    let sims = unsafe { std::slice::from_raw_parts_mut(keys.as_mut_ptr().cast(), keys.len()) };
+    dot_rows(qhat, rows, sims);
     #[cfg(target_arch = "x86_64")]
-    if avx2_fma_available() && dim > 0 && dim.is_multiple_of(8) {
-        // SAFETY: the feature check gates the target_feature fn; the
-        // asserts above are its length contract.
-        scored = unsafe { score_rows_avx2_fma(qhat, rows, keys, buckets) };
+    if avx2_fma_available() {
+        // SAFETY: the feature check gates the target_feature fn.
+        unsafe { keys_and_buckets_avx2_fma(keys, buckets) };
+        return;
     }
-    for r in scored..keys.len() {
-        let sim = dot(qhat, &rows[r * dim..(r + 1) * dim]);
-        (keys[r], buckets[r]) = (crate::knn::sim_key(sim), crate::knn::sim_bucket(sim));
+    for (key, bucket) in keys.iter_mut().zip(buckets) {
+        let sim = f32::from_bits(*key);
+        (*key, *bucket) = (crate::knn::sim_key(sim), crate::knn::sim_bucket(sim));
+    }
+}
+
+/// `sims[r]` ← [`dot`]`(q, row r)`, bit for bit, over `sims.len()`
+/// contiguous rows: [`scan_rows_avx2_fma`] when the CPU has AVX2 + FMA
+/// and `q.len()` is a multiple of 8 up to 128, [`dot`] per row otherwise.
+pub(crate) fn dot_rows(q: &[f32], rows: &[f32], sims: &mut [f32]) {
+    let dim = q.len();
+    assert_eq!(rows.len(), sims.len() * dim);
+    #[cfg(target_arch = "x86_64")]
+    if avx2_fma_available() && dim.is_multiple_of(8) && (8..=128).contains(&dim) {
+        let (q, rows, n, sims) = (q.as_ptr(), rows.as_ptr(), sims.len(), sims.as_mut_ptr());
+        macro_rules! by_chunks {
+            ($($c:literal)*) => {
+                match dim / 8 {
+                    // SAFETY: the feature check gates the target_feature
+                    // fn; the assert above is its length contract.
+                    $($c => unsafe { scan_rows_avx2_fma::<$c>(q, rows, n, sims) },)*
+                    _ => unreachable!("8 ≤ dim ≤ 128"),
+                }
+            };
+        }
+        by_chunks!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+        return;
+    }
+    for (r, sim) in sims.iter_mut().enumerate() {
+        *sim = dot(q, &rows[r * dim..(r + 1) * dim]);
     }
 }
 
@@ -159,65 +215,41 @@ unsafe fn train_pair_body(
     axpy_portable(hc, 1.0, neu1e);
 }
 
-/// The eight lane sums of `R` FMA dots of `pa` against each of `pb`, over
-/// the leading `n - n % 8` floats: per dot four independent vector
-/// accumulators (32 floats in flight), added as `(acc0 + acc1) + (acc2 +
-/// acc3)`; lane `j` holds the terms `i ≡ j mod 8`. Every `R` performs the
-/// same operations per dot — more than one only shares the loads of `pa`.
-///
-/// # Safety
-/// `pa` and every `pb` must be valid for `n` reads.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[inline]
-unsafe fn dot_lanes_avx2_fma<const R: usize>(
-    pa: *const f32,
-    pb: [*const f32; R],
-    n: usize,
-) -> [std::arch::x86_64::__m256; R] {
-    use std::arch::x86_64::*;
-    // `acc[j][r]`: accumulator `j` of dot `r`.
-    let mut acc = [[_mm256_setzero_ps(); R]; 4];
-    let mut i = 0;
-    while i + 32 <= n {
-        for (j, accs) in acc.iter_mut().enumerate() {
-            let a = _mm256_loadu_ps(pa.add(i + 8 * j));
-            for (acc, pb) in accs.iter_mut().zip(pb) {
-                *acc = _mm256_fmadd_ps(a, _mm256_loadu_ps(pb.add(i + 8 * j)), *acc);
-            }
-        }
-        i += 32;
-    }
-    while i + 8 <= n {
-        let a = _mm256_loadu_ps(pa.add(i));
-        for (acc, pb) in acc[0].iter_mut().zip(pb) {
-            *acc = _mm256_fmadd_ps(a, _mm256_loadu_ps(pb.add(i)), *acc);
-        }
-        i += 8;
-    }
-    let [acc0, acc1, acc2, acc3] = acc;
-    let mut lanes = [_mm256_setzero_ps(); R];
-    for (r, lanes) in lanes.iter_mut().enumerate() {
-        *lanes = _mm256_add_ps(
-            _mm256_add_ps(acc0[r], acc1[r]),
-            _mm256_add_ps(acc2[r], acc3[r]),
-        );
-    }
-    lanes
-}
-
-/// 8-lane FMA dot: [`dot_lanes_avx2_fma`] horizontal-summed in a fixed
-/// order — `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))` — with the scalar
-/// tail folded in last. The default x86-64 target is SSE2-only, so this has
-/// to be an explicit `target_feature` kernel rather than autovectorization.
+/// 8-lane FMA dot. Four independent vector accumulators (32 floats in
+/// flight): chunk `c` of eight floats feeds accumulator `c mod 4` while
+/// whole groups of four chunks remain, and accumulator 0 after that; each
+/// accumulator starts from zero. They are added as `(acc0 + acc1) + (acc2 +
+/// acc3)`, lane `j` of the result holding the terms `i ≡ j mod 8`, and the
+/// lanes are horizontal-summed in a fixed order — `((l0+l4) + (l2+l6)) +
+/// ((l1+l5) + (l3+l7))` — with the scalar tail folded in last. The default
+/// x86-64 target is SSE2-only, so this has to be an explicit
+/// `target_feature` kernel rather than autovectorization.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn dot_avx2_fma(a: &[f32], b: &[f32]) -> f32 {
     use std::arch::x86_64::*;
     debug_assert_eq!(a.len(), b.len());
     let n = a.len();
-    let [acc] = dot_lanes_avx2_fma(a.as_ptr(), [b.as_ptr()], n);
-    let quad = _mm_add_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps(acc, 1));
+    let (pa, pb) = (a.as_ptr(), b.as_ptr());
+    let mut acc = [_mm256_setzero_ps(); 4];
+    let mut i = 0;
+    while i + 32 <= n {
+        for (j, acc) in acc.iter_mut().enumerate() {
+            let x = _mm256_loadu_ps(pa.add(i + 8 * j));
+            *acc = _mm256_fmadd_ps(x, _mm256_loadu_ps(pb.add(i + 8 * j)), *acc);
+        }
+        i += 32;
+    }
+    while i + 8 <= n {
+        let x = _mm256_loadu_ps(pa.add(i));
+        acc[0] = _mm256_fmadd_ps(x, _mm256_loadu_ps(pb.add(i)), acc[0]);
+        i += 8;
+    }
+    let lanes = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
+    let quad = _mm_add_ps(
+        _mm256_castps256_ps128(lanes),
+        _mm256_extractf128_ps(lanes, 1),
+    );
     let pair = _mm_add_ps(quad, _mm_movehl_ps(quad, quad));
     let single = _mm_add_ss(pair, _mm_shuffle_ps(pair, pair, 0b01));
     let mut out = _mm_cvtss_f32(single);
@@ -227,9 +259,66 @@ unsafe fn dot_avx2_fma(a: &[f32], b: &[f32]) -> f32 {
     out
 }
 
-/// `dot_avx2_fma`'s first step for two rows at once: with `a` and `b` the
-/// lane sums of two rows, `[l0+l4, l1+l5, l2+l6, l3+l7]` of `a` in the low
-/// half and of `b` in the high half.
+/// [`score_rows`]' conversion: `keys[r]`, a similarity's bits, becomes
+/// its [`sim_key`](crate::knn::sim_key), and `buckets[r]` its
+/// [`sim_bucket`](crate::knn::sim_bucket), eight at a time.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn keys_and_buckets_avx2_fma(keys: &mut [u32], buckets: &mut [u16]) {
+    use std::arch::x86_64::*;
+    debug_assert_eq!(keys.len(), buckets.len());
+    let sign = _mm256_set1_epi32(i32::MIN);
+    let one = _mm256_set1_epi32(1f32.to_bits() as i32);
+    let mut r = 0;
+    while r + 8 <= keys.len() {
+        let bits = _mm256_loadu_si256(keys.as_ptr().add(r).cast());
+        // sim_key: negative → !bits, else bits ^ sign.
+        let key = _mm256_xor_si256(bits, _mm256_or_si256(_mm256_srai_epi32(bits, 31), sign));
+        _mm256_storeu_si256(keys.as_mut_ptr().add(r).cast(), key);
+        // sim_bucket: clamp the magnitude's bits to 1.0, keep the sign,
+        // quantise (the product is exact, so the fused add rounds once
+        // like the scalar's).
+        let magnitude = _mm256_min_epi32(_mm256_andnot_si256(sign, bits), one);
+        let clamped = _mm256_castsi256_ps(_mm256_or_si256(magnitude, _mm256_and_si256(bits, sign)));
+        let scaled = _mm256_fmadd_ps(clamped, _mm256_set1_ps(512.0), _mm256_set1_ps(513.0));
+        let bucket = _mm256_min_epi32(_mm256_cvttps_epi32(scaled), _mm256_set1_epi32(1024));
+        let narrow = _mm256_permute4x64_epi64(_mm256_packus_epi32(bucket, bucket), 0b1000);
+        _mm_storeu_si128(
+            buckets.as_mut_ptr().add(r).cast(),
+            _mm256_castsi256_si128(narrow),
+        );
+        r += 8;
+    }
+    for (key, bucket) in keys[r..].iter_mut().zip(&mut buckets[r..]) {
+        let sim = f32::from_bits(*key);
+        (*key, *bucket) = (crate::knn::sim_key(sim), crate::knn::sim_bucket(sim));
+    }
+}
+
+/// One row's lane sums against the query chunks `q`, in exactly
+/// [`dot_avx2_fma`]'s operations: see [`scan_rows_avx2_fma`].
+///
+/// # Safety
+/// `row` must be valid for `8 * C` reads.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn row_lanes<const C: usize>(
+    q: &[std::arch::x86_64::__m256; C],
+    row: *const f32,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let mut acc = [_mm256_setzero_ps(); 4];
+    for (c, q) in q.iter().enumerate() {
+        let j = if c < C / 4 * 4 { c % 4 } else { 0 };
+        acc[j] = _mm256_fmadd_ps(*q, _mm256_loadu_ps(row.add(8 * c)), acc[j]);
+    }
+    _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]))
+}
+
+/// `dot_avx2_fma`'s first horizontal step for two rows at once: with `a`
+/// and `b` the lane sums of two rows, `[l0+l4, l1+l5, l2+l6, l3+l7]` of `a`
+/// in the low half and of `b` in the high half.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[inline]
@@ -244,69 +333,107 @@ unsafe fn lane_pair_sums(
     )
 }
 
-/// [`score_rows`] over the leading multiple of eight rows, whose count it
-/// returns: eight rows' lane sums are added in exactly [`dot_avx2_fma`]'s
-/// tree, vertically, so the eight similarities, their keys and their
-/// buckets each cost one vector operation instead of eight horizontal
-/// reductions.
-///
-/// # Safety
-/// Lengths as [`score_rows`] asserts them; `qhat.len() % 8 == 0`.
+/// Eight rows' similarities, `rows(i)` giving row `i`'s lane sums: the
+/// lanes reduced in exactly [`dot_avx2_fma`]'s horizontal tree, vertically,
+/// so lane `i` of the result is row `i`'s similarity and the eight cost a
+/// handful of vector operations instead of eight horizontal reductions.
+/// Rows `i` and `i + 4` are paired as soon as both are scored, which keeps
+/// four vectors live across the step instead of eight.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn score_rows_avx2_fma(
-    qhat: &[f32],
-    rows: &[f32],
-    keys: &mut [u32],
-    buckets: &mut [u16],
-) -> usize {
+#[inline]
+unsafe fn sum_lanes8(
+    mut rows: impl FnMut(usize) -> std::arch::x86_64::__m256,
+) -> std::arch::x86_64::__m256 {
     use std::arch::x86_64::*;
-    let dim = qhat.len();
-    let q = qhat.as_ptr();
-    let sign = _mm256_set1_epi32(i32::MIN);
+    // Rows `i` and `i + 4` share a vector from here on, so after a 4 × 4
+    // transpose inside each half `s_j` holds `l_j + l_{j+4}` of rows 0–3 |
+    // 4–7 and the rest of the tree is two vertical adds.
+    let mut pairs = [_mm256_setzero_ps(); 4];
+    for (i, pair) in pairs.iter_mut().enumerate() {
+        *pair = lane_pair_sums(rows(i), rows(i + 4));
+    }
+    let [q0, q1, q2, q3] = pairs;
+    let (t0, t1) = (_mm256_unpacklo_ps(q0, q1), _mm256_unpackhi_ps(q0, q1));
+    let (t2, t3) = (_mm256_unpacklo_ps(q2, q3), _mm256_unpackhi_ps(q2, q3));
+    let (s0, s1) = (
+        _mm256_shuffle_ps(t0, t2, 0x44),
+        _mm256_shuffle_ps(t0, t2, 0xee),
+    );
+    let (s2, s3) = (
+        _mm256_shuffle_ps(t1, t3, 0x44),
+        _mm256_shuffle_ps(t1, t3, 0xee),
+    );
+    _mm256_add_ps(_mm256_add_ps(s0, s2), _mm256_add_ps(s1, s3))
+}
+
+/// The one vector scoring kernel: `n` rows of `8 * C` floats (1 ≤ C ≤ 16)
+/// against the query `q`, eight rows per step, the query loaded into
+/// registers once for the whole scan. Each row's similarity is
+/// [`dot_avx2_fma`]`(q, row)` bit for bit:
+///
+/// * **Products.** Chunk `c` (floats `8c..8c + 8`) is the same
+///   `fmadd(q_c, row_c, acc)` in both, and FMA's product commutes, so
+///   with one NaN (below) `dot(row, q)` is the same bits as well.
+/// * **Accumulators.** `dot_avx2_fma` feeds chunk `c` to accumulator
+///   `c mod 4` over whole 32-float groups, i.e. for the leading `4⌊C/4⌋`
+///   chunks, and the remaining `C mod 4` chunks to accumulator 0. Each
+///   accumulator starts from `+0.0` and takes its chunks in increasing `c`.
+///   [`row_lanes`] makes the same map with `C` known at compile time, so
+///   every accumulator sees the same FMAs in the same order.
+/// * **Zero accumulators.** For `C < 4` some accumulators are never fed,
+///   and `(acc0 + acc1) + (acc2 + acc3)` still adds them: a fed
+///   accumulator holds `−0.0` where its products underflow to `−0.0`, and
+///   `−0.0 + +0.0` is `+0.0`, so dropping an add of a zero accumulator
+///   would change that lane's bits, and possibly the similarity's.
+/// * **Horizontal sum.** `dot_avx2_fma` reduces the lanes as `((l0+l4) +
+///   (l2+l6)) + ((l1+l5) + (l3+l7))`; [`sum_lanes8`] computes exactly those
+///   adds for eight rows at once, one row per output lane. A dim that is a
+///   multiple of 8 has no scalar tail to fold in.
+///
+/// A NaN similarity leaves as [`NAN_SIM`], as from [`dot`]. A last step of
+/// fewer than eight rows fills the missing rows' lanes with zeros, which
+/// only feed their own output lanes, and stores the rest.
+///
+/// # Safety
+/// AVX2 and FMA must be present; `q` must be valid for `8 * C` reads,
+/// `rows` for `n * 8 * C` and `sims` for `n` writes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn scan_rows_avx2_fma<const C: usize>(
+    q: *const f32,
+    rows: *const f32,
+    n: usize,
+    sims: *mut f32,
+) {
+    use std::arch::x86_64::*;
+    let dim = 8 * C;
+    let mut qv = [_mm256_setzero_ps(); C];
+    for (c, qv) in qv.iter_mut().enumerate() {
+        *qv = _mm256_loadu_ps(q.add(8 * c));
+    }
+    let nan = _mm256_set1_ps(NAN_SIM);
+    let canonical = |sims| _mm256_blendv_ps(sims, nan, _mm256_cmp_ps::<_CMP_UNORD_Q>(sims, sims));
     let mut r = 0;
-    while r + 8 <= keys.len() {
-        let p = rows.as_ptr().add(r * dim);
-        let [a0, a1] = dot_lanes_avx2_fma(q, [p, p.add(dim)], dim);
-        let [a2, a3] = dot_lanes_avx2_fma(q, [p.add(2 * dim), p.add(3 * dim)], dim);
-        let [a4, a5] = dot_lanes_avx2_fma(q, [p.add(4 * dim), p.add(5 * dim)], dim);
-        let [a6, a7] = dot_lanes_avx2_fma(q, [p.add(6 * dim), p.add(7 * dim)], dim);
-        // Rows `i` and `i + 4` share a vector from here on, so after a
-        // 4 × 4 transpose inside each half `s_j` holds `l_j + l_{j+4}` of
-        // rows 0–3 | 4–7 and the rest of the tree is two vertical adds.
-        let (q0, q1) = (lane_pair_sums(a0, a4), lane_pair_sums(a1, a5));
-        let (q2, q3) = (lane_pair_sums(a2, a6), lane_pair_sums(a3, a7));
-        let (t0, t1) = (_mm256_unpacklo_ps(q0, q1), _mm256_unpackhi_ps(q0, q1));
-        let (t2, t3) = (_mm256_unpacklo_ps(q2, q3), _mm256_unpackhi_ps(q2, q3));
-        let (s0, s1) = (
-            _mm256_shuffle_ps(t0, t2, 0x44),
-            _mm256_shuffle_ps(t0, t2, 0xee),
-        );
-        let (s2, s3) = (
-            _mm256_shuffle_ps(t1, t3, 0x44),
-            _mm256_shuffle_ps(t1, t3, 0xee),
-        );
-        let sims = _mm256_add_ps(_mm256_add_ps(s0, s2), _mm256_add_ps(s1, s3));
-        let bits = _mm256_castps_si256(sims);
-        // sim_key: negative → !bits, else bits ^ sign.
-        let key = _mm256_xor_si256(bits, _mm256_or_si256(_mm256_srai_epi32(bits, 31), sign));
-        _mm256_storeu_si256(keys.as_mut_ptr().add(r).cast(), key);
-        // sim_bucket: clamp the magnitude's bits to 1.0, keep the sign,
-        // quantise (the product is exact, so the fused add rounds once
-        // like the scalar's).
-        let one = _mm256_set1_epi32(1f32.to_bits() as i32);
-        let magnitude = _mm256_min_epi32(_mm256_andnot_si256(sign, bits), one);
-        let clamped = _mm256_castsi256_ps(_mm256_or_si256(magnitude, _mm256_and_si256(bits, sign)));
-        let scaled = _mm256_fmadd_ps(clamped, _mm256_set1_ps(512.0), _mm256_set1_ps(513.0));
-        let bucket = _mm256_min_epi32(_mm256_cvttps_epi32(scaled), _mm256_set1_epi32(1024));
-        let narrow = _mm256_permute4x64_epi64(_mm256_packus_epi32(bucket, bucket), 0b1000);
-        _mm_storeu_si128(
-            buckets.as_mut_ptr().add(r).cast(),
-            _mm256_castsi256_si128(narrow),
-        );
+    while r + 8 <= n {
+        let p = rows.add(r * dim);
+        let eight = sum_lanes8(|i| row_lanes(&qv, p.add(i * dim)));
+        _mm256_storeu_ps(sims.add(r), canonical(eight));
         r += 8;
     }
-    r
+    if r < n {
+        let (p, len) = (rows.add(r * dim), n - r);
+        let eight = sum_lanes8(|i| {
+            if i < len {
+                row_lanes(&qv, p.add(i * dim))
+            } else {
+                _mm256_setzero_ps()
+            }
+        });
+        let mut tail = [0f32; 8];
+        _mm256_storeu_ps(tail.as_mut_ptr(), canonical(eight));
+        std::ptr::copy_nonoverlapping(tail.as_ptr(), sims.add(r), len);
+    }
 }
 
 /// [`axpy_portable`] in 8-lane FMA steps.
@@ -506,33 +633,132 @@ mod tests {
         }
     }
 
-    /// The kNN scorer is `dot` per row, bit for bit, on the vector path
-    /// (dims 8/24/64/96: accumulator shapes; row counts with and without
-    /// an eight-row tail), on the per-row fallback (dims 13/100), and for
-    /// rows that score zero, NaN or ±∞.
-    #[test]
-    fn score_rows_is_dot_per_row_bit_for_bit() {
-        use crate::knn::{sim_bucket, sim_key};
-        for dim in [8, 13, 24, 64, 96, 100] {
-            for n in [0, 1, 7, 8, 9, 16, 29] {
-                let (q, _, _) = vecs(dim);
-                let mut rows: Vec<f32> = (0..n * dim)
-                    .map(|i| ((i * 7 + dim) as f32 * 0.13).sin())
-                    .collect();
-                if n > 5 {
-                    rows[dim..2 * dim].fill(-0.0);
-                    rows[3 * dim] = f32::NAN;
-                    rows[5 * dim + 1] = f32::INFINITY;
-                }
-                let (mut keys, mut buckets) = (vec![9u32; n], vec![9u16; n]);
-                score_rows(&q, &rows, &mut keys, &mut buckets);
-                for r in 0..n {
-                    let sim = dot(&q, &rows[r * dim..(r + 1) * dim]);
-                    let expected = (sim_key(sim), sim_bucket(sim));
-                    assert_eq!((keys[r], buckets[r]), expected, "dim={dim} n={n} r={r}");
+    /// Every dim the vector kernel takes (8..=128: each chunk count `C`
+    /// and each `C mod 4`) and two it leaves to the per-row fallback (13,
+    /// 100).
+    fn kernel_dims() -> Vec<usize> {
+        (8..=128).step_by(8).chain([13, 100]).collect()
+    }
+
+    /// Queries and rows holding ±0.0, ±∞, NaN and subnormals: a plain
+    /// query, an all −0.0 one, a subnormal one, one with a +∞, one with a
+    /// NaN and an all +subnormal one; rows of −0.0, +0.0, subnormals, a
+    /// NaN, +∞ alone, −∞ and +∞ together, all −subnormal, and plain ones.
+    /// The last two meet in products that underflow to −0.0, which is how
+    /// an accumulator holds −0.0: `dot` turns that lane into +0.0 only by
+    /// adding the accumulators it never fed.
+    fn special_cases(dim: usize, n: usize) -> (Vec<Vec<f32>>, Vec<f32>) {
+        let plain = vecs(dim).0;
+        let tiny = f32::MIN_POSITIVE / 4.0;
+        let mut queries = vec![
+            plain.clone(),
+            vec![-0.0; dim],
+            plain.iter().map(|x| x * tiny).collect(),
+            plain.clone(),
+            plain,
+            vec![tiny; dim],
+        ];
+        queries[3][dim / 2] = f32::INFINITY;
+        queries[4][dim - 1] = f32::NAN;
+        let mut rows: Vec<f32> = (0..n * dim)
+            .map(|i| ((i * 7 + dim) as f32 * 0.13).sin())
+            .collect();
+        for (r, row) in rows.chunks_exact_mut(dim).enumerate() {
+            match r % 8 {
+                0 => {}
+                1 => row.fill(-0.0),
+                2 => row.fill(0.0),
+                3 => row.iter_mut().for_each(|x| *x *= tiny),
+                4 => row[r % dim] = f32::NAN,
+                5 => row[1 % dim] = f32::INFINITY,
+                6 => (row[0], row[dim - 1]) = (f32::NEG_INFINITY, f32::INFINITY),
+                7 => row.fill(-tiny),
+                _ => unreachable!(),
+            }
+        }
+        (queries, rows)
+    }
+
+    /// Every `(query, rows)` case of the twins: [`special_cases`] for each
+    /// of [`kernel_dims`] at row counts with and without an eight-row tail,
+    /// then `PROPTEST_CASES` seeded ones — a random kernel dim and row
+    /// count, every float a special value (±0.0, ±∞, NaN, ± a subnormal)
+    /// with probability 1/8.
+    fn twin_cases(name: &str, mut check: impl FnMut(&[f32], &[f32], &str)) {
+        let dims = kernel_dims();
+        for &dim in &dims {
+            for n in [0, 1, 7, 8, 9, 15, 16, 29] {
+                let (queries, rows) = special_cases(dim, n);
+                for (qi, q) in queries.iter().enumerate() {
+                    check(q, &rows, &format!("dim={dim} n={n} query {qi}"));
                 }
             }
         }
+        let tiny = f32::MIN_POSITIVE / 4.0;
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            tiny,
+            -tiny,
+        ];
+        let mut rng = proptest::test_runner::TestRng::deterministic(name);
+        for case in 0..proptest::case_count() {
+            let dim = dims[rng.uniform_u64(0, dims.len() as u64 - 1) as usize];
+            let n = rng.uniform_u64(0, 40) as usize;
+            let mut draw = || {
+                if rng.uniform_u64(0, 7) == 0 {
+                    specials[rng.uniform_u64(0, specials.len() as u64 - 1) as usize]
+                } else {
+                    rng.uniform_f64(-1.0, 1.0) as f32
+                }
+            };
+            let q: Vec<f32> = (0..dim).map(|_| draw()).collect();
+            let rows: Vec<f32> = (0..n * dim).map(|_| draw()).collect();
+            check(&q, &rows, &format!("seeded case {case}: dim={dim} n={n}"));
+        }
+    }
+
+    /// The kNN scorer is `dot` per row, bit for bit, for every chunk count
+    /// of the vector kernel, the per-row fallback, every eight-row tail and
+    /// special values in both the rows and the query; it writes its `n`
+    /// outputs and nothing past them.
+    #[test]
+    fn score_rows_is_dot_per_row_bit_for_bit() {
+        use crate::knn::{sim_bucket, sim_key};
+        twin_cases("score_rows_is_dot_per_row_bit_for_bit", |q, rows, case| {
+            let (dim, n) = (q.len(), rows.len() / q.len());
+            let (mut keys, mut buckets) = (vec![9u32; n + 3], vec![9u16; n + 3]);
+            score_rows(q, rows, &mut keys[..n], &mut buckets[..n]);
+            for r in 0..n {
+                let sim = dot(q, &rows[r * dim..(r + 1) * dim]);
+                let expected = (sim_key(sim), sim_bucket(sim));
+                assert_eq!((keys[r], buckets[r]), expected, "{case} r={r}");
+            }
+            assert_eq!(
+                (&keys[n..], &buckets[n..]),
+                (&[9; 3][..], &[9; 3][..]),
+                "{case}"
+            );
+        });
+    }
+
+    /// [`dot_rows`] is `dot` per row with the similarities compared as
+    /// bits, over the same cases.
+    #[test]
+    fn dot_rows_is_dot_per_row_bit_for_bit() {
+        twin_cases("dot_rows_is_dot_per_row_bit_for_bit", |q, rows, case| {
+            let (dim, n) = (q.len(), rows.len() / q.len());
+            let mut sims = vec![9f32; n + 3];
+            dot_rows(q, rows, &mut sims[..n]);
+            for r in 0..n {
+                let sim = dot(q, &rows[r * dim..(r + 1) * dim]);
+                assert_eq!(sims[r].to_bits(), sim.to_bits(), "{case} r={r}");
+            }
+            assert_eq!(&sims[n..], &[9f32; 3], "{case}");
+        });
     }
 
     type RowUpdate = unsafe fn(&mut [f32], &[f32], &mut [f32], f32);

@@ -182,6 +182,11 @@ fn check_against_reference(
     }
 }
 
+/// The dims the selector cases cycle through: the vector kernel at chunk
+/// counts 1, 2, 3, 5, 8, 12 and 16 (every `C mod 4`, the smallest and the
+/// largest `C`) and the per-row fallback at 100.
+const DIMS: [usize; 8] = [8, 16, 24, 40, 64, 96, 100, 128];
+
 /// The exact scan's selector ≡ the twin, similarities compared as bits:
 /// dims on the vector path, its row-count tail and the per-row fallback;
 /// more queries than one block; ties at the `k`-th place inside and across
@@ -191,7 +196,7 @@ fn filtered_search_is_the_sorted_list_cut_then_filtered() {
     let mut rng = TestRng::deterministic("filtered_search_is_the_sorted_list_cut_then_filtered");
     let mut seen = Seen::default();
     for case in 0..proptest::case_count() {
-        let dim = [8, 24, 64, 100][case as usize % 4];
+        let dim = DIMS[case as usize % DIMS.len()];
         let rows = 1 + below(&mut rng, 70);
         let m = Selector::new(rows, dim, &mut rng);
         let exact: Vec<u32> = (0..rows as u32)
@@ -216,7 +221,7 @@ fn ivf_filtered_search_is_the_sorted_list_over_the_probed_rows() {
         TestRng::deterministic("ivf_filtered_search_is_the_sorted_list_over_the_probed_rows");
     let mut seen = Seen::default();
     for case in 0..proptest::case_count() {
-        let dim = [8, 24, 64, 100][case as usize % 4];
+        let dim = DIMS[case as usize % DIMS.len()];
         let rows = 1 + below(&mut rng, 70);
         let m = Selector::new(rows, dim, &mut rng);
         let params = IvfParams {

@@ -573,17 +573,24 @@ fn cmd_replay_golden(args: &Args) -> Result<(), String> {
     }
 }
 
+/// Replay a saved capture through a fresh observer, one packet at a time:
+/// the counters, and how many client IPs leaked at least one name. Nothing
+/// is kept per name or per packet.
 fn cmd_replay_capture(args: &Args) -> Result<(), String> {
     let file = std::fs::File::open(args.required("capture")).map_err(|e| e.to_string())?;
-    let reader = hostprof::net::CaptureReader::new(std::io::BufReader::new(file))
+    let mut reader = hostprof::net::CaptureReader::new(std::io::BufReader::new(file))
         .map_err(|e| e.to_string())?;
     let mut observer = if args.is_set("dns") {
         hostprof::net::SniObserver::new().with_dns_harvesting()
     } else {
         hostprof::net::SniObserver::new()
     };
-    let packets = reader.read_all().map_err(|e| e.to_string())?;
-    observer.process_stream(&packets);
+    let mut clients = std::collections::HashSet::new();
+    while let Some(pkt) = reader.read_packet().map_err(|e| e.to_string())? {
+        observer.process_with(&pkt, |client, _, _| {
+            clients.insert(client);
+        });
+    }
     let st = observer.stats();
     println!("packets               : {}", st.packets);
     println!(
@@ -595,10 +602,7 @@ fn cmd_replay_capture(args: &Args) -> Result<(), String> {
         st.hidden, st.parse_errors, st.reassembled
     );
     print_taxonomy(&st);
-    println!(
-        "clients seen          : {}",
-        observer.per_client_sequences().len()
-    );
+    println!("clients seen          : {}", clients.len());
     Ok(())
 }
 

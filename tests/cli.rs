@@ -194,6 +194,7 @@ fn observe_save_replay_roundtrip() {
     assert!(live.contains("hostnames recovered   : 100.0%"), "{live}");
     assert!(cap.exists());
 
+    // One of the five users is idle on day 1 at tiny scale.
     let out = hostprof(&["replay", "--capture", cap.to_str().unwrap()]);
     assert!(
         out.status.success(),
@@ -201,7 +202,63 @@ fn observe_save_replay_roundtrip() {
         String::from_utf8_lossy(&out.stderr)
     );
     let replayed = stdout(&out);
-    assert!(replayed.contains("clients seen"), "{replayed}");
+    assert!(
+        replayed.contains("\nclients seen          : 4\n"),
+        "{replayed}"
+    );
+    let _ = std::fs::remove_file(cap);
+
+    // A capture holding DNS queries: a replay with `--dns` recovers as many
+    // DNS names as the live observer did, one without recovers none, and
+    // both see the same four clients.
+    let cap = temp("capture-dns.hpcap");
+    let out = hostprof(&[
+        "observe",
+        "--scale",
+        "tiny",
+        "--days",
+        "1",
+        "--users",
+        "5",
+        "--dns",
+        "--save",
+        cap.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let live = stdout(&out);
+    let sources = live
+        .lines()
+        .find(|l| l.starts_with("sources"))
+        .unwrap_or_else(|| panic!("no sources line in:\n{live}"));
+    let dns = sources
+        .rsplit(", ")
+        .next()
+        .and_then(|field| field.strip_suffix(" DNS"))
+        .unwrap_or_else(|| panic!("no DNS count in {sources:?}"));
+    assert_ne!(dns, "0", "{live}");
+    for (flags, dns) in [(&[][..], "0"), (&["--dns"][..], dns)] {
+        let mut args = vec!["replay", "--capture", cap.to_str().unwrap()];
+        args.extend_from_slice(flags);
+        let out = hostprof(&args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let replayed = stdout(&out);
+        assert!(
+            replayed.contains(&format!(" QUIC + {dns} DNS\n")),
+            "{flags:?}: {replayed}"
+        );
+        assert!(
+            replayed.contains("\nclients seen          : 4\n"),
+            "{flags:?}: {replayed}"
+        );
+    }
     let _ = std::fs::remove_file(cap);
 }
 

@@ -325,7 +325,7 @@ impl<'a> CtrExperiment<'a> {
         };
 
         let requests = self.trace.requests();
-        // Each model is the same single-thread SGD and the replay's RNG
+        // Each model is the same sequential SGD and the replay's RNG
         // never sees training, so the schedule changes no result. Every
         // large buffer is allocated (`prepare`) and freed (`into_model`,
         // `centered`) on this thread; the worker runs `sgd` alone

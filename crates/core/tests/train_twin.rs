@@ -49,7 +49,6 @@ struct Fitted {
     rows: Vec<Vec<u32>>,
     planned: u64,
     processed: u64,
-    threads: usize,
     simd: bool,
 }
 
@@ -66,7 +65,6 @@ fn fitted(result: Result<(EmbeddingSet, TrainStats), String>) -> Result<Fitted, 
             .collect(),
         planned: stats.planned_tokens,
         processed: stats.processed_tokens,
-        threads: stats.threads,
         simd: stats.simd_accelerated,
     })
 }

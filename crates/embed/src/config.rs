@@ -7,8 +7,8 @@ use serde::{DeError, Deserialize, Serialize, Value};
 ///
 /// `Auto` (the default) takes the fused SIMD path — AVX2+FMA when the CPU
 /// has it, the portable unrolled fallback otherwise. `Scalar` forces the
-/// reference loop with strict sequential float order; paired with
-/// `threads = 1` it is the bit-determinism contract the test-suite pins.
+/// reference loop with strict sequential float order, the one
+/// `oracle::sgd` pins bit for bit. Training is deterministic under either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 #[serde(rename_all = "lowercase")]
 pub enum KernelChoice {
@@ -60,8 +60,6 @@ pub struct SkipGramConfig {
     pub min_count: u64,
     /// Frequent-token subsampling threshold (gensim `sample`); 0 disables.
     pub subsample: f64,
-    /// Worker threads. 1 → bit-deterministic SGD; >1 → Hogwild.
-    pub threads: usize,
     /// RNG seed (initialization and sampling).
     pub seed: u64,
     /// Inner-loop kernel (`auto` | `scalar`).
@@ -79,7 +77,6 @@ impl Default for SkipGramConfig {
             learning_rate: 0.025,
             min_count: 1,
             subsample: 1e-3,
-            threads: 1,
             seed: 0x5eed_e4be,
             kernel: KernelChoice::Auto,
         }
@@ -115,9 +112,6 @@ impl SkipGramConfig {
         if self.learning_rate <= 0.0 || self.learning_rate.is_nan() {
             return Err("learning_rate must be positive".into());
         }
-        if self.threads == 0 {
-            return Err("threads must be positive".into());
-        }
         Ok(())
     }
 }
@@ -146,6 +140,8 @@ mod tests {
 
     #[test]
     fn config_json_from_before_sharding_was_removed_still_loads() {
+        // `sharding` and `threads` are both gone; a config naming either
+        // still loads.
         let old = |kernel: &str| {
             format!(
                 r#"{{"dim":64,"window":2,"negatives":5,"epochs":3,"learning_rate":0.025,
@@ -158,8 +154,8 @@ mod tests {
             ("scalar", KernelChoice::Scalar),
         ] {
             let c: SkipGramConfig =
-                serde_json::from_str(&old(name)).expect("stale field is ignored");
-            assert_eq!((c.dim, c.epochs, c.threads, c.seed), (64, 3, 2, 7));
+                serde_json::from_str(&old(name)).expect("stale fields are ignored");
+            assert_eq!((c.dim, c.epochs, c.seed), (64, 3, 7));
             assert_eq!(c.kernel, kernel);
         }
         // `simd` was what `auto` resolves to; it is refused the way
@@ -185,10 +181,6 @@ mod tests {
             },
             SkipGramConfig {
                 learning_rate: 0.0,
-                ..Default::default()
-            },
-            SkipGramConfig {
-                threads: 0,
                 ..Default::default()
             },
         ] {

@@ -16,10 +16,8 @@
 //!   domain downweights the google/facebook-style core hosts;
 //! * word2vec's *dynamic window* (the effective window for each center is
 //!   uniform in `1..=m`), and its precomputed sigmoid table;
-//! * optional lock-free **Hogwild** parallel training (the paper:
-//!   "the algorithm is fully parallelizable and can be scaled up to
-//!   requirements") — single-threaded runs are bit-deterministic, which the
-//!   test-suite relies on;
+//! * one sequential SGD loop, so every training run is bit-deterministic,
+//!   which the test-suite relies on;
 //! * similarity queries over the trained vectors: cosine kNN
 //!   ([`EmbeddingSet::most_similar`], [`EmbeddingSet::nearest_to_vector`])
 //!   and the session aggregation the profiler needs.

@@ -1,4 +1,4 @@
-//! SKIPGRAM training (SGD with negative sampling, optional Hogwild).
+//! SKIPGRAM training (SGD with negative sampling).
 //!
 //! Implements the paper's Eq. 2: for each window position, maximize
 //! `log σ(h_cᵀ h'_o)` for the observed (center, context) pair and
@@ -6,15 +6,13 @@
 //! distribution. All parameters are learned with SGD under a linearly
 //! decaying learning rate, exactly as in word2vec/GENSIM.
 //!
-//! # Parallelism
-//!
-//! With `threads = 1` training is bit-deterministic. With more threads we
-//! use **Hogwild** (Recht et al.): workers update the shared weight
-//! matrices without locks. The data races are benign — each update touches
-//! a handful of rows, and SGD tolerates the occasional lost write; this is
-//! the same strategy as the reference word2vec and GENSIM C paths, and it
-//! is what lets the paper claim line-rate scalability. The `unsafe` is
-//! confined to the `SharedWeights` accessor.
+//! Training is one sequential SGD loop over the model's own weight
+//! matrices, so a run is a pure function of its corpus, config and kernel:
+//! the same inputs give the same bits, on any number of cores. A second
+//! core fits tomorrow's model beside today's CTR replay instead
+//! (DESIGN.md §9.3).
+
+#![forbid(unsafe_code)]
 
 use crate::config::KernelChoice;
 use crate::config::SkipGramConfig;
@@ -23,24 +21,20 @@ use crate::sigmoid::SigmoidTable;
 use crate::simd;
 use crate::table::NegativeTable;
 use crate::vocab::Vocab;
-use serde::Serialize;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Throughput and schedule-coverage record of the last training run.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrainStats {
     /// Tokens the LR schedule was planned over (`corpus tokens × epochs`).
     pub planned_tokens: u64,
     /// Tokens actually flushed into the decay schedule. Equal to
-    /// `planned_tokens` — the trainer flushes every worker's trailing
-    /// remainder — and asserted so by the test-suite.
+    /// `planned_tokens` — the trainer flushes the trailing remainder at
+    /// the end of the pass — and asserted so by the test-suite.
     pub processed_tokens: u64,
     /// Wall-clock training time.
     pub elapsed_secs: f64,
-    /// Workers actually used.
-    pub threads: usize,
     /// Whether the AVX2+FMA fused kernels ran (false: scalar or the
     /// portable SIMD fallback).
     pub simd_accelerated: bool,
@@ -53,46 +47,10 @@ impl TrainStats {
     }
 
     /// Fraction of planned tokens the LR decay schedule saw (1.0 when the
-    /// trailing remainders were flushed correctly).
+    /// trailing remainder was flushed correctly).
     pub fn lr_coverage(&self) -> f64 {
         self.processed_tokens as f64 / self.planned_tokens.max(1) as f64
     }
-}
-
-/// Contiguous, token-count-balanced chunk boundaries over per-sequence
-/// token counts: greedy accumulation toward ~8 chunks per worker, so the
-/// work-stealing cursor has enough granularity to absorb skewed sequence
-/// lengths without the chunk-claim overhead dominating.
-fn balanced_chunk_ranges<I>(token_counts: I, threads: usize) -> Vec<Range<usize>>
-where
-    I: ExactSizeIterator<Item = usize> + Clone,
-{
-    let n = token_counts.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let total: usize = token_counts.clone().sum();
-    // Size chunks off the mass *excluding* the single largest sequence: a
-    // dominant sequence gets a chunk of its own no matter what, and must
-    // not inflate the target so far that the remaining sequences collapse
-    // into too few chunks for stealing to balance.
-    let largest = token_counts.clone().max().unwrap_or(0);
-    let target = ((total - largest) / (threads.max(1) * 8)).max(1);
-    let mut out = Vec::new();
-    let mut start = 0;
-    let mut acc = 0usize;
-    for (i, t) in token_counts.enumerate() {
-        acc += t;
-        if acc >= target {
-            out.push(start..i + 1);
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    if start < n {
-        out.push(start..n);
-    }
-    out
 }
 
 /// A trained (or in-training) skip-gram model.
@@ -128,7 +86,15 @@ impl Prepared {
     /// Run the SGD pass over the prepared corpus, once: a second call
     /// would train a second pass on the same weights.
     pub fn sgd(&mut self) {
-        self.model.stats = self.model.run_sgd_with(&self.sequences, &self.table);
+        let m = &mut self.model;
+        m.stats = sgd_pass(
+            &m.config,
+            &m.vocab,
+            &mut m.input,
+            &mut m.context,
+            &self.sequences,
+            &self.table,
+        );
     }
 
     /// The trained model; the corpus and the negative table are dropped
@@ -158,45 +124,7 @@ pub struct UpdateReport {
     pub stats: TrainStats,
 }
 
-/// Raw-pointer view of the two weight matrices for Hogwild workers.
-///
-/// Safety contract: rows are only accessed through [`SharedWeights::row`]
-/// within the matrix bounds, and the underlying vectors outlive the worker
-/// scope (guaranteed by [`run_shares`]' `std::thread::scope`). Concurrent
-/// unsynchronized writes are *intentional* (Hogwild).
-struct SharedWeights {
-    input: *mut f32,
-    context: *mut f32,
-    rows: usize,
-    dim: usize,
-}
-
-unsafe impl Sync for SharedWeights {}
-
-impl SharedWeights {
-    #[inline]
-    /// Mutable slice of one row of the input matrix.
-    ///
-    /// # Safety
-    /// `idx < rows`; aliasing across threads is accepted per Hogwild —
-    /// handing out `&mut` from `&self` is the whole point of the lock-free
-    /// scheme, hence the lint opt-out.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn input_row(&self, idx: usize) -> &mut [f32] {
-        debug_assert!(idx < self.rows);
-        std::slice::from_raw_parts_mut(self.input.add(idx * self.dim), self.dim)
-    }
-
-    #[inline]
-    /// Mutable slice of one row of the context matrix (same contract).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn context_row(&self, idx: usize) -> &mut [f32] {
-        debug_assert!(idx < self.rows);
-        std::slice::from_raw_parts_mut(self.context.add(idx * self.dim), self.dim)
-    }
-}
-
-/// xorshift64* — the cheap per-worker RNG word2vec uses in its hot loop.
+/// xorshift64* — the cheap RNG word2vec uses in its hot loop.
 /// Crate-visible so the corpus reservoir draws from the same stream family.
 #[inline]
 pub(crate) fn next_random(state: &mut u64) -> u64 {
@@ -212,7 +140,7 @@ pub(crate) fn next_random(state: &mut u64) -> u64 {
 /// with the index range of its share: all but the last on scoped threads,
 /// the last on the calling thread, which would otherwise only wait; a
 /// worker's panic is re-raised with its own payload. The workspace's one
-/// fan-out: training's workers, the IVF assignment and `BatchProfiler`.
+/// fan-out: the IVF assignment and `BatchProfiler`.
 pub fn run_shares<T, F>(workers: usize, out: &mut [T], work: F)
 where
     T: Send,
@@ -247,68 +175,49 @@ where
     }
 }
 
-/// Run `worker(tid)` for every `tid < n_threads`, one share each (so one
-/// thread runs inline: no spawn, deterministic).
-fn run_workers<F: Fn(usize) + Sync>(n_threads: usize, worker: F) {
-    run_shares(n_threads, &mut vec![(); n_threads], |tids, _| {
-        worker(tids.start)
-    });
-}
-
-/// Per-worker mutable training state: RNG stream, learning rate, the
-/// un-flushed token count, and the reusable hot-loop buffers.
-struct WorkerState {
-    rng: u64,
-    lr: f32,
-    since_lr_update: u64,
-    neu1e: Vec<f32>,
-    kept: Vec<u32>,
-    /// SIMD-path staging: (context-row pointer, label) for one pair's
-    /// positive + negatives, handed to [`simd::train_pair`] as a batch.
-    /// Raw pointers are safe to hold here because each `WorkerState` is
-    /// built and dropped inside its own worker thread.
-    samples: Vec<(*mut f32, f32)>,
-}
-
-impl WorkerState {
-    fn new(config: &SkipGramConfig, tid: usize) -> Self {
-        Self {
-            rng: config.seed ^ (0x9e37_79b9u64.wrapping_mul(tid as u64 + 1)) | 1,
-            lr: config.learning_rate,
-            since_lr_update: 0,
-            neu1e: vec![0f32; config.dim],
-            kept: Vec::new(),
-            samples: Vec::with_capacity(config.negatives + 1),
-        }
-    }
-}
-
-/// Everything the workers share read-only (plus the Hogwild weight view
-/// and the atomic progress counter). One instance per `run_sgd_with` call.
-struct TrainCtx<'a> {
-    shared: SharedWeights,
+/// One SGD pass: the weights it writes, what it reads, its RNG stream and
+/// learning rate, and the hot loop's reusable buffers.
+struct Sgd<'a> {
+    input: &'a mut [f32],
+    context: &'a mut [f32],
     table: &'a NegativeTable,
     sigmoid: &'a SigmoidTable,
     keep_probs: &'a [f64],
     config: &'a SkipGramConfig,
     planned: u64,
-    processed: AtomicU64,
+    /// Tokens flushed into the decay schedule so far.
+    processed: u64,
+    /// Tokens seen since the last flush.
+    since_lr_update: u64,
+    rng: u64,
+    lr: f32,
+    neu1e: Vec<f32>,
+    kept: Vec<u32>,
+    /// One pair's (context row, label): the positive, then the negatives.
+    samples: Vec<(u32, f32)>,
 }
 
-impl TrainCtx<'_> {
+impl Sgd<'_> {
     /// Train on one encoded sequence: subsample, walk the dynamic windows,
     /// and apply the positive + K-negative updates with the configured
     /// kernel.
-    fn train_sequence(&self, st: &mut WorkerState, seq: &[u32]) {
-        let config = self.config;
-        let WorkerState {
+    fn train_sequence(&mut self, seq: &[u32]) {
+        let Self {
+            input,
+            context,
+            table,
+            sigmoid,
+            keep_probs,
+            config,
+            planned,
+            processed,
+            since_lr_update,
             rng,
             lr,
-            since_lr_update,
             neu1e,
             kept,
             samples,
-        } = st;
+        } = self;
         // Frequent-token subsampling (reusing one buffer keeps the hot
         // loop allocation-free). Disabled subsampling makes the filter the
         // identity — and draws no RNG — so the per-token copy is skipped
@@ -316,7 +225,7 @@ impl TrainCtx<'_> {
         let toks: &[u32] = if config.subsample > 0.0 {
             kept.clear();
             kept.extend(seq.iter().copied().filter(|&w| {
-                let p = self.keep_probs[w as usize];
+                let p = keep_probs[w as usize];
                 p >= 1.0 || {
                     let u = (next_random(rng) >> 11) as f64 / (1u64 << 53) as f64;
                     u < p
@@ -328,17 +237,15 @@ impl TrainCtx<'_> {
         };
         *since_lr_update += seq.len() as u64;
         if *since_lr_update >= 10_000 {
-            let done = self
-                .processed
-                .fetch_add(*since_lr_update, Ordering::Relaxed)
-                + *since_lr_update;
+            *processed += *since_lr_update;
             *since_lr_update = 0;
-            let frac = done as f32 / self.planned as f32;
+            let frac = *processed as f32 / *planned as f32;
             *lr = (config.learning_rate * (1.0 - frac)).max(config.learning_rate * 1e-4);
         }
         if toks.len() < 2 {
             return;
         }
+        let dim = config.dim;
         for c in 0..toks.len() {
             // Dynamic (reduced) window, as in word2vec.
             let b = (next_random(rng) % config.window as u64) as usize;
@@ -348,92 +255,117 @@ impl TrainCtx<'_> {
                 if j == c {
                     continue;
                 }
-                let center = toks[c] as usize;
-                let ctx_word = toks[j];
-                // SAFETY: indices come from the vocabulary; the matrices
-                // outlive this scope; Hogwild races accepted.
                 // Positive sample + K negatives (redrawn on collision with
-                // the context word, never silently dropped). Both branches
-                // draw targets in the same order, so the RNG stream — and
-                // therefore the sample choice — is kernel-independent.
-                //
-                // SAFETY: indices come from the vocabulary; the matrices
-                // outlive this scope; Hogwild races accepted.
-                match self.config.kernel {
-                    KernelChoice::Scalar => unsafe {
-                        // Slicing to `dim` up front lets the compiler drop
-                        // the per-element bounds checks; the loops below are
-                        // the plain word2vec reference (the dot stays a
-                        // strictly sequential reduction).
-                        let dim = config.dim;
-                        let h_c = &mut self.shared.input_row(center)[..dim];
-                        let neu1e = &mut neu1e[..dim];
-                        neu1e.iter_mut().for_each(|v| *v = 0.0);
-                        for k in 0..=config.negatives {
-                            let (target, label) = if k == 0 {
-                                (ctx_word as usize, 1.0f32)
-                            } else {
-                                match self.table.sample_excluding(|| next_random(rng), ctx_word) {
-                                    Some(neg) => (neg as usize, 0.0f32),
-                                    None => continue,
-                                }
-                            };
-                            let h_o = &mut self.shared.context_row(target)[..dim];
-                            let mut f = 0f32;
-                            for d in 0..dim {
-                                f += h_c[d] * h_o[d];
-                            }
-                            let g = (label - self.sigmoid.get(f)) * *lr;
-                            for d in 0..dim {
-                                neu1e[d] += g * h_o[d];
-                                h_o[d] += g * h_c[d];
-                            }
-                        }
-                        for d in 0..dim {
-                            h_c[d] += neu1e[d];
-                        }
-                    },
-                    KernelChoice::Auto => unsafe {
-                        // Stage the pair's row pointers, then hand the whole
-                        // batch — dots, sigmoid lookups, fused updates and
-                        // the `h_c += neu1e` flush — to one kernel call.
-                        // `train_pair` initializes `neu1e` from the first
-                        // sample, so the buffer is never zeroed here.
-                        samples.clear();
-                        for k in 0..=config.negatives {
-                            let (target, label) = if k == 0 {
-                                (ctx_word as usize, 1.0f32)
-                            } else {
-                                match self.table.sample_excluding(|| next_random(rng), ctx_word) {
-                                    Some(neg) => (neg as usize, 0.0f32),
-                                    None => continue,
-                                }
-                            };
-                            samples.push((self.shared.context_row(target).as_mut_ptr(), label));
-                        }
-                        simd::train_pair(
-                            self.shared.input_row(center).as_mut_ptr(),
-                            samples,
-                            neu1e,
-                            *lr,
-                            self.sigmoid,
-                        );
-                    },
+                // the context word, never silently dropped). The draws read
+                // no weight, so drawing them all before the first update
+                // gives both kernels one RNG stream.
+                let ctx_word = toks[j];
+                samples.clear();
+                samples.push((ctx_word, 1.0));
+                for _ in 0..config.negatives {
+                    if let Some(neg) = table.sample_excluding(|| next_random(rng), ctx_word) {
+                        samples.push((neg, 0.0));
+                    }
+                }
+                let center = toks[c] as usize;
+                let h_c = &mut input[center * dim..][..dim];
+                match config.kernel {
+                    KernelChoice::Scalar => {
+                        train_pair_scalar(h_c, context, samples, neu1e, *lr, sigmoid)
+                    }
+                    KernelChoice::Auto => {
+                        simd::train_pair(h_c, context, samples, neu1e, *lr, sigmoid)
+                    }
                 }
             }
         }
     }
+}
 
-    /// Flush the trailing `since_lr_update` remainder into the shared
-    /// progress counter so the decay schedule accounts for every token
-    /// (workers used to drop up to 10k tokens each here).
-    fn flush_progress(&self, st: &mut WorkerState) {
-        if st.since_lr_update > 0 {
-            self.processed
-                .fetch_add(st.since_lr_update, Ordering::Relaxed);
-            st.since_lr_update = 0;
+/// [`simd::train_pair`]'s reference (`KernelChoice::Scalar`): the plain
+/// word2vec loops, the dot a strictly sequential reduction — the op
+/// sequence `oracle::sgd` pins bit for bit.
+fn train_pair_scalar(
+    h_c: &mut [f32],
+    context: &mut [f32],
+    samples: &[(u32, f32)],
+    neu1e: &mut [f32],
+    lr: f32,
+    sigmoid: &SigmoidTable,
+) {
+    let dim = h_c.len();
+    let neu1e = &mut neu1e[..dim];
+    neu1e.fill(0.0);
+    for &(target, label) in samples {
+        let h_o = &mut context[target as usize * dim..][..dim];
+        let mut f = 0f32;
+        for d in 0..dim {
+            f += h_c[d] * h_o[d];
+        }
+        let g = (label - sigmoid.get(f)) * lr;
+        for d in 0..dim {
+            neu1e[d] += g * h_o[d];
+            h_o[d] += g * h_c[d];
         }
     }
+    for d in 0..dim {
+        h_c[d] += neu1e[d];
+    }
+}
+
+/// The SGD pass proper: `config.epochs` laps over `sequences` in order,
+/// updating `input` and `context` in place, against a caller-supplied
+/// negative table. The table's bits are a pure function of the
+/// vocabulary, so whether it was freshly built or carried over by the
+/// update path's rebuild policy never changes the op sequence — only
+/// whether the O(table) construction cost was paid. Beyond its inputs it
+/// allocates only the hot loop's three small buffers.
+fn sgd_pass(
+    config: &SkipGramConfig,
+    vocab: &Vocab,
+    input: &mut [f32],
+    context: &mut [f32],
+    sequences: &[Vec<u32>],
+    table: &NegativeTable,
+) -> TrainStats {
+    let total_tokens: u64 = sequences.iter().map(|s| s.len() as u64).sum();
+    let planned = (total_tokens * config.epochs as u64).max(1);
+    let mut stats = TrainStats {
+        planned_tokens: planned,
+        processed_tokens: 0,
+        elapsed_secs: 0.0,
+        simd_accelerated: config.kernel == KernelChoice::Auto && simd::simd_accelerated(),
+    };
+    if table.is_empty() {
+        return stats;
+    }
+    let sigmoid = SigmoidTable::new();
+    let start = Instant::now();
+    let mut sgd = Sgd {
+        input,
+        context,
+        table,
+        sigmoid: &sigmoid,
+        keep_probs: vocab.keep_probs(),
+        config,
+        planned,
+        processed: 0,
+        since_lr_update: 0,
+        rng: (config.seed ^ 0x9e37_79b9) | 1,
+        lr: config.learning_rate,
+        neu1e: vec![0f32; config.dim],
+        kept: Vec::new(),
+        samples: Vec::with_capacity(config.negatives + 1),
+    };
+    for _ in 0..config.epochs {
+        for seq in sequences {
+            sgd.train_sequence(seq);
+        }
+    }
+    // The trailing remainder, so the schedule accounts for every token.
+    stats.processed_tokens = sgd.processed + sgd.since_lr_update;
+    stats.elapsed_secs = start.elapsed().as_secs_f64();
+    stats
 }
 
 impl SkipGram {
@@ -524,7 +456,6 @@ impl SkipGram {
                 planned_tokens: 0,
                 processed_tokens: 0,
                 elapsed_secs: 0.0,
-                threads: 0,
                 simd_accelerated: false,
             },
             table: None,
@@ -534,71 +465,6 @@ impl SkipGram {
             sequences,
             table,
         })
-    }
-
-    /// The SGD pass proper, against a caller-supplied negative table. The
-    /// table's bits are a pure function of the vocabulary, so whether it
-    /// was freshly built or carried over by the update path's rebuild
-    /// policy never changes the op sequence — only whether the O(table)
-    /// construction cost was paid. Beyond its inputs it allocates only the
-    /// chunk list and each worker's hot-loop buffers.
-    fn run_sgd_with(&mut self, sequences: &[Vec<u32>], table: &NegativeTable) -> TrainStats {
-        let config = self.config.clone();
-        let total_tokens: u64 = sequences.iter().map(|s| s.len() as u64).sum();
-        let planned = (total_tokens * config.epochs as u64).max(1);
-        let n_threads = config.threads.min(sequences.len()).max(1);
-        let mut stats = TrainStats {
-            planned_tokens: planned,
-            processed_tokens: 0,
-            elapsed_secs: 0.0,
-            threads: n_threads,
-            simd_accelerated: config.kernel == KernelChoice::Auto && simd::simd_accelerated(),
-        };
-        if table.is_empty() {
-            return stats;
-        }
-        let sigmoid = SigmoidTable::new();
-        let ctx = TrainCtx {
-            shared: SharedWeights {
-                input: self.input.as_mut_ptr(),
-                context: self.context.as_mut_ptr(),
-                rows: self.vocab.len(),
-                dim: config.dim,
-            },
-            table,
-            sigmoid: &sigmoid,
-            keep_probs: self.vocab.keep_probs(),
-            config: &config,
-            planned,
-            processed: AtomicU64::new(0),
-        };
-
-        let start = Instant::now();
-        // Token-balanced chunks claimed through one atomic cursor: a
-        // worker stuck on a giant sequence simply claims fewer chunks, so
-        // skewed lengths do not idle the others. The cursor runs over
-        // `epochs` laps of the chunk list — with one thread that is
-        // exactly the sequential epoch order.
-        let chunks = balanced_chunk_ranges(sequences.iter().map(Vec::len), n_threads);
-        let n_chunks = chunks.len();
-        let total_items = n_chunks * config.epochs;
-        let cursor = AtomicUsize::new(0);
-        run_workers(n_threads, |tid| {
-            let mut st = WorkerState::new(&config, tid);
-            loop {
-                let item = cursor.fetch_add(1, Ordering::Relaxed);
-                if item >= total_items {
-                    break;
-                }
-                for seq in &sequences[chunks[item % n_chunks].clone()] {
-                    ctx.train_sequence(&mut st, seq);
-                }
-            }
-            ctx.flush_progress(&mut st);
-        });
-        stats.elapsed_secs = start.elapsed().as_secs_f64();
-        stats.processed_tokens = ctx.processed.load(Ordering::Relaxed);
-        stats
     }
 
     /// The online update entry point (DESIGN.md §14): fold a batch of
@@ -619,8 +485,8 @@ impl SkipGram {
     ///    live weights over the new sequences with the configured
     ///    epochs/LR schedule (a fresh linear decay over this batch).
     ///
-    /// With `threads = 1` the whole call is bit-deterministic and matches
-    /// the naive `oracle::update` reference exactly.
+    /// The whole call is bit-deterministic and, with the scalar kernel,
+    /// matches the naive `oracle::update` reference exactly.
     pub fn update<S: AsRef<str>>(&mut self, sequences: &[Vec<S>]) -> UpdateReport {
         let old_len = self.vocab.len();
         let appended = self.vocab.grow(
@@ -640,13 +506,17 @@ impl SkipGram {
             }
             self.context.resize((old_len + appended) * dim, 0f32);
         }
-        let table_rebuilt = self
+        if self
             .table
             .as_ref()
-            .is_none_or(|t| t.needs_rebuild(&self.vocab));
-        if table_rebuilt {
-            self.table = Some(NegativeTable::from_vocab(&self.vocab));
+            .is_some_and(|t| t.needs_rebuild(&self.vocab))
+        {
+            self.table = None;
         }
+        let table_rebuilt = self.table.is_none();
+        let table = self
+            .table
+            .get_or_insert_with(|| NegativeTable::from_vocab(&self.vocab));
         let encoded: Vec<Vec<u32>> = sequences
             .iter()
             .map(|s| self.vocab.encode(s.iter().map(|t| t.as_ref())))
@@ -660,16 +530,20 @@ impl SkipGram {
                 planned_tokens: 0,
                 processed_tokens: 0,
                 elapsed_secs: 0.0,
-                threads: 0,
                 simd_accelerated: false,
             },
         };
         if encoded.is_empty() {
             return report;
         }
-        let table = self.table.take().expect("table built above");
-        self.stats = self.run_sgd_with(&encoded, &table);
-        self.table = Some(table);
+        self.stats = sgd_pass(
+            &self.config,
+            &self.vocab,
+            &mut self.input,
+            &mut self.context,
+            &encoded,
+            table,
+        );
         report.stats = self.stats;
         report
     }
@@ -808,9 +682,9 @@ mod tests {
     #[test]
     fn single_thread_training_is_deterministic() {
         let corpus = clustered_corpus(30);
-        // `threads = 1, kernel = Scalar` is the pinned bit-determinism
-        // contract; Auto must also be run-to-run deterministic (the
-        // dispatch is process-wide constant).
+        // `kernel = Scalar` is the pinned bit-determinism contract; Auto
+        // must also be run-to-run deterministic (the dispatch is
+        // process-wide constant).
         for kernel in [KernelChoice::Scalar, KernelChoice::Auto] {
             let cfg = SkipGramConfig {
                 kernel,
@@ -827,79 +701,25 @@ mod tests {
     #[test]
     fn lr_schedule_sees_every_token() {
         let corpus = clustered_corpus(30);
-        for threads in [1, 3, 4] {
-            let cfg = SkipGramConfig {
-                threads,
-                ..SkipGramConfig::tiny()
-            };
-            let model = SkipGram::train(&corpus, &cfg).unwrap();
-            let st = model.train_stats();
-            // The trailing per-worker remainders must be flushed: the
-            // decay schedule accounts for exactly the planned token count.
-            assert_eq!(st.processed_tokens, st.planned_tokens, "threads={threads}");
-            assert!((st.lr_coverage() - 1.0).abs() < 1e-12);
-            assert!(st.tokens_per_sec() > 0.0);
-        }
-    }
-
-    #[test]
-    fn balanced_chunks_cover_all_sequences_exactly_once() {
-        // Skewed lengths: one giant sequence among many small ones.
-        let mut lens = vec![5usize; 100];
-        lens[17] = 10_000;
-        for threads in [1, 2, 4, 8] {
-            let chunks = balanced_chunk_ranges(lens.iter().copied(), threads);
-            let mut next = 0;
-            for r in &chunks {
-                assert_eq!(r.start, next, "chunks are contiguous and ordered");
-                assert!(r.end > r.start);
-                next = r.end;
-            }
-            assert_eq!(next, lens.len(), "chunks cover every sequence");
-            // The giant sequence cannot trap the small ones in its chunk:
-            // enough chunks exist for stealing to balance the rest.
-            assert!(chunks.len() > threads, "threads={threads}");
-        }
-        assert!(balanced_chunk_ranges(std::iter::empty(), 4).is_empty());
-    }
-
-    #[test]
-    fn hogwild_learns() {
-        let corpus = clustered_corpus(120);
-        let cfg = SkipGramConfig {
-            threads: 4,
-            ..SkipGramConfig::tiny()
-        };
-        let model = SkipGram::train(&corpus, &cfg).unwrap();
-        let (intra, inter) = cluster_separation(&model);
-        assert!(intra > inter + 0.2, "intra {intra} vs inter {inter}");
-    }
-
-    #[test]
-    fn hogwild_training_still_learns() {
-        let corpus = clustered_corpus(120);
-        let cfg = SkipGramConfig {
-            threads: 4,
-            ..SkipGramConfig::tiny()
-        };
-        let model = SkipGram::train(&corpus, &cfg).unwrap();
-        let (intra, inter) = cluster_separation(&model);
-        assert!(
-            intra > inter + 0.2,
-            "hogwild: intra {intra} vs inter {inter}"
-        );
+        let model = SkipGram::train(&corpus, &SkipGramConfig::tiny()).unwrap();
+        let st = model.train_stats();
+        // The trailing remainder must be flushed: the decay schedule
+        // accounts for exactly the planned token count.
+        assert_eq!(st.processed_tokens, st.planned_tokens);
+        assert!((st.lr_coverage() - 1.0).abs() < 1e-12);
+        assert!(st.tokens_per_sec() > 0.0);
     }
 
     #[test]
     fn worker_panics_propagate_with_their_payload() {
         // Regression: the scope result used to go through `.expect`, which
-        // replaced the worker's panic message with a generic one. Worker 0
-        // runs on a spawned thread, worker 1 on the calling one.
+        // replaced the worker's panic message with a generic one. Share 0
+        // runs on a spawned thread, share 1 on the calling one.
         for panicking in 0..2 {
             let result = std::panic::catch_unwind(|| {
-                run_workers(2, |tid| {
-                    if tid == panicking {
-                        panic!("worker exploded: tid {tid}");
+                run_shares(2, &mut [(); 2], |share, _| {
+                    if share.start == panicking {
+                        panic!("worker exploded: share {}", share.start);
                     }
                 });
             });

@@ -129,11 +129,13 @@ pub(crate) fn dot_rows(q: &[f32], rows: &[f32], sims: &mut [f32]) {
 
 /// One whole (center, context) training pair — the positive sample and
 /// every negative, then the `h_c += neu1e` flush — behind a *single*
-/// dispatch boundary. Each `samples` entry is a context-matrix row pointer
-/// plus its label; for each one this computes `f = h_c·h_o`,
+/// dispatch boundary. Each `samples` entry is a context-matrix row index
+/// plus its label; for each one, in order, this slices the row `h_o` from
+/// `context` (rows of `neu1e.len()` floats), computes `f = h_c·h_o`,
 /// `g = (label − σ(f))·lr` and applies the fused row update (the first
 /// sample *initializes* `neu1e`, so the buffer is never zeroed — see
-/// `fused_row_update_init_portable`).
+/// `fused_row_update_init_portable`). A row named twice sees its earlier
+/// sample's write. An empty `samples` changes nothing.
 ///
 /// Why a batched entry point: `#[target_feature]` kernels cannot inline
 /// into their callers, so with per-primitive dispatch a pair with K
@@ -141,35 +143,37 @@ pub(crate) fn dot_rows(q: &[f32], rows: &[f32], sims: &mut [f32]) {
 /// call drops that to 1 and keeps `h_c` pinned in registers/L1 across all
 /// samples.
 ///
-/// # Safety
-/// `h_c` and every row pointer in `samples` must be valid for
-/// `neu1e.len()` reads and writes for the duration of the call, and must
-/// not overlap `neu1e`. Row pointers may repeat and may be raced by other
-/// Hogwild workers (the trainer's accepted data race).
+/// Panics if `h_c` and `neu1e` differ in length or a row index is out of
+/// `context`.
 #[inline]
-pub unsafe fn train_pair(
-    h_c: *mut f32,
-    samples: &[(*mut f32, f32)],
+pub fn train_pair(
+    h_c: &mut [f32],
+    context: &mut [f32],
+    samples: &[(u32, f32)],
     neu1e: &mut [f32],
     lr: f32,
     sigmoid: &crate::sigmoid::SigmoidTable,
 ) {
+    assert_eq!(h_c.len(), neu1e.len());
     if samples.is_empty() {
         return;
     }
     #[cfg(target_arch = "x86_64")]
     if avx2_fma_available() {
-        // SAFETY: feature-gated as above; pointer contract forwarded.
-        return train_pair_avx2_fma(h_c, samples, neu1e, lr, sigmoid);
+        // SAFETY: the feature check above gates the target_feature fn.
+        return unsafe { train_pair_avx2_fma(h_c, context, samples, neu1e, lr, sigmoid) };
     }
-    train_pair_body(h_c, samples, neu1e, lr, sigmoid);
+    train_pair_portable(h_c, context, samples, neu1e, lr, sigmoid);
 }
 
+/// [`train_pair_portable`] on the AVX2+FMA kernels. Callers hold
+/// `h_c.len() == neu1e.len()`; every row it slices is that long.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn train_pair_avx2_fma(
-    h_c: *mut f32,
-    samples: &[(*mut f32, f32)],
+    h_c: &mut [f32],
+    context: &mut [f32],
+    samples: &[(u32, f32)],
     neu1e: &mut [f32],
     lr: f32,
     sigmoid: &crate::sigmoid::SigmoidTable,
@@ -177,42 +181,41 @@ unsafe fn train_pair_avx2_fma(
     // The *_avx2_fma helpers share this function's target features, so the
     // compiler inlines them here: one real call per pair, not per sample.
     let dim = neu1e.len();
-    let hc = std::slice::from_raw_parts_mut(h_c, dim);
     for (i, &(row, label)) in samples.iter().enumerate() {
-        let h_o = std::slice::from_raw_parts_mut(row, dim);
-        let f = dot_avx2_fma(hc, h_o);
+        let h_o = &mut context[row as usize * dim..][..dim];
+        let f = dot_avx2_fma(h_c, h_o);
         let g = (label - sigmoid.get(f)) * lr;
         if i == 0 {
-            fused_row_update_init_avx2_fma(h_o, hc, neu1e, g);
+            fused_row_update_init_avx2_fma(h_o, h_c, neu1e, g);
         } else {
-            fused_row_update_avx2_fma(h_o, hc, neu1e, g);
+            fused_row_update_avx2_fma(h_o, h_c, neu1e, g);
         }
     }
-    axpy_avx2_fma(hc, 1.0, neu1e);
+    axpy_avx2_fma(h_c, 1.0, neu1e);
 }
 
 /// Portable [`train_pair`] body (also the non-x86 path).
 #[inline]
-unsafe fn train_pair_body(
-    h_c: *mut f32,
-    samples: &[(*mut f32, f32)],
+fn train_pair_portable(
+    h_c: &mut [f32],
+    context: &mut [f32],
+    samples: &[(u32, f32)],
     neu1e: &mut [f32],
     lr: f32,
     sigmoid: &crate::sigmoid::SigmoidTable,
 ) {
     let dim = neu1e.len();
-    let hc = std::slice::from_raw_parts_mut(h_c, dim);
     for (i, &(row, label)) in samples.iter().enumerate() {
-        let h_o = std::slice::from_raw_parts_mut(row, dim);
-        let f = dot_portable(hc, h_o);
+        let h_o = &mut context[row as usize * dim..][..dim];
+        let f = dot_portable(h_c, h_o);
         let g = (label - sigmoid.get(f)) * lr;
         if i == 0 {
-            fused_row_update_init_portable(h_o, hc, neu1e, g);
+            fused_row_update_init_portable(h_o, h_c, neu1e, g);
         } else {
-            fused_row_update_portable(h_o, hc, neu1e, g);
+            fused_row_update_portable(h_o, h_c, neu1e, g);
         }
     }
-    axpy_portable(hc, 1.0, neu1e);
+    axpy_portable(h_c, 1.0, neu1e);
 }
 
 /// 8-lane FMA dot. Four independent vector accumulators (32 floats in
@@ -762,23 +765,43 @@ mod tests {
     }
 
     type RowUpdate = unsafe fn(&mut [f32], &[f32], &mut [f32], f32);
-    type Kernels = (unsafe fn(&mut [f32], f32, &[f32]), RowUpdate, RowUpdate);
+    type TrainPair = unsafe fn(
+        &mut [f32],
+        &mut [f32],
+        &[(u32, f32)],
+        &mut [f32],
+        f32,
+        &crate::sigmoid::SigmoidTable,
+    );
 
-    /// `(axpy, fused_row_update, fused_row_update_init)`: the portable
-    /// bodies, and the AVX2 ones when this CPU has them.
+    /// One body set of the training kernels.
+    struct Kernels {
+        dot: unsafe fn(&[f32], &[f32]) -> f32,
+        axpy: unsafe fn(&mut [f32], f32, &[f32]),
+        fused_row_update: RowUpdate,
+        fused_row_update_init: RowUpdate,
+        train_pair: TrainPair,
+    }
+
+    /// The portable bodies, and the AVX2 ones when this CPU has them (the
+    /// last entry is the set [`train_pair`] dispatches to).
     fn kernels() -> Vec<Kernels> {
-        let portable: Kernels = (
-            axpy_portable,
-            fused_row_update_portable,
-            fused_row_update_init_portable,
-        );
+        let portable = Kernels {
+            dot: dot_portable,
+            axpy: axpy_portable,
+            fused_row_update: fused_row_update_portable,
+            fused_row_update_init: fused_row_update_init_portable,
+            train_pair: train_pair_portable,
+        };
         #[cfg(target_arch = "x86_64")]
         if avx2_fma_available() {
-            let avx2: Kernels = (
-                axpy_avx2_fma,
-                fused_row_update_avx2_fma,
-                fused_row_update_init_avx2_fma,
-            );
+            let avx2 = Kernels {
+                dot: dot_avx2_fma,
+                axpy: axpy_avx2_fma,
+                fused_row_update: fused_row_update_avx2_fma,
+                fused_row_update_init: fused_row_update_init_avx2_fma,
+                train_pair: train_pair_avx2_fma,
+            };
             return vec![portable, avx2];
         }
         vec![portable]
@@ -786,13 +809,13 @@ mod tests {
 
     #[test]
     fn axpy_matches_scalar_reference() {
-        for (axpy, _, _) in kernels() {
+        for k in kernels() {
             for n in [0, 1, 7, 8, 9, 31, 32, 100] {
                 let (x, y0, _) = vecs(n);
                 let mut fast = y0.clone();
                 // SAFETY: `kernels` offers the AVX2 bodies only where the
                 // CPU has the features; lengths match.
-                unsafe { axpy(&mut fast, 0.3, &x) };
+                unsafe { (k.axpy)(&mut fast, 0.3, &x) };
                 let mut slow = y0.clone();
                 for i in 0..n {
                     slow[i] += 0.3 * x[i];
@@ -806,14 +829,14 @@ mod tests {
 
     #[test]
     fn fused_row_update_matches_scalar_reference() {
-        for (_, fused_row_update, _) in kernels() {
+        for k in kernels() {
             for n in [0, 1, 5, 8, 16, 17, 100] {
                 let (c, o0, e0) = vecs(n);
                 let g = -0.125f32;
                 let mut o_fast = o0.clone();
                 let mut e_fast = e0.clone();
                 // SAFETY: as in `axpy_matches_scalar_reference`.
-                unsafe { fused_row_update(&mut o_fast, &c, &mut e_fast, g) };
+                unsafe { (k.fused_row_update)(&mut o_fast, &c, &mut e_fast, g) };
                 // Scalar reference: both updates read h_o's pre-update value.
                 let mut o_slow = o0.clone();
                 let mut e_slow = e0.clone();
@@ -832,7 +855,7 @@ mod tests {
 
     #[test]
     fn fused_init_equals_accumulate_into_zeros() {
-        for (_, fused_row_update, fused_row_update_init) in kernels() {
+        for k in kernels() {
             for n in [0, 1, 5, 8, 16, 17, 100] {
                 let (c, o0, _) = vecs(n);
                 let g = 0.375f32;
@@ -842,8 +865,8 @@ mod tests {
                 let mut e_acc = vec![0f32; n];
                 // SAFETY: as in `axpy_matches_scalar_reference`.
                 unsafe {
-                    fused_row_update_init(&mut o_init, &c, &mut e_init, g);
-                    fused_row_update(&mut o_acc, &c, &mut e_acc, g);
+                    (k.fused_row_update_init)(&mut o_init, &c, &mut e_init, g);
+                    (k.fused_row_update)(&mut o_acc, &c, &mut e_acc, g);
                 }
                 for i in 0..n {
                     assert_eq!(o_init[i].to_bits(), o_acc[i].to_bits(), "h_o n={n} i={i}");
@@ -851,6 +874,73 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `train_pair` is, bit for bit, the per-sample loop of `dot` → fused
+    /// row update → `h_c += neu1e` over the same context matrix, for both
+    /// bodies — including a negative on the positive's row and a negative
+    /// drawn twice, where a sample must see its predecessor's write to the
+    /// row. An empty sample list changes nothing.
+    #[test]
+    fn train_pair_is_the_per_sample_loop_bit_for_bit() {
+        let sigmoid = crate::sigmoid::SigmoidTable::new();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let kernels = kernels();
+        for (ki, k) in kernels.iter().enumerate() {
+            for dim in [1, 3, 8, 17, 64, 100] {
+                let rows = 5;
+                let h_c0: Vec<f32> = (0..dim).map(|i| 0.3 - i as f32 * 0.017).collect();
+                let context0: Vec<f32> = (0..rows * dim)
+                    .map(|i| ((i * 3 + dim) as f32 * 0.21).cos() * 0.4)
+                    .collect();
+                // The positive on row 2, a negative on that same row, row 4
+                // drawn twice, then row 0.
+                let samples = [(2, 1.0), (2, 0.0), (4, 0.0), (4, 0.0), (0, 0.0)];
+                let lr = 0.3;
+                let (mut h_c, mut context, mut neu1e) =
+                    (h_c0.clone(), context0.clone(), vec![f32::NAN; dim]);
+                // SAFETY: `kernels` offers the AVX2 bodies only where the
+                // CPU has the features; `h_c` and `neu1e` are `dim` long.
+                unsafe {
+                    (k.train_pair)(&mut h_c, &mut context, &samples, &mut neu1e, lr, &sigmoid)
+                };
+                let (mut h_c_ref, mut context_ref, mut neu1e_ref) =
+                    (h_c0.clone(), context0.clone(), vec![f32::NAN; dim]);
+                for (i, &(row, label)) in samples.iter().enumerate() {
+                    let h_o = &mut context_ref[row as usize * dim..][..dim];
+                    // SAFETY: as above.
+                    unsafe {
+                        let g = (label - sigmoid.get((k.dot)(&h_c_ref, h_o))) * lr;
+                        if i == 0 {
+                            (k.fused_row_update_init)(h_o, &h_c_ref, &mut neu1e_ref, g);
+                        } else {
+                            (k.fused_row_update)(h_o, &h_c_ref, &mut neu1e_ref, g);
+                        }
+                    }
+                }
+                // SAFETY: as above.
+                unsafe { (k.axpy)(&mut h_c_ref, 1.0, &neu1e_ref) };
+                let case = format!("kernel {ki} dim={dim}");
+                assert_eq!(bits(&h_c), bits(&h_c_ref), "h_c {case}");
+                assert_eq!(bits(&context), bits(&context_ref), "context {case}");
+                assert_eq!(bits(&neu1e), bits(&neu1e_ref), "neu1e {case}");
+                assert_ne!(bits(&context), bits(&context0), "{case} trained nothing");
+
+                if ki == kernels.len() - 1 {
+                    let (mut h_c, mut context, mut neu1e) =
+                        (h_c0.clone(), context0.clone(), vec![f32::NAN; dim]);
+                    train_pair(&mut h_c, &mut context, &samples, &mut neu1e, lr, &sigmoid);
+                    assert_eq!(bits(&h_c), bits(&h_c_ref), "dispatched h_c {case}");
+                    assert_eq!(bits(&context), bits(&context_ref), "dispatched {case}");
+                }
+            }
+        }
+        let (mut h_c, mut context, mut neu1e) = (vec![0.5; 8], vec![0.25; 16], vec![7.0; 8]);
+        train_pair(&mut h_c, &mut context, &[], &mut neu1e, 0.3, &sigmoid);
+        assert_eq!(
+            (h_c, context, neu1e),
+            (vec![0.5; 8], vec![0.25; 16], vec![7.0; 8])
+        );
     }
 
     #[test]

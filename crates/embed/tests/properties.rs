@@ -349,7 +349,6 @@ proptest! {
             dim: 17,
             epochs: 1,
             subsample: 0.0,
-            threads: 1,
             seed,
             kernel,
             ..SkipGramConfig::default()

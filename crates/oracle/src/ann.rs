@@ -141,7 +141,6 @@ fn train_embeddings(corpus: &[Vec<String>], seed: u64) -> Option<EmbeddingSet> {
         learning_rate: 0.025,
         min_count: 1,
         subsample: 0.0,
-        threads: 1,
         seed,
         kernel: KernelChoice::Auto,
     };

@@ -11,7 +11,7 @@
 //!    `hostprof-net`'s `tests/quic_walk.rs`).
 //! 2. **window** — per (user, day) last-request session windows:
 //!    `Trace::window` + `Session::from_window` vs the naive scan.
-//! 3. **train** — full skipgram training at dim 3, one thread: oracle
+//! 3. **train** — full skipgram training at dim 3: oracle
 //!    weights must equal production weights *bit for bit*, for both the
 //!    scalar and the SIMD kernel (identical at dim 3 by construction).
 //! 4. **knn** — session-vector queries through the tiled scan vs the
@@ -267,7 +267,6 @@ fn train_config(seed: u64, kernel: KernelChoice) -> SkipGramConfig {
         learning_rate: 0.025,
         min_count: 1,
         subsample: 0.0,
-        threads: 1,
         seed,
         kernel,
     }

@@ -2,13 +2,13 @@
 //!
 //! word2vec's update rule, transcribed for readability: plain `Vec`s,
 //! sequential loops, one [`sgd_step`] per (center, target) pair. No
-//! SIMD, no Hogwild threads, no sharding, no scratch reuse.
+//! SIMD, no scratch reuse.
 //!
 //! The oracle follows the *same specified algorithm* as the production
 //! trainer — identical RNG stream (xorshift64*), identical quantized
 //! sigmoid table, identical unigram^0.75 negative table, identical
 //! learning-rate schedule — because the differential driver pins the
-//! production trainer to it bit-for-bit at one thread. Any deviation in
+//! production trainer to it bit-for-bit. Any deviation in
 //! draw order or accumulation order shows up as a `train` mismatch.
 
 /// The word2vec PRNG: xorshift64* (state must be odd-initialized by the
@@ -28,7 +28,7 @@ pub fn unit_f64(draw: u64) -> f64 {
 }
 
 /// Reference hyperparameters (mirrors `SkipGramConfig`, minus the
-/// kernel/threading knobs the oracle refuses to have).
+/// kernel knob the oracle refuses to have).
 #[derive(Debug, Clone)]
 pub struct SgdConfig {
     pub dim: usize,
@@ -260,10 +260,10 @@ pub fn train(sequences: &[Vec<String>], cfg: &SgdConfig) -> Option<OracleModel> 
     })
 }
 
-/// One full SGD pass over pre-encoded sequences: worker 0's RNG stream,
+/// One full SGD pass over pre-encoded sequences: the trainer's RNG stream,
 /// the linear learning-rate decay updated every 10k scheduled tokens, the
 /// randomly shrunken window, `negatives + 1` targets per context position
-/// — exactly the production trainer's op sequence at one thread. Shared
+/// — exactly the production trainer's op sequence. Shared
 /// by initial [`train`] and the online [`crate::update`] path, which
 /// resumes from live weights with a (possibly stale) carried-over table.
 pub fn sgd_pass(
@@ -431,7 +431,6 @@ mod tests {
             learning_rate: 0.025,
             min_count: 1,
             subsample: 0.0,
-            threads: 1,
             seed: 0x5eed_cafe,
             kernel: KernelChoice::Scalar,
         };
@@ -475,7 +474,6 @@ mod tests {
             learning_rate: 0.025,
             min_count: 1,
             subsample: 0.05,
-            threads: 1,
             seed: 0x1234,
             kernel: KernelChoice::Scalar,
         };

@@ -185,7 +185,7 @@ impl OracleOnline {
 }
 
 /// Run {initial train → update batches} through the oracle and the
-/// production trainer (one thread, scalar kernel) side by side and diff
+/// production trainer (scalar kernel) side by side and diff
 /// after every stage: vocabulary structure, both weight matrices bit for
 /// bit, and the rebuild decision. Every mismatch is attributed to
 /// [`Stage::Update`] with the batch index in the item, so a proptest
@@ -207,7 +207,6 @@ pub fn diff_online(
         learning_rate: cfg.learning_rate,
         min_count: cfg.min_count,
         subsample: cfg.subsample,
-        threads: 1,
         seed: cfg.seed,
         kernel: KernelChoice::Scalar,
     };
@@ -397,7 +396,6 @@ mod tests {
             learning_rate: cfg.learning_rate,
             min_count: cfg.min_count,
             subsample: cfg.subsample,
-            threads: 1,
             seed: cfg.seed,
             kernel: KernelChoice::Scalar,
         };
@@ -459,7 +457,6 @@ mod tests {
         other.seed ^= 1 << 20;
         let oracle = OracleOnline::train(&day(0, 5), &other).expect("train");
         let prod_cfg = SkipGramConfig {
-            threads: 1,
             seed: cfg.seed,
             kernel: KernelChoice::Scalar,
             dim: cfg.dim,

@@ -40,8 +40,7 @@ static COMMANDS: &[Command] = &[
     Command {
         name: "train",
         mode: None,
-        flags: "[--scale S] [--days N] [--users N] [--threads N] [--kernel auto|scalar] \
-                --out model.hpflat",
+        flags: "[--scale S] [--days N] [--users N] [--kernel auto|scalar] --out model.hpflat",
         run: cmd_train,
     },
     Command {
@@ -294,9 +293,6 @@ fn scenario_config(args: &Args) -> Result<ScenarioConfig, String> {
 fn cmd_train(args: &Args) -> Result<(), String> {
     let out = PathBuf::from(args.required("out"));
     let mut cfg = scenario_config(args)?;
-    if let Some(threads) = args.get_parsed::<usize>("threads")? {
-        cfg.pipeline.skipgram.threads = threads;
-    }
     if let Some(kernel) = args.get_parsed::<KernelChoice>("kernel")? {
         cfg.pipeline.skipgram.kernel = kernel;
     }
@@ -317,11 +313,9 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         out.display()
     );
     println!(
-        "  {} tokens in {:.2}s on {} thread(s) ({} kernel) → {:.0} tokens/s, \
-         LR schedule coverage {:.4}",
+        "  {} tokens in {:.2}s ({} kernel) → {:.0} tokens/s, LR schedule coverage {:.4}",
         stats.processed_tokens,
         stats.elapsed_secs,
-        stats.threads,
         if stats.simd_accelerated {
             "simd"
         } else {

@@ -27,7 +27,7 @@
 //! operations (where they differ, `crates/embed/tests/properties.rs` pins
 //! their agreement at `dim = 17`). Nor are the knobs that legitimately
 //! change results (dim ≥ 4 re-associates the portable dot product's
-//! 4-accumulator reduction; `threads ≥ 2` makes Hogwild racy by design).
+//! 4-accumulator reduction).
 //! The conformance suite (`tests/replay_conformance.rs`) runs the full
 //! 2×2 matrix over every schedule and asserts byte equality; per-stage
 //! FNV digests give a stage-attributed diff the moment any future
@@ -320,7 +320,7 @@ impl Digest {
 }
 
 /// The pinned replay scenario: tiny world, 12 users, 3 days, `dim = 3`
-/// single-thread training (see the determinism contract above).
+/// training (see the determinism contract above).
 pub fn replay_scenario_config(opts: &ReplayOptions) -> ScenarioConfig {
     let mix = |salt: u64| -> u64 {
         let mut x = opts
@@ -345,7 +345,6 @@ pub fn replay_scenario_config(opts: &ReplayOptions) -> ScenarioConfig {
         learning_rate: 0.025,
         min_count: 1,
         subsample: 0.0,
-        threads: 1,
         seed: mix(5),
         ..SkipGramConfig::default()
     };
@@ -746,7 +745,7 @@ impl GoldenSchedule for UpdateSnapshot {
     /// Determinism leans on three already-pinned properties: window
     /// *content* is lane-invariant (the streaming-equivalence contract),
     /// the harvest order is tick order then user order (also lane-
-    /// invariant), and the update trains with one Hogwild worker.
+    /// invariant), and training is one sequential SGD loop.
     fn run(opts: &ReplayOptions, lanes: usize) -> Result<Self, String> {
         let p = Pinned::generate(opts);
         let s = &p.s;
@@ -950,8 +949,8 @@ impl GoldenSchedule for DefenseSnapshot {
     /// Run the defense schedule.
     ///
     /// Determinism: defended event streams are stable time sorts of a
-    /// deterministic transform, training runs with one Hogwild worker,
-    /// and serving inherits the lane-invariance contract — decoys share
+    /// deterministic transform, training is one sequential SGD loop, and
+    /// serving inherits the lane-invariance contract — decoys share
     /// their client's IP, so they ride the same lane as the traffic they
     /// cover.
     fn run(opts: &ReplayOptions, lanes: usize) -> Result<Self, String> {

@@ -269,10 +269,12 @@ fn unknown_options_fail_loudly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --scael"));
 
     // The chaos sweep once had a parser of its own, in which a typo'd flag
-    // or count ran the default window and exited 0.
+    // or count ran the default window and exited 0. A removed flag
+    // (`train --threads`) is refused, not ignored.
     for (args, complaint) in [
         (["chaos", "--sedes", "4"], "unknown option --sedes"),
         (["chaos", "--seeds", "abc"], "invalid value for --seeds"),
+        (["train", "--threads", "2"], "unknown option --threads"),
     ] {
         let out = hostprof(&args);
         let err = String::from_utf8_lossy(&out.stderr).into_owned();

@@ -5,9 +5,9 @@
 //!
 //! The determinism contract making this possible is spelled out in
 //! `src/replay.rs` (and DESIGN.md §10): the replay pins skipgram to
-//! `dim = 3, threads = 1`, where the one worker claims chunks in
-//! sequential epoch order, while batch profiling consumes no randomness
-//! so the thread count cannot reorder float accumulation. There is no
+//! `dim = 3` and trains in one sequential SGD loop, while batch
+//! profiling consumes no randomness so the thread count cannot reorder
+//! float accumulation. There is no
 //! kernel axis (two test names still say `_and_kernels`): at `dim = 3` the
 //! SIMD kernels take their scalar tail path from element 0, and `crates/
 //! embed/tests/properties.rs` pins scalar-vs-SIMD agreement at `dim = 17`.

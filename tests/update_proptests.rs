@@ -12,7 +12,7 @@
 //!    and the running total all match the naive reference, and an id
 //!    handed out before the growth never moves.
 //! 2. **Incremental SGD** — the full {train → update…} schedule is
-//!    bit-identical to the oracle at one thread with the scalar kernel;
+//!    bit-identical to the oracle with the scalar kernel;
 //!    any divergence comes back stage-attributed (`[update] batch2/...`).
 //! 3. **Multi-round stability** — across several updates ids stay
 //!    append-only, and replaying the identical schedule from scratch
@@ -71,7 +71,6 @@ fn production_config(cfg: &SgdConfig) -> SkipGramConfig {
         learning_rate: cfg.learning_rate,
         min_count: cfg.min_count,
         subsample: cfg.subsample,
-        threads: 1,
         seed: cfg.seed,
         kernel: KernelChoice::Scalar,
     }
